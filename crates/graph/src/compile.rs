@@ -128,7 +128,7 @@ pub(crate) enum IKind {
     },
 }
 
-/// A fused elementwise group: the single-loop kernel plus the covered
+/// A fused elementwise group: the strip-mined kernel plus the covered
 /// source nodes (in execution order, root last) for fault/obs/cost
 /// parity and exact op-by-op fallback.
 #[derive(Debug)]

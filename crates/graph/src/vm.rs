@@ -12,10 +12,11 @@
 //!   walk through an `Option<GValue>` side table;
 //! * subgraph frames are flat register files reused across `While`
 //!   iterations;
-//! * fused instructions evaluate whole elementwise chains in one loop
-//!   over the data (falling back to exact op-by-op dispatch whenever
-//!   eligibility — all-f32, broadcast-compatible — does not hold, or
-//!   when per-op observability spans were requested);
+//! * fused instructions evaluate whole elementwise chains strip by
+//!   strip with no intermediate tensors (falling back to exact
+//!   op-by-op dispatch whenever eligibility — all-f32,
+//!   broadcast-compatible — does not hold, or when per-op
+//!   observability spans were requested);
 //! * registers past their last use are recycled through a
 //!   [`FusedArena`], so loop-carried temporaries reuse buffers instead
 //!   of round-tripping the allocator.
@@ -37,7 +38,6 @@ use crate::{GraphError, Result};
 use autograph_faults as faults;
 use autograph_obs as obs;
 use autograph_tensor::fused::FusedArena;
-use autograph_tensor::Tensor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Cheap placeholder for empty / freed registers.
@@ -409,7 +409,7 @@ fn exec_instr(
     }
 }
 
-/// Execute a fused elementwise group: single-loop kernel when eligible,
+/// Execute a fused elementwise group: strip-mined kernel when eligible,
 /// exact op-by-op fallback otherwise. Either way every covered source
 /// node keeps its dispatch count, fault-injection site, and error
 /// attribution.
@@ -425,33 +425,27 @@ fn exec_fused(
     for _ in &group.cover {
         ctx.before_node()?;
     }
-    let srcs: Vec<&GValue> = instr.srcs.iter().map(|&r| &regs[r as usize]).collect();
+    let srcs = &instr.srcs;
     // per-op spans only exist on the fallback path; when observability
     // is on, take it so profiles see each op
-    let all_tensors = srcs.iter().all(|v| matches!(v, GValue::Tensor(_)));
-    if !obs::enabled() && all_tensors {
-        let tensors: Vec<&Tensor> = srcs
-            .iter()
-            .filter_map(|v| match v {
-                GValue::Tensor(t) => Some(t),
-                _ => None,
-            })
-            .collect();
-        if group.spec.eligible(&tensors) {
+    if !obs::enabled() {
+        // eligibility is decided before the fault sites fire and the
+        // plan consumed after, so chaos plans behave identically; a
+        // non-tensor source cuts the inputs short, which no plan accepts
+        let tensors = srcs.iter().map_while(|&r| match &regs[r as usize] {
+            GValue::Tensor(t) => Some(t),
+            _ => None,
+        });
+        if let Some(plan) = group.spec.plan(tensors) {
             // fire each covered node's fault site (in execution order)
-            // before the kernel, so chaos plans behave identically
+            // before the kernel
             for c in &group.cover {
                 inject_cover(c)?;
             }
-            if let Some(out) = group.spec.try_eval(&tensors, arena) {
-                return Ok(GValue::Tensor(out));
-            }
-            // eligibility raced/failed inside eval: fall through to the
-            // exact path, but don't re-fire injection sites
-            return eval_cover(group, &srcs, false);
+            return Ok(GValue::Tensor(group.spec.eval(plan, arena)));
         }
     }
-    eval_cover(group, &srcs, true)
+    eval_cover(group, srcs, regs)
 }
 
 /// Fire one covered op's fault-injection site under its own panic
@@ -475,24 +469,21 @@ fn inject_cover(c: &CoverOp) -> Result<()> {
 /// Exact fallback: evaluate the covered ops one by one through the same
 /// kernel table as the interpreter, with per-op fault sites, obs spans,
 /// and innermost-wins error attribution.
-fn eval_cover(group: &FusedGroup, srcs: &[&GValue], with_injects: bool) -> Result<GValue> {
+fn eval_cover(group: &FusedGroup, srcs: &[u32], regs: &[GValue]) -> Result<GValue> {
     let mut vals: Vec<Option<GValue>> = vec![None; group.cover.len()];
     for (k, c) in group.cover.iter().enumerate() {
         let inputs: Vec<GValue> = c
             .args
             .iter()
             .map(|a| match a {
-                CoverArg::Ext(s) => Ok(srcs[*s].clone()),
+                CoverArg::Ext(s) => Ok(regs[srcs[*s] as usize].clone()),
                 CoverArg::Int(i) => vals[*i]
                     .clone()
                     .ok_or_else(|| GraphError::runtime(format!("fused operand {i} not computed"))),
             })
             .collect::<Result<_>>()?;
         let r = catch_unwind(AssertUnwindSafe(|| -> Result<GValue> {
-            if with_injects {
-                faults::inject("graph", c.mnemonic)
-                    .map_err(|e| GraphError::runtime(e.to_string()))?;
-            }
+            faults::inject("graph", c.mnemonic).map_err(|e| GraphError::runtime(e.to_string()))?;
             if obs::enabled() {
                 obs::count("graph", "node_evals", 1);
                 let _span = obs::span("graph_op", c.mnemonic);

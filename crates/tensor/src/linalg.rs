@@ -89,40 +89,10 @@ impl Tensor {
         }
         let in_shape = self.shape();
         let out_shape: Vec<usize> = perm.iter().map(|&p| in_shape[p]).collect();
-        let in_strides = crate::Shape::new(in_shape).strides();
-        let out_strides: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
-        let n = self.num_elements();
-
-        fn permute<T: Copy>(
-            v: &[T],
-            n: usize,
-            out_shape: &[usize],
-            out_strides: &[usize],
-        ) -> Vec<T> {
-            let mut out = Vec::with_capacity(n);
-            let rank = out_shape.len();
-            let mut coords = vec![0usize; rank];
-            for _ in 0..n {
-                let mut src = 0;
-                for d in 0..rank {
-                    src += coords[d] * out_strides[d];
-                }
-                out.push(v[src]);
-                for d in (0..rank).rev() {
-                    coords[d] += 1;
-                    if coords[d] < out_shape[d] {
-                        break;
-                    }
-                    coords[d] = 0;
-                }
-            }
-            out
-        }
-
         let data = match self.data() {
-            Data::F32(v) => Data::F32(permute(v, n, &out_shape, &out_strides)),
-            Data::I64(v) => Data::I64(permute(v, n, &out_shape, &out_strides)),
-            Data::Bool(v) => Data::Bool(permute(v, n, &out_shape, &out_strides)),
+            Data::F32(v) => Data::F32(permute(v, in_shape, perm)),
+            Data::I64(v) => Data::I64(permute(v, in_shape, perm)),
+            Data::Bool(v) => Data::Bool(permute(v, in_shape, perm)),
         };
         Ok(Tensor::from_data(data, &out_shape))
     }
@@ -144,6 +114,66 @@ impl Tensor {
             }),
         }
     }
+}
+
+/// Edge of the square tiles a rank-2 transpose copies in, so both the
+/// rows it reads and the rows it writes stay in cache.
+const TRANSPOSE_TILE: usize = 16;
+
+/// Copy `v` (row-major, `in_shape`) into the axis order `perm`.
+///
+/// Trailing axes the permutation leaves in place form contiguous runs
+/// that move with `extend_from_slice` (the RNN's `(1, 0, 2)`); a rank-2
+/// transpose copies tile by tile; anything else walks an odometer over
+/// the output with the source offset updated incrementally.
+fn permute<T: Copy>(v: &[T], in_shape: &[usize], perm: &[usize]) -> Vec<T> {
+    let Some(&first) = v.first() else {
+        return Vec::new();
+    };
+    if perm == [1, 0] {
+        let (rows, cols) = (in_shape[0], in_shape[1]);
+        let mut out = vec![first; v.len()];
+        for i0 in (0..rows).step_by(TRANSPOSE_TILE) {
+            for j0 in (0..cols).step_by(TRANSPOSE_TILE) {
+                for i in i0..(i0 + TRANSPOSE_TILE).min(rows) {
+                    for j in j0..(j0 + TRANSPOSE_TILE).min(cols) {
+                        out[j * rows + i] = v[i * cols + j];
+                    }
+                }
+            }
+        }
+        return out;
+    }
+    let rank = perm.len();
+    let kept = (0..rank).rev().take_while(|&i| perm[i] == i).count();
+    let run: usize = in_shape[rank - kept..].iter().product();
+    let in_strides = crate::Shape::new(in_shape).strides();
+    // the permuted axes as (extent, source stride), innermost first
+    let axes: Vec<(usize, usize)> = perm[..rank - kept]
+        .iter()
+        .rev()
+        .map(|&p| (in_shape[p], in_strides[p]))
+        .collect();
+    let mut coords = vec![0usize; axes.len()];
+    let mut out = Vec::with_capacity(v.len());
+    let mut src = 0;
+    while out.len() < v.len() {
+        if run == 1 {
+            out.push(v[src]);
+        } else {
+            out.extend_from_slice(&v[src..src + run]);
+        }
+        for (coord, &(extent, stride)) in coords.iter_mut().zip(&axes) {
+            *coord += 1;
+            src += stride;
+            if *coord < extent {
+                break;
+            }
+            src -= stride * extent;
+            *coord = 0;
+        }
+    }
+    out
 }
 
 /// Flop threshold (2*m*k*n) below which splitting a matmul across the
@@ -267,6 +297,51 @@ mod tests {
             t.as_f32().unwrap(),
             &[0.0, 1.0, 6.0, 7.0, 2.0, 3.0, 8.0, 9.0, 4.0, 5.0, 10.0, 11.0]
         );
+    }
+
+    /// Every permutation of a rank-4 shape (tiled, run-copy and general
+    /// paths, extents that straddle a tile) against the definition:
+    /// `out[coords] = in[coords permuted back]`.
+    #[test]
+    fn transpose_matches_definition_for_all_perms() {
+        fn perms(k: usize) -> Vec<Vec<usize>> {
+            if k == 0 {
+                return vec![vec![]];
+            }
+            let mut out = Vec::new();
+            for p in perms(k - 1) {
+                for at in 0..=p.len() {
+                    let mut q = p.clone();
+                    q.insert(at, k - 1);
+                    out.push(q);
+                }
+            }
+            out
+        }
+        for shape in [
+            vec![3usize, 17, 2, 5],
+            vec![33, 18],
+            vec![1, 40],
+            vec![4, 0, 3],
+        ] {
+            let n: usize = shape.iter().product();
+            let a = Tensor::from_vec_i64((0..n as i64).collect(), &shape).unwrap();
+            let in_strides = crate::Shape::new(&shape).strides();
+            for perm in perms(shape.len()) {
+                let t = a.transpose(&perm).unwrap();
+                let out_shape: Vec<usize> = perm.iter().map(|&p| shape[p]).collect();
+                assert_eq!(t.shape(), out_shape.as_slice());
+                let out_strides = crate::Shape::new(&out_shape).strides();
+                let want: Vec<i64> = (0..n)
+                    .map(|flat| {
+                        (0..perm.len())
+                            .map(|d| (flat / out_strides[d] % out_shape[d]) * in_strides[perm[d]])
+                            .sum::<usize>() as i64
+                    })
+                    .collect();
+                assert_eq!(t.as_i64().unwrap(), want, "{shape:?} perm {perm:?}");
+            }
+        }
     }
 
     #[test]

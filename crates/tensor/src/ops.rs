@@ -1,11 +1,67 @@
 //! Elementwise arithmetic, comparison and logical kernels with broadcasting.
 
-use crate::shape::BroadcastMap;
+use crate::shape::{RunWalker, CHUNK};
 use crate::{broadcast_shapes, DType, Data, Result, Tensor, TensorError};
 
 /// Element count above which a same-shape f32 kernel is split across
 /// the worker pool (below it the per-chunk dispatch cost dominates).
 const ELEMWISE_PAR_MIN: usize = 1 << 15;
+
+/// One operand of a broadcasting kernel, read strip by strip: in place
+/// when it already has the output's shape, through a lane of up to
+/// [`CHUNK`] elements filled by its [`RunWalker`] otherwise — so the loop
+/// applying the kernel is always a straight slice loop.
+struct Strips<'a, T> {
+    src: &'a [T],
+    walker: RunWalker,
+    /// Empty for operands read in place.
+    lane: Vec<T>,
+}
+
+impl<'a, T: Copy> Strips<'a, T> {
+    fn new(src: &'a [T], in_shape: &[usize], out_shape: &[usize]) -> Self {
+        let walker = RunWalker::new(in_shape, out_shape);
+        let lane = match src.first() {
+            Some(&x) if !walker.is_identity() => {
+                vec![x; CHUNK.min(out_shape.iter().product())]
+            }
+            _ => Vec::new(),
+        };
+        Strips { src, walker, lane }
+    }
+
+    /// Output elements `start .. start + len` of the broadcast operand.
+    fn get(&mut self, start: usize, len: usize) -> &[T] {
+        if self.lane.is_empty() {
+            return &self.src[start..start + len];
+        }
+        self.walker.fill(self.src, start, &mut self.lane[..len]);
+        &self.lane[..len]
+    }
+}
+
+/// `out[i] = f(a[i], b[i])` over `n` output elements, both operands
+/// broadcast.
+fn zip_broadcast<A: Copy, B: Copy, O>(
+    mut a: Strips<'_, A>,
+    mut b: Strips<'_, B>,
+    n: usize,
+    f: impl Fn(A, B) -> O,
+) -> Vec<O> {
+    // operands read in place need no strips
+    let strip = if a.lane.is_empty() && b.lane.is_empty() {
+        n
+    } else {
+        CHUNK
+    };
+    let mut out = Vec::with_capacity(n);
+    while out.len() < n {
+        let (start, len) = (out.len(), strip.min(n - out.len()));
+        let (sa, sb) = (a.get(start, len), b.get(start, len));
+        out.extend(sa.iter().zip(sb).map(|(&x, &y)| f(x, y)));
+    }
+    out
+}
 
 /// Apply a binary f32 kernel with broadcasting. Integer inputs are promoted
 /// to f32 when mixed with floats; pure-integer inputs stay integer for the
@@ -30,33 +86,20 @@ fn binary_numeric(
             expected: DType::F32,
         });
     }
-    let lm = BroadcastMap::new(lhs.shape(), &out_shape);
-    let rm = BroadcastMap::new(rhs.shape(), &out_shape);
     let n: usize = out_shape.iter().product();
-
     if lhs.dtype() == DType::I64 && rhs.dtype() == DType::I64 {
         if let Some(fi) = f_i64 {
-            let a = lhs.as_i64()?;
-            let b = rhs.as_i64()?;
-            let mut out = Vec::with_capacity(n);
-            if lm.is_identity() && rm.is_identity() {
-                for i in 0..n {
-                    out.push(fi(a[i], b[i]));
-                }
-            } else {
-                for i in 0..n {
-                    out.push(fi(a[lm.map(i)], b[rm.map(i)]));
-                }
-            }
+            let a = Strips::new(lhs.as_i64()?, lhs.shape(), &out_shape);
+            let b = Strips::new(rhs.as_i64()?, rhs.shape(), &out_shape);
+            let out = zip_broadcast(a, b, n, fi);
             return Ok(Tensor::from_data(Data::I64(out), &out_shape));
         }
     }
     let a = lhs.cast(DType::F32);
     let b = rhs.cast(DType::F32);
-    let a = a.as_f32()?;
-    let b = b.as_f32()?;
-    if lm.is_identity() && rm.is_identity() && autograph_par::threads() > 1 && n >= ELEMWISE_PAR_MIN
-    {
+    let (a, b) = (a.as_f32()?, b.as_f32()?);
+    let same_shape = lhs.shape() == rhs.shape();
+    if same_shape && autograph_par::threads() > 1 && n >= ELEMWISE_PAR_MIN {
         let mut out = vec![0.0f32; n];
         let out_addr = out.as_mut_ptr() as usize;
         autograph_par::parallel_for(n, 4096, &|range| {
@@ -68,16 +111,9 @@ fn binary_numeric(
         });
         return Ok(Tensor::from_data(Data::F32(out), &out_shape));
     }
-    let mut out = Vec::with_capacity(n);
-    if lm.is_identity() && rm.is_identity() {
-        for i in 0..n {
-            out.push(f_f32(a[i], b[i]));
-        }
-    } else {
-        for i in 0..n {
-            out.push(f_f32(a[lm.map(i)], b[rm.map(i)]));
-        }
-    }
+    let a = Strips::new(a, lhs.shape(), &out_shape);
+    let b = Strips::new(b, rhs.shape(), &out_shape);
+    let out = zip_broadcast(a, b, n, f_f32);
     Ok(Tensor::from_data(Data::F32(out), &out_shape))
 }
 
@@ -96,18 +132,43 @@ fn binary_compare(
             expected: DType::F32,
         });
     }
-    let lm = BroadcastMap::new(lhs.shape(), &out_shape);
-    let rm = BroadcastMap::new(rhs.shape(), &out_shape);
     let a = lhs.cast(DType::F32);
     let b = rhs.cast(DType::F32);
-    let a = a.as_f32()?;
-    let b = b.as_f32()?;
     let n: usize = out_shape.iter().product();
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        out.push(f(a[lm.map(i)], b[rm.map(i)]));
-    }
+    let a = Strips::new(a.as_f32()?, lhs.shape(), &out_shape);
+    let b = Strips::new(b.as_f32()?, rhs.shape(), &out_shape);
+    let out = zip_broadcast(a, b, n, f);
     Ok(Tensor::from_data(Data::Bool(out), &out_shape))
+}
+
+/// Broadcast two bool tensors through `f`.
+fn zip_bool(lhs: &Tensor, rhs: &Tensor, f: impl Fn(bool, bool) -> bool) -> Result<Tensor> {
+    let out_shape = broadcast_shapes(lhs.shape(), rhs.shape())?;
+    let n: usize = out_shape.iter().product();
+    let a = Strips::new(lhs.as_bool()?, lhs.shape(), &out_shape);
+    let b = Strips::new(rhs.as_bool()?, rhs.shape(), &out_shape);
+    let out = zip_broadcast(a, b, n, f);
+    Ok(Tensor::from_data(Data::Bool(out), &out_shape))
+}
+
+/// `where(cond, a, b)` over `n` output elements, all operands broadcast.
+fn select_broadcast<T: Copy>(
+    cond: &mut Strips<'_, bool>,
+    mut a: Strips<'_, T>,
+    mut b: Strips<'_, T>,
+    n: usize,
+) -> Vec<T> {
+    let mut out = Vec::with_capacity(n);
+    while out.len() < n {
+        let (start, len) = (out.len(), CHUNK.min(n - out.len()));
+        let (sc, sa, sb) = (cond.get(start, len), a.get(start, len), b.get(start, len));
+        out.extend(
+            sc.iter()
+                .zip(sa.iter().zip(sb))
+                .map(|(&c, (&a, &b))| if c { a } else { b }),
+        );
+    }
+    out
 }
 
 impl Tensor {
@@ -389,14 +450,7 @@ impl Tensor {
     /// Fails on broadcast mismatch.
     pub fn equal(&self, rhs: &Tensor) -> Result<Tensor> {
         if self.dtype() == DType::Bool && rhs.dtype() == DType::Bool {
-            let out_shape = broadcast_shapes(self.shape(), rhs.shape())?;
-            let lm = BroadcastMap::new(self.shape(), &out_shape);
-            let rm = BroadcastMap::new(rhs.shape(), &out_shape);
-            let a = self.as_bool()?;
-            let b = rhs.as_bool()?;
-            let n: usize = out_shape.iter().product();
-            let out: Vec<bool> = (0..n).map(|i| a[lm.map(i)] == b[rm.map(i)]).collect();
-            return Ok(Tensor::from_data(Data::Bool(out), &out_shape));
+            return zip_bool(self, rhs, |a, b| a == b);
         }
         binary_compare("equal", self, rhs, |a, b| a == b)
     }
@@ -465,14 +519,7 @@ impl Tensor {
                 expected: DType::Bool,
             });
         }
-        let out_shape = broadcast_shapes(self.shape(), rhs.shape())?;
-        let lm = BroadcastMap::new(self.shape(), &out_shape);
-        let rm = BroadcastMap::new(rhs.shape(), &out_shape);
-        let a = self.as_bool()?;
-        let b = rhs.as_bool()?;
-        let n: usize = out_shape.iter().product();
-        let out: Vec<bool> = (0..n).map(|i| f(a[lm.map(i)], b[rm.map(i)])).collect();
-        Ok(Tensor::from_data(Data::Bool(out), &out_shape))
+        zip_bool(self, rhs, f)
     }
 
     /// `where(cond, a, b)`: select elements of `a` where `cond` is true,
@@ -498,45 +545,28 @@ impl Tensor {
         }
         let ab = broadcast_shapes(a.shape(), b.shape())?;
         let out_shape = broadcast_shapes(cond.shape(), &ab)?;
-        let cm = BroadcastMap::new(cond.shape(), &out_shape);
-        let am = BroadcastMap::new(a.shape(), &out_shape);
-        let bm = BroadcastMap::new(b.shape(), &out_shape);
-        let c = cond.as_bool()?;
+        let mut c = Strips::new(cond.as_bool()?, cond.shape(), &out_shape);
         let n: usize = out_shape.iter().product();
+        let (sa, sb, so) = (a.shape(), b.shape(), out_shape.as_slice());
         let data = match (a.data(), b.data()) {
-            (Data::F32(av), Data::F32(bv)) => Data::F32(
-                (0..n)
-                    .map(|i| {
-                        if c[cm.map(i)] {
-                            av[am.map(i)]
-                        } else {
-                            bv[bm.map(i)]
-                        }
-                    })
-                    .collect(),
-            ),
-            (Data::I64(av), Data::I64(bv)) => Data::I64(
-                (0..n)
-                    .map(|i| {
-                        if c[cm.map(i)] {
-                            av[am.map(i)]
-                        } else {
-                            bv[bm.map(i)]
-                        }
-                    })
-                    .collect(),
-            ),
-            (Data::Bool(av), Data::Bool(bv)) => Data::Bool(
-                (0..n)
-                    .map(|i| {
-                        if c[cm.map(i)] {
-                            av[am.map(i)]
-                        } else {
-                            bv[bm.map(i)]
-                        }
-                    })
-                    .collect(),
-            ),
+            (Data::F32(a), Data::F32(b)) => Data::F32(select_broadcast(
+                &mut c,
+                Strips::new(a, sa, so),
+                Strips::new(b, sb, so),
+                n,
+            )),
+            (Data::I64(a), Data::I64(b)) => Data::I64(select_broadcast(
+                &mut c,
+                Strips::new(a, sa, so),
+                Strips::new(b, sb, so),
+                n,
+            )),
+            (Data::Bool(a), Data::Bool(b)) => Data::Bool(select_broadcast(
+                &mut c,
+                Strips::new(a, sa, so),
+                Strips::new(b, sb, so),
+                n,
+            )),
             _ => unreachable!("dtype equality checked above"),
         };
         Ok(Tensor::from_data(data, &out_shape))
@@ -705,6 +735,74 @@ mod tests {
         let got = at.mul(&bt).unwrap().add(&at.div(&bt).unwrap()).unwrap();
         for (g, w) in got.as_f32().unwrap().iter().zip(&want) {
             assert_eq!(g.to_bits(), w.to_bits());
+        }
+    }
+
+    /// The broadcasting kernels against the per-element definition of
+    /// broadcasting, over shapes whose outputs span several strips.
+    #[test]
+    fn broadcast_kernels_match_per_element_map() {
+        use crate::shape::BroadcastMap;
+        let mut rng = crate::Rng64::new(0xb0a7);
+        let n = CHUNK + 9;
+        let pairs: [(Vec<usize>, Vec<usize>); 6] = [
+            (vec![3, n], vec![n]),
+            (vec![n, 3], vec![n, 1]),
+            (vec![3, n], vec![3, 1]),
+            (vec![2, 1, n], vec![1, 3, 1]),
+            (vec![n], vec![]),
+            (vec![2, n], vec![2, n]),
+        ];
+        for (xs, ys) in pairs {
+            let out = broadcast_shapes(&xs, &ys).unwrap();
+            let total: usize = out.iter().product();
+            let (xm, ym) = (BroadcastMap::new(&xs, &out), BroadcastMap::new(&ys, &out));
+            let x = rng.normal_tensor(&xs, 2.0);
+            let y = rng.normal_tensor(&ys, 2.0);
+            let (xv, yv) = (x.as_f32().unwrap(), y.as_f32().unwrap());
+
+            let want: Vec<u32> = (0..total)
+                .map(|i| (xv[xm.map(i)] - yv[ym.map(i)]).to_bits())
+                .collect();
+            let got = x.sub(&y).unwrap();
+            assert_eq!(got.shape(), out.as_slice());
+            let got: Vec<u32> = got.as_f32().unwrap().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "sub {xs:?} {ys:?}");
+
+            let want: Vec<bool> = (0..total).map(|i| xv[xm.map(i)] < yv[ym.map(i)]).collect();
+            let less = x.less(&y).unwrap();
+            assert_eq!(less.as_bool().unwrap(), want, "less {xs:?} {ys:?}");
+
+            let (xi, yi) = (x.cast(DType::I64), y.cast(DType::I64));
+            let want: Vec<i64> = (0..total)
+                .map(|i| xi.as_i64().unwrap()[xm.map(i)] * yi.as_i64().unwrap()[ym.map(i)])
+                .collect();
+            assert_eq!(xi.mul(&yi).unwrap().as_i64().unwrap(), want, "i64 mul");
+
+            // select(mask shaped like y, x, y) and the bool kernels
+            let mask = y.greater(&Tensor::scalar_f32(0.0)).unwrap();
+            let mv = mask.as_bool().unwrap();
+            let want: Vec<f32> = (0..total)
+                .map(|i| {
+                    if mv[ym.map(i)] {
+                        xv[xm.map(i)]
+                    } else {
+                        yv[ym.map(i)]
+                    }
+                })
+                .collect();
+            let sel = Tensor::select(&mask, &x, &y).unwrap();
+            assert_eq!(sel.as_f32().unwrap(), want, "select {xs:?} {ys:?}");
+            let xb = x.greater(&Tensor::scalar_f32(0.5)).unwrap();
+            let xbv = xb.as_bool().unwrap();
+            let want: Vec<bool> = (0..total)
+                .map(|i| xbv[xm.map(i)] && mv[ym.map(i)])
+                .collect();
+            assert_eq!(xb.logical_and(&mask).unwrap().as_bool().unwrap(), want);
+            let want: Vec<bool> = (0..total)
+                .map(|i| xbv[xm.map(i)] == mv[ym.map(i)])
+                .collect();
+            assert_eq!(xb.equal(&mask).unwrap().as_bool().unwrap(), want);
         }
     }
 }

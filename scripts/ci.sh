@@ -86,6 +86,16 @@ cargo run --release -q -p autograph-bench --bin table1 -- \
     --json-table BENCH_table1.json \
     --report BENCH_report.json
 
+# Fusion gate: fused vs op-by-op kernel time on the RNN cell's tanh
+# chain and the SGD update, measured in back-to-back pairs in one
+# process — a same-run ratio, so it holds on a noisy shared box. The
+# tanh chain's two sides are the same libm calls and differ by ~3 %,
+# less than the noise of one pair, so the bin exits nonzero only when
+# the fused side is the slower one in at least three quarters of the
+# pairs: fusing may never lose to not fusing.
+echo "== fusion gate (ablation fusion: fused vs op-by-op, paired)"
+cargo run --release -q -p autograph-bench --bin ablation -- fusion --runs 15
+
 # Stage bench: cold staging vs warm plan-cache restore on a fresh
 # on-disk store. The bin itself is a gate: it exits nonzero unless the
 # warm path skipped the staging pipeline entirely (asserted via obs

@@ -19,6 +19,13 @@ pub fn v(data: Vec<f32>, shape: &[usize]) -> Tensor {
     Tensor::from_vec(data, shape).expect("literal tensor")
 }
 
+/// `n` deterministic values in `[-2, 2]` for feeds too large to spell out.
+pub fn wave(n: usize, phase: f32) -> Vec<f32> {
+    (0..n)
+        .map(|i| (i as f32 * 0.37 + phase).sin() * 2.0)
+        .collect()
+}
+
 pub fn programs() -> Vec<Program> {
     vec![
         Program {
@@ -272,6 +279,30 @@ pub fn programs() -> Vec<Program> {
             name: "accumulate_scalars_in_loop",
             src: "def f(x):\n    s = 0.0\n    i = 0\n    while i < 10:\n        s = s + float(i) * 0.5\n        i = i + 1\n    return x * s\n",
             feeds: vec![("x", v(vec![1.0, 2.0], &[2]))],
+            lantern: false,
+        },
+        Program {
+            name: "multi_strip_bias_tanh",
+            // 900 outputs: the elementwise kernels walk several strips
+            // and end on a partial one, with a row bias and a scalar
+            src: "def f(x, b, s):\n    return tf.tanh(x + b + x * s) * b - s\n",
+            feeds: vec![
+                ("x", v(wave(900, 0.0), &[3, 300])),
+                ("b", v(wave(300, 1.0), &[300])),
+                ("s", Tensor::scalar_f32(0.25)),
+            ],
+            lantern: true,
+        },
+        Program {
+            name: "multi_strip_masked_loop",
+            // the RNN step's shape: a fused chain and a select under a
+            // column mask, loop-carried across strips-long state
+            src: "def f(x, b, m):\n    h = x * 0.5\n    i = 0\n    while i < 3:\n        h = tf.where(m > 0.0, tf.tanh(h + b + x * 0.1), h - m)\n        i = i + 1\n    return h\n",
+            feeds: vec![
+                ("x", v(wave(3 * 267, 0.5), &[3, 267])),
+                ("b", v(wave(267, 2.0), &[267])),
+                ("m", v(vec![1.0, -1.0, 0.5], &[3, 1])),
+            ],
             lantern: false,
         },
     ]

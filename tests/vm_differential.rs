@@ -24,6 +24,16 @@ mod corpus;
 
 use corpus::programs;
 
+/// The tensor ledger is process-global, so the test that reads it must
+/// not overlap the tests that allocate: each test holds this lock.
+static LEDGER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn ledger_lock() -> std::sync::MutexGuard<'static, ()> {
+    LEDGER
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Stage a corpus program and run it in the given mode/threads with
 /// reporting on; returns the outputs, the report, and the session stats.
 fn run_mode(
@@ -50,6 +60,7 @@ fn run_mode(
 
 #[test]
 fn vm_outputs_bitwise_identical_to_interpreter() {
+    let _ledger = ledger_lock();
     for p in programs() {
         let mut rt = Runtime::load(p.src, true).unwrap_or_else(|e| panic!("{}: load: {e}", p.name));
         let args: Vec<GraphArg> = p
@@ -147,6 +158,7 @@ fn vm_outputs_bitwise_identical_to_interpreter() {
 
 #[test]
 fn vm_repeated_runs_are_bitwise_stable() {
+    let _ledger = ledger_lock();
     // plan + bytecode caching across session runs: re-running the same
     // fetch set must reuse the compiled program and reproduce bits
     for p in programs() {
@@ -178,6 +190,7 @@ fn vm_repeated_runs_are_bitwise_stable() {
 
 #[test]
 fn vm_live_memory_returns_to_baseline() {
+    let _ledger = ledger_lock();
     // the VM's arena recycles buffers within a run but owns nothing
     // beyond it: after the session drops, live bytes return to where
     // they started
