@@ -1,16 +1,12 @@
 //! Regenerates **Table 1 — RNN Cell Performance (1K examples/sec)**.
 //!
-//! Five configurations (Eager / Official / Handwritten / AutoGraph in
-//! both execution tiers) over a grid of sequence lengths and batch
-//! sizes, hidden size 256 in `--full` mode (the paper's setting) or a
-//! laptop-scale default otherwise. The staged AutoGraph graph is
-//! measured twice — through the register-bytecode VM (the default
-//! tier, fused elementwise kernels) and through the per-node
-//! interpreter — so `--json-table` carries an exec-mode dimension the
-//! perf gate can diff.
+//! Four configurations (Eager / Official / Handwritten / AutoGraph)
+//! over a grid of sequence lengths and batch sizes, hidden size 256 in
+//! `--full` mode (the paper's setting) or a laptop-scale default
+//! otherwise. `--json-table` writes the table for the perf gate to diff.
 
 use autograph_bench::{measure, row, rule, HarnessArgs};
-use autograph_graph::{ExecMode, Session};
+use autograph_graph::Session;
 use autograph_models::rnn;
 
 fn main() {
@@ -40,7 +36,6 @@ fn main() {
         ("Official".into(), vec![]),
         ("Handwritten".into(), vec![]),
         ("AutoGraph (Vm)".into(), vec![]),
-        ("AutoGraph (Interp)".into(), vec![]),
     ];
     // (config, cell, rate stats) for --json-table
     let mut cells: Vec<(usize, String, autograph_bench::Stats)> = Vec::new();
@@ -83,21 +78,16 @@ fn main() {
             rows[2].1.push(s.display(1.0, 2));
             cells.push((2, cell.clone(), s));
 
-            // AutoGraph: converted + staged once, then Session::run —
-            // measured in both execution tiers over the same staged graph
+            // AutoGraph: converted + staged once, then Session::run
             let mut rt = rnn::runtime(&weights, true).expect("load");
             let staged = rnn::stage_autograph(&mut rt).expect("stage");
-            let outputs = staged.outputs.clone();
-            for (ri, mode) in [(3, ExecMode::Vm), (4, ExecMode::Interp)] {
-                let mut sess = Session::new(staged.graph.clone());
-                sess.set_exec_mode(mode);
-                let s = measure(warmup, runs, || {
-                    sess.run(&feeds, &outputs).expect("autograph run");
-                })
-                .rate(k_examples);
-                rows[ri].1.push(s.display(1.0, 2));
-                cells.push((ri, cell.clone(), s));
-            }
+            let mut sess = Session::new(staged.graph);
+            let s = measure(warmup, runs, || {
+                sess.run(&feeds, &staged.outputs).expect("autograph run");
+            })
+            .rate(k_examples);
+            rows[3].1.push(s.display(1.0, 2));
+            cells.push((3, cell.clone(), s));
         }
     }
 
@@ -105,15 +95,15 @@ fn main() {
         row(label, cells);
     }
     rule(header.len());
-    println!(
-        "\nPaper shape: Eager slowest by ~2-3x; Official ≈ Handwritten ≈ AutoGraph (both tiers)."
-    );
+    println!("\nPaper shape: Eager slowest by ~2-3x; Official ≈ Handwritten ≈ AutoGraph.");
 
     if let Some(path) = &args.json_table {
         write_table_json(path, &args, threads, hidden, feat, &rows, &cells);
     }
 
-    multi_branch_section(&args, threads, hidden, feat, warmup, runs);
+    if let Some(path) = &args.report {
+        multi_branch_report(path, args.full, hidden, feat);
+    }
     profiler.finish();
 }
 
@@ -161,99 +151,33 @@ fn write_table_json(
     }
 }
 
-/// Parallel-executor workload: K independent RNN `While` branches in one
-/// graph, measured single-threaded and with the configured thread count.
-/// Fetch outputs must be bitwise identical; the speedup (and machine
-/// parallelism) go to stdout and optionally `--json`.
-fn multi_branch_section(
-    args: &HarnessArgs,
-    threads: usize,
-    hidden: usize,
-    feat: usize,
-    warmup: usize,
-    runs: usize,
-) {
+/// One fully-instrumented pass over K independent RNN `While` branches
+/// in one graph: memory accounting, pool utilization and critical path
+/// go to stdout and, as `RunReport` JSON, to `path` (`--report`).
+fn multi_branch_report(path: &str, full: bool, hidden: usize, feat: usize) {
     let branches = 4;
-    let (seq, batch) = if args.full { (64, 64) } else { (16, 8) };
+    let (seq, batch) = if full { (64, 64) } else { (16, 8) };
     let weights: Vec<rnn::RnnWeights> = (0..branches)
         .map(|k| rnn::RnnWeights::new(feat, hidden, 100 + k as u64))
         .collect();
     let inp = rnn::inputs(batch, seq, feat, hidden, 7);
     let feeds = [
-        ("input_data", inp.input_data.clone()),
-        ("initial_state", inp.initial_state.clone()),
-        ("sequence_len", inp.sequence_len.clone()),
+        ("input_data", inp.input_data),
+        ("initial_state", inp.initial_state),
+        ("sequence_len", inp.sequence_len),
     ];
     let (g, fetches) = rnn::build_multi_branch(&weights);
-
-    println!(
-        "\nParallel executor: {branches} independent RNN branches (seq {seq} / batch {batch})"
-    );
-    // this section benchmarks the wavefront scheduler, so pin the
-    // interpretive tier: the bytecode VM executes linearly on the
-    // calling thread and would erase the t1-vs-tN comparison
-    let mut sess1 = Session::new(g.clone());
-    sess1.set_exec_mode(ExecMode::Interp);
-    sess1.set_threads(1);
-    let out1 = sess1.run(&feeds, &fetches).expect("single-threaded run");
-    let s1 = measure(warmup, runs, || {
-        sess1.run(&feeds, &fetches).expect("single-threaded run");
-    });
-
-    let mut sess_n = Session::new(g);
-    sess_n.set_exec_mode(ExecMode::Interp);
-    sess_n.set_threads(threads);
-    let out_n = sess_n.run(&feeds, &fetches).expect("parallel run");
-    let sn = measure(warmup, runs, || {
-        sess_n.run(&feeds, &fetches).expect("parallel run");
-    });
-
-    // determinism gate: parallel fetches must be bitwise identical
-    let mut identical = true;
-    for (a, b) in out1.iter().zip(&out_n) {
-        let (av, bv) = (a.as_f32().expect("f32"), b.as_f32().expect("f32"));
-        identical &=
-            a.shape() == b.shape() && av.iter().zip(bv).all(|(x, y)| x.to_bits() == y.to_bits());
-    }
-    assert!(identical, "parallel run diverged from single-threaded run");
-
-    let speedup = s1.mean / sn.mean;
-    row(
-        "threads=1",
-        &[format!("{:.3} ms", s1.mean * 1e3), String::new()],
-    );
-    row(
-        &format!("threads={threads}"),
-        &[
-            format!("{:.3} ms", sn.mean * 1e3),
-            format!("{speedup:.2}x speedup"),
-        ],
-    );
-    println!("fetch outputs bitwise identical: {identical}");
-
-    if let Some(path) = &args.json {
-        let json = format!(
-            "{{\n  \"bench\": \"table1_multi_branch\",\n  \"branches\": {branches},\n  \"seq\": {seq},\n  \"batch\": {batch},\n  \"threads\": {threads},\n  \"available_parallelism\": {},\n  \"seconds_threads_1\": {:.9},\n  \"seconds_threads_n\": {:.9},\n  \"speedup\": {speedup:.6},\n  \"bitwise_identical\": {identical}\n}}\n",
-            autograph_par::available_parallelism(),
-            s1.mean,
-            sn.mean,
-        );
-        match std::fs::write(path, json) {
-            Ok(()) => eprintln!("wrote parallel bench results to {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
-    }
-
-    if let Some(path) = &args.report {
-        // one fully-instrumented pass: memory accounting, scheduler
-        // utilization and critical path for the multi-branch workload
-        sess_n.set_reporting(true);
-        sess_n.run(&feeds, &fetches).expect("reported run");
-        let report = sess_n.last_report().expect("reporting was enabled");
-        println!("\n{}", report.render_text());
-        match std::fs::write(path, report.to_json()) {
-            Ok(()) => eprintln!("wrote run report to {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
+    let mut sess = Session::new(g);
+    // the unreported first run lowers the plan, so the report shows a
+    // steady-state run
+    sess.run(&feeds, &fetches).expect("warm-up run");
+    sess.set_reporting(true);
+    sess.run(&feeds, &fetches).expect("reported run");
+    let report = sess.last_report().expect("reporting was enabled");
+    println!("\nRun report: {branches} independent RNN branches (seq {seq} / batch {batch})");
+    println!("{}", report.render_text());
+    match std::fs::write(path, report.to_json()) {
+        Ok(()) => eprintln!("wrote run report to {path}"),
+        Err(e) => eprintln!("failed to write {path}: {e}"),
     }
 }

@@ -102,8 +102,6 @@ pub struct HarnessArgs {
     /// default resolution (`AUTOGRAPH_THREADS`, then machine
     /// parallelism) in effect.
     pub threads: Option<usize>,
-    /// Write machine-readable results as JSON to this path (`--json`).
-    pub json: Option<String>,
     /// Write the benchmark's main table as JSON to this path
     /// (`--json-table`) — input for `autograph-report diff`.
     pub json_table: Option<String>,
@@ -121,7 +119,6 @@ impl HarnessArgs {
         let mut runs = 5;
         let mut profile = None;
         let mut threads = None;
-        let mut json = None;
         let mut json_table = None;
         let mut report = None;
         let mut rest = Vec::new();
@@ -134,7 +131,6 @@ impl HarnessArgs {
                 }
                 "--profile" => profile = args.next(),
                 "--threads" => threads = args.next().and_then(|v| v.parse().ok()),
-                "--json" => json = args.next(),
                 "--json-table" => json_table = args.next(),
                 "--report" => report = args.next(),
                 other => rest.push(other.to_string()),
@@ -145,7 +141,6 @@ impl HarnessArgs {
             runs,
             profile,
             threads,
-            json,
             json_table,
             rest,
             report,

@@ -64,7 +64,7 @@ pub use autograph_runtime as runtime;
 pub use autograph_tensor as tensor;
 pub use autograph_transforms as transforms;
 
-pub use autograph_graph::{CancelToken, ErrorKind, ExecMode, GraphError, RunOptions};
+pub use autograph_graph::{CancelToken, ErrorKind, GraphError, RunOptions};
 pub use autograph_runtime::runtime::{CompiledFunction, GraphArg, LanternArg, StagedGraph};
 pub use autograph_runtime::{Runtime, RuntimeError, Value};
 pub use autograph_transforms::{
@@ -93,7 +93,7 @@ pub fn convert_source(source: &str) -> Result<String, autograph_transforms::Conv
 /// Common imports for working with the library.
 pub mod prelude {
     pub use crate::convert_source;
-    pub use autograph_graph::{CancelToken, ExecMode, RunOptions, Session};
+    pub use autograph_graph::{CancelToken, RunOptions, Session};
     pub use autograph_lantern::Engine;
     pub use autograph_runtime::runtime::{CompiledFunction, GraphArg, LanternArg, StagedGraph};
     pub use autograph_runtime::{Runtime, Value};

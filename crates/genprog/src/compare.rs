@@ -9,8 +9,8 @@
 //!   agreement (eager vs. graph vs. Lantern), where different but
 //!   equivalent kernel orderings may round differently;
 //! * [`bitwise`] — exact bit equality for *same-backend* determinism
-//!   (graph at threads 1 vs. 4, reruns, restaging), where the scheduler
-//!   guarantees identical floating-point evaluation order.
+//!   (graph at threads 1 vs. 4, reruns, restaging), where kernel
+//!   splitting keeps the floating-point evaluation order identical.
 //!
 //! Both treat two NaNs (and two identical infinities) as equal: a
 //! program that legitimately overflows must overflow the same way on
@@ -63,8 +63,8 @@ pub fn close(what: &str, a: &[Tensor], b: &[Tensor], tol: f32) -> Result<(), Str
     Ok(())
 }
 
-/// Compare two output lists for exact bit equality (the parallel
-/// scheduler's determinism contract).
+/// Compare two output lists for exact bit equality (the same-backend
+/// determinism contract).
 ///
 /// # Errors
 ///

@@ -12,8 +12,7 @@
 //! | `graph-run-tN` | the staged graph runs at `N` threads |
 //! | `eager-vs-graph` | eager and graph agree to 1e-6 |
 //! | `graph-bitwise` | all thread counts agree **bitwise** |
-//! | `vm-vs-interp` | the bytecode VM reproduces the interpreter **bitwise** |
-//! | `vm-bitwise-t1-vs-t4` | VM results are thread-count invariant **bitwise** |
+//! | `vm-vs-interp` | the bytecode VM reproduces the reference interpreter **bitwise** |
 //! | `rerun-determinism` | running the same session twice is bitwise-stable |
 //! | `restage-determinism` | staging twice gives bitwise-identical results |
 //! | `warm-vs-cold` | a plan-store round trip reproduces cold staging **bitwise**: results at every thread count, warnings, and provenance chains |
@@ -252,40 +251,21 @@ pub fn check_src(
         }
     }
 
-    // 6b. VM vs interpreter: the compiled tier (register bytecode,
-    // fused elementwise kernels, buffer recycling) is pure cost model —
-    // it must reproduce interpretive dispatch bit for bit
-    {
-        let run_mode = |mode: ExecMode, n: usize| -> Result<Vec<T>, String> {
-            let mut sess = Session::new(staged.graph.clone());
-            sess.set_threads(n);
-            sess.set_exec_mode(mode);
-            sess.run_with_options(&feed_refs, &staged.outputs, &opts)
-                .map_err(|e| e.to_string())
-        };
-        let interp = match run_mode(ExecMode::Interp, t0) {
-            Ok(o) => o,
-            Err(e) => return fail("vm-vs-interp", e),
-        };
-        let vm = match run_mode(ExecMode::Vm, t0) {
-            Ok(o) => o,
-            Err(e) => return fail("vm-vs-interp", e),
-        };
-        if let Err(e) = compare::bitwise("vm vs interp", &interp, &vm) {
-            return fail("vm-vs-interp", e);
-        }
-        // the VM is linear on the calling thread, so its results cannot
-        // depend on the configured thread count (kernels may still
-        // parallelize internally — also bitwise-stable by contract)
-        for &n in &cfg.threads[1..] {
-            let out = match run_mode(ExecMode::Vm, n) {
-                Ok(o) => o,
-                Err(e) => return fail(&format!("vm-bitwise-t{t0}-vs-t{n}"), e),
-            };
-            if let Err(e) = compare::bitwise(&format!("vm t{t0} vs t{n}"), &vm, &out) {
-                return fail(&format!("vm-bitwise-t{t0}-vs-t{n}"), e);
-            }
-        }
+    // 6b. VM vs interpreter: the VM (register bytecode, fused
+    // elementwise kernels, buffer recycling) is pure cost model — the
+    // step-4 result must reproduce op-by-op reference dispatch bit for
+    // bit
+    let mut reference = Session::new(staged.graph.clone());
+    reference.set_threads(t0);
+    let interp = reference
+        .run_values_reference(&feed_refs, &staged.outputs, &opts)
+        .and_then(|vs| vs.iter().map(|v| v.as_tensor().cloned()).collect());
+    let interp: Vec<T> = match interp {
+        Ok(o) => o,
+        Err(e) => return fail("vm-vs-interp", e),
+    };
+    if let Err(e) = compare::bitwise("vm vs interp", &interp, &ref_out) {
+        return fail("vm-vs-interp", e);
     }
 
     // 7. rerun determinism: same session, same plan, run again

@@ -1,5 +1,8 @@
-//! The graph evaluator: executes nodes in a precomputed topological plan,
-//! handling feeds, variables, and functional control flow.
+//! Execution plans and the reference interpreter: evaluates nodes one by
+//! one in a precomputed topological plan, handling feeds, variables, and
+//! functional control flow. `Session::run*` executes plans on the
+//! bytecode VM (`vm.rs`); this op-by-op evaluator is what the
+//! differential test walls compare the VM against.
 //!
 //! Every node evaluation runs inside a `catch_unwind` boundary: a kernel
 //! panic becomes a [`GraphError`] carrying the node name and staged
@@ -38,14 +41,11 @@ pub struct ExecEnv<'a> {
 #[derive(Debug, Clone)]
 pub struct Plan {
     order: Vec<NodeId>,
-    /// Scheduling metadata (consumer lists, pending counts, control
-    /// edges) for the parallel executor; computed once at compile time.
-    wave: crate::sched::WaveMeta,
     /// The fetch set the plan was compiled for; fusion in the bytecode
     /// tier must keep these nodes materialized.
     fetches: Vec<NodeId>,
     /// Lazily-lowered bytecode program for [`crate::vm`]; built on first
-    /// VM-mode run and shared across runs (and plan clones made before
+    /// run and shared across runs (and plan clones made before
     /// the first run compile independently).
     vm: std::sync::OnceLock<std::sync::Arc<crate::compile::Program>>,
 }
@@ -77,17 +77,15 @@ impl Plan {
         }
         // nodes are stored in creation order, which is already topological
         let order: Vec<NodeId> = (0..graph.nodes.len()).filter(|&i| needed[i]).collect();
-        let wave = crate::sched::wave_meta(graph, order.clone());
         Ok(Plan {
             order,
-            wave,
             fetches: fetches.to_vec(),
             vm: std::sync::OnceLock::new(),
         })
     }
 
     /// Build a plan covering `fetches` with an already-lowered bytecode
-    /// program pre-seeded, so the first VM-mode run skips lowering —
+    /// program pre-seeded, so the first run skips lowering —
     /// the warm-restage path of the persistent plan cache.
     pub(crate) fn with_program(
         graph: &Graph,
@@ -114,7 +112,8 @@ impl Plan {
         &self.order
     }
 
-    /// Execute the plan, returning the values of `fetches`.
+    /// Execute the plan on the reference interpreter, returning the
+    /// values of `fetches`.
     ///
     /// # Errors
     ///
@@ -175,61 +174,18 @@ impl Plan {
             .collect()
     }
 
-    /// Execute the plan with up to `threads` threads. `threads <= 1`
-    /// reproduces [`Plan::run`] exactly (same code path); larger values
-    /// dispatch ready nodes to the shared worker pool via the wavefront
-    /// scheduler in `crate::sched`. Results are bitwise identical at
-    /// any thread count — see the determinism notes in `sched.rs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns runtime errors annotated with the failing node's name and
-    /// staged source span; under parallel execution the first error wins
-    /// and remaining queued nodes are skipped.
-    pub fn run_threads(
-        &self,
-        graph: &Graph,
-        env: &mut ExecEnv<'_>,
-        fetches: &[NodeId],
-        threads: usize,
-    ) -> Result<Vec<GValue>> {
-        self.run_threads_ctx(graph, env, fetches, threads, &RunCtx::unbounded())
-    }
-
-    /// [`Plan::run_threads`] under explicit run limits.
-    pub(crate) fn run_threads_ctx(
-        &self,
-        graph: &Graph,
-        env: &mut ExecEnv<'_>,
-        fetches: &[NodeId],
-        threads: usize,
-        ctx: &RunCtx,
-    ) -> Result<Vec<GValue>> {
-        if threads <= 1 {
-            return self.run_ctx(graph, env, fetches, ctx);
-        }
-        autograph_par::configure(threads);
-        crate::sched::run_plan_parallel(graph, &self.wave, env, fetches, ctx)
-    }
-
     /// Execute the plan through the compiled bytecode tier (see
     /// [`crate::compile`] and [`crate::vm`]). The program is lowered on
-    /// the first call and cached on the plan. The VM's instruction
-    /// stream is linear on the calling thread, so results are bitwise
-    /// identical at every thread count by construction; `threads` still
-    /// configures the worker pool for tensor kernels that parallelize
-    /// internally.
+    /// the first call and cached on the plan. The instruction stream is
+    /// linear on the calling thread; only tensor kernels split work over
+    /// the `autograph-par` pool.
     pub(crate) fn run_vm_ctx(
         &self,
         graph: &Graph,
         env: &mut ExecEnv<'_>,
         fetches: &[NodeId],
-        threads: usize,
         ctx: &RunCtx,
     ) -> Result<Vec<GValue>> {
-        if threads > 1 {
-            autograph_par::configure(threads);
-        }
         let program = self
             .vm
             .get_or_init(|| {

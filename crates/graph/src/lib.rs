@@ -7,16 +7,18 @@
 //! * [`builder`] — an ergonomic [`builder::GraphBuilder`]
 //!   with name scopes;
 //! * [`ops`] — kernel implementations (dispatching to `autograph-tensor`);
-//! * [`exec`] — the evaluator, including functional control flow
-//!   (`Cond`, `While`) and `TensorArray` semantics;
-//! * [`session`] — [`session::Session`]: compiled execution plans,
-//!   feeds/fetches, stateful variables (the `tf.Session.run` analog);
+//! * [`exec`] — execution plans and the op-by-op reference interpreter
+//!   (functional control flow `Cond`/`While`, `TensorArray` semantics)
+//!   that the differential tests compare the VM against;
+//! * [`session`] — [`session::Session`]: compiled execution plans run on
+//!   the bytecode VM, feeds/fetches, stateful variables (the
+//!   `tf.Session.run` analog);
 //! * [`grad`] — symbolic reverse-mode differentiation, building gradient
 //!   nodes into the same graph (what enables in-graph SGD, Table 2);
 //! * [`optimize`] — whole-program graph optimizations: constant folding,
 //!   common-subexpression elimination, dead-code elimination;
 //! * [`report`] — per-run [`report::RunReport`]s: memory accounting,
-//!   scheduler utilization, and critical-path analysis;
+//!   worker-pool utilization, and critical-path analysis;
 //! * [`shapes`] — static shape inference + staging-time validation (the
 //!   Appendix B future-work extension).
 //!
@@ -50,7 +52,6 @@ pub mod ops;
 pub mod optimize;
 pub mod report;
 pub mod run;
-pub(crate) mod sched;
 pub mod session;
 pub mod shapes;
 pub(crate) mod vm;
@@ -62,7 +63,7 @@ pub use ir::{Graph, NodeId, OpKind, PassRecord, ProvSource, SubGraph};
 pub use optimize::{ElimRecord, OptTrace};
 pub use report::{CriticalPath, MemReport, NodeCost, RunReport, SchedReport, WorkerReport};
 pub use run::{CancelToken, RunOptions};
-pub use session::{set_default_exec_mode, ExecMode, NodeSelfTime, Session, SessionStats};
+pub use session::{NodeSelfTime, Session, SessionStats};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, GraphError>;

@@ -1,4 +1,4 @@
-//! Per-run structured reports: memory accounting, scheduler
+//! Per-run structured reports: memory accounting, worker-pool
 //! utilization, and critical-path analysis over the executed plan.
 //!
 //! When [`crate::Session::set_reporting`] is on, every run collects
@@ -6,10 +6,11 @@
 //! through [`crate::run::RunCtx`]), diffs the tensor memory ledger
 //! (`autograph_tensor::mem`) and the worker-pool meters
 //! (`autograph_par::pool_snapshot`) around the run, and folds the
-//! per-node self-times over the plan DAG — data edges plus the
-//! scheduler's control edges — to find the critical path. The result is
-//! a [`RunReport`] with a JSON serialization (parseable by the
-//! `autograph-report` tool) and a human-readable text rendering.
+//! per-node self-times over the plan DAG — data edges plus
+//! per-resource control edges (`consumer_lists`) — to find the critical
+//! path. The result is a [`RunReport`] with a JSON serialization
+//! (parseable by the `autograph-report` tool) and a human-readable text
+//! rendering.
 //!
 //! Attribution notes: node self-times are measured around each
 //! *top-level plan node* — a `While`/`Cond` node's time includes its
@@ -19,25 +20,26 @@
 //! node's line item. Memory and pool counters are process-wide;
 //! concurrent reporting sessions see each other's traffic.
 
-use crate::ir::{Graph, NodeId};
+use crate::ir::{Graph, NodeId, OpKind};
 use autograph_pylang::Span;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::collections::HashMap;
 
-/// Per-node cost accumulators for one run, indexed by `NodeId`.
-/// Atomics because the wavefront scheduler records from worker threads.
+/// Per-node cost accumulators for one run, indexed by `NodeId`. The
+/// executor records through the shared `&RunCtx`, hence `Cell`.
 #[derive(Debug, Default)]
 pub(crate) struct Collector {
-    self_ns: Vec<AtomicU64>,
-    alloc_bytes: Vec<AtomicU64>,
-    evals: Vec<AtomicU64>,
+    self_ns: Vec<Cell<u64>>,
+    alloc_bytes: Vec<Cell<u64>>,
+    evals: Vec<Cell<u64>>,
 }
 
 impl Collector {
     pub(crate) fn new(nodes: usize) -> Collector {
         Collector {
-            self_ns: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
-            alloc_bytes: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
-            evals: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
+            self_ns: vec![Cell::new(0); nodes],
+            alloc_bytes: vec![Cell::new(0); nodes],
+            evals: vec![Cell::new(0); nodes],
         }
     }
 
@@ -45,17 +47,14 @@ impl Collector {
     /// allocation delta.
     pub(crate) fn record(&self, id: NodeId, self_ns: u64, alloc_bytes: u64) {
         if id < self.self_ns.len() {
-            self.self_ns[id].fetch_add(self_ns, Ordering::Relaxed);
-            self.alloc_bytes[id].fetch_add(alloc_bytes, Ordering::Relaxed);
-            self.evals[id].fetch_add(1, Ordering::Relaxed);
+            self.self_ns[id].set(self.self_ns[id].get() + self_ns);
+            self.alloc_bytes[id].set(self.alloc_bytes[id].get() + alloc_bytes);
+            self.evals[id].set(self.evals[id].get() + 1);
         }
     }
 
     fn self_ns_vec(&self) -> Vec<u64> {
-        self.self_ns
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect()
+        self.self_ns.iter().map(Cell::get).collect()
     }
 }
 
@@ -92,13 +91,14 @@ pub struct WorkerReport {
     pub utilization: f64,
 }
 
-/// Scheduler utilization for one run.
+/// Worker-pool utilization for one run (the pool only runs kernel
+/// chunks that `parallel_for` split off).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SchedReport {
     /// Threads whose metered counters advanced during the run.
     pub workers: Vec<WorkerReport>,
     /// Aggregate utilization: total busy time across workers divided by
-    /// `threads × wall`. 0 on the sequential path (no pool tasks).
+    /// `threads × wall`. 0 when no kernel split (no pool tasks).
     pub utilization: f64,
     /// Largest ready-queue depth observed at injection.
     pub queue_depth_max: u64,
@@ -156,7 +156,7 @@ pub struct RunReport {
     pub succeeded: bool,
     /// The error rendering for a failed run.
     pub error: Option<String>,
-    /// Nodes dispatched (both executors, subgraphs included).
+    /// Nodes dispatched (subgraphs included).
     pub nodes_executed: u64,
     /// Staged `While` iterations completed.
     pub while_iters: u64,
@@ -199,8 +199,8 @@ pub(crate) fn build(inp: ReportInputs<'_>) -> RunReport {
         op: inp.graph.nodes[id].op.mnemonic(),
         span: inp.graph.nodes[id].span,
         self_ns: self_ns[id],
-        alloc_bytes: inp.collector.alloc_bytes[id].load(Ordering::Relaxed),
-        evals: inp.collector.evals[id].load(Ordering::Relaxed),
+        alloc_bytes: inp.collector.alloc_bytes[id].get(),
+        evals: inp.collector.evals[id].get(),
     };
 
     let mut node_costs: Vec<NodeCost> = inp
@@ -307,10 +307,99 @@ fn ratio(num: f64, den: f64) -> f64 {
     }
 }
 
+/// A stateful resource that forces ordering between nodes.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Resource {
+    /// A named session variable (read = `Variable`, write = `Assign`).
+    Var(String),
+    /// The output stream shared by `Print` and `Assert` nodes.
+    Io,
+}
+
+/// Record `op`'s resource accesses into `acc` (`true` = write). Control
+/// flow recurses into its subgraphs so a `While`/`Cond` is ordered
+/// against everything its body touches.
+fn node_accesses(op: &OpKind, acc: &mut HashMap<Resource, bool>) {
+    fn touch(acc: &mut HashMap<Resource, bool>, res: Resource, write: bool) {
+        let e = acc.entry(res).or_insert(false);
+        *e = *e || write;
+    }
+    match op {
+        OpKind::Variable { name } => touch(acc, Resource::Var(name.clone()), false),
+        OpKind::Assign { name } => touch(acc, Resource::Var(name.clone()), true),
+        OpKind::Print(_) | OpKind::AssertOp(_) => touch(acc, Resource::Io, true),
+        OpKind::Cond { then_g, else_g } => {
+            graph_accesses(&then_g.graph, acc);
+            graph_accesses(&else_g.graph, acc);
+        }
+        OpKind::While { cond_g, body_g, .. } => {
+            graph_accesses(&cond_g.graph, acc);
+            graph_accesses(&body_g.graph, acc);
+        }
+        _ => {}
+    }
+}
+
+fn graph_accesses(g: &Graph, acc: &mut HashMap<Resource, bool>) {
+    for n in &g.nodes {
+        node_accesses(&n.op, acc);
+    }
+}
+
+/// The plan DAG's adjacency for `order`: per-node consumer lists over
+/// data edges plus per-resource control edges in creation (= program)
+/// order. A variable read orders after the preceding write and a write
+/// after every read since the previous write (reads of one variable stay
+/// unordered); `Print`/`Assert` nodes form one chain; a `Cond`/`While`
+/// inherits every resource its subgraphs touch. These are the orderings
+/// any schedule of the plan must keep, so the critical path counts them.
+fn consumer_lists(graph: &Graph, order: &[NodeId]) -> Vec<Vec<NodeId>> {
+    let mut consumers: Vec<Vec<NodeId>> = vec![Vec::new(); graph.nodes.len()];
+    for &id in order {
+        for &inp in &graph.nodes[id].inputs {
+            consumers[inp].push(id);
+        }
+    }
+    struct Chain {
+        last_write: Option<NodeId>,
+        reads_since: Vec<NodeId>,
+    }
+    let mut chains: HashMap<Resource, Chain> = HashMap::new();
+    let mut acc: HashMap<Resource, bool> = HashMap::new();
+    for &id in order {
+        acc.clear();
+        node_accesses(&graph.nodes[id].op, &mut acc);
+        for (res, write) in acc.drain() {
+            let chain = chains.entry(res).or_insert(Chain {
+                last_write: None,
+                reads_since: Vec::new(),
+            });
+            if write {
+                if chain.reads_since.is_empty() {
+                    if let Some(w) = chain.last_write {
+                        consumers[w].push(id);
+                    }
+                } else {
+                    for r in chain.reads_since.drain(..) {
+                        consumers[r].push(id);
+                    }
+                }
+                chain.last_write = Some(id);
+            } else {
+                if let Some(w) = chain.last_write {
+                    consumers[w].push(id);
+                }
+                chain.reads_since.push(id);
+            }
+        }
+    }
+    consumers
+}
+
 /// Longest path over the plan DAG, weighting each node by its measured
-/// self-time. Edges are the data inputs plus the scheduler's
-/// per-resource control edges, so the chain reflects what the parallel
-/// executor actually must serialize.
+/// self-time. Edges are the data inputs plus the per-resource control
+/// edges of [`consumer_lists`], so the chain reflects what any schedule
+/// of the plan must serialize.
 fn critical_path(
     graph: &Graph,
     order: &[NodeId],
@@ -323,7 +412,7 @@ fn critical_path(
         return CriticalPath::default();
     }
     let n = graph.nodes.len();
-    let (consumers, _) = crate::sched::edge_lists(graph, order);
+    let consumers = consumer_lists(graph, order);
     let mut dist: Vec<u64> = vec![0; n];
     let mut prev: Vec<Option<NodeId>> = vec![None; n];
     for &id in order {
@@ -615,6 +704,60 @@ mod tests {
         assert_eq!(chain, vec![ids[0], ids[1], ids[3]]);
         assert!((cp.speedup_bound - total as f64 / 130.0).abs() < 1e-9);
         assert!((cp.share_of_wall - 130.0 / 200.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn control_edges_chain_stateful_nodes_on_the_critical_path() {
+        use crate::builder::SubGraphBuilder;
+        use autograph_tensor::Tensor;
+        let zero = || Tensor::scalar_f32(0.0);
+        let mut b = GraphBuilder::new();
+        let c = b.scalar(1.0);
+        // assign then read of one variable: no data edge between them
+        let write_v = b.assign("v", c);
+        let read_v = b.variable("v", zero());
+        // two reads of another variable stay unordered
+        let read_u1 = b.variable("u", zero());
+        let read_u2 = b.variable("u", zero());
+        let print1 = b.add(OpKind::Print("a".into()), vec![c]);
+        let print2 = b.add(OpKind::Print("b".into()), vec![c]);
+        // a While whose body assigns `w`, read after the loop
+        let (mut cb, _) = SubGraphBuilder::new(1);
+        let stop = cb.b.constant(Tensor::scalar_bool(false));
+        let cond_g = cb.finish(vec![stop]);
+        let (mut bb, bp) = SubGraphBuilder::new(1);
+        let write_w = bb.b.assign("w", bp[0]);
+        let body_g = bb.finish(vec![write_w]);
+        let looped = b.while_loop(vec![c], cond_g, body_g);
+        let read_w = b.variable("w", zero());
+        let g = b.finish();
+        let order: Vec<NodeId> = (0..g.nodes.len()).collect();
+
+        // weigh only `first` and `second`: they are on one chain exactly
+        // when the path carries both weights
+        let path_through = |first: NodeId, second: NodeId| {
+            let mut self_ns = vec![0u64; g.nodes.len()];
+            self_ns[first] = 50;
+            self_ns[second] = 50;
+            let cost = |id: NodeId| NodeCost {
+                node: id,
+                name: g.nodes[id].name.clone(),
+                op: g.nodes[id].op.mnemonic(),
+                span: g.nodes[id].span,
+                self_ns: self_ns[id],
+                alloc_bytes: 0,
+                evals: 1,
+            };
+            let cp = critical_path(&g, &order, &self_ns, 100, 100, &cost);
+            let chain: Vec<NodeId> = cp.nodes.iter().map(|n| n.node).collect();
+            (cp.path_ns, chain)
+        };
+        for (first, second) in [(write_v, read_v), (print1, print2), (looped, read_w)] {
+            let (path_ns, chain) = path_through(first, second);
+            assert_eq!(path_ns, 100, "{first} -> {second} not chained");
+            assert!(chain.ends_with(&[first, second]), "{chain:?}");
+        }
+        assert_eq!(path_through(read_u1, read_u2).0, 50, "reads were ordered");
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! Run-level controls: cancellation tokens, deadlines, and the internal
-//! context both executors consult at node-dispatch and
+//! context the executor consults at node-dispatch and
 //! while-loop-iteration granularity.
 //!
 //! Serving staged programs needs the `tf.Session` robustness contract: a
 //! runaway loop must be killable, a stuck run must time out, and a caller
 //! must always get a structured error (never a hang, never an abort).
 //! [`RunOptions`] is the per-run knob set; [`RunCtx`] is the internal
-//! carrier threaded through `exec.rs` and `sched.rs`, which also
-//! accumulates progress counters so `Session::stats()` reflects work done
-//! even when the run fails.
+//! carrier threaded through `vm.rs` (and the reference interpreter in
+//! `exec.rs`), which also accumulates progress counters so
+//! `Session::stats()` reflects work done even when the run fails.
 
 use crate::error::GraphError;
 use crate::Result;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -98,9 +99,9 @@ impl RunOptions {
     }
 }
 
-/// The internal per-run state threaded through both executors: limits to
-/// enforce plus progress counters (atomics — the parallel scheduler
-/// bumps them from worker threads).
+/// The internal per-run state threaded through the executor: limits to
+/// enforce plus progress counters. A run stays on the calling thread, so
+/// the counters are plain `Cell`s.
 #[derive(Debug, Default)]
 pub(crate) struct RunCtx {
     /// Absolute wall-clock cutoff, precomputed from the deadline.
@@ -109,10 +110,10 @@ pub(crate) struct RunCtx {
     pub deadline_budget: Option<Duration>,
     pub cancel: Option<CancelToken>,
     pub max_while_iters: Option<u64>,
-    /// Nodes dispatched so far (all ops, both executors).
-    pub nodes_executed: AtomicU64,
+    /// Nodes dispatched so far (all ops, subgraphs included).
+    pub nodes_executed: Cell<u64>,
     /// Staged `While` iterations completed so far.
-    pub while_iters: AtomicU64,
+    pub while_iters: Cell<u64>,
     /// Per-node cost collector, present when the session has reporting
     /// enabled. Only top-level plan nodes record into it (subgraph node
     /// ids would collide; their cost folds into the owning node).
@@ -132,14 +133,14 @@ impl RunCtx {
             deadline_budget: opts.deadline,
             cancel: opts.cancel.clone(),
             max_while_iters: opts.max_while_iters,
-            nodes_executed: AtomicU64::new(0),
-            while_iters: AtomicU64::new(0),
+            nodes_executed: Cell::new(0),
+            while_iters: Cell::new(0),
             collector: None,
         }
     }
 
     /// Cancellation/deadline check — called before every node dispatch
-    /// and every while-loop iteration. Two relaxed loads in the common
+    /// and every while-loop iteration. Two `Option` checks in the common
     /// (unbounded) case.
     pub fn check(&self) -> Result<()> {
         if let Some(token) = &self.cancel {
@@ -160,13 +161,13 @@ impl RunCtx {
     /// Check limits and count one node dispatch.
     pub fn before_node(&self) -> Result<()> {
         self.check()?;
-        self.nodes_executed.fetch_add(1, Ordering::Relaxed);
+        self.nodes_executed.set(self.nodes_executed.get() + 1);
         Ok(())
     }
 
     /// Count one completed while-loop iteration and re-check limits.
     pub fn after_while_iter(&self) -> Result<()> {
-        self.while_iters.fetch_add(1, Ordering::Relaxed);
+        self.while_iters.set(self.while_iters.get() + 1);
         self.check()
     }
 
@@ -200,8 +201,8 @@ mod tests {
             ctx.before_node().unwrap();
             ctx.after_while_iter().unwrap();
         }
-        assert_eq!(ctx.nodes_executed.load(Ordering::Relaxed), 1000);
-        assert_eq!(ctx.while_iters.load(Ordering::Relaxed), 1000);
+        assert_eq!(ctx.nodes_executed.get(), 1000);
+        assert_eq!(ctx.while_iters.get(), 1000);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //!
 //! ## Threads
 //!
-//! `Session::run` dispatches through the parallel wavefront scheduler
-//! when more than one thread is available. The thread count resolves in
-//! priority order:
+//! A run executes its plan on the calling thread (the bytecode VM in
+//! `crate::vm`); `threads` is only the budget tensor kernels may split
+//! over through `autograph_par::parallel_for`. It resolves in priority
+//! order:
 //!
 //! 1. [`Session::set_threads`] on this session;
 //! 2. the process-wide default from [`set_default_threads`] (what bench
@@ -13,8 +14,12 @@
 //! 3. the `AUTOGRAPH_THREADS` environment variable;
 //! 4. the machine's available parallelism.
 //!
-//! A resolved count of 1 runs the original sequential executor; any
-//! other count produces bitwise-identical results (see `sched.rs`).
+//! The pool's budget is process-wide and only grows
+//! (`autograph_par::configure` is a `fetch_max`): once any session ran
+//! with `threads = 4`, a later `set_threads(1)` does not stop kernels
+//! from splitting. Each kernel chunk is computed by one thread in the
+//! sequential element order, so results are bitwise identical at every
+//! budget.
 
 use crate::exec::{ExecEnv, Plan};
 use crate::ir::{GValue, Graph, NodeId};
@@ -25,91 +30,18 @@ use autograph_obs as obs;
 use autograph_par as par;
 use autograph_tensor::Tensor;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Process-wide thread default set by [`set_default_threads`];
 /// 0 = unset.
 static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// How a session executes its compiled plans.
-///
-/// Both modes produce bitwise-identical results (locked down by the
-/// VM-vs-interpreter differential test wall); they differ only in cost.
-/// The mode resolves in priority order:
-///
-/// 1. [`Session::set_exec_mode`] on this session;
-/// 2. the process-wide default from [`set_default_exec_mode`];
-/// 3. the `AUTOGRAPH_EXEC` environment variable (`"interp"` / `"vm"`);
-/// 4. [`ExecMode::Vm`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Per-node interpretive dispatch over the graph (the original
-    /// executor; the only mode that uses the parallel wavefront
-    /// scheduler at `threads > 1`).
-    Interp,
-    /// Compiled register-bytecode execution with fused elementwise
-    /// kernels and buffer recycling (see `crate::compile` /
-    /// `crate::vm`).
-    Vm,
-}
-
-/// Process-wide exec-mode default; 0 = unset, 1 = interp, 2 = vm.
-static DEFAULT_EXEC: AtomicU8 = AtomicU8::new(0);
-
-/// Set the process-wide default execution mode for sessions that don't
-/// call [`Session::set_exec_mode`]. `AUTOGRAPH_EXEC` is only consulted
-/// while this is unset.
-pub fn set_default_exec_mode(mode: ExecMode) {
-    let v = match mode {
-        ExecMode::Interp => 1,
-        ExecMode::Vm => 2,
-    };
-    DEFAULT_EXEC.store(v, Ordering::Relaxed);
-}
-
-/// `AUTOGRAPH_EXEC`, parsed once per process.
-fn env_exec_mode() -> Option<ExecMode> {
-    static CACHE: OnceLock<Option<ExecMode>> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        match std::env::var("AUTOGRAPH_EXEC")
-            .ok()?
-            .trim()
-            .to_ascii_lowercase()
-            .as_str()
-        {
-            "interp" | "interpreter" => Some(ExecMode::Interp),
-            "vm" | "bytecode" => Some(ExecMode::Vm),
-            _ => None,
-        }
-    })
-}
-
-/// The execution mode a session created without [`Session::set_exec_mode`]
-/// would resolve to right now — the process default, then `AUTOGRAPH_EXEC`,
-/// then [`ExecMode::Vm`]. The persistent plan cache folds this into its
-/// cache key so an interp-mode process never loads a VM-mode artifact's
-/// accounting expectations (and vice versa).
-pub fn default_exec_mode() -> ExecMode {
-    resolve_exec_mode(None)
-}
-
-/// Resolve the effective execution mode for a session (see [`ExecMode`]
-/// for the priority order).
-fn resolve_exec_mode(session_mode: Option<ExecMode>) -> ExecMode {
-    if let Some(m) = session_mode {
-        return m;
-    }
-    match DEFAULT_EXEC.load(Ordering::Relaxed) {
-        1 => ExecMode::Interp,
-        2 => ExecMode::Vm,
-        _ => env_exec_mode().unwrap_or(ExecMode::Vm),
-    }
-}
-
 /// Set the process-wide default thread count for sessions that don't
 /// call [`Session::set_threads`]. `AUTOGRAPH_THREADS` and machine
-/// parallelism are only consulted while this is unset.
+/// parallelism are only consulted while this is unset. Like every thread
+/// setting it can only raise the process-wide kernel budget (see the
+/// module docs).
 pub fn set_default_threads(threads: usize) {
     DEFAULT_THREADS.store(threads.max(1), Ordering::Relaxed);
 }
@@ -141,9 +73,8 @@ fn resolve_threads(session_threads: Option<usize>) -> usize {
 /// [`RunReport::node_costs`] whenever reporting is enabled. The
 /// exponentially weighted moving average (α = 1/8) smooths run-to-run
 /// noise while still tracking drift; the first sample seeds the
-/// estimate directly. This is the stable cost signal a future
-/// cost-aware scheduler reads — nothing in the run path consumes it
-/// yet.
+/// estimate directly. Nothing in the run path consumes it; it is a
+/// stable per-node cost signal for observers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeSelfTime {
     /// The node's staged name.
@@ -332,8 +263,7 @@ pub struct Session {
     plans: HashMap<Vec<NodeId>, Plan>,
     stats: Arc<SessionStatsShared>,
     threads: Option<usize>,
-    exec_mode: Option<ExecMode>,
-    /// Whether runs collect a [`RunReport`] (memory accounting, scheduler
+    /// Whether runs collect a [`RunReport`] (memory accounting, pool
     /// utilization, critical path). Off by default: the run path then
     /// pays only an `Option` check per node.
     reporting: bool,
@@ -351,7 +281,6 @@ impl Session {
             plans: HashMap::new(),
             stats: Arc::new(SessionStatsShared::default()),
             threads: None,
-            exec_mode: None,
             reporting: false,
             last_report: None,
         }
@@ -363,8 +292,10 @@ impl Session {
     }
 
     /// Pin this session's thread count, overriding the process default
-    /// and `AUTOGRAPH_THREADS`. `1` reproduces the sequential executor
-    /// exactly.
+    /// and `AUTOGRAPH_THREADS`. The count is the budget tensor kernels
+    /// split over; it raises the process-wide pool budget and never
+    /// lowers it, so `set_threads(1)` after a wider run does not un-split
+    /// kernels. Results are bitwise identical at every count.
     pub fn set_threads(&mut self, threads: usize) -> &mut Session {
         self.threads = Some(threads.max(1));
         self
@@ -373,18 +304,6 @@ impl Session {
     /// The thread count the next `run` call will use.
     pub fn effective_threads(&self) -> usize {
         resolve_threads(self.threads)
-    }
-
-    /// Pin this session's execution mode, overriding the process default
-    /// and `AUTOGRAPH_EXEC`.
-    pub fn set_exec_mode(&mut self, mode: ExecMode) -> &mut Session {
-        self.exec_mode = Some(mode);
-        self
-    }
-
-    /// The execution mode the next `run` call will use.
-    pub fn effective_exec_mode(&self) -> ExecMode {
-        resolve_exec_mode(self.exec_mode)
     }
 
     /// Enable or disable per-run reporting. While enabled, every run
@@ -464,8 +383,7 @@ impl Session {
     /// [`Session::run`] under explicit limits: a wall-clock deadline, a
     /// global while-iteration cap, and/or a [`crate::run::CancelToken`]
     /// another thread can trigger. Limits are checked at every node
-    /// dispatch and loop iteration on both the sequential and parallel
-    /// paths; a tripped limit returns a
+    /// dispatch and loop iteration; a tripped limit returns a
     /// [`GraphError`](crate::GraphError) whose
     /// `is_cancelled()`/`is_deadline_exceeded()` predicate holds, with
     /// [`Session::stats`] still reflecting the work done up to that
@@ -511,6 +429,38 @@ impl Session {
         fetches: &[NodeId],
         options: &RunOptions,
     ) -> Result<Vec<GValue>> {
+        self.run_values_on(feeds, fetches, options, Plan::run_vm_ctx)
+    }
+
+    /// [`Session::run_values_with_options`] on the op-by-op reference
+    /// interpreter in `crate::exec` instead of the VM. Not a production
+    /// path: it exists so the differential test walls and the `genprog`
+    /// oracles can check the VM against an independent evaluator.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`Session::run_values_with_options`].
+    #[doc(hidden)]
+    pub fn run_values_reference(
+        &mut self,
+        feeds: &[(&str, Tensor)],
+        fetches: &[NodeId],
+        options: &RunOptions,
+    ) -> Result<Vec<GValue>> {
+        self.run_values_on(feeds, fetches, options, Plan::run_ctx)
+    }
+
+    /// The plumbing both entry points share: plan cache, feeds, limits,
+    /// stats and reports around one `exec` of the plan. Generic over the
+    /// executor so a binary that never calls
+    /// [`Session::run_values_reference`] does not link the interpreter.
+    fn run_values_on(
+        &mut self,
+        feeds: &[(&str, Tensor)],
+        fetches: &[NodeId],
+        options: &RunOptions,
+        exec: impl FnOnce(&Plan, &Graph, &mut ExecEnv<'_>, &[NodeId], &RunCtx) -> Result<Vec<GValue>>,
+    ) -> Result<Vec<GValue>> {
         let key = fetches.to_vec();
         if self.plans.contains_key(&key) {
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
@@ -546,6 +496,9 @@ impl Session {
         // Chrome traces of failed runs stay well-formed
         let _run_span = obs::span("session", "run");
         let threads = resolve_threads(self.threads);
+        if threads > 1 {
+            par::configure(threads);
+        }
         let mut ctx = RunCtx::from_options(&options.clone().resolved());
         // reporting: turn on the process-wide meters for the duration of
         // the run and snapshot them on both sides
@@ -559,19 +512,15 @@ impl Session {
             None
         };
         let t0 = std::time::Instant::now();
-        let result = match resolve_exec_mode(self.exec_mode) {
-            ExecMode::Vm => plan.run_vm_ctx(&self.graph, &mut env, fetches, threads, &ctx),
-            ExecMode::Interp => plan.run_threads_ctx(&self.graph, &mut env, fetches, threads, &ctx),
-        };
+        let result = exec(plan, &self.graph, &mut env, fetches, &ctx);
         // fold progress into the session counters on success AND failure:
         // stats after a failed run reflect the work done before the error
-        self.stats.nodes_executed.fetch_add(
-            ctx.nodes_executed.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
+        self.stats
+            .nodes_executed
+            .fetch_add(ctx.nodes_executed.get(), Ordering::Relaxed);
         self.stats
             .while_iters
-            .fetch_add(ctx.while_iters.load(Ordering::Relaxed), Ordering::Relaxed);
+            .fetch_add(ctx.while_iters.get(), Ordering::Relaxed);
         if let (Some((mem0, pool0)), Some(collector)) = (before, ctx.collector.as_ref()) {
             let wall_ns = t0.elapsed().as_nanos() as u64;
             let mem1 = autograph_tensor::mem::snapshot();
@@ -586,8 +535,8 @@ impl Session {
                 threads,
                 succeeded: result.is_ok(),
                 error: result.as_ref().err().map(|e| e.to_string()),
-                nodes_executed: ctx.nodes_executed.load(Ordering::Relaxed),
-                while_iters: ctx.while_iters.load(Ordering::Relaxed),
+                nodes_executed: ctx.nodes_executed.get(),
+                while_iters: ctx.while_iters.get(),
                 mem_before: mem0,
                 mem_after: mem1,
                 pool_before: pool0,
@@ -822,7 +771,7 @@ mod tests {
     }
 
     #[test]
-    fn deadline_kills_infinite_loop_on_both_paths() {
+    fn deadline_kills_infinite_loop_at_any_thread_count() {
         use crate::run::RunOptions;
         for threads in [1usize, 4] {
             let (g, w) = infinite_loop_graph();
@@ -844,7 +793,7 @@ mod tests {
     }
 
     #[test]
-    fn cancel_token_kills_infinite_loop_on_both_paths() {
+    fn cancel_token_kills_infinite_loop_at_any_thread_count() {
         use crate::run::{CancelToken, RunOptions};
         for threads in [1usize, 4] {
             let (g, w) = infinite_loop_graph();

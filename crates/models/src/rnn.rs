@@ -221,11 +221,11 @@ pub fn build_handwritten(weights: &RnnWeights) -> (Graph, Vec<NodeId>) {
     (b.finish(), vec![out, final_state])
 }
 
-/// A multi-branch workload for the parallel executor: one independent
-/// handwritten RNN `While` loop per weight set, all reading the same
-/// input placeholders. The branches share no state, so the wavefront
-/// scheduler can run them concurrently; fetches are the per-branch final
-/// states (in weight order).
+/// A multi-branch workload: one independent handwritten RNN `While`
+/// loop per weight set, all reading the same input placeholders. The
+/// branches share no state, so the run report's critical path is one
+/// branch, not their sum; fetches are the per-branch final states (in
+/// weight order).
 pub fn build_multi_branch(weights: &[RnnWeights]) -> (Graph, Vec<NodeId>) {
     let mut b = GraphBuilder::new();
     b.push_scope("dynamic_rnn_multi_branch");

@@ -1,28 +1,27 @@
 //! # autograph-par
 //!
-//! A process-wide persistent worker pool shared by the graph scheduler
-//! (inter-op parallelism: independent graph nodes dispatched as tasks)
-//! and the tensor kernels (intra-op parallelism: [`parallel_for`] over
-//! row/element ranges).
+//! A process-wide persistent worker pool for intra-op parallelism:
+//! tensor kernels split row/element ranges over it with
+//! [`parallel_for`]. Graph execution itself stays on the calling thread;
+//! the pool never sees whole graph nodes.
 //!
 //! ## Design
 //!
-//! * **One global injector queue.** Tasks from every concurrent run — the
-//!   top-level wavefront, nested `While`/`Cond` bodies, data-parallel
-//!   kernel chunks — share a single FIFO. Workers are spawned once
-//!   ([`configure`]) and park on a condvar when idle.
-//! * **Helping, not blocking.** A thread that must wait for a set of
-//!   tasks to finish ([`help_until`]) pops and executes queued tasks —
-//!   any run's tasks — instead of sleeping. This is what makes nested
-//!   scheduling deadlock-free: whenever a run is incomplete, its
-//!   remaining work is either queued (any helper can pick it up) or
-//!   already executing on some thread, so global progress is guaranteed
-//!   even when every worker is itself waiting on a nested run.
-//! * **Determinism-friendly.** The pool imposes no ordering of its own;
-//!   callers express ordering through their own dependency counts. A
-//!   [`parallel_for`] chunk is computed by exactly one thread with the
-//!   same per-element order as the sequential loop, so results are
-//!   bitwise identical to a single-threaded run.
+//! * **One global injector queue.** The helper tasks of every concurrent
+//!   `parallel_for` — from any session, nested or not — share a single
+//!   FIFO. Workers are spawned once ([`configure`]) and park on a
+//!   condvar when idle.
+//! * **Helping, not blocking.** A `parallel_for` caller waiting for its
+//!   chunks pops and executes queued tasks — any job's tasks — instead
+//!   of sleeping. This is what makes nested fork-join deadlock-free:
+//!   whenever a job is incomplete, its remaining work is either queued
+//!   (any helper can pick it up) or already executing on some thread, so
+//!   global progress is guaranteed even when every worker is itself
+//!   waiting on a nested job.
+//! * **Determinism-friendly.** A [`parallel_for`] chunk is computed by
+//!   exactly one thread with the same per-element order as the
+//!   sequential loop, so results are bitwise identical to a
+//!   single-threaded run.
 //!
 //! Observability: every task execution opens a `par/task` span (visible
 //! as per-worker lanes in Chrome traces via `autograph-obs`), and each
@@ -44,18 +43,16 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A unit of work: an erased function pointer applied to an erased state
-/// pointer plus a small integer argument (typically a node or chunk id).
+/// pointer.
 ///
-/// `Task` is deliberately not a boxed closure: runs borrow stack-local
-/// state (graph, value slots, dependency counters) and erase the lifetime
-/// when injecting; the soundness contract is documented on [`inject`].
-pub struct Task {
-    /// Erased pointer to the run state shared by a batch of tasks.
-    pub data: *const (),
-    /// Per-task argument (node id, chunk index, ...).
-    pub arg: usize,
-    /// Entry point: called exactly once as `run(data, arg)`.
-    pub run: unsafe fn(*const (), usize),
+/// `Task` is deliberately not a boxed closure: a `parallel_for` job
+/// borrows stack-local state and erases the lifetime when injecting; the
+/// soundness contract is documented on [`inject`].
+struct Task {
+    /// Erased pointer to the job state shared by a batch of tasks.
+    data: *const (),
+    /// Entry point: called exactly once as `run(data)`.
+    run: unsafe fn(*const ()),
 }
 
 // SAFETY: a Task is only a (pointer, fn) pair; the pointee is required by
@@ -148,8 +145,9 @@ fn worker_loop(_idx: usize) {
 }
 
 thread_local! {
-    /// Task nesting depth on this thread: a task that waits by helping
-    /// (`help_until`) runs further tasks *inside* its own execution.
+    /// Task nesting depth on this thread: a task whose body waits on a
+    /// nested `parallel_for` runs further tasks *inside* its own
+    /// execution.
     static TASK_DEPTH: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
 }
 
@@ -174,13 +172,13 @@ fn run_task(task: Task) {
     // The pool must survive a panicking task: without this boundary a
     // panic would kill the worker thread (shrinking the pool forever) or
     // unwind through an unrelated caller helping from `help_until`.
-    // Run-level bookkeeping is the task entry's job — both schedulers'
-    // entries catch panics themselves and record a structured failure, so
-    // a payload reaching this backstop has already been accounted for.
+    // Job-level bookkeeping is the task entry's job — `parallel_for`'s
+    // entry catches panics itself and stores the payload, so one reaching
+    // this backstop has already been accounted for.
     let r = catch_unwind(AssertUnwindSafe(|| {
         // SAFETY: upheld by the `inject` caller — the task state is alive
         // and shareable until the task completes.
-        unsafe { (task.run)(task.data, task.arg) };
+        unsafe { (task.run)(task.data) };
     }));
     if r.is_err() {
         obs::count("par", "task_panics", 1);
@@ -323,7 +321,7 @@ pub fn pool_snapshot() -> PoolSnapshot {
 /// task's execution. The canonical pattern: the injecting thread keeps
 /// the state alive on its stack and calls [`help_until`] with a predicate
 /// that only becomes true after every injected task has finished running.
-pub unsafe fn inject<I: IntoIterator<Item = Task>>(tasks: I) {
+unsafe fn inject<I: IntoIterator<Item = Task>>(tasks: I) {
     let s = shared();
     let depth;
     let before;
@@ -346,7 +344,7 @@ pub unsafe fn inject<I: IntoIterator<Item = Task>>(tasks: I) {
 }
 
 /// Pop and execute one queued task, if any. Returns whether a task ran.
-pub fn try_run_one() -> bool {
+fn try_run_one() -> bool {
     let task = lock_unpoisoned(&shared().queue).pop_front();
     match task {
         Some(t) => {
@@ -361,7 +359,7 @@ pub fn try_run_one() -> bool {
 /// is empty. This is the "wait by helping" primitive: callers never block
 /// on in-flight work, they contribute to draining the queue, which makes
 /// nested fork-join on the shared pool deadlock-free.
-pub fn help_until(done: impl Fn() -> bool) {
+fn help_until(done: impl Fn() -> bool) {
     while !done() {
         if !try_run_one() {
             std::thread::yield_now();
@@ -427,7 +425,7 @@ pub fn parallel_for(n: usize, grain: usize, body: &(dyn Fn(Range<usize>) + Sync)
             }
         }
     }
-    unsafe fn entry(data: *const (), _arg: usize) {
+    unsafe fn entry(data: *const ()) {
         // SAFETY: `data` points at the ForJob on the injecting thread's
         // stack, kept alive until `live` reaches zero below. `claim`
         // cannot unwind, so the decrement always runs.
@@ -450,9 +448,8 @@ pub fn parallel_for(n: usize, grain: usize, body: &(dyn Fn(Range<usize>) + Sync)
     // SAFETY: `job` lives on this stack frame; we do not return until
     // every helper task has decremented `live`, i.e. finished executing.
     unsafe {
-        inject((0..helpers).map(|i| Task {
+        inject((0..helpers).map(|_| Task {
             data: &job as *const ForJob<'_> as *const (),
-            arg: i,
             run: entry,
         }));
     }

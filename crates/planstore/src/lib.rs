@@ -12,7 +12,7 @@
 //! ## Design rules
 //!
 //! * **Keys are content hashes** over (source text, conversion flags,
-//!   optimizer/compiler version tag, exec mode) — see [`cache_key`]. The
+//!   optimizer/compiler version tag) — see [`cache_key`]. The
 //!   same FNV-1a core ([`content_hash`]) backs the in-process staging
 //!   memo in `autograph-serve`, so in-memory and on-disk keys can never
 //!   diverge.
@@ -61,16 +61,16 @@ pub fn content_hash(source: &str, flags: &str) -> u64 {
     h
 }
 
-/// The on-disk cache key: FNV-1a over all four invalidation axes, each
+/// The on-disk cache key: FNV-1a over all three invalidation axes, each
 /// terminated by a `0xff` separator (no byte of valid UTF-8, so
 /// `("ab", "c")` can never collide with `("a", "bc")`).
 ///
-/// Any change to the function source text, the conversion flags, the
-/// optimizer/compiler [`VERSION_TAG`], or the execution mode yields a
-/// different key — a stale artifact is unreachable, not misread.
-pub fn cache_key(source: &str, flags: &str, version_tag: &str, exec_mode: &str) -> u64 {
+/// Any change to the function source text, the conversion flags, or the
+/// optimizer/compiler [`VERSION_TAG`] yields a different key — a stale
+/// artifact is unreachable, not misread.
+pub fn cache_key(source: &str, flags: &str, version_tag: &str) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
-    for part in [source, flags, version_tag, exec_mode] {
+    for part in [source, flags, version_tag] {
         for b in part.as_bytes() {
             h ^= u64::from(*b);
             h = h.wrapping_mul(0x100000001b3);
@@ -453,15 +453,15 @@ mod tests {
     }
 
     #[test]
-    fn cache_key_separates_all_four_axes() {
-        let base = cache_key("src", "flags", "v1", "vm");
-        assert_ne!(base, cache_key("src2", "flags", "v1", "vm"), "source");
-        assert_ne!(base, cache_key("src", "flags2", "v1", "vm"), "flags");
-        assert_ne!(base, cache_key("src", "flags", "v2", "vm"), "version");
-        assert_ne!(base, cache_key("src", "flags", "v1", "interp"), "mode");
+    fn cache_key_separates_all_three_axes() {
+        let base = cache_key("src", "flags", "v1");
+        assert_ne!(base, cache_key("src2", "flags", "v1"), "source");
+        assert_ne!(base, cache_key("src", "flags2", "v1"), "flags");
+        assert_ne!(base, cache_key("src", "flags", "v2"), "version");
         // the separator keeps adjacent axes from bleeding into each other
-        assert_ne!(cache_key("ab", "c", "", ""), cache_key("a", "bc", "", ""));
-        assert_eq!(base, cache_key("src", "flags", "v1", "vm"));
+        assert_ne!(cache_key("ab", "c", ""), cache_key("a", "bc", ""));
+        assert_ne!(cache_key("", "ab", "c"), cache_key("", "a", "bc"));
+        assert_eq!(base, cache_key("src", "flags", "v1"));
     }
 
     #[test]

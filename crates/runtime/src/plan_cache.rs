@@ -9,10 +9,9 @@
 //!
 //! ## Cache key
 //!
-//! `planstore::cache_key(source, flags, version_tag, exec_mode)` where
-//! `flags` covers the staging request (function name + placeholder
-//! names + conversion pipeline revision) and `exec_mode` is the mode a
-//! fresh session would resolve to. Any axis changing produces a
+//! `planstore::cache_key(source, flags, version_tag)` where `flags`
+//! covers the staging request (function name + placeholder names +
+//! conversion pipeline revision). Any axis changing produces a
 //! different key — the invalidation matrix in `tests/plan_cache.rs`
 //! locks this down.
 //!
@@ -62,14 +61,6 @@ fn flags_for(name: &str, arg_names: &[&str]) -> String {
     format!("fn={name};args={};{FLAGS_REV}", arg_names.join(","))
 }
 
-/// The exec-mode axis: what a fresh session would resolve to right now.
-fn exec_mode_str() -> &'static str {
-    match autograph_graph::session::default_exec_mode() {
-        autograph_graph::ExecMode::Vm => "vm",
-        autograph_graph::ExecMode::Interp => "interp",
-    }
-}
-
 /// Compile `name` from `source`, consulting the plan store configured
 /// via `AUTOGRAPH_PLAN_CACHE` (no store configured → always cold, no
 /// I/O).
@@ -103,7 +94,7 @@ pub fn compile_cached_with(
     version_tag: &str,
 ) -> Result<CachedArtifacts> {
     let flags = flags_for(name, arg_names);
-    let key = planstore::cache_key(source, &flags, version_tag, exec_mode_str());
+    let key = planstore::cache_key(source, &flags, version_tag);
 
     if let Some(store) = store {
         match store.load(key) {

@@ -366,12 +366,6 @@ impl CompiledFunction {
         self
     }
 
-    /// Pin the underlying session's execution mode.
-    pub fn set_exec_mode(&mut self, mode: autograph_graph::ExecMode) -> &mut CompiledFunction {
-        self.session.set_exec_mode(mode);
-        self
-    }
-
     /// Plan-cache and plan-store statistics from the underlying session.
     pub fn stats(&self) -> autograph_graph::SessionStats {
         self.session.stats()

@@ -327,7 +327,7 @@ fn staged_for_hash(
             return Ok(Arc::clone(hit));
         }
     }
-    let disk_key = planstore::cache_key(source, flags, planstore::VERSION_TAG, exec_mode_str());
+    let disk_key = planstore::cache_key(source, flags, planstore::VERSION_TAG);
     if let Some(store) = store {
         if let Load::Hit { payload, .. } = store.load(disk_key) {
             match decode_bundle(&payload) {
@@ -361,15 +361,6 @@ fn staged_for_hash(
             .entry(hash)
             .or_insert(staged),
     ))
-}
-
-/// The exec-mode axis of the disk key (an interp-mode process keys its
-/// artifacts apart from a VM-mode one).
-fn exec_mode_str() -> &'static str {
-    match autograph_graph::session::default_exec_mode() {
-        autograph_graph::ExecMode::Vm => "vm",
-        autograph_graph::ExecMode::Interp => "interp",
-    }
 }
 
 // ---------------------------------------------------------------------

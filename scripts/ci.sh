@@ -13,9 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 # pool, the serving layer (which must turn every failure into a
 # structured HTTP response, never an abort), and the plan store (a
 # corrupt cache artifact must fall back to cold staging, never abort)
-# ban unwrap/expect crate-wide; the graph executors (exec.rs, sched.rs)
-# carry the same module-level #![deny], which the workspace clippy pass
-# above enforces
+# ban unwrap/expect crate-wide; the graph executors (vm.rs and the
+# reference interpreter exec.rs) carry the same module-level #![deny],
+# which the workspace clippy pass above enforces
 echo "== cargo clippy (no unwrap/expect in fault, executor & serving paths)"
 cargo clippy -p autograph-faults -p autograph-par -p autograph-serve -p autograph-planstore --no-deps -- \
     -D warnings -D clippy::unwrap_used -D clippy::expect_used
@@ -23,19 +23,18 @@ cargo clippy -p autograph-faults -p autograph-par -p autograph-serve -p autograp
 echo "== cargo build --release"
 cargo build --release --workspace
 
-# the suite runs twice: once forced sequential, once through the
-# parallel wavefront scheduler — both must be green and the differential
-# / determinism tests assert the outputs are bitwise identical
-echo "== cargo test (AUTOGRAPH_THREADS=1)"
-AUTOGRAPH_THREADS=1 cargo test -q --workspace
-
-echo "== cargo test (AUTOGRAPH_THREADS=4)"
-AUTOGRAPH_THREADS=4 cargo test -q --workspace
+# one pass: the thread count only decides whether kernels split, and the
+# suites that care pin 1 and 4 themselves (determinism, differential,
+# vm_differential, chaos, report_integration, tensor's fused_parallel)
+# and assert the outputs are bitwise identical
+echo "== cargo test"
+cargo test -q --workspace
 
 # chaos suite: deterministic fault injection over the differential corpus,
-# two seed families (each test internally covers threads 1 and 4 and a
-# second derived seed) — every injected fault must surface as a structured
-# Err, and non-faulted reruns must stay bitwise identical
+# two seed families (each test internally covers the VM at threads 1
+# and 4, the reference interpreter, and a second derived seed) — every
+# injected fault must surface as a structured Err, and non-faulted
+# reruns must stay bitwise identical
 for seed in 7 982451653; do
     echo "== cargo test chaos (AUTOGRAPH_CHAOS_SEED=$seed)"
     AUTOGRAPH_CHAOS_SEED=$seed cargo test -q --test chaos
@@ -79,10 +78,9 @@ for dot in target/explain_rnn_loop.dot target/explain_fused_elementwise.dot \
     head -1 "$dot" | grep -q '^digraph' || { echo "FAIL: $dot is not a digraph"; exit 1; }
 done
 
-echo "== bench artifacts (BENCH_table1.json + BENCH_parallel.json + BENCH_report.json)"
+echo "== bench artifacts (BENCH_table1.json + BENCH_report.json)"
 cargo run --release -q -p autograph-bench --bin table1 -- \
-    --runs 5 --threads 4 \
-    --json BENCH_parallel.json \
+    --runs 5 \
     --json-table BENCH_table1.json \
     --report BENCH_report.json
 
@@ -153,7 +151,7 @@ trap - EXIT
 # are the load-bearing serve gates. Regenerate baselines on a quiet
 # machine with:
 #   scripts/ci.sh --update-baselines   (or copy BENCH_*.json to baselines/)
-GATED_BASELINES=(BENCH_table1.json BENCH_parallel.json BENCH_report.json BENCH_serve.json BENCH_stage.json)
+GATED_BASELINES=(BENCH_table1.json BENCH_report.json BENCH_serve.json BENCH_stage.json)
 if [[ "${1:-}" == "--update-baselines" ]]; then
     echo "== updating committed baselines (baselines/)"
     mkdir -p baselines
@@ -173,9 +171,6 @@ else
     echo "== perf-regression gate (autograph-report diff vs baselines/)"
     cargo run --release -q -p autograph-report --bin autograph-report -- \
         diff baselines/BENCH_table1.json BENCH_table1.json --tol-pct 60
-    cargo run --release -q -p autograph-report --bin autograph-report -- \
-        diff baselines/BENCH_parallel.json BENCH_parallel.json \
-        --tol-pct 60 --tol speedup=75 --tol seconds=75
     cargo run --release -q -p autograph-report --bin autograph-report -- \
         diff baselines/BENCH_report.json BENCH_report.json --tol-pct 60
     cargo run --release -q -p autograph-report --bin autograph-report -- \

@@ -1,15 +1,16 @@
 //! Chaos suite: deterministic fault injection across the whole corpus.
 //!
 //! Every injected fault — kernel errors, allocation failures, panics,
-//! scheduler delays — must surface as a structured, node- and
-//! span-attributed `Err` from `Session::run` (never a process abort), at
-//! `threads = 1` (sequential executor) and `threads = 4` (wavefront
-//! scheduler). After a faulted run, clearing the plan and re-running must
-//! produce bitwise-identical results: chaos must not leave residue.
+//! pool-task delays — must surface as a structured, node- and
+//! span-attributed `Err` from `Session::run` (never a process abort), on
+//! the VM at `threads = 1` and `threads = 4` (kernels split over the
+//! pool) and on the reference interpreter. After a faulted run, clearing
+//! the plan and re-running must produce bitwise-identical results: chaos
+//! must not leave residue.
 //!
 //! The fault plan is process-global, so every test here serializes on one
 //! mutex; the driver (`scripts/ci.sh`) runs this suite as its own process
-//! with two seeds (`AUTOGRAPH_CHAOS_SEED`) at both thread counts.
+//! with two seeds (`AUTOGRAPH_CHAOS_SEED`).
 
 use autograph::faults::{self, FaultPlan};
 use autograph::prelude::*;
@@ -22,6 +23,10 @@ use corpus::{programs, Program};
 #[path = "support/check.rs"]
 mod check;
 use check::assert_bitwise_eq;
+
+#[path = "support/exec.rs"]
+mod exec;
+use exec::{Exec, GRID};
 
 /// Serialize tests: `faults::install` is process-global state. Also
 /// silences the default panic hook for *injected* panics — they fire on
@@ -110,21 +115,18 @@ fn stage_corpus() -> Vec<StagedProgram> {
 fn run_at(
     p: &StagedProgram,
     threads: usize,
-    mode: ExecMode,
+    mode: Exec,
 ) -> Result<Vec<Tensor>, autograph::GraphError> {
     let mut sess = Session::new(p.graph.clone());
     sess.set_threads(threads);
-    sess.set_exec_mode(mode);
-    sess.run(&p.feeds, &p.outputs)
+    exec::run(
+        &mut sess,
+        mode,
+        &p.feeds,
+        &p.outputs,
+        &RunOptions::default(),
+    )
 }
-
-/// Every (threads, exec-mode) combination the chaos contract covers.
-const EXEC_GRID: [(usize, ExecMode); 4] = [
-    (1, ExecMode::Interp),
-    (4, ExecMode::Interp),
-    (1, ExecMode::Vm),
-    (4, ExecMode::Vm),
-];
 
 /// Kernel errors and allocation failures at every graph kernel: every run
 /// must fail with a structured, attributed error on both executors.
@@ -136,7 +138,7 @@ fn injected_kernel_errors_surface_attributed_on_both_executors() {
         for kind in ["error", "alloc"] {
             let _g = PlanGuard::install(&format!("{kind}@graph/*:{seed}"));
             for p in &staged {
-                for (threads, mode) in EXEC_GRID {
+                for (mode, threads) in GRID {
                     let err = run_at(p, threads, mode).expect_err(p.name);
                     let msg = err.to_string();
                     assert!(
@@ -169,7 +171,7 @@ fn injected_panics_are_isolated_on_both_executors() {
     for seed in seeds() {
         let _g = PlanGuard::install(&format!("panic@graph/*:{seed}"));
         for p in &staged {
-            for (threads, mode) in EXEC_GRID {
+            for (mode, threads) in GRID {
                 let err = run_at(p, threads, mode).expect_err(p.name);
                 let msg = err.to_string();
                 assert!(
@@ -189,8 +191,7 @@ fn injected_panics_are_isolated_on_both_executors() {
 
 /// Probabilistic faults: a run either completes with reference-identical
 /// values or fails with a well-formed injected error — nothing in between,
-/// and the same seed makes the same choice on the sequential executor
-/// every time.
+/// and the same seed makes the same choice every time.
 #[test]
 fn partial_rate_faults_fail_cleanly_or_not_at_all() {
     let _l = chaos_lock();
@@ -198,7 +199,7 @@ fn partial_rate_faults_fail_cleanly_or_not_at_all() {
     let reference: Vec<Vec<Tensor>> = staged
         .iter()
         .map(|p| {
-            run_at(p, 1, ExecMode::Interp).unwrap_or_else(|e| panic!("{}: reference: {e}", p.name))
+            run_at(p, 1, Exec::Reference).unwrap_or_else(|e| panic!("{}: reference: {e}", p.name))
         })
         .collect();
     for seed in seeds() {
@@ -206,7 +207,7 @@ fn partial_rate_faults_fail_cleanly_or_not_at_all() {
         // fused groups fire their injection sites at the kernel's
         // position, so the per-site decision sequence is a per-mode
         // contract: replay within a mode must agree; modes may differ
-        for mode in [ExecMode::Interp, ExecMode::Vm] {
+        for mode in [Exec::Reference, Exec::Vm] {
             let mut failed = 0usize;
             for (p, r) in staged.iter().zip(&reference) {
                 let outcome = {
@@ -223,7 +224,7 @@ fn partial_rate_faults_fail_cleanly_or_not_at_all() {
                 }
                 // determinism of the injection decision itself: the counter
                 // restarts at install, so the same plan re-run from scratch
-                // fails (or survives) identically on the sequential path
+                // fails (or survives) identically
                 let outcome2 = {
                     let _g = PlanGuard::install(&spec);
                     run_at(p, 1, mode)
@@ -237,8 +238,8 @@ fn partial_rate_faults_fail_cleanly_or_not_at_all() {
     }
 }
 
-/// Delay faults perturb scheduling only — values stay bitwise identical
-/// on both executors.
+/// Delay faults perturb pool-task timing only — values stay bitwise
+/// identical on both executors.
 #[test]
 fn delay_faults_never_change_values() {
     let _l = chaos_lock();
@@ -246,13 +247,13 @@ fn delay_faults_never_change_values() {
     let reference: Vec<Vec<Tensor>> = staged
         .iter()
         .map(|p| {
-            run_at(p, 1, ExecMode::Interp).unwrap_or_else(|e| panic!("{}: reference: {e}", p.name))
+            run_at(p, 1, Exec::Reference).unwrap_or_else(|e| panic!("{}: reference: {e}", p.name))
         })
         .collect();
     let seed = seeds()[0];
     let _g = PlanGuard::install(&format!("delay@*/*@0.25:{seed}"));
     for (p, r) in staged.iter().zip(&reference) {
-        for (threads, mode) in EXEC_GRID {
+        for (mode, threads) in GRID {
             let out = run_at(p, threads, mode)
                 .unwrap_or_else(|e| panic!("{}: delayed {mode:?} t{threads}: {e}", p.name));
             assert_bitwise_eq(p.name, "delayed run", &out, r);
@@ -269,7 +270,7 @@ fn non_faulted_reruns_are_bitwise_identical_after_chaos() {
     let reference: Vec<Vec<Tensor>> = staged
         .iter()
         .map(|p| {
-            run_at(p, 1, ExecMode::Interp).unwrap_or_else(|e| panic!("{}: reference: {e}", p.name))
+            run_at(p, 1, Exec::Reference).unwrap_or_else(|e| panic!("{}: reference: {e}", p.name))
         })
         .collect();
     for seed in seeds() {
@@ -278,7 +279,7 @@ fn non_faulted_reruns_are_bitwise_identical_after_chaos() {
                 "panic@graph/*@0.5,error@graph/*@0.5,delay@par/*@0.5:{seed}"
             ));
             for p in &staged {
-                for (threads, mode) in EXEC_GRID {
+                for (mode, threads) in GRID {
                     // outcome irrelevant — only that it never aborts
                     let _ = run_at(p, threads, mode);
                 }
@@ -286,7 +287,7 @@ fn non_faulted_reruns_are_bitwise_identical_after_chaos() {
         }
         // plan cleared by the guard: everything must be pristine again
         for (p, r) in staged.iter().zip(&reference) {
-            for (threads, mode) in EXEC_GRID {
+            for (mode, threads) in GRID {
                 for rerun in 0..2 {
                     let out = run_at(p, threads, mode).unwrap_or_else(|e| {
                         panic!("{}: clean rerun {rerun} {mode:?} t{threads}: {e}", p.name)

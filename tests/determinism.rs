@@ -1,10 +1,9 @@
-//! Determinism of the parallel executor: a reduction-heavy graph run
+//! Determinism across thread counts: a reduction-heavy graph run
 //! repeatedly at varying thread counts must produce results **bitwise
-//! identical** to the single-threaded executor. The scheduler
-//! parallelizes across nodes and splits kernels into disjoint index
-//! chunks, but never changes any per-element accumulation order and
-//! never accumulates through atomics — so floating-point results cannot
-//! drift with the thread count.
+//! identical** to the single-threaded run. Kernels split into disjoint
+//! index chunks over the worker pool, but never change any per-element
+//! accumulation order and never accumulate through atomics — so
+//! floating-point results cannot drift with the thread count.
 
 use autograph::graph::builder::GraphBuilder;
 use autograph::graph::ir::{Graph, NodeId, OpKind};

@@ -3,7 +3,7 @@
 //! `threads = 1`, (3) the staged graph executor at `threads = 4`, and —
 //! where the op set allows — (4) the Lantern backend. All backends must
 //! agree to 1e-6; the two graph configurations must agree **bitwise**
-//! (the parallel scheduler's determinism guarantee).
+//! (kernel splitting never changes a result).
 
 use autograph::prelude::*;
 
@@ -50,7 +50,7 @@ fn run_differential(p: &Program) {
         .run(&p.feeds, &staged.outputs)
         .unwrap_or_else(|e| panic!("{}: graph t1: {e}", p.name));
 
-    // staged graph, parallel scheduler
+    // staged graph, kernels split over the pool
     let mut sess4 = Session::new(staged.graph);
     sess4.set_threads(4);
     let out4 = sess4

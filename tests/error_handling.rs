@@ -5,6 +5,10 @@
 use autograph::prelude::*;
 use autograph::transforms::srcmap::SourceMap;
 
+#[path = "support/exec.rs"]
+mod exec;
+use exec::Exec;
+
 // ---- conversion errors ------------------------------------------------------
 
 #[test]
@@ -150,16 +154,17 @@ fn staged_assert_fires_at_graph_execution() {
     let staged = rt
         .stage_to_graph("f", vec![GraphArg::Placeholder("x".into())])
         .expect("stage");
-    for mode in [ExecMode::Interp, ExecMode::Vm] {
+    let opts = RunOptions::default();
+    for mode in [Exec::Reference, Exec::Vm] {
         let mut sess = Session::new(staged.graph.clone());
-        sess.set_exec_mode(mode);
+        let mut run = |x: f32| {
+            let feeds = [("x", Tensor::scalar_f32(x))];
+            exec::run(&mut sess, mode, &feeds, &staged.outputs, &opts)
+        };
         // passing assert
-        let ok = sess.run(&[("x", Tensor::scalar_f32(2.0))], &staged.outputs);
-        assert!(ok.is_ok(), "{mode:?}");
+        assert!(run(2.0).is_ok(), "{mode:?}");
         // failing assert at runtime, not staging
-        let err = sess
-            .run(&[("x", Tensor::scalar_f32(-2.0))], &staged.outputs)
-            .unwrap_err();
+        let err = run(-2.0).unwrap_err();
         assert!(
             err.to_string().contains("x must be positive"),
             "{mode:?}: {err}"
@@ -194,21 +199,24 @@ def f(x, w):
         .expect("stage");
     let x = Tensor::from_vec(vec![1.0, 2.0], &[1, 2]).unwrap();
     let w = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
-    for mode in [ExecMode::Interp, ExecMode::Vm] {
-        for threads in [1, 4] {
-            let mut sess = Session::new(staged.graph.clone());
-            sess.set_threads(threads);
-            sess.set_exec_mode(mode);
-            let err = sess
-                .run(&[("x", x.clone()), ("w", w.clone())], &staged.outputs)
-                .unwrap_err();
-            let msg = err.to_string();
-            assert!(msg.contains("matmul"), "{mode:?} t{threads}: {msg}");
-            assert!(
-                msg.contains("original source 4:"),
-                "{mode:?} t{threads}: span rewritten: {msg}"
-            );
-        }
+    let feeds = [("x", x), ("w", w)];
+    for (mode, threads) in exec::GRID {
+        let mut sess = Session::new(staged.graph.clone());
+        sess.set_threads(threads);
+        let err = exec::run(
+            &mut sess,
+            mode,
+            &feeds,
+            &staged.outputs,
+            &RunOptions::default(),
+        )
+        .unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains("matmul"), "{mode:?} t{threads}: {msg}");
+        assert!(
+            msg.contains("original source 4:"),
+            "{mode:?} t{threads}: span rewritten: {msg}"
+        );
     }
 }
 
@@ -231,61 +239,53 @@ def f(x):
 #[test]
 fn deadline_exceeded_reported_with_user_span() {
     let (graph, outputs) = staged_infinite_loop();
-    for mode in [ExecMode::Interp, ExecMode::Vm] {
-        for threads in [1, 4] {
-            let mut sess = Session::new(graph.clone());
-            sess.set_threads(threads);
-            sess.set_exec_mode(mode);
-            let opts = RunOptions::default().with_deadline(std::time::Duration::from_millis(40));
-            let err = sess
-                .run_with_options(&[("x", Tensor::scalar_f32(1.0))], &outputs, &opts)
-                .unwrap_err();
-            assert!(err.is_deadline_exceeded(), "{mode:?} t{threads}: {err}");
-            let msg = err.to_string();
-            assert!(
-                msg.contains("deadline exceeded"),
-                "{mode:?} t{threads}: {msg}"
-            );
-            // the check trips at whichever loop node runs next — condition
-            // (line 2) or body (line 3) — but always carries a user span
-            assert!(
-                msg.contains("original source 2:") || msg.contains("original source 3:"),
-                "{mode:?} t{threads}: deadline error must point inside the staged loop: {msg}"
-            );
-            // partial work is visible even though the run failed
-            assert!(sess.stats().while_iters > 0, "{mode:?} t{threads}");
-        }
+    for (mode, threads) in exec::GRID {
+        let mut sess = Session::new(graph.clone());
+        sess.set_threads(threads);
+        let opts = RunOptions::default().with_deadline(std::time::Duration::from_millis(40));
+        let feeds = [("x", Tensor::scalar_f32(1.0))];
+        let err = exec::run(&mut sess, mode, &feeds, &outputs, &opts).unwrap_err();
+        assert!(err.is_deadline_exceeded(), "{mode:?} t{threads}: {err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("deadline exceeded"),
+            "{mode:?} t{threads}: {msg}"
+        );
+        // the check trips at whichever loop node runs next — condition
+        // (line 2) or body (line 3) — but always carries a user span
+        assert!(
+            msg.contains("original source 2:") || msg.contains("original source 3:"),
+            "{mode:?} t{threads}: deadline error must point inside the staged loop: {msg}"
+        );
+        // partial work is visible even though the run failed
+        assert!(sess.stats().while_iters > 0, "{mode:?} t{threads}");
     }
 }
 
 #[test]
 fn cancelled_run_reported_with_user_span() {
     let (graph, outputs) = staged_infinite_loop();
-    for mode in [ExecMode::Interp, ExecMode::Vm] {
-        for threads in [1, 4] {
-            let mut sess = Session::new(graph.clone());
-            sess.set_threads(threads);
-            sess.set_exec_mode(mode);
-            let token = CancelToken::new();
-            let canceller = {
-                let token = token.clone();
-                std::thread::spawn(move || {
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                    token.cancel();
-                })
-            };
-            let opts = RunOptions::default().with_cancel(token);
-            let err = sess
-                .run_with_options(&[("x", Tensor::scalar_f32(1.0))], &outputs, &opts)
-                .unwrap_err();
-            canceller.join().expect("canceller thread");
-            assert!(err.is_cancelled(), "{mode:?} t{threads}: {err}");
-            let msg = err.to_string();
-            assert!(
-                msg.contains("original source 2:") || msg.contains("original source 3:"),
-                "{mode:?} t{threads}: cancel error must point inside the staged loop: {msg}"
-            );
-        }
+    for (mode, threads) in exec::GRID {
+        let mut sess = Session::new(graph.clone());
+        sess.set_threads(threads);
+        let token = CancelToken::new();
+        let canceller = {
+            let token = token.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                token.cancel();
+            })
+        };
+        let opts = RunOptions::default().with_cancel(token);
+        let feeds = [("x", Tensor::scalar_f32(1.0))];
+        let err = exec::run(&mut sess, mode, &feeds, &outputs, &opts).unwrap_err();
+        canceller.join().expect("canceller thread");
+        assert!(err.is_cancelled(), "{mode:?} t{threads}: {err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("original source 2:") || msg.contains("original source 3:"),
+            "{mode:?} t{threads}: cancel error must point inside the staged loop: {msg}"
+        );
     }
 }
 

@@ -9,6 +9,8 @@ use autograph_graph::optimize::optimize_traced;
 
 #[path = "support/corpus.rs"]
 mod corpus;
+#[path = "support/exec.rs"]
+mod exec;
 use corpus::{programs, Program};
 
 fn stage_optimized(
@@ -33,25 +35,23 @@ fn stage_optimized(
 
 #[test]
 fn every_executed_node_resolves_to_a_source_span() {
-    // both execution tiers must keep attribution complete: the VM's
-    // fused kernels split their cost across covered source nodes, so
-    // every absorbed op still surfaces with its real span
+    // the VM's fused kernels split their cost across covered source
+    // nodes, so every absorbed op still surfaces with its real span —
+    // as complete as the reference interpreter's attribution
     for p in programs() {
         let mut rt = Runtime::load(p.src, true).unwrap_or_else(|e| panic!("{}: load: {e}", p.name));
         let (graph, outputs, _trace) = stage_optimized(&mut rt, &p);
-        for mode in [ExecMode::Interp, ExecMode::Vm] {
-            for threads in [1usize, 4] {
-                let mut sess = Session::new(graph.clone());
-                sess.set_threads(threads);
-                sess.set_exec_mode(mode);
-                sess.set_reporting(true);
-                sess.run(&p.feeds, &outputs)
-                    .unwrap_or_else(|e| panic!("{}: run {mode:?} t{threads}: {e}", p.name));
-                let report = sess
-                    .last_report()
-                    .unwrap_or_else(|| panic!("{}: reporting was enabled", p.name));
-                for c in &report.node_costs {
-                    assert!(
+        for (mode, threads) in exec::GRID {
+            let mut sess = Session::new(graph.clone());
+            sess.set_threads(threads);
+            sess.set_reporting(true);
+            exec::run(&mut sess, mode, &p.feeds, &outputs, &RunOptions::default())
+                .unwrap_or_else(|e| panic!("{}: run {mode:?} t{threads}: {e}", p.name));
+            let report = sess
+                .last_report()
+                .unwrap_or_else(|| panic!("{}: reporting was enabled", p.name));
+            for c in &report.node_costs {
+                assert!(
                         !c.span.is_synthetic(),
                         "{}: {mode:?} t{threads}: executed node {} '{}' ({}, {} evals) has no source span",
                         p.name,
@@ -60,7 +60,6 @@ fn every_executed_node_resolves_to_a_source_span() {
                         c.op,
                         c.evals,
                     );
-                }
             }
         }
     }

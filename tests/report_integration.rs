@@ -257,7 +257,7 @@ fn report_diff_against_itself_is_clean() {
     );
 }
 
-/// Injected scheduler delays (`AUTOGRAPH_FAULTS` delay rules) show up
+/// Injected delays (`AUTOGRAPH_FAULTS` delay rules) show up
 /// under their own `fault_delay` span category, so traces distinguish
 /// injected stalls from real work.
 fn injected_delays_get_their_own_span_category() {

@@ -1,18 +1,18 @@
 //! The VM-vs-interpreter differential test wall: every corpus program,
-//! staged once and executed through both tiers ([`ExecMode::Interp`]
-//! and [`ExecMode::Vm`]) at 1 and 4 threads, must produce **bitwise
-//! identical** outputs. The compiled tier (register bytecode, fused
-//! elementwise kernels, buffer recycling) is pure cost model — it is
-//! never allowed to change a result.
+//! staged once and executed on the VM at 1 and 4 threads, must produce
+//! outputs **bitwise identical** to the op-by-op reference interpreter.
+//! The VM (register bytecode, fused elementwise kernels, buffer
+//! recycling) is pure cost model — it is never allowed to change a
+//! result.
 //!
 //! Alongside raw outputs, the wall also locks down:
 //!
-//! * conversion warnings (staging happens before mode selection, so the
-//!   sets must match exactly);
-//! * `RunReport` invariants per mode — the memory ledger balances
+//! * conversion warnings (staging happens before execution, so the sets
+//!   must match exactly);
+//! * `RunReport` invariants per cell — the memory ledger balances
 //!   (allocated − freed == live delta, so arena recycling can't leak),
-//!   the run executes the same number of nodes and while-iterations in
-//!   both modes, and every node cost resolves to a real source span
+//!   the run executes the same number of nodes and while-iterations as
+//!   the reference, and every node cost resolves to a real source span
 //!   (fused kernels split costs across their covered nodes).
 
 use autograph::prelude::*;
@@ -21,8 +21,11 @@ use autograph::prelude::*;
 mod check;
 #[path = "support/corpus.rs"]
 mod corpus;
+#[path = "support/exec.rs"]
+mod exec;
 
 use corpus::programs;
+use exec::Exec;
 
 /// The tensor ledger is process-global, so the test that reads it must
 /// not overlap the tests that allocate: each test holds this lock.
@@ -40,7 +43,7 @@ fn run_mode(
     graph: &autograph::graph::Graph,
     outputs: &[autograph::graph::NodeId],
     feeds: &[(&str, Tensor)],
-    mode: ExecMode,
+    mode: Exec,
     threads: usize,
 ) -> (
     Vec<Tensor>,
@@ -49,10 +52,8 @@ fn run_mode(
 ) {
     let mut sess = Session::new(graph.clone());
     sess.set_threads(threads);
-    sess.set_exec_mode(mode);
     sess.set_reporting(true);
-    let out = sess
-        .run(feeds, outputs)
+    let out = exec::run(&mut sess, mode, feeds, outputs, &RunOptions::default())
         .unwrap_or_else(|e| panic!("{mode:?} t{threads}: {e}"));
     let report = sess.last_report().expect("reporting enabled").clone();
     (out, report, sess.stats())
@@ -73,85 +74,72 @@ fn vm_outputs_bitwise_identical_to_interpreter() {
             .unwrap_or_else(|e| panic!("{}: stage: {e}", p.name));
         let warnings_before: Vec<String> = rt.warnings().iter().map(|w| format!("{w:?}")).collect();
 
-        let (reference, ref_report, ref_stats) = run_mode(
-            &staged.graph,
-            &staged.outputs,
-            &p.feeds,
-            ExecMode::Interp,
-            1,
-        );
+        let (reference, ref_report, ref_stats) =
+            run_mode(&staged.graph, &staged.outputs, &p.feeds, Exec::Reference, 1);
 
-        for mode in [ExecMode::Interp, ExecMode::Vm] {
-            for threads in [1usize, 4] {
-                let (out, report, stats) =
-                    run_mode(&staged.graph, &staged.outputs, &p.feeds, mode, threads);
-                check::assert_bitwise_eq(
+        for (mode, threads) in exec::GRID {
+            let (out, report, stats) =
+                run_mode(&staged.graph, &staged.outputs, &p.feeds, mode, threads);
+            check::assert_bitwise_eq(
+                p.name,
+                &format!("{mode:?} t{threads} vs Reference t1"),
+                &out,
+                &reference,
+            );
+
+            // running happens after staging, so the warning set
+            // cannot have changed
+            let warnings_now: Vec<String> =
+                rt.warnings().iter().map(|w| format!("{w:?}")).collect();
+            assert_eq!(
+                warnings_now, warnings_before,
+                "{}: {mode:?} t{threads}: conversion warnings drifted",
+                p.name
+            );
+
+            // ledger balance: every byte the run allocated (arena
+            // reuse included) is either freed or still live
+            let alloc_delta = report.mem.allocated_bytes as i128 - report.mem.freed_bytes as i128;
+            let live_delta =
+                report.mem.live_bytes_end as i128 - report.mem.live_bytes_start as i128;
+            assert_eq!(
+                alloc_delta, live_delta,
+                "{}: {mode:?} t{threads}: ledger imbalance",
+                p.name
+            );
+
+            // same work accounting: the VM's dispatch counts must
+            // match the reference interpreter exactly
+            assert_eq!(
+                stats.nodes_executed, ref_stats.nodes_executed,
+                "{}: {mode:?} t{threads}: dispatch count drifted",
+                p.name
+            );
+            assert_eq!(
+                stats.while_iters, ref_stats.while_iters,
+                "{}: {mode:?} t{threads}: while iterations drifted",
+                p.name
+            );
+            assert_eq!(
+                report.while_iters, ref_report.while_iters,
+                "{}: {mode:?} t{threads}: report while_iters drifted",
+                p.name
+            );
+
+            // every attributed cost keeps a real source span — the
+            // provenance/explain contract through fused kernels
+            for c in &report.node_costs {
+                assert!(
+                    !c.span.is_synthetic(),
+                    "{}: {mode:?} t{threads}: node {} '{}' ({}) lost its span",
                     p.name,
-                    &format!("{mode:?} t{threads} vs Interp t1"),
-                    &out,
-                    &reference,
+                    c.node,
+                    c.name,
+                    c.op
                 );
-
-                // the exec mode is a run-time choice; staging already
-                // happened, so the warning set cannot have changed
-                let warnings_now: Vec<String> =
-                    rt.warnings().iter().map(|w| format!("{w:?}")).collect();
-                assert_eq!(
-                    warnings_now, warnings_before,
-                    "{}: {mode:?} t{threads}: conversion warnings drifted",
-                    p.name
-                );
-
-                // ledger balance: every byte the run allocated (arena
-                // reuse included) is either freed or still live
-                let alloc_delta =
-                    report.mem.allocated_bytes as i128 - report.mem.freed_bytes as i128;
-                let live_delta =
-                    report.mem.live_bytes_end as i128 - report.mem.live_bytes_start as i128;
-                assert_eq!(
-                    alloc_delta, live_delta,
-                    "{}: {mode:?} t{threads}: ledger imbalance",
-                    p.name
-                );
-
-                // same work accounting: the VM is linear on the calling
-                // thread at any thread count, so its dispatch counts
-                // must match the sequential interpreter exactly (the
-                // parallel interpreter's scheduler accounts differently
-                // and is not part of this contract)
-                if mode == ExecMode::Vm {
-                    assert_eq!(
-                        stats.nodes_executed, ref_stats.nodes_executed,
-                        "{}: {mode:?} t{threads}: dispatch count drifted",
-                        p.name
-                    );
-                }
-                assert_eq!(
-                    stats.while_iters, ref_stats.while_iters,
-                    "{}: {mode:?} t{threads}: while iterations drifted",
-                    p.name
-                );
-                assert_eq!(
-                    report.while_iters, ref_report.while_iters,
-                    "{}: {mode:?} t{threads}: report while_iters drifted",
-                    p.name
-                );
-
-                // every attributed cost keeps a real source span — the
-                // provenance/explain contract through fused kernels
-                for c in &report.node_costs {
-                    assert!(
-                        !c.span.is_synthetic(),
-                        "{}: {mode:?} t{threads}: node {} '{}' ({}) lost its span",
-                        p.name,
-                        c.node,
-                        c.name,
-                        c.op
-                    );
-                    assert!(c.evals > 0, "{}: zero-eval cost entry", p.name);
-                }
-                assert!(report.succeeded);
+                assert!(c.evals > 0, "{}: zero-eval cost entry", p.name);
             }
+            assert!(report.succeeded);
         }
     }
 }
@@ -173,7 +161,6 @@ fn vm_repeated_runs_are_bitwise_stable() {
             .unwrap_or_else(|e| panic!("{}: stage: {e}", p.name));
         let mut sess = Session::new(staged.graph.clone());
         sess.set_threads(1);
-        sess.set_exec_mode(ExecMode::Vm);
         let first = sess
             .run(&p.feeds, &staged.outputs)
             .unwrap_or_else(|e| panic!("{}: first run: {e}", p.name));
@@ -206,7 +193,6 @@ fn vm_live_memory_returns_to_baseline() {
     let live0 = autograph::tensor::mem::snapshot().live_bytes;
     {
         let mut sess = Session::new(staged.graph.clone());
-        sess.set_exec_mode(ExecMode::Vm);
         sess.set_threads(1);
         for _ in 0..5 {
             sess.run(&p.feeds, &staged.outputs).expect("run");
