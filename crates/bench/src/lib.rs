@@ -2,8 +2,9 @@
 //!
 //! The benchmark harness that regenerates every table in the paper's
 //! evaluation. Each `src/bin/*` binary prints one table in the paper's
-//! format (means ± standard deviations over repeated runs); the
-//! `benches/*` Criterion targets track the same workloads for regression.
+//! format (means ± standard deviations over repeated runs). These are
+//! paper-table printers, not a regression gate: the repository benchmark
+//! (`BENCHMARK.json`, package `benchmark/`) is what a change is weighed by.
 //!
 //! Absolute numbers will not match the paper's testbeds (see DESIGN.md);
 //! the *shape* — which configuration wins and by roughly what factor —
@@ -87,9 +88,8 @@ pub fn rule(n: usize) {
     println!("{}", "-".repeat(34 + 22 * n));
 }
 
-/// Parse `--full` / `--runs N` / `--profile PATH` / `--threads N` /
-/// `--json PATH` / `--json-table PATH` / `--report PATH` style flags
-/// from `std::env::args`.
+/// Parse `--full` / `--runs N` / `--profile PATH` / `--threads N` style
+/// flags from `std::env::args`.
 pub struct HarnessArgs {
     /// Use paper-scale workloads (slow) instead of laptop-scale defaults.
     pub full: bool,
@@ -102,12 +102,6 @@ pub struct HarnessArgs {
     /// default resolution (`AUTOGRAPH_THREADS`, then machine
     /// parallelism) in effect.
     pub threads: Option<usize>,
-    /// Write the benchmark's main table as JSON to this path
-    /// (`--json-table`) — input for `autograph-report diff`.
-    pub json_table: Option<String>,
-    /// Run one reported session pass and write its `RunReport` JSON to
-    /// this path (`--report`).
-    pub report: Option<String>,
     /// Remaining positional arguments.
     pub rest: Vec<String>,
 }
@@ -119,8 +113,6 @@ impl HarnessArgs {
         let mut runs = 5;
         let mut profile = None;
         let mut threads = None;
-        let mut json_table = None;
-        let mut report = None;
         let mut rest = Vec::new();
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
@@ -131,8 +123,6 @@ impl HarnessArgs {
                 }
                 "--profile" => profile = args.next(),
                 "--threads" => threads = args.next().and_then(|v| v.parse().ok()),
-                "--json-table" => json_table = args.next(),
-                "--report" => report = args.next(),
                 other => rest.push(other.to_string()),
             }
         }
@@ -141,9 +131,7 @@ impl HarnessArgs {
             runs,
             profile,
             threads,
-            json_table,
             rest,
-            report,
         }
     }
 
@@ -151,15 +139,11 @@ impl HarnessArgs {
     /// set the session default so every `Session::run` in the benchmark
     /// uses it. A no-op without the flag (sessions then fall back to
     /// `AUTOGRAPH_THREADS` / machine parallelism).
-    pub fn apply_threads(&self) -> usize {
-        let n = self
-            .threads
-            .unwrap_or_else(autograph_par::available_parallelism);
-        if self.threads.is_some() {
+    pub fn apply_threads(&self) {
+        if let Some(n) = self.threads {
             autograph_par::configure(n);
             autograph_graph::session::set_default_threads(n);
         }
-        n
     }
 
     /// Start profiling if `--profile` was given. Call

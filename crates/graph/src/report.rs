@@ -8,9 +8,8 @@
 //! (`autograph_par::pool_snapshot`) around the run, and folds the
 //! per-node self-times over the plan DAG — data edges plus
 //! per-resource control edges (`consumer_lists`) — to find the critical
-//! path. The result is a [`RunReport`] with a JSON serialization
-//! (parseable by the `autograph-report` tool) and a human-readable text
-//! rendering.
+//! path. The result is a [`RunReport`] with a JSON serialization and a
+//! human-readable text rendering.
 //!
 //! Attribution notes: node self-times are measured around each
 //! *top-level plan node* — a `While`/`Cond` node's time includes its
@@ -494,8 +493,7 @@ fn node_cost_json(c: &NodeCost) -> String {
 }
 
 impl RunReport {
-    /// Serialize as a self-contained JSON document (the format
-    /// `autograph-report` consumes).
+    /// Serialize as a self-contained JSON document.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str("{\"kind\":\"autograph_run_report\",\"version\":1");

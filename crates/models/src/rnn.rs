@@ -221,65 +221,6 @@ pub fn build_handwritten(weights: &RnnWeights) -> (Graph, Vec<NodeId>) {
     (b.finish(), vec![out, final_state])
 }
 
-/// A multi-branch workload: one independent handwritten RNN `While`
-/// loop per weight set, all reading the same input placeholders. The
-/// branches share no state, so the run report's critical path is one
-/// branch, not their sum; fetches are the per-branch final states (in
-/// weight order).
-pub fn build_multi_branch(weights: &[RnnWeights]) -> (Graph, Vec<NodeId>) {
-    let mut b = GraphBuilder::new();
-    b.push_scope("dynamic_rnn_multi_branch");
-    let input = b.placeholder("input_data");
-    let init_state = b.placeholder("initial_state");
-    let seq_len = b.placeholder("sequence_len");
-    let input_t = b.add(OpKind::Transpose(vec![1, 0, 2]), vec![input]);
-    let max_len = b.add(OpKind::ReduceMax(None), vec![seq_len]);
-    let zero = b.constant(Tensor::scalar_i64(0));
-
-    let mut fetches = Vec::with_capacity(weights.len());
-    for w in weights {
-        let wx = b.constant(w.wx.clone());
-        let wh = b.constant(w.wh.clone());
-        let bias = b.constant(w.b.clone());
-        // same 6-entry loop state as the handwritten single-branch
-        // version, minus the outputs array (final state only):
-        // 0=i, 1=state, 2=max_len, 3=input_t, 4=seq_len + weights 5..8
-        let cond_g = {
-            let (mut sb, p) = SubGraphBuilder::new(8);
-            let lt = sb.b.add(OpKind::Less, vec![p[0], p[2]]);
-            sb.finish(vec![lt])
-        };
-        let body_g = {
-            let (mut sb, p) = SubGraphBuilder::new(8);
-            let (i, state) = (p[0], p[1]);
-            let (input_t, seq_len, wx, wh, bias) = (p[3], p[4], p[5], p[6], p[7]);
-            let x = sb.b.add(OpKind::IndexAxis0, vec![input_t, i]);
-            let xw = sb.b.matmul(x, wx);
-            let hw = sb.b.matmul(state, wh);
-            let sum = sb.b.add_op(xw, hw);
-            let act = sb.b.add_op(sum, bias);
-            let h = sb.b.tanh(act);
-            let keep0 = sb.b.add(OpKind::Less, vec![i, seq_len]);
-            let keep = sb.b.add(OpKind::ExpandDims(1), vec![keep0]);
-            let state2 = sb.b.add(OpKind::Select, vec![keep, h, state]);
-            let one = sb.b.constant(Tensor::scalar_i64(1));
-            let i2 = sb.b.add_op(i, one);
-            sb.finish(vec![i2, state2, p[2], p[3], p[4], p[5], p[6], p[7]])
-        };
-        let wl = b.add(
-            OpKind::While {
-                cond_g,
-                body_g,
-                max_iters: None,
-            },
-            vec![zero, init_state, max_len, input_t, seq_len, wx, wh, bias],
-        );
-        fetches.push(b.tuple_get(wl, 1));
-    }
-    b.pop_scope();
-    (b.finish(), fetches)
-}
-
 /// The "Official" configuration: a fused Rust kernel looping directly over
 /// tensor ops (the `tf.dynamic_rnn` built-in analog).
 ///
@@ -408,39 +349,6 @@ mod tests {
             .tanh()
             .unwrap();
         close(&s, &h1, 1e-6);
-    }
-
-    #[test]
-    fn multi_branch_matches_official_per_branch_at_any_thread_count() {
-        let (batch, time, feat, hidden) = (3, 5, 2, 4);
-        let weights: Vec<RnnWeights> = (0..3).map(|k| RnnWeights::new(feat, hidden, k)).collect();
-        let inp = inputs(batch, time, feat, hidden, 9);
-        let feeds = [
-            ("input_data", inp.input_data.clone()),
-            ("initial_state", inp.initial_state.clone()),
-            ("sequence_len", inp.sequence_len.clone()),
-        ];
-        let (g, fetches) = build_multi_branch(&weights);
-        let mut seq_sess = Session::new(g.clone());
-        seq_sess.set_threads(1);
-        let seq_out = seq_sess.run(&feeds, &fetches).unwrap();
-        for (k, w) in weights.iter().enumerate() {
-            let (_, s_ref) = official(w, &inp).unwrap();
-            close(&seq_out[k], &s_ref, 1e-5);
-        }
-        let mut par_sess = Session::new(g);
-        par_sess.set_threads(4);
-        let par_out = par_sess.run(&feeds, &fetches).unwrap();
-        for (s, p) in seq_out.iter().zip(&par_out) {
-            assert_eq!(s.shape(), p.shape());
-            for (x, y) in s.as_f32().unwrap().iter().zip(p.as_f32().unwrap()) {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "parallel run must be bitwise equal"
-                );
-            }
-        }
     }
 
     #[test]

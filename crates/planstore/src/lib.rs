@@ -442,6 +442,17 @@ mod tests {
         d
     }
 
+    /// The store counters are process-global and the harness runs tests
+    /// on parallel threads: every test that saves or loads holds this, so
+    /// the `==` deltas below see only their own traffic.
+    static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn counters_lock() -> std::sync::MutexGuard<'static, ()> {
+        // a poisoned lock only means a sibling test failed; the guard is
+        // still exclusive
+        COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn content_hash_matches_the_historical_serve_memo() {
         // the FNV-1a constants are a compatibility contract with the
@@ -503,6 +514,7 @@ mod tests {
 
     #[test]
     fn store_save_load_round_trip_and_counters() {
+        let _counters = counters_lock();
         let store = PlanStore::open(tmp_dir("roundtrip")).unwrap();
         let before = stats();
         assert!(matches!(store.load(9), Load::Miss));
@@ -525,6 +537,7 @@ mod tests {
 
     #[test]
     fn corrupt_file_loads_as_corrupt_and_counts() {
+        let _counters = counters_lock();
         let store = PlanStore::open(tmp_dir("corrupt")).unwrap();
         store.save(3, b"soon to be damaged").unwrap();
         let path = store.path_for(3);
@@ -540,6 +553,7 @@ mod tests {
 
     #[test]
     fn no_tmp_files_survive_a_save() {
+        let _counters = counters_lock();
         let store = PlanStore::open(tmp_dir("tmpfiles")).unwrap();
         store.save(11, b"a").unwrap();
         store.save(12, b"b").unwrap();

@@ -6,11 +6,21 @@ use crate::lexer::tokenize;
 use crate::token::{Token, TokenKind};
 use crate::Span;
 
+/// How deep the parser follows nesting — parentheses, brackets, unary and
+/// `**` chains, ternaries, lambdas and statement suites share one count —
+/// before it returns an error instead of recursing further. Source is
+/// untrusted input, and one parenthesis level is thirteen frames: an
+/// unoptimized build measures 21 KB of stack per level, so 64 levels fit
+/// a 2 MB thread (1.3 MB) and CPython's own limit of 200 would not.
+const MAX_DEPTH: usize = 64;
+
 /// The PyLite parser. Construct with [`Parser::new`] then call
 /// [`Parser::parse_module`].
 pub struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting levels currently open; see [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl Parser {
@@ -23,7 +33,24 @@ impl Parser {
         Ok(Parser {
             tokens: tokenize(source)?,
             pos: 0,
+            depth: 0,
         })
+    }
+
+    /// Run `f` one nesting level down. Every recursive cycle in the
+    /// grammar goes through here, so recursion depth is bounded by
+    /// [`MAX_DEPTH`] whatever the input.
+    fn nested<T>(&mut self, f: fn(&mut Parser) -> Result<T, ParseError>) -> Result<T, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(ParseError::new(
+                format!("nesting deeper than {MAX_DEPTH} levels"),
+                self.peek_span(),
+            ));
+        }
+        self.depth += 1;
+        let result = f(self);
+        self.depth -= 1;
+        result
     }
 
     fn peek(&self) -> &TokenKind {
@@ -95,7 +122,13 @@ impl Parser {
         Ok(Module { body })
     }
 
+    /// One statement; compound statements recurse here through
+    /// [`Parser::parse_suite`], one level per nested block.
     fn parse_stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Parser::parse_stmt_unbounded)
+    }
+
+    fn parse_stmt_unbounded(&mut self) -> Result<Stmt, ParseError> {
         let span = self.peek_span();
         match self.peek() {
             TokenKind::At | TokenKind::Def => self.parse_funcdef(),
@@ -237,7 +270,7 @@ impl Parser {
         self.expect(TokenKind::Colon)?;
         let body = self.parse_suite()?;
         let orelse = match self.peek() {
-            TokenKind::Elif => vec![self.parse_if()?],
+            TokenKind::Elif => vec![self.nested(Parser::parse_if)?],
             TokenKind::Else => {
                 self.bump();
                 self.expect(TokenKind::Colon)?;
@@ -401,8 +434,14 @@ impl Parser {
         }
     }
 
-    /// test: ternary conditional or lambda.
+    /// test: ternary conditional or lambda. Every bracketed, argument,
+    /// default-value and lambda-body expression re-enters the grammar here,
+    /// one level per re-entry.
     pub(crate) fn parse_test(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Parser::parse_test_unbounded)
+    }
+
+    fn parse_test_unbounded(&mut self) -> Result<Expr, ParseError> {
         if matches!(self.peek(), TokenKind::Lambda) {
             return self.parse_lambda();
         }
@@ -493,7 +532,7 @@ impl Parser {
     fn parse_not_test(&mut self) -> Result<Expr, ParseError> {
         let span = self.peek_span();
         if self.eat(&TokenKind::Not) {
-            let operand = self.parse_not_test()?;
+            let operand = self.nested(Parser::parse_not_test)?;
             Ok(Expr::new(
                 ExprKind::UnaryOp {
                     op: UnaryOp::Not,
@@ -611,7 +650,7 @@ impl Parser {
         match self.peek() {
             TokenKind::Minus => {
                 self.bump();
-                let operand = self.parse_factor()?;
+                let operand = self.nested(Parser::parse_factor)?;
                 Ok(Expr::new(
                     ExprKind::UnaryOp {
                         op: UnaryOp::Neg,
@@ -622,7 +661,7 @@ impl Parser {
             }
             TokenKind::Plus => {
                 self.bump();
-                let operand = self.parse_factor()?;
+                let operand = self.nested(Parser::parse_factor)?;
                 Ok(Expr::new(
                     ExprKind::UnaryOp {
                         op: UnaryOp::Pos,
@@ -639,7 +678,7 @@ impl Parser {
         let base = self.parse_postfix()?;
         if self.eat(&TokenKind::DoubleStar) {
             let span = base.span;
-            let exp = self.parse_factor()?; // right-assoc
+            let exp = self.nested(Parser::parse_factor)?; // right-assoc
             Ok(Expr::new(
                 ExprKind::BinOp {
                     op: BinOp::Pow,
@@ -1067,5 +1106,47 @@ mod tests {
             &m.body[2].kind,
             StmtKind::Assign { value, .. } if matches!(&value.kind, ExprKind::Int(1))
         ));
+    }
+
+    fn parens(n: usize) -> String {
+        format!("x = {}1{}\n", "(".repeat(n), ")".repeat(n))
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        let nested_ifs: String = (0..1_000)
+            .map(|i| format!("{}if x:\n", " ".repeat(i)))
+            .chain(std::iter::once(format!("{}pass\n", " ".repeat(1_000))))
+            .collect();
+        let elifs = format!("if x:\n    pass\n{}", "elif x:\n    pass\n".repeat(1_000));
+        for (what, src) in [
+            ("parentheses", parens(200_000)),
+            ("unary minus chain", format!("x = {}1\n", "-".repeat(5_000))),
+            ("not chain", format!("x = {}1\n", "not ".repeat(5_000))),
+            ("power chain", format!("x = {}2\n", "2 ** ".repeat(5_000))),
+            (
+                "lambda chain",
+                format!("f = {}1\n", "lambda: ".repeat(5_000)),
+            ),
+            ("nested ifs", nested_ifs),
+            ("elif chain", elifs),
+        ] {
+            let err = parse_module(&src).expect_err(what);
+            assert!(err.message.contains("nesting deeper"), "{what}: {err}");
+            assert!(err.span.line >= 1, "{what}: {err}");
+        }
+    }
+
+    #[test]
+    fn depth_budget_boundary_is_exact() {
+        // the statement and its right-hand side are levels 1 and 2; every
+        // parenthesis is one more
+        parse_module(&parens(MAX_DEPTH - 2)).expect("last depth inside the budget");
+        let err = parse_module(&parens(MAX_DEPTH - 1)).unwrap_err();
+        assert_eq!(
+            (err.span.line as usize, err.span.col as usize),
+            (1, 4 + MAX_DEPTH),
+            "the error points at the token where the budget ran out: {err}"
+        );
     }
 }

@@ -2,25 +2,24 @@
 //!
 //! N client threads hammer one function over keep-alive connections and
 //! the tool reports admitted-request latency percentiles, throughput,
-//! and shed/error rates — both human-readable and as a `BENCH_serve.json`
-//! section the `autograph-report diff` perf gate consumes:
+//! and shed/error rates. The numbers are for reading; what gates is the
+//! exit code, nonzero unless
 //!
-//! * `p50_ms` / `p99_ms` — gate **lower-is-better** (admitted requests
-//!   only: shed responses are the server *keeping* its latency promise,
-//!   not breaking it);
-//! * `throughput_rps` — gates **higher-is-better**;
-//! * `all_ok` — **must-hold** bool: no 5xx, no transport errors;
-//! * `shed_fraction` and the raw counters stay informational.
+//! * every request was answered without a 5xx, a transport error or a
+//!   mismatched `X-Request-Id` echo (shed 503s and 504s are the server
+//!   *keeping* its latency promise, not breaking it), and
+//! * with `--scrape-metrics`, `/metrics` parsed strictly before and after
+//!   the burst, carried every required family, and no counter went
+//!   backwards.
 //!
-//! `--json FILE --key threads_4` merges the section into an existing
-//! file, so `ci.sh` can run several burst shapes into one artifact.
+//! Absolute serving latency and throughput are the repository
+//! benchmark's `serve_mlp` workload.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use autograph_serve::client::{wait_ready, Client};
 use autograph_serve::prom::{self, Scrape};
 use autograph_serve::server::REQUIRED_METRIC_FAMILIES;
-use serde_json::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -34,8 +33,6 @@ struct Args {
     requests: usize,
     deadline_ms: Option<u64>,
     warmup: usize,
-    json: Option<String>,
-    key: String,
     scrape_metrics: bool,
 }
 
@@ -43,7 +40,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: autograph-loadgen (--addr HOST:PORT | --addr-file FILE) --function NAME\n\
          \x20  [--body JSON] [--threads N] [--requests N] [--deadline-ms N] [--warmup N]\n\
-         \x20  [--json FILE] [--key SECTION] [--scrape-metrics]"
+         \x20  [--scrape-metrics]"
     );
     std::process::exit(2);
 }
@@ -105,8 +102,6 @@ fn parse_args() -> Args {
         requests: 50,
         deadline_ms: None,
         warmup: 5,
-        json: None,
-        key: "run".to_string(),
         scrape_metrics: false,
     };
     let mut it = std::env::args().skip(1);
@@ -131,8 +126,6 @@ fn parse_args() -> Args {
                 args.deadline_ms = Some(parse_num(&value("--deadline-ms"), "--deadline-ms"))
             }
             "--warmup" => args.warmup = parse_num(&value("--warmup"), "--warmup"),
-            "--json" => args.json = Some(value("--json")),
-            "--key" => args.key = value("--key"),
             "--scrape-metrics" => args.scrape_metrics = true,
             "--help" | "-h" => usage(),
             other => {
@@ -387,55 +380,10 @@ fn main() {
         id_mismatch
     );
 
-    let mut section = format!(
-        "{{\"threads\": {}, \"requests_per_thread\": {}, \"p50_ms\": {p50_ms:.6}, \"p99_ms\": {p99_ms:.6}, \"mean_ms\": {mean_ms:.6}, \"throughput_rps\": {throughput_rps:.6}, \"shed_fraction\": {shed_fraction:.6}, \"completed\": {ok}, \"shed\": {shed}, \"deadline_504\": {deadline}, \"client_4xx\": {client_4xx}, \"server_5xx\": {server_5xx}, \"transport\": {transport}, \"all_ok\": {all_ok}",
-        args.threads, args.requests
-    );
-    if let Some(mok) = metrics_ok {
-        section.push_str(&format!(", \"metrics_ok\": {mok}"));
-    }
-    section.push('}');
-    if let Some(path) = &args.json {
-        let merged = merge_section(path, &args.key, &section);
-        match std::fs::write(path, merged) {
-            Ok(()) => eprintln!("wrote {path} (section '{}')", args.key),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
     if !all_ok || metrics_ok == Some(false) {
+        eprintln!("FAIL: all_ok={all_ok} metrics_ok={metrics_ok:?}");
         std::process::exit(1);
     }
-}
-
-/// Merge `section` (a JSON object literal) under `key` into the file's
-/// existing top-level object, preserving other sections.
-fn merge_section(path: &str, key: &str, section: &str) -> String {
-    let existing = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok());
-    let mut out = String::from("{\n  \"bench\": \"serve\"");
-    if let Some(Value::Object(map)) = existing {
-        for (k, v) in &map {
-            if k == key || k == "bench" {
-                continue;
-            }
-            out.push_str(",\n  \"");
-            out.push_str(k);
-            out.push_str("\": ");
-            let mut buf = String::new();
-            autograph_serve::json::write_value(v, &mut buf);
-            out.push_str(&buf);
-        }
-    }
-    out.push_str(",\n  \"");
-    out.push_str(key);
-    out.push_str("\": ");
-    out.push_str(section);
-    out.push_str("\n}\n");
-    out
 }
 
 #[cfg(test)]

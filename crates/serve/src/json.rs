@@ -263,50 +263,6 @@ pub fn parse_outputs(body: &str) -> Result<Vec<Tensor>, String> {
         .collect()
 }
 
-/// Serialize a parsed [`Value`] back to JSON text (the vendored
-/// serde_json is parse-only; loadgen uses this to merge bench sections).
-pub fn write_value(v: &Value, out: &mut String) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Number(n) => {
-            if n.fract() == 0.0 && n.abs() < 9e15 {
-                out.push_str(&format!("{}", *n as i64));
-            } else {
-                out.push_str(&format!("{n}"));
-            }
-        }
-        Value::String(s) => {
-            out.push('"');
-            out.push_str(&escape(s));
-            out.push('"');
-        }
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(item, out);
-            }
-            out.push(']');
-        }
-        Value::Object(map) => {
-            out.push('{');
-            for (i, (k, val)) in map.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                out.push_str(&escape(k));
-                out.push_str("\":");
-                write_value(val, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -429,15 +385,5 @@ mod tests {
         let err = doc.get("error").unwrap();
         assert_eq!(err.get("kind").unwrap().as_str().unwrap(), "shed");
         assert_eq!(err.get("retry_after_ms").unwrap().as_u64().unwrap(), 40);
-    }
-
-    #[test]
-    fn write_value_roundtrips() {
-        let text = "{\"a\":[1,2.5,\"x\\n\"],\"b\":{\"c\":true,\"d\":null}}";
-        let doc = serde_json::from_str(text).unwrap();
-        let mut out = String::new();
-        write_value(&doc, &mut out);
-        let re = serde_json::from_str(&out).unwrap();
-        assert_eq!(doc, re);
     }
 }

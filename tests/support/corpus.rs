@@ -218,6 +218,17 @@ pub fn programs() -> Vec<Program> {
             lantern: false,
         },
         Program {
+            name: "sibling_loops",
+            // two staged `While` nodes in one function that share an
+            // input but no state: one carries a matmul, one only counts
+            src: "def f(x, w):\n    h = x\n    i = tf.constant(0.0)\n    while i < 4.0:\n        h = tf.tanh(tf.matmul(h, w))\n        i = i + 1.0\n    n = tf.reduce_sum(x) * 0.0\n    while n < 6.0:\n        n = n + 1.0\n    return h, n\n",
+            feeds: vec![
+                ("x", v(vec![0.1, 0.2, 0.3, 0.4], &[2, 2])),
+                ("w", v(vec![0.5, -0.5, 0.25, 0.75], &[2, 2])),
+            ],
+            lantern: false,
+        },
+        Program {
             name: "max_min_mix",
             src: "def f(x, y):\n    return tf.maximum(x, y) + tf.minimum(x, y) - tf.abs(x - y)\n",
             feeds: vec![
