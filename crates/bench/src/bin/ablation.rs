@@ -10,14 +10,18 @@
 //! * `ablation fusion` — fused ÷ op-by-op kernel time on the RNN cell's
 //!   `tanh(a + c + bias)` and the SGD update `w - dw * lr`, measured in
 //!   the same run in back-to-back pairs; exits non-zero when fusing
-//!   loses to not fusing in at least three quarters of the pairs.
+//!   loses to not fusing in at least three quarters of the pairs;
+//! * `ablation matmul` — the tiled matmul kernel ÷ the i-k-j loop it
+//!   replaced, and transposed-operand entry points ÷
+//!   transpose-then-multiply, paired and gated the same way, each pair of
+//!   sides also checked bit-equal.
 
 use autograph_bench::{measure, row, rule, HarnessArgs};
 use autograph_graph::{optimize::optimize, Session};
 use autograph_models::rnn;
 use autograph_runtime::{Runtime, Value};
 use autograph_tensor::fused::{FusedArena, FusedOp, FusedSpec};
-use autograph_tensor::{Rng64, Tensor};
+use autograph_tensor::{DType, Rng64, Tensor};
 use std::time::Instant;
 
 fn ablate_graphopt(args: &HarnessArgs) {
@@ -150,49 +154,66 @@ fn ablate_amortize(args: &HarnessArgs) {
     }
 }
 
-/// `runs` back-to-back pairs of (fused, op-by-op) seconds per
-/// evaluation, sorted by their ratio; pairing keeps drift in machine
-/// speed out of the ratio.
-fn fusion_pairs(
+/// `runs` back-to-back pairs of (candidate, baseline) seconds per call,
+/// sorted by their ratio; pairing keeps drift in machine speed out of
+/// the ratio.
+fn paired(
     runs: usize,
-    spec: &FusedSpec,
-    inputs: &[&Tensor],
-    unfused: impl Fn() -> Tensor,
+    reps: u32,
+    candidate: &mut dyn FnMut(),
+    baseline: &mut dyn FnMut(),
 ) -> Vec<(f64, f64)> {
-    const REPS: u32 = 200;
-    let mut arena = FusedArena::new();
-    let mut fused = || {
-        let out = spec.try_eval(inputs, &mut arena).expect("eligible");
-        // the VM recycles dead fused outputs the same way
-        arena.give(out.into_f32_buffer().expect("sole owner"));
-    };
     let time = |f: &mut dyn FnMut()| {
         let t0 = Instant::now();
-        for _ in 0..REPS {
+        for _ in 0..reps {
             f();
         }
-        t0.elapsed().as_secs_f64() / f64::from(REPS)
+        t0.elapsed().as_secs_f64() / f64::from(reps)
     };
     let mut pairs: Vec<(f64, f64)> = (0..runs.max(1) + 1)
-        .map(|_| {
-            (
-                time(&mut fused),
-                time(&mut || {
-                    std::hint::black_box(unfused());
-                }),
-            )
-        })
+        .map(|_| (time(candidate), time(baseline)))
         .skip(1) // warm-up pair
         .collect();
     pairs.sort_by(|a, b| (a.0 / a.1).total_cmp(&(b.0 / b.1)));
     pairs
 }
 
-/// Returns whether fusion held its own on every chain. On the tanh chain
-/// both sides are the same 2048 libm calls and differ by a few percent,
+/// Print one row per paired measurement and return whether the candidate
+/// held its own on every row. Two sides a few percent apart differ by
 /// less than this box's run-to-run noise, so a single ratio above 1.0
-/// proves nothing: fusion has lost when the fused side is the slower one
-/// in at least three quarters of the pairs.
+/// proves nothing: the candidate has lost when it is the slower side in
+/// at least three quarters of the pairs.
+fn paired_table(what: &str, sides: [&str; 2], rows: Vec<(String, Vec<(f64, f64)>)>) -> bool {
+    row(
+        &format!("{what} (median pair)"),
+        &[
+            sides[0].into(),
+            sides[1].into(),
+            format!("{}/{}", sides[0], sides[1]),
+            "pairs lost".into(),
+        ],
+    );
+    rule(4);
+    let mut ok = true;
+    for (label, pairs) in rows {
+        let (candidate, baseline) = pairs[pairs.len() / 2];
+        let lost = pairs.iter().filter(|(c, b)| c > b).count();
+        ok &= lost * 4 < pairs.len() * 3;
+        row(
+            &label,
+            &[
+                format!("{:.2} us", candidate * 1e6),
+                format!("{:.2} us", baseline * 1e6),
+                format!("{:.3}", candidate / baseline),
+                format!("{lost}/{}", pairs.len()),
+            ],
+        );
+    }
+    ok
+}
+
+/// Returns whether fusion held its own on every chain (on the tanh chain
+/// both sides are the same 2048 libm calls and differ by a few percent).
 fn ablate_fusion(args: &HarnessArgs) -> bool {
     use FusedOp::*;
     println!("\nAblation: fused vs op-by-op elementwise kernels (same run)\n");
@@ -206,10 +227,25 @@ fn ablate_fusion(args: &HarnessArgs) -> bool {
     let lr = Tensor::scalar_f32(0.01);
     let sgd = FusedSpec::new(vec![Input(0), Input(1), Input(2), Mul, Sub], 3).expect("spec");
 
-    let rows = [
+    let mut arena = FusedArena::new();
+    let mut fused_pairs = |spec: &FusedSpec, inputs: &[&Tensor], unfused: &dyn Fn() -> Tensor| {
+        paired(
+            args.runs,
+            200,
+            &mut || {
+                let out = spec.try_eval(inputs, &mut arena).expect("eligible");
+                // the VM recycles dead fused outputs the same way
+                arena.give(out.into_f32_buffer().expect("sole owner"));
+            },
+            &mut || {
+                std::hint::black_box(unfused());
+            },
+        )
+    };
+    let rows = vec![
         (
-            "tanh(a + c + bias)  [16,128]+[128]",
-            fusion_pairs(args.runs, &cell, &[&a, &c, &bias], || {
+            "tanh(a + c + bias)  [16,128]+[128]".to_string(),
+            fused_pairs(&cell, &[&a, &c, &bias], &|| {
                 (a.add(&c))
                     .and_then(|t| t.add(&bias))
                     .and_then(|t| t.tanh())
@@ -217,41 +253,114 @@ fn ablate_fusion(args: &HarnessArgs) -> bool {
             }),
         ),
         (
-            "w - dw * lr  [784,10]*scalar",
-            fusion_pairs(args.runs, &sgd, &[&w, &dw, &lr], || {
+            "w - dw * lr  [784,10]*scalar".to_string(),
+            fused_pairs(&sgd, &[&w, &dw, &lr], &|| {
                 dw.mul(&lr).and_then(|t| w.sub(&t)).expect("kernels")
             }),
         ),
     ];
-    row(
-        "chain (median pair)",
-        &[
-            "fused".into(),
-            "op-by-op".into(),
-            "fused/op-by-op".into(),
-            "pairs lost".into(),
-        ],
-    );
-    rule(4);
-    let mut ok = true;
-    for (label, pairs) in rows {
-        let (fused, unfused) = pairs[pairs.len() / 2];
-        let lost = pairs.iter().filter(|(f, u)| f > u).count();
-        ok &= lost * 4 < pairs.len() * 3;
-        row(
-            label,
-            &[
-                format!("{:.2} us", fused * 1e6),
-                format!("{:.2} us", unfused * 1e6),
-                format!("{:.3}", fused / unfused),
-                format!("{lost}/{}", pairs.len()),
-            ],
-        );
-    }
+    let ok = paired_table("chain", ["fused", "op-by-op"], rows);
     if !ok {
         println!("FAIL: a fused chain is slower than its op-by-op kernels");
     }
     ok
+}
+
+/// `Tensor::matmul` as it was before the tiled kernel: i-k-j over
+/// row-major operands, skipping zero multiplicands.
+fn ikj_matmul(a: &Tensor, b: &Tensor) -> Tensor {
+    let (a, b) = (a.cast(DType::F32), b.cast(DType::F32));
+    let (m, k, n) = (a.shape()[0], a.shape()[1], b.shape()[1]);
+    let (av, bv) = (a.as_f32().expect("f32"), b.as_f32().expect("f32"));
+    let mut out = vec![0.0f32; m * n];
+    for (arow, orow) in av.chunks(k).zip(out.chunks_mut(n)) {
+        for (&x, brow) in arow.iter().zip(bv.chunks(n)) {
+            if x != 0.0 {
+                for (o, &y) in orow.iter_mut().zip(brow) {
+                    *o += x * y;
+                }
+            }
+        }
+    }
+    Tensor::from_vec(out, &[m, n]).expect("shape")
+}
+
+/// Returns whether the tiled kernel held its own against the loop it
+/// replaced, and the flagged entry points against transposing first. No
+/// workload of the repository benchmark is dominated by the `m = 1` or
+/// the `B`-transposed shapes, so this is what keeps them from regressing.
+fn ablate_matmul(args: &HarnessArgs) -> bool {
+    println!("\nAblation: tiled matmul kernel (same run, both sides bit-equal)\n");
+    let mut rng = Rng64::new(11);
+    let mut pairs_of = |stored_a: [usize; 2],
+                        stored_b: [usize; 2],
+                        candidate: &dyn Fn(&Tensor, &Tensor) -> Tensor,
+                        baseline: &dyn Fn(&Tensor, &Tensor) -> Tensor| {
+        let a = rng.normal_tensor(&stored_a, 1.0);
+        let b = rng.normal_tensor(&stored_b, 1.0);
+        let bits = |t: &Tensor| -> Vec<u32> {
+            let v = t.as_f32().expect("f32");
+            v.iter().map(|x| x.to_bits()).collect()
+        };
+        let product = candidate(&a, &b);
+        assert_eq!(bits(&product), bits(&baseline(&a, &b)));
+        // a millisecond or two per timing at any size: `a` holds m * k
+        // elements however it is stored
+        let flops = 2 * a.num_elements() * product.shape()[1];
+        let reps = (4_000_000 / flops).clamp(20, 20_000) as u32;
+        paired(
+            args.runs,
+            reps,
+            &mut || {
+                std::hint::black_box(candidate(&a, &b));
+            },
+            &mut || {
+                std::hint::black_box(baseline(&a, &b));
+            },
+        )
+    };
+    let tiled = |a: &Tensor, b: &Tensor| a.matmul(b).expect("matmul");
+    let kernel_rows = [
+        ([64, 784], [784, 10]),
+        ([16, 128], [128, 128]),
+        ([1, 16], [16, 8]),
+    ]
+    .into_iter()
+    .map(|(a, b)| {
+        (
+            format!("{a:?} x {b:?}"),
+            pairs_of(a, b, &tiled, &ikj_matmul),
+        )
+    })
+    .collect();
+    let kernel_ok = paired_table("product", ["tiled", "i-k-j"], kernel_rows);
+    if !kernel_ok {
+        println!("FAIL: the tiled kernel is slower than the i-k-j loop it replaced");
+    }
+    println!();
+    let tn = |a: &Tensor, b: &Tensor| a.matmul_t(b, true, false).expect("matmul");
+    let tn_copy = |a: &Tensor, b: &Tensor| a.t().and_then(|at| at.matmul(b)).expect("matmul");
+    let nt = |a: &Tensor, b: &Tensor| a.matmul_t(b, false, true).expect("matmul");
+    let nt_copy = |a: &Tensor, b: &Tensor| b.t().and_then(|bt| a.matmul(&bt)).expect("matmul");
+    let flag_rows = vec![
+        (
+            "[64, 784]^T x [64, 10]".to_string(),
+            pairs_of([64, 784], [64, 10], &tn, &tn_copy),
+        ),
+        (
+            "[64, 10] x [784, 10]^T".to_string(),
+            pairs_of([64, 10], [784, 10], &nt, &nt_copy),
+        ),
+        (
+            "[1, 8] x [16, 8]^T".to_string(),
+            pairs_of([1, 8], [16, 8], &nt, &nt_copy),
+        ),
+    ];
+    let flags_ok = paired_table("product", ["in place", "copy first"], flag_rows);
+    if !flags_ok {
+        println!("FAIL: a flagged matmul is slower than transposing first");
+    }
+    kernel_ok && flags_ok
 }
 
 fn main() {
@@ -259,25 +368,29 @@ fn main() {
     args.apply_threads();
     let profiler = args.profiler();
     let which = args.rest.first().map(String::as_str).unwrap_or("all");
-    let mut fusion_ok = true;
+    let mut gates_ok = true;
     match which {
         "graphopt" => ablate_graphopt(&args),
         "dispatch" => ablate_dispatch(&args),
         "amortize" => ablate_amortize(&args),
-        "fusion" => fusion_ok = ablate_fusion(&args),
+        "fusion" => gates_ok = ablate_fusion(&args),
+        "matmul" => gates_ok = ablate_matmul(&args),
         "all" => {
             ablate_graphopt(&args);
             ablate_dispatch(&args);
             ablate_amortize(&args);
-            fusion_ok = ablate_fusion(&args);
+            gates_ok = ablate_fusion(&args);
+            gates_ok &= ablate_matmul(&args);
         }
         other => {
-            eprintln!("unknown ablation '{other}'; use graphopt|dispatch|amortize|fusion|all");
+            eprintln!(
+                "unknown ablation '{other}'; use graphopt|dispatch|amortize|fusion|matmul|all"
+            );
             std::process::exit(2);
         }
     }
     profiler.finish();
-    if !fusion_ok {
+    if !gates_ok {
         std::process::exit(1);
     }
 }

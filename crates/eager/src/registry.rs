@@ -185,8 +185,8 @@ pub fn default_registry() -> HashMap<String, OpDef> {
         "matmul",
         |x| Ok(x[0].matmul(&x[1])?),
         bwd(|g, x, _| {
-            let ga = g.matmul(&x[1].t()?)?;
-            let gb = x[0].t()?.matmul(g)?;
+            let ga = g.matmul_t(&x[1], false, true)?;
+            let gb = x[0].matmul_t(g, true, false)?;
             Ok(vec![Some(ga), Some(gb)])
         }),
     );

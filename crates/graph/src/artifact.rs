@@ -356,7 +356,13 @@ fn put_op(w: &mut ByteWriter, op: &OpKind) {
         LogicalOr => w.u8(32),
         LogicalNot => w.u8(33),
         Select => w.u8(34),
-        MatMul => w.u8(35),
+        MatMul {
+            transpose_a,
+            transpose_b,
+        } => {
+            w.u8(35);
+            w.u8(u8::from(*transpose_a) | u8::from(*transpose_b) << 1);
+        }
         Transpose(perm) => {
             w.u8(36);
             w.u64(perm.len() as u64);
@@ -542,7 +548,13 @@ fn get_op(r: &mut ByteReader<'_>) -> Result<OpKind, DecodeError> {
         32 => LogicalOr,
         33 => LogicalNot,
         34 => Select,
-        35 => MatMul,
+        35 => match r.u8()? {
+            flags @ 0..=3 => MatMul {
+                transpose_a: flags & 1 != 0,
+                transpose_b: flags & 2 != 0,
+            },
+            flags => return Err(format!("invalid matmul flags {flags:#x}")),
+        },
         36 => {
             let n = r.count()?;
             let mut perm = Vec::with_capacity(n);
@@ -1265,6 +1277,27 @@ mod tests {
         for len in (0..bytes.len()).step_by(11) {
             let _ = CompiledUnit::decode(&bytes[..len]);
         }
+    }
+
+    #[test]
+    fn matmul_flag_byte_round_trips_and_rejects_unknown_bits() {
+        for flags in 0..=u8::MAX {
+            let decoded = get_op(&mut ByteReader::new(&[35, flags]));
+            if flags > 3 {
+                assert!(decoded.is_err(), "flag byte {flags:#x} was accepted");
+                continue;
+            }
+            let op = OpKind::MatMul {
+                transpose_a: flags & 1 != 0,
+                transpose_b: flags & 2 != 0,
+            };
+            assert_eq!(decoded.as_ref(), Ok(&op));
+            let mut w = ByteWriter::new();
+            put_op(&mut w, &op);
+            assert_eq!(w.into_bytes(), [35, flags]);
+        }
+        // the tag alone is a truncated op, not a plain matmul
+        assert!(get_op(&mut ByteReader::new(&[35])).is_err());
     }
 
     #[test]

@@ -143,7 +143,23 @@ impl GraphBuilder {
 
     /// `a @ b`.
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        self.add(OpKind::MatMul, vec![a, b])
+        self.matmul_t(a, b, false, false)
+    }
+
+    /// `op(a) @ op(b)`: each flag transposes the trailing two axes of its
+    /// operand, read in place by the kernel.
+    pub fn matmul_t(
+        &mut self,
+        a: NodeId,
+        b: NodeId,
+        transpose_a: bool,
+        transpose_b: bool,
+    ) -> NodeId {
+        let op = OpKind::MatMul {
+            transpose_a,
+            transpose_b,
+        };
+        self.add(op, vec![a, b])
     }
 
     /// `tanh(a)`.

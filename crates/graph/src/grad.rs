@@ -214,13 +214,20 @@ fn vjp(
             let ga = b.mul(g, d);
             vec![(inputs[0], ga)]
         }
-        MatMul => {
-            // da = g @ b^T ; db = a^T @ g
-            let bt = b.add(Transpose(vec![1, 0]), vec![inputs[1]]);
-            let ga = b.matmul(g, bt);
-            let at = b.add(Transpose(vec![1, 0]), vec![inputs[0]]);
-            let gb = b.matmul(at, g);
-            vec![(inputs[0], ga), (inputs[1], gb)]
+        MatMul {
+            transpose_a,
+            transpose_b,
+        } => {
+            // TF's _MatMulGrad table: every case is again a flagged
+            // matmul, so no transpose is materialised at any order
+            let (x, y) = (inputs[0], inputs[1]);
+            let (ga, gb) = match (*transpose_a, *transpose_b) {
+                (false, false) => (b.matmul_t(g, y, false, true), b.matmul_t(x, g, true, false)),
+                (false, true) => (b.matmul(g, y), b.matmul_t(g, x, true, false)),
+                (true, false) => (b.matmul_t(y, g, false, true), b.matmul(x, g)),
+                (true, true) => (b.matmul_t(y, g, true, true), b.matmul_t(g, x, true, true)),
+            };
+            vec![(x, ga), (y, gb)]
         }
         Transpose(perm) => {
             let mut inv = vec![0usize; perm.len()];

@@ -170,8 +170,16 @@ pub enum OpKind {
     Select,
 
     // ---- linear algebra / shape ----------------------------------------
-    /// Matrix product.
-    MatMul,
+    /// Matrix product `op(a) · op(b)`, where `op` transposes the trailing
+    /// two axes of its operand when the matching flag is set (TF's
+    /// `transpose_a` / `transpose_b`). The kernel reads a transposed
+    /// operand in place.
+    MatMul {
+        /// Multiply by `aᵀ`.
+        transpose_a: bool,
+        /// Multiply by `bᵀ`.
+        transpose_b: bool,
+    },
     /// Axis permutation.
     Transpose(Vec<usize>),
     /// Static reshape (`usize::MAX` infers one dimension).
@@ -355,7 +363,7 @@ impl OpKind {
             LogicalOr => "logical_or",
             LogicalNot => "logical_not",
             Select => "select",
-            MatMul => "matmul",
+            MatMul { .. } => "matmul",
             Transpose(_) => "transpose",
             Reshape(_) => "reshape",
             ExpandDims(_) => "expand_dims",
@@ -614,7 +622,13 @@ mod tests {
 
     #[test]
     fn mnemonics_unique_enough() {
-        assert_eq!(OpKind::MatMul.mnemonic(), "matmul");
+        // the flags are attributes, not a new op: fault specs, report
+        // rows and error text keep one name
+        let tn = OpKind::MatMul {
+            transpose_a: true,
+            transpose_b: false,
+        };
+        assert_eq!(tn.mnemonic(), "matmul");
         assert_eq!(
             OpKind::While {
                 cond_g: empty_sub(),

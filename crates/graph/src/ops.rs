@@ -63,7 +63,12 @@ pub fn execute(op: &OpKind, inputs: &[GValue]) -> Result<GValue> {
         LogicalOr => t(inputs, 0)?.logical_or(t(inputs, 1)?)?.into(),
         LogicalNot => t(inputs, 0)?.logical_not()?.into(),
         Select => Tensor::select(t(inputs, 0)?, t(inputs, 1)?, t(inputs, 2)?)?.into(),
-        MatMul => t(inputs, 0)?.matmul(t(inputs, 1)?)?.into(),
+        MatMul {
+            transpose_a,
+            transpose_b,
+        } => t(inputs, 0)?
+            .matmul_t(t(inputs, 1)?, *transpose_a, *transpose_b)?
+            .into(),
         Transpose(perm) => t(inputs, 0)?.transpose(perm)?.into(),
         Reshape(shape) => t(inputs, 0)?.reshape(shape)?.into(),
         ExpandDims(axis) => t(inputs, 0)?.expand_dims(*axis)?.into(),

@@ -24,6 +24,16 @@ fn known(dims: &[usize]) -> PShape {
     Some(dims.iter().map(|&d| Some(d)).collect())
 }
 
+/// `(rows, cols)` of a rank-2 matmul operand as multiplied: swapped when
+/// its transpose flag is set. `None` for any other rank.
+fn as_multiplied(s: &[Dim], transpose: bool) -> Option<(Dim, Dim)> {
+    match (s, transpose) {
+        ([r, c], false) => Some((*r, *c)),
+        ([r, c], true) => Some((*c, *r)),
+        _ => None,
+    }
+}
+
 /// Broadcast two partial shapes; `Err(())` when provably incompatible.
 fn broadcast(a: &[Dim], b: &[Dim]) -> std::result::Result<Vec<Dim>, ()> {
     let rank = a.len().max(b.len());
@@ -108,13 +118,21 @@ pub fn infer(graph: &Graph) -> Vec<PShape> {
             | OpKind::Print(_)
             | OpKind::AssertOp(_)
             | OpKind::SetItemAxis0 => get(0),
-            OpKind::MatMul => match (get(0), get(1)) {
-                (Some(a), Some(b)) if a.len() == 2 && b.len() == 2 => Some(vec![a[0], b[1]]),
-                // one side unknown: rank-2 matmul still pins the other axis
-                (Some(a), None) if a.len() == 2 => Some(vec![a[0], None]),
-                (None, Some(b)) if b.len() == 2 => Some(vec![None, b[1]]),
-                _ => None,
-            },
+            OpKind::MatMul {
+                transpose_a,
+                transpose_b,
+            } => {
+                // outer None: shape unknown; inner None: known, not rank 2
+                let a = get(0).map(|s| as_multiplied(&s, *transpose_a));
+                let b = get(1).map(|s| as_multiplied(&s, *transpose_b));
+                match (a, b) {
+                    (Some(Some((m, _))), Some(Some((_, n)))) => Some(vec![m, n]),
+                    // one side unknown: rank-2 matmul still pins the other axis
+                    (Some(Some((m, _))), None) => Some(vec![m, None]),
+                    (None, Some(Some((_, n)))) => Some(vec![None, n]),
+                    _ => None,
+                }
+            }
             OpKind::Transpose(perm) => get(0).and_then(|s| {
                 if perm.len() == s.len() {
                     Some(perm.iter().map(|&p| s[p]).collect())
@@ -286,17 +304,25 @@ pub fn validate(graph: &Graph) -> Result<()> {
                 .at_span(node.span))
         };
         match &node.op {
-            OpKind::MatMul => {
+            OpKind::MatMul {
+                transpose_a,
+                transpose_b,
+            } => {
                 if let (Some(a), Some(b)) = (get(0), get(1)) {
-                    if a.len() == 2 && b.len() == 2 {
-                        if let (Some(k), Some(j)) = (a[1], b[0]) {
-                            if k != j {
-                                fail(format!(
-                                    "matmul inner dimensions disagree: {} x {}",
-                                    render(&a),
-                                    render(&b)
-                                ))?;
-                            }
+                    let inner = (
+                        as_multiplied(&a, *transpose_a),
+                        as_multiplied(&b, *transpose_b),
+                    );
+                    if let (Some((_, Some(k))), Some((Some(j), _))) = inner {
+                        if k != j {
+                            let mark = |t: bool| if t { "^T" } else { "" };
+                            fail(format!(
+                                "matmul inner dimensions disagree: {}{} x {}{}",
+                                render(&a),
+                                mark(*transpose_a),
+                                render(&b),
+                                mark(*transpose_b)
+                            ))?;
                         }
                     }
                 }
@@ -364,9 +390,14 @@ mod tests {
         let bias = b.constant(Tensor::zeros(DType::F32, &[4]));
         let out = b.add_op(m, bias);
         let t = b.tanh(out);
+        // the flags swap each operand's axes before the product:
+        // [2, 3]^T x [4, 2]^T is [3, 2] x [2, 4]
+        let v = b.constant(Tensor::zeros(DType::F32, &[4, 2]));
+        let tt = b.matmul_t(a, v, true, true);
         let g = b.finish();
         let shapes = infer(&g);
         assert_eq!(shapes[m], known(&[2, 4]));
+        assert_eq!(shapes[tt], known(&[3, 4]));
         assert_eq!(shapes[out], known(&[2, 4]));
         assert_eq!(shapes[t], known(&[2, 4]));
     }
@@ -443,6 +474,20 @@ mod tests {
         assert!(msg.contains("staging error"), "{msg}");
         assert!(msg.contains("inner dimensions"), "{msg}");
         assert!(msg.contains("7:5"), "original span attached: {msg}");
+
+        // the inner dimension is read through the flags: [2, 3] x [3, 4]
+        // is fine, [2, 3]^T x [3, 4] is [3, 2] x [3, 4]
+        let mut b = GraphBuilder::new();
+        b.set_span(autograph_pylang::Span::new(9, 2));
+        let a = b.constant(Tensor::zeros(DType::F32, &[2, 3]));
+        let w = b.constant(Tensor::zeros(DType::F32, &[3, 4]));
+        let _ok = b.matmul(a, w);
+        assert!(validate(b.graph()).is_ok());
+        let _m = b.matmul_t(a, w, true, false);
+        let msg = validate(&b.finish()).unwrap_err().to_string();
+        assert!(msg.contains("staging error"), "{msg}");
+        assert!(msg.contains("[2, 3]^T x [3, 4]"), "{msg}");
+        assert!(msg.contains("9:2"), "{msg}");
     }
 
     #[test]

@@ -496,8 +496,8 @@ impl<'a> Ctx<'a> {
                     )]
                 }
                 MatMul => {
-                    let ga = g.matmul(&saved[1].t().expect("t")).expect("matmul");
-                    let gb = saved[0].t().expect("t").matmul(&g).expect("matmul");
+                    let ga = g.matmul_t(&saved[1], false, true).expect("matmul");
+                    let gb = saved[0].matmul_t(&g, true, false).expect("matmul");
                     vec![Some(ga), Some(gb)]
                 }
                 Concat0 => {

@@ -356,6 +356,39 @@ mod tests {
         );
     }
 
+    /// The SGD step's `x.T @ dlogits` is a `transpose_a` matmul reading
+    /// `x` in place: the optimized staged loop holds no `Transpose` node,
+    /// so no `[784, batch]` copy is made per step.
+    #[test]
+    fn staged_train_loop_materialises_no_transpose() {
+        use autograph_graph::{Graph, OpKind};
+        fn ops(g: &Graph, out: &mut Vec<OpKind>) {
+            for node in &g.nodes {
+                match &node.op {
+                    OpKind::While { cond_g, body_g, .. } => {
+                        ops(&cond_g.graph, out);
+                        ops(&body_g.graph, out);
+                    }
+                    OpKind::Cond { then_g, else_g } => {
+                        ops(&then_g.graph, out);
+                        ops(&else_g.graph, out);
+                    }
+                    op => out.push(op.clone()),
+                }
+            }
+        }
+        let staged = stage_autograph(&mut runtime(true).unwrap()).unwrap();
+        let (optimized, _, _) = autograph_graph::optimize::optimize(&staged.graph, &staged.outputs);
+        let mut all = Vec::new();
+        ops(&optimized, &mut all);
+        assert!(!all.iter().any(|op| matches!(op, OpKind::Transpose(_))));
+        let tn = OpKind::MatMul {
+            transpose_a: true,
+            transpose_b: false,
+        };
+        assert!(all.contains(&tn), "the weight gradient is a TN matmul");
+    }
+
     #[test]
     fn variables_persist_between_host_steps() {
         let (images, labels) = small_data();

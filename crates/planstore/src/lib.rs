@@ -37,7 +37,7 @@ use std::time::Instant;
 /// Bump when the artifact *payload* encoding changes (graph/program
 /// serialization, optimizer rewrites that must invalidate old plans).
 /// Part of every cache key, so stale artifacts miss instead of decode.
-pub const VERSION_TAG: &str = "agplan-v1";
+pub const VERSION_TAG: &str = "agplan-v2";
 
 /// Artifact file magic: "AutoGraph Plan Cache".
 pub const MAGIC: [u8; 4] = *b"AGPC";

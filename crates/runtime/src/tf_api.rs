@@ -362,7 +362,11 @@ pub fn lookup(name: &str) -> Option<Value> {
         }),
         "matmul" => builtin("matmul", |i, a, _| {
             let (x, y) = two(a)?;
-            binary_op(i, x, y, "matmul", OpKind::MatMul, Some("matmul"))
+            let op = OpKind::MatMul {
+                transpose_a: false,
+                transpose_b: false,
+            };
+            binary_op(i, x, y, "matmul", op, Some("matmul"))
         }),
         "maximum" => builtin("maximum", |i, a, _| {
             let (x, y) = two(a)?;

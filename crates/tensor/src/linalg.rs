@@ -11,6 +11,18 @@ impl Tensor {
     /// Fails when dtypes are not f32-compatible, ranks are unsupported, or
     /// inner dimensions disagree.
     pub fn matmul(&self, rhs: &Tensor) -> Result<Tensor> {
+        self.matmul_t(rhs, false, false)
+    }
+
+    /// `op(self) · op(rhs)`, where `op` transposes the trailing two axes
+    /// of its operand when the matching flag is set (TF's
+    /// `transpose_a`/`transpose_b`). The kernel reads a transposed operand
+    /// in place; no transposed copy is materialised.
+    ///
+    /// # Errors
+    ///
+    /// As [`Tensor::matmul`].
+    pub fn matmul_t(&self, rhs: &Tensor, transpose_a: bool, transpose_b: bool) -> Result<Tensor> {
         if self.dtype() == DType::Bool || rhs.dtype() == DType::Bool {
             return Err(TensorError::DTypeMismatch {
                 op: "matmul",
@@ -20,48 +32,57 @@ impl Tensor {
         }
         let a = self.cast(DType::F32);
         let b = rhs.cast(DType::F32);
-        match (a.rank(), b.rank()) {
-            (2, 2) => {
-                let (m, k) = (a.shape()[0], a.shape()[1]);
-                let (k2, n) = (b.shape()[0], b.shape()[1]);
-                if k != k2 {
-                    return Err(TensorError::IncompatibleShapes {
-                        op: "matmul",
-                        detail: format!("{:?} x {:?}", a.shape(), b.shape()),
-                    });
-                }
-                let out = matmul_2d(a.as_f32()?, b.as_f32()?, m, k, n);
-                Ok(Tensor::from_data(Data::F32(out), &[m, n]))
-            }
-            (3, 3) => {
-                let (bt, m, k) = (a.shape()[0], a.shape()[1], a.shape()[2]);
-                let (bt2, k2, n) = (b.shape()[0], b.shape()[1], b.shape()[2]);
-                if bt != bt2 || k != k2 {
-                    return Err(TensorError::IncompatibleShapes {
-                        op: "matmul",
-                        detail: format!("{:?} x {:?}", a.shape(), b.shape()),
-                    });
-                }
-                let av = a.as_f32()?;
-                let bv = b.as_f32()?;
-                let mut out = Vec::with_capacity(bt * m * n);
-                for i in 0..bt {
-                    out.extend(matmul_2d(
-                        &av[i * m * k..(i + 1) * m * k],
-                        &bv[i * k * n..(i + 1) * k * n],
-                        m,
-                        k,
-                        n,
-                    ));
-                }
-                Ok(Tensor::from_data(Data::F32(out), &[bt, m, n]))
-            }
-            (ra, _) => Err(TensorError::RankMismatch {
+        let rank = a.rank();
+        if !(rank == 2 || rank == 3) || b.rank() != rank {
+            return Err(TensorError::RankMismatch {
                 op: "matmul",
-                got: ra,
+                got: rank,
                 expected: "2 (or batched 3)",
-            }),
+            });
         }
+        // as multiplied: op(a) is [m, k], op(b) is [k2, n]
+        let dims = |s: &[usize], transpose: bool| {
+            let (r, c) = (s[rank - 2], s[rank - 1]);
+            if transpose {
+                (c, r)
+            } else {
+                (r, c)
+            }
+        };
+        let (m, k) = dims(a.shape(), transpose_a);
+        let (k2, n) = dims(b.shape(), transpose_b);
+        let batch = if rank == 3 { a.shape()[0] } else { 1 };
+        if k != k2 || (rank == 3 && b.shape()[0] != batch) {
+            let mark = |t: bool| if t { "^T" } else { "" };
+            return Err(TensorError::IncompatibleShapes {
+                op: "matmul",
+                detail: format!(
+                    "{:?}{} x {:?}{}",
+                    a.shape(),
+                    mark(transpose_a),
+                    b.shape(),
+                    mark(transpose_b)
+                ),
+            });
+        }
+        let (av, bv) = (a.as_f32()?, b.as_f32()?);
+        // one buffer for every batch; slices taken by index, because
+        // zipped `chunks` pay three divisions a call, a sixth of a
+        // `[1, 8] x [8, 8]` product
+        let mut out = vec![0.0f32; batch * m * n];
+        // k = 0: an empty sum is the zero `out` already holds
+        if k > 0 {
+            for i in 0..batch {
+                gemm(
+                    Operand::new(&av[i * m * k..(i + 1) * m * k], m, k, transpose_a),
+                    Operand::new(&bv[i * k * n..(i + 1) * k * n], k, n, transpose_b),
+                    (m, k, n),
+                    &mut out[i * m * n..(i + 1) * m * n],
+                );
+            }
+        }
+        let shape = [batch, m, n];
+        Ok(Tensor::from_data(Data::F32(out), &shape[3 - rank..]))
     }
 
     /// Permute dimensions. `perm` must be a permutation of `0..rank`.
@@ -177,47 +198,211 @@ fn permute<T: Copy>(v: &[T], in_shape: &[usize], perm: &[usize]) -> Vec<T> {
 }
 
 /// Flop threshold (2*m*k*n) below which splitting a matmul across the
-/// worker pool costs more than it saves.
-const MATMUL_PAR_MIN_FLOPS: usize = 1 << 18;
+/// worker pool costs more than it saves: the hand-off costs tens of
+/// microseconds, which is what this many flops take on one thread.
+const MATMUL_PAR_MIN_FLOPS: usize = 1 << 20;
 
-/// Inner loop: (m,k) x (k,n) with i-k-j ordering for cache-friendly
-/// access. Large products split by output rows across the shared worker
-/// pool; each row is produced by exactly one thread with the identical
-/// accumulation order of the sequential loop, so the result is bitwise
-/// independent of the thread count.
-fn matmul_2d(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; m * n];
-    if autograph_par::threads() > 1 && m > 1 && 2 * m * k * n >= MATMUL_PAR_MIN_FLOPS {
-        // rows are disjoint slices of `out`; share the base pointer as an
-        // integer because raw pointers are not Sync
-        let out_addr = out.as_mut_ptr() as usize;
-        autograph_par::parallel_for(m, 1, &|rows| {
-            for i in rows {
-                // SAFETY: each row index lands in exactly one chunk, so
-                // the m row slices are written by exactly one thread each
-                // and none outlives `out`.
-                let orow =
-                    unsafe { std::slice::from_raw_parts_mut((out_addr as *mut f32).add(i * n), n) };
-                matmul_row(&a[i * k..(i + 1) * k], b, n, orow);
-            }
-        });
-    } else {
-        for i in 0..m {
-            matmul_row(&a[i * k..(i + 1) * k], b, n, &mut out[i * n..(i + 1) * n]);
-        }
-    }
-    out
+/// Output rows per register tile.
+const MR: usize = 4;
+/// Output columns per register tile: `MR x NR` accumulators fill half of
+/// baseline x86-64's sixteen vector registers.
+const NR: usize = 8;
+/// Columns of the one-row tile rows past the last full `MR` block use:
+/// the same accumulator budget laid out in a row, so `m = 1` still runs
+/// eight independent vector add chains.
+const ROW_NR: usize = MR * NR;
+/// Stack scratch (in f32s) for one packed panel of `B`.
+const PACK_LEN: usize = 512;
+
+/// One matmul operand as multiplied (`op(X)`), read in place through a
+/// (row stride, column stride) pair: a transposed operand swaps the two.
+#[derive(Clone, Copy)]
+struct Operand<'a> {
+    data: &'a [f32],
+    row_stride: usize,
+    col_stride: usize,
 }
 
-/// One output row: `orow += arow · B`, skipping zero multiplicands.
-fn matmul_row(arow: &[f32], b: &[f32], n: usize, orow: &mut [f32]) {
-    for (p, &av) in arow.iter().enumerate() {
-        if av == 0.0 {
-            continue;
+impl<'a> Operand<'a> {
+    /// `op(X)` of shape `[rows, cols]` over row-major `data`, which holds
+    /// `[cols, rows]` when `transpose` is set.
+    fn new(data: &'a [f32], rows: usize, cols: usize, transpose: bool) -> Operand<'a> {
+        let (row_stride, col_stride) = if transpose { (1, rows) } else { (cols, 1) };
+        Operand {
+            data,
+            row_stride,
+            col_stride,
         }
-        let brow = &b[p * n..(p + 1) * n];
-        for j in 0..n {
-            orow[j] += av * brow[j];
+    }
+}
+
+/// `out = A · B` for `A: [m, k]`, `B: [k, n]`, `k > 0`, `out` row-major
+/// `[m, n]`.
+///
+/// Every output element is the sum of its `k` products taken in the order
+/// `p = 0..k` starting from `+0.0`, whatever the tile it falls in, so the
+/// result is bitwise that of the naive triple loop. Large products split
+/// by `MR`-row blocks across the shared worker pool; each block is written
+/// by exactly one thread, so the result is also independent of the thread
+/// count.
+fn gemm(a: Operand, b: Operand, (m, k, n): (usize, usize, usize), out: &mut [f32]) {
+    let blocks = m.div_ceil(MR);
+    if 2 * m * k * n >= MATMUL_PAR_MIN_FLOPS && blocks > 1 && autograph_par::threads() > 1 {
+        // row blocks are disjoint slices of `out`; share the base pointer
+        // as an integer because raw pointers are not Sync
+        let out_addr = out.as_mut_ptr() as usize;
+        autograph_par::parallel_for(blocks, 1, &|blocks| {
+            let rows = blocks.start * MR..(blocks.end * MR).min(m);
+            // SAFETY: each block index lands in exactly one chunk, so the
+            // row ranges are disjoint, each is written by exactly one
+            // thread, all lie inside `out` (`rows.end <= m`) and none
+            // outlives it (`parallel_for` blocks until every chunk is
+            // done).
+            let out_rows = unsafe {
+                std::slice::from_raw_parts_mut(
+                    (out_addr as *mut f32).add(rows.start * n),
+                    rows.len() * n,
+                )
+            };
+            gemm_rows(a, b, rows, k, n, out_rows);
+        });
+    } else {
+        gemm_rows(a, b, 0..m, k, n, out);
+    }
+}
+
+/// The output rows `rows` (`out` starts at the first of them): full `MR`
+/// blocks in `MR x NR` tiles, the rows left over in one-row tiles.
+fn gemm_rows(
+    a: Operand,
+    b: Operand,
+    rows: std::ops::Range<usize>,
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+) {
+    let full = rows.len() / MR * MR;
+    let (out_full, out_rest) = out.split_at_mut(full * n);
+    let mid = rows.start + full;
+    if full > 0 {
+        gemm_panels::<MR, NR>(a, b, rows.start..mid, k, n, 0..n, out_full);
+    }
+    if mid < rows.end {
+        let wide = n / ROW_NR * ROW_NR;
+        if wide > 0 {
+            gemm_panels::<1, ROW_NR>(a, b, mid..rows.end, k, n, 0..wide, out_rest);
+        }
+        if wide < n {
+            gemm_panels::<1, NR>(a, b, mid..rows.end, k, n, wide..n, out_rest);
+        }
+    }
+}
+
+/// The output block `rows x cols` in `R x C` tiles (`rows.len()` is a
+/// multiple of `R`; `out` starts at the first row, `n` floats per row).
+///
+/// Column blocks are the outer loop so one panel of `B` serves every row
+/// block. A full-width block of an untransposed `B` is read where it
+/// lies. Anything else — a transposed `B`, whose rows a tile would have
+/// to gather with stride `k`, or the ragged last block — is first packed
+/// into `k x C` form on the stack, `PACK_LEN / C` rows of `k` at a time;
+/// the tile resumes from the partial sums in `out`, so chunking does not
+/// change the order of additions.
+fn gemm_panels<const R: usize, const C: usize>(
+    a: Operand,
+    b: Operand,
+    rows: std::ops::Range<usize>,
+    k: usize,
+    n: usize,
+    cols: std::ops::Range<usize>,
+    out: &mut [f32],
+) {
+    // every row block against the rows `p0..p0 + kc` of one panel
+    let mut tiles = |j0: usize, nr: usize, panel: &[f32], ldb: usize, p0: usize, kc: usize| {
+        for (block, i0) in rows.clone().step_by(R).enumerate() {
+            tile::<R, C>(
+                &a.data[i0 * a.row_stride + p0 * a.col_stride..],
+                (a.row_stride, a.col_stride),
+                (panel, ldb),
+                kc,
+                p0 > 0,
+                (&mut out[block * R * n + j0..], n),
+                nr,
+            );
+        }
+    };
+    let in_place = if b.col_stride == 1 {
+        cols.len() / C * C
+    } else {
+        0
+    };
+    let packed_from = cols.start + in_place;
+    for j0 in (cols.start..packed_from).step_by(C) {
+        tiles(j0, C, &b.data[j0..], b.row_stride, 0, k);
+    }
+    if packed_from == cols.end {
+        return;
+    }
+    // columns past `nr` keep whatever an earlier block left there: their
+    // accumulators are computed and never stored
+    let mut pack = [0.0f32; PACK_LEN];
+    for j0 in (packed_from..cols.end).step_by(C) {
+        let nr = C.min(cols.end - j0);
+        for p0 in (0..k).step_by(PACK_LEN / C) {
+            let kc = (PACK_LEN / C).min(k - p0);
+            for (p, row) in pack.chunks_exact_mut(C).take(kc).enumerate() {
+                let src = &b.data[(p0 + p) * b.row_stride + j0 * b.col_stride..];
+                for (j, v) in row[..nr].iter_mut().enumerate() {
+                    *v = src[j * b.col_stride];
+                }
+            }
+            tiles(j0, nr, &pack, C, p0, kc);
+        }
+    }
+}
+
+/// One `R x C` register tile: `acc[i][j] += a(i, p) · panel[p][j]` for
+/// `p = 0..kc` in order, from `+0.0` or (`resume`) from the partial sums
+/// in `out`; the first `nr` columns are stored back.
+///
+/// No zero-multiplicand skip: the accumulator is never `-0.0` (it starts
+/// at `+0.0`, and a sum is `-0.0` only when both terms are), so for
+/// finite operands adding a `±0.0` product changes nothing, and `0 · inf`
+/// is NaN as IEEE 754 says.
+#[inline(always)]
+// indexed loops: the iterator forms (`chunks`/`zip`) cost 3-25 % here
+#[allow(clippy::needless_range_loop)]
+fn tile<const R: usize, const C: usize>(
+    a: &[f32],
+    (a_row, a_col): (usize, usize),
+    (panel, ldb): (&[f32], usize),
+    kc: usize,
+    resume: bool,
+    (out, ldo): (&mut [f32], usize),
+    nr: usize,
+) {
+    let mut acc = [[0.0f32; C]; R];
+    if resume {
+        for i in 0..R {
+            acc[i][..nr].copy_from_slice(&out[i * ldo..i * ldo + nr]);
+        }
+    }
+    for p in 0..kc {
+        let b_row = &panel[p * ldb..p * ldb + C];
+        for i in 0..R {
+            let av = a[i * a_row + p * a_col];
+            for j in 0..C {
+                acc[i][j] += av * b_row[j];
+            }
+        }
+    }
+    if nr == C {
+        for i in 0..R {
+            out[i * ldo..i * ldo + C].copy_from_slice(&acc[i]);
+        }
+    } else {
+        for i in 0..R {
+            out[i * ldo..i * ldo + nr].copy_from_slice(&acc[i][..nr]);
         }
     }
 }
@@ -352,35 +537,149 @@ mod tests {
         assert!(a.transpose(&[0, 2]).is_err());
     }
 
-    #[test]
-    fn matmul_parallel_bitwise_matches_sequential() {
-        // large enough to clear MATMUL_PAR_MIN_FLOPS (2*64^3 = 524288)
-        let (m, k, n) = (64usize, 64usize, 64usize);
-        let av: Vec<f32> = (0..m * k)
-            .map(|i| ((i * 37 % 101) as f32) * 0.13 - 5.0)
-            .collect();
-        let bv: Vec<f32> = (0..k * n)
-            .map(|i| ((i * 53 % 97) as f32) * 0.11 - 4.0)
-            .collect();
-        // ground truth with the identical i-k-j accumulation order
-        let mut want = vec![0.0f32; m * n];
+    /// The definition the kernel must match bit for bit: every output
+    /// element sums its products for `p = 0..k` in order from `+0.0`.
+    /// `skip_zeros` reproduces the previous kernel, which skipped a zero
+    /// multiplicand from `A`. Operands are stored as the flags say.
+    fn reference(
+        a: &[f32],
+        b: &[f32],
+        (m, k, n): (usize, usize, usize),
+        (ta, tb): (bool, bool),
+        skip_zeros: bool,
+    ) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
         for i in 0..m {
-            for p in 0..k {
-                let a = av[i * k + p];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..n {
-                    want[i * n + j] += a * bv[p * n + j];
+            for j in 0..n {
+                for p in 0..k {
+                    let av = if ta { a[p * m + i] } else { a[i * k + p] };
+                    let bv = if tb { b[j * k + p] } else { b[p * n + j] };
+                    if !(skip_zeros && av == 0.0) {
+                        out[i * n + j] += av * bv;
+                    }
                 }
             }
         }
-        autograph_par::configure(4);
-        let at = Tensor::from_vec(av, &[m, k]).unwrap();
-        let bt = Tensor::from_vec(bv, &[k, n]).unwrap();
-        let got = at.matmul(&bt).unwrap();
-        for (g, w) in got.as_f32().unwrap().iter().zip(&want) {
-            assert_eq!(g.to_bits(), w.to_bits());
+        out
+    }
+
+    /// Finite values of mixed sign and magnitude, salted with both zeros
+    /// and subnormals.
+    fn payload(len: usize, seed: usize) -> Vec<f32> {
+        (0..len)
+            .map(|i| match (i * 7 + seed) % 11 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => 1.0e-40,
+                3 => -3.0e-42,
+                r => ((i * 37 + seed * 13) % 101) as f32 * 0.13 - 5.0 * r as f32,
+            })
+            .collect()
+    }
+
+    fn assert_bitwise(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {i}: {g} vs {w}");
+        }
+    }
+
+    /// `shape` as stored: the trailing two axes swap under the flag.
+    fn stored(batch: Option<usize>, rows: usize, cols: usize, transpose: bool) -> Vec<usize> {
+        let (r, c) = if transpose {
+            (cols, rows)
+        } else {
+            (rows, cols)
+        };
+        batch.into_iter().chain([r, c]).collect()
+    }
+
+    #[test]
+    fn matmul_is_bitwise_the_naive_triple_loop_at_every_tile_edge() {
+        let edges = [0, 1, MR - 1, MR, MR + 1, NR - 1, NR, NR + 1, 2 * NR + 3];
+        // past one one-row tile, and past one packed chunk of k
+        let ns = [&edges[..], &[ROW_NR + 1]].concat();
+        let ks = [&edges[..], &[PACK_LEN / NR + 1]].concat();
+        for &m in &edges {
+            for &k in &ks {
+                for &n in &ns {
+                    for flags in [(false, false), (false, true), (true, false), (true, true)] {
+                        for batch in [None, Some(2)] {
+                            let bt = batch.unwrap_or(1);
+                            let av = payload(bt * m * k, 1);
+                            let bv = payload(bt * k * n, 2);
+                            let a = Tensor::from_vec(av.clone(), &stored(batch, m, k, flags.0));
+                            let b = Tensor::from_vec(bv.clone(), &stored(batch, k, n, flags.1));
+                            let got = a.unwrap().matmul_t(&b.unwrap(), flags.0, flags.1).unwrap();
+                            let what = format!("{m}x{k}x{n} {flags:?} batch {batch:?}");
+                            assert_eq!(got.shape(), stored(batch, m, n, false), "{what}");
+                            let want: Vec<f32> = (0..bt)
+                                .flat_map(|i| {
+                                    reference(
+                                        &av[i * m * k..(i + 1) * m * k],
+                                        &bv[i * k * n..(i + 1) * k * n],
+                                        (m, k, n),
+                                        flags,
+                                        false,
+                                    )
+                                })
+                                .collect();
+                            assert_bitwise(got.as_f32().unwrap(), &want, &what);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The one behaviour change against the kernel this one replaced,
+    /// which skipped zero multiplicands of `A`: `0 · inf` and `0 · NaN`
+    /// are NaN (IEEE 754, as in TF and every BLAS), not 0. For finite
+    /// operands the skip was unobservable.
+    #[test]
+    fn matmul_does_not_skip_zero_multiplicands() {
+        let zero = Tensor::from_vec(vec![0.0], &[1, 1]).unwrap();
+        for poison in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            let p = Tensor::from_vec(vec![poison], &[1, 1]).unwrap();
+            assert!(zero.matmul(&p).unwrap().as_f32().unwrap()[0].is_nan());
+            assert!(p.matmul(&zero).unwrap().as_f32().unwrap()[0].is_nan());
+        }
+        let dims = (MR + 1, NR + 3, 2 * NR + 3);
+        let (m, k, n) = dims;
+        let (av, bv) = (payload(m * k, 3), payload(k * n, 4));
+        assert!(av.iter().any(|&v| v == 0.0 && v.is_sign_negative()));
+        let a = Tensor::from_vec(av.clone(), &[m, k]).unwrap();
+        let b = Tensor::from_vec(bv.clone(), &[k, n]).unwrap();
+        let got = a.matmul(&b).unwrap();
+        let skipping = reference(&av, &bv, dims, (false, false), true);
+        assert_bitwise(got.as_f32().unwrap(), &skipping, "finite operands");
+    }
+
+    /// Above `MATMUL_PAR_MIN_FLOPS` the pool splits the output by `MR`-row
+    /// blocks, each written by one thread; `m` leaves a ragged last block.
+    /// The pool's budget only grows, so every product is taken before and
+    /// after raising it to 4, and both must equal the sequential
+    /// definition.
+    #[test]
+    fn matmul_parallel_bitwise_matches_sequential() {
+        let dims = (16 * MR + 3, 128, 64);
+        let (m, k, n) = dims;
+        assert!(2 * m * k * n >= MATMUL_PAR_MIN_FLOPS);
+        let (av, bv) = (payload(m * k, 5), payload(k * n, 6));
+        let cases: Vec<_> = [(false, false), (true, true)]
+            .into_iter()
+            .map(|flags| {
+                let a = Tensor::from_vec(av.clone(), &stored(None, m, k, flags.0)).unwrap();
+                let b = Tensor::from_vec(bv.clone(), &stored(None, k, n, flags.1)).unwrap();
+                (flags, a, b, reference(&av, &bv, dims, flags, false))
+            })
+            .collect();
+        for threads in [1, 4] {
+            autograph_par::configure(threads);
+            for ((ta, tb), a, b, want) in &cases {
+                let got = a.matmul_t(b, *ta, *tb).unwrap();
+                assert_bitwise(got.as_f32().unwrap(), want, &format!("threads {threads}"));
+            }
         }
     }
 

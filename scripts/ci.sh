@@ -91,6 +91,17 @@ done
 echo "== fusion gate (ablation fusion: fused vs op-by-op, paired)"
 cargo run --release -q -p autograph-bench --bin ablation -- fusion --runs 15
 
+# Matmul gate, paired the same way and failing on the same three-quarters
+# rule: the tiled kernel against a copy of the i-k-j loop it replaced
+# ([64,784]x[784,10], [16,128]x[128,128], [1,16]x[16,8]) and the
+# transposed-operand entry points against transpose-then-multiply
+# ([64,784]^T x [64,10], [64,10] x [784,10]^T, [1,8] x [16,8]^T), every
+# pair of sides also asserted bit-equal. No benchmark workload is
+# dominated by the m = 1 or B-transposed shapes; this is what keeps them
+# from regressing.
+echo "== matmul gate (ablation matmul: tiled vs i-k-j, in place vs transposed copy, paired)"
+cargo run --release -q -p autograph-bench --bin ablation -- matmul --runs 15
+
 # Stage bench: cold staging vs warm plan-cache restore on a fresh
 # on-disk store. Exits nonzero unless the warm path skipped the staging
 # pipeline entirely (asserted via obs spans), reproduced the cold results

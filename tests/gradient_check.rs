@@ -4,8 +4,13 @@
 //! numerical derivative of the same loss for (1) a matmul MSE loss,
 //! (2) softmax cross-entropy, and (3) a staged loop (host-counter loops
 //! unroll at staging time, which is the differentiable path — `While`
-//! nodes have no symbolic adjoint).
+//! nodes have no symbolic adjoint). The matmul adjoints are flagged
+//! matmuls (`transpose_a`/`transpose_b`): checked for rank-3 operands on
+//! graph, eager and Lantern, for all four flag pairs, and at second order.
 
+use autograph::graph::grad::gradients;
+use autograph::graph::{GraphBuilder, OpKind};
+use autograph::lantern::LValue;
 use autograph::prelude::*;
 
 #[path = "support/check.rs"]
@@ -26,6 +31,21 @@ fn eager_scalar(rt: &mut Runtime, fname: &str, feeds: &[(&str, Tensor)]) -> f32 
         .expect("scalar loss")
 }
 
+/// Central finite-difference gradient of scalar `f` at `at`.
+fn fd_of(mut f: impl FnMut(&Tensor) -> f32, at: &Tensor, eps: f32) -> Vec<f32> {
+    let data = at.as_f32().expect("f32 param").to_vec();
+    (0..data.len())
+        .map(|i| {
+            let mut eval_at = |delta: f32| {
+                let mut bumped = data.clone();
+                bumped[i] += delta;
+                f(&Tensor::from_vec(bumped, at.shape()).expect("bumped tensor"))
+            };
+            (eval_at(eps) - eval_at(-eps)) / (2.0 * eps)
+        })
+        .collect()
+}
+
 /// Central finite-difference gradient of `fname` w.r.t. `feeds[wrt]`.
 fn fd_grad(
     rt: &mut Runtime,
@@ -34,23 +54,12 @@ fn fd_grad(
     wrt: usize,
     eps: f32,
 ) -> Vec<f32> {
-    let base = &feeds[wrt].1;
-    let data = base.as_f32().expect("f32 param").to_vec();
-    let shape = base.shape().to_vec();
-    let mut grad = Vec::with_capacity(data.len());
-    for i in 0..data.len() {
-        let mut eval_at = |delta: f32| {
-            let mut bumped = data.clone();
-            bumped[i] += delta;
-            let mut feeds2: Vec<(&str, Tensor)> = feeds.to_vec();
-            feeds2[wrt].1 = Tensor::from_vec(bumped, &shape).expect("bumped tensor");
-            eager_scalar(rt, fname, &feeds2)
-        };
-        let plus = eval_at(eps);
-        let minus = eval_at(-eps);
-        grad.push((plus - minus) / (2.0 * eps));
-    }
-    grad
+    let mut feeds2: Vec<(&str, Tensor)> = feeds.to_vec();
+    let loss_at = |t: &Tensor| {
+        feeds2[wrt].1 = t.clone();
+        eager_scalar(rt, fname, &feeds2)
+    };
+    fd_of(loss_at, &feeds[wrt].1, eps)
 }
 
 /// Run `grad_fname` staged (symbolic `tf.gradients`) and eagerly
@@ -277,4 +286,163 @@ def loss_tape(w, x):
         ("x", rng.normal_tensor(&[2, 3], 1.0)),
     ];
     check_gradients(src, "loss", "loss_grad", "loss_tape", &feeds);
+}
+
+#[test]
+fn batched_matmul_gradients_match_finite_differences() {
+    // rank-3 operands: the adjoints are flagged matmuls over the trailing
+    // two axes, so the batch axis passes straight through (a
+    // `Transpose([1, 0])` or `t()` of a rank-3 operand is a rank error)
+    let src = "\
+def loss(w, x, y):
+    err = tf.matmul(x, w) - y
+    return tf.reduce_mean(tf.square(err))
+
+def loss_grad(w, x, y):
+    err = tf.matmul(x, w) - y
+    l = tf.reduce_mean(tf.square(err))
+    g = tf.gradients(l, [w])
+    return g[0]
+
+def loss_tape(w, x, y):
+    tf.tape_begin()
+    w = tf.watch(w)
+    err = tf.matmul(x, w) - y
+    l = tf.reduce_mean(tf.square(err))
+    g = tf.grad(l, [w])
+    return g[0]
+
+def x_grad(x, w, y):
+    err = tf.matmul(x, w) - y
+    l = tf.reduce_mean(tf.square(err))
+    g = tf.gradients(l, [x])
+    return g[0]
+
+def x_tape(x, w, y):
+    tf.tape_begin()
+    x = tf.watch(x)
+    err = tf.matmul(x, w) - y
+    l = tf.reduce_mean(tf.square(err))
+    g = tf.grad(l, [x])
+    return g[0]
+
+def x_loss(x, w, y):
+    return loss(w, x, y)
+";
+    let mut rng = Rng64::new(17);
+    let w = rng.normal_tensor(&[2, 4, 5], 0.5);
+    let x = rng.normal_tensor(&[2, 3, 4], 1.0);
+    let y = rng.normal_tensor(&[2, 3, 5], 1.0);
+    let by_w = [("w", w.clone()), ("x", x.clone()), ("y", y.clone())];
+    check_gradients(src, "loss", "loss_grad", "loss_tape", &by_w);
+    let by_x = [("x", x.clone()), ("w", w.clone()), ("y", y.clone())];
+    check_gradients(src, "x_loss", "x_grad", "x_tape", &by_x);
+
+    // Lantern: the same loss, both operands as parameters
+    let program = autograph::lantern::sexpr::parse(
+        "(program (reduce_mean (square (sub (matmul (param x) (param w)) (extern y)))))",
+    )
+    .expect("parse");
+    let engine = Engine::new(autograph::lantern::Program::compile(&program).expect("compile"));
+    let params = [("x", x), ("w", w)];
+    let (_, grads) = engine
+        .grad(&[("y", LValue::tensor(y))], &params)
+        .expect("lantern batched matmul gradient");
+    let mut rt = Runtime::load(src, false).expect("load");
+    let fd_x = fd_grad(&mut rt, "x_loss", &by_x, 0, 5e-3);
+    let fd_w = fd_grad(&mut rt, "loss", &by_w, 0, 5e-3);
+    assert_close_rel(
+        "lantern",
+        "dx vs fd",
+        grads[0].as_f32().unwrap(),
+        &fd_x,
+        1e-2,
+    );
+    assert_close_rel(
+        "lantern",
+        "dw vs fd",
+        grads[1].as_f32().unwrap(),
+        &fd_w,
+        1e-2,
+    );
+}
+
+/// `sum(square(op(a) · op(b)))` through the tensor kernel: the
+/// finite-difference side of the flagged checks, whose symbolic side is
+/// built with the graph builder (PyLite has no transpose keyword).
+fn flagged_matmul_loss(a: &Tensor, b: &Tensor, ta: bool, tb: bool) -> f32 {
+    let prod = a.matmul_t(b, ta, tb).expect("matmul_t");
+    prod.as_f32().expect("f32").iter().map(|v| v * v).sum()
+}
+
+#[test]
+fn flagged_matmul_gradients_match_finite_differences_in_all_four_cases() {
+    let mut rng = Rng64::new(29);
+    for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
+        // op(a) is [3, 4], op(b) is [4, 2]
+        let a = rng.normal_tensor(if ta { &[4, 3] } else { &[3, 4] }, 0.7);
+        let b = rng.normal_tensor(if tb { &[2, 4] } else { &[4, 2] }, 0.7);
+        let mut g = GraphBuilder::new();
+        let (pa, pb) = (g.placeholder("a"), g.placeholder("b"));
+        let prod = g.matmul_t(pa, pb, ta, tb);
+        let sq = g.add(OpKind::Square, vec![prod]);
+        let loss = g.add(OpKind::ReduceSum(None), vec![sq]);
+        let grads = gradients(&mut g, loss, &[pa, pb]).expect("gradients");
+        let graph = g.finish();
+        assert!(
+            !graph
+                .nodes
+                .iter()
+                .any(|n| matches!(n.op, OpKind::Transpose(_))),
+            "({ta}, {tb}): the adjoint materialises a transpose"
+        );
+        let mut sess = Session::new(graph);
+        let feeds = [("a", a.clone()), ("b", b.clone())];
+        let got = sess.run(&feeds, &grads).expect("run");
+        let what = format!("matmul_t({ta}, {tb})");
+        let fd_a = fd_of(|a| flagged_matmul_loss(a, &b, ta, tb), &a, 5e-3);
+        let fd_b = fd_of(|b| flagged_matmul_loss(&a, b, ta, tb), &b, 5e-3);
+        assert_close_rel(&what, "da vs fd", got[0].as_f32().unwrap(), &fd_a, 1e-2);
+        assert_close_rel(&what, "db vs fd", got[1].as_f32().unwrap(), &fd_b, 1e-2);
+    }
+}
+
+#[test]
+fn second_order_matmul_gradient_matches_finite_differences() {
+    // grad-of-grad differentiates the flagged adjoints themselves (the
+    // MAML path): h(w) = sum(square(d/dw sum(square(x · w)))), checked
+    // against finite differences of the first-order symbolic gradient
+    let mut rng = Rng64::new(31);
+    let x = rng.normal_tensor(&[3, 4], 0.7);
+    let w = rng.normal_tensor(&[4, 2], 0.7);
+    let mut g = GraphBuilder::new();
+    let (px, pw) = (g.placeholder("x"), g.placeholder("w"));
+    let prod = g.matmul(px, pw);
+    let sq = g.add(OpKind::Square, vec![prod]);
+    let inner = g.add(OpKind::ReduceSum(None), vec![sq]);
+    let dw = gradients(&mut g, inner, &[pw]).expect("first order")[0];
+    let dw_sq = g.add(OpKind::Square, vec![dw]);
+    let outer = g.add(OpKind::ReduceSum(None), vec![dw_sq]);
+    let ddw = gradients(&mut g, outer, &[pw]).expect("second order")[0];
+    let graph = g.finish();
+    assert!(!graph
+        .nodes
+        .iter()
+        .any(|n| matches!(n.op, OpKind::Transpose(_))));
+    let mut sess = Session::new(graph);
+    let h = |w: &Tensor| {
+        let feeds = [("x", x.clone()), ("w", w.clone())];
+        let first = sess.run(&feeds, &[dw]).expect("first-order run");
+        first[0].as_f32().unwrap().iter().map(|v| v * v).sum()
+    };
+    let fd = fd_of(h, &w, 5e-3);
+    let feeds = [("x", x.clone()), ("w", w.clone())];
+    let got = sess.run(&feeds, &[ddw]).expect("second-order run");
+    assert_close_rel(
+        "second order",
+        "ddw vs fd",
+        got[0].as_f32().unwrap(),
+        &fd,
+        2e-2,
+    );
 }
