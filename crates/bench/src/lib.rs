@@ -181,8 +181,7 @@ impl Profiler {
         Profiler { sinks }
     }
 
-    /// Write the Chrome trace and print the summary table. Also prints the
-    /// `PROFILE_NODES` aggregate when the env-var bootstrap was active.
+    /// Write the Chrome trace and print the summary table.
     pub fn finish(self) {
         if let Some((trace, agg, path)) = self.sinks {
             autograph_obs::uninstall();
@@ -191,9 +190,6 @@ impl Profiler {
                 Err(e) => eprintln!("\nfailed to write Chrome trace to {path}: {e}"),
             }
             println!("\n{}", agg.summary().render_table());
-        } else if let Some(summary) = autograph_obs::env::installed_summary() {
-            // PROFILE_NODES=1 path: no trace file, but show the aggregate
-            println!("\n{}", summary.render_table());
         }
     }
 }

@@ -9,7 +9,7 @@
 //! Three outputs (see the `autograph-explain` binary):
 //!
 //! * **annotated source** — the program with per-line cumulative time,
-//!   allocations, eval counts, and critical-path markers;
+//!   allocations and eval counts;
 //! * **plan dump** — the optimized graph as text and Graphviz DOT, each
 //!   node showing its source span and rewrite lineage;
 //! * **fallback report** — every [`ConversionWarning`] with the exact
@@ -23,7 +23,6 @@ use autograph_runtime::{Runtime, Value};
 use autograph_tensor::Tensor;
 use autograph_transforms::{ConversionConfig, ConversionPolicy, ConversionWarning};
 use std::collections::BTreeMap;
-use std::collections::HashSet;
 use std::time::Instant;
 
 /// Options for [`explain_source`].
@@ -60,8 +59,6 @@ pub struct LineCost {
     pub evals: u64,
     /// Number of executed top-level nodes attributed to the line.
     pub nodes: usize,
-    /// Whether any of the line's nodes sit on the run's critical path.
-    pub on_critical_path: bool,
 }
 
 /// How much of the executed plan resolved to a source span.
@@ -244,7 +241,6 @@ pub fn explain_source(
         .ok_or_else(|| "reporting enabled but no report collected".to_string())?;
 
     // ---- fold node costs onto source lines --------------------------------
-    let cp_nodes: HashSet<NodeId> = report.critical_path.nodes.iter().map(|c| c.node).collect();
     let mut per_line: BTreeMap<u32, LineCost> = BTreeMap::new();
     let mut coverage = Coverage::default();
     for c in &report.node_costs {
@@ -261,13 +257,11 @@ pub fn explain_source(
             alloc_bytes: 0,
             evals: 0,
             nodes: 0,
-            on_critical_path: false,
         });
         entry.self_ns += c.self_ns;
         entry.alloc_bytes += c.alloc_bytes;
         entry.evals += c.evals;
         entry.nodes += 1;
-        entry.on_critical_path |= cp_nodes.contains(&c.node);
     }
 
     Ok(Explain {
@@ -288,9 +282,8 @@ pub fn explain_source(
 
 impl Explain {
     /// The annotated-source rendering: each line with its cumulative
-    /// time, allocation, eval count, and a `CP` marker when it sits on
-    /// the critical path; fallback warnings appear under the line that
-    /// caused them.
+    /// time, allocation and eval count; fallback warnings appear under
+    /// the line that caused them.
     pub fn annotated_source(&self) -> String {
         let mut by_line: BTreeMap<u32, &LineCost> = BTreeMap::new();
         for lc in &self.lines {
@@ -298,20 +291,19 @@ impl Explain {
         }
         let mut out = String::new();
         out.push_str(&format!(
-            "annotated source for '{}' (time | alloc | evals, CP = on critical path):\n",
+            "annotated source for '{}' (time | alloc | evals):\n",
             self.func
         ));
         for (i, text) in self.source.lines().enumerate() {
             let line = i as u32 + 1;
             match by_line.get(&line) {
                 Some(lc) => out.push_str(&format!(
-                    "{:>4} | {:<48} {:>10} {:>10} {:>6}{}\n",
+                    "{:>4} | {:<48} {:>10} {:>10} {:>6}\n",
                     line,
                     text.trim_end(),
                     ms(lc.self_ns),
                     kb(lc.alloc_bytes),
                     lc.evals,
-                    if lc.on_critical_path { "  CP" } else { "" },
                 )),
                 None => out.push_str(&format!("{line:>4} | {}\n", text.trim_end())),
             }
@@ -534,7 +526,7 @@ def f(x):
         let ann = ex.annotated_source();
         assert!(ann.contains("while i < 8"), "{ann}");
         assert!(ann.contains("attribution:"), "{ann}");
-        assert!(ann.contains("CP"), "critical path marked: {ann}");
+        assert!(!ann.contains("CP"), "no critical-path column: {ann}");
         let dot = ex.plan_dot();
         assert!(dot.starts_with("digraph"));
         assert!(dot.contains('@'), "spans in dot labels: {dot}");

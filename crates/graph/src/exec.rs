@@ -137,9 +137,8 @@ impl Plan {
         fetches: &[NodeId],
         ctx: &RunCtx,
     ) -> Result<Vec<GValue>> {
-        // PROFILE_NODES=1 / AUTOGRAPH_FAULTS compatibility: install from
-        // the environment on first use. One OnceLock load afterwards.
-        obs::env::maybe_init_from_env();
+        // AUTOGRAPH_FAULTS: install the fault plan from the environment
+        // on first use. One OnceLock load afterwards.
         faults::maybe_init_from_env();
         let mut values: Vec<Option<GValue>> = vec![None; graph.nodes.len()];
         let mut inbuf: Vec<GValue> = Vec::with_capacity(8);

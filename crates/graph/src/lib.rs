@@ -17,8 +17,8 @@
 //!   nodes into the same graph (what enables in-graph SGD, Table 2);
 //! * [`optimize`] — whole-program graph optimizations: constant folding,
 //!   common-subexpression elimination, dead-code elimination;
-//! * [`report`] — per-run [`report::RunReport`]s: memory accounting,
-//!   worker-pool utilization, and critical-path analysis;
+//! * [`report`] — per-run [`report::RunReport`]s: memory accounting and
+//!   the per-node cost table;
 //! * [`shapes`] — static shape inference + staging-time validation (the
 //!   Appendix B future-work extension).
 //!
@@ -61,9 +61,9 @@ pub use builder::GraphBuilder;
 pub use error::{ErrorKind, GraphError};
 pub use ir::{Graph, NodeId, OpKind, PassRecord, ProvSource, SubGraph};
 pub use optimize::{ElimRecord, OptTrace};
-pub use report::{CriticalPath, MemReport, NodeCost, RunReport, SchedReport, WorkerReport};
+pub use report::{MemReport, NodeCost, RunReport};
 pub use run::{CancelToken, RunOptions};
-pub use session::{NodeSelfTime, Session, SessionStats};
+pub use session::{Session, SessionStats};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, GraphError>;

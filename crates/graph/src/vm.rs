@@ -74,7 +74,6 @@ pub(crate) fn run_program(
     fetches: &[crate::ir::NodeId],
     ctx: &RunCtx,
 ) -> Result<Vec<GValue>> {
-    obs::env::maybe_init_from_env();
     faults::maybe_init_from_env();
     let mut arena = FusedArena::new();
     let mut frames = Frames::default();

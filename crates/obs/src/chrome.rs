@@ -1,11 +1,105 @@
-//! Chrome-trace export: buffers complete (`ph: "X"`) events and writes
-//! a JSON file loadable by `chrome://tracing` or Perfetto.
+//! Chrome-trace export: [`TraceWriter`] renders the JSON document that
+//! `chrome://tracing` and Perfetto load, and [`TraceRecorder`] buffers
+//! complete (`ph: "X"`) events to feed it.
 
+use crate::json::write_str;
 use crate::recorder::Recorder;
-use crate::thread_lane;
+use crate::{lock, thread_lane};
+use std::fmt::Write as _;
 use std::io::Write;
 use std::path::Path;
 use std::sync::Mutex;
+
+/// Writes one Chrome-trace JSON document event by event. The only place
+/// the workspace spells the event schema: [`TraceRecorder::to_json`]
+/// (`--profile` traces) and the serving layer's `/debug/trace` both
+/// render through it.
+pub struct TraceWriter {
+    /// The document so far. Every data event ends in a comma: the
+    /// process-name event [`TraceWriter::finish`] writes always follows.
+    out: String,
+}
+
+impl TraceWriter {
+    /// Start a document, reserving `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> TraceWriter {
+        let mut out = String::with_capacity(capacity);
+        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+        TraceWriter { out }
+    }
+
+    /// Append `{"name":<name>,"cat":<cat>`, the two fields every data
+    /// event opens with.
+    fn open_event(&mut self, name: &str, cat: &str) {
+        self.out.push_str("{\"name\":");
+        write_str(&mut self.out, name);
+        self.out.push_str(",\"cat\":");
+        write_str(&mut self.out, cat);
+    }
+
+    /// One complete (`"ph":"X"`) event on lane `tid`. Times are on the
+    /// trace clock ([`crate::now_ns`]) and are written as fractional
+    /// microseconds, which is what Chrome wants and keeps ns precision.
+    /// `args` holds the already-rendered members of the event's `args`
+    /// object (`"request_id":"r-1","status":200`); empty means no `args`.
+    pub fn complete(
+        &mut self,
+        name: &str,
+        cat: &str,
+        tid: u64,
+        ts_ns: u64,
+        dur_ns: u64,
+        args: &str,
+    ) {
+        self.open_event(name, cat);
+        let _ = write!(
+            self.out,
+            ",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{:.3},\"dur\":{:.3}",
+            ts_ns as f64 / 1e3,
+            dur_ns as f64 / 1e3,
+        );
+        if !args.is_empty() {
+            let _ = write!(self.out, ",\"args\":{{{args}}}");
+        }
+        self.out.push_str("},");
+    }
+
+    /// One counter (`"ph":"C"`) sample.
+    pub(crate) fn counter(&mut self, name: &str, cat: &str, ts_ns: u64, value: u64) {
+        self.open_event(name, cat);
+        let _ = write!(
+            self.out,
+            ",\"ph\":\"C\",\"pid\":1,\"ts\":{:.3},\"args\":{{\"value\":{value}}}}},",
+            ts_ns as f64 / 1e3,
+        );
+    }
+
+    /// Close the document: the metadata (`"ph":"M"`) events that make
+    /// the viewer show `process` and the registered thread names
+    /// ([`crate::lane_names`]: `serve-worker-N`, `par-worker-N`, `main`)
+    /// instead of bare ids, then `otherData.droppedEvents` when the
+    /// producer counts drops.
+    pub fn finish(mut self, process: &str, dropped_events: Option<u64>) -> String {
+        self.out
+            .push_str("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":");
+        write_str(&mut self.out, process);
+        self.out.push_str("}}");
+        for (lane, name) in crate::lane_names() {
+            let _ = write!(
+                self.out,
+                ",{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{lane},\"args\":{{\"name\":"
+            );
+            write_str(&mut self.out, &name);
+            self.out.push_str("}}");
+        }
+        self.out.push(']');
+        if let Some(dropped) = dropped_events {
+            let _ = write!(self.out, ",\"otherData\":{{\"droppedEvents\":{dropped}}}");
+        }
+        self.out.push('}');
+        self.out
+    }
+}
 
 /// Default cap on buffered events; one complete event is ~100 bytes of
 /// JSON, so the default bounds a runaway trace near 100 MB.
@@ -59,7 +153,7 @@ impl TraceRecorder {
 
     /// Number of buffered span events.
     pub fn len(&self) -> usize {
-        self.state.lock().expect("obs trace lock").events.len()
+        lock(&self.state).events.len()
     }
 
     /// Whether nothing was recorded.
@@ -69,58 +163,15 @@ impl TraceRecorder {
 
     /// Render the Chrome trace JSON document.
     pub fn to_json(&self) -> String {
-        let state = self.state.lock().expect("obs trace lock");
-        let mut out = String::with_capacity(128 + state.events.len() * 96);
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
+        let state = lock(&self.state);
+        let mut w = TraceWriter::with_capacity(128 + state.events.len() * 96);
         for e in &state.events {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            // Chrome wants microseconds; fractional us keep ns precision
-            out.push_str(&format!(
-                "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3}}}",
-                json_string(&e.name),
-                json_string(e.cat),
-                e.tid,
-                e.ts_ns as f64 / 1e3,
-                e.dur_ns as f64 / 1e3,
-            ));
+            w.complete(&e.name, e.cat, e.tid, e.ts_ns, e.dur_ns, "");
         }
         for (ts_ns, cat, name, value) in state.counters.iter().chain(state.gauges.iter()) {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"name\":{},\"cat\":{},\"ph\":\"C\",\"pid\":1,\"ts\":{:.3},\"args\":{{\"value\":{}}}}}",
-                json_string(name),
-                json_string(cat),
-                *ts_ns as f64 / 1e3,
-                value,
-            ));
+            w.counter(name, cat, *ts_ns, *value);
         }
-        // process/thread metadata ("M") events so chrome://tracing shows
-        // thread names (serve-worker-N, par-worker-N, main) instead of
-        // bare tids; lanes are registered lazily by thread_lane()
-        if !first {
-            out.push(',');
-        }
-        out.push_str(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"autograph\"}}",
-        );
-        for (lane, name) in crate::lane_names() {
-            out.push_str(&format!(
-                ",{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\"args\":{{\"name\":{}}}}}",
-                lane,
-                json_string(&name),
-            ));
-        }
-        out.push_str("],\"otherData\":{\"droppedEvents\":");
-        out.push_str(&state.dropped.to_string());
-        out.push_str("}}");
-        out
+        w.finish("autograph", Some(state.dropped))
     }
 
     /// Write the trace JSON to `path`.
@@ -137,7 +188,7 @@ impl TraceRecorder {
 impl Recorder for TraceRecorder {
     fn span(&self, cat: &'static str, name: &str, start_ns: u64, dur_ns: u64) {
         let tid = thread_lane();
-        let mut state = self.state.lock().expect("obs trace lock");
+        let mut state = lock(&self.state);
         if state.events.len() >= self.max_events {
             state.dropped += 1;
             return;
@@ -153,7 +204,7 @@ impl Recorder for TraceRecorder {
 
     fn count(&self, cat: &'static str, name: &'static str, delta: u64) {
         let ts = crate::now_ns();
-        let mut state = self.state.lock().expect("obs trace lock");
+        let mut state = lock(&self.state);
         let key = format!("{cat}/{name}");
         let total = state.totals.entry(key).or_insert(0);
         *total = total.saturating_add(delta);
@@ -169,36 +220,11 @@ impl Recorder for TraceRecorder {
 
     fn gauge(&self, cat: &'static str, name: &str, value: u64) {
         let ts = crate::now_ns();
-        let mut state = self.state.lock().expect("obs trace lock");
+        let mut state = lock(&self.state);
         if state.gauges.len() < self.max_events {
             state.gauges.push((ts, cat, name.to_string(), value));
         }
     }
-}
-
-/// Escape `s` as a JSON string literal (with quotes). Span names come
-/// from user PyLite source (op names, print payloads), so every control
-/// character, quote and backslash must survive: C0 controls and DEL get
-/// `\uXXXX`, and U+2028/U+2029 are escaped too so the output stays safe
-/// to embed in JavaScript-adjacent tooling.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 || c as u32 == 0x7f || c == '\u{2028}' || c == '\u{2029}' => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -257,30 +283,6 @@ mod tests {
                 && e["tid"].as_u64().is_some()
         });
         assert!(named, "expected a thread_name M event for serve-worker-99");
-    }
-
-    #[test]
-    fn dynamic_span_names_round_trip_through_serde_json() {
-        // every C0 control char, DEL, quote/backslash combos, and the
-        // JS line separators — the worst a user-derived op name can be
-        let mut nasty = String::from("op \"x\\y\" \\\" \u{7f}\u{2028}\u{2029}");
-        for b in 0u32..0x20 {
-            nasty.push(char::from_u32(b).expect("C0 char"));
-        }
-        let t = TraceRecorder::new();
-        t.span("graph_op", &nasty, 0, 1);
-        t.gauge("mem", &nasty, 42);
-        let doc = serde_json::from_str(&t.to_json()).expect("valid JSON");
-        let all = doc["traceEvents"].as_array().expect("traceEvents array");
-        let events: Vec<_> = all
-            .iter()
-            .filter(|e| e["ph"].as_str() != Some("M"))
-            .collect();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0]["name"].as_str(), Some(nasty.as_str()));
-        assert_eq!(events[1]["name"].as_str(), Some(nasty.as_str()));
-        assert_eq!(events[1]["ph"].as_str(), Some("C"));
-        assert_eq!(events[1]["args"]["value"].as_u64(), Some(42));
     }
 
     #[test]

@@ -15,34 +15,39 @@
 //! normal operation. Installing a recorder ([`install`]) flips the flag
 //! and routes events to it; [`uninstall`] flips it back.
 //!
-//! Three recorders ship with the crate:
+//! Two recorders ship with the crate:
 //!
 //! * [`AggregateRecorder`] — in-memory per-key histograms and counters;
 //!   renders the per-op `count / total / mean / p99` summary table.
 //! * [`TraceRecorder`] — buffers begin/end events and writes a Chrome
 //!   trace (`chrome://tracing` / Perfetto "load trace" compatible).
-//! * [`StreamingRecorder`] — prints one line per span as it closes
-//!   (the old `PROFILE_NODES` output format).
 //!
-//! [`FanoutRecorder`] composes any of them. `PROFILE_NODES=1` keeps
-//! working: [`env::maybe_init_from_env`] installs a streaming +
-//! aggregate pair the first time an executor runs (see that module).
+//! [`FanoutRecorder`] composes them (the bench binaries' `--profile`
+//! installs both). Nothing installs a recorder from the environment.
+//!
+//! ## The JSON and trace writers
+//!
+//! [`json::write_str`] is the one function in the workspace that turns
+//! a `&str` into a JSON string literal, and [`chrome::TraceWriter`] the
+//! one place that spells the Chrome-trace event schema; the run report
+//! in `autograph-graph` and the `/stats`, `/debug/trace` and error
+//! bodies of `autograph-serve` render through them.
 
 pub mod chrome;
-pub mod env;
+pub mod json;
 pub mod metrics;
 pub mod recorder;
 
-pub use chrome::TraceRecorder;
+pub use chrome::{TraceRecorder, TraceWriter};
 pub use metrics::{
     AggregateRecorder, AtomicHistogram, HistSnapshot, Histogram, ShardedCounter, Summary,
 };
-pub use recorder::{FanoutRecorder, Recorder, StreamingRecorder};
+pub use recorder::{FanoutRecorder, Recorder};
 
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -55,9 +60,18 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
+/// Lock one of this crate's mutexes, taking the guard even when a
+/// thread panicked while holding it. Recorder hooks run from
+/// `Span::drop`, possibly during an unwind, where a second panic would
+/// abort the process; every critical section here is a push, an insert
+/// or an add, so the data is valid at every step.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Install `recorder` as the process-wide sink and enable recording.
 pub fn install(recorder: Arc<dyn Recorder>) {
-    let mut slot = RECORDER.write().expect("obs recorder lock");
+    let mut slot = RECORDER.write().unwrap_or_else(PoisonError::into_inner);
     *slot = Some(recorder);
     ENABLED.store(true, Ordering::Release);
 }
@@ -65,7 +79,10 @@ pub fn install(recorder: Arc<dyn Recorder>) {
 /// Disable recording and return the previously installed recorder.
 pub fn uninstall() -> Option<Arc<dyn Recorder>> {
     ENABLED.store(false, Ordering::Release);
-    RECORDER.write().expect("obs recorder lock").take()
+    RECORDER
+        .write()
+        .unwrap_or_else(PoisonError::into_inner)
+        .take()
 }
 
 /// Run `f` against the installed recorder, if any.
@@ -238,17 +255,6 @@ pub fn gauge(cat: &'static str, name: &'static str, value: u64) {
         return;
     }
     with_recorder(|r| r.gauge(cat, name, value));
-}
-
-/// [`gauge`] with a runtime-constructed name (e.g. a per-worker lane
-/// label). The name is only built when a recorder is installed.
-#[inline]
-pub fn gauge_dyn(cat: &'static str, name: impl FnOnce() -> String, value: u64) {
-    if !enabled() {
-        return;
-    }
-    let name = name();
-    with_recorder(|r| r.gauge(cat, &name, value));
 }
 
 /// Offer a `print`-op line to the recorder. Returns `true` if the

@@ -3,6 +3,7 @@
 //! fixed-bucket primitives ([`ShardedCounter`], [`AtomicHistogram`])
 //! the live `/metrics` exporter is built on.
 
+use crate::lock;
 use crate::recorder::Recorder;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -502,17 +503,15 @@ struct AggregateState {
 }
 
 /// The in-memory aggregate recorder: histograms per span/observe key,
-/// saturating counters, optional print capture and optional streaming
-/// of span lines to stderr (the `PROFILE_NODES` compatibility path).
+/// saturating counters and optional print capture.
 #[derive(Default)]
 pub struct AggregateRecorder {
     state: Mutex<AggregateState>,
     capture_prints: bool,
-    stream_spans: bool,
 }
 
 impl AggregateRecorder {
-    /// An aggregate recorder with no capture and no streaming.
+    /// An aggregate recorder with no print capture.
     pub fn new() -> AggregateRecorder {
         AggregateRecorder::default()
     }
@@ -523,25 +522,14 @@ impl AggregateRecorder {
         self
     }
 
-    /// Also stream `PROF <name> <ns>ns` lines to stderr per span, the
-    /// old `PROFILE_NODES=1` output format.
-    pub fn streaming(mut self) -> AggregateRecorder {
-        self.stream_spans = true;
-        self
-    }
-
     /// Captured print lines, in emission order.
     pub fn printed(&self) -> Vec<String> {
-        self.state
-            .lock()
-            .expect("obs aggregate lock")
-            .prints
-            .clone()
+        lock(&self.state).prints.clone()
     }
 
     /// Snapshot the aggregates, rows sorted by total time descending.
     pub fn summary(&self) -> Summary {
-        let state = self.state.lock().expect("obs aggregate lock");
+        let state = lock(&self.state);
         let mut rows: Vec<SummaryRow> = state
             .hists
             .iter()
@@ -577,10 +565,7 @@ impl AggregateRecorder {
 
 impl Recorder for AggregateRecorder {
     fn span(&self, cat: &'static str, name: &str, _start_ns: u64, dur_ns: u64) {
-        if self.stream_spans {
-            eprintln!("PROF {name} {dur_ns}ns");
-        }
-        let mut state = self.state.lock().expect("obs aggregate lock");
+        let mut state = lock(&self.state);
         state
             .hists
             .entry(format!("{cat}/{name}"))
@@ -589,13 +574,13 @@ impl Recorder for AggregateRecorder {
     }
 
     fn count(&self, cat: &'static str, name: &'static str, delta: u64) {
-        let mut state = self.state.lock().expect("obs aggregate lock");
+        let mut state = lock(&self.state);
         let c = state.counters.entry(format!("{cat}/{name}")).or_insert(0);
         *c = c.saturating_add(delta);
     }
 
     fn observe(&self, cat: &'static str, name: &str, value: u64) {
-        let mut state = self.state.lock().expect("obs aggregate lock");
+        let mut state = lock(&self.state);
         state
             .hists
             .entry(format!("{cat}/{name}"))
@@ -604,7 +589,7 @@ impl Recorder for AggregateRecorder {
     }
 
     fn gauge(&self, cat: &'static str, name: &str, value: u64) {
-        let mut state = self.state.lock().expect("obs aggregate lock");
+        let mut state = lock(&self.state);
         let g = state
             .gauges
             .entry(format!("{cat}/{name}"))
@@ -617,7 +602,7 @@ impl Recorder for AggregateRecorder {
         if !self.capture_prints {
             return false;
         }
-        let mut state = self.state.lock().expect("obs aggregate lock");
+        let mut state = lock(&self.state);
         state.prints.push(line.to_string());
         true
     }

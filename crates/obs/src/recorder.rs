@@ -1,4 +1,4 @@
-//! The [`Recorder`] trait and the streaming / fan-out implementations.
+//! The [`Recorder`] trait and the fan-out implementation.
 
 /// A sink for observability events. Implementations must be cheap and
 /// thread-safe: the executor may emit spans from multiple threads.
@@ -25,41 +25,6 @@ pub trait Recorder: Send + Sync {
     fn print_line(&self, _line: &str) -> bool {
         false
     }
-}
-
-/// Prints one line per span as it closes, in the format the old
-/// `PROFILE_NODES` env hack used (`PROF <name> <dur>ns` on stderr).
-/// Optionally restricted to one category.
-#[derive(Debug, Default)]
-pub struct StreamingRecorder {
-    only_cat: Option<&'static str>,
-}
-
-impl StreamingRecorder {
-    /// Stream every span.
-    pub fn new() -> StreamingRecorder {
-        StreamingRecorder::default()
-    }
-
-    /// Stream only spans in `cat` (e.g. `"graph_op"` for the
-    /// `PROFILE_NODES` compatibility output).
-    pub fn only(cat: &'static str) -> StreamingRecorder {
-        StreamingRecorder {
-            only_cat: Some(cat),
-        }
-    }
-}
-
-impl Recorder for StreamingRecorder {
-    fn span(&self, cat: &'static str, name: &str, _start_ns: u64, dur_ns: u64) {
-        if self.only_cat.is_none_or(|c| c == cat) {
-            eprintln!("PROF {name} {dur_ns}ns");
-        }
-    }
-
-    fn count(&self, _cat: &'static str, _name: &'static str, _delta: u64) {}
-
-    fn observe(&self, _cat: &'static str, _name: &str, _value: u64) {}
 }
 
 /// Forwards every event to each inner recorder. A print line counts as

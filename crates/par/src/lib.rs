@@ -25,11 +25,8 @@
 //!
 //! Observability: every task execution opens a `par/task` span (visible
 //! as per-worker lanes in Chrome traces via `autograph-obs`), and each
-//! injection records the queue depth to the `par/queue_depth` gauge.
-//! When a run report is being collected ([`meter_begin`]) the pool also
-//! meters per-thread busy time and task counts plus ready-queue depth
-//! statistics, exposed through [`pool_snapshot`]; when no meter is
-//! active those paths cost one relaxed atomic load each.
+//! injection records the queue depth to the `par/queue_depth`
+//! distribution. With no recorder installed each is one relaxed load.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -38,9 +35,9 @@ use autograph_obs as obs;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, OnceLock};
+use std::time::Duration;
 
 /// A unit of work: an erased function pointer applied to an erased state
 /// pointer.
@@ -144,28 +141,8 @@ fn worker_loop(_idx: usize) {
     }
 }
 
-thread_local! {
-    /// Task nesting depth on this thread: a task whose body waits on a
-    /// nested `parallel_for` runs further tasks *inside* its own
-    /// execution.
-    static TASK_DEPTH: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
-}
-
 fn run_task(task: Task) {
     let _span = obs::span("par", "task");
-    let depth = TASK_DEPTH.with(|d| {
-        let v = d.get();
-        d.set(v + 1);
-        v
-    });
-    // busy time is measured only for the outermost task on each thread:
-    // nested tasks (run while helping) already elapse inside it, and
-    // counting both would double-bill the thread beyond wall time
-    let meter_start = if metering() && depth == 0 {
-        Some(Instant::now())
-    } else {
-        None
-    };
     // chaos-test hook: delay rules perturb task timing (never values);
     // one relaxed atomic load when no fault plan is installed
     faults::scheduler_delay("par", "task");
@@ -183,133 +160,6 @@ fn run_task(task: Task) {
     if r.is_err() {
         obs::count("par", "task_panics", 1);
     }
-    if metering() {
-        let stats = my_worker_stats();
-        if let Some(t0) = meter_start {
-            stats
-                .busy_ns
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-        stats.tasks.fetch_add(1, Ordering::Relaxed);
-    }
-    TASK_DEPTH.with(|d| d.set(d.get() - 1));
-}
-
-// ---- metering --------------------------------------------------------------
-
-/// Per-thread task-execution statistics, registered lazily the first
-/// time a thread runs a metered task.
-struct WorkerStats {
-    label: String,
-    busy_ns: AtomicU64,
-    tasks: AtomicU64,
-}
-
-#[derive(Default)]
-struct MeterShared {
-    /// One entry per thread that has ever executed a metered task
-    /// (spawned workers and helping caller threads alike).
-    workers: Mutex<Vec<Arc<WorkerStats>>>,
-    queue_depth_max: AtomicU64,
-    queue_depth_sum: AtomicU64,
-    queue_samples: AtomicU64,
-    injected_tasks: AtomicU64,
-}
-
-/// Nesting count of active meters; metering is on while any session or
-/// harness holds a registration.
-static METERING: AtomicUsize = AtomicUsize::new(0);
-
-fn meter_shared() -> &'static MeterShared {
-    static M: OnceLock<MeterShared> = OnceLock::new();
-    M.get_or_init(MeterShared::default)
-}
-
-/// Whether pool metering is active — one relaxed atomic load.
-#[inline(always)]
-pub fn metering() -> bool {
-    METERING.load(Ordering::Relaxed) > 0
-}
-
-/// Enable pool metering (ref-counted, so concurrent reporting sessions
-/// compose). Pair with [`meter_end`].
-pub fn meter_begin() {
-    METERING.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Release one metering registration.
-pub fn meter_end() {
-    METERING.fetch_sub(1, Ordering::Relaxed);
-}
-
-fn my_worker_stats() -> Arc<WorkerStats> {
-    thread_local! {
-        static MINE: std::cell::OnceCell<Arc<WorkerStats>> = const { std::cell::OnceCell::new() };
-    }
-    MINE.with(|cell| {
-        Arc::clone(cell.get_or_init(|| {
-            let label = std::thread::current()
-                .name()
-                .map(str::to_string)
-                .unwrap_or_else(|| format!("caller-{}", obs::thread_lane()));
-            let stats = Arc::new(WorkerStats {
-                label,
-                busy_ns: AtomicU64::new(0),
-                tasks: AtomicU64::new(0),
-            });
-            lock_unpoisoned(&meter_shared().workers).push(Arc::clone(&stats));
-            stats
-        }))
-    })
-}
-
-/// One thread's cumulative metered totals.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerSnapshot {
-    /// Thread label (`par-worker-N` for pool workers, the thread name
-    /// or `caller-<lane>` for helping threads).
-    pub label: String,
-    /// Nanoseconds spent executing tasks while metering was on.
-    pub busy_ns: u64,
-    /// Tasks executed while metering was on.
-    pub tasks: u64,
-}
-
-/// Point-in-time metering totals; diff two snapshots to get a run's
-/// worth of busy time, task counts and queue pressure.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PoolSnapshot {
-    /// Per-thread totals, in registration order.
-    pub workers: Vec<WorkerSnapshot>,
-    /// Largest queue depth seen at injection.
-    pub queue_depth_max: u64,
-    /// Sum of queue depths sampled at each injection.
-    pub queue_depth_sum: u64,
-    /// Number of depth samples (injections while metered).
-    pub queue_samples: u64,
-    /// Tasks injected while metered.
-    pub injected_tasks: u64,
-}
-
-/// Snapshot the cumulative metering counters. Cheap (a short lock plus
-/// relaxed loads); counters only advance while metering is enabled.
-pub fn pool_snapshot() -> PoolSnapshot {
-    let m = meter_shared();
-    let workers = lock_unpoisoned(&m.workers)
-        .iter()
-        .map(|w| WorkerSnapshot {
-            label: w.label.clone(),
-            busy_ns: w.busy_ns.load(Ordering::Relaxed),
-            tasks: w.tasks.load(Ordering::Relaxed),
-        })
-        .collect();
-    PoolSnapshot {
-        workers,
-        queue_depth_max: m.queue_depth_max.load(Ordering::Relaxed),
-        queue_depth_sum: m.queue_depth_sum.load(Ordering::Relaxed),
-        queue_samples: m.queue_samples.load(Ordering::Relaxed),
-        injected_tasks: m.injected_tasks.load(Ordering::Relaxed),
-    }
 }
 
 /// Push tasks onto the global queue and wake workers.
@@ -323,23 +173,12 @@ pub fn pool_snapshot() -> PoolSnapshot {
 /// that only becomes true after every injected task has finished running.
 unsafe fn inject<I: IntoIterator<Item = Task>>(tasks: I) {
     let s = shared();
-    let depth;
-    let before;
-    {
+    let depth = {
         let mut q = lock_unpoisoned(&s.queue);
-        before = q.len() as u64;
         q.extend(tasks);
-        depth = q.len() as u64;
-    }
+        q.len() as u64
+    };
     obs::observe("par", "queue_depth", depth);
-    if metering() {
-        let m = meter_shared();
-        m.queue_depth_max.fetch_max(depth, Ordering::Relaxed);
-        m.queue_depth_sum.fetch_add(depth, Ordering::Relaxed);
-        m.queue_samples.fetch_add(1, Ordering::Relaxed);
-        m.injected_tasks
-            .fetch_add(depth - before, Ordering::Relaxed);
-    }
     s.cv.notify_all();
 }
 
@@ -572,31 +411,6 @@ mod tests {
             });
             assert!(slots.iter().all(|s| s.load(Ordering::Relaxed) == 1));
         }
-    }
-
-    #[test]
-    fn metering_accumulates_busy_time_and_tasks() {
-        configure(4);
-        meter_begin();
-        let before = pool_snapshot();
-        parallel_for(50_000, 256, &|r| {
-            let mut acc = 0.0f64;
-            for i in r {
-                acc += (i as f64).sqrt();
-            }
-            std::hint::black_box(acc);
-        });
-        let after = pool_snapshot();
-        meter_end();
-        let tasks_before: u64 = before.workers.iter().map(|w| w.tasks).sum();
-        let tasks_after: u64 = after.workers.iter().map(|w| w.tasks).sum();
-        assert!(
-            tasks_after > tasks_before,
-            "helper tasks ran while metered: {tasks_before} -> {tasks_after}"
-        );
-        assert!(after.injected_tasks > before.injected_tasks);
-        assert!(after.queue_samples > before.queue_samples);
-        assert!(!after.workers.is_empty());
     }
 
     #[test]

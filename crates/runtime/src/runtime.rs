@@ -366,15 +366,9 @@ impl CompiledFunction {
         self
     }
 
-    /// Plan-cache and plan-store statistics from the underlying session.
+    /// Plan-cache and progress counters from the underlying session.
     pub fn stats(&self) -> autograph_graph::SessionStats {
         self.session.stats()
-    }
-
-    /// Shared handle to the live session counters (see
-    /// [`autograph_graph::Session::stats_handle`]).
-    pub fn stats_handle(&self) -> std::sync::Arc<autograph_graph::session::SessionStatsShared> {
-        self.session.stats_handle()
     }
 
     /// Assemble a compiled function from already-staged parts — the

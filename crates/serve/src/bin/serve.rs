@@ -178,7 +178,6 @@ fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> T {
 
 fn main() {
     let args = parse_args();
-    autograph_obs::env::maybe_init_from_env();
     autograph_faults::maybe_init_from_env();
     install_signal_handlers();
 

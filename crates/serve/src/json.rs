@@ -32,25 +32,9 @@
 //! `retry_after_ms` instead.
 
 use crate::error::ServeError;
+use autograph_obs::json::write_str;
 use autograph_tensor::{DType, Tensor};
 use serde_json::Value;
-
-/// Escape a string for embedding in a JSON document.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Format one f32 so that parsing the text back yields the same bits.
 /// Rust's `{}` prints the shortest decimal that round-trips; NaN and the
@@ -137,26 +121,26 @@ pub fn error_body(err: &ServeError, source: Option<&str>, request_id: Option<&st
     out.push_str(err.kind());
     out.push_str("\",\"status\":");
     out.push_str(&err.status().to_string());
-    out.push_str(",\"message\":\"");
-    out.push_str(&escape(&err.to_string()));
-    out.push('"');
+    out.push_str(",\"message\":");
+    write_str(&mut out, &err.to_string());
     if let Some(id) = request_id {
-        out.push_str(",\"request_id\":\"");
-        out.push_str(&escape(id));
-        out.push('"');
+        out.push_str(",\"request_id\":");
+        write_str(&mut out, id);
     }
     if let Some(ms) = err.retry_after_ms() {
         out.push_str(&format!(",\"retry_after_ms\":{ms}"));
     }
     if let Some(ge) = err.graph_error() {
         if let Some(node) = &ge.node {
-            out.push_str(&format!(",\"node\":\"{}\"", escape(node)));
+            out.push_str(",\"node\":");
+            write_str(&mut out, node);
         }
         if let Some(span) = &ge.span {
             out.push_str(&format!(",\"line\":{},\"col\":{}", span.line, span.col));
             if let Some(src) = source {
                 if let Some(text) = src.lines().nth(span.line.saturating_sub(1) as usize) {
-                    out.push_str(&format!(",\"source_line\":\"{}\"", escape(text)));
+                    out.push_str(",\"source_line\":");
+                    write_str(&mut out, text);
                 }
             }
         }

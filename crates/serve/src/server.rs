@@ -27,8 +27,13 @@ use crate::prom::PromWriter;
 use crate::registry::{feeds, FnEntry, ModelRegistry};
 use crate::telemetry::{FnMetrics, RequestTrace, Telemetry, TelemetryConfig};
 use autograph_graph::run::{CancelToken, RunOptions};
+use autograph_obs::json::write_str;
+use autograph_obs::metrics::{AtomicHistogram, HistSnapshot};
 use autograph_obs::{FanoutRecorder, Recorder};
+use autograph_planstore::stats as plan_store;
+use autograph_tensor::mem::snapshot as ledger;
 use autograph_tensor::Tensor;
+use std::fmt::Write as _;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -752,93 +757,11 @@ fn finish(job: &Job, t0: Instant, result: Result<Vec<Tensor>, ServeError>) {
 }
 
 // ---------------------------------------------------------------------
-// stats
-
-fn stats_json(shared: &Arc<Shared>) -> String {
-    let a = &shared.queue.stats;
-    let s = &shared.stats;
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\"uptime_ms\":");
-    out.push_str(&shared.started.elapsed().as_millis().to_string());
-    out.push_str(",\"draining\":");
-    out.push_str(if shared.draining.load(Ordering::SeqCst) {
-        "true"
-    } else {
-        "false"
-    });
-    out.push_str(",\"connections\":");
-    out.push_str(&shared.conns.load(Ordering::SeqCst).to_string());
-    out.push_str(",\"inflight\":");
-    out.push_str(&shared.inflight.load(Ordering::SeqCst).to_string());
-    out.push_str(",\"queue_depth\":");
-    out.push_str(&shared.queue.depth().to_string());
-    for (name, v) in [
-        ("admitted", a.admitted.load(Ordering::Relaxed)),
-        ("shed_queue_full", a.shed_queue_full.load(Ordering::Relaxed)),
-        (
-            "shed_predicted_late",
-            a.shed_predicted_late.load(Ordering::Relaxed),
-        ),
-        (
-            "expired_in_queue",
-            a.expired_in_queue.load(Ordering::Relaxed),
-        ),
-        (
-            "rejected_draining",
-            a.rejected_draining.load(Ordering::Relaxed),
-        ),
-        ("resp_2xx", s.resp_2xx.load(Ordering::Relaxed)),
-        ("resp_4xx", s.resp_4xx.load(Ordering::Relaxed)),
-        ("resp_5xx", s.resp_5xx.load(Ordering::Relaxed)),
-        ("batches", s.batches.load(Ordering::Relaxed)),
-        ("batch_members", s.batch_members.load(Ordering::Relaxed)),
-        ("batch_fallbacks", s.batch_fallbacks.load(Ordering::Relaxed)),
-        ("cancelled", s.cancelled.load(Ordering::Relaxed)),
-        ("worker_panics", s.worker_panics.load(Ordering::Relaxed)),
-    ] {
-        out.push_str(",\"");
-        out.push_str(name);
-        out.push_str("\":");
-        out.push_str(&v.to_string());
-    }
-    out.push_str(",\"functions\":[");
-    for (i, e) in shared.registry.entries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"name\":\"");
-        out.push_str(&json::escape(&e.name));
-        out.push_str("\",\"stateful\":");
-        out.push_str(if e.stateful { "true" } else { "false" });
-        out.push_str(",\"batchable\":");
-        out.push_str(if e.batchable.load(Ordering::Relaxed) {
-            "true"
-        } else {
-            "false"
-        });
-        out.push_str(",\"breaker_open\":");
-        out.push_str(if e.breaker.is_open() { "true" } else { "false" });
-        out.push_str(",\"ewma_service_us\":");
-        out.push_str(&(e.ewma_service_ns.load(Ordering::Relaxed) / 1000).to_string());
-        if let Some(m) = shared.tel.for_fn(&e.name) {
-            out.push_str(",\"running\":");
-            out.push_str(&m.running.load(Ordering::Relaxed).to_string());
-            out.push_str(",\"running_peak\":");
-            out.push_str(&m.running_peak.load(Ordering::Relaxed).to_string());
-        }
-        out.push('}');
-    }
-    out.push_str("],\"windows\":");
-    out.push_str(&shared.tel.windows_json());
-    out.push('}');
-    out
-}
-
-// ---------------------------------------------------------------------
-// /metrics
+// /stats and /metrics: one declaration per served number, two renderings
 
 /// Metric families the CI scrape validator and the loadgen assert are
-/// present in every `/metrics` response.
+/// present in every `/metrics` response. Hand-written on purpose: it is
+/// the contract the table below is checked against.
 pub const REQUIRED_METRIC_FAMILIES: &[&str] = &[
     "autograph_requests_total",
     "autograph_request_latency_seconds",
@@ -853,319 +776,515 @@ pub const REQUIRED_METRIC_FAMILIES: &[&str] = &[
     "autograph_plan_cache_total",
 ];
 
-/// Render the Prometheus text document for `GET /metrics`. Every value
-/// is read with relaxed loads — the scrape never blocks the hot path.
-fn metrics_text(shared: &Arc<Shared>) -> String {
-    shared.tel.maybe_rotate();
-    let a = &shared.queue.stats;
-    let s = &shared.stats;
-    let mut w = PromWriter::new();
-    w.family(
-        "autograph_uptime_seconds",
-        "gauge",
-        "seconds since server start",
-    );
-    w.sample(
-        "autograph_uptime_seconds",
-        &[],
-        shared.started.elapsed().as_secs_f64(),
-    );
-    w.family(
-        "autograph_requests_total",
-        "counter",
-        "completed /run responses by function and status class",
-    );
-    for m in shared.tel.fns() {
-        for (class, c) in [
-            ("2xx", &m.resp_2xx),
-            ("4xx", &m.resp_4xx),
-            ("5xx", &m.resp_5xx),
-        ] {
-            w.sample(
-                "autograph_requests_total",
-                &[("fn", &m.name), ("class", class)],
-                c.get() as f64,
-            );
+/// A served value. The type decides how each view prints it: `/stats`
+/// writes a `Flag` as `true`/`false`, `/metrics` as `1`/`0`.
+enum Reading {
+    Count(u64),
+    Flag(bool),
+    Seconds(f64),
+}
+use Reading::{Count, Flag, Seconds};
+
+impl Reading {
+    fn as_f64(&self) -> f64 {
+        match *self {
+            Count(n) => n as f64,
+            Flag(b) => u8::from(b).into(),
+            Seconds(s) => s,
         }
     }
-    w.family(
+}
+
+/// One `/metrics` family and the scalars under it. `R` is the reader:
+/// [`ServerRead`] for the server-wide table, [`FnRead`] for the table
+/// rendered once per function (every sample then leads with `fn=`).
+struct Family<R: 'static> {
+    /// `None` groups scalars that `/stats` serves and `/metrics` does not.
+    name: Option<&'static str>,
+    help: &'static str,
+    scalars: &'static [Scalar<R>],
+}
+
+/// `# TYPE` of a scalar family: a name ending in `_total` is a counter
+/// (the Prometheus naming rule these families follow), any other a gauge.
+fn kind(name: &str) -> &'static str {
+    if name.ends_with("_total") {
+        "counter"
+    } else {
+        "gauge"
+    }
+}
+
+/// One served number: its key in `/stats` (top level, or inside each
+/// `functions[]` object for the per-function table; `None` = `/metrics`
+/// only), the label pairs of its `/metrics` sample, and the reader.
+type Scalar<R> = (
+    Option<&'static str>,
+    &'static [(&'static str, &'static str)],
+    R,
+);
+type ServerRead = fn(&Shared) -> Reading;
+type FnRead = fn(&FnEntry, &FnMetrics) -> Reading;
+
+/// Readers are relaxed loads — a scrape never blocks the hot path.
+fn load(counter: &AtomicU64) -> Reading {
+    Count(counter.load(Ordering::Relaxed))
+}
+
+fn load_usize(gauge: &AtomicUsize) -> Reading {
+    Count(gauge.load(Ordering::SeqCst) as u64)
+}
+
+fn admission(s: &Shared) -> &crate::admission::AdmissionStats {
+    &s.queue.stats
+}
+
+/// Every server-wide counter and gauge, declared once.
+const SERVER_SCALARS: &[Family<ServerRead>] = &[
+    Family {
+        name: None,
+        help: "",
+        scalars: &[
+            (Some("uptime_ms"), &[], |s| {
+                Count(s.started.elapsed().as_millis() as u64)
+            }),
+            (Some("resp_2xx"), &[], |s| load(&s.stats.resp_2xx)),
+            (Some("resp_4xx"), &[], |s| load(&s.stats.resp_4xx)),
+            (Some("resp_5xx"), &[], |s| load(&s.stats.resp_5xx)),
+        ],
+    },
+    Family {
+        name: Some("autograph_uptime_seconds"),
+        help: "seconds since server start",
+        scalars: &[(None, &[], |s| Seconds(s.started.elapsed().as_secs_f64()))],
+    },
+    Family {
+        name: Some("autograph_draining"),
+        help: "1 while the server is refusing new work",
+        scalars: &[(Some("draining"), &[], |s| {
+            Flag(s.draining.load(Ordering::SeqCst))
+        })],
+    },
+    Family {
+        name: Some("autograph_connections"),
+        help: "open client connections",
+        scalars: &[(Some("connections"), &[], |s| load_usize(&s.conns))],
+    },
+    Family {
+        name: Some("autograph_inflight"),
+        help: "requests currently being handled",
+        scalars: &[(Some("inflight"), &[], |s| load_usize(&s.inflight))],
+    },
+    Family {
+        name: Some("autograph_queue_depth"),
+        help: "jobs in the admission queue",
+        scalars: &[(Some("queue_depth"), &[], |s| Count(s.queue.depth() as u64))],
+    },
+    Family {
+        name: Some("autograph_admitted_total"),
+        help: "requests admitted into the queue",
+        scalars: &[(Some("admitted"), &[], |s| load(&admission(s).admitted))],
+    },
+    Family {
+        name: Some("autograph_shed_total"),
+        help: "requests refused by admission control, by reason",
+        scalars: &[
+            (Some("shed_queue_full"), &[("reason", "queue_full")], |s| {
+                load(&admission(s).shed_queue_full)
+            }),
+            (
+                Some("shed_predicted_late"),
+                &[("reason", "predicted_late")],
+                |s| load(&admission(s).shed_predicted_late),
+            ),
+        ],
+    },
+    Family {
+        name: Some("autograph_expired_in_queue_total"),
+        help: "jobs whose deadline expired while queued",
+        scalars: &[(Some("expired_in_queue"), &[], |s| {
+            load(&admission(s).expired_in_queue)
+        })],
+    },
+    Family {
+        name: Some("autograph_rejected_draining_total"),
+        help: "requests refused because the server was draining",
+        scalars: &[(Some("rejected_draining"), &[], |s| {
+            load(&admission(s).rejected_draining)
+        })],
+    },
+    Family {
+        name: Some("autograph_batches_total"),
+        help: "batched runs executed",
+        scalars: &[(Some("batches"), &[], |s| load(&s.stats.batches))],
+    },
+    Family {
+        name: Some("autograph_batch_members_total"),
+        help: "total members across batched runs",
+        scalars: &[(Some("batch_members"), &[], |s| load(&s.stats.batch_members))],
+    },
+    Family {
+        name: Some("autograph_batch_fallbacks_total"),
+        help: "batched runs that fell back to individual execution",
+        scalars: &[(Some("batch_fallbacks"), &[], |s| {
+            load(&s.stats.batch_fallbacks)
+        })],
+    },
+    Family {
+        name: Some("autograph_cancelled_total"),
+        help: "runs cancelled because the client disconnected",
+        scalars: &[(Some("cancelled"), &[], |s| load(&s.stats.cancelled))],
+    },
+    Family {
+        name: Some("autograph_worker_panics_total"),
+        help: "worker panics contained into 500s",
+        scalars: &[(Some("worker_panics"), &[], |s| load(&s.stats.worker_panics))],
+    },
+    Family {
+        name: Some("autograph_sampled_traces_total"),
+        help: "requests sampled for span-tree tracing",
+        scalars: &[(None, &[], |s| Count(s.tel.sampled_total.get()))],
+    },
+    Family {
+        name: Some("autograph_plan_cache_total"),
+        help: "persistent plan-store events by kind (hit/miss/corrupt/write)",
+        scalars: &[
+            (None, &[("event", "hit")], |_| Count(plan_store().hits)),
+            (None, &[("event", "miss")], |_| Count(plan_store().misses)),
+            (None, &[("event", "corrupt")], |_| {
+                Count(plan_store().corrupt)
+            }),
+            (None, &[("event", "write")], |_| Count(plan_store().writes)),
+        ],
+    },
+    Family {
+        name: Some("autograph_plan_cache_bytes_total"),
+        help: "persistent plan-store bytes by direction",
+        scalars: &[
+            (None, &[("direction", "read")], |_| {
+                Count(plan_store().bytes_read)
+            }),
+            (None, &[("direction", "written")], |_| {
+                Count(plan_store().bytes_written)
+            }),
+        ],
+    },
+    Family {
+        name: Some("autograph_plan_cache_load_seconds_total"),
+        help: "wall time spent loading + validating persistent plan artifacts",
+        scalars: &[(None, &[], |_| Seconds(plan_store().load_ns as f64 / 1e9))],
+    },
+    Family {
+        name: Some("autograph_tensor_live_bytes"),
+        help: "bytes currently held by tensor buffers (ledger)",
+        scalars: &[(None, &[], |_| Count(ledger().live_bytes))],
+    },
+    Family {
+        name: Some("autograph_tensor_peak_bytes"),
+        help: "high-water mark of live tensor bytes",
+        scalars: &[(None, &[], |_| Count(ledger().peak_bytes))],
+    },
+    Family {
+        name: Some("autograph_tensor_allocated_bytes_total"),
+        help: "cumulative tensor bytes allocated",
+        scalars: &[(None, &[], |_| Count(ledger().allocated_bytes))],
+    },
+    Family {
+        name: Some("autograph_tensor_freed_bytes_total"),
+        help: "cumulative tensor bytes freed",
+        scalars: &[(None, &[], |_| Count(ledger().freed_bytes))],
+    },
+];
+
+/// Every per-function counter and gauge, declared once.
+const FN_SCALARS: &[Family<FnRead>] = &[
+    Family {
+        name: None,
+        help: "",
+        scalars: &[
+            (Some("stateful"), &[], |e, _| Flag(e.stateful)),
+            (Some("batchable"), &[], |e, _| {
+                Flag(e.batchable.load(Ordering::Relaxed))
+            }),
+            (Some("ewma_service_us"), &[], |e, _| {
+                Count(e.ewma_service_ns.load(Ordering::Relaxed) / 1000)
+            }),
+        ],
+    },
+    Family {
+        name: Some("autograph_requests_total"),
+        help: "completed /run responses by function and status class",
+        scalars: &[
+            (None, &[("class", "2xx")], |_, m| Count(m.resp_2xx.get())),
+            (None, &[("class", "4xx")], |_, m| Count(m.resp_4xx.get())),
+            (None, &[("class", "5xx")], |_, m| Count(m.resp_5xx.get())),
+        ],
+    },
+    Family {
+        name: Some("autograph_sessions_running"),
+        help: "sessions currently checked out executing, by function",
+        scalars: &[(Some("running"), &[], |_, m| load(&m.running))],
+    },
+    Family {
+        name: Some("autograph_sessions_running_peak"),
+        help: "high-water mark of concurrently executing sessions, by function",
+        scalars: &[(Some("running_peak"), &[], |_, m| load(&m.running_peak))],
+    },
+    Family {
+        name: Some("autograph_breaker_open"),
+        help: "1 while the function's circuit breaker is open",
+        scalars: &[(Some("breaker_open"), &[], |e, _| Flag(e.breaker.is_open()))],
+    },
+];
+
+/// The per-function histogram families: name, help, the writer (bucket
+/// bounds are nanoseconds exported as seconds, or raw permille) and the
+/// reader.
+type FnHistogram = (
+    &'static str,
+    &'static str,
+    fn(&mut PromWriter, &str, &[(&str, &str)], &HistSnapshot),
+    fn(&FnMetrics) -> &AtomicHistogram,
+);
+const FN_HISTOGRAMS: &[FnHistogram] = &[
+    (
         "autograph_request_latency_seconds",
-        "histogram",
         "end-to-end /run latency by function (route dispatch to response written)",
-    );
-    for m in shared.tel.fns() {
-        w.histogram(
-            "autograph_request_latency_seconds",
-            &[("fn", &m.name)],
-            &m.latency.snapshot(),
-        );
-    }
-    w.family(
+        PromWriter::histogram,
+        |m| &m.latency,
+    ),
+    (
         "autograph_queue_wait_seconds",
-        "histogram",
         "time jobs spent in the admission queue before a worker took them",
-    );
-    for m in shared.tel.fns() {
-        w.histogram(
-            "autograph_queue_wait_seconds",
-            &[("fn", &m.name)],
-            &m.queue_wait.snapshot(),
-        );
-    }
-    w.family(
+        PromWriter::histogram,
+        |m| &m.queue_wait,
+    ),
+    (
         "autograph_run_seconds",
-        "histogram",
         "graph/VM execution self-time by function (session run only)",
-    );
-    for m in shared.tel.fns() {
-        w.histogram(
-            "autograph_run_seconds",
-            &[("fn", &m.name)],
-            &m.run.snapshot(),
-        );
-    }
-    w.family(
+        PromWriter::histogram,
+        |m| &m.run,
+    ),
+    (
         "autograph_deadline_budget_consumed_permille",
-        "histogram",
         "deadline budget consumed at response time, permille of the request budget",
-    );
-    for m in shared.tel.fns() {
-        w.histogram_raw(
-            "autograph_deadline_budget_consumed_permille",
-            &[("fn", &m.name)],
-            &m.budget_permille.snapshot(),
-        );
+        PromWriter::histogram_raw,
+        |m| &m.budget_permille,
+    ),
+];
+
+/// The registry's functions with their metrics. `Telemetry::new` is
+/// built from the registry's names, so the two are parallel.
+fn functions(shared: &Shared) -> impl Iterator<Item = (&FnEntry, &FnMetrics)> {
+    shared
+        .registry
+        .entries
+        .iter()
+        .zip(shared.tel.fns())
+        .map(|(e, m)| (&**e, &**m))
+}
+
+fn stats_json(shared: &Shared) -> String {
+    fn member(out: &mut String, key: &str, value: Reading) {
+        if !out.ends_with('{') {
+            out.push(',');
+        }
+        let _ = match value {
+            Count(n) => write!(out, "\"{key}\":{n}"),
+            Flag(b) => write!(out, "\"{key}\":{b}"),
+            Seconds(s) => write!(out, "\"{key}\":{s}"),
+        };
     }
+    let mut out = String::with_capacity(1024);
+    out.push('{');
+    for &(key, _, read) in SERVER_SCALARS.iter().flat_map(|f| f.scalars) {
+        if let Some(key) = key {
+            member(&mut out, key, read(shared));
+        }
+    }
+    out.push_str(",\"functions\":[");
+    for (i, (e, m)) in functions(shared).enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"name\":");
+        write_str(&mut out, &e.name);
+        for &(key, _, read) in FN_SCALARS.iter().flat_map(|f| f.scalars) {
+            if let Some(key) = key {
+                member(&mut out, key, read(e, m));
+            }
+        }
+        out.push('}');
+    }
+    out.push_str("],\"windows\":");
+    out.push_str(&shared.tel.windows_json());
+    out.push('}');
+    out
+}
+
+/// Render the Prometheus text document for `GET /metrics`.
+fn metrics_text(shared: &Shared) -> String {
+    shared.tel.maybe_rotate();
+    let mut w = PromWriter::new();
+    for f in SERVER_SCALARS {
+        let Some(name) = f.name else {
+            continue;
+        };
+        w.family(name, kind(name), f.help);
+        for &(_, labels, read) in f.scalars {
+            w.sample(name, labels, read(shared).as_f64());
+        }
+    }
+    for f in FN_SCALARS {
+        let Some(name) = f.name else {
+            continue;
+        };
+        w.family(name, kind(name), f.help);
+        for (e, m) in functions(shared) {
+            for &(_, labels, read) in f.scalars {
+                let labels: Vec<_> = [("fn", m.name.as_str())]
+                    .into_iter()
+                    .chain(labels.iter().copied())
+                    .collect();
+                w.sample(name, &labels, read(e, m).as_f64());
+            }
+        }
+    }
+    for &(name, help, write, read) in FN_HISTOGRAMS {
+        w.family(name, "histogram", help);
+        for m in shared.tel.fns() {
+            write(&mut w, name, &[("fn", &m.name)], &read(m).snapshot());
+        }
+    }
+    let all = "autograph_request_latency_all_seconds";
     w.family(
-        "autograph_request_latency_all_seconds",
+        all,
         "histogram",
         "end-to-end /run latency across all functions (feeds the rolling windows)",
     );
-    w.histogram(
-        "autograph_request_latency_all_seconds",
-        &[],
-        &shared.tel.latency_all.snapshot(),
-    );
-    w.family(
-        "autograph_sessions_running",
-        "gauge",
-        "sessions currently checked out executing, by function",
-    );
-    for m in shared.tel.fns() {
-        w.sample(
-            "autograph_sessions_running",
-            &[("fn", &m.name)],
-            m.running.load(Ordering::Relaxed) as f64,
-        );
-    }
-    w.family(
-        "autograph_sessions_running_peak",
-        "gauge",
-        "high-water mark of concurrently executing sessions, by function",
-    );
-    for m in shared.tel.fns() {
-        w.sample(
-            "autograph_sessions_running_peak",
-            &[("fn", &m.name)],
-            m.running_peak.load(Ordering::Relaxed) as f64,
-        );
-    }
-    w.family(
-        "autograph_queue_depth",
-        "gauge",
-        "jobs in the admission queue",
-    );
-    w.sample("autograph_queue_depth", &[], shared.queue.depth() as f64);
-    w.family("autograph_connections", "gauge", "open client connections");
-    w.sample(
-        "autograph_connections",
-        &[],
-        shared.conns.load(Ordering::SeqCst) as f64,
-    );
-    w.family(
-        "autograph_inflight",
-        "gauge",
-        "requests currently being handled",
-    );
-    w.sample(
-        "autograph_inflight",
-        &[],
-        shared.inflight.load(Ordering::SeqCst) as f64,
-    );
-    w.family(
-        "autograph_draining",
-        "gauge",
-        "1 while the server is refusing new work",
-    );
-    w.sample(
-        "autograph_draining",
-        &[],
-        if shared.draining.load(Ordering::SeqCst) {
-            1.0
-        } else {
-            0.0
-        },
-    );
-    w.family(
-        "autograph_admitted_total",
-        "counter",
-        "requests admitted into the queue",
-    );
-    w.sample(
-        "autograph_admitted_total",
-        &[],
-        a.admitted.load(Ordering::Relaxed) as f64,
-    );
-    w.family(
-        "autograph_shed_total",
-        "counter",
-        "requests refused by admission control, by reason",
-    );
-    w.sample(
-        "autograph_shed_total",
-        &[("reason", "queue_full")],
-        a.shed_queue_full.load(Ordering::Relaxed) as f64,
-    );
-    w.sample(
-        "autograph_shed_total",
-        &[("reason", "predicted_late")],
-        a.shed_predicted_late.load(Ordering::Relaxed) as f64,
-    );
-    w.family(
-        "autograph_expired_in_queue_total",
-        "counter",
-        "jobs whose deadline expired while queued",
-    );
-    w.sample(
-        "autograph_expired_in_queue_total",
-        &[],
-        a.expired_in_queue.load(Ordering::Relaxed) as f64,
-    );
-    w.family(
-        "autograph_rejected_draining_total",
-        "counter",
-        "requests refused because the server was draining",
-    );
-    w.sample(
-        "autograph_rejected_draining_total",
-        &[],
-        a.rejected_draining.load(Ordering::Relaxed) as f64,
-    );
-    for (name, help, v) in [
-        (
-            "autograph_batches_total",
-            "batched runs executed",
-            s.batches.load(Ordering::Relaxed),
-        ),
-        (
-            "autograph_batch_members_total",
-            "total members across batched runs",
-            s.batch_members.load(Ordering::Relaxed),
-        ),
-        (
-            "autograph_batch_fallbacks_total",
-            "batched runs that fell back to individual execution",
-            s.batch_fallbacks.load(Ordering::Relaxed),
-        ),
-        (
-            "autograph_cancelled_total",
-            "runs cancelled because the client disconnected",
-            s.cancelled.load(Ordering::Relaxed),
-        ),
-        (
-            "autograph_worker_panics_total",
-            "worker panics contained into 500s",
-            s.worker_panics.load(Ordering::Relaxed),
-        ),
-        (
-            "autograph_sampled_traces_total",
-            "requests sampled for span-tree tracing",
-            shared.tel.sampled_total.get(),
-        ),
-    ] {
-        w.family(name, "counter", help);
-        w.sample(name, &[], v as f64);
-    }
-    w.family(
-        "autograph_breaker_open",
-        "gauge",
-        "1 while the function's circuit breaker is open",
-    );
-    for e in shared.registry.entries.iter() {
-        w.sample(
-            "autograph_breaker_open",
-            &[("fn", &e.name)],
-            if e.breaker.is_open() { 1.0 } else { 0.0 },
-        );
-    }
-    let plan = autograph_planstore::stats();
-    w.family(
-        "autograph_plan_cache_total",
-        "counter",
-        "persistent plan-store events by kind (hit/miss/corrupt/write)",
-    );
-    for (event, v) in [
-        ("hit", plan.hits),
-        ("miss", plan.misses),
-        ("corrupt", plan.corrupt),
-        ("write", plan.writes),
-    ] {
-        w.sample("autograph_plan_cache_total", &[("event", event)], v as f64);
-    }
-    w.family(
-        "autograph_plan_cache_bytes_total",
-        "counter",
-        "persistent plan-store bytes by direction",
-    );
-    for (dir, v) in [("read", plan.bytes_read), ("written", plan.bytes_written)] {
-        w.sample(
-            "autograph_plan_cache_bytes_total",
-            &[("direction", dir)],
-            v as f64,
-        );
-    }
-    w.family(
-        "autograph_plan_cache_load_seconds_total",
-        "counter",
-        "wall time spent loading + validating persistent plan artifacts",
-    );
-    w.sample(
-        "autograph_plan_cache_load_seconds_total",
-        &[],
-        plan.load_ns as f64 / 1e9,
-    );
-    let mem = autograph_tensor::mem::snapshot();
-    w.family(
-        "autograph_tensor_live_bytes",
-        "gauge",
-        "bytes currently held by tensor buffers (ledger)",
-    );
-    w.sample("autograph_tensor_live_bytes", &[], mem.live_bytes as f64);
-    w.family(
-        "autograph_tensor_peak_bytes",
-        "gauge",
-        "high-water mark of live tensor bytes",
-    );
-    w.sample("autograph_tensor_peak_bytes", &[], mem.peak_bytes as f64);
-    w.family(
-        "autograph_tensor_allocated_bytes_total",
-        "counter",
-        "cumulative tensor bytes allocated",
-    );
-    w.sample(
-        "autograph_tensor_allocated_bytes_total",
-        &[],
-        mem.allocated_bytes as f64,
-    );
-    w.family(
-        "autograph_tensor_freed_bytes_total",
-        "counter",
-        "cumulative tensor bytes freed",
-    );
-    w.sample(
-        "autograph_tensor_freed_bytes_total",
-        &[],
-        mem.freed_bytes as f64,
-    );
+    w.histogram(all, &[], &shared.tel.latency_all.snapshot());
     w.finish()
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use crate::prom;
+    use crate::registry::RegistryConfig;
+    use serde_json::Value;
+
+    const SRC: &str = "def double(x):\n    return x * 2.0\n\ndef negate(x):\n    return -x\n";
+
+    fn label_block(labels: &[(&str, &str)]) -> String {
+        if labels.is_empty() {
+            return String::new();
+        }
+        let pairs: Vec<String> = labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
+        format!("{{{}}}", pairs.join(","))
+    }
+
+    fn as_number(v: &Value) -> Option<f64> {
+        v.as_bool().map(|b| u8::from(b).into()).or(v.as_f64())
+    }
+
+    /// The two views are renderings of one table, so after traffic every
+    /// scalar served in both reads the same in both, and the table
+    /// honours the hand-written family contract.
+    #[test]
+    fn stats_and_metrics_agree_on_every_scalar_they_share() {
+        let registry = ModelRegistry::load(SRC, &RegistryConfig::default()).expect("load");
+        let server = Server::start(registry, ServerConfig::default()).expect("start");
+        let mut c = Client::connect(server.addr()).expect("connect");
+        for i in 0..7 {
+            let resp = c.run("double", &format!("{{\"args\":[{i}.5]}}"), None);
+            assert_eq!(resp.expect("run").status, 200);
+        }
+        assert_eq!(
+            c.run("negate", "{\"args\":[1.0]}", None).unwrap().status,
+            200
+        );
+        // wrong arity, malformed JSON, unknown function: the 4xx side
+        assert_eq!(c.run("negate", "{\"args\":[]}", None).unwrap().status, 400);
+        assert_eq!(c.run("negate", "{\"args\":", None).unwrap().status, 400);
+        assert_eq!(c.run("absent", "{\"args\":[]}", None).unwrap().status, 404);
+        // the connection thread counts a request out after the client has
+        // its response; let the last one land
+        let settled = Instant::now() + Duration::from_secs(5);
+        while server.shared.inflight.load(Ordering::SeqCst) > 0 {
+            assert!(Instant::now() < settled, "request never counted out");
+            std::thread::yield_now();
+        }
+
+        let stats: Value = serde_json::from_str(&server.stats_json()).expect("stats JSON");
+        let scrape = prom::parse_and_validate(&server.metrics_text()).expect("exposition");
+        let mut compared = 0;
+        for f in SERVER_SCALARS {
+            let Some(family) = f.name else {
+                continue;
+            };
+            for &(key, labels, _) in f.scalars {
+                let sample = scrape
+                    .value(family, &label_block(labels))
+                    .unwrap_or_else(|| panic!("{family}{labels:?} not in /metrics"));
+                if let Some(key) = key {
+                    let served = as_number(&stats[key])
+                        .unwrap_or_else(|| panic!("'{key}' not a number in /stats"));
+                    assert_eq!(served, sample, "{key} vs {family}{labels:?}");
+                    compared += 1;
+                }
+            }
+        }
+        for (i, name) in ["double", "negate"].into_iter().enumerate() {
+            let served_fn = &stats["functions"][i];
+            assert_eq!(served_fn["name"].as_str(), Some(name));
+            for f in FN_SCALARS {
+                let Some(family) = f.name else {
+                    continue;
+                };
+                for &(key, labels, _) in f.scalars {
+                    let labels: Vec<_> = [("fn", name)]
+                        .into_iter()
+                        .chain(labels.iter().copied())
+                        .collect();
+                    let sample = scrape
+                        .value(family, &label_block(&labels))
+                        .unwrap_or_else(|| panic!("{family}{labels:?} not in /metrics"));
+                    if let Some(key) = key {
+                        let served = as_number(&served_fn[key])
+                            .unwrap_or_else(|| panic!("'{key}' not a number in /stats"));
+                        assert_eq!(served, sample, "{name}.{key} vs {family}{labels:?}");
+                        compared += 1;
+                    }
+                }
+            }
+        }
+        assert!(compared >= 20, "only {compared} shared scalars compared");
+        // the traffic above is visible, so equal does not mean both zero
+        assert_eq!(stats["admitted"].as_u64(), Some(8));
+        assert_eq!(stats["resp_2xx"].as_u64(), Some(8));
+        assert_eq!(stats["resp_4xx"].as_u64(), Some(3));
+        assert_eq!(stats["functions"][0]["running_peak"].as_u64(), Some(1));
+        assert_eq!(
+            scrape.value("autograph_requests_total", "{fn=\"double\",class=\"2xx\"}"),
+            Some(7.0)
+        );
+
+        // one declaration per family, and the contract is covered
+        let declared: Vec<&str> = SERVER_SCALARS
+            .iter()
+            .filter_map(|f| f.name)
+            .chain(FN_SCALARS.iter().filter_map(|f| f.name))
+            .chain(FN_HISTOGRAMS.iter().map(|h| h.0))
+            .collect();
+        for (i, name) in declared.iter().enumerate() {
+            assert!(!declared[..i].contains(name), "{name} declared twice");
+        }
+        for required in REQUIRED_METRIC_FAMILIES {
+            assert!(declared.contains(required), "{required} not declared");
+        }
+
+        assert!(server.shutdown(Duration::from_secs(5)).clean);
+    }
 }

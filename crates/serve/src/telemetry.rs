@@ -18,10 +18,11 @@
 //! also drops the bytecode VM into its exact op-by-op fallback, so
 //! sampling-off must stay recorder-free).
 
+use autograph_obs::json::write_str;
 use autograph_obs::metrics::{
     AtomicHistogram, HistSnapshot, ShardedCounter, LATENCY_BUCKETS_NS, PERMILLE_BUCKETS,
 };
-use autograph_obs::Recorder;
+use autograph_obs::{Recorder, TraceWriter};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -453,50 +454,24 @@ impl Telemetry {
     pub fn traces_json(&self, n: usize) -> String {
         let ring = self.ring.lock().unwrap_or_else(|p| p.into_inner());
         let take = ring.len().saturating_sub(n.max(1));
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
+        let mut w = TraceWriter::with_capacity(256);
         for t in ring.iter().skip(take) {
-            let esc_id = crate::json::escape(&t.id);
-            let esc_fn = crate::json::escape(&t.fn_name);
-            if !first {
-                out.push(',');
-            }
-            first = false;
+            let mut request_id = String::from("\"request_id\":");
+            write_str(&mut request_id, &t.id);
             // one umbrella event for the whole request
-            out.push_str(&format!(
-                "{{\"name\":\"request {esc_fn}\",\"cat\":\"request\",\"ph\":\"X\",\"pid\":1,\
-                 \"tid\":0,\"ts\":{:.3},\"dur\":{:.3},\
-                 \"args\":{{\"request_id\":\"{esc_id}\",\"status\":{}}}}}",
-                t.start_ns as f64 / 1e3,
-                t.total_ns as f64 / 1e3,
-                t.status,
-            ));
+            w.complete(
+                &format!("request {}", t.fn_name),
+                "request",
+                0,
+                t.start_ns,
+                t.total_ns,
+                &format!("{request_id},\"status\":{}", t.status),
+            );
             for p in &t.phases {
-                out.push_str(&format!(
-                    ",{{\"name\":\"{}\",\"cat\":\"phase\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\
-                     \"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"request_id\":\"{esc_id}\"}}}}",
-                    crate::json::escape(&p.name),
-                    p.lane,
-                    p.start_ns as f64 / 1e3,
-                    p.dur_ns as f64 / 1e3,
-                ));
+                w.complete(&p.name, "phase", p.lane, p.start_ns, p.dur_ns, &request_id);
             }
         }
-        if !first {
-            out.push(',');
-        }
-        out.push_str(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"autograph-serve\"}}",
-        );
-        for (lane, name) in autograph_obs::lane_names() {
-            out.push_str(&format!(
-                ",{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{lane},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                crate::json::escape(&name),
-            ));
-        }
-        out.push_str("]}");
-        out
+        w.finish("autograph-serve", None)
     }
 }
 

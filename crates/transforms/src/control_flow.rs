@@ -27,7 +27,7 @@ use crate::context::{ag_call, thunk, tuple_or_single, PassContext};
 use crate::error::ConversionError;
 use autograph_analysis::activity::{stmt_activity, target_defs};
 use autograph_analysis::definedness::defined_after_stmt;
-use autograph_analysis::liveness::{live_into, live_into_stmt};
+use autograph_analysis::liveness::live_into_stmt;
 use autograph_analysis::SymbolSet;
 use autograph_pylang::ast::*;
 use autograph_pylang::{Module, Span};
@@ -82,15 +82,9 @@ fn convert_block(
     mut defined: SymbolSet,
     ctx: &mut PassContext,
 ) -> Result<Vec<Stmt>, ConversionError> {
-    // live_after[i]: symbols live right after statement i (= live into the
-    // suffix body[i+1..], terminated by live_after_block).
-    let n = body.len();
-    let mut live_after = vec![live_after_block.clone(); n];
-    for i in (0..n.saturating_sub(1)).rev() {
-        live_after[i] = live_into(&body[i + 1..], live_after_block);
-    }
+    let live_after = live_after_each(&body, live_after_block);
 
-    let mut out = Vec::with_capacity(n);
+    let mut out = Vec::with_capacity(body.len());
     for (i, stmt) in body.into_iter().enumerate() {
         let defined_after = defined_after_stmt(&stmt, &defined);
         let span = stmt.span;
@@ -173,6 +167,18 @@ fn convert_block(
         defined = defined_after;
     }
     Ok(out)
+}
+
+/// `live_after[i]`: the symbols live right after statement `i`, i.e. live
+/// into the suffix `body[i + 1..]` terminated by `live_after_block`.
+/// `live_into` is a right fold of `live_into_stmt`, so one backward sweep
+/// yields every suffix's answer.
+fn live_after_each(body: &[Stmt], live_after_block: &SymbolSet) -> Vec<SymbolSet> {
+    let mut live_after = vec![live_after_block.clone(); body.len()];
+    for i in (1..body.len()).rev() {
+        live_after[i - 1] = live_into_stmt(&body[i], &live_after[i]);
+    }
+    live_after
 }
 
 /// `name = ag.undefined('name')`
@@ -477,6 +483,66 @@ mod tests {
     fn convert(src: &str) -> String {
         let m = parse_module(src).unwrap();
         ast_to_source(&run(m, &mut PassContext::new()).unwrap())
+    }
+
+    /// The `src: "..."` literals of the differential corpus. The corpus
+    /// file itself needs the whole workspace (its feeds are tensors), so
+    /// it is read as text; every literal there is a one-line string whose
+    /// only escapes are `\n` and `\"`.
+    fn corpus_sources() -> Vec<String> {
+        include_str!("../../../tests/support/corpus.rs")
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix("src: \""))
+            .map(|l| {
+                let lit = l.strip_suffix("\",").expect("one-line src literal");
+                lit.replace("\\n", "\n").replace("\\\"", "\"")
+            })
+            .collect()
+    }
+
+    /// Every nested statement block of `body`, `body` included.
+    fn blocks<'a>(body: &'a [Stmt], out: &mut Vec<&'a [Stmt]>) {
+        out.push(body);
+        for s in body {
+            match &s.kind {
+                StmtKind::If { body, orelse, .. } => {
+                    blocks(body, out);
+                    blocks(orelse, out);
+                }
+                StmtKind::While { body, .. }
+                | StmtKind::For { body, .. }
+                | StmtKind::FunctionDef { body, .. } => blocks(body, out),
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn liveness_sweep_equals_the_suffix_definition() {
+        use autograph_analysis::liveness::live_into;
+        let sources = corpus_sources();
+        assert!(sources.len() >= 30, "corpus literals not found");
+        let outs: [SymbolSet; 2] = [
+            SymbolSet::new(),
+            ["x", "i", "acc"].iter().map(|s| s.to_string()).collect(),
+        ];
+        let mut positions = 0;
+        for src in &sources {
+            let module = parse_module(src).unwrap_or_else(|e| panic!("{e}: {src}"));
+            let mut all = Vec::new();
+            blocks(&module.body, &mut all);
+            for body in all {
+                for live_out in &outs {
+                    let swept = live_after_each(body, live_out);
+                    assert_eq!(swept.len(), body.len());
+                    for (i, got) in swept.iter().enumerate() {
+                        assert_eq!(got, &live_into(&body[i + 1..], live_out), "{src}");
+                        positions += 1;
+                    }
+                }
+            }
+        }
+        assert!(positions > 400, "only {positions} statement positions");
     }
 
     #[test]

@@ -10,14 +10,16 @@ echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 # error paths must not panic: the fault-injection crate, the worker
-# pool, the serving layer (which must turn every failure into a
-# structured HTTP response, never an abort), and the plan store (a
-# corrupt cache artifact must fall back to cold staging, never abort)
-# ban unwrap/expect crate-wide; the graph executors (vm.rs and the
+# pool, the recorders (reached from Span::drop, possibly mid-unwind,
+# where a second panic aborts), the serving layer (which must turn every
+# failure into a structured HTTP response, never an abort), and the plan
+# store (a corrupt cache artifact must fall back to cold staging, never
+# abort) ban unwrap/expect crate-wide; the graph executors (vm.rs and the
 # reference interpreter exec.rs) carry the same module-level #![deny],
 # which the workspace clippy pass above enforces
 echo "== cargo clippy (no unwrap/expect in fault, executor & serving paths)"
-cargo clippy -p autograph-faults -p autograph-par -p autograph-serve -p autograph-planstore --no-deps -- \
+cargo clippy -p autograph-faults -p autograph-par -p autograph-obs -p autograph-serve \
+    -p autograph-planstore --no-deps -- \
     -D warnings -D clippy::unwrap_used -D clippy::expect_used
 
 echo "== cargo build --release"
@@ -105,7 +107,7 @@ cargo run --release -q -p autograph-bench --bin ablation -- matmul --runs 15
 # Stage bench: cold staging vs warm plan-cache restore on a fresh
 # on-disk store. Exits nonzero unless the warm path skipped the staging
 # pipeline entirely (asserted via obs spans), reproduced the cold results
-# bitwise, and came in at least 5x faster.
+# bitwise, and came in at least 2x faster.
 echo "== stage bench (plan-cache cold vs warm)"
 rm -rf target/plan-cache-bench
 cargo run --release -q -p autograph-bench --bin stage_bench -- \

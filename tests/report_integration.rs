@@ -3,11 +3,10 @@
 //! a chunky single-threaded chain, partial reports from cancelled and
 //! deadline-exceeded runs, and the injected-delay span category.
 //!
-//! One test function: the tensor memory ledger, the worker-pool meters
-//! and the obs recorder registry are all process-global, and the default
-//! test harness runs `#[test]` fns in parallel threads — splitting these
-//! checks up would make every assertion race against a sibling's
-//! allocations.
+//! One test function: the tensor memory ledger and the obs recorder
+//! registry are process-global, and the default test harness runs
+//! `#[test]` fns in parallel threads — splitting these checks up would
+//! make every assertion race against a sibling's allocations.
 
 use autograph::prelude::*;
 use autograph_graph::RunReport;
@@ -62,13 +61,6 @@ fn corpus_memory_invariants() {
             assert!(r.nodes_executed > 0, "{ctx}: nodes_executed");
             assert!(r.total_self_ns > 0, "{ctx}: total_self_ns");
             assert!(!r.node_costs.is_empty(), "{ctx}: node_costs");
-            assert!(!r.critical_path.nodes.is_empty(), "{ctx}: critical path");
-            assert!(
-                r.critical_path.path_ns <= r.total_self_ns,
-                "{ctx}: path {} exceeds total self-time {}",
-                r.critical_path.path_ns,
-                r.total_self_ns
-            );
 
             // allocated − freed == live_end − live_start, exactly: the
             // ledger counts a free only for storage it counted at

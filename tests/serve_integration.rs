@@ -558,6 +558,40 @@ fn request_ids_echo_and_join_error_bodies() {
     assert!(report.clean);
 }
 
+/// A body of 200 000 unclosed brackets used to overflow the connection
+/// thread's stack inside the JSON parser and abort the whole process.
+/// It is a 400 with a structured body, and the server keeps serving — on
+/// the same connection and on a new one.
+#[test]
+fn deeply_nested_json_is_a_400_not_an_abort() {
+    let _l = lock();
+    let server = boot(SPIN, ServerConfig::default(), &RegistryConfig::default());
+    let addr = server.addr().to_string();
+    let mut c = Client::connect(&addr).expect("connect");
+
+    let hostile = format!("{{\"args\":{}", "[".repeat(200_000));
+    let resp = c.run("quick", &hostile, Some(10_000)).expect("answered");
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    let doc: serde_json::Value = serde_json::from_str(&resp.text()).expect("structured body");
+    assert_eq!(doc["error"]["kind"].as_str(), Some("bad_request"));
+    assert_eq!(doc["error"]["status"].as_u64(), Some(400));
+    let message = doc["error"]["message"].as_str().expect("message");
+    assert!(message.contains("recursion limit"), "{message}");
+    assert!(doc["error"]["request_id"].as_str().is_some());
+
+    for mut client in [c, Client::connect(&addr).expect("reconnect")] {
+        let resp = client
+            .run("quick", "{\"args\":[21.0]}", Some(10_000))
+            .expect("served after the hostile body");
+        assert_eq!(resp.status, 200, "{}", resp.text());
+        let out = parse_outputs(&resp.text()).expect("outputs");
+        assert_eq!(out[0].scalar_value_f32().expect("scalar"), 42.0);
+    }
+
+    let report = server.shutdown(Duration::from_secs(5));
+    assert!(report.clean);
+}
+
 /// `GET /metrics` stays a valid Prometheus exposition while four client
 /// threads hammer `/run` and a fifth scrapes concurrently; counters
 /// never go backwards between scrapes and every required family is
