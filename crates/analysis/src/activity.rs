@@ -14,27 +14,27 @@ use std::collections::BTreeSet;
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Activity {
     /// Qualified names read (used) by the fragment.
-    pub read: BTreeSet<QualName>,
+    pub(crate) read: BTreeSet<QualName>,
     /// Qualified names directly modified by the fragment.
-    pub modified: BTreeSet<QualName>,
+    pub(crate) modified: BTreeSet<QualName>,
 }
 
 impl Activity {
     /// Merge another activity into this one.
-    pub fn merge(&mut self, other: Activity) {
+    pub(crate) fn merge(&mut self, other: Activity) {
         self.read.extend(other.read);
         self.modified.extend(other.modified);
     }
 
     /// Root symbols that are read.
-    pub fn read_roots(&self) -> SymbolSet {
+    pub(crate) fn read_roots(&self) -> SymbolSet {
         self.read.iter().map(|q| q.root().to_string()).collect()
     }
 
     /// Root symbols that are modified (including via `a.b = c`, whose root
     /// is `a` — callers that need the paper's strict semantics should use
-    /// [`Activity::modified`] directly).
-    pub fn modified_roots(&self) -> SymbolSet {
+    /// the `modified` set directly).
+    pub(crate) fn modified_roots(&self) -> SymbolSet {
         self.modified.iter().map(|q| q.root().to_string()).collect()
     }
 
@@ -192,7 +192,7 @@ fn target_activity(target: &Expr) -> Activity {
 }
 
 /// Activity of an expression: every qualified name mentioned is a read.
-pub fn expr_activity(expr: &Expr) -> Activity {
+pub(crate) fn expr_activity(expr: &Expr) -> Activity {
     let mut act = Activity::default();
     collect_expr(expr, &mut act);
     act
@@ -305,7 +305,7 @@ fn collect_target_defs(target: &Expr, out: &mut SymbolSet) {
 
 /// Free variables of a function: root symbols read anywhere in the body
 /// that are neither parameters nor locally assigned.
-pub fn free_variables(params: &[Param], body: &[Stmt]) -> SymbolSet {
+pub(crate) fn free_variables(params: &[Param], body: &[Stmt]) -> SymbolSet {
     let act = body_activity(body);
     let mut bound: SymbolSet = params.iter().map(|p| p.name.clone()).collect();
     bound.extend(act.modified_roots());

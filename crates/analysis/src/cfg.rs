@@ -38,7 +38,7 @@ pub struct Cfg {
 /// Entry node id.
 pub const ENTRY: NodeId = 0;
 /// Exit node id.
-pub const EXIT: NodeId = 1;
+pub(crate) const EXIT: NodeId = 1;
 
 impl Cfg {
     /// Build the CFG of a function body.
@@ -71,12 +71,12 @@ impl Cfg {
     }
 
     /// Successors of a node.
-    pub fn succs(&self, n: NodeId) -> &[NodeId] {
+    pub(crate) fn succs(&self, n: NodeId) -> &[NodeId] {
         &self.succs[n]
     }
 
     /// Predecessors of a node.
-    pub fn preds(&self, n: NodeId) -> &[NodeId] {
+    pub(crate) fn preds(&self, n: NodeId) -> &[NodeId] {
         &self.preds[n]
     }
 

@@ -1,6 +1,6 @@
-//! Classic worklist dataflow over the CFG: liveness (backward may),
-//! reaching definitions (forward may) and definite assignment (forward
-//! must). These are the "standard dataflow analyses" of §7.1.
+//! Classic worklist dataflow over the CFG: liveness (backward may) and
+//! reaching definitions (forward may). These are the "standard dataflow
+//! analyses" of §7.1.
 
 use crate::cfg::{Cfg, NodeId, ENTRY};
 use crate::SymbolSet;
@@ -68,23 +68,6 @@ pub struct ReachingDefs {
     pub reach_out: Vec<BTreeSet<Def>>,
 }
 
-impl ReachingDefs {
-    /// The definitions of `symbol` that reach the entry of `node`.
-    pub fn defs_of(&self, node: NodeId, symbol: &str) -> Vec<NodeId> {
-        self.reach_in[node]
-            .iter()
-            .filter(|(_, s)| s == symbol)
-            .map(|(n, _)| *n)
-            .collect()
-    }
-
-    /// Symbols with at least one reaching definition at `node` entry —
-    /// the "symbols defined on entry" annotation of §7.1.
-    pub fn defined_symbols_at(&self, node: NodeId) -> SymbolSet {
-        self.reach_in[node].iter().map(|(_, s)| s.clone()).collect()
-    }
-}
-
 /// Run forward reaching definitions to a fixpoint.
 ///
 /// `params` are treated as definitions at the entry node.
@@ -129,49 +112,6 @@ pub fn reaching_definitions(cfg: &Cfg, params: &SymbolSet) -> ReachingDefs {
     }
 }
 
-/// Forward *must* analysis: symbols definitely assigned at each node's
-/// entry, along every path from function entry.
-pub fn definite_assignment(cfg: &Cfg, params: &SymbolSet) -> Vec<SymbolSet> {
-    let n = cfg.len();
-    // Start from "everything defined" (top) except entry.
-    let all: SymbolSet = cfg
-        .nodes
-        .iter()
-        .flat_map(|nd| nd.defs.iter().cloned())
-        .chain(params.iter().cloned())
-        .collect();
-    let mut def_in = vec![all.clone(); n];
-    let mut def_out = vec![all.clone(); n];
-    def_in[ENTRY] = params.clone();
-    def_out[ENTRY] = params.clone();
-
-    let mut work: VecDeque<NodeId> = (0..n).collect();
-    while let Some(node) = work.pop_front() {
-        if node != ENTRY {
-            let mut inn: Option<SymbolSet> = None;
-            for &p in cfg.preds(node) {
-                inn = Some(match inn {
-                    None => def_out[p].clone(),
-                    Some(acc) => acc.intersection(&def_out[p]).cloned().collect(),
-                });
-            }
-            let inn = inn.unwrap_or_default();
-            let mut out = inn.clone();
-            out.extend(cfg.nodes[node].defs.iter().cloned());
-            if inn != def_in[node] || out != def_out[node] {
-                def_in[node] = inn;
-                def_out[node] = out;
-                for &s in cfg.succs(node) {
-                    if !work.contains(&s) {
-                        work.push_back(s);
-                    }
-                }
-            }
-        }
-    }
-    def_in
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,6 +124,15 @@ mod tests {
 
     fn set(items: &[&str]) -> SymbolSet {
         items.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// The definitions of `symbol` that reach the entry of `node`.
+    fn defs_of(r: &ReachingDefs, node: NodeId, symbol: &str) -> Vec<NodeId> {
+        r.reach_in[node]
+            .iter()
+            .filter(|(_, s)| s == symbol)
+            .map(|(n, _)| *n)
+            .collect()
     }
 
     #[test]
@@ -230,7 +179,7 @@ mod tests {
         let g = build("x = 1\nx = 2\ny = x\n");
         let r = reaching_definitions(&g, &SymbolSet::new());
         let n_y = g.find("stmt@3:1").unwrap();
-        let defs = r.defs_of(n_y, "x");
+        let defs = defs_of(&r, n_y, "x");
         // only the second definition reaches
         assert_eq!(defs.len(), 1);
         assert_eq!(defs[0], g.find("stmt@2:1").unwrap());
@@ -241,7 +190,7 @@ mod tests {
         let g = build("if c:\n    x = 1\nelse:\n    x = 2\ny = x\n");
         let r = reaching_definitions(&g, &SymbolSet::new());
         let n_y = g.find("stmt@5:1").unwrap();
-        assert_eq!(r.defs_of(n_y, "x").len(), 2);
+        assert_eq!(defs_of(&r, n_y, "x").len(), 2);
     }
 
     #[test]
@@ -249,8 +198,7 @@ mod tests {
         let g = build("y = x\n");
         let r = reaching_definitions(&g, &set(&["x"]));
         let n_y = g.find("stmt@1:1").unwrap();
-        assert_eq!(r.defs_of(n_y, "x"), vec![ENTRY]);
-        assert!(r.defined_symbols_at(n_y).contains("x"));
+        assert_eq!(defs_of(&r, n_y, "x"), vec![ENTRY]);
     }
 
     #[test]
@@ -259,23 +207,6 @@ mod tests {
         let r = reaching_definitions(&g, &SymbolSet::new());
         let n_body = g.find("stmt@3:5").unwrap();
         // both the initial def and the loop-carried def reach the body
-        assert_eq!(r.defs_of(n_body, "x").len(), 2);
-    }
-
-    #[test]
-    fn definite_assignment_branches() {
-        let g = build("if c:\n    x = 1\nelse:\n    x = 2\n    y = 3\nz = x\n");
-        let d = definite_assignment(&g, &SymbolSet::new());
-        let n_z = g.find("stmt@6:1").unwrap();
-        assert!(d[n_z].contains("x"), "x assigned on both paths");
-        assert!(!d[n_z].contains("y"), "y assigned on one path only");
-    }
-
-    #[test]
-    fn definite_assignment_loop_body_may_not_run() {
-        let g = build("while c:\n    x = 1\ny = 2\n");
-        let d = definite_assignment(&g, &SymbolSet::new());
-        let n_y = g.find("stmt@3:1").unwrap();
-        assert!(!d[n_y].contains("x"));
+        assert_eq!(defs_of(&r, n_body, "x").len(), 2);
     }
 }

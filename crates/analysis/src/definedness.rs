@@ -3,10 +3,10 @@
 //! The control-flow conversion pass must know which symbols are
 //! *definitely defined* before a staged conditional or loop: symbols that a
 //! branch modifies but that may be undefined on entry are reified with the
-//! special "undefined" value (§7.2, Control Flow). This is the structured
-//! (must-) counterpart of [`crate::dataflow::definite_assignment`].
+//! special "undefined" value (§7.2, Control Flow). It is computed on the
+//! tree, statement by statement, rather than on the CFG.
 
-use crate::activity::{stmt_activity, target_defs};
+use crate::activity::stmt_activity;
 use crate::SymbolSet;
 use autograph_pylang::ast::{Stmt, StmtKind};
 
@@ -62,27 +62,6 @@ pub fn defined_after_stmt(stmt: &Stmt, before: &SymbolSet) -> SymbolSet {
     }
 }
 
-/// Symbols a statement's inner bodies may define that are not definitely
-/// defined on entry — these are the ones needing "undefined" reification
-/// before functionalization.
-pub fn maybe_undefined_outputs(stmt: &Stmt, defined_before: &SymbolSet) -> SymbolSet {
-    let modified = match &stmt.kind {
-        StmtKind::If { .. } | StmtKind::While { .. } => stmt_activity(stmt).modified_simple_roots(),
-        StmtKind::For { target, .. } => {
-            let mut m = stmt_activity(stmt).modified_simple_roots();
-            // the loop target itself may stay undefined if the iterable is
-            // empty
-            m.extend(target_defs(target));
-            m
-        }
-        _ => SymbolSet::new(),
-    };
-    modified
-        .into_iter()
-        .filter(|s| !defined_before.contains(s))
-        .collect()
-}
-
 fn ends_in_return(body: &[Stmt]) -> bool {
     matches!(body.last().map(|s| &s.kind), Some(StmtKind::Return(_)))
 }
@@ -136,20 +115,6 @@ mod tests {
     fn del_removes() {
         let d = after("x = 1\ndel x\n", &[]);
         assert!(!d.contains("x"));
-    }
-
-    #[test]
-    fn maybe_undefined_for_if() {
-        let m = parse_module("if c:\n    x = 1\n    y = 2\n").unwrap();
-        let u = maybe_undefined_outputs(&m.body[0], &set(&["x"]));
-        assert_eq!(u, set(&["y"]));
-    }
-
-    #[test]
-    fn maybe_undefined_for_for_includes_target() {
-        let m = parse_module("for i in xs:\n    s = 1\n").unwrap();
-        let u = maybe_undefined_outputs(&m.body[0], &set(&[]));
-        assert_eq!(u, set(&["i", "s"]));
     }
 
     #[test]

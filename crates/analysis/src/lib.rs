@@ -3,7 +3,7 @@
 //! The static analyses of AutoGraph §7.1, implemented over the PyLite AST:
 //!
 //! * [`cfg`](mod@cfg) — standard intra-procedural control-flow-graph construction;
-//! * [`qualname`] — qualified-name resolution (`a.b` as a compound symbol);
+//! * `qualname` — qualified-name resolution (`a.b` as a compound symbol);
 //! * [`activity`] — per-node read/modified symbol sets with lexical scope
 //!   tracking;
 //! * [`dataflow`] — classic worklist **reaching definitions** (forward) and
@@ -30,10 +30,7 @@ pub mod cfg;
 pub mod dataflow;
 pub mod definedness;
 pub mod liveness;
-pub mod qualname;
-
-pub use activity::Activity;
-pub use qualname::QualName;
+pub(crate) mod qualname;
 
 use std::collections::BTreeSet;
 

@@ -8,22 +8,12 @@ use std::fmt;
 
 /// A (possibly dotted) symbol name: `a`, `a.b`, `a.b.c` …
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct QualName(Vec<String>);
+pub(crate) struct QualName(Vec<String>);
 
 impl QualName {
     /// A simple (undotted) name.
-    pub fn simple(name: impl Into<String>) -> QualName {
+    pub(crate) fn simple(name: impl Into<String>) -> QualName {
         QualName(vec![name.into()])
-    }
-
-    /// Build from parts; panics if empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `parts` is empty — a qualified name has at least a root.
-    pub fn from_parts(parts: Vec<String>) -> QualName {
-        assert!(!parts.is_empty(), "qualified name needs at least one part");
-        QualName(parts)
     }
 
     /// The root symbol (`a` for `a.b.c`).
@@ -32,7 +22,7 @@ impl QualName {
     }
 
     /// True for undotted names.
-    pub fn is_simple(&self) -> bool {
+    pub(crate) fn is_simple(&self) -> bool {
         self.0.len() == 1
     }
 
@@ -41,11 +31,6 @@ impl QualName {
         let mut parts = self.0.clone();
         parts.push(name.into());
         QualName(parts)
-    }
-
-    /// The component parts.
-    pub fn parts(&self) -> &[String] {
-        &self.0
     }
 }
 
@@ -57,7 +42,7 @@ impl fmt::Display for QualName {
 
 /// Resolve an expression to a qualified name if it is one
 /// (`Name` or a chain of `Attribute`s over a `Name`).
-pub fn qualname_of(expr: &Expr) -> Option<QualName> {
+pub(crate) fn qualname_of(expr: &Expr) -> Option<QualName> {
     match &expr.kind {
         ExprKind::Name(n) => Some(QualName::simple(n.clone())),
         ExprKind::Attribute { value, attr } => {
@@ -89,7 +74,6 @@ mod tests {
         assert_eq!(q.to_string(), "a.b.c");
         assert_eq!(q.root(), "a");
         assert!(!q.is_simple());
-        assert_eq!(q.parts().len(), 3);
     }
 
     #[test]

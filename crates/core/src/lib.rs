@@ -45,7 +45,7 @@
 //!
 //! | layer | crate |
 //! |---|---|
-//! | PyLite frontend (lexer/parser/AST/codegen/templates) | [`autograph_pylang`] |
+//! | PyLite frontend (lexer/parser/AST/codegen) | [`autograph_pylang`] |
 //! | static analyses (CFG, activity, liveness, reaching defs) | [`autograph_analysis`] |
 //! | conversion passes (§7.2) + source maps | [`autograph_transforms`] |
 //! | tensor kernels | [`autograph_tensor`] |

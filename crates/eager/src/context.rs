@@ -29,11 +29,6 @@ impl EagerTensor {
     pub fn node(&self) -> Option<usize> {
         self.node
     }
-
-    /// Unwrap into the dense tensor.
-    pub fn into_tensor(self) -> Tensor {
-        self.tensor
-    }
 }
 
 impl From<Tensor> for EagerTensor {
@@ -139,16 +134,6 @@ impl Eager {
     /// Begin recording a fresh tape (dropping any previous one).
     pub fn start_tape(&self) {
         *self.tape.borrow_mut() = Some(Tape::new());
-    }
-
-    /// Stop recording and discard the tape.
-    pub fn stop_tape(&self) {
-        *self.tape.borrow_mut() = None;
-    }
-
-    /// Whether a tape is active.
-    pub fn is_taping(&self) -> bool {
-        self.tape.borrow().is_some()
     }
 
     /// Mark a tensor as a differentiation root (a trainable parameter).
@@ -304,18 +289,16 @@ mod tests {
         let grads = e.gradient(&loss, &[&w]).unwrap();
         // 2 * 3 * (6 - 10) = -24
         assert_eq!(grads[0].scalar_value_f32().unwrap(), -24.0);
-        assert!(!e.is_taping(), "gradient consumes the tape");
+        assert!(
+            e.gradient(&loss, &[&w]).is_err(),
+            "gradient consumes the tape"
+        );
     }
 
     #[test]
     fn tape_lifecycle_errors() {
         let e = Eager::new();
         assert!(e.watch(&scalar(1.0)).is_err());
-        e.start_tape();
-        let w = e.watch(&scalar(1.0)).unwrap();
-        let loss = e.mul(&w, &w).unwrap();
-        e.stop_tape();
-        assert!(e.gradient(&loss, &[&w]).is_err());
     }
 
     #[test]

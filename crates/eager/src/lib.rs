@@ -7,7 +7,7 @@
 //! makes eager execution slower than a compiled graph plan: the work per
 //! op is the same, the *per-op overhead* is paid on every call, every run.
 //!
-//! Gradients are computed with a [`tape`]-based reverse-mode autodiff
+//! Gradients are computed with a tape-based reverse-mode autodiff
 //! (`tf.GradientTape` / PyTorch autograd analog), which re-records on
 //! every execution — exactly the "retracing on every execution" cost the
 //! paper contrasts with staged graphs.
@@ -26,11 +26,10 @@
 //! ```
 
 pub mod context;
-pub mod registry;
-pub mod tape;
+pub(crate) mod registry;
+pub(crate) mod tape;
 
 pub use context::{Eager, EagerTensor};
-pub use tape::Tape;
 
 use autograph_tensor::TensorError;
 use std::fmt;
@@ -54,7 +53,7 @@ impl EagerError {
     }
 
     /// Attach the op name.
-    pub fn in_op(mut self, op: &str) -> Self {
+    pub(crate) fn in_op(mut self, op: &str) -> Self {
         self.op = Some(op.to_string());
         self
     }

@@ -7,15 +7,15 @@ use autograph_tensor::{DType, Tensor};
 use std::collections::HashMap;
 
 /// Forward kernel: tensors in, tensor out.
-pub type ForwardFn = Box<dyn Fn(&[Tensor]) -> Result<Tensor> + Send + Sync>;
+pub(crate) type ForwardFn = Box<dyn Fn(&[Tensor]) -> Result<Tensor> + Send + Sync>;
 
 /// Backward rule: `(grad_out, inputs, output)` → per-input gradient
 /// (None for non-differentiable inputs).
-pub type BackwardFn =
+pub(crate) type BackwardFn =
     Box<dyn Fn(&Tensor, &[Tensor], &Tensor) -> Result<Vec<Option<Tensor>>> + Send + Sync>;
 
 /// One registered operation.
-pub struct OpDef {
+pub(crate) struct OpDef {
     /// Forward computation.
     pub forward: ForwardFn,
     /// Gradient rule, when the op is differentiable.
@@ -23,7 +23,7 @@ pub struct OpDef {
 }
 
 /// Build the full default registry.
-pub fn default_registry() -> HashMap<String, OpDef> {
+pub(crate) fn default_registry() -> HashMap<String, OpDef> {
     let mut r: HashMap<String, OpDef> = HashMap::new();
 
     fn op(

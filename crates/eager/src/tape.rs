@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 /// One recorded operation.
 #[derive(Debug)]
-pub struct TapeEntry {
+pub(crate) struct TapeEntry {
     /// Registry name of the op.
     pub op: String,
     /// Tape node ids of the inputs (None = not watched / constant).
@@ -68,11 +68,6 @@ impl Tape {
     /// Number of recorded entries.
     pub fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Compute gradients of the (scalar) node `loss_node` with respect to

@@ -44,7 +44,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// What an injected fault does at the injection site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
+pub(crate) enum FaultKind {
     /// The site returns an injected kernel error.
     Error,
     /// The site panics (exercises `catch_unwind` boundaries).
@@ -68,7 +68,7 @@ impl fmt::Display for FaultKind {
 
 /// One injection rule: a kind, a site/op pattern, and a hit rate.
 #[derive(Debug, Clone)]
-pub struct FaultRule {
+pub(crate) struct FaultRule {
     /// What to inject.
     pub kind: FaultKind,
     /// `op`, `site/op`, with `*` wildcards per segment.
@@ -90,7 +90,7 @@ impl FaultRule {
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     /// The rules, applied in order; the first hit wins.
-    pub rules: Vec<FaultRule>,
+    pub(crate) rules: Vec<FaultRule>,
     /// Seed mixed into every hit decision.
     pub seed: u64,
 }
@@ -160,11 +160,11 @@ impl FaultPlan {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultError {
     /// Which kind fired ([`FaultKind::Error`] or [`FaultKind::Alloc`]).
-    pub kind: FaultKind,
+    pub(crate) kind: FaultKind,
     /// The injection site (`graph`, `eager`, ...).
-    pub site: String,
+    pub(crate) site: String,
     /// The op being dispatched when the fault fired.
-    pub op: String,
+    pub(crate) op: String,
 }
 
 impl fmt::Display for FaultError {
@@ -234,7 +234,7 @@ pub fn maybe_init_from_env() {
 /// Install a plan from a spec string; a malformed spec is reported on
 /// stderr and via the `faults/spec_parse_error` counter instead of being
 /// silently dropped. Returns whether the spec parsed.
-pub fn init_from_spec(spec: &str) -> bool {
+pub(crate) fn init_from_spec(spec: &str) -> bool {
     match FaultPlan::parse(spec) {
         Ok(plan) => {
             install(plan);

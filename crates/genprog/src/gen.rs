@@ -35,7 +35,7 @@ use crate::oracle::GenCase;
 use autograph_tensor::{Rng64, Tensor};
 
 /// Vector length / matrix side used for every generated tensor.
-pub const VLEN: usize = 3;
+pub(crate) const VLEN: usize = 3;
 
 /// Safe literal pool: small magnitudes, exactly representable.
 const LITS: [&str; 12] = [

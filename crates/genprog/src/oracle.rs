@@ -117,7 +117,7 @@ pub enum Outcome {
 
 impl Outcome {
     /// The failing oracle's name, if this outcome is a failure.
-    pub fn failing_oracle(&self) -> Option<&str> {
+    pub(crate) fn failing_oracle(&self) -> Option<&str> {
         match self {
             Outcome::Fail(d) => Some(&d.oracle),
             _ => None,
@@ -626,7 +626,7 @@ fn check_warm_cold(src: &str, feeds: &[(String, Tensor)], cfg: &OracleCfg) -> Ou
 /// runs on a helper thread and a timeout is reported as the stable
 /// oracle name `hang`. The stuck thread is detached — acceptable for a
 /// short-lived fuzz/shrink process, which exits soon after.
-pub fn check_src_watchdog(
+pub(crate) fn check_src_watchdog(
     src: &str,
     feeds: &[(String, Tensor)],
     lantern_ok: bool,

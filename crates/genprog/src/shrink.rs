@@ -9,7 +9,7 @@
 //! accepted mutation and stops at a fixed point (or a round budget), so
 //! the result is 1-minimal with respect to the mutation set.
 //!
-//! Candidates are checked under a watchdog ([`crate::oracle::check_src_watchdog`]):
+//! Candidates are checked under a watchdog (`oracle::check_src_watchdog`):
 //! deleting a loop's counter increment produces an infinite eager loop,
 //! which must count as "does not reproduce", not hang the fuzzer.
 
@@ -342,7 +342,7 @@ const CANDIDATE_TIMEOUT: Duration = Duration::from_secs(10);
 /// `feeds` and the gate flags are those of the original case — shrinking
 /// never changes the function signature, so they stay valid. Returns the
 /// smallest source found; if nothing could be removed, that is the input
-/// itself (normalized through the AST printer).
+/// itself (normalized through `ast_to_source`).
 pub fn minimize(
     src: &str,
     feeds: &[(String, Tensor)],

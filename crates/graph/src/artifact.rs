@@ -110,7 +110,7 @@ pub struct ByteReader<'a> {
 }
 
 /// Decode failure description.
-pub type DecodeError = String;
+pub(crate) type DecodeError = String;
 
 impl<'a> ByteReader<'a> {
     /// A reader over `buf`.
@@ -708,7 +708,7 @@ fn get_node(r: &mut ByteReader<'_>) -> Result<Node, DecodeError> {
 }
 
 /// Encode a graph (nodes, variables, provenance chains) into `w`.
-pub fn put_graph(w: &mut ByteWriter, g: &Graph) {
+pub(crate) fn put_graph(w: &mut ByteWriter, g: &Graph) {
     w.u64(g.nodes.len() as u64);
     for n in &g.nodes {
         put_node(w, n);
@@ -725,7 +725,7 @@ pub fn put_graph(w: &mut ByteWriter, g: &Graph) {
 /// # Errors
 ///
 /// Fails (without panicking) on any malformed byte sequence.
-pub fn get_graph(r: &mut ByteReader<'_>) -> Result<Graph, DecodeError> {
+pub(crate) fn get_graph(r: &mut ByteReader<'_>) -> Result<Graph, DecodeError> {
     let nnodes = r.count()?;
     let mut nodes = Vec::with_capacity(nnodes);
     for _ in 0..nnodes {

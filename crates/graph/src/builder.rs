@@ -197,7 +197,13 @@ impl GraphBuilder {
 
     /// Functional while loop. Returns the node whose value is the final
     /// state tuple; project with [`GraphBuilder::tuple_get`].
-    pub fn while_loop(&mut self, init: Vec<NodeId>, cond_g: SubGraph, body_g: SubGraph) -> NodeId {
+    #[cfg(test)]
+    pub(crate) fn while_loop(
+        &mut self,
+        init: Vec<NodeId>,
+        cond_g: SubGraph,
+        body_g: SubGraph,
+    ) -> NodeId {
         self.add(
             OpKind::While {
                 cond_g,

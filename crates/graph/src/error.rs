@@ -64,7 +64,7 @@ pub struct GraphError {
 
 impl GraphError {
     /// A staging-phase error.
-    pub fn staging(message: impl Into<String>) -> Self {
+    pub(crate) fn staging(message: impl Into<String>) -> Self {
         GraphError {
             phase: Phase::Staging,
             kind: ErrorKind::Fault,

@@ -27,7 +27,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The state threaded through one evaluation: feed values and the mutable
 /// variable store.
-pub struct ExecEnv<'a> {
+pub(crate) struct ExecEnv<'a> {
     /// Feed values by placeholder name.
     pub feeds: &'a HashMap<String, Tensor>,
     /// Variable store (persists across `Session::run` calls).
@@ -113,23 +113,14 @@ impl Plan {
     }
 
     /// Execute the plan on the reference interpreter, returning the
-    /// values of `fetches`.
+    /// values of `fetches`, under explicit run limits (deadline/cancel/
+    /// loop caps); progress counters accumulate into `ctx` even on
+    /// failure.
     ///
     /// # Errors
     ///
     /// Returns runtime errors annotated with the failing node's name and
     /// staged source span.
-    pub fn run(
-        &self,
-        graph: &Graph,
-        env: &mut ExecEnv<'_>,
-        fetches: &[NodeId],
-    ) -> Result<Vec<GValue>> {
-        self.run_ctx(graph, env, fetches, &RunCtx::unbounded())
-    }
-
-    /// [`Plan::run`] under explicit run limits (deadline/cancel/loop
-    /// caps); progress counters accumulate into `ctx` even on failure.
     pub(crate) fn run_ctx(
         &self,
         graph: &Graph,
@@ -387,17 +378,8 @@ pub(crate) fn pack_outputs(mut outs: Vec<GValue>) -> GValue {
     }
 }
 
-/// Evaluate a subgraph with `args` bound to its params; returns the values
-/// of its declared outputs.
-pub fn eval_subgraph(
-    sub: &SubGraph,
-    args: &[GValue],
-    env: &mut ExecEnv<'_>,
-) -> Result<Vec<GValue>> {
-    eval_subgraph_ctx(sub, args, env, &RunCtx::unbounded())
-}
-
-/// [`eval_subgraph`] under explicit run limits.
+/// Evaluate a subgraph with `args` bound to its params under explicit run
+/// limits; returns the values of its declared outputs.
 pub(crate) fn eval_subgraph_ctx(
     sub: &SubGraph,
     args: &[GValue],
@@ -493,7 +475,8 @@ mod tests {
             variables: &mut vars,
         };
         let plan = Plan::compile(graph, fetches).unwrap();
-        plan.run(graph, &mut env, fetches).unwrap()
+        plan.run_ctx(graph, &mut env, fetches, &RunCtx::default())
+            .unwrap()
     }
 
     #[test]
@@ -538,7 +521,9 @@ mod tests {
             variables: &mut vars,
         };
         let plan = Plan::compile(&g, &[y]).unwrap();
-        let out = plan.run(&g, &mut env, &[y]).unwrap();
+        let out = plan
+            .run_ctx(&g, &mut env, &[y], &RunCtx::default())
+            .unwrap();
         assert_eq!(
             out[0].as_tensor().unwrap().scalar_value_f32().unwrap(),
             10.0
@@ -549,7 +534,9 @@ mod tests {
             feeds: &empty,
             variables: &mut vars,
         };
-        let err = plan.run(&g, &mut env2, &[y]).unwrap_err();
+        let err = plan
+            .run_ctx(&g, &mut env2, &[y], &RunCtx::default())
+            .unwrap_err();
         assert!(err.to_string().contains("was not fed"));
     }
 
@@ -570,7 +557,9 @@ mod tests {
                 feeds: &feeds,
                 variables: &mut vars,
             };
-            let out = plan.run(&g, &mut env, &[assign]).unwrap();
+            let out = plan
+                .run_ctx(&g, &mut env, &[assign], &RunCtx::default())
+                .unwrap();
             assert_eq!(
                 out[0].as_tensor().unwrap().scalar_value_f32().unwrap(),
                 1.0 + step as f32
@@ -603,7 +592,9 @@ mod tests {
                 variables: &mut vars,
             };
             let plan = Plan::compile(&g, &[c]).unwrap();
-            let out = plan.run(&g, &mut env, &[c]).unwrap();
+            let out = plan
+                .run_ctx(&g, &mut env, &[c], &RunCtx::default())
+                .unwrap();
             assert_eq!(
                 out[0].as_tensor().unwrap().scalar_value_f32().unwrap(),
                 expected
@@ -683,7 +674,9 @@ mod tests {
             variables: &mut vars,
         };
         let plan = Plan::compile(&g, &[w]).unwrap();
-        let err = plan.run(&g, &mut env, &[w]).unwrap_err();
+        let err = plan
+            .run_ctx(&g, &mut env, &[w], &RunCtx::default())
+            .unwrap_err();
         assert!(err.to_string().contains("max_iters"));
     }
 
@@ -700,7 +693,9 @@ mod tests {
             variables: &mut vars,
         };
         let plan = Plan::compile(&g, &[m]).unwrap();
-        let err = plan.run(&g, &mut env, &[m]).unwrap_err();
+        let err = plan
+            .run_ctx(&g, &mut env, &[m], &RunCtx::default())
+            .unwrap_err();
         assert!(err.to_string().contains("matmul_"), "{err}");
     }
 

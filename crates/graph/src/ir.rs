@@ -52,7 +52,7 @@ impl GValue {
     }
 
     /// Short name of the value kind for error messages.
-    pub fn kind_name(&self) -> &'static str {
+    pub(crate) fn kind_name(&self) -> &'static str {
         match self {
             GValue::Tensor(_) => "tensor",
             GValue::Array(_) => "tensor array",
@@ -417,7 +417,7 @@ impl OpKind {
 
     /// Pure ops may be constant-folded and deduplicated; stateful or
     /// effectful ops may not.
-    pub fn is_pure(&self) -> bool {
+    pub(crate) fn is_pure(&self) -> bool {
         !matches!(
             self,
             OpKind::Placeholder { .. }
@@ -437,7 +437,7 @@ impl OpKind {
 /// graph the pass read, plus the name/span that stay meaningful after the
 /// id is remapped away.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ProvSource {
+pub(crate) struct ProvSource {
     /// Node id in the pre-pass graph.
     pub node: NodeId,
     /// The node's staged name.
@@ -464,7 +464,7 @@ pub struct PassRecord {
     /// `"absorbed-duplicate"`).
     pub action: &'static str,
     /// The pre-rewrite nodes the rewrite consumed.
-    pub sources: Vec<ProvSource>,
+    pub(crate) sources: Vec<ProvSource>,
 }
 
 /// A graph node: an operation applied to the values of its inputs.

@@ -59,8 +59,8 @@ pub(crate) mod vm;
 pub use artifact::CompiledUnit;
 pub use builder::GraphBuilder;
 pub use error::{ErrorKind, GraphError};
-pub use ir::{Graph, NodeId, OpKind, PassRecord, ProvSource, SubGraph};
-pub use optimize::{ElimRecord, OptTrace};
+pub use ir::{Graph, NodeId, OpKind, PassRecord, SubGraph};
+pub use optimize::OptTrace;
 pub use report::{MemReport, NodeCost, RunReport};
 pub use run::{CancelToken, RunOptions};
 pub use session::{Session, SessionStats};

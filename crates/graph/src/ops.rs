@@ -4,7 +4,6 @@
 
 use crate::ir::{GValue, OpKind};
 use crate::{GraphError, Result};
-use autograph_obs as obs;
 use autograph_tensor::{DType, Tensor};
 
 fn t(inputs: &[GValue], i: usize) -> Result<&Tensor> {
@@ -221,12 +220,7 @@ pub fn execute(op: &OpKind, inputs: &[GValue]) -> Result<GValue> {
             .ok_or_else(|| GraphError::runtime("identity with no input"))?,
         Print(prefix) => {
             let v = t(inputs, 0)?;
-            let line = format!("{prefix}{v}");
-            // a print-capturing recorder (tests, profiling) swallows the
-            // line; otherwise keep the user-visible stdout behavior
-            if !obs::emit_print(&line) {
-                println!("{line}");
-            }
+            println!("{prefix}{v}");
             v.clone().into()
         }
         AssertOp(msg) => {
@@ -287,7 +281,7 @@ fn sum_to_shape(g: &Tensor, target: &[usize]) -> Result<Tensor> {
 }
 
 /// Cast a boolean scalar out of a value (used by `Cond`/`While`).
-pub fn as_bool_scalar(v: &GValue) -> Result<bool> {
+pub(crate) fn as_bool_scalar(v: &GValue) -> Result<bool> {
     let t = v.as_tensor()?;
     t.scalar_value_bool()
         .map_err(|e| GraphError::runtime(format!("predicate must be a scalar bool: {e}")))

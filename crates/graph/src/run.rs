@@ -73,7 +73,7 @@ fn env_timeout() -> Option<Duration> {
 impl RunOptions {
     /// Options with the `AUTOGRAPH_RUN_TIMEOUT_MS` deadline applied when
     /// none was set explicitly. This is what `Session::run` uses.
-    pub fn resolved(mut self) -> RunOptions {
+    pub(crate) fn resolved(mut self) -> RunOptions {
         if self.deadline.is_none() {
             self.deadline = env_timeout();
         }
@@ -121,13 +121,7 @@ pub(crate) struct RunCtx {
 }
 
 impl RunCtx {
-    /// A context enforcing nothing — used by the public `Plan::run` entry
-    /// points that predate run options.
-    pub fn unbounded() -> RunCtx {
-        RunCtx::default()
-    }
-
-    pub fn from_options(opts: &RunOptions) -> RunCtx {
+    pub(crate) fn from_options(opts: &RunOptions) -> RunCtx {
         RunCtx {
             deadline: opts.deadline.map(|d| Instant::now() + d),
             deadline_budget: opts.deadline,
@@ -159,21 +153,21 @@ impl RunCtx {
     }
 
     /// Check limits and count one node dispatch.
-    pub fn before_node(&self) -> Result<()> {
+    pub(crate) fn before_node(&self) -> Result<()> {
         self.check()?;
         self.nodes_executed.set(self.nodes_executed.get() + 1);
         Ok(())
     }
 
     /// Count one completed while-loop iteration and re-check limits.
-    pub fn after_while_iter(&self) -> Result<()> {
+    pub(crate) fn after_while_iter(&self) -> Result<()> {
         self.while_iters.set(self.while_iters.get() + 1);
         self.check()
     }
 
     /// The while-loop iteration cap for a loop staged with its own
     /// `max_iters`: the smaller of the two bounds.
-    pub fn while_limit(&self, staged: Option<u64>) -> Option<u64> {
+    pub(crate) fn while_limit(&self, staged: Option<u64>) -> Option<u64> {
         match (staged, self.max_while_iters) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -196,7 +190,7 @@ mod tests {
 
     #[test]
     fn unbounded_ctx_never_trips() {
-        let ctx = RunCtx::unbounded();
+        let ctx = RunCtx::default();
         for _ in 0..1000 {
             ctx.before_node().unwrap();
             ctx.after_while_iter().unwrap();
@@ -230,7 +224,7 @@ mod tests {
         assert_eq!(ctx.while_limit(None), Some(10));
         assert_eq!(ctx.while_limit(Some(3)), Some(3));
         assert_eq!(ctx.while_limit(Some(50)), Some(10));
-        assert_eq!(RunCtx::unbounded().while_limit(Some(7)), Some(7));
-        assert_eq!(RunCtx::unbounded().while_limit(None), None);
+        assert_eq!(RunCtx::default().while_limit(Some(7)), Some(7));
+        assert_eq!(RunCtx::default().while_limit(None), None);
     }
 }

@@ -136,11 +136,6 @@ impl Session {
         self
     }
 
-    /// The thread count the next `run` call will use.
-    pub fn effective_threads(&self) -> usize {
-        resolve_threads(self.threads)
-    }
-
     /// Enable or disable per-run reporting. While enabled, every run
     /// collects per-node self-times and allocation attribution, diffs
     /// the process-wide tensor-memory ledger, and stores the resulting
@@ -149,11 +144,6 @@ impl Session {
     pub fn set_reporting(&mut self, on: bool) -> &mut Session {
         self.reporting = on;
         self
-    }
-
-    /// Whether per-run reporting is enabled.
-    pub fn reporting_enabled(&self) -> bool {
-        self.reporting
     }
 
     /// The report of the most recent run (successful or failed), if
@@ -191,11 +181,6 @@ impl Session {
     /// Current value of a variable.
     pub fn variable(&self, name: &str) -> Option<&Tensor> {
         self.variables.get(name)
-    }
-
-    /// Overwrite a variable (e.g. to reset training state).
-    pub fn set_variable(&mut self, name: &str, value: Tensor) {
-        self.variables.insert(name.to_string(), value);
     }
 
     /// Run the graph: feed placeholders, fetch node values as tensors.
@@ -252,7 +237,7 @@ impl Session {
     /// # Errors
     ///
     /// Same failure modes as [`Session::run_with_options`].
-    pub fn run_values_with_options(
+    pub(crate) fn run_values_with_options(
         &mut self,
         feeds: &[(&str, Tensor)],
         fetches: &[NodeId],
@@ -444,11 +429,11 @@ mod tests {
         let y = b.mul(x, two);
         let mut sess = Session::new(b.finish());
         sess.set_threads(4);
-        assert_eq!(sess.effective_threads(), 4);
+        assert_eq!(resolve_threads(sess.threads), 4);
         let out = sess.run(&[("x", Tensor::scalar_f32(21.0))], &[y]).unwrap();
         assert_eq!(out[0].scalar_value_f32().unwrap(), 42.0);
         sess.set_threads(1);
-        assert_eq!(sess.effective_threads(), 1);
+        assert_eq!(resolve_threads(sess.threads), 1);
     }
 
     /// A staged `while True: i += 1` with no max_iters — only run limits
@@ -556,15 +541,5 @@ mod tests {
         let before = stats.nodes_executed;
         sess.run(&[], &[ok]).unwrap();
         assert!(sess.stats().nodes_executed > before);
-    }
-
-    #[test]
-    fn set_variable_resets() {
-        let mut b = GraphBuilder::new();
-        let w = b.variable("w", Tensor::scalar_f32(3.0));
-        let mut sess = Session::new(b.finish());
-        sess.set_variable("w", Tensor::scalar_f32(9.0));
-        let out = sess.run(&[], &[w]).unwrap();
-        assert_eq!(out[0].scalar_value_f32().unwrap(), 9.0);
     }
 }

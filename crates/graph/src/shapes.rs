@@ -13,11 +13,11 @@ use crate::ir::{Graph, OpKind};
 use crate::{GraphError, Result};
 
 /// One dimension: `Some(n)` known, `None` unknown.
-pub type Dim = Option<usize>;
+pub(crate) type Dim = Option<usize>;
 
 /// A partial shape: `None` = rank unknown; `Some(dims)` = rank known,
 /// individual dims possibly unknown.
-pub type PShape = Option<Vec<Dim>>;
+pub(crate) type PShape = Option<Vec<Dim>>;
 
 /// Fully-known partial shape from concrete dims.
 fn known(dims: &[usize]) -> PShape {
@@ -69,7 +69,7 @@ fn broadcast(a: &[Dim], b: &[Dim]) -> std::result::Result<Vec<Dim>, ()> {
 
 /// Infer per-node partial output shapes (tensor-valued nodes only; arrays,
 /// tuples and control flow yield `None`).
-pub fn infer(graph: &Graph) -> Vec<PShape> {
+pub(crate) fn infer(graph: &Graph) -> Vec<PShape> {
     let mut shapes: Vec<PShape> = Vec::with_capacity(graph.nodes.len());
     for node in &graph.nodes {
         let get = |i: usize| -> PShape { shapes[node.inputs[i]].clone() };

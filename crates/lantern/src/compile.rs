@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 /// Tensor operations of the Lantern IR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LOp {
+pub(crate) enum LOp {
     /// `a + b` (broadcasting).
     Add,
     /// `a - b`.
@@ -99,7 +99,7 @@ fn op_of(name: &str) -> Option<LOp> {
 
 /// A compiled expression.
 #[derive(Debug, Clone, PartialEq)]
-pub enum CExpr {
+pub(crate) enum CExpr {
     /// f32 scalar constant.
     Scalar(f32),
     /// Read frame slot.
@@ -167,9 +167,9 @@ pub struct CFunc {
     /// Number of parameters (occupying slots `0..num_params`).
     pub num_params: usize,
     /// Total frame slots.
-    pub num_slots: usize,
+    pub(crate) num_slots: usize,
     /// Body expression.
-    pub body: CExpr,
+    pub(crate) body: CExpr,
 }
 
 /// A compiled program: functions + a main expression.

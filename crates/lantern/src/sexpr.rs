@@ -29,7 +29,7 @@ impl SExpr {
     }
 
     /// The symbol text, if this is a symbol.
-    pub fn as_sym(&self) -> Option<&str> {
+    pub(crate) fn as_sym(&self) -> Option<&str> {
         match self {
             SExpr::Sym(s) => Some(s),
             _ => None,
@@ -37,7 +37,7 @@ impl SExpr {
     }
 
     /// The list items, if this is a list.
-    pub fn as_list(&self) -> Option<&[SExpr]> {
+    pub(crate) fn as_list(&self) -> Option<&[SExpr]> {
         match self {
             SExpr::List(items) => Some(items),
             _ => None,

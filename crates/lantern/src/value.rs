@@ -90,7 +90,7 @@ impl LValue {
     /// # Errors
     ///
     /// Fails when the value is not a record.
-    pub fn as_record(&self) -> Result<&Rc<Record>> {
+    pub(crate) fn as_record(&self) -> Result<&Rc<Record>> {
         match self {
             LValue::Record(r) => Ok(r),
             other => Err(LanternError::new(format!(

@@ -63,11 +63,6 @@ pub fn random_tree_lantern(
     ]))
 }
 
-/// Random token sequences `[batch, len]` (i64 ids in `[0, vocab)`).
-pub fn random_tokens(rng: &mut Rng64, batch: usize, len: usize, vocab: usize) -> Tensor {
-    rng.labels_tensor(&[batch, len], vocab as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,12 +97,5 @@ mod tests {
             let t = random_tree_value(&mut rng, leaves, 4);
             assert_eq!(count(&t), leaves);
         }
-    }
-
-    #[test]
-    fn token_bounds() {
-        let mut rng = Rng64::new(9);
-        let t = random_tokens(&mut rng, 4, 16, 100);
-        assert!(t.as_i64().unwrap().iter().all(|&x| (0..100).contains(&x)));
     }
 }

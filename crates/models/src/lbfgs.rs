@@ -16,7 +16,7 @@ use autograph_runtime::{Runtime, RuntimeError, Value};
 use autograph_tensor::{DType, Rng64, Tensor};
 
 /// The imperative L-BFGS optimizer.
-pub const LBFGS_SRC: &str = "\
+pub(crate) const LBFGS_SRC: &str = "\
 def objective(x):
     return tf.reduce_mean(tf.square(tf.matmul(a_mat, x) - b_vec))
 
@@ -70,7 +70,7 @@ def lbfgs(x, iters):
 ";
 
 /// History length (must match the `alphas` literal in the source).
-pub const HIST: usize = 5;
+pub(crate) const HIST: usize = 5;
 
 /// Problem instance: minimize `mean((A x - b)^2)`.
 #[derive(Debug, Clone)]

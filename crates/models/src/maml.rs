@@ -12,7 +12,7 @@ use autograph_runtime::{Runtime, RuntimeError, Value};
 use autograph_tensor::{Rng64, Tensor};
 
 /// The imperative MAML meta-step.
-pub const MAML_SRC: &str = "\
+pub(crate) const MAML_SRC: &str = "\
 def mlp(x, w1, b1, w2, b2, w3, b3):
     h1 = tf.relu(tf.matmul(x, w1) + b1)
     h2 = tf.relu(tf.matmul(h1, w2) + b2)
@@ -157,7 +157,7 @@ pub fn runtime(num_tasks: usize, convert: bool, use_tape: bool) -> Result<Runtim
 /// # Errors
 ///
 /// Propagates load/conversion errors.
-pub fn runtime_with_order(
+pub(crate) fn runtime_with_order(
     num_tasks: usize,
     convert: bool,
     use_tape: bool,

@@ -12,7 +12,7 @@ use autograph_runtime::{Runtime, RuntimeError, Value};
 use autograph_tensor::{Rng64, Tensor};
 
 /// The imperative encoder/decoder.
-pub const SEQ2SEQ_SRC: &str = "\
+pub(crate) const SEQ2SEQ_SRC: &str = "\
 def encode(src_t):
     state = tf.zeros((batch, hidden))
     for t in tf.range(src_len):
@@ -40,49 +40,6 @@ def decode(state, tgt_t):
 def seq2seq(src_t, tgt_t):
     state = encode(src_t)
     return decode(state, tgt_t)
-";
-
-/// The attention variant (the paper's "Neural Model Translation with
-/// Attention" sample): the encoder keeps all hidden states; each decoder
-/// step computes dot-product attention weights over them and mixes a
-/// context vector into the recurrence.
-pub const SEQ2SEQ_ATTENTION_SRC: &str = "\
-def encode_all(src_t):
-    state = tf.zeros((batch, hidden))
-    states = []
-    ag.set_element_type(states, tf.float32)
-    for t in tf.range(src_len):
-        x = tf.gather(embed_src, src_t[t])
-        state = tf.tanh(tf.matmul(x, w_enc_in) + tf.matmul(state, w_enc_h))
-        states.append(state)
-    return ag.stack(states), state
-
-def attend(enc_states, state):
-    scores = tf.reduce_sum(enc_states * tf.expand_dims(state, 0), 2)
-    weights = tf.transpose(tf.softmax(tf.transpose(scores, (1, 0))), (1, 0))
-    context = tf.reduce_sum(enc_states * tf.expand_dims(weights, 2), 0)
-    return context
-
-def decode_attn(enc_states, state, tgt_t):
-    outputs = []
-    ag.set_element_type(outputs, tf.float32)
-    prev = tf.cast(tf.zeros((batch,)), tf.int64)
-    for t in tf.range(tgt_len):
-        if teacher_forcing:
-            inp = tgt_t[t]
-        else:
-            inp = prev
-        x = tf.gather(embed_tgt, inp)
-        context = attend(enc_states, state)
-        state = tf.tanh(tf.matmul(x, w_dec_in) + tf.matmul(state, w_dec_h) + tf.matmul(context, w_ctx))
-        logits = tf.matmul(state, w_out)
-        prev = tf.argmax(logits, 1)
-        outputs.append(logits)
-    return ag.stack(outputs)
-
-def seq2seq_attn(src_t, tgt_t):
-    enc_states, state = encode_all(src_t)
-    return decode_attn(enc_states, state, tgt_t)
 ";
 
 /// Model weights.
@@ -153,19 +110,6 @@ pub fn runtime(
     runtime_with(SEQ2SEQ_SRC, cfg, w, convert)
 }
 
-/// Load the attention variant (`seq2seq_attn`).
-///
-/// # Errors
-///
-/// Propagates load/conversion errors.
-pub fn runtime_attention(
-    cfg: &Seq2SeqConfig,
-    w: &Seq2SeqWeights,
-    convert: bool,
-) -> Result<Runtime, RuntimeError> {
-    runtime_with(SEQ2SEQ_ATTENTION_SRC, cfg, w, convert)
-}
-
 fn runtime_with(
     src: &str,
     cfg: &Seq2SeqConfig,
@@ -217,38 +161,6 @@ pub fn run_eager(rt: &mut Runtime, src: &Tensor, tgt: &Tensor) -> Result<Tensor,
     out.as_eager_tensor()
 }
 
-/// Run the attention variant eagerly.
-///
-/// # Errors
-///
-/// Propagates interpreter errors.
-pub fn run_eager_attention(
-    rt: &mut Runtime,
-    src: &Tensor,
-    tgt: &Tensor,
-) -> Result<Tensor, RuntimeError> {
-    let out = rt.call(
-        "seq2seq_attn",
-        vec![Value::tensor(src.clone()), Value::tensor(tgt.clone())],
-    )?;
-    out.as_eager_tensor()
-}
-
-/// Stage the attention variant (placeholders `src_t`, `tgt_t`).
-///
-/// # Errors
-///
-/// Propagates staging errors.
-pub fn stage_attention(rt: &mut Runtime) -> Result<autograph_runtime::StagedGraph, RuntimeError> {
-    rt.stage_to_graph(
-        "seq2seq_attn",
-        vec![
-            GraphArg::Placeholder("src_t".into()),
-            GraphArg::Placeholder("tgt_t".into()),
-        ],
-    )
-}
-
 /// Stage the model (placeholders `src_t`, `tgt_t`).
 ///
 /// # Errors
@@ -267,6 +179,83 @@ pub fn stage(rt: &mut Runtime) -> Result<autograph_runtime::StagedGraph, Runtime
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The attention variant (the paper's "Neural Model Translation with
+    /// Attention" sample): the encoder keeps all hidden states; each decoder
+    /// step computes dot-product attention weights over them and mixes a
+    /// context vector into the recurrence.
+    const SEQ2SEQ_ATTENTION_SRC: &str = "\
+def encode_all(src_t):
+    state = tf.zeros((batch, hidden))
+    states = []
+    ag.set_element_type(states, tf.float32)
+    for t in tf.range(src_len):
+        x = tf.gather(embed_src, src_t[t])
+        state = tf.tanh(tf.matmul(x, w_enc_in) + tf.matmul(state, w_enc_h))
+        states.append(state)
+    return ag.stack(states), state
+
+def attend(enc_states, state):
+    scores = tf.reduce_sum(enc_states * tf.expand_dims(state, 0), 2)
+    weights = tf.transpose(tf.softmax(tf.transpose(scores, (1, 0))), (1, 0))
+    context = tf.reduce_sum(enc_states * tf.expand_dims(weights, 2), 0)
+    return context
+
+def decode_attn(enc_states, state, tgt_t):
+    outputs = []
+    ag.set_element_type(outputs, tf.float32)
+    prev = tf.cast(tf.zeros((batch,)), tf.int64)
+    for t in tf.range(tgt_len):
+        if teacher_forcing:
+            inp = tgt_t[t]
+        else:
+            inp = prev
+        x = tf.gather(embed_tgt, inp)
+        context = attend(enc_states, state)
+        state = tf.tanh(tf.matmul(x, w_dec_in) + tf.matmul(state, w_dec_h) + tf.matmul(context, w_ctx))
+        logits = tf.matmul(state, w_out)
+        prev = tf.argmax(logits, 1)
+        outputs.append(logits)
+    return ag.stack(outputs)
+
+def seq2seq_attn(src_t, tgt_t):
+    enc_states, state = encode_all(src_t)
+    return decode_attn(enc_states, state, tgt_t)
+";
+
+    /// Load the attention variant (`seq2seq_attn`).
+    fn runtime_attention(
+        cfg: &Seq2SeqConfig,
+        w: &Seq2SeqWeights,
+        convert: bool,
+    ) -> Result<Runtime, RuntimeError> {
+        runtime_with(SEQ2SEQ_ATTENTION_SRC, cfg, w, convert)
+    }
+
+    /// Run the attention variant eagerly.
+    fn run_eager_attention(
+        rt: &mut Runtime,
+        src: &Tensor,
+        tgt: &Tensor,
+    ) -> Result<Tensor, RuntimeError> {
+        let out = rt.call(
+            "seq2seq_attn",
+            vec![Value::tensor(src.clone()), Value::tensor(tgt.clone())],
+        )?;
+        out.as_eager_tensor()
+    }
+
+    /// Stage the attention variant (placeholders `src_t`, `tgt_t`).
+    fn stage_attention(rt: &mut Runtime) -> Result<autograph_runtime::StagedGraph, RuntimeError> {
+        rt.stage_to_graph(
+            "seq2seq_attn",
+            vec![
+                GraphArg::Placeholder("src_t".into()),
+                GraphArg::Placeholder("tgt_t".into()),
+            ],
+        )
+    }
+
     use autograph_graph::Session;
 
     fn cfg(teacher_forcing: bool) -> Seq2SeqConfig {

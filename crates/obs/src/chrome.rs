@@ -76,7 +76,7 @@ impl TraceWriter {
 
     /// Close the document: the metadata (`"ph":"M"`) events that make
     /// the viewer show `process` and the registered thread names
-    /// ([`crate::lane_names`]: `serve-worker-N`, `par-worker-N`, `main`)
+    /// (`serve-worker-N`, `par-worker-N`, `main`)
     /// instead of bare ids, then `otherData.droppedEvents` when the
     /// producer counts drops.
     pub fn finish(mut self, process: &str, dropped_events: Option<u64>) -> String {
@@ -103,7 +103,7 @@ impl TraceWriter {
 
 /// Default cap on buffered events; one complete event is ~100 bytes of
 /// JSON, so the default bounds a runaway trace near 100 MB.
-pub const DEFAULT_MAX_EVENTS: usize = 1_000_000;
+pub(crate) const DEFAULT_MAX_EVENTS: usize = 1_000_000;
 
 #[derive(Debug, Clone)]
 struct TraceEvent {
@@ -137,7 +137,7 @@ impl Default for TraceRecorder {
 }
 
 impl TraceRecorder {
-    /// A recorder buffering up to [`DEFAULT_MAX_EVENTS`] span events.
+    /// A recorder buffering up to `DEFAULT_MAX_EVENTS` span events.
     pub fn new() -> TraceRecorder {
         TraceRecorder::with_capacity(DEFAULT_MAX_EVENTS)
     }

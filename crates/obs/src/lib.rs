@@ -8,7 +8,7 @@
 //! ## Design
 //!
 //! Instrumented code calls the free functions in this crate
-//! ([`span`], [`count`], [`observe`], [`emit_print`]). When no recorder
+//! ([`span`], [`count`], [`observe`], [`gauge`]). When no recorder
 //! is installed every one of them is a **single branch on a relaxed
 //! [`AtomicBool`]** — no allocation, no locking, no syscalls — so the
 //! hot paths of the graph executor and eager runtime pay nothing in
@@ -33,15 +33,13 @@
 //! in `autograph-graph` and the `/stats`, `/debug/trace` and error
 //! bodies of `autograph-serve` render through them.
 
-pub mod chrome;
+pub(crate) mod chrome;
 pub mod json;
 pub mod metrics;
-pub mod recorder;
+pub(crate) mod recorder;
 
 pub use chrome::{TraceRecorder, TraceWriter};
-pub use metrics::{
-    AggregateRecorder, AtomicHistogram, HistSnapshot, Histogram, ShardedCounter, Summary,
-};
+pub use metrics::{AggregateRecorder, AtomicHistogram, HistSnapshot, ShardedCounter, Summary};
 pub use recorder::{FanoutRecorder, Recorder};
 
 use std::borrow::Cow;
@@ -87,7 +85,7 @@ pub fn uninstall() -> Option<Arc<dyn Recorder>> {
 
 /// Run `f` against the installed recorder, if any.
 #[inline]
-pub fn with_recorder(f: impl FnOnce(&dyn Recorder)) {
+pub(crate) fn with_recorder(f: impl FnOnce(&dyn Recorder)) {
     if !enabled() {
         return;
     }
@@ -109,7 +107,7 @@ static LANE_NAMES: Mutex<Vec<(u64, String)>> = Mutex::new(Vec::new());
 
 /// A small dense id for the current thread (Chrome traces want an
 /// integer `tid`). On first call from a thread its OS thread name is
-/// captured into the lane registry ([`lane_names`]) so trace exporters
+/// captured into the lane registry so trace exporters
 /// can emit human-readable thread labels.
 pub fn thread_lane() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
@@ -132,7 +130,7 @@ pub fn thread_lane() -> u64 {
 /// All `(lane, thread name)` pairs registered so far, in registration
 /// order. Lanes are registered lazily the first time a thread calls
 /// [`thread_lane`] (directly or via any recorder hook).
-pub fn lane_names() -> Vec<(u64, String)> {
+pub(crate) fn lane_names() -> Vec<(u64, String)> {
     LANE_NAMES.lock().map(|v| v.clone()).unwrap_or_default()
 }
 
@@ -257,19 +255,6 @@ pub fn gauge(cat: &'static str, name: &'static str, value: u64) {
     with_recorder(|r| r.gauge(cat, name, value));
 }
 
-/// Offer a `print`-op line to the recorder. Returns `true` if the
-/// recorder captured it (the caller must then *not* write it to
-/// stdout), `false` when it should go to stdout as usual.
-#[inline]
-pub fn emit_print(line: &str) -> bool {
-    if !enabled() {
-        return false;
-    }
-    let mut captured = false;
-    with_recorder(|r| captured = r.print_line(line));
-    captured
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,11 +266,10 @@ mod tests {
     fn disabled_paths_are_inert_and_install_cycle_works() {
         assert!(!enabled());
         assert!(span("t", "noop").is_none());
-        assert!(!emit_print("dropped"));
         count("t", "c", 1);
         observe("t", "o", 1);
 
-        let agg = Arc::new(AggregateRecorder::new().capture_prints());
+        let agg = Arc::new(AggregateRecorder::new());
         install(agg.clone());
         assert!(enabled());
         {
@@ -294,7 +278,6 @@ mod tests {
         }
         count("t", "c", 2);
         observe("t", "o", 41);
-        assert!(emit_print("captured line"));
 
         let prev = uninstall().expect("was installed");
         assert!(!enabled());
@@ -309,7 +292,6 @@ mod tests {
             row.total_ns
         );
         assert_eq!(summary.counter("t/c"), Some(2));
-        assert_eq!(agg.printed(), vec!["captured line".to_string()]);
         // values recorded after uninstall are dropped
         count("t", "c", 100);
         assert_eq!(agg.summary().counter("t/c"), Some(2));

@@ -257,7 +257,7 @@ const BUCKETS: usize = 16 + 60 * 4;
 /// logarithmically spaced sub-buckets per power of two, so recording is
 /// allocation-free and O(1) regardless of the value range.
 #[derive(Debug)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     buckets: Box<[u64; BUCKETS]>,
     count: u64,
     /// Saturating sum of all recorded values.
@@ -326,15 +326,6 @@ impl Histogram {
         self.total
     }
 
-    /// Smallest recorded value (0 when empty).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
     /// Largest recorded value.
     pub fn max(&self) -> u64 {
         self.max
@@ -354,7 +345,7 @@ impl Histogram {
     /// Contract (all cases defined, no bucket-boundary surprises):
     ///
     /// * empty histogram → `0` for every `q`;
-    /// * `q <= 0.0` → the exact [`min`](Histogram::min);
+    /// * `q <= 0.0` → the exact minimum;
     /// * `q >= 1.0` → the exact [`max`](Histogram::max);
     /// * a single recorded sample → that exact value for every `q`;
     /// * otherwise the bucket-representative answer, clamped to the
@@ -499,32 +490,19 @@ struct AggregateState {
     counters: HashMap<String, u64>,
     /// Gauges keep `(last sample, max sample)` per key.
     gauges: HashMap<String, (u64, u64)>,
-    prints: Vec<String>,
 }
 
 /// The in-memory aggregate recorder: histograms per span/observe key,
-/// saturating counters and optional print capture.
+/// saturating counters and gauges.
 #[derive(Default)]
 pub struct AggregateRecorder {
     state: Mutex<AggregateState>,
-    capture_prints: bool,
 }
 
 impl AggregateRecorder {
-    /// An aggregate recorder with no print capture.
+    /// An empty aggregate recorder.
     pub fn new() -> AggregateRecorder {
         AggregateRecorder::default()
-    }
-
-    /// Also capture `print`-op lines (tests assert on [`Self::printed`]).
-    pub fn capture_prints(mut self) -> AggregateRecorder {
-        self.capture_prints = true;
-        self
-    }
-
-    /// Captured print lines, in emission order.
-    pub fn printed(&self) -> Vec<String> {
-        lock(&self.state).prints.clone()
     }
 
     /// Snapshot the aggregates, rows sorted by total time descending.
@@ -597,15 +575,6 @@ impl Recorder for AggregateRecorder {
         g.0 = value;
         g.1 = g.1.max(value);
     }
-
-    fn print_line(&self, line: &str) -> bool {
-        if !self.capture_prints {
-            return false;
-        }
-        let mut state = lock(&self.state);
-        state.prints.push(line.to_string());
-        true
-    }
 }
 
 #[cfg(test)]
@@ -630,7 +599,6 @@ mod tests {
         assert_eq!(h.count(), 4);
         assert_eq!(h.total(), 16);
         assert_eq!(h.mean(), 4.0);
-        assert_eq!(h.min(), 3);
         assert_eq!(h.max(), 7);
         assert_eq!(h.quantile(0.5), 3);
         assert_eq!(h.quantile(1.0), 7);
@@ -719,7 +687,7 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.quantile(0.99), 0);
-        assert_eq!(h.min(), 0);
+        assert_eq!(h.quantile(0.0), 0);
         assert_eq!(h.max(), 0);
     }
 

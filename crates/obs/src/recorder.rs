@@ -19,16 +19,9 @@ pub trait Recorder: Send + Sync {
     ///
     /// [`count`]: Recorder::count
     fn gauge(&self, _cat: &'static str, _name: &str, _value: u64) {}
-
-    /// Offer a `print`-op line. Return `true` to capture it (suppressing
-    /// the default stdout write). The default sink captures nothing.
-    fn print_line(&self, _line: &str) -> bool {
-        false
-    }
 }
 
-/// Forwards every event to each inner recorder. A print line counts as
-/// captured if *any* inner recorder captures it.
+/// Forwards every event to each inner recorder.
 pub struct FanoutRecorder {
     inner: Vec<std::sync::Arc<dyn Recorder>>,
 }
@@ -64,14 +57,6 @@ impl Recorder for FanoutRecorder {
             r.gauge(cat, name, value);
         }
     }
-
-    fn print_line(&self, line: &str) -> bool {
-        let mut captured = false;
-        for r in &self.inner {
-            captured |= r.print_line(line);
-        }
-        captured
-    }
 }
 
 #[cfg(test)]
@@ -81,16 +66,13 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn fanout_reaches_all_and_ors_print_capture() {
+    fn fanout_reaches_all() {
         let a = Arc::new(AggregateRecorder::new());
-        let b = Arc::new(AggregateRecorder::new().capture_prints());
+        let b = Arc::new(AggregateRecorder::new());
         let fan = FanoutRecorder::new(vec![a.clone(), b.clone()]);
         fan.span("c", "s", 0, 10);
         fan.count("c", "n", 3);
-        assert!(fan.print_line("x"), "one sink captures");
         assert_eq!(a.summary().row("c/s").unwrap().count, 1);
         assert_eq!(b.summary().counter("c/n"), Some(3));
-        assert_eq!(b.printed(), vec!["x".to_string()]);
-        assert!(a.printed().is_empty());
     }
 }

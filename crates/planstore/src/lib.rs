@@ -40,11 +40,11 @@ use std::time::Instant;
 pub const VERSION_TAG: &str = "agplan-v2";
 
 /// Artifact file magic: "AutoGraph Plan Cache".
-pub const MAGIC: [u8; 4] = *b"AGPC";
+pub(crate) const MAGIC: [u8; 4] = *b"AGPC";
 
 /// Version of the *container framing* (header/trailer layout), distinct
 /// from [`VERSION_TAG`] which versions the payload encoding.
-pub const FORMAT_VERSION: u16 = 1;
+pub(crate) const FORMAT_VERSION: u16 = 1;
 
 // ---------------------------------------------------------------------
 // Hashing
@@ -104,7 +104,7 @@ fn crc32_table() -> &'static [u32; 256] {
 }
 
 /// CRC-32 (IEEE 802.3 polynomial) over `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let table = crc32_table();
     let mut c: u32 = 0xffff_ffff;
     for &b in bytes {
@@ -119,7 +119,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// Why a cached artifact was rejected. Every variant is a clean
 /// fall-back-to-cold signal; none can surface as wrong results.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Corruption {
+pub(crate) enum Corruption {
     /// File shorter than the fixed header + trailer.
     Truncated,
     /// Magic bytes are not `AGPC`.
@@ -156,7 +156,7 @@ const TRAILER_LEN: usize = 4;
 
 /// Frame a payload into a self-describing artifact with a checksum
 /// trailer.
-pub fn encode_artifact(key: u64, payload: &[u8]) -> Vec<u8> {
+pub(crate) fn encode_artifact(key: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
@@ -174,7 +174,7 @@ pub fn encode_artifact(key: u64, payload: &[u8]) -> Vec<u8> {
 ///
 /// Returns the specific [`Corruption`] detected; callers must treat
 /// every variant identically — fall back to cold staging.
-pub fn decode_artifact(bytes: &[u8], expect_key: u64) -> Result<&[u8], Corruption> {
+pub(crate) fn decode_artifact(bytes: &[u8], expect_key: u64) -> Result<&[u8], Corruption> {
     if bytes.len() < HEADER_LEN + TRAILER_LEN {
         return Err(Corruption::Truncated);
     }
@@ -275,14 +275,12 @@ pub fn stats() -> StoreStats {
 /// Result of a cache lookup.
 #[derive(Debug)]
 pub enum Load {
-    /// A valid artifact: its payload, on-disk size and load wall time.
+    /// A valid artifact: its payload and on-disk size.
     Hit {
         /// The framed payload, checksum-verified.
         payload: Vec<u8>,
         /// Whole-file size in bytes.
         bytes: u64,
-        /// Read + validate wall time in nanoseconds.
-        load_ns: u64,
     },
     /// No artifact file for this key.
     Miss,
@@ -335,7 +333,7 @@ impl PlanStore {
     }
 
     /// The artifact path for a key.
-    pub fn path_for(&self, key: u64) -> PathBuf {
+    pub(crate) fn path_for(&self, key: u64) -> PathBuf {
         self.dir.join(format!("{key:016x}.agpc"))
     }
 
@@ -374,7 +372,6 @@ impl PlanStore {
                 Load::Hit {
                     payload: payload.to_vec(),
                     bytes: bytes.len() as u64,
-                    load_ns,
                 }
             }
             Err(c) => {

@@ -21,17 +21,6 @@ impl Module {
             .iter()
             .find(|s| matches!(&s.kind, StmtKind::FunctionDef { name: n, .. } if n == name))
     }
-
-    /// Names of all top-level function definitions, in order.
-    pub fn function_names(&self) -> Vec<&str> {
-        self.body
-            .iter()
-            .filter_map(|s| match &s.kind {
-                StmtKind::FunctionDef { name, .. } => Some(name.as_str()),
-                _ => None,
-            })
-            .collect()
-    }
 }
 
 /// A function parameter (positional, with optional default).
@@ -440,7 +429,6 @@ mod tests {
         };
         assert!(m.function("f").is_some());
         assert!(m.function("g").is_none());
-        assert_eq!(m.function_names(), vec!["f"]);
     }
 
     #[test]

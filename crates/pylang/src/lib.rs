@@ -4,12 +4,14 @@
 //! Python in this AutoGraph reproduction. It provides everything step 1–2
 //! and 4–5 of the paper's conversion pipeline (§6) need:
 //!
-//! * an indentation-aware [`lexer`] and recursive-descent [`parser`]
+//! * an indentation-aware [`lexer`] and recursive-descent parser
 //!   producing a spanned [`ast`];
-//! * a structural [`printer`] (the paper's `pretty_printer.fmt`,
-//!   Appendix C);
-//! * a source [`codegen`] (`compiler.ast_to_source`);
-//! * AST [`templates`] for quoted-code rewriting (`templates.replace`).
+//! * a source [`codegen`] (`compiler.ast_to_source`).
+//!
+//! The paper's other Appendix C utilities, `pretty_printer.fmt` and
+//! `templates.replace`, are not kept: every conversion pass builds its
+//! output AST by hand so each generated node carries the span of the user
+//! construct it replaces (DESIGN.md, deviation 9).
 //!
 //! ## Example
 //!
@@ -26,10 +28,8 @@ pub mod ast;
 pub mod codegen;
 pub mod error;
 pub mod lexer;
-pub mod parser;
-pub mod printer;
-pub mod span;
-pub mod templates;
+pub(crate) mod parser;
+pub(crate) mod span;
 pub mod token;
 
 pub use ast::{Expr, ExprKind, Module, Param, Stmt, StmtKind};
@@ -52,15 +52,4 @@ pub fn parse_module(source: &str) -> Result<Module, ParseError> {
     };
     let _s = autograph_obs::span("staging", "parse");
     parser.parse_module()
-}
-
-/// Parse a string of code, like the paper's `parser.parse_str` utility.
-///
-/// Alias of [`parse_module`]; the string may contain any valid PyLite code.
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] on lexical or syntactic errors.
-pub fn parse_str(source: &str) -> Result<Module, ParseError> {
-    parse_module(source)
 }

@@ -154,7 +154,7 @@ pub enum TokenKind {
 
 impl TokenKind {
     /// Map an identifier string to a keyword kind, if it is one.
-    pub fn keyword(name: &str) -> Option<TokenKind> {
+    pub(crate) fn keyword(name: &str) -> Option<TokenKind> {
         Some(match name {
             "def" => TokenKind::Def,
             "return" => TokenKind::Return,

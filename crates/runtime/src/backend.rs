@@ -6,22 +6,11 @@ use autograph_graph::ir::{NodeId, OpKind, SubGraph};
 use autograph_lantern::sexpr::SExpr;
 use std::collections::HashMap;
 
-/// Which execution mode the interpreter is in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Imperative op-by-op execution (eager tensors).
-    Eager,
-    /// Staging into the TensorFlow-like dataflow graph.
-    Graph,
-    /// Staging into the Lantern S-expression IR.
-    Lantern,
-}
-
 /// One graph-builder layer. The root layer builds the final graph;
 /// `cond`/`while` bodies stage in nested layers whose references to outer
 /// nodes become `Param` captures.
 #[derive(Debug)]
-pub struct GraphLayer {
+pub(crate) struct GraphLayer {
     /// Unique identity of this layer (stamped into `Value::GraphNode`).
     pub epoch: u64,
     /// The builder for this layer's nodes.
@@ -36,7 +25,7 @@ pub struct GraphLayer {
 
 /// The graph staging context: a stack of builder layers.
 #[derive(Debug)]
-pub struct GraphStage {
+pub(crate) struct GraphStage {
     layers: Vec<GraphLayer>,
     next_epoch: u64,
 }
@@ -73,13 +62,8 @@ impl GraphStage {
     }
 
     /// The innermost layer's epoch.
-    pub fn top_epoch(&self) -> u64 {
+    pub(crate) fn top_epoch(&self) -> u64 {
         self.layers.last().expect("root layer").epoch
-    }
-
-    /// Number of layers (1 = just the root).
-    pub fn depth(&self) -> usize {
-        self.layers.len()
     }
 
     /// Add a node in the innermost layer.
@@ -91,7 +75,7 @@ impl GraphStage {
 
     /// Push a nested layer with `state_params` pre-declared params.
     /// Returns the param node references (epoch, id).
-    pub fn push_layer(&mut self, state_params: usize) -> Vec<(u64, NodeId)> {
+    pub(crate) fn push_layer(&mut self, state_params: usize) -> Vec<(u64, NodeId)> {
         let epoch = self.next_epoch;
         self.next_epoch += 1;
         let mut builder = GraphBuilder::new();
@@ -110,7 +94,7 @@ impl GraphStage {
 
     /// Push a nested layer pre-seeded with the capture list of a sibling
     /// layer (so a `cond`'s two branches agree on param indices).
-    pub fn push_layer_with_captures(
+    pub(crate) fn push_layer_with_captures(
         &mut self,
         state_params: usize,
         seeded: &[(u64, NodeId)],
@@ -127,7 +111,7 @@ impl GraphStage {
 
     /// Node ids of the innermost layer's capture params, in capture order
     /// (used to pass loop-invariant captures through a `While` body).
-    pub fn capture_param_nodes(&mut self) -> Vec<NodeId> {
+    pub(crate) fn capture_param_nodes(&mut self) -> Vec<NodeId> {
         let layer = self.top();
         let captures = layer.captures.clone();
         captures
@@ -139,7 +123,7 @@ impl GraphStage {
     /// Pop the innermost layer, returning its subgraph (with
     /// `num_params = state_params + captures`) and the outer references it
     /// captured.
-    pub fn pop_layer(&mut self, outputs: Vec<NodeId>) -> (SubGraph, Vec<(u64, NodeId)>) {
+    pub(crate) fn pop_layer(&mut self, outputs: Vec<NodeId>) -> (SubGraph, Vec<(u64, NodeId)>) {
         let layer = self.layers.pop().expect("pop_layer on root");
         let num_params = layer.state_params + layer.captures.len();
         (
@@ -159,7 +143,7 @@ impl GraphStage {
     ///
     /// Fails when the epoch does not belong to any live layer (a staged
     /// value escaped its staging context).
-    pub fn resolve(&mut self, epoch: u64, id: NodeId) -> Result<NodeId> {
+    pub(crate) fn resolve(&mut self, epoch: u64, id: NodeId) -> Result<NodeId> {
         let top = self.layers.len() - 1;
         if self.layers[top].epoch == epoch {
             return Ok(id);
@@ -214,7 +198,7 @@ impl Default for GraphStage {
 /// let-binding frames (assignments during staging become `(let ...)`
 /// forms so shared subexpressions are computed once).
 #[derive(Debug, Default)]
-pub struct LanternStage {
+pub(crate) struct LanternStage {
     /// Completed `(def name (params) body)` forms.
     pub defs: Vec<SExpr>,
     /// Function identity (Rc pointer) → staged name; present while staging
@@ -239,7 +223,7 @@ impl LanternStage {
 
     /// Open a let-binding frame (entering a staged function body or a
     /// staged `if` branch).
-    pub fn push_frame(&mut self) {
+    pub(crate) fn push_frame(&mut self) {
         self.binding_frames.push(Vec::new());
     }
 
@@ -251,13 +235,13 @@ impl LanternStage {
     }
 
     /// Whether a binding frame is open (i.e. we are staging a body).
-    pub fn in_frame(&self) -> bool {
+    pub(crate) fn in_frame(&self) -> bool {
         !self.binding_frames.is_empty()
     }
 
     /// Close the current frame, wrapping `body` in its bindings
     /// (innermost binding closest to the body).
-    pub fn pop_frame(&mut self, body: SExpr) -> SExpr {
+    pub(crate) fn pop_frame(&mut self, body: SExpr) -> SExpr {
         let frame = self.binding_frames.pop().unwrap_or_default();
         let mut out = body;
         for (name, value) in frame.into_iter().rev() {

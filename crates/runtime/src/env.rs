@@ -16,7 +16,7 @@ use std::rc::Rc;
 
 /// A scope in the environment chain.
 #[derive(Debug, Default)]
-pub struct EnvData {
+pub(crate) struct EnvData {
     vars: HashMap<String, Value>,
     parent: Option<Env>,
 }

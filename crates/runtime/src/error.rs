@@ -40,7 +40,7 @@ impl RuntimeError {
     }
 
     /// Push a stack frame (outermost calls push last).
-    pub fn in_frame(mut self, name: &str, span: Span) -> Self {
+    pub(crate) fn in_frame(mut self, name: &str, span: Span) -> Self {
         self.frames.push((name.to_string(), span));
         self
     }

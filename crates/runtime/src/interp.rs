@@ -4,14 +4,14 @@
 //! execute imperatively, `break`/`continue`/`return` flow natively — this
 //! is the Eager baseline) and *converted* code (whose control flow has
 //! become `ag.*` calls that dispatch dynamically; see
-//! [`crate::operators`]).
+//! the `operators` module).
 //!
 //! Arithmetic and comparison operators dispatch on operand types, the
 //! runtime analog of Python operator overloading (§4): Python numbers get
 //! Python semantics; eager tensors dispatch through the eager registry;
 //! staged values add IR nodes.
 
-use crate::backend::{Backend, GraphStage, LanternStage};
+use crate::backend::{GraphStage, LanternStage};
 use crate::env::Env;
 use crate::value::{ModuleKind, PyFunction, Value};
 use crate::{Result, RuntimeError};
@@ -25,7 +25,7 @@ use std::rc::Rc;
 
 /// Control flow out of a statement.
 #[derive(Debug)]
-pub enum Flow {
+pub(crate) enum Flow {
     /// Fall through to the next statement.
     Normal,
     /// `break` reached.
@@ -37,7 +37,7 @@ pub enum Flow {
 }
 
 /// Active staging state.
-pub enum Stage {
+pub(crate) enum Stage {
     /// No staging: ops execute eagerly.
     Eager,
     /// Building a dataflow graph.
@@ -46,27 +46,16 @@ pub enum Stage {
     Lantern(LanternStage),
 }
 
-impl Stage {
-    /// The corresponding backend tag.
-    pub fn backend(&self) -> Backend {
-        match self {
-            Stage::Eager => Backend::Eager,
-            Stage::Graph(_) => Backend::Graph,
-            Stage::Lantern(_) => Backend::Lantern,
-        }
-    }
-}
-
 /// The interpreter: eager context, staging state, conversion cache.
 pub struct Interp {
     /// Eager op dispatch (always available; graphs constant-fold through
     /// it too).
     pub eager: Eager,
     /// Active staging backend.
-    pub stage: Stage,
+    pub(crate) stage: Stage,
     /// Cache of runtime-converted functions, keyed by the original
     /// function's `Rc` pointer identity.
-    pub conversion_cache: HashMap<usize, Rc<PyFunction>>,
+    pub(crate) conversion_cache: HashMap<usize, Rc<PyFunction>>,
     /// Conversion options used by `ag.converted_call` when it converts a
     /// function at runtime.
     pub config: autograph_transforms::ConversionConfig,
@@ -74,20 +63,20 @@ pub struct Interp {
     /// [`autograph_transforms::ConversionPolicy::FallbackToEager`], in the
     /// order encountered (load-time conversions first, then runtime
     /// `converted_call` conversions).
-    pub conversion_warnings: Vec<autograph_transforms::ConversionWarning>,
+    pub(crate) conversion_warnings: Vec<autograph_transforms::ConversionWarning>,
     /// Deterministic RNG for `tf.random_*`.
-    pub rng: Rng64,
+    pub(crate) rng: Rng64,
     /// Original-source location of the construct currently being
     /// evaluated; stamped onto staged nodes (Appendix B source maps).
-    pub current_span: autograph_pylang::Span,
+    pub(crate) current_span: autograph_pylang::Span,
     /// Iteration limit requested by an `ag.set_loop_options` directive in
     /// the loop body currently being staged (§7.2 Directives); consumed by
     /// the staged-loop builders.
-    pub pending_loop_options: Option<u64>,
+    pub(crate) pending_loop_options: Option<u64>,
     /// The original PyLite source text when known (set by
     /// `Runtime::load*`); lets runtime conversion warnings quote the
     /// offending construct.
-    pub source: Option<Rc<str>>,
+    pub(crate) source: Option<Rc<str>>,
     depth: usize,
     max_depth: usize,
 }
@@ -112,11 +101,6 @@ impl Interp {
         }
     }
 
-    /// Which backend is active.
-    pub fn backend(&self) -> Backend {
-        self.stage.backend()
-    }
-
     // ---- statements --------------------------------------------------------
 
     /// Execute a statement block.
@@ -125,7 +109,7 @@ impl Interp {
     ///
     /// Propagates the first runtime error, annotated with the statement's
     /// original-source span.
-    pub fn exec_block(&mut self, body: &[Stmt], env: &Env) -> Result<Flow> {
+    pub(crate) fn exec_block(&mut self, body: &[Stmt], env: &Env) -> Result<Flow> {
         for stmt in body {
             match self.exec_stmt(stmt, env)? {
                 Flow::Normal => {}
@@ -263,7 +247,7 @@ impl Interp {
     /// # Errors
     ///
     /// Staged values cannot be iterated imperatively.
-    pub fn iterate(&mut self, v: &Value) -> Result<Vec<Value>> {
+    pub(crate) fn iterate(&mut self, v: &Value) -> Result<Vec<Value>> {
         match v {
             Value::List(items) => Ok(items.borrow().clone()),
             Value::Tuple(items) => Ok((**items).clone()),
@@ -300,7 +284,7 @@ impl Interp {
     /// # Errors
     ///
     /// Fails on arity mismatches in tuple unpacking and invalid targets.
-    pub fn assign_target(&mut self, target: &Expr, value: Value, env: &Env) -> Result<()> {
+    pub(crate) fn assign_target(&mut self, target: &Expr, value: Value, env: &Env) -> Result<()> {
         match &target.kind {
             ExprKind::Name(name) => {
                 // Lantern staging: reify assignments as let-bindings so
@@ -431,7 +415,7 @@ impl Interp {
     /// # Errors
     ///
     /// Propagates runtime errors annotated with the expression's span.
-    pub fn eval_expr(&mut self, expr: &Expr, env: &Env) -> Result<Value> {
+    pub(crate) fn eval_expr(&mut self, expr: &Expr, env: &Env) -> Result<Value> {
         let span = expr.span;
         if !span.is_synthetic() {
             self.current_span = span;
@@ -577,7 +561,7 @@ impl Interp {
     ///
     /// Fails for non-callables, arity errors, and whatever the callee
     /// raises.
-    pub fn call_value(
+    pub(crate) fn call_value(
         &mut self,
         callee: Value,
         args: Vec<Value>,
@@ -599,7 +583,7 @@ impl Interp {
     ///
     /// Fails on arity mismatch or recursion-depth exhaustion.
     #[allow(clippy::needless_range_loop)]
-    pub fn call_function(
+    pub(crate) fn call_function(
         &mut self,
         f: &Rc<PyFunction>,
         args: Vec<Value>,
@@ -686,7 +670,7 @@ impl Interp {
     /// # Errors
     ///
     /// Fails for unsupported operand combinations.
-    pub fn binop(&mut self, op: BinOp, l: Value, r: Value) -> Result<Value> {
+    pub(crate) fn binop(&mut self, op: BinOp, l: Value, r: Value) -> Result<Value> {
         // staged operands stage the op
         if matches!(l, Value::GraphNode { .. }) || matches!(r, Value::GraphNode { .. }) {
             let kind = match op {
@@ -928,7 +912,7 @@ impl Interp {
     /// # Errors
     ///
     /// Fails for unsupported operand types.
-    pub fn unary(&mut self, op: UnaryOp, v: Value) -> Result<Value> {
+    pub(crate) fn unary(&mut self, op: UnaryOp, v: Value) -> Result<Value> {
         match op {
             UnaryOp::Not => Ok(Value::Bool(!v.truthy()?)),
             UnaryOp::Pos => Ok(v),
@@ -954,7 +938,7 @@ impl Interp {
     /// # Errors
     ///
     /// Fails for unknown attributes.
-    pub fn attr_get(&mut self, base: Value, attr: &str) -> Result<Value> {
+    pub(crate) fn attr_get(&mut self, base: Value, attr: &str) -> Result<Value> {
         match base {
             Value::Module(ModuleKind::Tf) => crate::tf_api::lookup(attr)
                 .ok_or_else(|| RuntimeError::new(format!("module 'tf' has no attribute '{attr}'"))),
@@ -1020,7 +1004,7 @@ impl Interp {
     /// # Errors
     ///
     /// Fails on out-of-range indices or unsupported containers.
-    pub fn subscript_get(&mut self, base: Value, index: Value) -> Result<Value> {
+    pub(crate) fn subscript_get(&mut self, base: Value, index: Value) -> Result<Value> {
         match &base {
             Value::List(items) => {
                 let items = items.borrow();
@@ -1070,7 +1054,12 @@ impl Interp {
     /// # Errors
     ///
     /// Fails for unsupported containers.
-    pub fn slice_get(&mut self, base: Value, lo: Option<i64>, hi: Option<i64>) -> Result<Value> {
+    pub(crate) fn slice_get(
+        &mut self,
+        base: Value,
+        lo: Option<i64>,
+        hi: Option<i64>,
+    ) -> Result<Value> {
         match &base {
             Value::List(items) => {
                 let items = items.borrow();
@@ -1113,7 +1102,7 @@ impl Interp {
     /// # Errors
     ///
     /// Fails for staged or non-numeric values.
-    pub fn to_eager(&self, v: &Value) -> Result<autograph_eager::EagerTensor> {
+    pub(crate) fn to_eager(&self, v: &Value) -> Result<autograph_eager::EagerTensor> {
         match v {
             Value::Tensor(t) => Ok(t.clone()),
             other => Ok(autograph_eager::EagerTensor::from(other.as_eager_tensor()?)),
@@ -1126,7 +1115,7 @@ impl Interp {
     ///
     /// Fails outside graph staging, for undefined values, or for
     /// uncoercible types.
-    pub fn to_graph_node(&mut self, v: &Value) -> Result<autograph_graph::NodeId> {
+    pub(crate) fn graph_node_for(&mut self, v: &Value) -> Result<autograph_graph::NodeId> {
         // clone data needed before borrowing stage mutably
         let span = self.current_span;
         let stage = match &mut self.stage {
@@ -1152,7 +1141,7 @@ impl Interp {
                 let items = items.borrow().clone();
                 let mut arr = stage.add(OpKind::ArrayNew, vec![]).1;
                 for item in items {
-                    let n = self.to_graph_node(&item)?;
+                    let n = self.graph_node_for(&item)?;
                     let stage = match &mut self.stage {
                         Stage::Graph(g) => g,
                         _ => unreachable!(),
@@ -1177,15 +1166,15 @@ impl Interp {
     /// # Errors
     ///
     /// Fails when not staging a graph or inputs cannot be coerced.
-    pub fn graph_op(&mut self, op: OpKind, inputs: &[Value]) -> Result<Value> {
+    pub(crate) fn graph_op(&mut self, op: OpKind, inputs: &[Value]) -> Result<Value> {
         let mut ids = Vec::with_capacity(inputs.len());
         for v in inputs {
-            ids.push(self.to_graph_node(v)?);
+            ids.push(self.graph_node_for(v)?);
         }
         let span = self.current_span;
         let stage = match &mut self.stage {
             Stage::Graph(g) => g,
-            _ => unreachable!("to_graph_node checked staging"),
+            _ => unreachable!("graph_node_for checked staging"),
         };
         stage.top().builder.set_span(span);
         let (epoch, id) = stage.add(op, ids);
@@ -1197,7 +1186,7 @@ impl Interp {
     /// # Errors
     ///
     /// Fails for values the Lantern IR cannot represent.
-    pub fn to_lantern_sexpr(&self, v: &Value) -> Result<SExpr> {
+    pub(crate) fn to_lantern_sexpr(&self, v: &Value) -> Result<SExpr> {
         match v {
             Value::Lantern(e) => Ok((**e).clone()),
             Value::Int(i) => Ok(SExpr::Num(*i as f64)),
@@ -1220,7 +1209,7 @@ impl Interp {
     }
 
     /// Build a Lantern op expression value.
-    pub fn lantern_expr(&mut self, op: &str, args: Vec<SExpr>) -> Value {
+    pub(crate) fn lantern_expr(&mut self, op: &str, args: Vec<SExpr>) -> Value {
         let mut items = vec![SExpr::sym(op)];
         items.extend(args);
         Value::Lantern(Rc::new(SExpr::list(items)))

@@ -18,20 +18,18 @@
 //! converted) PyLite source, call functions eagerly, or stage them into a
 //! [`autograph_graph::Graph`] / [`autograph_lantern::Program`].
 
-pub mod backend;
+pub(crate) mod backend;
 pub mod env;
 pub mod error;
 pub mod interp;
-pub mod operators;
+pub(crate) mod operators;
 pub mod plan_cache;
 pub mod runtime;
-pub mod tf_api;
+pub(crate) mod tf_api;
 pub mod value;
 
-pub use backend::Backend;
 pub use error::RuntimeError;
-pub use interp::Interp;
-pub use plan_cache::{compile_cached, compile_cached_with, CachedArtifacts};
+pub use plan_cache::compile_cached_with;
 pub use runtime::{CompiledFunction, Runtime, StagedGraph};
 pub use value::Value;
 

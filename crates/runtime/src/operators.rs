@@ -3,7 +3,6 @@
 //! (Listing 2): Python operands execute imperatively; staged operands
 //! lower the construct into the active IR.
 
-use crate::backend::LanternStage;
 use crate::interp::{Interp, Stage};
 use crate::value::{Builtin, PyFunction, Value};
 use crate::{Result, RuntimeError};
@@ -321,7 +320,12 @@ fn rebuild_result(template: &Value, values: Vec<Value>) -> Value {
 }
 
 /// The conditional operator (Listing 2).
-pub fn if_stmt_impl(i: &mut Interp, cond: Value, true_fn: Value, false_fn: Value) -> Result<Value> {
+pub(crate) fn if_stmt_impl(
+    i: &mut Interp,
+    cond: Value,
+    true_fn: Value,
+    false_fn: Value,
+) -> Result<Value> {
     match &cond {
         Value::GraphNode { .. } => staged_cond(i, cond, true_fn, false_fn),
         Value::Lantern(_) => lantern_cond(i, cond, true_fn, false_fn),
@@ -347,7 +351,7 @@ fn staged_cond(i: &mut Interp, cond: Value, true_fn: Value, false_fn: Value) -> 
     let t_values = flatten_result(&t_result);
     let mut t_nodes = Vec::with_capacity(t_values.len());
     for v in &t_values {
-        t_nodes.push(i.to_graph_node(v)?);
+        t_nodes.push(i.graph_node_for(v)?);
     }
     let (mut then_g, caps1) = {
         let Stage::Graph(stage) = &mut i.stage else {
@@ -367,7 +371,7 @@ fn staged_cond(i: &mut Interp, cond: Value, true_fn: Value, false_fn: Value) -> 
     let f_values = flatten_result(&f_result);
     let mut f_nodes = Vec::with_capacity(f_values.len());
     for v in &f_values {
-        f_nodes.push(i.to_graph_node(v)?);
+        f_nodes.push(i.graph_node_for(v)?);
     }
     let (else_g, caps_all) = {
         let Stage::Graph(stage) = &mut i.stage else {
@@ -388,7 +392,7 @@ fn staged_cond(i: &mut Interp, cond: Value, true_fn: Value, false_fn: Value) -> 
 
     // cond node inputs: predicate + resolved captures
     let n_outputs = t_values.len();
-    let mut inputs = vec![i.to_graph_node(&cond)?];
+    let mut inputs = vec![i.graph_node_for(&cond)?];
     {
         let Stage::Graph(stage) = &mut i.stage else {
             unreachable!()
@@ -465,7 +469,7 @@ fn lantern_cond(i: &mut Interp, cond: Value, true_fn: Value, false_fn: Value) ->
 }
 
 /// The while operator.
-pub fn while_stmt_impl(
+pub(crate) fn while_stmt_impl(
     i: &mut Interp,
     test_fn: Value,
     body_fn: Value,
@@ -539,7 +543,7 @@ fn staged_while(
         .map(|(e, id)| Value::GraphNode { epoch: *e, id: *id })
         .collect();
     let test_out = call(i, test_fn, param_values)?;
-    let test_node = i.to_graph_node(&test_out)?;
+    let test_node = i.graph_node_for(&test_out)?;
     let (mut cond_g, caps_c) = {
         let Stage::Graph(stage) = &mut i.stage else {
             unreachable!()
@@ -568,7 +572,7 @@ fn staged_while(
     }
     let mut out_nodes = Vec::with_capacity(k);
     for v in &body_values {
-        out_nodes.push(i.to_graph_node(v)?);
+        out_nodes.push(i.graph_node_for(v)?);
     }
     let (body_g, caps_all, passthrough) = {
         let Stage::Graph(stage) = &mut i.stage else {
@@ -587,7 +591,7 @@ fn staged_while(
     // While node: initial state + resolved captures
     let mut inputs = Vec::with_capacity(k + caps_all.len());
     for v in &state {
-        inputs.push(i.to_graph_node(v)?);
+        inputs.push(i.graph_node_for(v)?);
     }
     {
         let Stage::Graph(stage) = &mut i.stage else {
@@ -614,7 +618,12 @@ fn staged_while(
 }
 
 /// The for operator.
-pub fn for_stmt_impl(i: &mut Interp, iter: Value, body_fn: Value, init: Value) -> Result<Value> {
+pub(crate) fn for_stmt_impl(
+    i: &mut Interp,
+    iter: Value,
+    body_fn: Value,
+    init: Value,
+) -> Result<Value> {
     let state: Vec<Value> = match &init {
         Value::Tuple(items) => (**items).clone(),
         other => vec![other.clone()],
@@ -676,7 +685,7 @@ fn staged_for(
         let shape = i.graph_op(OpKind::Shape, std::slice::from_ref(&iter))?;
         let len = i.graph_op(OpKind::IndexAxis0, &[shape, Value::Int(0)])?;
         let lt = i.graph_op(OpKind::Less, &[idx, len])?;
-        let lt_node = i.to_graph_node(&lt)?;
+        let lt_node = i.graph_node_for(&lt)?;
         let Stage::Graph(stage) = &mut i.stage else {
             unreachable!()
         };
@@ -710,9 +719,9 @@ fn staged_for(
         )));
     }
     let next_idx = i.binop(autograph_pylang::ast::BinOp::Add, idx_val, Value::Int(1))?;
-    let mut out_nodes = vec![i.to_graph_node(&next_idx)?];
+    let mut out_nodes = vec![i.graph_node_for(&next_idx)?];
     for v in &body_values {
-        out_nodes.push(i.to_graph_node(v)?);
+        out_nodes.push(i.graph_node_for(v)?);
     }
     let (body_g, caps_all) = {
         let Stage::Graph(stage) = &mut i.stage else {
@@ -730,10 +739,10 @@ fn staged_for(
     let mut inputs = vec![];
     {
         let zero = Value::Int(0);
-        inputs.push(i.to_graph_node(&zero)?);
+        inputs.push(i.graph_node_for(&zero)?);
     }
     for v in &state {
-        inputs.push(i.to_graph_node(v)?);
+        inputs.push(i.graph_node_for(v)?);
     }
     {
         let Stage::Graph(stage) = &mut i.stage else {
@@ -810,10 +819,10 @@ fn list_append_impl(i: &mut Interp, l: Value, x: Value) -> Result<Value> {
         }
         (Value::List(_), _) => {
             // a Python list receiving a staged element becomes a staged list
-            let arr = i.to_graph_node(&l)?;
+            let arr = i.graph_node_for(&l)?;
             let stage_epoch = match &i.stage {
                 Stage::Graph(g) => g.top_epoch(),
-                _ => unreachable!("to_graph_node checked"),
+                _ => unreachable!("graph_node_for checked"),
             };
             let arr_v = Value::GraphNode {
                 epoch: stage_epoch,
@@ -906,7 +915,7 @@ fn setitem_impl(i: &mut Interp, x: Value, idx: Value, v: Value) -> Result<Value>
 
 /// `ag.converted_call` (§7.2 Function Calls): dynamically convert the
 /// target, call it as-is, or stage it, depending on its characteristics.
-pub fn converted_call_impl(
+pub(crate) fn converted_call_impl(
     i: &mut Interp,
     callee: Value,
     args: Args,
@@ -935,7 +944,7 @@ pub fn converted_call_impl(
 
 /// Convert a user function at runtime (recursive mode), caching by
 /// function identity.
-pub fn ensure_converted(i: &mut Interp, f: &Rc<PyFunction>) -> Result<Rc<PyFunction>> {
+pub(crate) fn ensure_converted(i: &mut Interp, f: &Rc<PyFunction>) -> Result<Rc<PyFunction>> {
     if f.is_artifact {
         return Ok(f.clone());
     }
@@ -1055,12 +1064,4 @@ fn lantern_staged_call(
         items.push(i.to_lantern_sexpr(a)?);
     }
     Ok(Value::Lantern(Rc::new(SExpr::list(items))))
-}
-
-/// Expose `LanternStage` for `Runtime` (staging entry points).
-pub fn lantern_stage_mut(i: &mut Interp) -> Result<&mut LanternStage> {
-    match &mut i.stage {
-        Stage::Lantern(s) => Ok(s),
-        _ => Err(RuntimeError::new("lantern staging inactive")),
-    }
 }

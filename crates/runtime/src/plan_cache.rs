@@ -1,6 +1,6 @@
 //! Warm restaging through the persistent plan store (ROADMAP item 3).
 //!
-//! [`compile_cached`] is the cache-aware twin of [`Runtime::compile`]:
+//! [`compile_cached_with`] is the cache-aware twin of [`Runtime::compile`]:
 //! on a store hit it deserializes the optimized graph + compiled VM
 //! program straight into a ready [`CompiledFunction`], skipping
 //! lex/parse/convert/stage/optimize/compile entirely (no `"staging"`
@@ -61,31 +61,14 @@ fn flags_for(name: &str, arg_names: &[&str]) -> String {
     format!("fn={name};args={};{FLAGS_REV}", arg_names.join(","))
 }
 
-/// Compile `name` from `source`, consulting the plan store configured
-/// via `AUTOGRAPH_PLAN_CACHE` (no store configured → always cold, no
-/// I/O).
+/// Compile `name` from `source`, consulting `store` under `version_tag`
+/// (no store → always cold, no I/O; tests pass a bumped tag to exercise
+/// invalidation).
 ///
 /// # Errors
 ///
 /// Propagates cold-pipeline staging errors. Store/decode failures are
 /// not errors — they fall back to cold staging.
-pub fn compile_cached(source: &str, name: &str, arg_names: &[&str]) -> Result<CachedArtifacts> {
-    let store = PlanStore::from_env();
-    compile_cached_with(
-        source,
-        name,
-        arg_names,
-        store.as_ref(),
-        planstore::VERSION_TAG,
-    )
-}
-
-/// [`compile_cached`] against an explicit store and version tag (tests
-/// pass a bumped tag to exercise invalidation).
-///
-/// # Errors
-///
-/// Propagates cold-pipeline staging errors.
 pub fn compile_cached_with(
     source: &str,
     name: &str,

@@ -16,7 +16,7 @@ use std::rc::Rc;
 /// Build the global environment: the `tf` and `ag` modules plus Python
 /// built-ins (which route through the same `ag.*` implementations the
 /// calls pass would substitute).
-pub fn global_env() -> Env {
+pub(crate) fn global_env() -> Env {
     let env = Env::new();
     env.set("tf", Value::Module(ModuleKind::Tf));
     env.set("ag", Value::Module(ModuleKind::Ag));
@@ -185,11 +185,6 @@ impl Runtime {
         Ok(result)
     }
 
-    /// Read a module-global variable.
-    pub fn global(&self, name: &str) -> Option<Value> {
-        self.globals.get(name)
-    }
-
     /// Stage a function into a dataflow graph: run it once with symbolic
     /// arguments, recording every tensor op (and staged control flow) into
     /// the IR.
@@ -237,7 +232,7 @@ impl Runtime {
         };
         let mut outputs = Vec::with_capacity(flat.len());
         for v in &flat {
-            match self.interp.to_graph_node(v) {
+            match self.interp.graph_node_for(v) {
                 Ok(n) => outputs.push(n),
                 Err(e) => {
                     self.interp.stage = Stage::Eager;
@@ -307,11 +302,6 @@ impl Runtime {
         };
         Ok(Program::compile(&program_sexpr)?)
     }
-}
-
-/// Helper: wrap a dense tensor as a runtime value.
-pub fn tensor_value(t: Tensor) -> Value {
-    Value::tensor(t)
 }
 
 /// A staged-and-compiled callable — the `tf.function` analog: the
@@ -731,6 +721,6 @@ def main(x):
     fn missing_function_errors() {
         let mut rt = Runtime::load("x = 1\n", false).unwrap();
         assert!(rt.call("nope", vec![]).is_err());
-        assert!(rt.global("x").unwrap().as_int().unwrap() == 1);
+        assert!(rt.globals.get("x").unwrap().as_int().unwrap() == 1);
     }
 }

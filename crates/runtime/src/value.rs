@@ -46,7 +46,8 @@ pub struct Builtin {
     pub name: String,
     /// Implementation.
     #[allow(clippy::type_complexity)]
-    pub func: Box<dyn Fn(&mut crate::Interp, Vec<Value>, Vec<(String, Value)>) -> Result<Value>>,
+    pub func:
+        Box<dyn Fn(&mut crate::interp::Interp, Vec<Value>, Vec<(String, Value)>) -> Result<Value>>,
 }
 
 impl fmt::Debug for Builtin {
@@ -170,17 +171,8 @@ impl Value {
         }
     }
 
-    /// Is this a staged or eager tensor-like value (the paper's
-    /// "tensor-like" dispatch test)?
-    pub fn is_tensor_like(&self) -> bool {
-        matches!(
-            self,
-            Value::Tensor(_) | Value::GraphNode { .. } | Value::Lantern(_)
-        )
-    }
-
     /// Is this a *staged* value (graph or Lantern)?
-    pub fn is_staged(&self) -> bool {
+    pub(crate) fn is_staged(&self) -> bool {
         matches!(self, Value::GraphNode { .. } | Value::Lantern(_))
     }
 
@@ -387,11 +379,8 @@ mod tests {
     }
 
     #[test]
-    fn tensor_like_classification() {
-        assert!(Value::tensor(Tensor::scalar_f32(0.0)).is_tensor_like());
-        assert!(Value::GraphNode { epoch: 0, id: 1 }.is_tensor_like());
+    fn staged_classification() {
         assert!(Value::GraphNode { epoch: 0, id: 1 }.is_staged());
         assert!(!Value::tensor(Tensor::scalar_f32(0.0)).is_staged());
-        assert!(!Value::Int(1).is_tensor_like());
     }
 }

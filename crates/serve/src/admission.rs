@@ -33,7 +33,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// One admitted request waiting for (or being handed to) a worker.
-pub struct Job {
+pub(crate) struct Job {
     /// The staged function to run.
     pub entry: Arc<FnEntry>,
     /// Decoded positional arguments.
@@ -60,7 +60,7 @@ impl Job {
 
 /// Running shed/admission counters (monotonic; exported via `/stats`).
 #[derive(Default)]
-pub struct AdmissionStats {
+pub(crate) struct AdmissionStats {
     /// Requests admitted into the queue.
     pub admitted: AtomicU64,
     /// Requests refused because the queue was full.
@@ -200,7 +200,7 @@ impl AdmissionQueue {
     /// that are compatible with `probe` under the given predicate —
     /// the batcher's harvesting step. Jobs that fail the predicate stay
     /// queued in order.
-    pub fn take_compatible(
+    pub(crate) fn take_compatible(
         &self,
         probe: &Job,
         limit: usize,
@@ -228,14 +228,9 @@ impl AdmissionQueue {
 
     /// Flip to draining: admission refuses new work, workers exit once
     /// the queue empties.
-    pub fn start_drain(&self) {
+    pub(crate) fn start_drain(&self) {
         self.lock().draining = true;
         self.nonempty.notify_all();
-    }
-
-    /// Whether drain has been requested.
-    pub fn is_draining(&self) -> bool {
-        self.lock().draining
     }
 
     /// Current queue depth.

@@ -33,7 +33,7 @@ use autograph_tensor::Tensor;
 
 /// Whether `candidate`'s arguments can join a batch led by `leader`:
 /// same arity, and argument-wise same dtype and shape.
-pub fn compatible(leader: &Job, candidate: &Job) -> bool {
+pub(crate) fn compatible(leader: &Job, candidate: &Job) -> bool {
     leader.args.len() == candidate.args.len()
         && leader
             .args
@@ -48,7 +48,7 @@ pub fn compatible(leader: &Job, candidate: &Job) -> bool {
 ///
 /// Propagates tensor stacking errors (shape/dtype mismatch — prevented
 /// by [`compatible`], but the kernel re-checks).
-pub fn stack_args(members: &[Job]) -> Result<Vec<Tensor>, String> {
+pub(crate) fn stack_args(members: &[Job]) -> Result<Vec<Tensor>, String> {
     let arity = members.first().map(|j| j.args.len()).unwrap_or(0);
     let mut out = Vec::with_capacity(arity);
     for i in 0..arity {
@@ -63,7 +63,7 @@ pub fn stack_args(members: &[Job]) -> Result<Vec<Tensor>, String> {
 /// Returns `None` when any output's leading dim does not equal the
 /// batch size — the declared batch-legality was wrong and the caller
 /// must fall back to individual runs.
-pub fn split_outputs(outputs: &[Tensor], batch: usize) -> Option<Vec<Vec<Tensor>>> {
+pub(crate) fn split_outputs(outputs: &[Tensor], batch: usize) -> Option<Vec<Vec<Tensor>>> {
     for t in outputs {
         let shape = t.shape();
         if shape.first().copied() != Some(batch) {

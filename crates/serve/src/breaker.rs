@@ -5,7 +5,7 @@
 //!
 //! Policy notes:
 //!
-//! * Only **execution** failures count ([`crate::error::ServeError::trips_breaker`]):
+//! * Only **execution** failures count (`ServeError::trips_breaker`):
 //!   kernel faults and isolated panics. Deadline expiry, cancellation,
 //!   and shedding are client-budget outcomes and leave the breaker
 //!   untouched — a burst of impatient clients must not blacklist a
@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 /// The admission decision for one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admit {
+pub(crate) enum Admit {
     /// Closed (or a successful probe re-closed it): run normally.
     Yes,
     /// Half-open: this request is the probe. The caller MUST report the
@@ -52,7 +52,7 @@ enum State {
 
 /// The breaker. One per staged function.
 #[derive(Debug)]
-pub struct CircuitBreaker {
+pub(crate) struct CircuitBreaker {
     state: Mutex<State>,
     threshold: u32,
     base_cooldown: Duration,
@@ -79,7 +79,7 @@ impl CircuitBreaker {
     }
 
     /// Decide whether a request may execute.
-    pub fn admit(&self) -> Admit {
+    pub(crate) fn admit(&self) -> Admit {
         let mut st = self.lock();
         match &*st {
             State::Closed { .. } => Admit::Yes,
@@ -102,7 +102,7 @@ impl CircuitBreaker {
     }
 
     /// Report a successful execution: closes from any state.
-    pub fn on_success(&self) {
+    pub(crate) fn on_success(&self) {
         *self.lock() = State::Closed {
             consecutive_failures: 0,
         };
@@ -110,7 +110,7 @@ impl CircuitBreaker {
 
     /// Report a failed execution (only for failures where
     /// `ServeError::trips_breaker` holds).
-    pub fn on_failure(&self) {
+    pub(crate) fn on_failure(&self) {
         let mut st = self.lock();
         match &*st {
             State::Closed {
@@ -141,7 +141,7 @@ impl CircuitBreaker {
     }
 
     /// Whether the breaker is currently open or probing (for `/stats`).
-    pub fn is_open(&self) -> bool {
+    pub(crate) fn is_open(&self) -> bool {
         !matches!(&*self.lock(), State::Closed { .. })
     }
 }

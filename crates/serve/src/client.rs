@@ -93,16 +93,6 @@ impl Client {
         self.read_response()
     }
 
-    /// Half-close the write side (provokes the server's peer-closed
-    /// detection without dropping the read side).
-    ///
-    /// # Errors
-    ///
-    /// Propagates shutdown failures.
-    pub fn shutdown_write(&mut self) -> io::Result<()> {
-        self.stream.shutdown(std::net::Shutdown::Write)
-    }
-
     fn fill(&mut self) -> io::Result<usize> {
         let mut chunk = [0u8; 4096];
         let n = self.stream.read(&mut chunk)?;

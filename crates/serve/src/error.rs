@@ -66,7 +66,7 @@ impl ServeError {
 
     /// The `Retry-After` hint in milliseconds, when this error carries
     /// one.
-    pub fn retry_after_ms(&self) -> Option<u64> {
+    pub(crate) fn retry_after_ms(&self) -> Option<u64> {
         match self {
             ServeError::Shed { retry_after_ms, .. }
             | ServeError::BreakerOpen { retry_after_ms } => Some(*retry_after_ms),
@@ -105,14 +105,14 @@ impl ServeError {
     /// Whether this failure counts against the function's circuit
     /// breaker. Client-budget failures (shed/deadline/cancel/drain) and
     /// client mistakes do not; execution faults and panics do.
-    pub fn trips_breaker(&self) -> bool {
+    pub(crate) fn trips_breaker(&self) -> bool {
         matches!(self, ServeError::Graph(_) | ServeError::Internal(_))
     }
 
     /// Classify a failed `Session::run_with_options`: cancellation and
     /// deadline expiry keep their identity, everything else is a graph
     /// execution failure.
-    pub fn from_graph(e: GraphError) -> ServeError {
+    pub(crate) fn from_graph(e: GraphError) -> ServeError {
         if e.is_cancelled() {
             ServeError::Cancelled
         } else if e.is_deadline_exceeded() {

@@ -3,7 +3,7 @@
 //!
 //! No async runtime (the registry is unreachable, and the serving model
 //! is thread-per-connection with a bounded connection count); the only
-//! subtlety is that [`HttpConn`] does its **own** read buffering so that
+//! subtlety is that `HttpConn` does its **own** read buffering so that
 //! pipelined bytes survive across keep-alive requests *and* the raw
 //! stream stays available for [`TcpStream::peek`]-based disconnect
 //! detection while a request is in flight.
@@ -17,7 +17,7 @@ const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// One parsed request.
 #[derive(Debug)]
-pub struct Request {
+pub(crate) struct Request {
     /// `GET`, `POST`, ...
     pub method: String,
     /// The raw path (`/run/f`).
@@ -40,7 +40,7 @@ impl Request {
 
     /// Whether the client asked to close the connection after this
     /// exchange.
-    pub fn wants_close(&self) -> bool {
+    pub(crate) fn wants_close(&self) -> bool {
         self.header("connection")
             .map(|v| v.eq_ignore_ascii_case("close"))
             .unwrap_or(false)
@@ -55,7 +55,7 @@ impl Request {
     /// headers, logs and error JSON: only ASCII alphanumerics plus
     /// `-`, `_`, `.`, `:` survive, capped at 64 chars. `None` when the
     /// header is absent or nothing survives sanitization.
-    pub fn request_id(&self) -> Option<String> {
+    pub(crate) fn request_id(&self) -> Option<String> {
         let raw = self.header("x-request-id")?;
         let cleaned: String = raw
             .chars()
@@ -72,7 +72,7 @@ impl Request {
 
 /// What went wrong while reading a request.
 #[derive(Debug)]
-pub enum ReadError {
+pub(crate) enum ReadError {
     /// Clean EOF before any byte of a new request: keep-alive ended.
     Closed,
     /// A socket error mid-request.
@@ -89,7 +89,7 @@ impl From<io::Error> for ReadError {
 }
 
 /// A connection wrapper owning the read buffer.
-pub struct HttpConn {
+pub(crate) struct HttpConn {
     stream: TcpStream,
     buf: Vec<u8>,
     max_body: usize,
@@ -105,12 +105,6 @@ impl HttpConn {
         }
     }
 
-    /// The underlying stream (for `peek`-based disconnect checks and
-    /// for shutdown).
-    pub fn stream(&self) -> &TcpStream {
-        &self.stream
-    }
-
     fn fill(&mut self) -> io::Result<usize> {
         let mut chunk = [0u8; 4096];
         let n = self.stream.read(&mut chunk)?;
@@ -120,7 +114,7 @@ impl HttpConn {
 
     /// Read one full request. `Err(Closed)` on clean EOF between
     /// requests, `Err(Malformed)` on protocol garbage.
-    pub fn read_request(&mut self) -> Result<Request, ReadError> {
+    pub(crate) fn read_request(&mut self) -> Result<Request, ReadError> {
         // accumulate until the blank line ending the head
         let head_end = loop {
             if let Some(pos) = find_head_end(&self.buf) {
@@ -201,7 +195,7 @@ impl HttpConn {
 
     /// Write a JSON response. `extra_headers` are `(name, value)` pairs
     /// appended verbatim (e.g. `Retry-After`).
-    pub fn write_response(
+    pub(crate) fn write_response(
         &mut self,
         status: u16,
         extra_headers: &[(&str, String)],
@@ -212,7 +206,7 @@ impl HttpConn {
 
     /// Write a response with an explicit `Content-Type` (the `/metrics`
     /// exporter serves Prometheus text, not JSON).
-    pub fn write_response_typed(
+    pub(crate) fn write_response_typed(
         &mut self,
         status: u16,
         content_type: &str,
@@ -239,7 +233,7 @@ impl HttpConn {
     /// Non-destructively probe the connection: has the peer closed it?
     /// Uses `peek` with a short timeout so pipelined request bytes are
     /// left untouched. Returns `true` when the peer is gone.
-    pub fn peer_closed(&self) -> bool {
+    pub(crate) fn peer_closed(&self) -> bool {
         let mut probe = [0u8; 1];
         let prev = self.stream.read_timeout().ok().flatten();
         if self

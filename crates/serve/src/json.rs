@@ -163,7 +163,7 @@ fn parse_f32(v: &Value) -> Result<f32, String> {
 }
 
 /// Decode one tensor from its wire object (or scalar shorthand).
-pub fn parse_tensor(v: &Value) -> Result<Tensor, String> {
+pub(crate) fn parse_tensor(v: &Value) -> Result<Tensor, String> {
     match v {
         Value::Number(n) => Ok(Tensor::scalar_f32(*n as f32)),
         Value::Bool(b) => Ok(Tensor::scalar_bool(*b)),

@@ -17,12 +17,12 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod admission;
-pub mod batch;
-pub mod breaker;
+pub(crate) mod admission;
+pub(crate) mod batch;
+pub(crate) mod breaker;
 pub mod client;
 pub mod error;
-pub mod http;
+pub(crate) mod http;
 pub mod json;
 pub mod prom;
 pub mod registry;
@@ -31,5 +31,5 @@ pub mod telemetry;
 
 pub use error::ServeError;
 pub use registry::{reset_stage_memo, ModelRegistry, RegistryConfig};
-pub use server::{DrainReport, Server, ServerConfig};
-pub use telemetry::{RequestTrace, Telemetry, TelemetryConfig};
+pub use server::{Server, ServerConfig};
+pub use telemetry::{Telemetry, TelemetryConfig};

@@ -28,7 +28,7 @@ fn escape_label(s: &str) -> String {
 
 /// Builds the exposition document family by family.
 #[derive(Default)]
-pub struct PromWriter {
+pub(crate) struct PromWriter {
     out: String,
 }
 
@@ -39,13 +39,13 @@ impl PromWriter {
     }
 
     /// Start a family: emits `# HELP` and `# TYPE`.
-    pub fn family(&mut self, name: &str, kind: &str, help: &str) {
+    pub(crate) fn family(&mut self, name: &str, kind: &str, help: &str) {
         let _ = writeln!(self.out, "# HELP {name} {help}");
         let _ = writeln!(self.out, "# TYPE {name} {kind}");
     }
 
     /// One sample with `(label, value)` pairs (empty slice = no labels).
-    pub fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
+    pub(crate) fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
         self.out.push_str(name);
         self.push_labels(labels, None);
         // u64-valued counters must not lose precision through f64
@@ -59,7 +59,7 @@ impl PromWriter {
     /// A full histogram family member from a snapshot: cumulative
     /// `_bucket` samples (bounds are ns, exported as seconds), `_sum`,
     /// `_count`.
-    pub fn histogram(&mut self, name: &str, labels: &[(&str, &str)], snap: &HistSnapshot) {
+    pub(crate) fn histogram(&mut self, name: &str, labels: &[(&str, &str)], snap: &HistSnapshot) {
         let mut cum = 0u64;
         for (i, bound) in snap.bounds.iter().enumerate() {
             cum = cum.saturating_add(snap.buckets[i]);
@@ -86,7 +86,12 @@ impl PromWriter {
 
     /// Like [`histogram`](PromWriter::histogram) but for dimensionless
     /// bucket bounds (permille histograms): `le` is the raw bound.
-    pub fn histogram_raw(&mut self, name: &str, labels: &[(&str, &str)], snap: &HistSnapshot) {
+    pub(crate) fn histogram_raw(
+        &mut self,
+        name: &str,
+        labels: &[(&str, &str)],
+        snap: &HistSnapshot,
+    ) {
         let mut cum = 0u64;
         for (i, bound) in snap.bounds.iter().enumerate() {
             cum = cum.saturating_add(snap.buckets[i]);

@@ -69,7 +69,7 @@ pub struct FnEntry {
     /// opt-in AND stateless).
     pub batchable: AtomicBool,
     /// Per-function circuit breaker.
-    pub breaker: CircuitBreaker,
+    pub(crate) breaker: CircuitBreaker,
     /// EWMA of per-request service time in ns (shed-prediction input);
     /// 0 until the first completed run.
     pub ewma_service_ns: AtomicU64,
@@ -84,7 +84,7 @@ pub struct FnEntry {
 impl FnEntry {
     /// Update the service-time estimate: `ewma ← 7/8·ewma + 1/8·sample`
     /// (first sample seeds it directly).
-    pub fn record_service_ns(&self, sample_ns: u64) {
+    pub(crate) fn record_service_ns(&self, sample_ns: u64) {
         let prev = self.ewma_service_ns.load(Ordering::Relaxed);
         let next = if prev == 0 {
             sample_ns
@@ -274,7 +274,7 @@ impl ModelRegistry {
 
     /// The staging error for a function that loaded but failed to
     /// stage, if that is why `get` missed.
-    pub fn staging_error(&self, name: &str) -> Option<&str> {
+    pub(crate) fn staging_error(&self, name: &str) -> Option<&str> {
         self.failed
             .iter()
             .find(|f| f.name == name)

@@ -84,7 +84,7 @@ impl Default for ServerConfig {
 
 /// Counters beyond admission's, exported via `/stats`.
 #[derive(Default)]
-pub struct ServerStats {
+pub(crate) struct ServerStats {
     /// Responses written, by class.
     pub resp_2xx: AtomicU64,
     /// 4xx responses (bad request / unknown function / cancelled-499).
@@ -213,7 +213,7 @@ impl Server {
 
     /// Begin refusing new work without blocking: the acceptor stops,
     /// admission answers 503 `draining`. Idempotent.
-    pub fn start_drain(&self) {
+    pub(crate) fn start_drain(&self) {
         self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.queue.start_drain();
     }
@@ -250,16 +250,6 @@ impl Server {
             clean: abandoned == 0,
             abandoned,
         }
-    }
-
-    /// Render `/stats` (also used by tests and the loadgen).
-    pub fn stats_json(&self) -> String {
-        stats_json(&self.shared)
-    }
-
-    /// Render `/metrics` (the Prometheus text document).
-    pub fn metrics_text(&self) -> String {
-        metrics_text(&self.shared)
     }
 
     /// The server's telemetry plane.
@@ -1217,8 +1207,8 @@ mod tests {
             std::thread::yield_now();
         }
 
-        let stats: Value = serde_json::from_str(&server.stats_json()).expect("stats JSON");
-        let scrape = prom::parse_and_validate(&server.metrics_text()).expect("exposition");
+        let stats: Value = serde_json::from_str(&stats_json(&server.shared)).expect("stats JSON");
+        let scrape = prom::parse_and_validate(&metrics_text(&server.shared)).expect("exposition");
         let mut compared = 0;
         for f in SERVER_SCALARS {
             let Some(family) = f.name else {

@@ -63,7 +63,7 @@ impl Default for TelemetryConfig {
 /// unless stated otherwise). One of these per registry entry, fixed at
 /// server start, so the hot path indexes a vector — no map lookups
 /// under a lock.
-pub struct FnMetrics {
+pub(crate) struct FnMetrics {
     /// The function name (label value in `/metrics`).
     pub name: String,
     /// 2xx responses.
@@ -104,7 +104,7 @@ impl FnMetrics {
     }
 
     /// Count one response of the given status class.
-    pub fn count_status(&self, status: u16) {
+    pub(crate) fn count_status(&self, status: u16) {
         match status {
             200..=299 => self.resp_2xx.add(1),
             400..=499 => self.resp_4xx.add(1),
@@ -113,7 +113,7 @@ impl FnMetrics {
     }
 
     /// RAII occupancy bump while a session is checked out.
-    pub fn running_guard(self: &Arc<FnMetrics>) -> RunningGuard {
+    pub(crate) fn running_guard(self: &Arc<FnMetrics>) -> RunningGuard {
         let now = self.running.fetch_add(1, Ordering::Relaxed) + 1;
         self.running_peak.fetch_max(now, Ordering::Relaxed);
         RunningGuard {
@@ -123,7 +123,7 @@ impl FnMetrics {
 }
 
 /// Decrements [`FnMetrics::running`] on drop.
-pub struct RunningGuard {
+pub(crate) struct RunningGuard {
     m: Arc<FnMetrics>,
 }
 
@@ -168,9 +168,10 @@ pub struct RequestTrace {
 }
 
 impl RequestTrace {
-    /// An unsampled trace with the given id — for tests and tools that
-    /// need a `Job` without a server.
-    pub fn detached(id: &str) -> Arc<RequestTrace> {
+    /// An unsampled trace with the given id, for tests that need a `Job`
+    /// without a server.
+    #[cfg(test)]
+    pub(crate) fn detached(id: &str) -> Arc<RequestTrace> {
         Arc::new(RequestTrace {
             id: id.to_string(),
             num: 0,
@@ -183,7 +184,7 @@ impl RequestTrace {
 
     /// Record a phase that started at `start_ns` (obs clock) and just
     /// ended. One branch when the request is not sampled.
-    pub fn phase_from(&self, name: &str, start_ns: u64) {
+    pub(crate) fn phase_from(&self, name: &str, start_ns: u64) {
         if !self.sampled {
             return;
         }
@@ -219,7 +220,7 @@ impl RequestTrace {
 }
 
 /// A completed sampled request, as retained by the trace ring.
-pub struct FinishedTrace {
+pub(crate) struct FinishedTrace {
     /// Request id.
     pub id: String,
     /// Requested function.
@@ -240,7 +241,7 @@ struct Windows {
 }
 
 /// Computed stats for one rolling window (all ns).
-pub struct WindowStats {
+pub(crate) struct WindowStats {
     /// Window length actually covered (≤ requested; short after boot).
     pub covered_s: u64,
     /// Requests completed in the window.
@@ -305,12 +306,12 @@ impl Telemetry {
     }
 
     /// Per-function metrics, in registry order.
-    pub fn fns(&self) -> &[Arc<FnMetrics>] {
+    pub(crate) fn fns(&self) -> &[Arc<FnMetrics>] {
         &self.fns
     }
 
     /// Metrics for one function.
-    pub fn for_fn(&self, name: &str) -> Option<&Arc<FnMetrics>> {
+    pub(crate) fn for_fn(&self, name: &str) -> Option<&Arc<FnMetrics>> {
         self.by_name.get(name).map(|i| &self.fns[*i])
     }
 
@@ -365,7 +366,7 @@ impl Telemetry {
     /// Rotate the window ring when a second boundary has passed. Called
     /// opportunistically (acceptor tick, stats endpoints); cheap no-op
     /// within a second.
-    pub fn maybe_rotate(&self) {
+    pub(crate) fn maybe_rotate(&self) {
         let now_s = self.started.elapsed().as_secs();
         let last = self.last_rotate_s.load(Ordering::Relaxed);
         if now_s <= last
@@ -390,7 +391,7 @@ impl Telemetry {
     }
 
     /// Stats over the trailing `window_s` seconds.
-    pub fn window_stats(&self, window_s: u64) -> WindowStats {
+    pub(crate) fn window_stats(&self, window_s: u64) -> WindowStats {
         let current = self.latency_all.snapshot();
         let (baseline, covered_s) = {
             let w = self.windows.lock().unwrap_or_else(|p| p.into_inner());
@@ -423,7 +424,7 @@ impl Telemetry {
     /// window object has `covered_s`, `count`, `rate_rps`, `p50_ms`,
     /// `p90_ms`, `p99_ms`, `over_slo_frac`, `slo_burn` (fraction over
     /// SLO ÷ a 1% error budget).
-    pub fn windows_json(&self) -> String {
+    pub(crate) fn windows_json(&self) -> String {
         self.maybe_rotate();
         let mut out = String::from("{\"slo_ms\":");
         out.push_str(&self.cfg.slo_ms.to_string());

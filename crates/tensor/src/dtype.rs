@@ -26,11 +26,6 @@ impl DType {
             DType::Bool => "bool",
         }
     }
-
-    /// True if this is a numeric (non-boolean) dtype.
-    pub fn is_numeric(self) -> bool {
-        !matches!(self, DType::Bool)
-    }
 }
 
 impl fmt::Display for DType {
@@ -44,12 +39,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn names_and_numeric() {
+    fn names() {
         assert_eq!(DType::F32.name(), "f32");
         assert_eq!(DType::I64.to_string(), "i64");
-        assert!(DType::F32.is_numeric());
-        assert!(DType::I64.is_numeric());
-        assert!(!DType::Bool.is_numeric());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! tier.
 //!
 //! A [`FusedSpec`] is a small postfix (stack) program over up to
-//! [`FUSED_MAX_INPUTS`] input tensors whose steps are drawn from the
+//! `FUSED_MAX_INPUTS` input tensors whose steps are drawn from the
 //! closed set of elementwise ops in [`FusedOp`].
 //!
 //! ## Evaluation: strips, not elements
@@ -22,7 +22,7 @@
 //!
 //! Each output element still sees exactly the chain of `f32` operations
 //! — same ops, same order, no reassociation — that the op-by-op kernels
-//! in [`crate::ops`]/[`crate::nn`] compute; only the loop nesting changed
+//! in [`crate::ops`] and `nn` compute; only the loop nesting changed
 //! (strip → op → element instead of element → op). The result is
 //! therefore **bitwise identical** to unfused execution, at any thread
 //! count: large outputs hand disjoint index ranges to the worker pool,
@@ -59,11 +59,11 @@ use crate::shape::{broadcast_into, RunWalker, CHUNK};
 use crate::{DType, Data, Tensor};
 
 /// Maximum number of distinct input tensors a fused program may read.
-pub const FUSED_MAX_INPUTS: usize = 64;
+pub(crate) const FUSED_MAX_INPUTS: usize = 64;
 /// Maximum number of postfix steps in a fused program.
-pub const FUSED_MAX_OPS: usize = 64;
+pub(crate) const FUSED_MAX_OPS: usize = 64;
 /// Maximum operand-stack depth a fused program may need.
-pub const FUSED_MAX_STACK: usize = 16;
+pub(crate) const FUSED_MAX_STACK: usize = 16;
 
 /// One step of a fused elementwise postfix program.
 ///
@@ -527,11 +527,6 @@ impl FusedArena {
         }
         self.free.push(buf);
     }
-
-    /// Number of buffers currently held.
-    pub fn held(&self) -> usize {
-        self.free.len()
-    }
 }
 
 #[cfg(test)]
@@ -638,16 +633,16 @@ mod tests {
         buf.push(1.0f32);
         let cap = buf.capacity();
         arena.give(buf);
-        assert_eq!(arena.held(), 1);
+        assert_eq!(arena.free.len(), 1);
         let reused = arena.take(64);
         assert_eq!(reused.len(), 64);
         assert_eq!(reused.capacity(), cap, "the donated buffer came back");
-        assert_eq!(arena.held(), 0);
+        assert_eq!(arena.free.len(), 0);
         // too-small held buffers are skipped
         arena.give(Vec::with_capacity(8));
         let fresh = arena.take(1024);
         assert!(fresh.capacity() >= 1024);
-        assert_eq!(arena.held(), 1, "small buffer stays for a later fit");
+        assert_eq!(arena.free.len(), 1, "small buffer stays for a later fit");
     }
 
     #[test]
@@ -662,7 +657,7 @@ mod tests {
         arena.give(buf);
         let out2 = spec.try_eval(&[&a], &mut arena).unwrap();
         assert_eq!(out2.as_f32().unwrap(), &[2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(arena.held(), 0, "recycled buffer was taken");
+        assert_eq!(arena.free.len(), 0, "recycled buffer was taken");
     }
 
     #[test]

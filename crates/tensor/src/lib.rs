@@ -20,23 +20,23 @@
 //! # Ok::<(), autograph_tensor::TensorError>(())
 //! ```
 
-pub mod dtype;
+pub(crate) mod dtype;
 pub mod error;
 pub mod fused;
-pub mod index;
-pub mod linalg;
+pub(crate) mod index;
+pub(crate) mod linalg;
 pub mod mem;
-pub mod nn;
+pub(crate) mod nn;
 pub mod ops;
-pub mod random;
-pub mod reduce;
-pub mod shape;
+pub(crate) mod random;
+pub(crate) mod reduce;
+pub(crate) mod shape;
 pub mod tensor;
 
 pub use dtype::DType;
 pub use error::TensorError;
 pub use random::Rng64;
-pub use shape::{broadcast_shapes, Shape};
+pub use shape::Shape;
 pub use tensor::{Data, Tensor};
 
 /// Crate-wide result alias.

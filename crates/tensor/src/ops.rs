@@ -1,7 +1,7 @@
 //! Elementwise arithmetic, comparison and logical kernels with broadcasting.
 
-use crate::shape::{RunWalker, CHUNK};
-use crate::{broadcast_shapes, DType, Data, Result, Tensor, TensorError};
+use crate::shape::{broadcast_shapes, RunWalker, CHUNK};
+use crate::{DType, Data, Result, Tensor, TensorError};
 
 /// Element count above which a same-shape f32 kernel is split across
 /// the worker pool (below it the per-chunk dispatch cost dominates).
@@ -389,7 +389,7 @@ impl Tensor {
     /// # Errors
     ///
     /// Fails for boolean tensors.
-    pub fn map_f32(&self, op: &'static str, f: impl Fn(f32) -> f32) -> Result<Tensor> {
+    pub(crate) fn map_f32(&self, op: &'static str, f: impl Fn(f32) -> f32) -> Result<Tensor> {
         if self.dtype() == DType::Bool {
             return Err(TensorError::DTypeMismatch {
                 op,

@@ -49,7 +49,7 @@ impl Rng64 {
     }
 
     /// Standard normal sample (Box–Muller).
-    pub fn next_normal(&mut self) -> f32 {
+    pub(crate) fn next_normal(&mut self) -> f32 {
         let u1 = self.next_f32().max(1e-12);
         let u2 = self.next_f32();
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()

@@ -30,7 +30,7 @@ impl Shape {
     }
 
     /// Row-major strides (in elements) for this shape.
-    pub fn strides(&self) -> Vec<usize> {
+    pub(crate) fn strides(&self) -> Vec<usize> {
         let mut strides = vec![0; self.0.len()];
         let mut acc = 1;
         for (i, &d) in self.0.iter().enumerate().rev() {
@@ -62,7 +62,7 @@ impl From<&[usize]> for Shape {
 ///
 /// Returns [`TensorError::BroadcastMismatch`] when a dimension pair is
 /// incompatible.
-pub fn broadcast_shapes(lhs: &[usize], rhs: &[usize]) -> Result<Vec<usize>> {
+pub(crate) fn broadcast_shapes(lhs: &[usize], rhs: &[usize]) -> Result<Vec<usize>> {
     let mut out = lhs.to_vec();
     if broadcast_into(&mut out, rhs) {
         Ok(out)

@@ -40,7 +40,7 @@ impl Data {
     }
 
     /// Payload size in bytes (element size × length).
-    pub fn byte_len(&self) -> usize {
+    pub(crate) fn byte_len(&self) -> usize {
         match self {
             Data::F32(v) => v.len() * std::mem::size_of::<f32>(),
             Data::I64(v) => v.len() * std::mem::size_of::<i64>(),

@@ -18,10 +18,9 @@
 //! early exit).
 
 use crate::context::PassContext;
-use crate::continue_stmt::guarded_if;
 use crate::error::ConversionError;
-use autograph_pylang::ast::*;
-use autograph_pylang::{Module, Span};
+use crate::guards::{assign_bool, guarded_loop, lower_loops, Jump};
+use autograph_pylang::Module;
 
 /// Run the break-lowering pass over a module.
 ///
@@ -29,164 +28,14 @@ use autograph_pylang::{Module, Span};
 ///
 /// Returns [`ConversionError`] for a `break` outside any loop.
 pub fn run(module: Module, ctx: &mut PassContext) -> Result<Module, ConversionError> {
-    let body = process_block(module.body, ctx, false)?;
+    let body = lower_loops(module.body, ctx, Jump::Break, false, &mut |lp, ctx| {
+        let guard = ctx.gensym("break");
+        vec![
+            assign_bool(&guard, false, lp.span),
+            guarded_loop(lp, &guard, Jump::Break),
+        ]
+    })?;
     Ok(Module { body })
-}
-
-fn process_block(
-    body: Vec<Stmt>,
-    ctx: &mut PassContext,
-    in_loop: bool,
-) -> Result<Vec<Stmt>, ConversionError> {
-    let mut out = Vec::with_capacity(body.len());
-    for stmt in body {
-        let span = stmt.span;
-        match stmt.kind {
-            StmtKind::FunctionDef {
-                name,
-                params,
-                body,
-                decorators,
-            } => out.push(Stmt::new(
-                StmtKind::FunctionDef {
-                    name,
-                    params,
-                    body: process_block(body, ctx, false)?,
-                    decorators,
-                },
-                span,
-            )),
-            StmtKind::If { test, body, orelse } => out.push(Stmt::new(
-                StmtKind::If {
-                    test,
-                    body: process_block(body, ctx, in_loop)?,
-                    orelse: process_block(orelse, ctx, in_loop)?,
-                },
-                span,
-            )),
-            StmtKind::While { test, body } => {
-                let body = process_block(body, ctx, true)?;
-                if block_has_break(&body) {
-                    let guard = ctx.gensym("break");
-                    let (guarded, _) = guard_block(body, &guard);
-                    out.push(assign_bool(&guard, false, span));
-                    out.push(Stmt::new(
-                        StmtKind::While {
-                            // not guard and (test)
-                            test: Expr::new(
-                                ExprKind::BoolOp {
-                                    op: BoolOpKind::And,
-                                    values: vec![
-                                        Expr::new(
-                                            ExprKind::UnaryOp {
-                                                op: UnaryOp::Not,
-                                                operand: Box::new(Expr::new(
-                                                    ExprKind::Name(guard.clone()),
-                                                    span,
-                                                )),
-                                            },
-                                            span,
-                                        ),
-                                        test,
-                                    ],
-                                },
-                                span,
-                            ),
-                            body: guarded,
-                        },
-                        span,
-                    ));
-                } else {
-                    out.push(Stmt::new(StmtKind::While { test, body }, span));
-                }
-            }
-            StmtKind::For { target, iter, body } => {
-                let body = process_block(body, ctx, true)?;
-                if block_has_break(&body) {
-                    let guard = ctx.gensym("break");
-                    let (guarded, _) = guard_block(body, &guard);
-                    out.push(assign_bool(&guard, false, span));
-                    out.push(Stmt::new(
-                        StmtKind::For {
-                            target,
-                            iter,
-                            body: vec![guarded_if(&guard, guarded, span)],
-                        },
-                        span,
-                    ));
-                } else {
-                    out.push(Stmt::new(StmtKind::For { target, iter, body }, span));
-                }
-            }
-            StmtKind::Break if !in_loop => {
-                return Err(ConversionError::new("'break' outside of a loop", span));
-            }
-            other => out.push(Stmt::new(other, span)),
-        }
-    }
-    Ok(out)
-}
-
-fn assign_bool(name: &str, value: bool, span: Span) -> Stmt {
-    Stmt::new(
-        StmtKind::Assign {
-            target: Expr::new(ExprKind::Name(name.to_string()), span),
-            value: Expr::new(ExprKind::Bool(value), span),
-        },
-        span,
-    )
-}
-
-fn block_has_break(body: &[Stmt]) -> bool {
-    body.iter().any(|s| match &s.kind {
-        StmtKind::Break => true,
-        StmtKind::If { body, orelse, .. } => block_has_break(body) || block_has_break(orelse),
-        _ => false,
-    })
-}
-
-fn guard_block(body: Vec<Stmt>, guard: &str) -> (Vec<Stmt>, bool) {
-    let mut out = Vec::with_capacity(body.len());
-    let mut contains = false;
-    let mut iter = body.into_iter();
-    while let Some(stmt) = iter.next() {
-        let span = stmt.span;
-        let (mut rewritten, c) = guard_stmt(stmt, guard);
-        out.append(&mut rewritten);
-        if c {
-            contains = true;
-            let rest: Vec<Stmt> = iter.collect();
-            if !rest.is_empty() {
-                let (rest_guarded, _) = guard_block(rest, guard);
-                out.push(guarded_if(guard, rest_guarded, span));
-            }
-            break;
-        }
-    }
-    (out, contains)
-}
-
-fn guard_stmt(stmt: Stmt, guard: &str) -> (Vec<Stmt>, bool) {
-    let span = stmt.span;
-    match stmt.kind {
-        StmtKind::Break => (vec![assign_bool(guard, true, span)], true),
-        StmtKind::If { test, body, orelse } => {
-            let (b, c1) = guard_block(body, guard);
-            let (o, c2) = guard_block(orelse, guard);
-            (
-                vec![Stmt::new(
-                    StmtKind::If {
-                        test,
-                        body: b,
-                        orelse: o,
-                    },
-                    span,
-                )],
-                c1 || c2,
-            )
-        }
-        other => (vec![Stmt::new(other, span)], false),
-    }
 }
 
 #[cfg(test)]

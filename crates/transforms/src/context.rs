@@ -19,7 +19,7 @@ impl PassContext {
     /// Generate a fresh symbol with the given prefix, e.g. `retval__3`.
     /// Double underscores keep generated names out of the user namespace,
     /// matching AutoGraph's `ag__` convention.
-    pub fn gensym(&mut self, prefix: &str) -> String {
+    pub(crate) fn gensym(&mut self, prefix: &str) -> String {
         self.counter += 1;
         format!("{prefix}__{}", self.counter)
     }
@@ -27,7 +27,7 @@ impl PassContext {
 
 /// Build `ag.<name>(args...)` with a given span (so errors in generated
 /// code point at the user construct that produced it).
-pub fn ag_call(name: &str, args: Vec<Expr>, span: Span) -> Expr {
+pub(crate) fn ag_call(name: &str, args: Vec<Expr>, span: Span) -> Expr {
     Expr::new(
         ExprKind::Call {
             func: Box::new(Expr::new(
@@ -45,7 +45,7 @@ pub fn ag_call(name: &str, args: Vec<Expr>, span: Span) -> Expr {
 }
 
 /// True if the expression is exactly the qualified name `ag.<name>`.
-pub fn is_ag_intrinsic(expr: &Expr, name: &str) -> bool {
+pub(crate) fn is_ag_intrinsic(expr: &Expr, name: &str) -> bool {
     match &expr.kind {
         ExprKind::Attribute { value, attr } => {
             attr == name && matches!(&value.kind, ExprKind::Name(n) if n == "ag")
@@ -67,31 +67,17 @@ pub fn thunk(body: Expr, span: Span) -> Expr {
 
 /// A tuple expression (or the single expression when exactly one item —
 /// functional control flow uses bare values for single-symbol state).
-pub fn tuple_or_single(mut items: Vec<Expr>, span: Span) -> Expr {
-    if items.len() == 1 {
-        items.pop().expect("len checked")
-    } else {
-        Expr::new(ExprKind::Tuple(items), span)
+pub(crate) fn tuple_or_single(items: Vec<Expr>, span: Span) -> Expr {
+    match <[Expr; 1]>::try_from(items) {
+        Ok([only]) => only,
+        Err(items) => Expr::new(ExprKind::Tuple(items), span),
     }
-}
-
-/// Map every statement in a body with a fallible function, flattening
-/// multi-statement results.
-pub fn flat_map_body<E>(
-    body: Vec<Stmt>,
-    f: &mut impl FnMut(Stmt) -> Result<Vec<Stmt>, E>,
-) -> Result<Vec<Stmt>, E> {
-    let mut out = Vec::with_capacity(body.len());
-    for s in body {
-        out.extend(f(s)?);
-    }
-    Ok(out)
 }
 
 /// Recursively rebuild all nested statement bodies with `f` applied
 /// bottom-up to each body (innermost first). The map receives whole bodies
 /// so passes can restructure statement sequences.
-pub fn rewrite_bodies_bottom_up<E>(
+pub(crate) fn rewrite_bodies_bottom_up<E>(
     body: Vec<Stmt>,
     f: &mut impl FnMut(Vec<Stmt>) -> Result<Vec<Stmt>, E>,
 ) -> Result<Vec<Stmt>, E> {
@@ -134,7 +120,7 @@ pub fn rewrite_bodies_bottom_up<E>(
 /// Rebuild every expression in a statement body, applying `f` bottom-up
 /// (children first). Decorator expressions are left untouched — they are
 /// conversion metadata, not staged code.
-pub fn rewrite_exprs(body: Vec<Stmt>, f: &mut impl FnMut(Expr) -> Expr) -> Vec<Stmt> {
+pub(crate) fn rewrite_exprs(body: Vec<Stmt>, f: &mut impl FnMut(Expr) -> Expr) -> Vec<Stmt> {
     body.into_iter().map(|s| rewrite_stmt_exprs(s, f)).collect()
 }
 
@@ -194,7 +180,7 @@ fn rewrite_stmt_exprs(stmt: Stmt, f: &mut impl FnMut(Expr) -> Expr) -> Stmt {
 }
 
 /// Apply `f` to an expression tree bottom-up.
-pub fn rewrite_expr(expr: Expr, f: &mut impl FnMut(Expr) -> Expr) -> Expr {
+pub(crate) fn rewrite_expr(expr: Expr, f: &mut impl FnMut(Expr) -> Expr) -> Expr {
     use autograph_pylang::ast::Index;
     let span = expr.span;
     let kind = match expr.kind {

@@ -14,8 +14,9 @@
 
 use crate::context::PassContext;
 use crate::error::ConversionError;
+use crate::guards::{assign_bool, guard_block, lower_loops, Jump};
 use autograph_pylang::ast::*;
-use autograph_pylang::{Module, Span};
+use autograph_pylang::Module;
 
 /// Run the continue-lowering pass over a module.
 ///
@@ -23,164 +24,29 @@ use autograph_pylang::{Module, Span};
 ///
 /// Returns [`ConversionError`] for a `continue` outside any loop.
 pub fn run(module: Module, ctx: &mut PassContext) -> Result<Module, ConversionError> {
-    let body = process_block(module.body, ctx, false)?;
-    Ok(Module { body })
-}
-
-/// Recursively process a statement block; `in_loop` tracks whether a bare
-/// `continue` here would be legal.
-fn process_block(
-    body: Vec<Stmt>,
-    ctx: &mut PassContext,
-    in_loop: bool,
-) -> Result<Vec<Stmt>, ConversionError> {
-    let mut out = Vec::with_capacity(body.len());
-    for stmt in body {
-        let span = stmt.span;
-        let kind = match stmt.kind {
-            StmtKind::FunctionDef {
-                name,
-                params,
-                body,
-                decorators,
-            } => StmtKind::FunctionDef {
-                name,
-                params,
-                body: process_block(body, ctx, false)?,
-                decorators,
-            },
-            StmtKind::If { test, body, orelse } => StmtKind::If {
+    let body = lower_loops(module.body, ctx, Jump::Continue, false, &mut |lp, ctx| {
+        let guard = ctx.gensym("continue");
+        let span = lp.span;
+        let lower_body = |body| {
+            let mut out = vec![assign_bool(&guard, false, span)];
+            out.extend(guard_block(body, &guard, Jump::Continue).0);
+            out
+        };
+        let kind = match lp.kind {
+            StmtKind::While { test, body } => StmtKind::While {
                 test,
-                body: process_block(body, ctx, in_loop)?,
-                orelse: process_block(orelse, ctx, in_loop)?,
+                body: lower_body(body),
             },
-            StmtKind::While { test, body } => {
-                let body = process_block(body, ctx, true)?;
-                StmtKind::While {
-                    test,
-                    body: lower_loop_body(body, ctx, span),
-                }
-            }
-            StmtKind::For { target, iter, body } => {
-                let body = process_block(body, ctx, true)?;
-                StmtKind::For {
-                    target,
-                    iter,
-                    body: lower_loop_body(body, ctx, span),
-                }
-            }
-            StmtKind::Continue if !in_loop => {
-                return Err(ConversionError::new("'continue' outside of a loop", span));
-            }
+            StmtKind::For { target, iter, body } => StmtKind::For {
+                target,
+                iter,
+                body: lower_body(body),
+            },
             other => other,
         };
-        out.push(Stmt::new(kind, span));
-    }
-    Ok(out)
-}
-
-/// If `body` contains a continue at this loop level, rewrite it with a
-/// guard variable.
-fn lower_loop_body(body: Vec<Stmt>, ctx: &mut PassContext, loop_span: Span) -> Vec<Stmt> {
-    if !block_has_continue(&body) {
-        return body;
-    }
-    let guard = ctx.gensym("continue");
-    let (mut guarded, _) = guard_block(body, &guard);
-    let mut new_body = vec![Stmt::new(
-        StmtKind::Assign {
-            target: Expr::new(ExprKind::Name(guard.clone()), loop_span),
-            value: Expr::new(ExprKind::Bool(false), loop_span),
-        },
-        loop_span,
-    )];
-    new_body.append(&mut guarded);
-    new_body
-}
-
-/// Does the block contain `continue` at this loop's level (not inside
-/// nested loops or functions)?
-fn block_has_continue(body: &[Stmt]) -> bool {
-    body.iter().any(|s| match &s.kind {
-        StmtKind::Continue => true,
-        StmtKind::If { body, orelse, .. } => block_has_continue(body) || block_has_continue(orelse),
-        _ => false,
-    })
-}
-
-/// Rewrite a block: `continue` → `guard = True`; statements following a
-/// possible continue are wrapped in `if not guard:`. Returns the new block
-/// and whether it may set the guard.
-fn guard_block(body: Vec<Stmt>, guard: &str) -> (Vec<Stmt>, bool) {
-    let mut out = Vec::with_capacity(body.len());
-    let mut contains = false;
-    let mut iter = body.into_iter();
-    while let Some(stmt) = iter.next() {
-        let span = stmt.span;
-        let (mut rewritten, c) = guard_stmt(stmt, guard);
-        out.append(&mut rewritten);
-        if c {
-            contains = true;
-            let rest: Vec<Stmt> = iter.collect();
-            if !rest.is_empty() {
-                let (rest_guarded, _) = guard_block(rest, guard);
-                out.push(guarded_if(guard, rest_guarded, span));
-            }
-            break;
-        }
-    }
-    (out, contains)
-}
-
-fn guard_stmt(stmt: Stmt, guard: &str) -> (Vec<Stmt>, bool) {
-    let span = stmt.span;
-    match stmt.kind {
-        StmtKind::Continue => (
-            vec![Stmt::new(
-                StmtKind::Assign {
-                    target: Expr::new(ExprKind::Name(guard.to_string()), span),
-                    value: Expr::new(ExprKind::Bool(true), span),
-                },
-                span,
-            )],
-            true,
-        ),
-        StmtKind::If { test, body, orelse } => {
-            let (b, c1) = guard_block(body, guard);
-            let (o, c2) = guard_block(orelse, guard);
-            (
-                vec![Stmt::new(
-                    StmtKind::If {
-                        test,
-                        body: b,
-                        orelse: o,
-                    },
-                    span,
-                )],
-                c1 || c2,
-            )
-        }
-        // Nested loops keep their own continues (already lowered).
-        other => (vec![Stmt::new(other, span)], false),
-    }
-}
-
-/// `if not guard: body`
-pub(crate) fn guarded_if(guard: &str, body: Vec<Stmt>, span: Span) -> Stmt {
-    Stmt::new(
-        StmtKind::If {
-            test: Expr::new(
-                ExprKind::UnaryOp {
-                    op: UnaryOp::Not,
-                    operand: Box::new(Expr::new(ExprKind::Name(guard.to_string()), span)),
-                },
-                span,
-            ),
-            body,
-            orelse: Vec::new(),
-        },
-        span,
-    )
+        vec![Stmt::new(kind, span)]
+    })?;
+    Ok(Module { body })
 }
 
 #[cfg(test)]

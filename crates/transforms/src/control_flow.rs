@@ -459,7 +459,10 @@ fn functionalize_for(
 /// # Errors
 ///
 /// Infallible in practice; `Result` for pipeline uniformity.
-pub fn run_ternary(module: Module, _ctx: &mut PassContext) -> Result<Module, ConversionError> {
+pub(crate) fn run_ternary(
+    module: Module,
+    _ctx: &mut PassContext,
+) -> Result<Module, ConversionError> {
     let body = crate::context::rewrite_exprs(module.body, &mut |expr| {
         let span = expr.span;
         match expr.kind {

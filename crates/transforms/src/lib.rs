@@ -7,17 +7,21 @@
 //!
 //! | pass | rewrite |
 //! |---|---|
-//! | [`directives`] | recognizes `ag.set_element_type` / `ag.set_loop_options` |
+//! | `directives` | recognizes `ag.set_element_type` / `ag.set_loop_options` |
 //! | [`break_stmt`] | lowers `break` into guard variables + loop conditions |
 //! | [`continue_stmt`] | lowers `continue` into guard variables + conditionals |
 //! | [`return_stmt`] | lowers early `return` into a single trailing return |
-//! | [`asserts`] | `assert c, m` → `ag.assert_stmt(c, m)` |
-//! | [`lists`] | `l.append(x)` → `ag.list_append(l, x)`, `l.pop()` → `ag.list_pop(l)` |
-//! | [`slices`] | `x[i] = y` → `x = ag.setitem(x, i, y)` |
-//! | [`calls`] | `f(x)` → `ag.converted_call(f, x)` |
-//! | [`control_flow`] | `if`/`while`/`for` and ternaries → `ag.if_stmt` / `ag.while_stmt` / `ag.for_stmt` |
-//! | [`logical`] | `and`/`or`/`not`/`==`/`!=` → `ag.and_` / `ag.or_` / `ag.not_` / `ag.eq_` / `ag.not_eq_` |
+//! | `asserts` | `assert c, m` → `ag.assert_stmt(c, m)` |
+//! | `lists` | `l.append(x)` → `ag.list_append(l, x)`, `l.pop()` → `ag.list_pop(l)` |
+//! | `slices` | `x[i] = y` → `x = ag.setitem(x, i, y)` |
+//! | `calls` | `f(x)` → `ag.converted_call(f, x)` |
+//! | `control_flow` | `if`/`while`/`for` and ternaries → `ag.if_stmt` / `ag.while_stmt` / `ag.for_stmt` |
+//! | `logical` | `and`/`or`/`not`/`==`/`!=` → `ag.and_` / `ag.or_` / `ag.not_` / `ag.eq_` / `ag.not_eq_` |
 //! | [`wrappers`] | marks converted functions with `@ag.autograph_artifact` |
+//!
+//! `break`, `continue` and the early-`return` fallback share one guard
+//! lowering (the private `guards` module); they stay three pipeline steps
+//! so each can be run and tested on its own.
 //!
 //! The [`pipeline`] module runs them in the paper's order; [`srcmap`]
 //! provides the Appendix B source-map construction (every synthesized node
@@ -37,19 +41,20 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod asserts;
+pub(crate) mod asserts;
 pub mod break_stmt;
-pub mod calls;
+pub(crate) mod calls;
 pub mod context;
 pub mod continue_stmt;
-pub mod control_flow;
-pub mod directives;
+pub(crate) mod control_flow;
+pub(crate) mod directives;
 pub mod error;
-pub mod lists;
-pub mod logical;
+mod guards;
+pub(crate) mod lists;
+pub(crate) mod logical;
 pub mod pipeline;
 pub mod return_stmt;
-pub mod slices;
+pub(crate) mod slices;
 pub mod srcmap;
 pub mod wrappers;
 

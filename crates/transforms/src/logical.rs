@@ -37,7 +37,15 @@ fn rewrite(expr: Expr) -> Expr {
                 BoolOpKind::And => "and_",
                 BoolOpKind::Or => "or_",
             };
-            fold_lazy(name, values, span)
+            fold_lazy(name, values, span).unwrap_or_else(|| {
+                Expr::new(
+                    ExprKind::BoolOp {
+                        op,
+                        values: Vec::new(),
+                    },
+                    span,
+                )
+            })
         }
         ExprKind::UnaryOp {
             op: UnaryOp::Not,
@@ -48,35 +56,27 @@ fn rewrite(expr: Expr) -> Expr {
             ops,
             comparators,
         } => {
-            if ops.len() == 1 {
-                pairwise(
-                    *left,
-                    ops[0],
-                    comparators.into_iter().next().expect("one comparator"),
-                )
-            } else {
-                // a < b <= c  =>  and_(a < b, lambda: b <= c)
-                let mut operands = vec![*left];
-                operands.extend(comparators);
-                let mut pairs = Vec::with_capacity(ops.len());
-                for (i, op) in ops.iter().enumerate() {
-                    pairs.push(pairwise(operands[i].clone(), *op, operands[i + 1].clone()));
-                }
-                fold_lazy("and_", pairs, span)
+            // a < b <= c  =>  and_(a < b, lambda: b <= c)
+            let mut left = *left;
+            let mut pairs = Vec::with_capacity(ops.len());
+            for (op, right) in ops.into_iter().zip(comparators) {
+                let l = std::mem::replace(&mut left, right.clone());
+                pairs.push(pairwise(l, op, right));
             }
+            fold_lazy("and_", pairs, span).unwrap_or(left)
         }
         other => Expr::new(other, span),
     }
 }
 
 /// Right-fold operands into nested lazy calls:
-/// `[a, b, c]` → `ag.and_(a, lambda: ag.and_(b, lambda: c))`.
-fn fold_lazy(name: &str, mut values: Vec<Expr>, span: autograph_pylang::Span) -> Expr {
-    let mut acc = values.pop().expect("BoolOp has >= 2 operands");
-    while let Some(v) = values.pop() {
-        acc = ag_call(name, vec![v, thunk(acc, span)], span);
-    }
-    acc
+/// `[a, b, c]` → `ag.and_(a, lambda: ag.and_(b, lambda: c))`; `None` when
+/// there are no operands.
+fn fold_lazy(name: &str, values: Vec<Expr>, span: autograph_pylang::Span) -> Option<Expr> {
+    values
+        .into_iter()
+        .rev()
+        .reduce(|acc, v| ag_call(name, vec![v, thunk(acc, span)], span))
 }
 
 fn pairwise(left: Expr, op: CmpOp, right: Expr) -> Expr {

@@ -22,10 +22,13 @@
 //!    `if not do_return:`.
 
 use crate::context::PassContext;
-use crate::continue_stmt::guarded_if;
 use crate::error::ConversionError;
+use crate::guards::{assign, assign_bool, block_has, guard_block, Jump};
 use autograph_pylang::ast::*;
 use autograph_pylang::{Module, Span};
+
+/// Any `return`, for [`block_has`], which looks only at the statement kind.
+const RETURN: Jump = Jump::Return("");
 
 /// Run the return-lowering pass over a module.
 ///
@@ -79,17 +82,6 @@ fn process_functions(body: Vec<Stmt>, ctx: &mut PassContext) -> Result<Vec<Stmt>
     Ok(out)
 }
 
-/// Whether a block contains `return` at this function's level (not inside
-/// nested functions).
-fn block_has_return(body: &[Stmt]) -> bool {
-    body.iter().any(|s| match &s.kind {
-        StmtKind::Return(_) => true,
-        StmtKind::If { body, orelse, .. } => block_has_return(body) || block_has_return(orelse),
-        StmtKind::While { body, .. } | StmtKind::For { body, .. } => block_has_return(body),
-        _ => false,
-    })
-}
-
 /// Whether every path through the block ends in `return`.
 fn always_returns(body: &[Stmt]) -> bool {
     match body.last().map(|s| &s.kind) {
@@ -107,9 +99,9 @@ fn lower_function_body(body: Vec<Stmt>, ctx: &mut PassContext, fspan: Span) -> V
     let trailing_only = match body.split_last() {
         None => true,
         Some((last, init)) => {
-            !block_has_return(init)
+            !block_has(init, RETURN)
                 && (matches!(last.kind, StmtKind::Return(_))
-                    || !block_has_return(std::slice::from_ref(last)))
+                    || !block_has(std::slice::from_ref(last), RETURN))
         }
     };
     if trailing_only {
@@ -135,9 +127,9 @@ fn lower_function_body(body: Vec<Stmt>, ctx: &mut PassContext, fspan: Span) -> V
 
     // Fallback: guard-based lowering (handles returns inside loops).
     let guard = ctx.gensym("do_return");
-    let (mut guarded, _) = guard_block(body, &guard, &retval);
+    let (mut guarded, _) = guard_block(body, &guard, Jump::Return(&retval));
     let mut out = vec![
-        assign(&guard, Expr::new(ExprKind::Bool(false), fspan), fspan),
+        assign_bool(&guard, false, fspan),
         assign(&retval, Expr::new(ExprKind::NoneLit, fspan), fspan),
     ];
     out.append(&mut guarded);
@@ -169,16 +161,16 @@ fn lower_structured(body: Vec<Stmt>, retval: &str) -> Option<(Vec<Stmt>, bool)> 
                 return Some((out, true));
             }
             StmtKind::While { ref body, .. } | StmtKind::For { ref body, .. }
-                if block_has_return(body) =>
+                if block_has(body, RETURN) =>
             {
                 return None;
             }
             StmtKind::If { test, body, orelse }
-                if block_has_return(&body) || block_has_return(&orelse) =>
+                if block_has(&body, RETURN) || block_has(&orelse, RETURN) =>
             {
                 // classify each branch: Always / Never; Partial → fallback
-                let b_has = block_has_return(&body);
-                let o_has = block_has_return(&orelse);
+                let b_has = block_has(&body, RETURN);
+                let o_has = block_has(&orelse, RETURN);
                 let b_always = always_returns(&body);
                 let o_always = always_returns(&orelse);
                 if (b_has && !b_always) || (o_has && !o_always) {
@@ -243,129 +235,6 @@ fn lower_structured(body: Vec<Stmt>, retval: &str) -> Option<(Vec<Stmt>, bool)> 
         }
     }
     Some((out, false))
-}
-
-fn assign(name: &str, value: Expr, span: Span) -> Stmt {
-    Stmt::new(
-        StmtKind::Assign {
-            target: Expr::new(ExprKind::Name(name.to_string()), span),
-            value,
-        },
-        span,
-    )
-}
-
-// ---- guard fallback -----------------------------------------------------
-
-fn guard_block(body: Vec<Stmt>, guard: &str, retval: &str) -> (Vec<Stmt>, bool) {
-    let mut out = Vec::with_capacity(body.len());
-    let mut contains = false;
-    let mut iter = body.into_iter();
-    while let Some(stmt) = iter.next() {
-        let span = stmt.span;
-        let (mut rewritten, c) = guard_stmt(stmt, guard, retval);
-        out.append(&mut rewritten);
-        if c {
-            contains = true;
-            let rest: Vec<Stmt> = iter.collect();
-            if !rest.is_empty() {
-                let (rest_guarded, _) = guard_block(rest, guard, retval);
-                out.push(guarded_if(guard, rest_guarded, span));
-            }
-            break;
-        }
-    }
-    (out, contains)
-}
-
-fn guard_stmt(stmt: Stmt, guard: &str, retval: &str) -> (Vec<Stmt>, bool) {
-    let span = stmt.span;
-    match stmt.kind {
-        StmtKind::Return(v) => (
-            vec![
-                assign(guard, Expr::new(ExprKind::Bool(true), span), span),
-                assign(
-                    retval,
-                    v.unwrap_or(Expr::new(ExprKind::NoneLit, span)),
-                    span,
-                ),
-            ],
-            true,
-        ),
-        StmtKind::If { test, body, orelse } => {
-            let (b, c1) = guard_block(body, guard, retval);
-            let (o, c2) = guard_block(orelse, guard, retval);
-            (
-                vec![Stmt::new(
-                    StmtKind::If {
-                        test,
-                        body: b,
-                        orelse: o,
-                    },
-                    span,
-                )],
-                c1 || c2,
-            )
-        }
-        StmtKind::While { test, body } => {
-            if block_has_return(&body) {
-                let (b, _) = guard_block(body, guard, retval);
-                (
-                    vec![Stmt::new(
-                        StmtKind::While {
-                            test: Expr::new(
-                                ExprKind::BoolOp {
-                                    op: BoolOpKind::And,
-                                    values: vec![
-                                        Expr::new(
-                                            ExprKind::UnaryOp {
-                                                op: UnaryOp::Not,
-                                                operand: Box::new(Expr::new(
-                                                    ExprKind::Name(guard.to_string()),
-                                                    span,
-                                                )),
-                                            },
-                                            span,
-                                        ),
-                                        test,
-                                    ],
-                                },
-                                span,
-                            ),
-                            body: b,
-                        },
-                        span,
-                    )],
-                    true,
-                )
-            } else {
-                (vec![Stmt::new(StmtKind::While { test, body }, span)], false)
-            }
-        }
-        StmtKind::For { target, iter, body } => {
-            if block_has_return(&body) {
-                let (b, _) = guard_block(body, guard, retval);
-                (
-                    vec![Stmt::new(
-                        StmtKind::For {
-                            target,
-                            iter,
-                            body: vec![guarded_if(guard, b, span)],
-                        },
-                        span,
-                    )],
-                    true,
-                )
-            } else {
-                (
-                    vec![Stmt::new(StmtKind::For { target, iter, body }, span)],
-                    false,
-                )
-            }
-        }
-        // Nested functions keep their own returns.
-        other => (vec![Stmt::new(other, span)], false),
-    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use autograph_pylang::ast::*;
 use autograph_pylang::Module;
 
 /// Marker decorator attached to converted functions.
-pub const ARTIFACT_MARKER: &str = "autograph_artifact";
+pub(crate) const ARTIFACT_MARKER: &str = "autograph_artifact";
 
 /// Run the function-wrappers pass.
 ///

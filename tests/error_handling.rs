@@ -33,6 +33,51 @@ fn parse_error_located() {
     assert_eq!(err.span.line, 1);
 }
 
+/// `f` returns a chain of `links` operators of one kind: `x + x + …`,
+/// `g(x)(x)…`, `x.b.b…` and so on.
+fn chain_program(link: &str, links: usize) -> String {
+    let chain = match link {
+        "(x)" => format!("g{}", link.repeat(links)),
+        ".b" | "[0]" => format!("x{}", link.repeat(links)),
+        "and" => vec!["x > 0.0"; links + 1].join(" and "),
+        op => vec!["x"; links + 1].join(&format!(" {op} ")),
+    };
+    format!("def g(y):\n    return g\n\ndef f(x):\n    return {chain}\n")
+}
+
+#[test]
+fn longest_operator_chains_convert_stage_and_run() {
+    // the parser charges one nesting level per chain link, so the longest
+    // chain it accepts must survive every later stage that recurses on the
+    // tree it built — conversion, the interpreter, staging, optimize,
+    // compile, the VM and drop — on a test thread's 2 MB stack
+    let x = Tensor::from_vec(vec![1.0], &[]).unwrap();
+    for link in ["+", "*", "and", "<=", "(x)", ".b", "[0]"] {
+        let longest = (1..=500)
+            .take_while(|&n| autograph::pylang::parse_module(&chain_program(link, n)).is_ok())
+            .last()
+            .expect("a one-link chain parses");
+        let mut rt = Runtime::load(&chain_program(link, longest), true).expect("converts");
+        let eager = rt.call("f", vec![Value::tensor(x.clone())]);
+        let staged = rt
+            .compile("f", &["x"])
+            .and_then(|mut cf| cf.call(std::slice::from_ref(&x)));
+        match link {
+            // a function, a missing attribute, an index into a scalar: each
+            // fails only after walking the whole chain
+            "(x)" | ".b" | "[0]" => assert!(staged.is_err(), "{link}"),
+            _ => {
+                let eager = eager.expect("eager run").as_eager_tensor().expect("tensor");
+                let staged = staged.expect("staged run");
+                assert_eq!(eager.to_f32_vec(), staged[0].to_f32_vec(), "{link}");
+            }
+        }
+        let err = autograph::pylang::parse_module(&chain_program(link, longest + 1))
+            .expect_err("one link more is over the budget");
+        assert!(err.message.contains("nesting deeper"), "{link}: {err}");
+    }
+}
+
 // ---- staging errors ----------------------------------------------------------
 
 #[test]
