@@ -305,3 +305,155 @@ fn t6_decorators_preserved() {
         out2.matches("@ag.autograph_artifact").count()
     );
 }
+
+// ---- dynamic dispatch: every `tf.*` row × every operand kind ----------------
+
+/// Which backend a `tf.*` call ran on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Ran {
+    /// A Python value came back: host semantics.
+    Py,
+    /// An eager tensor came back: the eager registry ran it.
+    Eager,
+    /// The staged graph holds a node other than constants and placeholders.
+    Graph,
+    /// Only constants reached the graph: the op ran while tracing.
+    Trace,
+    /// A Lantern expression was staged.
+    Lantern,
+    /// A structured error (a `RuntimeError` with a message, never a panic).
+    Fail,
+}
+use Ran::{Eager, Fail, Graph, Lantern, Py, Trace};
+
+/// One row per tensor op of `tf.*`, called on `x` =
+/// [Python number `2`, eager `[[1,2],[3,4]]`, staged placeholder, Lantern
+/// param, host `2` while staging a graph].
+const DISPATCH: &[(&str, [Ran; 5])] = &[
+    ("tf.constant(x)", [Eager, Eager, Fail, Fail, Trace]),
+    ("tf.zeros((2, 2))", [Eager, Eager, Trace, Fail, Trace]),
+    ("tf.ones((2, 2))", [Eager, Eager, Trace, Fail, Trace]),
+    (
+        "tf.random_normal((2, 2))",
+        [Eager, Eager, Trace, Fail, Trace],
+    ),
+    ("tf.range(x)", [Eager, Fail, Graph, Fail, Graph]),
+    ("tf.tanh(x)", [Eager, Eager, Graph, Lantern, Graph]),
+    ("tf.sigmoid(x)", [Eager, Eager, Graph, Lantern, Graph]),
+    ("tf.relu(x)", [Eager, Eager, Graph, Lantern, Graph]),
+    ("tf.exp(x)", [Eager, Eager, Graph, Lantern, Graph]),
+    ("tf.log(x)", [Eager, Eager, Graph, Lantern, Graph]),
+    ("tf.sqrt(x)", [Eager, Eager, Graph, Lantern, Graph]),
+    ("tf.square(x)", [Eager, Eager, Graph, Lantern, Graph]),
+    ("tf.abs(x)", [Eager, Eager, Graph, Fail, Graph]),
+    ("tf.neg(x)", [Eager, Eager, Graph, Lantern, Graph]),
+    ("tf.softmax(x)", [Fail, Eager, Graph, Fail, Graph]),
+    ("tf.log_softmax(x)", [Fail, Eager, Graph, Fail, Graph]),
+    ("tf.stop_gradient(x)", [Eager, Eager, Graph, Fail, Graph]),
+    ("tf.identity(x)", [Eager, Eager, Graph, Fail, Graph]),
+    ("tf.add(x, x)", [Eager, Eager, Graph, Lantern, Graph]),
+    ("tf.subtract(x, x)", [Eager, Eager, Graph, Lantern, Graph]),
+    ("tf.multiply(x, x)", [Eager, Eager, Graph, Lantern, Graph]),
+    ("tf.divide(x, x)", [Eager, Eager, Graph, Lantern, Graph]),
+    ("tf.matmul(x, x)", [Fail, Eager, Graph, Lantern, Graph]),
+    ("tf.maximum(x, x)", [Eager, Eager, Graph, Fail, Graph]),
+    ("tf.minimum(x, x)", [Eager, Eager, Graph, Fail, Graph]),
+    ("tf.equal(x, x)", [Py, Eager, Graph, Lantern, Trace]),
+    ("tf.less(x, x)", [Py, Eager, Graph, Lantern, Trace]),
+    ("tf.greater(x, x)", [Py, Eager, Graph, Lantern, Trace]),
+    ("tf.logical_and(x, x)", [Fail, Fail, Graph, Fail, Graph]),
+    ("tf.logical_or(x, x)", [Fail, Fail, Graph, Fail, Graph]),
+    ("tf.logical_not(x)", [Fail, Fail, Graph, Fail, Graph]),
+    ("tf.pow(x, x)", [Eager, Eager, Graph, Fail, Graph]),
+    ("tf.reduce_sum(x)", [Eager, Eager, Graph, Lantern, Graph]),
+    (
+        "tf.reduce_sum(x, axis=0)",
+        [Fail, Eager, Graph, Fail, Graph],
+    ),
+    ("tf.reduce_mean(x)", [Eager, Eager, Graph, Lantern, Graph]),
+    ("tf.reduce_mean(x, 1)", [Fail, Eager, Graph, Fail, Graph]),
+    ("tf.reduce_max(x)", [Eager, Eager, Graph, Fail, Graph]),
+    (
+        "tf.reduce_min(x, axis=0)",
+        [Fail, Eager, Graph, Fail, Graph],
+    ),
+    ("tf.reduce_all(x)", [Fail, Fail, Graph, Fail, Graph]),
+    ("tf.reduce_any(x)", [Fail, Fail, Graph, Fail, Graph]),
+    ("tf.argmax(x)", [Fail, Eager, Graph, Fail, Graph]),
+    ("tf.shape(x)", [Eager, Eager, Graph, Fail, Trace]), // outlier: a host operand does not stage
+    ("tf.transpose(x, (1, 0))", [Fail, Eager, Graph, Fail, Graph]),
+    ("tf.reshape(x, (-1,))", [Eager, Eager, Graph, Fail, Trace]), // outlier: a host operand does not stage
+    ("tf.expand_dims(x, 0)", [Eager, Eager, Graph, Fail, Trace]), // outlier: a host operand does not stage
+    ("tf.squeeze(x)", [Eager, Eager, Graph, Fail, Trace]), // outlier: a host operand does not stage
+    ("tf.cast(x, tf.int32)", [Eager, Eager, Graph, Fail, Trace]), // outlier: a host operand does not stage
+    ("tf.where(x, x, x)", [Fail, Fail, Graph, Fail, Graph]),
+    ("tf.gather(x, x)", [Fail, Fail, Graph, Fail, Graph]),
+    ("tf.one_hot(x, 3)", [Eager, Fail, Graph, Fail, Trace]), // outlier: a host operand does not stage
+    ("tf.concat([x, x], 0)", [Fail, Eager, Graph, Lantern, Graph]),
+    ("tf.concat([x, x], 1)", [Fail, Eager, Graph, Lantern, Graph]),
+    ("tf.stack([x, x])", [Eager, Eager, Graph, Fail, Graph]),
+    ("tf.top_k(x, 1)", [Fail, Eager, Graph, Fail, Fail]), // outlier: a host operand does not stage
+    (
+        "tf.softmax_cross_entropy(x, x)",
+        [Fail, Fail, Graph, Lantern, Graph],
+    ),
+];
+
+fn ran_value(r: autograph::runtime::Result<Value>) -> Ran {
+    match r {
+        Ok(Value::Tensor(_)) => Eager,
+        Ok(Value::Tuple(items)) => ran_value(Ok(items[0].clone())),
+        Ok(_) => Py,
+        Err(e) => ran_err(&e),
+    }
+}
+
+fn ran_staged(r: autograph::runtime::Result<autograph::StagedGraph>) -> Ran {
+    match r {
+        Ok(s)
+            if s.graph
+                .nodes
+                .iter()
+                .any(|n| !matches!(n.op, OpKind::Const(_) | OpKind::Placeholder { .. })) =>
+        {
+            Graph
+        }
+        Ok(_) => Trace,
+        Err(e) => ran_err(&e),
+    }
+}
+
+fn ran_err(e: &autograph::RuntimeError) -> Ran {
+    assert!(
+        !e.to_string().trim().is_empty(),
+        "an error without a message"
+    );
+    Fail
+}
+
+#[test]
+fn t4_every_tf_op_dispatches_by_one_rule() {
+    let m = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
+    let mut wrong = Vec::new();
+    for (call, want) in DISPATCH {
+        let src = format!("def f(x):\n    return {call}\n");
+        let got = [
+            ran_value(load(&src).call("f", vec![Value::Int(2)])),
+            ran_value(load(&src).call("f", vec![Value::tensor(m.clone())])),
+            ran_staged(load(&src).stage_to_graph("f", vec![GraphArg::Placeholder("x".into())])),
+            match load(&src).stage_to_lantern("f", vec![LanternArg::Param("x".into())]) {
+                Ok(_) => Lantern,
+                Err(e) => ran_err(&e),
+            },
+            ran_staged(load(&src).stage_to_graph("f", vec![GraphArg::Value(Value::Int(2))])),
+        ];
+        if got != *want {
+            wrong.push(format!("    (\"{call}\", {got:?}),  // want {want:?}"));
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "dispatch cells moved:\n{}",
+        wrong.join("\n")
+    );
+}
