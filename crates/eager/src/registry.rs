@@ -64,6 +64,76 @@ pub(crate) fn default_registry() -> HashMap<String, OpDef> {
         Ok(out)
     }
 
+    /// A reduction's optional axis: the second input, when present.
+    fn axis_attr(x: &[Tensor]) -> Result<Option<isize>> {
+        x.get(1)
+            .map(|a| Ok(a.scalar_value_i64()? as isize))
+            .transpose()
+    }
+
+    /// An i64 attribute input read as a non-negative size or index.
+    fn usize_attr(t: &Tensor) -> Result<usize> {
+        usize::try_from(t.scalar_value_i64()?)
+            .map_err(|_| EagerError::new("attribute must be non-negative"))
+    }
+
+    /// An i64 vector attribute (a shape or a permutation); `-1` is an
+    /// inferred dimension.
+    fn dims_attr(t: &Tensor) -> Result<Vec<usize>> {
+        Ok(t.as_i64()?
+            .iter()
+            .map(|&d| usize::try_from(d).unwrap_or(usize::MAX))
+            .collect())
+    }
+
+    /// Adjoint of a reduction: put a reduced axis back as size 1, then
+    /// broadcast `g` up to the input's shape. Returns the broadcast
+    /// gradient and the number of elements each output summed.
+    fn expand_reduced(g: &Tensor, x: &[Tensor]) -> Result<(Tensor, usize)> {
+        let input = &x[0];
+        let (g, n) = match x.get(1) {
+            None => (g.clone(), input.num_elements()),
+            Some(axis) => {
+                let rank = input.rank() as i64;
+                let mut ax = axis.scalar_value_i64()?;
+                if ax < 0 {
+                    ax += rank;
+                }
+                if ax < 0 || ax >= rank {
+                    return Err(EagerError::new(format!(
+                        "reduction axis {ax} out of range for rank {rank}"
+                    )));
+                }
+                let ax = ax as usize;
+                let mut shape = g.shape().to_vec();
+                shape.insert(ax, 1);
+                (g.reshape(&shape)?, input.shape()[ax])
+            }
+        };
+        Ok((g.add(&Tensor::zeros(DType::F32, input.shape()))?, n))
+    }
+
+    /// `g` shaped like the input: the adjoint of every op that only
+    /// relabels its input's elements (reshape, expand_dims, squeeze, cast).
+    fn reshape_like(g: &Tensor, x: &[Tensor]) -> Result<Vec<Option<Tensor>>> {
+        let mut grads = vec![Some(g.reshape(x[0].shape())?)];
+        grads.resize(x.len(), None);
+        Ok(grads)
+    }
+
+    /// Rows `start..stop` of `g` along `axis` (moved to the front and back).
+    fn slice_along(g: &Tensor, axis: usize, start: usize, stop: usize) -> Result<Tensor> {
+        let (start, stop) = (Some(start as i64), Some(stop as i64));
+        if axis == 0 {
+            return Ok(g.slice_axis0(start, stop)?);
+        }
+        let mut perm: Vec<usize> = (0..g.rank()).collect();
+        perm.swap(0, axis);
+        Ok(g.transpose(&perm)?
+            .slice_axis0(start, stop)?
+            .transpose(&perm)?)
+    }
+
     op(
         &mut r,
         "add",
@@ -214,60 +284,24 @@ pub(crate) fn default_registry() -> HashMap<String, OpDef> {
             Ok(vec![Some(sum_to(&ga, &x[0])?), Some(sum_to(&gb, &x[1])?)])
         }),
     );
+    // Attributes follow the operands as non-differentiable i64 inputs, so
+    // the tape replays an attributed op like any other. A reduction's axis
+    // is optional: one input reduces everything.
     op(
         &mut r,
         "reduce_sum",
-        |x| Ok(x[0].reduce_sum(None)?),
-        bwd(|g, x, _| Ok(vec![Some(g.add(&Tensor::zeros(DType::F32, x[0].shape()))?)])),
-    );
-    op(
-        &mut r,
-        "reduce_mean",
-        |x| Ok(x[0].reduce_mean(None)?),
+        |x| Ok(x[0].reduce_sum(axis_attr(x)?)?),
         bwd(|g, x, _| {
-            let n = x[0].num_elements() as f32;
-            let b = g.add(&Tensor::zeros(DType::F32, x[0].shape()))?;
-            Ok(vec![Some(b.div(&Tensor::scalar_f32(n))?)])
-        }),
-    );
-    /// Adjoint of an axis reduction: insert the reduced dim back as
-    /// size 1, then broadcast `g` up to the input's shape.
-    fn expand_axis_grad(g: &Tensor, input: &Tensor, axis: &Tensor) -> Result<(Tensor, usize)> {
-        let rank = input.rank() as i64;
-        let mut ax = axis.scalar_value_i64()?;
-        if ax < 0 {
-            ax += rank;
-        }
-        if ax < 0 || ax >= rank {
-            return Err(EagerError::new(format!(
-                "reduction axis {ax} out of range for rank {rank}"
-            )));
-        }
-        let ax = ax as usize;
-        let mut shape = g.shape().to_vec();
-        shape.insert(ax, 1);
-        let ge = g.reshape(&shape)?;
-        let gb = ge.add(&Tensor::zeros(DType::F32, input.shape()))?;
-        Ok((gb, input.shape()[ax]))
-    }
-
-    // Axis reductions take the axis as a second (non-differentiable)
-    // scalar-i64 input so the tape can replay them like any other op.
-    op(
-        &mut r,
-        "reduce_sum_axis",
-        |x| Ok(x[0].reduce_sum(Some(x[1].scalar_value_i64()? as isize))?),
-        bwd(|g, x, _| {
-            let (gb, _) = expand_axis_grad(g, &x[0], &x[1])?;
+            let (gb, _) = expand_reduced(g, x)?;
             Ok(vec![Some(gb), None])
         }),
     );
     op(
         &mut r,
-        "reduce_mean_axis",
-        |x| Ok(x[0].reduce_mean(Some(x[1].scalar_value_i64()? as isize))?),
+        "reduce_mean",
+        |x| Ok(x[0].reduce_mean(axis_attr(x)?)?),
         bwd(|g, x, _| {
-            let (gb, n) = expand_axis_grad(g, &x[0], &x[1])?;
+            let (gb, n) = expand_reduced(g, x)?;
             Ok(vec![Some(gb.div(&Tensor::scalar_f32(n as f32))?), None])
         }),
     );
@@ -302,42 +336,88 @@ pub(crate) fn default_registry() -> HashMap<String, OpDef> {
             ])
         }),
     );
+    // concat's axis is its last input
     op(
         &mut r,
-        "concat1",
-        |x| Ok(Tensor::concat(x, 1)?),
+        "concat",
+        |x| {
+            let (axis, parts) = x
+                .split_last()
+                .ok_or_else(|| EagerError::new("concat of nothing"))?;
+            Ok(Tensor::concat(parts, axis.scalar_value_i64()? as isize)?)
+        },
         bwd(|g, x, _| {
+            let (axis, parts) = x
+                .split_last()
+                .ok_or_else(|| EagerError::new("concat of nothing"))?;
+            let rank = g.rank() as i64;
+            let ax = axis.scalar_value_i64()?;
+            let ax = usize::try_from(if ax < 0 { ax + rank } else { ax })
+                .map_err(|_| EagerError::new("concat axis out of range"))?;
             let mut grads = Vec::with_capacity(x.len());
-            let mut offset = 0i64;
-            for xi in x {
-                if xi.rank() < 2 {
-                    return Err(EagerError::new(
-                        "concat1 backward: inputs must be rank >= 2",
-                    ));
-                }
-                let w = xi.shape()[1] as i64;
-                // slice along axis 1 via transpose + slice_axis0
-                let gt = g.t()?;
-                let piece = gt.slice_axis0(Some(offset), Some(offset + w))?;
-                grads.push(Some(piece.t()?));
-                offset += w;
+            let mut offset = 0;
+            for part in parts {
+                let n = part.shape()[ax];
+                grads.push(Some(slice_along(g, ax, offset, offset + n)?));
+                offset += n;
             }
+            grads.push(None);
             Ok(grads)
         }),
     );
     op(
         &mut r,
-        "concat0",
-        |x| Ok(Tensor::concat(x, 0)?),
+        "stack",
+        |x| Ok(Tensor::stack(x)?),
         bwd(|g, x, _| {
-            let mut grads = Vec::with_capacity(x.len());
-            let mut offset = 0i64;
-            for xi in x {
-                let h = xi.shape()[0] as i64;
-                grads.push(Some(g.slice_axis0(Some(offset), Some(offset + h))?));
-                offset += h;
+            (0..x.len())
+                .map(|i| Ok(Some(g.index_axis0(i as i64)?)))
+                .collect()
+        }),
+    );
+    op(
+        &mut r,
+        "reshape",
+        |x| Ok(x[0].reshape(&dims_attr(&x[1])?)?),
+        bwd(|g, x, _| reshape_like(g, x)),
+    );
+    op(
+        &mut r,
+        "expand_dims",
+        |x| Ok(x[0].expand_dims(x[1].scalar_value_i64()? as isize)?),
+        bwd(|g, x, _| reshape_like(g, x)),
+    );
+    op(
+        &mut r,
+        "squeeze",
+        |x| Ok(x[0].squeeze(axis_attr(x)?)?),
+        bwd(|g, x, _| reshape_like(g, x)),
+    );
+    op(
+        &mut r,
+        "cast",
+        |x| {
+            let code = x[1].scalar_value_i64()?;
+            let dtype = [DType::F32, DType::I64, DType::Bool]
+                .into_iter()
+                .find(|&d| d as i64 == code)
+                .ok_or_else(|| EagerError::new(format!("no dtype with code {code}")))?;
+            Ok(x[0].cast(dtype))
+        },
+        bwd(|g, x, _| reshape_like(g, x)),
+    );
+    op(
+        &mut r,
+        "transpose",
+        |x| Ok(x[0].transpose(&dims_attr(&x[1])?)?),
+        bwd(|g, x, _| {
+            let perm = dims_attr(&x[1])?;
+            let mut inv = vec![0; perm.len()];
+            for (i, &p) in perm.iter().enumerate() {
+                *inv.get_mut(p)
+                    .ok_or_else(|| EagerError::new("transpose: bad permutation"))? = i;
             }
-            Ok(grads)
+            Ok(vec![Some(g.transpose(&inv)?), None])
         }),
     );
     op(&mut r, "softmax", |x| Ok(x[0].softmax()?), None);
@@ -365,12 +445,31 @@ pub(crate) fn default_registry() -> HashMap<String, OpDef> {
     op(&mut r, "logical_not", |x| Ok(x[0].logical_not()?), None);
     op(&mut r, "floordiv", |x| Ok(x[0].floordiv(&x[1])?), None);
     op(&mut r, "mod", |x| Ok(x[0].rem(&x[1])?), None);
-    op(&mut r, "reduce_max", |x| Ok(x[0].reduce_max(None)?), None);
-    op(&mut r, "reduce_min", |x| Ok(x[0].reduce_min(None)?), None);
-    op(&mut r, "reduce_all", |x| Ok(x[0].reduce_all(None)?), None);
-    op(&mut r, "reduce_any", |x| Ok(x[0].reduce_any(None)?), None);
+    op(
+        &mut r,
+        "reduce_max",
+        |x| Ok(x[0].reduce_max(axis_attr(x)?)?),
+        None,
+    );
+    op(
+        &mut r,
+        "reduce_min",
+        |x| Ok(x[0].reduce_min(axis_attr(x)?)?),
+        None,
+    );
+    op(
+        &mut r,
+        "reduce_all",
+        |x| Ok(x[0].reduce_all(axis_attr(x)?)?),
+        None,
+    );
+    op(
+        &mut r,
+        "reduce_any",
+        |x| Ok(x[0].reduce_any(axis_attr(x)?)?),
+        None,
+    );
     op(&mut r, "gather", |x| Ok(x[0].gather(&x[1])?), None);
-    op(&mut r, "stack", |x| Ok(Tensor::stack(x)?), None);
     op(
         &mut r,
         "range",
@@ -389,18 +488,28 @@ pub(crate) fn default_registry() -> HashMap<String, OpDef> {
     );
     op(
         &mut r,
-        "index",
-        |x| Ok(x[0].index_axis0(x[1].scalar_value_i64()?)?),
+        "argmax",
+        |x| Ok(x[0].argmax(x[1].scalar_value_i64()? as isize)?),
         None,
     );
     op(
         &mut r,
-        "setitem",
-        |x| Ok(x[0].set_index_axis0(x[1].scalar_value_i64()?, &x[2])?),
+        "one_hot",
+        |x| Ok(x[0].one_hot(usize_attr(&x[1])?)?),
         None,
     );
-    op(&mut r, "argmax", |x| Ok(x[0].argmax(-1)?), None);
-    op(&mut r, "top_k_values_1", |x| Ok(x[0].top_k(1)?.0), None);
+    op(
+        &mut r,
+        "top_k",
+        |x| Ok(x[0].top_k(usize_attr(&x[1])?)?.0),
+        None,
+    );
+    op(
+        &mut r,
+        "top_k_indices",
+        |x| Ok(x[0].top_k(usize_attr(&x[1])?)?.1),
+        None,
+    );
     op(
         &mut r,
         "identity",
@@ -424,7 +533,7 @@ mod tests {
             "tanh",
             "softmax_cross_entropy",
             "gather",
-            "concat1",
+            "concat",
         ] {
             assert!(r.contains_key(name), "missing {name}");
         }
@@ -460,12 +569,12 @@ mod tests {
         let r = default_registry();
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
         let ax = Tensor::scalar_i64(-2); // negative axis == axis 0
-        let out = (r["reduce_mean_axis"].forward)(&[x.clone(), ax.clone()]).unwrap();
+        let out = (r["reduce_mean"].forward)(&[x.clone(), ax.clone()]).unwrap();
         assert_eq!(out.shape(), &[3]);
         assert_eq!(out.as_f32().unwrap(), &[2.5, 3.5, 4.5]);
         let g = Tensor::from_vec(vec![10.0, 20.0, 30.0], &[3]).unwrap();
         let grads =
-            (r["reduce_mean_axis"].backward.as_ref().unwrap())(&g, &[x.clone(), ax], &out).unwrap();
+            (r["reduce_mean"].backward.as_ref().unwrap())(&g, &[x.clone(), ax], &out).unwrap();
         // each input element contributes 1/2 of its column's grad
         let gx = grads[0].as_ref().unwrap();
         assert_eq!(gx.shape(), &[2, 3]);
@@ -473,17 +582,17 @@ mod tests {
         assert!(grads[1].is_none(), "the axis input is not differentiable");
 
         let ax1 = Tensor::scalar_i64(1);
-        let out = (r["reduce_sum_axis"].forward)(&[x.clone(), ax1.clone()]).unwrap();
+        let out = (r["reduce_sum"].forward)(&[x.clone(), ax1.clone()]).unwrap();
         assert_eq!(out.as_f32().unwrap(), &[6.0, 15.0]);
         let g = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
-        let grads = (r["reduce_sum_axis"].backward.as_ref().unwrap())(&g, &[x, ax1], &out).unwrap();
+        let grads = (r["reduce_sum"].backward.as_ref().unwrap())(&g, &[x, ax1], &out).unwrap();
         let gx = grads[0].as_ref().unwrap();
         assert_eq!(gx.as_f32().unwrap(), &[1.0, 1.0, 1.0, 2.0, 2.0, 2.0]);
 
         // out-of-range axis is a structured error, not a panic
         let bad = Tensor::scalar_i64(7);
         let x2 = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
-        assert!((r["reduce_sum_axis"].forward)(&[x2, bad]).is_err());
+        assert!((r["reduce_sum"].forward)(&[x2, bad]).is_err());
     }
 
     #[test]
@@ -491,11 +600,13 @@ mod tests {
         let r = default_registry();
         let a = Tensor::from_vec(vec![1.0, 2.0], &[1, 2]).unwrap();
         let b = Tensor::from_vec(vec![3.0], &[1, 1]).unwrap();
-        let out = (r["concat1"].forward)(&[a.clone(), b.clone()]).unwrap();
+        let ax = Tensor::scalar_i64(1);
+        let out = (r["concat"].forward)(&[a.clone(), b.clone(), ax.clone()]).unwrap();
         assert_eq!(out.shape(), &[1, 3]);
         let g = Tensor::from_vec(vec![10.0, 20.0, 30.0], &[1, 3]).unwrap();
-        let grads = (r["concat1"].backward.as_ref().unwrap())(&g, &[a, b], &out).unwrap();
+        let grads = (r["concat"].backward.as_ref().unwrap())(&g, &[a, b, ax], &out).unwrap();
         assert_eq!(grads[0].as_ref().unwrap().as_f32().unwrap(), &[10.0, 20.0]);
         assert_eq!(grads[1].as_ref().unwrap().as_f32().unwrap(), &[30.0]);
+        assert!(grads[2].is_none(), "the axis input is not differentiable");
     }
 }

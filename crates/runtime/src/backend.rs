@@ -23,10 +23,37 @@ pub(crate) struct GraphLayer {
     capture_map: HashMap<(u64, NodeId), NodeId>,
 }
 
-/// The graph staging context: a stack of builder layers.
+impl GraphLayer {
+    fn new(epoch: u64, builder: GraphBuilder, state_params: usize) -> GraphLayer {
+        GraphLayer {
+            epoch,
+            builder,
+            state_params,
+            captures: Vec::new(),
+            capture_map: HashMap::new(),
+        }
+    }
+
+    /// This layer's `Param` for the outer reference `outer`, added after
+    /// the state params and earlier captures on first use.
+    fn capture(&mut self, outer: (u64, NodeId)) -> NodeId {
+        if let Some(&p) = self.capture_map.get(&outer) {
+            return p;
+        }
+        let idx = self.state_params + self.captures.len();
+        let p = self.builder.add(OpKind::Param(idx), vec![]);
+        self.captures.push(outer);
+        self.capture_map.insert(outer, p);
+        p
+    }
+}
+
+/// The graph staging context: the root builder plus a stack of nested
+/// layers.
 #[derive(Debug)]
 pub(crate) struct GraphStage {
-    layers: Vec<GraphLayer>,
+    root: GraphLayer,
+    nested: Vec<GraphLayer>,
     next_epoch: u64,
 }
 
@@ -34,20 +61,15 @@ impl GraphStage {
     /// Start staging with a fresh root builder.
     pub fn new() -> GraphStage {
         GraphStage {
-            layers: vec![GraphLayer {
-                epoch: 1,
-                builder: GraphBuilder::new(),
-                state_params: 0,
-                captures: Vec::new(),
-                capture_map: HashMap::new(),
-            }],
+            root: GraphLayer::new(1, GraphBuilder::new(), 0),
+            nested: Vec::new(),
             next_epoch: 2,
         }
     }
 
     /// The innermost layer.
     pub fn top(&mut self) -> &mut GraphLayer {
-        self.layers.last_mut().expect("at least the root layer")
+        self.nested.last_mut().unwrap_or(&mut self.root)
     }
 
     /// Push a name scope on the innermost layer's builder (readable node
@@ -63,7 +85,7 @@ impl GraphStage {
 
     /// The innermost layer's epoch.
     pub(crate) fn top_epoch(&self) -> u64 {
-        self.layers.last().expect("root layer").epoch
+        self.nested.last().unwrap_or(&self.root).epoch
     }
 
     /// Add a node in the innermost layer.
@@ -82,13 +104,8 @@ impl GraphStage {
         let params: Vec<(u64, NodeId)> = (0..state_params)
             .map(|i| (epoch, builder.add(OpKind::Param(i), vec![])))
             .collect();
-        self.layers.push(GraphLayer {
-            epoch,
-            builder,
-            state_params,
-            captures: Vec::new(),
-            capture_map: HashMap::new(),
-        });
+        self.nested
+            .push(GraphLayer::new(epoch, builder, state_params));
         params
     }
 
@@ -101,10 +118,8 @@ impl GraphStage {
     ) -> Vec<(u64, NodeId)> {
         let params = self.push_layer(state_params);
         let layer = self.top();
-        for (i, outer) in seeded.iter().enumerate() {
-            let p = layer.builder.add(OpKind::Param(state_params + i), vec![]);
-            layer.captures.push(*outer);
-            layer.capture_map.insert(*outer, p);
+        for outer in seeded {
+            layer.capture(*outer);
         }
         params
     }
@@ -113,27 +128,37 @@ impl GraphStage {
     /// (used to pass loop-invariant captures through a `While` body).
     pub(crate) fn capture_param_nodes(&mut self) -> Vec<NodeId> {
         let layer = self.top();
-        let captures = layer.captures.clone();
-        captures
+        layer
+            .captures
             .iter()
-            .map(|outer| layer.capture_map[outer])
+            .filter_map(|outer| layer.capture_map.get(outer).copied())
             .collect()
     }
 
     /// Pop the innermost layer, returning its subgraph (with
     /// `num_params = state_params + captures`) and the outer references it
     /// captured.
-    pub(crate) fn pop_layer(&mut self, outputs: Vec<NodeId>) -> (SubGraph, Vec<(u64, NodeId)>) {
-        let layer = self.layers.pop().expect("pop_layer on root");
+    ///
+    /// # Errors
+    ///
+    /// Fails when only the root layer is open.
+    pub(crate) fn pop_layer(
+        &mut self,
+        outputs: Vec<NodeId>,
+    ) -> Result<(SubGraph, Vec<(u64, NodeId)>)> {
+        let layer = self
+            .nested
+            .pop()
+            .ok_or_else(|| RuntimeError::new("no nested staging layer to close"))?;
         let num_params = layer.state_params + layer.captures.len();
-        (
+        Ok((
             SubGraph {
                 graph: layer.builder.finish(),
                 num_params,
                 outputs,
             },
             layer.captures,
-        )
+        ))
     }
 
     /// Resolve a node reference `(epoch, id)` into the innermost layer,
@@ -144,47 +169,41 @@ impl GraphStage {
     /// Fails when the epoch does not belong to any live layer (a staged
     /// value escaped its staging context).
     pub(crate) fn resolve(&mut self, epoch: u64, id: NodeId) -> Result<NodeId> {
-        let top = self.layers.len() - 1;
-        if self.layers[top].epoch == epoch {
+        if self.top_epoch() == epoch {
             return Ok(id);
         }
-        let from = self
-            .layers
-            .iter()
-            .position(|l| l.epoch == epoch)
-            .ok_or_else(|| {
-                RuntimeError::new(
-                    "a staged tensor escaped its staging context (it belongs to a \
-                     graph that is no longer being built)",
-                )
-            })?;
+        // every nested layer inside the owner captures the reference
+        let inside = if self.root.epoch == epoch {
+            0
+        } else {
+            1 + self
+                .nested
+                .iter()
+                .position(|l| l.epoch == epoch)
+                .ok_or_else(|| {
+                    RuntimeError::new(
+                        "a staged tensor escaped its staging context (it belongs to a \
+                         graph that is no longer being built)",
+                    )
+                })?
+        };
         let mut cur = (epoch, id);
-        for i in from + 1..=top {
-            let outer = cur;
-            let layer = &mut self.layers[i];
-            let local = match layer.capture_map.get(&outer) {
-                Some(&p) => p,
-                None => {
-                    let idx = layer.state_params + layer.captures.len();
-                    let p = layer.builder.add(OpKind::Param(idx), vec![]);
-                    layer.captures.push(outer);
-                    layer.capture_map.insert(outer, p);
-                    p
-                }
-            };
-            cur = (layer.epoch, local);
+        for layer in &mut self.nested[inside..] {
+            cur = (layer.epoch, layer.capture(cur));
         }
         Ok(cur.1)
     }
 
     /// Finish staging: consume the root layer's builder.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if nested layers are still open (an operator bug).
-    pub fn finish(mut self) -> autograph_graph::Graph {
-        assert_eq!(self.layers.len(), 1, "unbalanced staging layers");
-        self.layers.pop().expect("root layer").builder.finish()
+    /// Fails if nested layers are still open (an operator bug).
+    pub fn finish(self) -> Result<autograph_graph::Graph> {
+        if !self.nested.is_empty() {
+            return Err(RuntimeError::new("unbalanced staging layers"));
+        }
+        Ok(self.root.builder.finish())
     }
 }
 
@@ -281,7 +300,7 @@ mod tests {
         let inner = s.resolve(e0, c).unwrap();
         let again = s.resolve(e0, c).unwrap();
         assert_eq!(inner, again, "capture deduplicated");
-        let (sub, caps) = s.pop_layer(vec![inner]);
+        let (sub, caps) = s.pop_layer(vec![inner]).unwrap();
         assert_eq!(sub.num_params, 2);
         assert_eq!(caps, vec![(e0, c)]);
     }
@@ -293,10 +312,10 @@ mod tests {
         s.push_layer(0);
         s.push_layer(0);
         let innermost = s.resolve(e0, c).unwrap();
-        let (sub2, caps2) = s.pop_layer(vec![innermost]);
+        let (sub2, caps2) = s.pop_layer(vec![innermost]).unwrap();
         assert_eq!(sub2.num_params, 1);
         // the middle layer also captured it
-        let (sub1, caps1) = s.pop_layer(vec![]);
+        let (sub1, caps1) = s.pop_layer(vec![]).unwrap();
         assert_eq!(sub1.num_params, 1);
         assert_eq!(caps1, vec![(e0, c)]);
         // caps2 refers to the middle layer's param node
@@ -309,7 +328,7 @@ mod tests {
         let mut s = GraphStage::new();
         s.push_layer(0);
         let (einner, id) = s.add(OpKind::Const(Tensor::scalar_f32(1.0)), vec![]);
-        let _ = s.pop_layer(vec![id]);
+        s.pop_layer(vec![id]).unwrap();
         assert!(s.resolve(einner, id).is_err());
     }
 
@@ -321,12 +340,12 @@ mod tests {
         // then-branch captures a
         s.push_layer(0);
         let ia = s.resolve(e0, a).unwrap();
-        let (_then, caps) = s.pop_layer(vec![ia]);
+        let (_then, caps) = s.pop_layer(vec![ia]).unwrap();
         // else-branch pre-seeded with then's captures; captures b afterwards
         s.push_layer_with_captures(0, &caps);
         let ia2 = s.resolve(e0, a).unwrap();
         let ib = s.resolve(e0, b).unwrap();
-        let (else_g, caps2) = s.pop_layer(vec![ia2, ib]);
+        let (else_g, caps2) = s.pop_layer(vec![ia2, ib]).unwrap();
         assert_eq!(caps2, vec![(e0, a), (e0, b)]);
         assert_eq!(else_g.num_params, 2);
     }

@@ -8,11 +8,12 @@
 //!
 //! Arithmetic and comparison operators dispatch on operand types, the
 //! runtime analog of Python operator overloading (§4): Python numbers get
-//! Python semantics; eager tensors dispatch through the eager registry;
-//! staged values add IR nodes.
+//! Python semantics; anything tensor-like goes to the `tf_api` row of the
+//! same op, whose one dispatch rule picks the backend.
 
 use crate::backend::{GraphStage, LanternStage};
 use crate::env::Env;
+use crate::tf_api;
 use crate::value::{ModuleKind, PyFunction, Value};
 use crate::{Result, RuntimeError};
 use autograph_eager::Eager;
@@ -20,6 +21,7 @@ use autograph_graph::ir::OpKind;
 use autograph_lantern::sexpr::SExpr;
 use autograph_pylang::ast::*;
 use autograph_tensor::{Rng64, Tensor};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -671,49 +673,17 @@ impl Interp {
     ///
     /// Fails for unsupported operand combinations.
     pub(crate) fn binop(&mut self, op: BinOp, l: Value, r: Value) -> Result<Value> {
-        // staged operands stage the op
-        if matches!(l, Value::GraphNode { .. }) || matches!(r, Value::GraphNode { .. }) {
-            let kind = match op {
-                BinOp::Add => OpKind::Add,
-                BinOp::Sub => OpKind::Sub,
-                BinOp::Mul => OpKind::Mul,
-                BinOp::Div => OpKind::Div,
-                BinOp::FloorDiv => OpKind::FloorDiv,
-                BinOp::Mod => OpKind::Mod,
-                BinOp::Pow => OpKind::Pow,
+        if l.is_tensor_like() || r.is_tensor_like() {
+            let row = match op {
+                BinOp::Add => &tf_api::ADD,
+                BinOp::Sub => &tf_api::SUB,
+                BinOp::Mul => &tf_api::MUL,
+                BinOp::Div => &tf_api::DIV,
+                BinOp::FloorDiv => &tf_api::FLOORDIV,
+                BinOp::Mod => &tf_api::MOD,
+                BinOp::Pow => &tf_api::POW,
             };
-            return self.graph_op(kind, &[l, r]);
-        }
-        if matches!(l, Value::Lantern(_)) || matches!(r, Value::Lantern(_)) {
-            let name = match op {
-                BinOp::Add => "add",
-                BinOp::Sub => "sub",
-                BinOp::Mul => "mul",
-                BinOp::Div => "div",
-                _ => {
-                    return Err(RuntimeError::new(format!(
-                        "operator {} is not supported by the lantern backend",
-                        op.as_str()
-                    )))
-                }
-            };
-            let a = self.to_lantern_sexpr(&l)?;
-            let b = self.to_lantern_sexpr(&r)?;
-            return Ok(self.lantern_expr(name, vec![a, b]));
-        }
-        if matches!(l, Value::Tensor(_)) || matches!(r, Value::Tensor(_)) {
-            let name = match op {
-                BinOp::Add => "add",
-                BinOp::Sub => "sub",
-                BinOp::Mul => "mul",
-                BinOp::Div => "div",
-                BinOp::FloorDiv => "floordiv",
-                BinOp::Mod => "mod",
-                BinOp::Pow => "pow",
-            };
-            let a = self.to_eager(&l)?;
-            let b = self.to_eager(&r)?;
-            return Ok(Value::Tensor(self.eager.op(name, &[&a, &b])?));
+            return self.call_row(row, vec![l, r], &Vec::new());
         }
         // host (Python) semantics
         match (op, &l, &r) {
@@ -802,7 +772,7 @@ impl Interp {
     ///
     /// Fails for incomparable operand combinations.
     pub fn compare(&mut self, op: CmpOp, l: Value, r: Value) -> Result<Value> {
-        match op {
+        let row = match op {
             CmpOp::Is => return Ok(Value::Bool(value_is(&l, &r))),
             CmpOp::IsNot => return Ok(Value::Bool(!value_is(&l, &r))),
             CmpOp::In => return self.membership(&l, &r),
@@ -810,75 +780,32 @@ impl Interp {
                 let m = self.membership(&l, &r)?;
                 return Ok(Value::Bool(!m.truthy()?));
             }
-            _ => {}
-        }
-        if matches!(l, Value::GraphNode { .. }) || matches!(r, Value::GraphNode { .. }) {
-            let kind = match op {
-                CmpOp::Lt => OpKind::Less,
-                CmpOp::Le => OpKind::LessEqual,
-                CmpOp::Gt => OpKind::Greater,
-                CmpOp::Ge => OpKind::GreaterEqual,
-                CmpOp::Eq => OpKind::Equal,
-                CmpOp::NotEq => OpKind::NotEqual,
-                _ => unreachable!("identity ops handled above"),
-            };
-            return self.graph_op(kind, &[l, r]);
-        }
-        if matches!(l, Value::Lantern(_)) || matches!(r, Value::Lantern(_)) {
-            let name = match op {
-                CmpOp::Lt => "lt",
-                CmpOp::Le => "le",
-                CmpOp::Gt => "gt",
-                CmpOp::Ge => "ge",
-                CmpOp::Eq => "eq",
-                _ => {
-                    return Err(RuntimeError::new(
-                        "comparison not supported by the lantern backend",
-                    ))
-                }
-            };
-            let a = self.to_lantern_sexpr(&l)?;
-            let b = self.to_lantern_sexpr(&r)?;
-            return Ok(self.lantern_expr(name, vec![a, b]));
-        }
-        if matches!(l, Value::Tensor(_)) || matches!(r, Value::Tensor(_)) {
-            let name = match op {
-                CmpOp::Lt => "less",
-                CmpOp::Le => "less_equal",
-                CmpOp::Gt => "greater",
-                CmpOp::Ge => "greater_equal",
-                CmpOp::Eq => "equal",
-                CmpOp::NotEq => "not_equal",
-                _ => unreachable!(),
-            };
-            let a = self.to_eager(&l)?;
-            let b = self.to_eager(&r)?;
-            return Ok(Value::Tensor(self.eager.op(name, &[&a, &b])?));
+            CmpOp::Lt => &tf_api::LESS,
+            CmpOp::Le => &tf_api::LESS_EQUAL,
+            CmpOp::Gt => &tf_api::GREATER,
+            CmpOp::Ge => &tf_api::GREATER_EQUAL,
+            CmpOp::Eq => &tf_api::EQUAL,
+            CmpOp::NotEq => &tf_api::NOT_EQUAL,
+        };
+        if l.is_tensor_like() || r.is_tensor_like() {
+            return self.call_row(row, vec![l, r], &Vec::new());
         }
         // host comparisons
         let b = match op {
             CmpOp::Eq => l.py_eq(&r),
             CmpOp::NotEq => !l.py_eq(&r),
-            _ => match (&l, &r) {
-                (Value::Str(a), Value::Str(b)) => match op {
-                    CmpOp::Lt => a < b,
-                    CmpOp::Le => a <= b,
-                    CmpOp::Gt => a > b,
-                    CmpOp::Ge => a >= b,
-                    _ => unreachable!(),
-                },
-                _ => {
-                    let a = l.as_float()?;
-                    let c = r.as_float()?;
-                    match op {
-                        CmpOp::Lt => a < c,
-                        CmpOp::Le => a <= c,
-                        CmpOp::Gt => a > c,
-                        CmpOp::Ge => a >= c,
-                        _ => unreachable!(),
-                    }
+            _ => {
+                let ord = match (&l, &r) {
+                    (Value::Str(a), Value::Str(b)) => a.partial_cmp(b),
+                    _ => l.as_float()?.partial_cmp(&r.as_float()?),
+                };
+                match op {
+                    CmpOp::Lt => ord == Some(Ordering::Less),
+                    CmpOp::Le => matches!(ord, Some(Ordering::Less | Ordering::Equal)),
+                    CmpOp::Gt => ord == Some(Ordering::Greater),
+                    _ => matches!(ord, Some(Ordering::Greater | Ordering::Equal)),
                 }
-            },
+            }
         };
         Ok(Value::Bool(b))
     }
@@ -920,9 +847,7 @@ impl Interp {
                 Value::Int(i) => Ok(Value::Int(-i)),
                 Value::Float(f) => Ok(Value::Float(-f)),
                 Value::Bool(b) => Ok(Value::Int(-(b as i64))),
-                Value::Tensor(t) => Ok(Value::Tensor(self.eager.op("neg", &[&t])?)),
-                v @ Value::GraphNode { .. } => self.graph_op(OpKind::Neg, &[v]),
-                Value::Lantern(e) => Ok(self.lantern_expr("neg", vec![(*e).clone()])),
+                v if v.is_tensor_like() => self.call_row(&tf_api::NEG, vec![v], &Vec::new()),
                 other => Err(RuntimeError::new(format!(
                     "bad operand type for unary -: {}",
                     other.kind()
@@ -1097,6 +1022,37 @@ impl Interp {
 
     // ---- backend helpers -----------------------------------------------------
 
+    /// Whether a graph is being staged.
+    pub(crate) fn staging_graph(&self) -> bool {
+        matches!(self.stage, Stage::Graph(_))
+    }
+
+    /// The active graph staging context.
+    ///
+    /// # Errors
+    ///
+    /// Fails when no graph is being staged.
+    pub(crate) fn graph_stage(&mut self) -> Result<&mut GraphStage> {
+        match &mut self.stage {
+            Stage::Graph(g) => Ok(g),
+            _ => Err(RuntimeError::new(
+                "graph staging is not active (internal dispatch error)",
+            )),
+        }
+    }
+
+    /// The active Lantern staging context.
+    ///
+    /// # Errors
+    ///
+    /// Fails when no Lantern program is being staged.
+    pub(crate) fn lantern_stage(&mut self) -> Result<&mut LanternStage> {
+        match &mut self.stage {
+            Stage::Lantern(s) => Ok(s),
+            _ => Err(RuntimeError::new("lantern staging is not active")),
+        }
+    }
+
     /// Coerce a value to an eager tensor wrapper.
     ///
     /// # Errors
@@ -1118,14 +1074,7 @@ impl Interp {
     pub(crate) fn graph_node_for(&mut self, v: &Value) -> Result<autograph_graph::NodeId> {
         // clone data needed before borrowing stage mutably
         let span = self.current_span;
-        let stage = match &mut self.stage {
-            Stage::Graph(g) => g,
-            _ => {
-                return Err(RuntimeError::new(
-                    "graph staging is not active (internal dispatch error)",
-                ))
-            }
-        };
+        let stage = self.graph_stage()?;
         stage.top().builder.set_span(span);
         match v {
             Value::GraphNode { epoch, id } => stage.resolve(*epoch, *id),
@@ -1142,11 +1091,7 @@ impl Interp {
                 let mut arr = stage.add(OpKind::ArrayNew, vec![]).1;
                 for item in items {
                     let n = self.graph_node_for(&item)?;
-                    let stage = match &mut self.stage {
-                        Stage::Graph(g) => g,
-                        _ => unreachable!(),
-                    };
-                    arr = stage.add(OpKind::ArrayPush, vec![arr, n]).1;
+                    arr = self.graph_stage()?.add(OpKind::ArrayPush, vec![arr, n]).1;
                 }
                 Ok(arr)
             }
@@ -1172,10 +1117,7 @@ impl Interp {
             ids.push(self.graph_node_for(v)?);
         }
         let span = self.current_span;
-        let stage = match &mut self.stage {
-            Stage::Graph(g) => g,
-            _ => unreachable!("graph_node_for checked staging"),
-        };
+        let stage = self.graph_stage()?;
         stage.top().builder.set_span(span);
         let (epoch, id) = stage.add(op, ids);
         Ok(Value::GraphNode { epoch, id })

@@ -4,11 +4,13 @@
 //! lower the construct into the active IR.
 
 use crate::interp::{Interp, Stage};
+use crate::tf_api::{self, take};
 use crate::value::{Builtin, PyFunction, Value};
 use crate::{Result, RuntimeError};
-use autograph_graph::ir::OpKind;
+use autograph_graph::ir::{NodeId, OpKind, SubGraph};
 use autograph_lantern::sexpr::SExpr;
-use autograph_pylang::ast::{Module, StmtKind};
+use autograph_pylang::ast::{BinOp, CmpOp, Module, StmtKind};
+use std::ops::Range;
 use std::rc::Rc;
 
 type Args = Vec<Value>;
@@ -24,31 +26,16 @@ fn builtin(name: &str, f: impl Fn(&mut Interp, Args, Kwargs) -> Result<Value> + 
 /// Look up an `ag.*` attribute.
 pub fn lookup(name: &str) -> Option<Value> {
     Some(match name {
-        "if_stmt" => builtin("if_stmt", |i, mut a, _| {
-            if a.len() != 3 {
-                return Err(RuntimeError::new("ag.if_stmt(cond, true_fn, false_fn)"));
-            }
-            let ff = a.pop().expect("len");
-            let tf_ = a.pop().expect("len");
-            let cond = a.pop().expect("len");
-            if_stmt_impl(i, cond, tf_, ff)
+        "if_stmt" => builtin("if_stmt", |i, a, _| {
+            let [cond, true_fn, false_fn] = take(a)?;
+            if_stmt_impl(i, cond, true_fn, false_fn)
         }),
-        "while_stmt" => builtin("while_stmt", |i, mut a, _| {
-            if a.len() != 3 {
-                return Err(RuntimeError::new("ag.while_stmt(test_fn, body_fn, init)"));
-            }
-            let init = a.pop().expect("len");
-            let body = a.pop().expect("len");
-            let test = a.pop().expect("len");
+        "while_stmt" => builtin("while_stmt", |i, a, _| {
+            let [test, body, init] = take(a)?;
             while_stmt_impl(i, test, body, init)
         }),
-        "for_stmt" => builtin("for_stmt", |i, mut a, _| {
-            if a.len() != 3 {
-                return Err(RuntimeError::new("ag.for_stmt(iter, body_fn, init)"));
-            }
-            let init = a.pop().expect("len");
-            let body = a.pop().expect("len");
-            let iter = a.pop().expect("len");
+        "for_stmt" => builtin("for_stmt", |i, a, _| {
+            let [iter, body, init] = take(a)?;
             for_stmt_impl(i, iter, body, init)
         }),
         "converted_call" => builtin("converted_call", |i, mut a, k| {
@@ -60,60 +47,36 @@ pub fn lookup(name: &str) -> Option<Value> {
         }),
         "and_" => builtin("and_", |i, a, _| logical_lazy(i, a, true)),
         "or_" => builtin("or_", |i, a, _| logical_lazy(i, a, false)),
-        "not_" => builtin("not_", |i, mut a, _| {
-            let v = a.pop().ok_or_else(|| RuntimeError::new("ag.not_(x)"))?;
-            match &v {
-                Value::GraphNode { .. } => i.graph_op(OpKind::LogicalNot, &[v]),
-                Value::Lantern(e) => Ok(i.lantern_expr("not", vec![(**e).clone()])),
-                Value::Tensor(t) if t.tensor().dtype() == autograph_tensor::DType::Bool => {
-                    let r = i.eager.op("logical_not", &[t])?;
-                    Ok(Value::Tensor(r))
-                }
-                other => Ok(Value::Bool(!other.truthy()?)),
+        "not_" => builtin("not_", |i, a, _| {
+            let [v] = take(a)?;
+            let bool_tensor = matches!(&v, Value::Tensor(t) if t.tensor().dtype() == autograph_tensor::DType::Bool);
+            if v.is_staged() || bool_tensor {
+                return i.call_row(&tf_api::LOGICAL_NOT, vec![v], &Vec::new());
             }
+            Ok(Value::Bool(!v.truthy()?))
         }),
-        "eq_" => builtin("eq_", |i, mut a, _| {
-            let b = a.pop().ok_or_else(|| RuntimeError::new("ag.eq_(a, b)"))?;
-            let x = a.pop().ok_or_else(|| RuntimeError::new("ag.eq_(a, b)"))?;
-            i.compare(autograph_pylang::ast::CmpOp::Eq, x, b)
+        "eq_" => builtin("eq_", |i, a, _| {
+            let [x, y] = take(a)?;
+            i.compare(CmpOp::Eq, x, y)
         }),
-        "not_eq_" => builtin("not_eq_", |i, mut a, _| {
-            let b = a
-                .pop()
-                .ok_or_else(|| RuntimeError::new("ag.not_eq_(a, b)"))?;
-            let x = a
-                .pop()
-                .ok_or_else(|| RuntimeError::new("ag.not_eq_(a, b)"))?;
-            i.compare(autograph_pylang::ast::CmpOp::NotEq, x, b)
+        "not_eq_" => builtin("not_eq_", |i, a, _| {
+            let [x, y] = take(a)?;
+            i.compare(CmpOp::NotEq, x, y)
         }),
-        "list_append" => builtin("list_append", |i, mut a, _| {
-            if a.len() != 2 {
-                return Err(RuntimeError::new("ag.list_append(list, value)"));
-            }
-            let x = a.pop().expect("len");
-            let l = a.pop().expect("len");
+        "list_append" => builtin("list_append", |i, a, _| {
+            let [l, x] = take(a)?;
             list_append_impl(i, l, x)
         }),
-        "list_pop" => builtin("list_pop", |i, mut a, _| {
-            let l = a
-                .pop()
-                .ok_or_else(|| RuntimeError::new("ag.list_pop(list)"))?;
+        "list_pop" => builtin("list_pop", |i, a, _| {
+            let [l] = take(a)?;
             list_pop_impl(i, l)
         }),
-        "stack" => builtin("stack", |i, mut a, _| {
-            let l = a
-                .drain(..)
-                .next()
-                .ok_or_else(|| RuntimeError::new("ag.stack(list)"))?;
+        "stack" => builtin("stack", |i, a, _| {
+            let [l] = take(a)?;
             stack_impl(i, l)
         }),
-        "setitem" => builtin("setitem", |i, mut a, _| {
-            if a.len() != 3 {
-                return Err(RuntimeError::new("ag.setitem(x, i, v)"));
-            }
-            let v = a.pop().expect("len");
-            let idx = a.pop().expect("len");
-            let x = a.pop().expect("len");
+        "setitem" => builtin("setitem", |i, a, _| {
+            let [x, idx, v] = take(a)?;
             setitem_impl(i, x, idx, v)
         }),
         "undefined" => builtin("undefined", |_, mut a, _| {
@@ -142,16 +105,9 @@ pub fn lookup(name: &str) -> Option<Value> {
                 }
             }
         }),
-        "print_" => builtin("print_", |i, a, _| {
-            if a.len() == 1 && matches!(a[0], Value::GraphNode { .. }) {
-                return i.graph_op(OpKind::Print(String::new()), &[a[0].clone()]);
-            }
-            let rendered: Vec<String> = a.iter().map(Value::render).collect();
-            println!("{}", rendered.join(" "));
-            Ok(Value::None)
-        }),
-        "len_" => builtin("len_", |i, mut a, _| {
-            let v = a.pop().ok_or_else(|| RuntimeError::new("ag.len_(x)"))?;
+        "print_" => builtin("print_", |i, a, _| tf_api::print(i, a, "")),
+        "len_" => builtin("len_", |i, a, _| {
+            let [v] = take(a)?;
             match &v {
                 Value::List(l) => Ok(Value::Int(l.borrow().len() as i64)),
                 Value::Tuple(t) => Ok(Value::Int(t.len() as i64)),
@@ -204,8 +160,8 @@ pub fn lookup(name: &str) -> Option<Value> {
             }
             Ok(Value::Range { start, stop, step })
         }),
-        "int_" => builtin("int_", |i, mut a, _| {
-            let v = a.pop().ok_or_else(|| RuntimeError::new("int(x)"))?;
+        "int_" => builtin("int_", |i, a, _| {
+            let [v] = take(a)?;
             match &v {
                 Value::Int(x) => Ok(Value::Int(*x)),
                 Value::Float(f) => Ok(Value::Int(*f as i64)),
@@ -225,8 +181,8 @@ pub fn lookup(name: &str) -> Option<Value> {
                 ))),
             }
         }),
-        "float_" => builtin("float_", |i, mut a, _| {
-            let v = a.pop().ok_or_else(|| RuntimeError::new("float(x)"))?;
+        "float_" => builtin("float_", |i, a, _| {
+            let [v] = take(a)?;
             match &v {
                 Value::GraphNode { .. } => {
                     i.graph_op(OpKind::Cast(autograph_tensor::DType::F32), &[v])
@@ -239,13 +195,12 @@ pub fn lookup(name: &str) -> Option<Value> {
                 other => Ok(Value::Float(other.as_float()?)),
             }
         }),
-        "abs_" => builtin("abs_", |i, mut a, _| {
-            let v = a.pop().ok_or_else(|| RuntimeError::new("abs(x)"))?;
-            match &v {
+        "abs_" => builtin("abs_", |i, a, _| {
+            let [v] = take(a)?;
+            match v {
                 Value::Int(x) => Ok(Value::Int(x.abs())),
                 Value::Float(f) => Ok(Value::Float(f.abs())),
-                Value::Tensor(t) => Ok(Value::Tensor(i.eager.op("abs", &[t])?)),
-                Value::GraphNode { .. } => i.graph_op(OpKind::Abs, &[v]),
+                v if v.is_tensor_like() => i.call_row(&tf_api::ABS, vec![v], &Vec::new()),
                 other => Err(RuntimeError::new(format!(
                     "bad operand for abs(): {}",
                     other.kind()
@@ -328,145 +283,189 @@ pub(crate) fn if_stmt_impl(
 ) -> Result<Value> {
     match &cond {
         Value::GraphNode { .. } => staged_cond(i, cond, true_fn, false_fn),
-        Value::Lantern(_) => lantern_cond(i, cond, true_fn, false_fn),
+        Value::Lantern(_) => lantern_cond(i, &cond, &true_fn, &false_fn),
         other => {
-            if other.truthy()? {
-                call(i, &true_fn, vec![])
-            } else {
-                call(i, &false_fn, vec![])
-            }
+            let branch = if other.truthy()? { &true_fn } else { &false_fn };
+            call(i, branch, vec![])
         }
     }
 }
 
 fn staged_cond(i: &mut Interp, cond: Value, true_fn: Value, false_fn: Value) -> Result<Value> {
-    // stage then-branch
-    {
-        let Stage::Graph(stage) = &mut i.stage else {
-            return Err(RuntimeError::new("graph staging inactive"));
-        };
-        stage.push_layer(0);
-    }
-    let t_result = call(i, &true_fn, vec![])?;
-    let t_values = flatten_result(&t_result);
-    let mut t_nodes = Vec::with_capacity(t_values.len());
-    for v in &t_values {
-        t_nodes.push(i.graph_node_for(v)?);
-    }
-    let (mut then_g, caps1) = {
-        let Stage::Graph(stage) = &mut i.stage else {
-            unreachable!()
-        };
-        stage.pop_layer(t_nodes)
-    };
-
-    // stage else-branch, pre-seeded with then's captures
-    {
-        let Stage::Graph(stage) = &mut i.stage else {
-            unreachable!()
-        };
-        stage.push_layer_with_captures(0, &caps1);
-    }
-    let f_result = call(i, &false_fn, vec![])?;
-    let f_values = flatten_result(&f_result);
-    let mut f_nodes = Vec::with_capacity(f_values.len());
-    for v in &f_values {
-        f_nodes.push(i.graph_node_for(v)?);
-    }
-    let (else_g, caps_all) = {
-        let Stage::Graph(stage) = &mut i.stage else {
-            unreachable!()
-        };
-        stage.pop_layer(f_nodes)
-    };
-
-    if t_values.len() != f_values.len() {
-        return Err(RuntimeError::new(format!(
-            "staged conditional branches must produce the same number of values \
-             ({} vs {}); all code paths must initialize the same variables",
-            t_values.len(),
-            f_values.len()
-        )));
-    }
-    then_g.num_params = caps_all.len();
-
-    // cond node inputs: predicate + resolved captures
-    let n_outputs = t_values.len();
-    let mut inputs = vec![i.graph_node_for(&cond)?];
-    {
-        let Stage::Graph(stage) = &mut i.stage else {
-            unreachable!()
-        };
-        for (e, id) in &caps_all {
-            inputs.push(stage.resolve(*e, *id)?);
-        }
-        let (epoch, node) = stage.add(OpKind::Cond { then_g, else_g }, inputs);
-        match n_outputs {
-            0 => Ok(Value::None),
-            1 => Ok(Value::GraphNode { epoch, id: node }),
-            n => {
-                let mut outs = Vec::with_capacity(n);
-                for k in 0..n {
-                    let id = stage.add(OpKind::TupleGet(k), vec![node]).1;
-                    outs.push(Value::GraphNode { epoch, id });
-                }
-                Ok(rebuild_result(&t_result, outs))
+    let mut template = Value::None;
+    let (node, outs) = staged_pair(
+        i,
+        None,
+        |i, _| {
+            template = call(i, &true_fn, vec![])?;
+            Ok(flatten_result(&template))
+        },
+        |i, _| Ok(flatten_result(&call(i, &false_fn, vec![])?)),
+        |_, then_g, else_g| {
+            let (t, f) = (then_g.outputs.len(), else_g.outputs.len());
+            if t != f {
+                return Err(RuntimeError::new(format!(
+                    "staged conditional branches must produce the same number of values \
+                     ({t} vs {f}); all code paths must initialize the same variables"
+                )));
             }
-        }
+            // a single output is the Cond node itself
+            Ok((
+                OpKind::Cond { then_g, else_g },
+                if t > 1 { 0..t } else { 0..0 },
+            ))
+        },
+        &[cond],
+    )?;
+    Ok(match flatten_result(&template).len() {
+        0 => Value::None,
+        1 => node,
+        _ => rebuild_result(&template, outs),
+    })
+}
+
+/// The one staged lowering of `cond`, `while` and `for` (Listing 2): stage
+/// two sibling subgraphs on one capture list — a conditional's branches
+/// (`loop_state: None`), or a loop's condition and body over
+/// `loop_state` `Param`s — then add the node `make` builds from them, over
+/// the `leading` inputs plus the resolved captures, and project the
+/// `TupleGet`s `make` names. A loop body passes its captures through
+/// unchanged, so they stay loop-invariant.
+#[allow(clippy::type_complexity)]
+fn staged_pair(
+    i: &mut Interp,
+    loop_state: Option<usize>,
+    first: impl FnOnce(&mut Interp, Vec<Value>) -> Result<Vec<Value>>,
+    second: impl FnOnce(&mut Interp, Vec<Value>) -> Result<Vec<Value>>,
+    make: impl FnOnce(&mut Interp, SubGraph, SubGraph) -> Result<(OpKind, Range<usize>)>,
+    leading: &[Value],
+) -> Result<(Value, Vec<Value>)> {
+    let n = loop_state.unwrap_or(0);
+    let params = i.graph_stage()?.push_layer(n);
+    let outs = first(i, node_values(&params))?;
+    let nodes = graph_nodes(i, &outs)?;
+    let (mut first_g, caps) = i.graph_stage()?.pop_layer(nodes)?;
+
+    let params = i.graph_stage()?.push_layer_with_captures(n, &caps);
+    let outs = second(i, node_values(&params))?;
+    let mut nodes = graph_nodes(i, &outs)?;
+    let stage = i.graph_stage()?;
+    if loop_state.is_some() {
+        nodes.extend(stage.capture_param_nodes());
+    }
+    let (second_g, caps) = stage.pop_layer(nodes)?;
+    first_g.num_params = n + caps.len();
+
+    let (op, project) = make(i, first_g, second_g)?;
+    let mut inputs = graph_nodes(i, leading)?;
+    let stage = i.graph_stage()?;
+    for (e, id) in &caps {
+        inputs.push(stage.resolve(*e, *id)?);
+    }
+    let (epoch, node) = stage.add(op, inputs);
+    let outs = project
+        .map(|k| Value::GraphNode {
+            epoch,
+            id: stage.add(OpKind::TupleGet(k), vec![node]).1,
+        })
+        .collect();
+    Ok((Value::GraphNode { epoch, id: node }, outs))
+}
+
+/// A staged loop over `state`: `test` and `body` see one `Param` per state
+/// value; returns the final state from `skip` on.
+fn staged_loop(
+    i: &mut Interp,
+    state: &[Value],
+    test: impl FnOnce(&mut Interp, Vec<Value>) -> Result<Value>,
+    body: impl FnOnce(&mut Interp, Vec<Value>) -> Result<Vec<Value>>,
+    skip: usize,
+) -> Result<Vec<Value>> {
+    let n = state.len();
+    let (_, outs) = staged_pair(
+        i,
+        Some(n),
+        |i, params| Ok(vec![test(i, params)?]),
+        body,
+        |i, cond_g, body_g| {
+            let max_iters = i.pending_loop_options.take();
+            let op = OpKind::While {
+                cond_g,
+                body_g,
+                max_iters,
+            };
+            Ok((op, skip..n))
+        },
+        state,
+    )?;
+    Ok(outs)
+}
+
+fn node_values(params: &[(u64, NodeId)]) -> Vec<Value> {
+    params
+        .iter()
+        .map(|&(epoch, id)| Value::GraphNode { epoch, id })
+        .collect()
+}
+
+fn graph_nodes(i: &mut Interp, values: &[Value]) -> Result<Vec<NodeId>> {
+    values.iter().map(|v| i.graph_node_for(v)).collect()
+}
+
+/// A loop's state values: the items of a tuple, or one value.
+fn loop_state(init: &Value) -> Vec<Value> {
+    match init {
+        Value::Tuple(items) => (**items).clone(),
+        other => vec![other.clone()],
     }
 }
 
-fn lantern_cond(i: &mut Interp, cond: Value, true_fn: Value, false_fn: Value) -> Result<Value> {
-    let cond_sexpr = i.to_lantern_sexpr(&cond)?;
-    let stage_frame = |i: &mut Interp| {
-        if let Stage::Lantern(s) = &mut i.stage {
-            s.push_frame();
-        }
+/// A loop body's new state, which must be as long as the old.
+fn next_state(out: Value, n: usize) -> Result<Vec<Value>> {
+    match out {
+        Value::Tuple(items) if items.len() == n => Ok((*items).clone()),
+        other if n == 1 => Ok(vec![other]),
+        other => Err(RuntimeError::new(format!(
+            "loop body must return {n} state values, got {}",
+            other.kind()
+        ))),
+    }
+}
+
+/// One Lantern branch in its own frame; `None` when it returns nothing.
+fn lantern_branch(i: &mut Interp, branch: &Value) -> Result<Option<SExpr>> {
+    i.lantern_stage()?.push_frame();
+    let v = call(i, branch, vec![])?;
+    let body = match v {
+        Value::None => SExpr::Num(0.0),
+        _ => i.to_lantern_sexpr(&v)?,
     };
-    let unframe = |i: &mut Interp, body: SExpr| -> SExpr {
-        if let Stage::Lantern(s) = &mut i.stage {
-            s.pop_frame(body)
-        } else {
-            body
-        }
-    };
-    stage_frame(i);
-    let t = call(i, &true_fn, vec![])?;
+    let body = i.lantern_stage()?.pop_frame(body);
+    Ok((!matches!(v, Value::None)).then_some(body))
+}
+
+fn lantern_cond(i: &mut Interp, cond: &Value, true_fn: &Value, false_fn: &Value) -> Result<Value> {
+    let cond = i.to_lantern_sexpr(cond)?;
     // a branch that modifies no variables returns None (matching the
     // graph path's zero-output Cond); Lantern is pure, so a conditional
     // with no outputs stages to nothing at all
-    let t_none = matches!(t, Value::None);
-    let t_sexpr = if t_none {
-        SExpr::Num(0.0)
-    } else {
-        i.to_lantern_sexpr(&t)?
-    };
-    let t_sexpr = unframe(i, t_sexpr);
-    stage_frame(i);
-    let f = call(i, &false_fn, vec![])?;
-    let f_none = matches!(f, Value::None);
-    let f_sexpr = if f_none {
-        SExpr::Num(0.0)
-    } else {
-        i.to_lantern_sexpr(&f)?
-    };
-    let f_sexpr = unframe(i, f_sexpr);
-    if t_none != f_none {
-        return Err(RuntimeError::new(
+    match (lantern_branch(i, true_fn)?, lantern_branch(i, false_fn)?) {
+        (None, None) => Ok(Value::None),
+        (Some(t), Some(f)) => Ok(Value::Lantern(Rc::new(SExpr::list(vec![
+            SExpr::sym("if"),
+            cond,
+            t,
+            f,
+        ])))),
+        _ => Err(RuntimeError::new(
             "staged conditional branches must produce the same number of values; \
              all code paths must initialize the same variables",
-        ));
+        )),
     }
-    if t_none {
-        return Ok(Value::None);
-    }
-    Ok(Value::Lantern(Rc::new(SExpr::list(vec![
-        SExpr::sym("if"),
-        cond_sexpr,
-        t_sexpr,
-        f_sexpr,
-    ]))))
 }
+
+const LANTERN_LOOP: &str = "the lantern backend stages loops as recursion; rewrite this loop \
+                            as a recursive function (§8)";
 
 /// The while operator.
 pub(crate) fn while_stmt_impl(
@@ -475,146 +474,35 @@ pub(crate) fn while_stmt_impl(
     body_fn: Value,
     init: Value,
 ) -> Result<Value> {
-    let state: Vec<Value> = match &init {
-        Value::Tuple(items) => (**items).clone(),
-        other => vec![other.clone()],
-    };
+    let mut state = loop_state(&init);
+    let n = state.len();
     // Dispatch on the condition-closure types (Table 4): the loop stages
     // when the first test result OR any loop-state value is staged (a
     // state variable may only become tensor-dependent inside the body,
     // e.g. a lowered `break` guard flipped by a staged conditional).
     let first = call(i, &test_fn, state.clone())?;
-    if matches!(i.stage, Stage::Graph(_))
-        && (first.is_staged() || state.iter().any(Value::is_staged))
-    {
-        return staged_while(i, &test_fn, &body_fn, &init, state);
+    if i.staging_graph() && (first.is_staged() || state.iter().any(Value::is_staged)) {
+        let outs = staged_loop(
+            i,
+            &state,
+            |i, params| call(i, &test_fn, params),
+            |i, params| next_state(call(i, &body_fn, params)?, n),
+            0,
+        )?;
+        return Ok(rebuild_result(&init, outs));
     }
-    match &first {
-        Value::GraphNode { .. } => staged_while(i, &test_fn, &body_fn, &init, state),
-        Value::Lantern(_) => Err(RuntimeError::new(
-            "the lantern backend stages loops as recursion; rewrite this loop as a \
-             recursive function (§8)",
-        )),
-        other => {
-            let mut keep = other.truthy()?;
-            let mut state = state;
-            let n = state.len();
-            // an ag.set_loop_options inside an imperative loop body applies
-            // to nothing staged; consume it so it cannot leak into a later
-            // staged loop
-            while keep {
-                let out = call(i, &body_fn, state.clone())?;
-                state = match out {
-                    Value::Tuple(items) if items.len() == n => (*items).clone(),
-                    other if n == 1 => vec![other],
-                    other => {
-                        return Err(RuntimeError::new(format!(
-                            "loop body must return {n} state values, got {}",
-                            other.kind()
-                        )))
-                    }
-                };
-                keep = call(i, &test_fn, state.clone())?.truthy()?;
-            }
-            i.pending_loop_options = None;
-            Ok(rebuild_result(&init, state))
-        }
+    if first.is_staged() {
+        return Err(RuntimeError::new(LANTERN_LOOP));
     }
-}
-
-fn staged_while(
-    i: &mut Interp,
-    test_fn: &Value,
-    body_fn: &Value,
-    init: &Value,
-    state: Vec<Value>,
-) -> Result<Value> {
-    let k = state.len();
-
-    // condition subgraph
-    let cond_params = {
-        let Stage::Graph(stage) = &mut i.stage else {
-            return Err(RuntimeError::new("graph staging inactive"));
-        };
-        stage.push_layer(k)
-    };
-    let param_values: Vec<Value> = cond_params
-        .iter()
-        .map(|(e, id)| Value::GraphNode { epoch: *e, id: *id })
-        .collect();
-    let test_out = call(i, test_fn, param_values)?;
-    let test_node = i.graph_node_for(&test_out)?;
-    let (mut cond_g, caps_c) = {
-        let Stage::Graph(stage) = &mut i.stage else {
-            unreachable!()
-        };
-        stage.pop_layer(vec![test_node])
-    };
-
-    // body subgraph (captures pre-seeded with the condition's)
-    let body_params = {
-        let Stage::Graph(stage) = &mut i.stage else {
-            unreachable!()
-        };
-        stage.push_layer_with_captures(k, &caps_c)
-    };
-    let param_values: Vec<Value> = body_params
-        .iter()
-        .map(|(e, id)| Value::GraphNode { epoch: *e, id: *id })
-        .collect();
-    let body_out = call(i, body_fn, param_values)?;
-    let body_values = flatten_result(&body_out);
-    if body_values.len() != k {
-        return Err(RuntimeError::new(format!(
-            "staged loop body must return {k} state values, got {}",
-            body_values.len()
-        )));
+    let mut keep = first.truthy()?;
+    while keep {
+        state = next_state(call(i, &body_fn, state)?, n)?;
+        keep = call(i, &test_fn, state.clone())?.truthy()?;
     }
-    let mut out_nodes = Vec::with_capacity(k);
-    for v in &body_values {
-        out_nodes.push(i.graph_node_for(v)?);
-    }
-    let (body_g, caps_all, passthrough) = {
-        let Stage::Graph(stage) = &mut i.stage else {
-            unreachable!()
-        };
-        let passthrough = stage.capture_param_nodes();
-        let mut outputs = out_nodes;
-        outputs.extend(passthrough.iter().copied());
-        let (g, caps) = stage.pop_layer(outputs);
-        (g, caps, passthrough)
-    };
-    let _ = passthrough;
-    cond_g.num_params = k + caps_all.len();
-    let max_iters = i.pending_loop_options.take();
-
-    // While node: initial state + resolved captures
-    let mut inputs = Vec::with_capacity(k + caps_all.len());
-    for v in &state {
-        inputs.push(i.graph_node_for(v)?);
-    }
-    {
-        let Stage::Graph(stage) = &mut i.stage else {
-            unreachable!()
-        };
-        for (e, id) in &caps_all {
-            inputs.push(stage.resolve(*e, *id)?);
-        }
-        let (epoch, node) = stage.add(
-            OpKind::While {
-                cond_g,
-                body_g,
-                max_iters,
-            },
-            inputs,
-        );
-        let mut outs = Vec::with_capacity(k);
-        for idx in 0..k {
-            let id = stage.add(OpKind::TupleGet(idx), vec![node]).1;
-            outs.push(Value::GraphNode { epoch, id });
-        }
-        Ok(rebuild_result(init, outs))
-    }
+    // an ag.set_loop_options inside an imperative loop body applies to
+    // nothing staged; consume it so it cannot leak into a later staged loop
+    i.pending_loop_options = None;
+    Ok(rebuild_result(&init, state))
 }
 
 /// The for operator.
@@ -624,34 +512,19 @@ pub(crate) fn for_stmt_impl(
     body_fn: Value,
     init: Value,
 ) -> Result<Value> {
-    let state: Vec<Value> = match &init {
-        Value::Tuple(items) => (**items).clone(),
-        other => vec![other.clone()],
-    };
+    let mut state = loop_state(&init);
+    let n = state.len();
     match &iter {
-        Value::GraphNode { .. } => staged_for(i, iter, &body_fn, &init, state),
-        Value::Lantern(_) => Err(RuntimeError::new(
-            "the lantern backend stages loops as recursion; rewrite this loop as a \
-             recursive function (§8)",
-        )),
+        Value::GraphNode { .. } => {
+            let outs = staged_for(i, iter, &body_fn, state)?;
+            Ok(rebuild_result(&init, outs))
+        }
+        Value::Lantern(_) => Err(RuntimeError::new(LANTERN_LOOP)),
         _ => {
-            let items = i.iterate(&iter)?;
-            let mut state = state;
-            let n = state.len();
-            for item in items {
+            for item in i.iterate(&iter)? {
                 let mut args = vec![item];
-                args.extend(state.iter().cloned());
-                let out = call(i, &body_fn, args)?;
-                state = match out {
-                    Value::Tuple(items) if items.len() == n => (*items).clone(),
-                    other if n == 1 => vec![other],
-                    other => {
-                        return Err(RuntimeError::new(format!(
-                            "loop body must return {n} state values, got {}",
-                            other.kind()
-                        )))
-                    }
-                };
+                args.extend(state);
+                state = next_state(call(i, &body_fn, args)?, n)?;
             }
             i.pending_loop_options = None;
             Ok(rebuild_result(&init, state))
@@ -659,153 +532,61 @@ pub(crate) fn for_stmt_impl(
     }
 }
 
-/// Staged `for` over a 1-D tensor: lowered to a staged while with an index
-/// counter, exactly like `tf.while_loop`-based `dynamic_rnn` (Appendix A).
+/// Staged `for` over a 1-D tensor: the `while` lowering with an index
+/// counter carried in front of the state, exactly like
+/// `tf.while_loop`-based `dynamic_rnn` (Appendix A).
 fn staged_for(
     i: &mut Interp,
     iter: Value,
     body_fn: &Value,
-    init: &Value,
     state: Vec<Value>,
-) -> Result<Value> {
-    let k = state.len();
-
-    // condition subgraph: params [idx, state...]; idx < len(iter)
-    let (cond_g, caps_c) = {
-        let cond_params = {
-            let Stage::Graph(stage) = &mut i.stage else {
-                return Err(RuntimeError::new("graph staging inactive"));
-            };
-            stage.push_layer(k + 1)
-        };
-        let idx = Value::GraphNode {
-            epoch: cond_params[0].0,
-            id: cond_params[0].1,
-        };
-        let shape = i.graph_op(OpKind::Shape, std::slice::from_ref(&iter))?;
-        let len = i.graph_op(OpKind::IndexAxis0, &[shape, Value::Int(0)])?;
-        let lt = i.graph_op(OpKind::Less, &[idx, len])?;
-        let lt_node = i.graph_node_for(&lt)?;
-        let Stage::Graph(stage) = &mut i.stage else {
-            unreachable!()
-        };
-        stage.pop_layer(vec![lt_node])
-    };
-
-    // body subgraph
-    let body_params = {
-        let Stage::Graph(stage) = &mut i.stage else {
-            unreachable!()
-        };
-        stage.push_layer_with_captures(k + 1, &caps_c)
-    };
-    let idx_val = Value::GraphNode {
-        epoch: body_params[0].0,
-        id: body_params[0].1,
-    };
-    let target = i.graph_op(OpKind::IndexAxis0, &[iter.clone(), idx_val.clone()])?;
-    let mut args = vec![target];
-    args.extend(
-        body_params[1..]
-            .iter()
-            .map(|(e, id)| Value::GraphNode { epoch: *e, id: *id }),
-    );
-    let body_out = call(i, body_fn, args)?;
-    let body_values = flatten_result(&body_out);
-    if body_values.len() != k {
-        return Err(RuntimeError::new(format!(
-            "staged loop body must return {k} state values, got {}",
-            body_values.len()
-        )));
-    }
-    let next_idx = i.binop(autograph_pylang::ast::BinOp::Add, idx_val, Value::Int(1))?;
-    let mut out_nodes = vec![i.graph_node_for(&next_idx)?];
-    for v in &body_values {
-        out_nodes.push(i.graph_node_for(v)?);
-    }
-    let (body_g, caps_all) = {
-        let Stage::Graph(stage) = &mut i.stage else {
-            unreachable!()
-        };
-        let passthrough = stage.capture_param_nodes();
-        out_nodes.extend(passthrough);
-        stage.pop_layer(out_nodes)
-    };
-    let mut cond_g = cond_g;
-    cond_g.num_params = k + 1 + caps_all.len();
-    let max_iters = i.pending_loop_options.take();
-
-    // While node inputs: idx=0, state inits, captures
-    let mut inputs = vec![];
-    {
-        let zero = Value::Int(0);
-        inputs.push(i.graph_node_for(&zero)?);
-    }
-    for v in &state {
-        inputs.push(i.graph_node_for(v)?);
-    }
-    {
-        let Stage::Graph(stage) = &mut i.stage else {
-            unreachable!()
-        };
-        for (e, id) in &caps_all {
-            inputs.push(stage.resolve(*e, *id)?);
-        }
-        let (epoch, node) = stage.add(
-            OpKind::While {
-                cond_g,
-                body_g,
-                max_iters,
-            },
-            inputs,
-        );
-        let mut outs = Vec::with_capacity(k);
-        for idx in 0..k {
-            let id = stage.add(OpKind::TupleGet(idx + 1), vec![node]).1;
-            outs.push(Value::GraphNode { epoch, id });
-        }
-        Ok(rebuild_result(init, outs))
-    }
+) -> Result<Vec<Value>> {
+    let n = state.len();
+    let mut counted = vec![Value::Int(0)];
+    counted.extend(state);
+    staged_loop(
+        i,
+        &counted,
+        |i, params| {
+            let idx = params.into_iter().next().unwrap_or(Value::None);
+            let shape = i.graph_op(OpKind::Shape, std::slice::from_ref(&iter))?;
+            let len = i.graph_op(OpKind::IndexAxis0, &[shape, Value::Int(0)])?;
+            i.graph_op(OpKind::Less, &[idx, len])
+        },
+        |i, mut params| {
+            let idx = params.remove(0);
+            let target = i.graph_op(OpKind::IndexAxis0, &[iter.clone(), idx.clone()])?;
+            params.insert(0, target);
+            let state = next_state(call(i, body_fn, params)?, n)?;
+            let mut next = vec![i.binop(BinOp::Add, idx, Value::Int(1))?];
+            next.extend(state);
+            Ok(next)
+        },
+        1,
+    )
 }
 
 // ---- logical ----------------------------------------------------------------
 
 /// Lazy `and`/`or`: `args = [a, thunk_b]`.
-fn logical_lazy(i: &mut Interp, mut args: Args, is_and: bool) -> Result<Value> {
-    if args.len() != 2 {
-        return Err(RuntimeError::new("ag.and_/or_(a, lambda: b)"));
+fn logical_lazy(i: &mut Interp, args: Args, is_and: bool) -> Result<Value> {
+    let [a, thunk] = take(args)?;
+    if a.is_staged() {
+        // staged: strict evaluation of the second operand (the paper
+        // lowers through tf.cond; our kernel is strict — documented)
+        let b = call(i, &thunk, vec![])?;
+        let row = if is_and {
+            &tf_api::LOGICAL_AND
+        } else {
+            &tf_api::LOGICAL_OR
+        };
+        return i.call_row(row, vec![a, b], &Vec::new());
     }
-    let thunk = args.pop().expect("len");
-    let a = args.pop().expect("len");
-    match &a {
-        Value::GraphNode { .. } => {
-            // staged: strict evaluation of the second operand (the paper
-            // lowers through tf.cond; our kernel is strict — documented)
-            let b = call(i, &thunk, vec![])?;
-            let op = if is_and {
-                OpKind::LogicalAnd
-            } else {
-                OpKind::LogicalOr
-            };
-            i.graph_op(op, &[a, b])
-        }
-        Value::Lantern(e) => {
-            let b = call(i, &thunk, vec![])?;
-            let b_sexpr = i.to_lantern_sexpr(&b)?;
-            Ok(i.lantern_expr(
-                if is_and { "and" } else { "or" },
-                vec![(**e).clone(), b_sexpr],
-            ))
-        }
-        other => {
-            // Python lazy boolean semantics: return the deciding operand
-            let t = other.truthy()?;
-            if t == is_and {
-                call(i, &thunk, vec![])
-            } else {
-                Ok(a)
-            }
-        }
+    // Python lazy boolean semantics: return the deciding operand
+    if a.truthy()? == is_and {
+        call(i, &thunk, vec![])
+    } else {
+        Ok(a)
     }
 }
 
@@ -817,20 +598,8 @@ fn list_append_impl(i: &mut Interp, l: Value, x: Value) -> Result<Value> {
             items.borrow_mut().push(x.clone());
             Ok(l)
         }
-        (Value::List(_), _) => {
-            // a Python list receiving a staged element becomes a staged list
-            let arr = i.graph_node_for(&l)?;
-            let stage_epoch = match &i.stage {
-                Stage::Graph(g) => g.top_epoch(),
-                _ => unreachable!("graph_node_for checked"),
-            };
-            let arr_v = Value::GraphNode {
-                epoch: stage_epoch,
-                id: arr,
-            };
-            i.graph_op(OpKind::ArrayPush, &[arr_v, x])
-        }
-        (Value::GraphNode { .. }, _) => i.graph_op(OpKind::ArrayPush, &[l, x]),
+        // a Python list receiving a staged element becomes a staged list
+        (Value::List(_) | Value::GraphNode { .. }, _) => i.graph_op(OpKind::ArrayPush, &[l, x]),
         (other, _) => Err(RuntimeError::new(format!(
             "cannot append to {}",
             other.kind()
@@ -867,14 +636,7 @@ fn stack_impl(i: &mut Interp, l: Value) -> Result<Value> {
             if items.is_empty() {
                 return Err(RuntimeError::new("ag.stack of an empty list"));
             }
-            if items.iter().any(Value::is_staged) {
-                return i.graph_op(OpKind::StackOp, &items);
-            }
-            let ts: Vec<autograph_tensor::Tensor> = items
-                .iter()
-                .map(|v| v.as_eager_tensor())
-                .collect::<Result<_>>()?;
-            Ok(Value::tensor(autograph_tensor::Tensor::stack(&ts)?))
+            i.dispatch(&tf_api::STACK, OpKind::StackOp, items)
         }
         Value::GraphNode { .. } => i.graph_op(OpKind::ArrayStack, &[l]),
         other => Err(RuntimeError::new(format!("cannot stack {}", other.kind()))),
@@ -1012,18 +774,13 @@ fn lantern_staged_call(
     let key = Rc::as_ptr(f) as usize;
     let key2 = Rc::as_ptr(&target) as usize;
 
-    let existing = match &mut i.stage {
-        Stage::Lantern(s) => s.staged.get(&key).cloned(),
-        _ => return Err(RuntimeError::new("lantern staging inactive")),
-    };
+    let existing = i.lantern_stage()?.staged.get(&key).cloned();
     let name = match existing {
         Some(name) => name,
         None => {
             // register before staging the body so recursion resolves
             let name = {
-                let Stage::Lantern(s) = &mut i.stage else {
-                    unreachable!()
-                };
+                let s = i.lantern_stage()?;
                 let name = s.fresh(&f.name);
                 s.staged.insert(key, name.clone());
                 s.staged.insert(key2, name.clone());
@@ -1038,9 +795,7 @@ fn lantern_staged_call(
                 .collect();
             let result = i.call_function(&target, sym_args, vec![])?;
             let body_sexpr = i.to_lantern_sexpr(&result)?;
-            let Stage::Lantern(s) = &mut i.stage else {
-                unreachable!()
-            };
+            let s = i.lantern_stage()?;
             let body_sexpr = s.pop_frame(body_sexpr);
             let params = SExpr::list(
                 target

@@ -240,11 +240,10 @@ impl Runtime {
                 }
             }
         }
-        let stage = std::mem::replace(&mut self.interp.stage, Stage::Eager);
-        let graph = match stage {
-            Stage::Graph(g) => g.finish(),
-            _ => unreachable!("stage set above"),
+        let Stage::Graph(stage) = std::mem::replace(&mut self.interp.stage, Stage::Eager) else {
+            return Err(RuntimeError::new("graph staging ended early"));
         };
+        let graph = stage.finish()?;
         Ok(StagedGraph {
             graph,
             outputs,
@@ -295,11 +294,10 @@ impl Runtime {
                 return Err(e);
             }
         };
-        let stage = std::mem::replace(&mut self.interp.stage, Stage::Eager);
-        let program_sexpr = match stage {
-            Stage::Lantern(s) => s.program(main),
-            _ => unreachable!(),
+        let Stage::Lantern(stage) = std::mem::replace(&mut self.interp.stage, Stage::Eager) else {
+            return Err(RuntimeError::new("lantern staging ended early"));
         };
+        let program_sexpr = stage.program(main);
         Ok(Program::compile(&program_sexpr)?)
     }
 }

@@ -1,22 +1,501 @@
-//! The `tf.*` API surface exposed to PyLite, dispatching on the active
-//! backend: eager kernels, graph nodes, or (a subset) Lantern expressions.
+//! The `tf.*` API surface exposed to PyLite. Every tensor op is declared
+//! once, as a [`Row`] of [`ROWS`], and [`Interp::dispatch`] picks the
+//! backend each call runs on — the paper's dynamic dispatch (§4, Table 4):
+//! eager kernels, graph nodes, or Lantern expressions.
 
-use crate::interp::{Interp, Stage};
+use crate::interp::Interp;
 use crate::value::{Builtin, Value};
 use crate::{Result, RuntimeError};
+use autograph_eager::EagerTensor;
 use autograph_graph::ir::OpKind;
-use autograph_lantern::sexpr::SExpr;
+use autograph_pylang::ast::CmpOp;
 use autograph_tensor::{DType, Tensor};
 use std::rc::Rc;
 
 type Args = Vec<Value>;
 type Kwargs = Vec<(String, Value)>;
 
+/// How a call's arguments become the graph op (attributes included) and
+/// the op's tensor operands.
+enum Build {
+    /// `op(x)`.
+    Unary(OpKind),
+    /// `op(x, y)`.
+    Binary(OpKind),
+    /// `op(x, axis=None)`.
+    Reduce(fn(Option<isize>) -> OpKind),
+    /// Anything else.
+    Call(fn(&mut Interp, Args, &Kwargs) -> Result<(OpKind, Args)>),
+}
+use Build::{Binary, Call, Reduce, Unary};
+
+/// One tensor op, declared once for every backend.
+pub(crate) struct Row {
+    /// The `tf.*` name.
+    name: &'static str,
+    build: Build,
+    /// The eager registry op; the graph op's attributes follow the
+    /// operands as i64 inputs.
+    eager: &'static str,
+    /// The Lantern symbol, when the Lantern IR has the op.
+    lantern: Option<&'static str>,
+}
+
+const fn row(
+    name: &'static str,
+    build: Build,
+    eager: &'static str,
+    lantern: Option<&'static str>,
+) -> Row {
+    Row {
+        name,
+        build,
+        eager,
+        lantern,
+    }
+}
+
+// rows the Python operators (`Interp::{binop, compare, unary}`) and `ag.*`
+// dispatch to, besides `tf.*`
+pub(crate) const ADD: Row = row("add", Binary(OpKind::Add), "add", Some("add"));
+pub(crate) const SUB: Row = row("subtract", Binary(OpKind::Sub), "sub", Some("sub"));
+pub(crate) const MUL: Row = row("multiply", Binary(OpKind::Mul), "mul", Some("mul"));
+pub(crate) const DIV: Row = row("divide", Binary(OpKind::Div), "div", Some("div"));
+pub(crate) const FLOORDIV: Row = row("floordiv", Binary(OpKind::FloorDiv), "floordiv", None);
+pub(crate) const MOD: Row = row("mod", Binary(OpKind::Mod), "mod", None);
+pub(crate) const POW: Row = row("pow", Binary(OpKind::Pow), "pow", None);
+pub(crate) const LESS: Row = row("less", Binary(OpKind::Less), "less", Some("lt"));
+pub(crate) const LESS_EQUAL: Row = row(
+    "less_equal",
+    Binary(OpKind::LessEqual),
+    "less_equal",
+    Some("le"),
+);
+pub(crate) const GREATER: Row = row("greater", Binary(OpKind::Greater), "greater", Some("gt"));
+pub(crate) const GREATER_EQUAL: Row = row(
+    "greater_equal",
+    Binary(OpKind::GreaterEqual),
+    "greater_equal",
+    Some("ge"),
+);
+pub(crate) const EQUAL: Row = row("equal", Binary(OpKind::Equal), "equal", Some("eq"));
+pub(crate) const NOT_EQUAL: Row = row("not_equal", Binary(OpKind::NotEqual), "not_equal", None);
+pub(crate) const NEG: Row = row("neg", Unary(OpKind::Neg), "neg", Some("neg"));
+pub(crate) const ABS: Row = row("abs", Unary(OpKind::Abs), "abs", None);
+pub(crate) const LOGICAL_NOT: Row = row(
+    "logical_not",
+    Unary(OpKind::LogicalNot),
+    "logical_not",
+    Some("not"),
+);
+pub(crate) const LOGICAL_AND: Row = row(
+    "logical_and",
+    Binary(OpKind::LogicalAnd),
+    "logical_and",
+    Some("and"),
+);
+pub(crate) const LOGICAL_OR: Row = row(
+    "logical_or",
+    Binary(OpKind::LogicalOr),
+    "logical_or",
+    Some("or"),
+);
+pub(crate) const STACK: Row = row("stack", Call(stack), "stack", None);
+const TOP_K: Row = row(
+    "top_k",
+    Call(|_, a, _| int_attr(OpKind::TopK, a)),
+    "top_k",
+    None,
+);
+
+/// Every tensor op of `tf.*`.
+#[rustfmt::skip]
+static ROWS: &[Row] = &[
+    // ---- construction: the op's value is its attribute ------------------------
+    row("constant", Call(constant), "identity", None),
+    row("zeros", Call(|_, a, _| Ok((OpKind::Const(Tensor::zeros(DType::F32, &shape_arg(&a, 0)?)), vec![]))), "identity", None),
+    row("ones", Call(|_, a, _| Ok((OpKind::Const(Tensor::ones(DType::F32, &shape_arg(&a, 0)?)), vec![]))), "identity", None),
+    row("random_normal", Call(random_normal), "identity", None),
+    row("range", Unary(OpKind::Range), "range", None),
+    // ---- elementwise ------------------------------------------------------------
+    row("tanh", Unary(OpKind::Tanh), "tanh", Some("tanh")),
+    row("sigmoid", Unary(OpKind::Sigmoid), "sigmoid", Some("sigmoid")),
+    row("relu", Unary(OpKind::Relu), "relu", Some("relu")),
+    row("exp", Unary(OpKind::Exp), "exp", Some("exp")),
+    row("log", Unary(OpKind::Log), "log", Some("log")),
+    row("sqrt", Unary(OpKind::Sqrt), "sqrt", Some("sqrt")),
+    row("square", Unary(OpKind::Square), "square", Some("square")),
+    ABS,
+    NEG,
+    row("softmax", Unary(OpKind::Softmax), "softmax", None),
+    row("log_softmax", Unary(OpKind::LogSoftmax), "log_softmax", None),
+    row("stop_gradient", Unary(OpKind::StopGradient), "identity", None),
+    row("identity", Unary(OpKind::Identity), "identity", None),
+    ADD,
+    SUB,
+    MUL,
+    DIV,
+    FLOORDIV,
+    MOD,
+    POW,
+    row("matmul", Binary(OpKind::MatMul { transpose_a: false, transpose_b: false }), "matmul", Some("matmul")),
+    row("maximum", Binary(OpKind::Maximum), "maximum", None),
+    row("minimum", Binary(OpKind::Minimum), "minimum", None),
+    EQUAL,
+    NOT_EQUAL,
+    LESS,
+    LESS_EQUAL,
+    GREATER,
+    GREATER_EQUAL,
+    // the Python `and`/`or`/`not` stage to Lantern; `tf.logical_*` never has
+    row("logical_and", Binary(OpKind::LogicalAnd), "logical_and", None),
+    row("logical_or", Binary(OpKind::LogicalOr), "logical_or", None),
+    row("logical_not", Unary(OpKind::LogicalNot), "logical_not", None),
+    row("where", Call(|_, a, _| Ok((OpKind::Select, take::<3>(a)?.into()))), "select", None),
+    row("softmax_cross_entropy", Binary(OpKind::SoftmaxCrossEntropy), "softmax_cross_entropy", Some("softmax_xent")),
+    // ---- reductions ---------------------------------------------------------------
+    row("reduce_sum", Reduce(OpKind::ReduceSum), "reduce_sum", Some("reduce_sum")),
+    row("reduce_mean", Reduce(OpKind::ReduceMean), "reduce_mean", Some("reduce_mean")),
+    row("reduce_max", Reduce(OpKind::ReduceMax), "reduce_max", None),
+    row("reduce_min", Reduce(OpKind::ReduceMin), "reduce_min", None),
+    row("reduce_all", Reduce(OpKind::ReduceAll), "reduce_all", None),
+    row("reduce_any", Reduce(OpKind::ReduceAny), "reduce_any", None),
+    row("argmax", Call(|_, a, k| Ok((OpKind::ArgMax(axis_from(k, &a, 1)?.unwrap_or(-1)), vec![first(a)?]))), "argmax", None),
+    // ---- shape / indexing -----------------------------------------------------------
+    row("shape", Unary(OpKind::Shape), "shape", None),
+    row("transpose", Call(transpose), "transpose", None),
+    row("reshape", Call(reshape), "reshape", None),
+    row("expand_dims", Call(expand_dims), "expand_dims", None),
+    row("squeeze", Call(squeeze), "squeeze", None),
+    row("cast", Call(cast), "cast", None),
+    row("gather", Binary(OpKind::Gather), "gather", None),
+    row("one_hot", Call(|_, a, _| int_attr(OpKind::OneHot, a)), "one_hot", None),
+    row("concat", Call(concat), "concat", Some("concat")),
+    STACK,
+    TOP_K,
+];
+
+impl Row {
+    fn build(&self, i: &mut Interp, args: Args, kwargs: &Kwargs) -> Result<(OpKind, Args)> {
+        match &self.build {
+            Unary(op) => Ok((op.clone(), take::<1>(args)?.into())),
+            Binary(op) => Ok((op.clone(), take::<2>(args)?.into())),
+            Reduce(op) => Ok((op(axis_from(kwargs, &args, 1)?), vec![first(args)?])),
+            Call(f) => f(i, args, kwargs),
+        }
+    }
+}
+
+fn constant(_: &mut Interp, args: Args, kwargs: &Kwargs) -> Result<(OpKind, Args)> {
+    let [v] = take(args)?;
+    let mut t = value_to_tensor(&v)?;
+    if let Some(Value::DType(d)) = kwarg(kwargs, "dtype") {
+        t = t.cast(d);
+    }
+    Ok((OpKind::Const(t), vec![]))
+}
+
+fn random_normal(i: &mut Interp, args: Args, kwargs: &Kwargs) -> Result<(OpKind, Args)> {
+    let stddev = match kwarg(kwargs, "stddev") {
+        Some(v) => v.as_float()? as f32,
+        None => 1.0,
+    };
+    // sampled at trace time; staged graphs embed the sample
+    let t = i.rng.normal_tensor(&shape_arg(&args, 0)?, stddev);
+    Ok((OpKind::Const(t), vec![]))
+}
+
+fn transpose(_: &mut Interp, args: Args, _: &Kwargs) -> Result<(OpKind, Args)> {
+    let [x, perm] = take(args)?;
+    let perm = list(perm)?
+        .iter()
+        .map(|v| v.as_int().map(|x| x as usize))
+        .collect::<Result<_>>()?;
+    Ok((OpKind::Transpose(perm), vec![x]))
+}
+
+fn reshape(_: &mut Interp, args: Args, _: &Kwargs) -> Result<(OpKind, Args)> {
+    let shape = shape_arg(&args, 1)?;
+    let [x, _] = take(args)?;
+    Ok((OpKind::Reshape(shape), vec![x]))
+}
+
+fn expand_dims(_: &mut Interp, args: Args, _: &Kwargs) -> Result<(OpKind, Args)> {
+    let [x, axis] = take(args)?;
+    Ok((OpKind::ExpandDims(axis.as_int()? as isize), vec![x]))
+}
+
+fn squeeze(_: &mut Interp, args: Args, _: &Kwargs) -> Result<(OpKind, Args)> {
+    let axis = args.get(1).map(Value::as_int).transpose()?;
+    Ok((
+        OpKind::Squeeze(axis.map(|x| x as isize)),
+        vec![first(args)?],
+    ))
+}
+
+fn cast(_: &mut Interp, args: Args, _: &Kwargs) -> Result<(OpKind, Args)> {
+    match take(args)? {
+        [x, Value::DType(d)] => Ok((OpKind::Cast(d), vec![x])),
+        [_, other] => Err(RuntimeError::new(format!(
+            "tf.cast dtype must be a dtype, got {}",
+            other.kind()
+        ))),
+    }
+}
+
+fn concat(_: &mut Interp, args: Args, _: &Kwargs) -> Result<(OpKind, Args)> {
+    let [values, axis] = take(args)?;
+    Ok((OpKind::Concat(axis.as_int()? as isize), list(values)?))
+}
+
+fn stack(_: &mut Interp, args: Args, _: &Kwargs) -> Result<(OpKind, Args)> {
+    let [values] = take(args)?;
+    Ok((OpKind::StackOp, list(values)?))
+}
+
+impl Interp {
+    /// The one backend decision for a tensor op (§4 dynamic dispatch): a
+    /// staged operand or active graph staging adds a graph node, a Lantern
+    /// operand builds a Lantern expression, and anything else runs through
+    /// the eager registry, so the gradient tape records every op.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the Lantern IR lacks the op, on uncoercible operands, and
+    /// on kernel errors.
+    pub(crate) fn dispatch(&mut self, row: &Row, op: OpKind, operands: Args) -> Result<Value> {
+        if self.staging_graph()
+            || operands
+                .iter()
+                .any(|v| matches!(v, Value::GraphNode { .. }))
+        {
+            return self.graph_op(op, &operands);
+        }
+        if operands.iter().any(|v| matches!(v, Value::Lantern(_))) {
+            let sym = lantern_symbol(row, &op).ok_or_else(|| {
+                RuntimeError::new(format!(
+                    "tf op '{}' is not supported by the lantern backend",
+                    row.name
+                ))
+            })?;
+            let args = operands
+                .iter()
+                .map(|v| self.to_lantern_sexpr(v))
+                .collect::<Result<_>>()?;
+            return Ok(self.lantern_expr(sym, args));
+        }
+        let mut inputs = operands
+            .iter()
+            .map(|v| self.to_eager(v))
+            .collect::<Result<Vec<_>>>()?;
+        inputs.extend(attr_inputs(op)?.into_iter().map(EagerTensor::from));
+        let refs: Vec<&EagerTensor> = inputs.iter().collect();
+        Ok(Value::Tensor(self.eager.op(row.eager, &refs)?))
+    }
+
+    /// Build `row`'s op from call arguments and dispatch it.
+    ///
+    /// # Errors
+    ///
+    /// Fails on malformed arguments and whatever [`Interp::dispatch`] raises.
+    pub(crate) fn call_row(&mut self, row: &Row, args: Args, kwargs: &Kwargs) -> Result<Value> {
+        let (op, operands) = row.build(self, args, kwargs)?;
+        self.dispatch(row, op, operands)
+    }
+}
+
+/// The Lantern IR carries no attributes: an attributed op has no Lantern
+/// form, except `concat`, whose axes 0 and 1 are two Lantern ops.
+fn lantern_symbol(row: &Row, op: &OpKind) -> Option<&'static str> {
+    let sym = row.lantern?;
+    match op {
+        OpKind::Concat(0) => Some("concat0"),
+        OpKind::Concat(1) => Some("concat1"),
+        OpKind::Concat(_) | OpKind::ReduceSum(Some(_)) | OpKind::ReduceMean(Some(_)) => None,
+        _ => Some(sym),
+    }
+}
+
+/// A graph op's attributes as the eager registry reads them: i64 inputs
+/// after the operands (a constant's attribute is its value).
+fn attr_inputs(op: OpKind) -> Result<Vec<Tensor>> {
+    use OpKind::*;
+    let int = |v: i64| vec![Tensor::scalar_i64(v)];
+    Ok(match op {
+        Const(t) => vec![t],
+        ReduceSum(Some(a)) | ReduceMean(Some(a)) | ReduceMax(Some(a)) | ReduceMin(Some(a))
+        | ReduceAll(Some(a)) | ReduceAny(Some(a)) | Squeeze(Some(a)) | ArgMax(a)
+        | ExpandDims(a) | Concat(a) => int(a as i64),
+        OneHot(n) | TopK(n) => int(n as i64),
+        Cast(d) => int(d as i64),
+        Transpose(dims) | Reshape(dims) => {
+            let n = dims.len();
+            let dims = dims
+                .into_iter()
+                .map(|d| i64::try_from(d).unwrap_or(-1))
+                .collect();
+            vec![Tensor::from_vec_i64(dims, &[n])?]
+        }
+        _ => vec![],
+    })
+}
+
+/// `print` and `tf.print`: a staged value stages a `Print` node; anything
+/// else prints while tracing, because a `str` cannot be staged.
+pub(crate) fn print(i: &mut Interp, args: Args, prefix: &str) -> Result<Value> {
+    if let [v @ Value::GraphNode { .. }] = args.as_slice() {
+        return i.graph_op(OpKind::Print(prefix.into()), std::slice::from_ref(v));
+    }
+    let rendered: Vec<String> = args.iter().map(Value::render).collect();
+    println!("{}", rendered.join(" "));
+    Ok(Value::None)
+}
+
 fn builtin(name: &str, f: impl Fn(&mut Interp, Args, Kwargs) -> Result<Value> + 'static) -> Value {
     Value::Builtin(Rc::new(Builtin {
         name: format!("tf.{name}"),
         func: Box::new(f),
     }))
+}
+
+/// A comparison builtin: Python comparison semantics (Table 4), so host
+/// operands compare on the host.
+fn comparison(name: &str, op: CmpOp) -> Value {
+    builtin(name, move |i, a, _| {
+        let [x, y] = take(a)?;
+        i.compare(op, x, y)
+    })
+}
+
+/// Look up a `tf.*` attribute: a builtin function or a dtype constant.
+pub fn lookup(name: &str) -> Option<Value> {
+    Some(match name {
+        // ---- dtypes -------------------------------------------------------
+        "float32" | "float64" => Value::DType(DType::F32),
+        "int32" | "int64" => Value::DType(DType::I64),
+        "bool_" | "boolean" => Value::DType(DType::Bool),
+
+        "equal" => comparison(name, CmpOp::Eq),
+        "not_equal" => comparison(name, CmpOp::NotEq),
+        "less" => comparison(name, CmpOp::Lt),
+        "less_equal" => comparison(name, CmpOp::Le),
+        "greater" => comparison(name, CmpOp::Gt),
+        "greater_equal" => comparison(name, CmpOp::Ge),
+        // two outputs: a staged TopK is split into its pair; the registry
+        // has one op per output
+        "top_k" => builtin(name, |i, a, k| {
+            let (op, x) = TOP_K.build(i, a, &k)?;
+            match i.dispatch(&TOP_K, op.clone(), x.clone())? {
+                pair @ Value::GraphNode { .. } => {
+                    let values = i.graph_op(OpKind::TupleGet(0), std::slice::from_ref(&pair))?;
+                    let indices = i.graph_op(OpKind::TupleGet(1), &[pair])?;
+                    Ok(Value::tuple(vec![values, indices]))
+                }
+                values => {
+                    let indices = Row {
+                        eager: "top_k_indices",
+                        ..TOP_K
+                    };
+                    Ok(Value::tuple(vec![values, i.dispatch(&indices, op, x)?]))
+                }
+            }
+        }),
+        "print" => builtin(name, |i, a, _| print(i, a, "tf.print: ")),
+
+        // ---- gradients and control flow ---------------------------------------------
+        "gradients" => builtin(name, |i, a, _| {
+            let [loss, wrt] = take(a)?;
+            let loss_node = i.graph_node_for(&loss)?;
+            let mut wrt_nodes = Vec::new();
+            for w in list_or_one(wrt) {
+                wrt_nodes.push(i.graph_node_for(&w)?);
+            }
+            let stage = i.graph_stage()?;
+            let epoch = stage.top_epoch();
+            let grads =
+                autograph_graph::grad::gradients(&mut stage.top().builder, loss_node, &wrt_nodes)?;
+            Ok(Value::list(
+                grads
+                    .into_iter()
+                    .map(|id| Value::GraphNode { epoch, id })
+                    .collect(),
+            ))
+        }),
+        // ---- eager autodiff (the GradientTape analog; eager mode only) --------
+        "tape_begin" => builtin(name, |i, _, _| {
+            i.eager.start_tape();
+            Ok(Value::None)
+        }),
+        "watch" => builtin(name, |i, a, _| {
+            let [v] = take(a)?;
+            let t = i.to_eager(&v)?;
+            Ok(Value::Tensor(i.eager.watch(&t)?))
+        }),
+        "grad" => builtin(name, |i, a, _| {
+            let [loss, wrt] = take(a)?;
+            let Value::Tensor(loss) = loss else {
+                return Err(RuntimeError::new(format!(
+                    "tf.grad loss must be an eager tensor, got {}",
+                    loss.kind()
+                )));
+            };
+            let wrt: Vec<EagerTensor> = list_or_one(wrt)
+                .into_iter()
+                .map(|v| match v {
+                    Value::Tensor(t) => Ok(t),
+                    other => Err(RuntimeError::new(format!(
+                        "tf.grad parameters must be watched tensors, got {}",
+                        other.kind()
+                    ))),
+                })
+                .collect::<Result<_>>()?;
+            let refs: Vec<&EagerTensor> = wrt.iter().collect();
+            let grads = i.eager.gradient(&loss, &refs)?;
+            Ok(Value::list(grads.into_iter().map(Value::tensor).collect()))
+        }),
+        "cond" => builtin(name, |i, a, _| {
+            let [pred, true_fn, false_fn] = take(a)?;
+            crate::operators::if_stmt_impl(i, pred, true_fn, false_fn)
+        }),
+        "while_loop" => builtin(name, |i, a, _| {
+            let [cond, body, vars] = take(a)?;
+            crate::operators::while_stmt_impl(i, cond, body, vars)
+        }),
+
+        _ => {
+            let row = ROWS.iter().find(|r| r.name == name)?;
+            builtin(name, move |i, a, k| i.call_row(row, a, &k))
+        }
+    })
+}
+
+/// Exactly `N` call arguments.
+///
+/// # Errors
+///
+/// Fails on any other count.
+pub(crate) fn take<const N: usize>(args: Args) -> Result<[Value; N]> {
+    let n = args.len();
+    args.try_into().map_err(|_| {
+        RuntimeError::new(format!(
+            "expected {N} argument{}, got {n}",
+            if N == 1 { "" } else { "s" }
+        ))
+    })
+}
+
+fn first(args: Args) -> Result<Value> {
+    args.into_iter()
+        .next()
+        .ok_or_else(|| RuntimeError::new("missing argument"))
+}
+
+/// `op(x, n)` with an integer attribute `n`.
+fn int_attr(op: fn(usize) -> OpKind, args: Args) -> Result<(OpKind, Args)> {
+    let [x, n] = take(args)?;
+    let n = usize::try_from(n.as_int()?)
+        .map_err(|_| RuntimeError::new("expected a non-negative integer"))?;
+    Ok((op(n), vec![x]))
 }
 
 fn kwarg(kwargs: &Kwargs, name: &str) -> Option<Value> {
@@ -26,14 +505,31 @@ fn kwarg(kwargs: &Kwargs, name: &str) -> Option<Value> {
         .map(|(_, v)| v.clone())
 }
 
-fn arity(name: &str, args: &Args, n: usize) -> Result<()> {
-    if args.len() != n {
-        return Err(RuntimeError::new(format!(
-            "tf.{name} expects {n} arguments, got {}",
-            args.len()
-        )));
+fn axis_from(kwargs: &Kwargs, args: &Args, pos: usize) -> Result<Option<isize>> {
+    match kwarg(kwargs, "axis").or_else(|| args.get(pos).cloned()) {
+        None | Some(Value::None) => Ok(None),
+        Some(v) => Ok(Some(v.as_int()? as isize)),
     }
-    Ok(())
+}
+
+/// The items of a list or tuple argument.
+fn list(v: Value) -> Result<Args> {
+    match v {
+        Value::List(l) => Ok(l.borrow().clone()),
+        Value::Tuple(t) => Ok((*t).clone()),
+        other => Err(RuntimeError::new(format!(
+            "expected a list or tuple, got {}",
+            other.kind()
+        ))),
+    }
+}
+
+/// The items of a list or tuple, or the value itself.
+fn list_or_one(v: Value) -> Args {
+    match v {
+        Value::List(_) | Value::Tuple(_) => list(v).unwrap_or_default(),
+        single => vec![single],
+    }
 }
 
 /// Convert a (possibly nested-list) host value into a dense tensor, like
@@ -46,49 +542,42 @@ pub(crate) fn value_to_tensor(v: &Value) -> Result<Tensor> {
         depth: usize,
         all_int: &mut bool,
     ) -> Result<()> {
-        match v {
+        let items = match v {
             Value::Int(i) => {
                 out.push(*i as f64);
-                Ok(())
+                return Ok(());
             }
             Value::Float(f) => {
                 *all_int = false;
                 out.push(*f);
-                Ok(())
+                return Ok(());
             }
             Value::Bool(b) => {
                 *all_int = false;
                 out.push(*b as i64 as f64);
-                Ok(())
+                return Ok(());
             }
-            Value::List(items) => {
-                let items = items.borrow();
-                if depth == shape.len() {
-                    shape.push(items.len());
-                } else if shape[depth] != items.len() {
-                    return Err(RuntimeError::new("ragged nested list in tf.constant"));
-                }
-                for item in items.iter() {
-                    gather(item, out, shape, depth + 1, all_int)?;
-                }
-                Ok(())
+            Value::List(items) => items.borrow().clone(),
+            Value::Tuple(items) => (**items).clone(),
+            other => {
+                return Err(RuntimeError::new(format!(
+                    "cannot convert {} to a tensor",
+                    other.kind()
+                )))
             }
-            Value::Tuple(items) => {
-                if depth == shape.len() {
-                    shape.push(items.len());
-                } else if shape[depth] != items.len() {
-                    return Err(RuntimeError::new("ragged nested tuple in tf.constant"));
-                }
-                for item in items.iter() {
-                    gather(item, out, shape, depth + 1, all_int)?;
-                }
-                Ok(())
-            }
-            other => Err(RuntimeError::new(format!(
-                "cannot convert {} to a tensor",
-                other.kind()
-            ))),
+        };
+        if depth == shape.len() {
+            shape.push(items.len());
+        } else if shape[depth] != items.len() {
+            return Err(RuntimeError::new(format!(
+                "ragged nested {} in tf.constant",
+                v.kind()
+            )));
         }
+        for item in &items {
+            gather(item, out, shape, depth + 1, all_int)?;
+        }
+        Ok(())
     }
     match v {
         Value::Tensor(t) => Ok(t.tensor().clone()),
@@ -113,684 +602,6 @@ pub(crate) fn value_to_tensor(v: &Value) -> Result<Tensor> {
             }
         }
     }
-}
-
-/// Dispatch a unary op across backends.
-fn unary_op(
-    interp: &mut Interp,
-    v: Value,
-    eager_name: &str,
-    graph_op: OpKind,
-    lantern_name: Option<&str>,
-) -> Result<Value> {
-    match &v {
-        Value::GraphNode { .. } => interp.graph_op(graph_op, &[v]),
-        Value::Lantern(e) => match lantern_name {
-            Some(n) => Ok(interp.lantern_expr(n, vec![(**e).clone()])),
-            None => Err(RuntimeError::new(format!(
-                "tf op '{eager_name}' is not supported by the lantern backend"
-            ))),
-        },
-        _ => {
-            // if the interpreter is staging a graph, host values still stage
-            if matches!(interp.stage, Stage::Graph(_)) {
-                return interp.graph_op(graph_op, &[v]);
-            }
-            let t = interp.to_eager(&v)?;
-            Ok(Value::Tensor(interp.eager.op(eager_name, &[&t])?))
-        }
-    }
-}
-
-fn binary_op(
-    interp: &mut Interp,
-    a: Value,
-    b: Value,
-    eager_name: &str,
-    graph_op: OpKind,
-    lantern_name: Option<&str>,
-) -> Result<Value> {
-    if matches!(a, Value::GraphNode { .. })
-        || matches!(b, Value::GraphNode { .. })
-        || matches!(interp.stage, Stage::Graph(_))
-    {
-        return interp.graph_op(graph_op, &[a, b]);
-    }
-    if matches!(a, Value::Lantern(_)) || matches!(b, Value::Lantern(_)) {
-        return match lantern_name {
-            Some(n) => {
-                let x = interp.to_lantern_sexpr(&a)?;
-                let y = interp.to_lantern_sexpr(&b)?;
-                Ok(interp.lantern_expr(n, vec![x, y]))
-            }
-            None => Err(RuntimeError::new(format!(
-                "tf op '{eager_name}' is not supported by the lantern backend"
-            ))),
-        };
-    }
-    let x = interp.to_eager(&a)?;
-    let y = interp.to_eager(&b)?;
-    Ok(Value::Tensor(interp.eager.op(eager_name, &[&x, &y])?))
-}
-
-fn axis_from(kwargs: &Kwargs, args: &Args, pos: usize) -> Result<Option<isize>> {
-    let v = kwarg(kwargs, "axis").or_else(|| args.get(pos).cloned());
-    match v {
-        None | Some(Value::None) => Ok(None),
-        Some(v) => Ok(Some(v.as_int()? as isize)),
-    }
-}
-
-fn reduce_op(
-    interp: &mut Interp,
-    args: Args,
-    kwargs: Kwargs,
-    name: &'static str,
-    mk: fn(Option<isize>) -> OpKind,
-    lantern_full: Option<&str>,
-) -> Result<Value> {
-    let axis = axis_from(&kwargs, &args, 1)?;
-    let v = args
-        .into_iter()
-        .next()
-        .ok_or_else(|| RuntimeError::new(format!("tf.{name} needs an argument")))?;
-    match &v {
-        Value::GraphNode { .. } => interp.graph_op(mk(axis), &[v]),
-        Value::Lantern(e) => match (axis, lantern_full) {
-            (None, Some(n)) => Ok(interp.lantern_expr(n, vec![(**e).clone()])),
-            _ => Err(RuntimeError::new(format!(
-                "tf.{name} with axis is not supported by the lantern backend"
-            ))),
-        },
-        _ => {
-            if matches!(interp.stage, Stage::Graph(_)) {
-                return interp.graph_op(mk(axis), &[v]);
-            }
-            // differentiable reductions route through the registry so the
-            // gradient tape records them — full reductions as unary ops,
-            // axis reductions with the axis as a scalar-i64 input; the
-            // non-differentiable reductions use the kernel directly
-            if axis.is_none() {
-                let et = interp.to_eager(&v)?;
-                return Ok(Value::Tensor(interp.eager.op(name, &[&et])?));
-            }
-            if let (Some(a), "reduce_sum" | "reduce_mean") = (axis, name) {
-                let et = interp.to_eager(&v)?;
-                let ax = autograph_eager::EagerTensor::from(Tensor::scalar_i64(a as i64));
-                let axis_name = format!("{name}_axis");
-                return Ok(Value::Tensor(interp.eager.op(&axis_name, &[&et, &ax])?));
-            }
-            let t = v.as_eager_tensor()?;
-            let r = match mk(axis) {
-                OpKind::ReduceSum(a) => t.reduce_sum(a)?,
-                OpKind::ReduceMean(a) => t.reduce_mean(a)?,
-                OpKind::ReduceMax(a) => t.reduce_max(a)?,
-                OpKind::ReduceMin(a) => t.reduce_min(a)?,
-                OpKind::ReduceAll(a) => t.reduce_all(a)?,
-                OpKind::ReduceAny(a) => t.reduce_any(a)?,
-                _ => unreachable!(),
-            };
-            Ok(Value::tensor(r))
-        }
-    }
-}
-
-/// Look up a `tf.*` attribute: a builtin function or a dtype constant.
-pub fn lookup(name: &str) -> Option<Value> {
-    Some(match name {
-        // ---- dtypes -------------------------------------------------------
-        "float32" | "float64" => Value::DType(DType::F32),
-        "int32" | "int64" => Value::DType(DType::I64),
-        "bool_" | "boolean" => Value::DType(DType::Bool),
-
-        // ---- construction ---------------------------------------------------
-        "constant" => builtin("constant", |interp, args, kwargs| {
-            arity("constant", &args, 1).or_else(|_| {
-                if kwarg(&kwargs, "dtype").is_some() && args.len() == 1 {
-                    Ok(())
-                } else {
-                    Err(RuntimeError::new("tf.constant takes one value"))
-                }
-            })?;
-            let mut t = value_to_tensor(&args[0])?;
-            if let Some(Value::DType(d)) = kwarg(&kwargs, "dtype") {
-                t = t.cast(d);
-            }
-            match &interp.stage {
-                Stage::Graph(_) => interp.graph_op(OpKind::Const(t), &[]),
-                _ => Ok(Value::tensor(t)),
-            }
-        }),
-        "zeros" => builtin("zeros", |interp, args, _| {
-            let shape = shape_arg(&args, 0)?;
-            let t = Tensor::zeros(DType::F32, &shape);
-            match &interp.stage {
-                Stage::Graph(_) => interp.graph_op(OpKind::Const(t), &[]),
-                _ => Ok(Value::tensor(t)),
-            }
-        }),
-        "ones" => builtin("ones", |interp, args, _| {
-            let shape = shape_arg(&args, 0)?;
-            let t = Tensor::ones(DType::F32, &shape);
-            match &interp.stage {
-                Stage::Graph(_) => interp.graph_op(OpKind::Const(t), &[]),
-                _ => Ok(Value::tensor(t)),
-            }
-        }),
-        "random_normal" => builtin("random_normal", |interp, args, kwargs| {
-            let shape = shape_arg(&args, 0)?;
-            let stddev = match kwarg(&kwargs, "stddev") {
-                Some(v) => v.as_float()? as f32,
-                None => 1.0,
-            };
-            // sampled at trace time; staged graphs embed the sample
-            let t = interp.rng.normal_tensor(&shape, stddev);
-            match &interp.stage {
-                Stage::Graph(_) => interp.graph_op(OpKind::Const(t), &[]),
-                _ => Ok(Value::tensor(t)),
-            }
-        }),
-        "range" => builtin("range", |interp, args, _| {
-            arity("range", &args, 1)?;
-            let v = args.into_iter().next().expect("arity checked");
-            match &v {
-                Value::GraphNode { .. } => interp.graph_op(OpKind::Range, &[v]),
-                _ if matches!(interp.stage, Stage::Graph(_)) => {
-                    interp.graph_op(OpKind::Range, &[v])
-                }
-                _ => Ok(Value::tensor(Tensor::range_i64(v.as_int()?))),
-            }
-        }),
-
-        // ---- unary math ------------------------------------------------------
-        "tanh" => builtin("tanh", |i, a, _| {
-            unary_op(i, one(a)?, "tanh", OpKind::Tanh, Some("tanh"))
-        }),
-        "sigmoid" => builtin("sigmoid", |i, a, _| {
-            unary_op(i, one(a)?, "sigmoid", OpKind::Sigmoid, Some("sigmoid"))
-        }),
-        "relu" => builtin("relu", |i, a, _| {
-            unary_op(i, one(a)?, "relu", OpKind::Relu, Some("relu"))
-        }),
-        "exp" => builtin("exp", |i, a, _| {
-            unary_op(i, one(a)?, "exp", OpKind::Exp, Some("exp"))
-        }),
-        "log" => builtin("log", |i, a, _| {
-            unary_op(i, one(a)?, "log", OpKind::Log, Some("log"))
-        }),
-        "sqrt" => builtin("sqrt", |i, a, _| {
-            unary_op(i, one(a)?, "sqrt", OpKind::Sqrt, Some("sqrt"))
-        }),
-        "square" => builtin("square", |i, a, _| {
-            unary_op(i, one(a)?, "square", OpKind::Square, Some("square"))
-        }),
-        "abs" => builtin("abs", |i, a, _| {
-            unary_op(i, one(a)?, "abs", OpKind::Abs, None)
-        }),
-        "neg" => builtin("neg", |i, a, _| {
-            unary_op(i, one(a)?, "neg", OpKind::Neg, Some("neg"))
-        }),
-        "softmax" => builtin("softmax", |i, a, _| {
-            unary_op(i, one(a)?, "softmax", OpKind::Softmax, None)
-        }),
-        "log_softmax" => builtin("log_softmax", |i, a, _| {
-            unary_op(i, one(a)?, "log_softmax", OpKind::LogSoftmax, None)
-        }),
-        "stop_gradient" => builtin("stop_gradient", |i, a, _| {
-            unary_op(i, one(a)?, "identity", OpKind::StopGradient, None)
-        }),
-        "identity" => builtin("identity", |i, a, _| {
-            unary_op(i, one(a)?, "identity", OpKind::Identity, None)
-        }),
-
-        // ---- binary ------------------------------------------------------------
-        "add" => builtin("add", |i, a, _| {
-            let (x, y) = two(a)?;
-            binary_op(i, x, y, "add", OpKind::Add, Some("add"))
-        }),
-        "subtract" => builtin("subtract", |i, a, _| {
-            let (x, y) = two(a)?;
-            binary_op(i, x, y, "sub", OpKind::Sub, Some("sub"))
-        }),
-        "multiply" => builtin("multiply", |i, a, _| {
-            let (x, y) = two(a)?;
-            binary_op(i, x, y, "mul", OpKind::Mul, Some("mul"))
-        }),
-        "divide" => builtin("divide", |i, a, _| {
-            let (x, y) = two(a)?;
-            binary_op(i, x, y, "div", OpKind::Div, Some("div"))
-        }),
-        "matmul" => builtin("matmul", |i, a, _| {
-            let (x, y) = two(a)?;
-            let op = OpKind::MatMul {
-                transpose_a: false,
-                transpose_b: false,
-            };
-            binary_op(i, x, y, "matmul", op, Some("matmul"))
-        }),
-        "maximum" => builtin("maximum", |i, a, _| {
-            let (x, y) = two(a)?;
-            binary_op(i, x, y, "maximum", OpKind::Maximum, None)
-        }),
-        "minimum" => builtin("minimum", |i, a, _| {
-            let (x, y) = two(a)?;
-            binary_op(i, x, y, "minimum", OpKind::Minimum, None)
-        }),
-        "equal" => builtin("equal", |i, a, _| {
-            let (x, y) = two(a)?;
-            i.compare(autograph_pylang::ast::CmpOp::Eq, x, y)
-        }),
-        "less" => builtin("less", |i, a, _| {
-            let (x, y) = two(a)?;
-            i.compare(autograph_pylang::ast::CmpOp::Lt, x, y)
-        }),
-        "greater" => builtin("greater", |i, a, _| {
-            let (x, y) = two(a)?;
-            i.compare(autograph_pylang::ast::CmpOp::Gt, x, y)
-        }),
-        "logical_and" => builtin("logical_and", |i, a, _| {
-            let (x, y) = two(a)?;
-            binary_op(i, x, y, "logical_and", OpKind::LogicalAnd, None)
-        }),
-        "logical_or" => builtin("logical_or", |i, a, _| {
-            let (x, y) = two(a)?;
-            binary_op(i, x, y, "logical_or", OpKind::LogicalOr, None)
-        }),
-        "logical_not" => builtin("logical_not", |i, a, _| {
-            unary_op(i, one(a)?, "logical_not", OpKind::LogicalNot, None)
-        }),
-        "pow" => builtin("pow", |i, a, _| {
-            let (x, y) = two(a)?;
-            binary_op(i, x, y, "pow", OpKind::Pow, None)
-        }),
-
-        // ---- reductions -----------------------------------------------------
-        "reduce_sum" => builtin("reduce_sum", |i, a, k| {
-            reduce_op(i, a, k, "reduce_sum", OpKind::ReduceSum, Some("reduce_sum"))
-        }),
-        "reduce_mean" => builtin("reduce_mean", |i, a, k| {
-            reduce_op(
-                i,
-                a,
-                k,
-                "reduce_mean",
-                OpKind::ReduceMean,
-                Some("reduce_mean"),
-            )
-        }),
-        "reduce_max" => builtin("reduce_max", |i, a, k| {
-            reduce_op(i, a, k, "reduce_max", OpKind::ReduceMax, None)
-        }),
-        "reduce_min" => builtin("reduce_min", |i, a, k| {
-            reduce_op(i, a, k, "reduce_min", OpKind::ReduceMin, None)
-        }),
-        "reduce_all" => builtin("reduce_all", |i, a, k| {
-            reduce_op(i, a, k, "reduce_all", OpKind::ReduceAll, None)
-        }),
-        "reduce_any" => builtin("reduce_any", |i, a, k| {
-            reduce_op(i, a, k, "reduce_any", OpKind::ReduceAny, None)
-        }),
-        "argmax" => builtin("argmax", |i, a, k| {
-            let axis = axis_from(&k, &a, 1)?.unwrap_or(-1);
-            let v = one_of(a, 0)?;
-            match &v {
-                Value::GraphNode { .. } => i.graph_op(OpKind::ArgMax(axis), &[v]),
-                _ if matches!(i.stage, Stage::Graph(_)) => i.graph_op(OpKind::ArgMax(axis), &[v]),
-                _ => Ok(Value::tensor(v.as_eager_tensor()?.argmax(axis)?)),
-            }
-        }),
-
-        // ---- shape / indexing --------------------------------------------------
-        "shape" => builtin("shape", |i, a, _| {
-            let v = one(a)?;
-            match &v {
-                Value::GraphNode { .. } => i.graph_op(OpKind::Shape, &[v]),
-                _ => {
-                    let t = v.as_eager_tensor()?;
-                    let dims: Vec<i64> = t.shape().iter().map(|&d| d as i64).collect();
-                    let n = dims.len();
-                    Ok(Value::tensor(Tensor::from_vec_i64(dims, &[n])?))
-                }
-            }
-        }),
-        "transpose" => builtin("transpose", |i, a, _| {
-            if a.len() != 2 {
-                return Err(RuntimeError::new("tf.transpose(x, perm)"));
-            }
-            let perm: Vec<usize> = match &a[1] {
-                Value::Tuple(items) => items
-                    .iter()
-                    .map(|v| v.as_int().map(|x| x as usize))
-                    .collect::<Result<_>>()?,
-                Value::List(items) => items
-                    .borrow()
-                    .iter()
-                    .map(|v| v.as_int().map(|x| x as usize))
-                    .collect::<Result<_>>()?,
-                other => {
-                    return Err(RuntimeError::new(format!(
-                        "perm must be a tuple, got {}",
-                        other.kind()
-                    )))
-                }
-            };
-            let v = a.into_iter().next().expect("len checked");
-            match &v {
-                Value::GraphNode { .. } => i.graph_op(OpKind::Transpose(perm), &[v]),
-                _ if matches!(i.stage, Stage::Graph(_)) => {
-                    i.graph_op(OpKind::Transpose(perm), &[v])
-                }
-                _ => Ok(Value::tensor(v.as_eager_tensor()?.transpose(&perm)?)),
-            }
-        }),
-        "reshape" => builtin("reshape", |i, a, _| {
-            if a.len() != 2 {
-                return Err(RuntimeError::new("tf.reshape(x, shape)"));
-            }
-            let shape = shape_arg(&a, 1)?;
-            let v = a.into_iter().next().expect("len checked");
-            match &v {
-                Value::GraphNode { .. } => i.graph_op(OpKind::Reshape(shape), &[v]),
-                _ => Ok(Value::tensor(v.as_eager_tensor()?.reshape(&shape)?)),
-            }
-        }),
-        "expand_dims" => builtin("expand_dims", |i, a, _| {
-            let (x, ax) = two(a)?;
-            let ax = ax.as_int()? as isize;
-            match &x {
-                Value::GraphNode { .. } => i.graph_op(OpKind::ExpandDims(ax), &[x]),
-                _ => Ok(Value::tensor(x.as_eager_tensor()?.expand_dims(ax)?)),
-            }
-        }),
-        "squeeze" => builtin("squeeze", |i, a, _| {
-            let ax = a
-                .get(1)
-                .map(|v| v.as_int())
-                .transpose()?
-                .map(|x| x as isize);
-            let x = one_of(a, 0)?;
-            match &x {
-                Value::GraphNode { .. } => i.graph_op(OpKind::Squeeze(ax), &[x]),
-                _ => Ok(Value::tensor(x.as_eager_tensor()?.squeeze(ax)?)),
-            }
-        }),
-        "cast" => builtin("cast", |i, a, _| {
-            let (x, d) = two(a)?;
-            let d = match d {
-                Value::DType(d) => d,
-                other => {
-                    return Err(RuntimeError::new(format!(
-                        "tf.cast dtype must be a dtype, got {}",
-                        other.kind()
-                    )))
-                }
-            };
-            match &x {
-                Value::GraphNode { .. } => i.graph_op(OpKind::Cast(d), &[x]),
-                _ => Ok(Value::tensor(x.as_eager_tensor()?.cast(d))),
-            }
-        }),
-        "where" => builtin("where", |i, a, _| {
-            if a.len() != 3 {
-                return Err(RuntimeError::new("tf.where(cond, a, b)"));
-            }
-            let mut it = a.into_iter();
-            let (c, x, y) = (
-                it.next().expect("len"),
-                it.next().expect("len"),
-                it.next().expect("len"),
-            );
-            if c.is_staged() || x.is_staged() || y.is_staged() || matches!(i.stage, Stage::Graph(_))
-            {
-                return i.graph_op(OpKind::Select, &[c, x, y]);
-            }
-            let ct = i.to_eager(&c)?;
-            let xt = i.to_eager(&x)?;
-            let yt = i.to_eager(&y)?;
-            Ok(Value::Tensor(i.eager.op("select", &[&ct, &xt, &yt])?))
-        }),
-        "gather" => builtin("gather", |i, a, _| {
-            let (x, idx) = two(a)?;
-            binary_op(i, x, idx, "gather", OpKind::Gather, None)
-        }),
-        "one_hot" => builtin("one_hot", |i, a, _| {
-            let (x, depth) = two(a)?;
-            let depth = depth.as_int()? as usize;
-            match &x {
-                Value::GraphNode { .. } => i.graph_op(OpKind::OneHot(depth), &[x]),
-                _ => Ok(Value::tensor(x.as_eager_tensor()?.one_hot(depth)?)),
-            }
-        }),
-        "concat" => builtin("concat", |i, a, _| {
-            if a.len() != 2 {
-                return Err(RuntimeError::new("tf.concat(values, axis)"));
-            }
-            let axis = a[1].as_int()? as isize;
-            let items: Vec<Value> = match &a[0] {
-                Value::List(l) => l.borrow().clone(),
-                Value::Tuple(t) => (**t).clone(),
-                other => {
-                    return Err(RuntimeError::new(format!(
-                        "tf.concat values must be a list, got {}",
-                        other.kind()
-                    )))
-                }
-            };
-            if items.iter().any(Value::is_staged) || matches!(i.stage, Stage::Graph(_)) {
-                if items.iter().any(|v| matches!(v, Value::Lantern(_))) {
-                    let name = match axis {
-                        0 => "concat0",
-                        1 => "concat1",
-                        _ => return Err(RuntimeError::new("lantern concat supports axes 0 and 1")),
-                    };
-                    let sexprs: Vec<SExpr> = items
-                        .iter()
-                        .map(|v| i.to_lantern_sexpr(v))
-                        .collect::<Result<_>>()?;
-                    return Ok(i.lantern_expr(name, sexprs));
-                }
-                return i.graph_op(OpKind::Concat(axis), &items);
-            }
-            // dispatch through the registry so the gradient tape records
-            let ets: Vec<autograph_eager::EagerTensor> =
-                items.iter().map(|v| i.to_eager(v)).collect::<Result<_>>()?;
-            let refs: Vec<&autograph_eager::EagerTensor> = ets.iter().collect();
-            match axis {
-                0 => Ok(Value::Tensor(i.eager.op("concat0", &refs)?)),
-                1 => Ok(Value::Tensor(i.eager.op("concat1", &refs)?)),
-                _ => {
-                    let ts: Vec<Tensor> = items
-                        .iter()
-                        .map(|v| v.as_eager_tensor())
-                        .collect::<Result<_>>()?;
-                    Ok(Value::tensor(Tensor::concat(&ts, axis)?))
-                }
-            }
-        }),
-        "stack" => builtin("stack", |i, a, _| {
-            let items: Vec<Value> = match &a[0] {
-                Value::List(l) => l.borrow().clone(),
-                Value::Tuple(t) => (**t).clone(),
-                other => {
-                    return Err(RuntimeError::new(format!(
-                        "tf.stack values must be a list, got {}",
-                        other.kind()
-                    )))
-                }
-            };
-            if items.iter().any(Value::is_staged) || matches!(i.stage, Stage::Graph(_)) {
-                return i.graph_op(OpKind::StackOp, &items);
-            }
-            let ts: Vec<Tensor> = items
-                .iter()
-                .map(|v| v.as_eager_tensor())
-                .collect::<Result<_>>()?;
-            Ok(Value::tensor(Tensor::stack(&ts)?))
-        }),
-        "top_k" => builtin("top_k", |i, a, _| {
-            let (x, k) = two(a)?;
-            let k = k.as_int()? as usize;
-            match &x {
-                Value::GraphNode { .. } => {
-                    let pair = i.graph_op(OpKind::TopK(k), &[x])?;
-                    let vals = i.graph_op(OpKind::TupleGet(0), std::slice::from_ref(&pair))?;
-                    let idxs = i.graph_op(OpKind::TupleGet(1), &[pair])?;
-                    Ok(Value::tuple(vec![vals, idxs]))
-                }
-                _ => {
-                    let (v, idx) = x.as_eager_tensor()?.top_k(k)?;
-                    Ok(Value::tuple(vec![Value::tensor(v), Value::tensor(idx)]))
-                }
-            }
-        }),
-
-        // ---- losses --------------------------------------------------------------
-        "softmax_cross_entropy" => builtin("softmax_cross_entropy", |i, a, _| {
-            let (logits, labels) = two(a)?;
-            binary_op(
-                i,
-                logits,
-                labels,
-                "softmax_cross_entropy",
-                OpKind::SoftmaxCrossEntropy,
-                Some("softmax_xent"),
-            )
-        }),
-
-        // ---- gradients / control flow / effects ------------------------------------
-        "gradients" => builtin("gradients", |i, a, _| {
-            let (loss, wrt) = two(a)?;
-            let wrt_items: Vec<Value> = match &wrt {
-                Value::List(l) => l.borrow().clone(),
-                Value::Tuple(t) => (**t).clone(),
-                single => vec![single.clone()],
-            };
-            let loss_node = i.graph_node_for(&loss)?;
-            let mut wrt_nodes = Vec::with_capacity(wrt_items.len());
-            for w in &wrt_items {
-                wrt_nodes.push(i.graph_node_for(w)?);
-            }
-            let stage =
-                match &mut i.stage {
-                    Stage::Graph(g) => g,
-                    _ => return Err(RuntimeError::new(
-                        "tf.gradients requires graph staging (use the eager tape in eager mode)",
-                    )),
-                };
-            let epoch = stage.top_epoch();
-            let grads =
-                autograph_graph::grad::gradients(&mut stage.top().builder, loss_node, &wrt_nodes)?;
-            Ok(Value::list(
-                grads
-                    .into_iter()
-                    .map(|id| Value::GraphNode { epoch, id })
-                    .collect(),
-            ))
-        }),
-        // ---- eager autodiff (the GradientTape analog; eager mode only) --------
-        "tape_begin" => builtin("tape_begin", |i, _, _| {
-            i.eager.start_tape();
-            Ok(Value::None)
-        }),
-        "watch" => builtin("watch", |i, a, _| {
-            let v = one(a)?;
-            let t = i.to_eager(&v)?;
-            Ok(Value::Tensor(i.eager.watch(&t)?))
-        }),
-        "grad" => builtin("grad", |i, a, _| {
-            let (loss, wrt) = two(a)?;
-            let loss_t = match &loss {
-                Value::Tensor(t) => t.clone(),
-                other => {
-                    return Err(RuntimeError::new(format!(
-                        "tf.grad loss must be an eager tensor, got {}",
-                        other.kind()
-                    )))
-                }
-            };
-            let wrt_items: Vec<Value> = match &wrt {
-                Value::List(l) => l.borrow().clone(),
-                Value::Tuple(t) => (**t).clone(),
-                single => vec![single.clone()],
-            };
-            let wrt_tensors: Vec<autograph_eager::EagerTensor> = wrt_items
-                .iter()
-                .map(|v| match v {
-                    Value::Tensor(t) => Ok(t.clone()),
-                    other => Err(RuntimeError::new(format!(
-                        "tf.grad parameters must be watched tensors, got {}",
-                        other.kind()
-                    ))),
-                })
-                .collect::<Result<_>>()?;
-            let refs: Vec<&autograph_eager::EagerTensor> = wrt_tensors.iter().collect();
-            let grads = i.eager.gradient(&loss_t, &refs)?;
-            Ok(Value::list(grads.into_iter().map(Value::tensor).collect()))
-        }),
-        "cond" => builtin("cond", |i, a, _| {
-            if a.len() != 3 {
-                return Err(RuntimeError::new("tf.cond(pred, true_fn, false_fn)"));
-            }
-            let mut it = a.into_iter();
-            let pred = it.next().expect("len");
-            let tf_ = it.next().expect("len");
-            let ff = it.next().expect("len");
-            crate::operators::if_stmt_impl(i, pred, tf_, ff)
-        }),
-        "while_loop" => builtin("while_loop", |i, a, _| {
-            if a.len() != 3 {
-                return Err(RuntimeError::new(
-                    "tf.while_loop(cond_fn, body_fn, loop_vars)",
-                ));
-            }
-            let mut it = a.into_iter();
-            let cond = it.next().expect("len");
-            let body = it.next().expect("len");
-            let vars = it.next().expect("len");
-            crate::operators::while_stmt_impl(i, cond, body, vars)
-        }),
-        "print" => builtin("print", |i, a, _| {
-            let v = one(a)?;
-            match &v {
-                Value::GraphNode { .. } => i.graph_op(OpKind::Print("tf.print: ".into()), &[v]),
-                other => {
-                    println!("{}", other.render());
-                    Ok(Value::None)
-                }
-            }
-        }),
-
-        _ => return None,
-    })
-}
-
-fn one(mut args: Args) -> Result<Value> {
-    if args.len() != 1 {
-        return Err(RuntimeError::new(format!(
-            "expected 1 argument, got {}",
-            args.len()
-        )));
-    }
-    Ok(args.remove(0))
-}
-
-fn one_of(mut args: Args, i: usize) -> Result<Value> {
-    if args.len() <= i {
-        return Err(RuntimeError::new("missing argument"));
-    }
-    Ok(args.remove(i))
-}
-
-fn two(mut args: Args) -> Result<(Value, Value)> {
-    if args.len() != 2 {
-        return Err(RuntimeError::new(format!(
-            "expected 2 arguments, got {}",
-            args.len()
-        )));
-    }
-    let b = args.pop().expect("len checked");
-    let a = args.pop().expect("len checked");
-    Ok((a, b))
 }
 
 fn shape_arg(args: &Args, i: usize) -> Result<Vec<usize>> {

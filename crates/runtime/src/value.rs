@@ -176,6 +176,11 @@ impl Value {
         matches!(self, Value::GraphNode { .. } | Value::Lantern(_))
     }
 
+    /// Is this a tensor of any backend (eager, graph or Lantern)?
+    pub(crate) fn is_tensor_like(&self) -> bool {
+        matches!(self, Value::Tensor(_)) || self.is_staged()
+    }
+
     /// Python truthiness. Staged values refuse, exactly like using a
     /// `tf.Tensor` as a Python bool — the Appendix B staging error.
     ///

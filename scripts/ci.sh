@@ -14,15 +14,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 # where a second panic aborts), the serving layer (which must turn every
 # failure into a structured HTTP response, never an abort), the plan
 # store (a corrupt cache artifact must fall back to cold staging, never
-# abort), and the dataflow analyses and conversion passes (which see
-# every user program) ban unwrap/expect crate-wide; the graph executors
+# abort), the dataflow analyses and conversion passes (which see every
+# user program), and the runtime (where a malformed call is a
+# RuntimeError) ban unwrap/expect crate-wide; the graph executors
 # (vm.rs and the reference interpreter exec.rs) carry the same
 # module-level #![deny], which the workspace clippy pass above enforces.
 # autograph-pylang is not in the list yet: its lexer and parser still
 # have 7 unwrap/expect sites outside tests.
 echo "== cargo clippy (no unwrap/expect in fault, executor, frontend & serving paths)"
 cargo clippy -p autograph-faults -p autograph-par -p autograph-obs -p autograph-serve \
-    -p autograph-planstore -p autograph-analysis -p autograph-transforms --no-deps -- \
+    -p autograph-planstore -p autograph-analysis -p autograph-transforms \
+    -p autograph-runtime --no-deps -- \
     -D warnings -D clippy::unwrap_used -D clippy::expect_used
 
 echo "== cargo build --release"

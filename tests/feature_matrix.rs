@@ -380,19 +380,19 @@ const DISPATCH: &[(&str, [Ran; 5])] = &[
     ("tf.reduce_all(x)", [Fail, Fail, Graph, Fail, Graph]),
     ("tf.reduce_any(x)", [Fail, Fail, Graph, Fail, Graph]),
     ("tf.argmax(x)", [Fail, Eager, Graph, Fail, Graph]),
-    ("tf.shape(x)", [Eager, Eager, Graph, Fail, Trace]), // outlier: a host operand does not stage
+    ("tf.shape(x)", [Eager, Eager, Graph, Fail, Graph]),
     ("tf.transpose(x, (1, 0))", [Fail, Eager, Graph, Fail, Graph]),
-    ("tf.reshape(x, (-1,))", [Eager, Eager, Graph, Fail, Trace]), // outlier: a host operand does not stage
-    ("tf.expand_dims(x, 0)", [Eager, Eager, Graph, Fail, Trace]), // outlier: a host operand does not stage
-    ("tf.squeeze(x)", [Eager, Eager, Graph, Fail, Trace]), // outlier: a host operand does not stage
-    ("tf.cast(x, tf.int32)", [Eager, Eager, Graph, Fail, Trace]), // outlier: a host operand does not stage
+    ("tf.reshape(x, (-1,))", [Eager, Eager, Graph, Fail, Graph]),
+    ("tf.expand_dims(x, 0)", [Eager, Eager, Graph, Fail, Graph]),
+    ("tf.squeeze(x)", [Eager, Eager, Graph, Fail, Graph]),
+    ("tf.cast(x, tf.int32)", [Eager, Eager, Graph, Fail, Graph]),
     ("tf.where(x, x, x)", [Fail, Fail, Graph, Fail, Graph]),
     ("tf.gather(x, x)", [Fail, Fail, Graph, Fail, Graph]),
-    ("tf.one_hot(x, 3)", [Eager, Fail, Graph, Fail, Trace]), // outlier: a host operand does not stage
+    ("tf.one_hot(x, 3)", [Eager, Fail, Graph, Fail, Graph]),
     ("tf.concat([x, x], 0)", [Fail, Eager, Graph, Lantern, Graph]),
     ("tf.concat([x, x], 1)", [Fail, Eager, Graph, Lantern, Graph]),
     ("tf.stack([x, x])", [Eager, Eager, Graph, Fail, Graph]),
-    ("tf.top_k(x, 1)", [Fail, Eager, Graph, Fail, Fail]), // outlier: a host operand does not stage
+    ("tf.top_k(x, 1)", [Fail, Eager, Graph, Fail, Graph]),
     (
         "tf.softmax_cross_entropy(x, x)",
         [Fail, Fail, Graph, Lantern, Graph],

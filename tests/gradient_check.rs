@@ -246,6 +246,55 @@ def loss_tape(w, x):
     check_gradients(src, "loss", "loss_grad", "loss_tape", &feeds);
 }
 
+/// `d/dx [sum(op(x)^2) + sum(x)]` for a shape or dtype op wrapped around
+/// `x`: the eager tape must carry the gradient through `op` exactly as
+/// `tf.gradients` does, not drop it and leave only the `sum(x)` term.
+fn check_op_gradient(op: &str, x: Tensor) {
+    let body = format!("tf.reduce_sum(tf.square({op})) + tf.reduce_sum(x)");
+    let src = format!(
+        "def loss(x):\n    return {body}\n\n\
+         def loss_grad(x):\n    g = tf.gradients({body}, [x])\n    return g[0]\n\n\
+         def loss_tape(x):\n    tf.tape_begin()\n    x = tf.watch(x)\n    \
+         g = tf.grad({body}, [x])\n    return g[0]\n"
+    );
+    check_gradients(&src, "loss", "loss_grad", "loss_tape", &[("x", x)]);
+}
+
+fn probe() -> Tensor {
+    Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap()
+}
+
+#[test]
+fn reshape_gradient_reaches_the_tape() {
+    check_op_gradient("tf.reshape(x, (4,))", probe());
+}
+
+#[test]
+fn transpose_gradient_reaches_the_tape() {
+    check_op_gradient("tf.transpose(x, (1, 0))", probe());
+}
+
+#[test]
+fn expand_dims_gradient_reaches_the_tape() {
+    check_op_gradient("tf.expand_dims(x, 1)", probe());
+}
+
+#[test]
+fn squeeze_gradient_reaches_the_tape() {
+    let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 4]).unwrap();
+    check_op_gradient("tf.squeeze(x, 0)", x);
+}
+
+#[test]
+fn cast_gradient_reaches_the_tape() {
+    check_op_gradient("tf.cast(x, tf.float32)", probe());
+}
+
+#[test]
+fn stack_gradient_reaches_the_tape() {
+    check_op_gradient("tf.stack([x, x])", probe());
+}
+
 #[test]
 fn staged_loop_gradients_match_finite_differences() {
     // The eager tape differentiates through the actual while loop (it

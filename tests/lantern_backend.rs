@@ -193,3 +193,30 @@ fn lantern_loops_rejected_with_guidance() {
         .unwrap_err();
     assert!(err.to_string().contains("recursion"), "{err}");
 }
+
+#[test]
+fn unsupported_ops_name_themselves() {
+    // one message for every op the Lantern IR lacks, whether it takes one
+    // operand, two, or attributes beside its operand
+    for call in [
+        "tf.abs(x)",
+        "tf.maximum(x, x)",
+        "tf.reshape(x, (-1,))",
+        "tf.cast(x, tf.int32)",
+        "tf.reduce_sum(x, 0)",
+    ] {
+        let src = format!("def f(x):\n    return {call}\n");
+        let mut rt = Runtime::load(&src, true).expect("load");
+        let err = rt
+            .stage_to_lantern("f", vec![LanternArg::Param("x".into())])
+            .unwrap_err()
+            .to_string();
+        let op = &call[3..call.find('(').unwrap_or(call.len())];
+        assert!(
+            err.contains(&format!(
+                "tf op '{op}' is not supported by the lantern backend"
+            )),
+            "{call}: {err}"
+        );
+    }
+}
