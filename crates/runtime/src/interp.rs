@@ -683,7 +683,7 @@ impl Interp {
                 BinOp::Mod => &tf_api::MOD,
                 BinOp::Pow => &tf_api::POW,
             };
-            return self.call_row(row, vec![l, r], &Vec::new());
+            return self.apply(row, &[l, r]);
         }
         // host (Python) semantics
         match (op, &l, &r) {
@@ -788,7 +788,7 @@ impl Interp {
             CmpOp::NotEq => &tf_api::NOT_EQUAL,
         };
         if l.is_tensor_like() || r.is_tensor_like() {
-            return self.call_row(row, vec![l, r], &Vec::new());
+            return self.apply(row, &[l, r]);
         }
         // host comparisons
         let b = match op {
@@ -847,7 +847,7 @@ impl Interp {
                 Value::Int(i) => Ok(Value::Int(-i)),
                 Value::Float(f) => Ok(Value::Float(-f)),
                 Value::Bool(b) => Ok(Value::Int(-(b as i64))),
-                v if v.is_tensor_like() => self.call_row(&tf_api::NEG, vec![v], &Vec::new()),
+                v if v.is_tensor_like() => self.apply(&tf_api::NEG, &[v]),
                 other => Err(RuntimeError::new(format!(
                     "bad operand type for unary -: {}",
                     other.kind()

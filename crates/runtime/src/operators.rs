@@ -51,7 +51,7 @@ pub fn lookup(name: &str) -> Option<Value> {
             let [v] = take(a)?;
             let bool_tensor = matches!(&v, Value::Tensor(t) if t.tensor().dtype() == autograph_tensor::DType::Bool);
             if v.is_staged() || bool_tensor {
-                return i.call_row(&tf_api::LOGICAL_NOT, vec![v], &Vec::new());
+                return i.apply(&tf_api::LOGICAL_NOT, &[v]);
             }
             Ok(Value::Bool(!v.truthy()?))
         }),
@@ -200,7 +200,7 @@ pub fn lookup(name: &str) -> Option<Value> {
             match v {
                 Value::Int(x) => Ok(Value::Int(x.abs())),
                 Value::Float(f) => Ok(Value::Float(f.abs())),
-                v if v.is_tensor_like() => i.call_row(&tf_api::ABS, vec![v], &Vec::new()),
+                v if v.is_tensor_like() => i.apply(&tf_api::ABS, &[v]),
                 other => Err(RuntimeError::new(format!(
                     "bad operand for abs(): {}",
                     other.kind()
@@ -580,7 +580,7 @@ fn logical_lazy(i: &mut Interp, args: Args, is_and: bool) -> Result<Value> {
         } else {
             &tf_api::LOGICAL_OR
         };
-        return i.call_row(row, vec![a, b], &Vec::new());
+        return i.apply(row, &[a, b]);
     }
     // Python lazy boolean semantics: return the deciding operand
     if a.truthy()? == is_and {
@@ -636,7 +636,7 @@ fn stack_impl(i: &mut Interp, l: Value) -> Result<Value> {
             if items.is_empty() {
                 return Err(RuntimeError::new("ag.stack of an empty list"));
             }
-            i.dispatch(&tf_api::STACK, OpKind::StackOp, items)
+            i.dispatch(&tf_api::STACK, OpKind::StackOp, &items)
         }
         Value::GraphNode { .. } => i.graph_op(OpKind::ArrayStack, &[l]),
         other => Err(RuntimeError::new(format!("cannot stack {}", other.kind()))),

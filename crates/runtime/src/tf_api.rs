@@ -151,7 +151,7 @@ static ROWS: &[Row] = &[
     row("logical_and", Binary(OpKind::LogicalAnd), "logical_and", None),
     row("logical_or", Binary(OpKind::LogicalOr), "logical_or", None),
     row("logical_not", Unary(OpKind::LogicalNot), "logical_not", None),
-    row("where", Call(|_, a, _| Ok((OpKind::Select, take::<3>(a)?.into()))), "select", None),
+    row("where", Call(|_, a, _| Ok((OpKind::Select, exactly(a, 3)?))), "select", None),
     row("softmax_cross_entropy", Binary(OpKind::SoftmaxCrossEntropy), "softmax_cross_entropy", Some("softmax_xent")),
     // ---- reductions ---------------------------------------------------------------
     row("reduce_sum", Reduce(OpKind::ReduceSum), "reduce_sum", Some("reduce_sum")),
@@ -178,8 +178,8 @@ static ROWS: &[Row] = &[
 impl Row {
     fn build(&self, i: &mut Interp, args: Args, kwargs: &Kwargs) -> Result<(OpKind, Args)> {
         match &self.build {
-            Unary(op) => Ok((op.clone(), take::<1>(args)?.into())),
-            Binary(op) => Ok((op.clone(), take::<2>(args)?.into())),
+            Unary(op) => Ok((op.clone(), exactly(args, 1)?)),
+            Binary(op) => Ok((op.clone(), exactly(args, 2)?)),
             Reduce(op) => Ok((op(axis_from(kwargs, &args, 1)?), vec![first(args)?])),
             Call(f) => f(i, args, kwargs),
         }
@@ -263,13 +263,13 @@ impl Interp {
     ///
     /// Fails when the Lantern IR lacks the op, on uncoercible operands, and
     /// on kernel errors.
-    pub(crate) fn dispatch(&mut self, row: &Row, op: OpKind, operands: Args) -> Result<Value> {
+    pub(crate) fn dispatch(&mut self, row: &Row, op: OpKind, operands: &[Value]) -> Result<Value> {
         if self.staging_graph()
             || operands
                 .iter()
                 .any(|v| matches!(v, Value::GraphNode { .. }))
         {
-            return self.graph_op(op, &operands);
+            return self.graph_op(op, operands);
         }
         if operands.iter().any(|v| matches!(v, Value::Lantern(_))) {
             let sym = lantern_symbol(row, &op).ok_or_else(|| {
@@ -293,14 +293,20 @@ impl Interp {
         Ok(Value::Tensor(self.eager.op(row.eager, &refs)?))
     }
 
-    /// Build `row`'s op from call arguments and dispatch it.
+    /// Dispatch an attribute-free unary or binary row (a Python operator's
+    /// op) on operands already in hand.
     ///
     /// # Errors
     ///
-    /// Fails on malformed arguments and whatever [`Interp::dispatch`] raises.
-    pub(crate) fn call_row(&mut self, row: &Row, args: Args, kwargs: &Kwargs) -> Result<Value> {
-        let (op, operands) = row.build(self, args, kwargs)?;
-        self.dispatch(row, op, operands)
+    /// Fails on any other row and whatever [`Interp::dispatch`] raises.
+    pub(crate) fn apply(&mut self, row: &Row, operands: &[Value]) -> Result<Value> {
+        let (Unary(op) | Binary(op)) = &row.build else {
+            return Err(RuntimeError::new(format!(
+                "tf.{} needs its arguments parsed",
+                row.name
+            )));
+        };
+        self.dispatch(row, op.clone(), operands)
     }
 }
 
@@ -385,7 +391,7 @@ pub fn lookup(name: &str) -> Option<Value> {
         // has one op per output
         "top_k" => builtin(name, |i, a, k| {
             let (op, x) = TOP_K.build(i, a, &k)?;
-            match i.dispatch(&TOP_K, op.clone(), x.clone())? {
+            match i.dispatch(&TOP_K, op.clone(), &x)? {
                 pair @ Value::GraphNode { .. } => {
                     let values = i.graph_op(OpKind::TupleGet(0), std::slice::from_ref(&pair))?;
                     let indices = i.graph_op(OpKind::TupleGet(1), &[pair])?;
@@ -396,7 +402,7 @@ pub fn lookup(name: &str) -> Option<Value> {
                         eager: "top_k_indices",
                         ..TOP_K
                     };
-                    Ok(Value::tuple(vec![values, i.dispatch(&indices, op, x)?]))
+                    Ok(Value::tuple(vec![values, i.dispatch(&indices, op, &x)?]))
                 }
             }
         }),
@@ -464,7 +470,10 @@ pub fn lookup(name: &str) -> Option<Value> {
 
         _ => {
             let row = ROWS.iter().find(|r| r.name == name)?;
-            builtin(name, move |i, a, k| i.call_row(row, a, &k))
+            builtin(name, move |i, a, k| {
+                let (op, operands) = row.build(i, a, &k)?;
+                i.dispatch(row, op, &operands)
+            })
         }
     })
 }
@@ -475,13 +484,21 @@ pub fn lookup(name: &str) -> Option<Value> {
 ///
 /// Fails on any other count.
 pub(crate) fn take<const N: usize>(args: Args) -> Result<[Value; N]> {
-    let n = args.len();
-    args.try_into().map_err(|_| {
-        RuntimeError::new(format!(
-            "expected {N} argument{}, got {n}",
-            if N == 1 { "" } else { "s" }
-        ))
-    })
+    let got = args.len();
+    args.try_into().map_err(|_| arity_error(N, got))
+}
+
+/// Exactly `n` call arguments, passed through as they are.
+fn exactly(args: Args, n: usize) -> Result<Args> {
+    if args.len() == n {
+        return Ok(args);
+    }
+    Err(arity_error(n, args.len()))
+}
+
+fn arity_error(n: usize, got: usize) -> RuntimeError {
+    let s = if n == 1 { "" } else { "s" };
+    RuntimeError::new(format!("expected {n} argument{s}, got {got}"))
 }
 
 fn first(args: Args) -> Result<Value> {
