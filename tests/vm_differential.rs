@@ -15,6 +15,8 @@
 //!   the reference, and every node cost resolves to a real source span
 //!   (fused kernels split costs across their covered nodes).
 
+use autograph::graph::builder::{GraphBuilder, SubGraphBuilder};
+use autograph::graph::{Graph, NodeId, OpKind};
 use autograph::prelude::*;
 
 #[path = "support/check.rs"]
@@ -173,6 +175,202 @@ fn vm_repeated_runs_are_bitwise_stable() {
         assert_eq!(sess.stats().plan_cache_misses, 1, "{}", p.name);
         assert_eq!(sess.stats().plan_cache_hits, 3, "{}", p.name);
     }
+}
+
+/// Run `fetches` on the reference interpreter, then twice on the VM at
+/// each thread count of the grid; every VM output must be bitwise equal
+/// to the reference. The second run catches a kernel that wrote into a
+/// value the first run left behind (a feed, a constant).
+fn assert_vm_matches_reference(
+    name: &str,
+    graph: &Graph,
+    fetches: &[NodeId],
+    feeds: &[(&str, Tensor)],
+) {
+    let mut reference: Option<Vec<Tensor>> = None;
+    for (mode, threads) in exec::GRID {
+        let mut sess = Session::new(graph.clone());
+        sess.set_threads(threads);
+        for run in 0..2 {
+            let out = exec::run(&mut sess, mode, feeds, fetches, &RunOptions::default())
+                .unwrap_or_else(|e| panic!("{name}: {mode:?} t{threads} run {run}: {e}"));
+            match &reference {
+                None => reference = Some(out),
+                Some(want) => check::assert_bitwise_eq(
+                    name,
+                    &format!("{mode:?} t{threads} run {run} vs Reference t1"),
+                    &out,
+                    want,
+                ),
+            }
+        }
+    }
+}
+
+fn stage(src: &str, feeds: &[(&str, Tensor)]) -> StagedGraph {
+    let mut rt = Runtime::load(src, true).expect("load");
+    let args = feeds
+        .iter()
+        .map(|(n, _)| GraphArg::Placeholder((*n).to_string()))
+        .collect();
+    rt.stage_to_graph("f", args).expect("stage")
+}
+
+/// The aliasing wall: values that are read twice, returned twice, passed
+/// through, shared with the caller, or read again after a consuming op.
+/// A VM that moves registers and writes kernels' outputs into their
+/// inputs must still compute exactly what the value-copying interpreter
+/// computes.
+#[test]
+fn vm_matches_reference_under_aliasing() {
+    let _ledger = ledger_lock();
+    let x = corpus::v(corpus::wave(12, 0.3), &[3, 4]);
+    let y = corpus::v(corpus::wave(4, 1.1), &[4]);
+    let m = corpus::v(vec![1.0, -1.0, 0.5], &[3, 1]);
+    let staged_cases = [
+        (
+            "register read twice by one instruction",
+            "def f(x, m):\n    s = x\n    i = tf.constant(0)\n    while i < 4:\n        s = tf.tanh(s * s + 0.5)\n        s = tf.where(m > 0.0, s, s)\n        i = i + 1\n    return s\n",
+            vec![("x", x.clone()), ("m", m.clone())],
+        ),
+        (
+            "loop variable returned as two outputs",
+            "def f(x):\n    a = x\n    b = x\n    i = tf.constant(0)\n    while i < 3:\n        a = tf.tanh(a + b)\n        b = a\n        i = i + 1\n    return a, b\n",
+            vec![("x", x.clone())],
+        ),
+        (
+            "parameter the condition ignores",
+            "def f(x, y):\n    i = tf.constant(0)\n    while i < 5:\n        x = tf.tanh(x + y)\n        i = i + 1\n    return x\n",
+            vec![("x", x.clone()), ("y", y.clone())],
+        ),
+        (
+            "branch returns its parameter unchanged",
+            "def f(x):\n    i = tf.constant(0)\n    while i < 4:\n        if tf.reduce_sum(x) > 0.0:\n            x = x - 1.0\n        i = i + 1\n    return x\n",
+            vec![("x", x.clone())],
+        ),
+    ];
+    for (name, src, feeds) in &staged_cases {
+        let staged = stage(src, feeds);
+        assert!(
+            staged
+                .graph
+                .nodes
+                .iter()
+                .any(|n| matches!(n.op, OpKind::While { .. })),
+            "{name}: the loop must stage"
+        );
+        assert_vm_matches_reference(name, &staged.graph, &staged.outputs, feeds);
+    }
+
+    // loop state that starts out as the caller's feeds: the first
+    // iteration sees tensors the caller, the feed map and the top-level
+    // registers all hold, so nothing may be written into them
+    let (graph, fetches) = feed_state_loop();
+    let feeds = [("s", x.clone()), ("u", x.clone()), ("c", y), ("m", m)];
+    let pristine: Vec<Vec<u32>> = feeds.iter().map(|(_, t)| bits(t)).collect();
+    assert_vm_matches_reference("loop state from feeds", &graph, &fetches, &feeds);
+    for ((name, t), want) in feeds.iter().zip(&pristine) {
+        assert_eq!(&bits(t), want, "feed '{name}' was written through");
+    }
+
+    // `ArrayPush(a0, t)` then `ArraySize(a0)`: the size must be the one
+    // before the push
+    let (graph, fetches) = push_then_size_loop();
+    assert_vm_matches_reference("push then size", &graph, &fetches, &[("x", x)]);
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.as_f32()
+        .expect("f32")
+        .iter()
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+/// `while i < 3: s = where(m, tanh(s + c), s); u = tanh(u * c + c)`,
+/// with `s` and `u` fed; returns `(s_final + s, u_final + u)` so the
+/// feeds are read again after the loop.
+fn feed_state_loop() -> (Graph, Vec<NodeId>) {
+    let mut b = GraphBuilder::new();
+    let s = b.placeholder("s");
+    let u = b.placeholder("u");
+    let c = b.placeholder("c");
+    let m = b.placeholder("m");
+    let i0 = b.constant(Tensor::scalar_i64(0));
+    let cond_g = {
+        let (mut sb, p) = SubGraphBuilder::new(5);
+        let three = sb.b.constant(Tensor::scalar_i64(3));
+        let lt = sb.b.add(OpKind::Less, vec![p[0], three]);
+        sb.finish(vec![lt])
+    };
+    let body_g = {
+        let (mut sb, p) = SubGraphBuilder::new(5);
+        let (i, s, u, c, m) = (p[0], p[1], p[2], p[3], p[4]);
+        let sum = sb.b.add_op(s, c);
+        let h = sb.b.tanh(sum);
+        let zero = sb.b.scalar(0.0);
+        let keep = sb.b.add(OpKind::Greater, vec![m, zero]);
+        let s2 = sb.b.add(OpKind::Select, vec![keep, h, s]);
+        let uc = sb.b.mul(u, c);
+        let uc2 = sb.b.add_op(uc, c);
+        let u2 = sb.b.tanh(uc2);
+        let one = sb.b.constant(Tensor::scalar_i64(1));
+        let i2 = sb.b.add_op(i, one);
+        sb.finish(vec![i2, s2, u2, c, m])
+    };
+    let w = b.add(
+        OpKind::While {
+            cond_g,
+            body_g,
+            max_iters: None,
+        },
+        vec![i0, s, u, c, m],
+    );
+    let s_final = b.tuple_get(w, 1);
+    let u_final = b.tuple_get(w, 2);
+    let s_out = b.add_op(s_final, s);
+    let u_out = b.add_op(u_final, u);
+    (b.finish(), vec![s_out, u_out])
+}
+
+/// `while i < 4: n = size(a); a = push(a, x * i)`, the push first in
+/// program order; returns `(stack(a), n)`.
+fn push_then_size_loop() -> (Graph, Vec<NodeId>) {
+    let mut b = GraphBuilder::new();
+    let x = b.placeholder("x");
+    let i0 = b.constant(Tensor::scalar_i64(0));
+    let a0 = b.add(OpKind::ArrayNew, vec![]);
+    let n0 = b.constant(Tensor::scalar_i64(-1));
+    let cond_g = {
+        let (mut sb, p) = SubGraphBuilder::new(4);
+        let four = sb.b.constant(Tensor::scalar_i64(4));
+        let lt = sb.b.add(OpKind::Less, vec![p[0], four]);
+        sb.finish(vec![lt])
+    };
+    let body_g = {
+        let (mut sb, p) = SubGraphBuilder::new(4);
+        let (i, a, x) = (p[0], p[1], p[3]);
+        let fi = sb.b.cast(i, DType::F32);
+        let t = sb.b.mul(x, fi);
+        let a2 = sb.b.add(OpKind::ArrayPush, vec![a, t]);
+        let n = sb.b.add(OpKind::ArraySize, vec![a]);
+        let one = sb.b.constant(Tensor::scalar_i64(1));
+        let i2 = sb.b.add_op(i, one);
+        sb.finish(vec![i2, a2, n, x])
+    };
+    let w = b.add(
+        OpKind::While {
+            cond_g,
+            body_g,
+            max_iters: None,
+        },
+        vec![i0, a0, n0, x],
+    );
+    let a = b.tuple_get(w, 1);
+    let stacked = b.add(OpKind::ArrayStack, vec![a]);
+    let n = b.tuple_get(w, 2);
+    let n_f = b.cast(n, DType::F32);
+    (b.finish(), vec![stacked, n_f])
 }
 
 #[test]
