@@ -22,7 +22,8 @@
 //!   absorbed (spans survive fusion — the provenance/explain layer and
 //!   the chaos fault sites keep working);
 //! * each instruction lists the registers whose **last use** it is, so
-//!   the VM can recycle dead buffers into its arena (loop-carried
+//!   the VM can move those operands into the instruction instead of
+//!   copying them and recycle dead buffers into its arena (loop-carried
 //!   temporaries stop hitting the allocator).
 //!
 //! Lowering is infallible: anything without a better encoding lowers to
@@ -82,10 +83,11 @@ pub(crate) struct Instr {
     pub kind: IKind,
     pub dst: Reg,
     pub srcs: Vec<Reg>,
-    /// Registers whose last use was this instruction — freed (and
-    /// recycled into the arena) right after it executes. Populated only
-    /// in subgraph procedures; the top level keeps every value for
-    /// fetches, like the interpreter.
+    /// Registers whose last use was this instruction. An operand among
+    /// them that the instruction reads once moves into it; the rest are
+    /// freed (and recycled into the arena) right after it executes.
+    /// Populated only in subgraph procedures; the top level keeps every
+    /// value for fetches, like the interpreter.
     pub free_after: Vec<Reg>,
     /// The node this instruction materializes (id within its own
     /// graph/subgraph; meaningful for cost collection at the top level).
@@ -323,6 +325,7 @@ impl ProgramBuilder {
 
         // emission
         let mut reg_of: HashMap<NodeId, Reg> = HashMap::new();
+        let mut param_reg: HashMap<usize, Reg> = HashMap::new();
         let mut next_reg: Reg = 0;
         let mut code: Vec<Instr> = Vec::new();
         for &id in order {
@@ -330,6 +333,15 @@ impl ProgramBuilder {
                 continue;
             }
             let node = &graph.nodes[id];
+            // the VM binds parameters by move, so each binds once: a
+            // second `Param` node of the same index shares the register
+            if let (OpKind::Param(i), false) = (&node.op, top_level) {
+                if let Some(&r) = param_reg.get(i) {
+                    reg_of.insert(id, r);
+                    continue;
+                }
+                param_reg.insert(*i, next_reg);
+            }
             let (kind, srcs) = match &node.op {
                 OpKind::Const(t) => {
                     let p = self.pool.len();

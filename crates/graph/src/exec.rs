@@ -186,13 +186,14 @@ impl Plan {
     }
 }
 
-/// Fill `buf` with clones of the node's input values (cheap `Arc` bumps).
+/// Fill `buf` with clones of the node's input values, which the kernel
+/// may then consume: the values table itself is never written through.
 fn gather_inputs<'a>(
     graph: &Graph,
     id: NodeId,
     values: &[Option<GValue>],
     buf: &'a mut Vec<GValue>,
-) -> Result<&'a [GValue]> {
+) -> Result<&'a mut [GValue]> {
     buf.clear();
     for &i in &graph.nodes[id].inputs {
         match &values[i] {
@@ -321,6 +322,12 @@ fn eval_node(
                 if !keep {
                     break Ok(());
                 }
+                // a cap of N admits N iterations; only an (N+1)-th fails
+                if let Some(limit) = limit.filter(|&limit| iters >= limit) {
+                    break Err(GraphError::runtime(format!(
+                        "while loop exceeded max_iters={limit}"
+                    )));
+                }
                 state = match eval_subgraph_pruned(
                     body_g,
                     &state,
@@ -335,13 +342,6 @@ fn eval_node(
                 iters += 1;
                 if let Err(e) = ctx.after_while_iter() {
                     break Err(e);
-                }
-                if let Some(limit) = limit {
-                    if iters >= limit {
-                        break Err(GraphError::runtime(format!(
-                            "while loop exceeded max_iters={limit}"
-                        )));
-                    }
                 }
             };
             // flush the partial iteration count even when the loop failed,

@@ -51,6 +51,12 @@ impl GValue {
         }
     }
 
+    /// Move the value out, leaving an empty tuple behind (the
+    /// allocation-free placeholder of a freed register).
+    pub(crate) fn take(&mut self) -> GValue {
+        std::mem::replace(self, GValue::Tuple(Vec::new()))
+    }
+
     /// Short name of the value kind for error messages.
     pub(crate) fn kind_name(&self) -> &'static str {
         match self {

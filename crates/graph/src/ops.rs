@@ -1,33 +1,67 @@
 //! Kernel implementations: executing one pure op on already-computed
 //! input values. Stateful and structural ops (placeholders, variables,
-//! control flow) are handled by the executor in [`crate::exec`].
+//! control flow) are handled by the executors in [`crate::exec`] and
+//! `vm.rs`.
+//!
+//! The caller hands its inputs over: a kernel may consume them. The
+//! array kernels grow the array they were given, `Select` and the tuple
+//! and identity kernels move values instead of copying them, and
+//! `Select` writes its result over a branch nobody else holds. A caller
+//! that must keep a value (the reference interpreter, any register read
+//! again later) passes a clone, which is shared and therefore never
+//! written.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::ir::{GValue, OpKind};
 use crate::{GraphError, Result};
 use autograph_tensor::{DType, Tensor};
 
+fn missing(i: usize) -> GraphError {
+    GraphError::runtime(format!("missing input {i}"))
+}
+
 fn t(inputs: &[GValue], i: usize) -> Result<&Tensor> {
-    inputs
-        .get(i)
-        .ok_or_else(|| GraphError::runtime(format!("missing input {i}")))?
-        .as_tensor()
+    inputs.get(i).ok_or_else(|| missing(i))?.as_tensor()
 }
 
 fn arr(inputs: &[GValue], i: usize) -> Result<&Vec<Tensor>> {
-    inputs
-        .get(i)
-        .ok_or_else(|| GraphError::runtime(format!("missing input {i}")))?
-        .as_array()
+    inputs.get(i).ok_or_else(|| missing(i))?.as_array()
 }
 
-/// Execute a pure op over its input values.
+/// Input `i`, moved out of the slice.
+fn take(inputs: &mut [GValue], i: usize) -> Result<GValue> {
+    inputs
+        .get_mut(i)
+        .map(GValue::take)
+        .ok_or_else(|| missing(i))
+}
+
+/// Input `i` as an owned tensor (same errors as [`t`]).
+fn t_owned(inputs: &mut [GValue], i: usize) -> Result<Tensor> {
+    match take(inputs, i)? {
+        GValue::Tensor(x) => Ok(x),
+        other => other.as_tensor().cloned(),
+    }
+}
+
+/// Input `i` as an owned array (same errors as [`arr`]).
+fn arr_owned(inputs: &mut [GValue], i: usize) -> Result<Vec<Tensor>> {
+    match take(inputs, i)? {
+        GValue::Array(a) => Ok(a),
+        other => other.as_array().cloned(),
+    }
+}
+
+/// Execute a pure op over its input values, which it may consume (see
+/// the module docs).
 ///
 /// # Errors
 ///
 /// Propagates kernel failures (shape/dtype mismatches etc.) as runtime
 /// [`GraphError`]s; returns a staging-phase error for ops the evaluator
 /// should have intercepted (control flow, state).
-pub fn execute(op: &OpKind, inputs: &[GValue]) -> Result<GValue> {
+pub fn execute(op: &OpKind, inputs: &mut [GValue]) -> Result<GValue> {
     use OpKind::*;
     let out: GValue = match op {
         Const(c) => c.clone().into(),
@@ -61,7 +95,11 @@ pub fn execute(op: &OpKind, inputs: &[GValue]) -> Result<GValue> {
         LogicalAnd => t(inputs, 0)?.logical_and(t(inputs, 1)?)?.into(),
         LogicalOr => t(inputs, 0)?.logical_or(t(inputs, 1)?)?.into(),
         LogicalNot => t(inputs, 0)?.logical_not()?.into(),
-        Select => Tensor::select(t(inputs, 0)?, t(inputs, 1)?, t(inputs, 2)?)?.into(),
+        Select => {
+            let cond = t(inputs, 0)?.clone();
+            let (a, b) = (t_owned(inputs, 1)?, t_owned(inputs, 2)?);
+            Tensor::select_owned(&cond, a, b)?.into()
+        }
         MatMul {
             transpose_a,
             transpose_b,
@@ -76,9 +114,7 @@ pub fn execute(op: &OpKind, inputs: &[GValue]) -> Result<GValue> {
         Shape => {
             let shape: Vec<i64> = t(inputs, 0)?.shape().iter().map(|&d| d as i64).collect();
             let n = shape.len();
-            Tensor::from_vec_i64(shape, &[n])
-                .expect("shape vector construction")
-                .into()
+            Tensor::from_vec_i64(shape, &[n])?.into()
         }
         Size => Tensor::scalar_f32(t(inputs, 0)?.num_elements() as f32).into(),
         DimSize(axis) => {
@@ -156,19 +192,19 @@ pub fn execute(op: &OpKind, inputs: &[GValue]) -> Result<GValue> {
         }
         ArrayNew => GValue::Array(Vec::new()),
         ArrayPush => {
-            let mut a = arr(inputs, 0)?.clone();
-            a.push(t(inputs, 1)?.clone());
+            let mut a = arr_owned(inputs, 0)?;
+            a.push(t_owned(inputs, 1)?);
             GValue::Array(a)
         }
         ArrayPop => {
-            let mut a = arr(inputs, 0)?.clone();
+            let mut a = arr_owned(inputs, 0)?;
             let v = a
                 .pop()
                 .ok_or_else(|| GraphError::runtime("pop from empty tensor array"))?;
             GValue::Tuple(vec![GValue::Array(a), GValue::Tensor(v)])
         }
         ArrayWrite => {
-            let mut a = arr(inputs, 0)?.clone();
+            let mut a = arr_owned(inputs, 0)?;
             let i = t(inputs, 1)?.scalar_value_i64()?;
             if i < 0 {
                 return Err(GraphError::runtime(format!(
@@ -176,7 +212,7 @@ pub fn execute(op: &OpKind, inputs: &[GValue]) -> Result<GValue> {
                 )));
             }
             let i = i as usize;
-            let v = t(inputs, 2)?.clone();
+            let v = t_owned(inputs, 2)?;
             if i >= a.len() {
                 a.resize(i + 1, Tensor::scalar_f32(0.0));
             }
@@ -206,17 +242,17 @@ pub fn execute(op: &OpKind, inputs: &[GValue]) -> Result<GValue> {
             Tensor::stack(a)?.into()
         }
         ArraySize => Tensor::scalar_i64(arr(inputs, 0)?.len() as i64).into(),
-        TupleOp => GValue::Tuple(inputs.to_vec()),
-        TupleGet(i) => match inputs.first() {
+        TupleOp => GValue::Tuple(inputs.iter_mut().map(GValue::take).collect()),
+        TupleGet(i) => match inputs.first_mut() {
             Some(GValue::Tuple(items)) => items
-                .get(*i)
-                .cloned()
+                .get_mut(*i)
+                .map(GValue::take)
                 .ok_or_else(|| GraphError::runtime(format!("tuple index {i} out of range")))?,
             _ => return Err(GraphError::runtime("tuple_get on non-tuple")),
         },
         Identity | StopGradient => inputs
-            .first()
-            .cloned()
+            .first_mut()
+            .map(GValue::take)
             .ok_or_else(|| GraphError::runtime("identity with no input"))?,
         Print(prefix) => {
             let v = t(inputs, 0)?;
@@ -288,8 +324,15 @@ pub(crate) fn as_bool_scalar(v: &GValue) -> Result<bool> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+
+    /// The kernel on copies of `inputs`, as the reference interpreter
+    /// calls it: the originals must come out unchanged.
+    fn run(op: &OpKind, inputs: &[GValue]) -> Result<GValue> {
+        execute(op, &mut inputs.to_vec())
+    }
 
     fn tv(v: Vec<f32>) -> GValue {
         let n = v.len();
@@ -298,36 +341,36 @@ mod tests {
 
     #[test]
     fn arithmetic_kernels() {
-        let r = execute(&OpKind::Add, &[tv(vec![1.0, 2.0]), tv(vec![3.0, 4.0])]).unwrap();
+        let r = run(&OpKind::Add, &[tv(vec![1.0, 2.0]), tv(vec![3.0, 4.0])]).unwrap();
         assert_eq!(r.as_tensor().unwrap().as_f32().unwrap(), &[4.0, 6.0]);
-        let r = execute(&OpKind::Square, &[tv(vec![3.0])]).unwrap();
+        let r = run(&OpKind::Square, &[tv(vec![3.0])]).unwrap();
         assert_eq!(r.as_tensor().unwrap().as_f32().unwrap(), &[9.0]);
     }
 
     #[test]
     fn shape_and_size() {
         let m = GValue::Tensor(Tensor::zeros(DType::F32, &[2, 3]));
-        let s = execute(&OpKind::Shape, std::slice::from_ref(&m)).unwrap();
+        let s = run(&OpKind::Shape, std::slice::from_ref(&m)).unwrap();
         assert_eq!(s.as_tensor().unwrap().as_i64().unwrap(), &[2, 3]);
-        let n = execute(&OpKind::Size, std::slice::from_ref(&m)).unwrap();
+        let n = run(&OpKind::Size, std::slice::from_ref(&m)).unwrap();
         assert_eq!(n.as_tensor().unwrap().scalar_value_f32().unwrap(), 6.0);
-        let d = execute(&OpKind::DimSize(-1), &[m]).unwrap();
+        let d = run(&OpKind::DimSize(-1), &[m]).unwrap();
         assert_eq!(d.as_tensor().unwrap().scalar_value_f32().unwrap(), 3.0);
     }
 
     #[test]
     fn array_ops_value_semantics() {
-        let a0 = execute(&OpKind::ArrayNew, &[]).unwrap();
-        let a1 = execute(&OpKind::ArrayPush, &[a0.clone(), tv(vec![1.0, 2.0])]).unwrap();
-        let a2 = execute(&OpKind::ArrayPush, &[a1.clone(), tv(vec![3.0, 4.0])]).unwrap();
+        let a0 = run(&OpKind::ArrayNew, &[]).unwrap();
+        let a1 = run(&OpKind::ArrayPush, &[a0.clone(), tv(vec![1.0, 2.0])]).unwrap();
+        let a2 = run(&OpKind::ArrayPush, &[a1.clone(), tv(vec![3.0, 4.0])]).unwrap();
         // a1 unchanged (value semantics)
         assert_eq!(a1.as_array().unwrap().len(), 1);
         assert_eq!(a2.as_array().unwrap().len(), 2);
-        let stacked = execute(&OpKind::ArrayStack, std::slice::from_ref(&a2)).unwrap();
+        let stacked = run(&OpKind::ArrayStack, std::slice::from_ref(&a2)).unwrap();
         assert_eq!(stacked.as_tensor().unwrap().shape(), &[2, 2]);
-        let size = execute(&OpKind::ArraySize, std::slice::from_ref(&a2)).unwrap();
+        let size = run(&OpKind::ArraySize, std::slice::from_ref(&a2)).unwrap();
         assert_eq!(size.as_tensor().unwrap().scalar_value_i64().unwrap(), 2);
-        let popped = execute(&OpKind::ArrayPop, &[a2]).unwrap();
+        let popped = run(&OpKind::ArrayPop, &[a2]).unwrap();
         match popped {
             GValue::Tuple(items) => {
                 assert_eq!(items[0].as_array().unwrap().len(), 1);
@@ -338,48 +381,74 @@ mod tests {
     }
 
     #[test]
+    fn owned_inputs_are_consumed_in_place() {
+        // an array handed over grows where it is, with no copy
+        let mut inputs = [GValue::Array(Vec::with_capacity(4)), tv(vec![1.0])];
+        let buf = inputs[0].as_array().unwrap().as_ptr();
+        let pushed = execute(&OpKind::ArrayPush, &mut inputs).unwrap();
+        assert_eq!(pushed.as_array().unwrap().as_ptr(), buf);
+
+        // select writes over the branch nobody else holds...
+        let f32_ptr = |v: &GValue| v.as_tensor().unwrap().as_f32().unwrap().as_ptr();
+        let cond = GValue::Tensor(Tensor::from_vec_bool(vec![true, false], &[2]).unwrap());
+        let a = tv(vec![1.0, 2.0]);
+        let a_buf = f32_ptr(&a);
+        let out = execute(&OpKind::Select, &mut [cond.clone(), a, tv(vec![8.0, 9.0])]).unwrap();
+        assert_eq!(out.as_tensor().unwrap().as_f32().unwrap(), &[1.0, 9.0]);
+        assert_eq!(f32_ptr(&out), a_buf);
+        // ...and leaves a shared one alone
+        let shared = tv(vec![1.0, 2.0]);
+        let b = tv(vec![8.0, 9.0]);
+        let b_buf = f32_ptr(&b);
+        let out = execute(&OpKind::Select, &mut [cond, shared.clone(), b]).unwrap();
+        assert_eq!(out.as_tensor().unwrap().as_f32().unwrap(), &[1.0, 9.0]);
+        assert_eq!(f32_ptr(&out), b_buf);
+        assert_eq!(shared.as_tensor().unwrap().as_f32().unwrap(), &[1.0, 2.0]);
+    }
+
+    #[test]
     fn array_write_grows() {
-        let a0 = execute(&OpKind::ArrayNew, &[]).unwrap();
+        let a0 = run(&OpKind::ArrayNew, &[]).unwrap();
         let i = GValue::Tensor(Tensor::scalar_i64(2));
-        let a1 = execute(&OpKind::ArrayWrite, &[a0, i.clone(), tv(vec![7.0])]).unwrap();
+        let a1 = run(&OpKind::ArrayWrite, &[a0, i.clone(), tv(vec![7.0])]).unwrap();
         assert_eq!(a1.as_array().unwrap().len(), 3);
-        let r = execute(&OpKind::ArrayRead, &[a1, i]).unwrap();
+        let r = run(&OpKind::ArrayRead, &[a1, i]).unwrap();
         assert_eq!(r.as_tensor().unwrap().as_f32().unwrap(), &[7.0]);
     }
 
     #[test]
     fn array_errors() {
-        let a0 = execute(&OpKind::ArrayNew, &[]).unwrap();
-        assert!(execute(&OpKind::ArrayPop, std::slice::from_ref(&a0)).is_err());
-        assert!(execute(&OpKind::ArrayStack, std::slice::from_ref(&a0)).is_err());
+        let a0 = run(&OpKind::ArrayNew, &[]).unwrap();
+        assert!(run(&OpKind::ArrayPop, std::slice::from_ref(&a0)).is_err());
+        assert!(run(&OpKind::ArrayStack, std::slice::from_ref(&a0)).is_err());
         let i = GValue::Tensor(Tensor::scalar_i64(0));
-        assert!(execute(&OpKind::ArrayRead, &[a0, i]).is_err());
+        assert!(run(&OpKind::ArrayRead, &[a0, i]).is_err());
     }
 
     #[test]
     fn tuple_ops() {
-        let t = execute(&OpKind::TupleOp, &[tv(vec![1.0]), tv(vec![2.0])]).unwrap();
-        let x = execute(&OpKind::TupleGet(1), std::slice::from_ref(&t)).unwrap();
+        let t = run(&OpKind::TupleOp, &[tv(vec![1.0]), tv(vec![2.0])]).unwrap();
+        let x = run(&OpKind::TupleGet(1), std::slice::from_ref(&t)).unwrap();
         assert_eq!(x.as_tensor().unwrap().as_f32().unwrap(), &[2.0]);
-        assert!(execute(&OpKind::TupleGet(5), &[t]).is_err());
-        assert!(execute(&OpKind::TupleGet(0), &[tv(vec![1.0])]).is_err());
+        assert!(run(&OpKind::TupleGet(5), &[t]).is_err());
+        assert!(run(&OpKind::TupleGet(0), &[tv(vec![1.0])]).is_err());
     }
 
     #[test]
     fn index_and_setitem() {
         let x = GValue::Tensor(Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]).unwrap());
         let i = GValue::Tensor(Tensor::scalar_i64(1));
-        let r = execute(&OpKind::IndexAxis0, &[x.clone(), i.clone()]).unwrap();
+        let r = run(&OpKind::IndexAxis0, &[x.clone(), i.clone()]).unwrap();
         assert_eq!(r.as_tensor().unwrap().scalar_value_f32().unwrap(), 2.0);
         let v = GValue::Tensor(Tensor::scalar_f32(9.0));
-        let w = execute(&OpKind::SetItemAxis0, &[x, i, v]).unwrap();
+        let w = run(&OpKind::SetItemAxis0, &[x, i, v]).unwrap();
         assert_eq!(w.as_tensor().unwrap().as_f32().unwrap(), &[1.0, 9.0, 3.0]);
     }
 
     #[test]
     fn structural_ops_rejected_by_kernel_table() {
-        assert!(execute(&OpKind::Param(0), &[]).is_err());
-        assert!(execute(&OpKind::Group, &[]).is_err());
+        assert!(run(&OpKind::Param(0), &[]).is_err());
+        assert!(run(&OpKind::Group, &[]).is_err());
     }
 
     #[test]
@@ -391,27 +460,27 @@ mod tests {
     #[test]
     fn shape_manipulation_kernels() {
         let m = GValue::Tensor(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap());
-        let t = execute(&OpKind::Transpose(vec![1, 0]), std::slice::from_ref(&m)).unwrap();
+        let t = run(&OpKind::Transpose(vec![1, 0]), std::slice::from_ref(&m)).unwrap();
         assert_eq!(
             t.as_tensor().unwrap().as_f32().unwrap(),
             &[1.0, 3.0, 2.0, 4.0]
         );
-        let r = execute(&OpKind::Reshape(vec![4]), std::slice::from_ref(&m)).unwrap();
+        let r = run(&OpKind::Reshape(vec![4]), std::slice::from_ref(&m)).unwrap();
         assert_eq!(r.as_tensor().unwrap().shape(), &[4]);
-        let e = execute(&OpKind::ExpandDims(0), std::slice::from_ref(&m)).unwrap();
+        let e = run(&OpKind::ExpandDims(0), std::slice::from_ref(&m)).unwrap();
         assert_eq!(e.as_tensor().unwrap().shape(), &[1, 2, 2]);
-        let s = execute(&OpKind::Squeeze(Some(0)), &[e]).unwrap();
+        let s = run(&OpKind::Squeeze(Some(0)), &[e]).unwrap();
         assert_eq!(s.as_tensor().unwrap().shape(), &[2, 2]);
-        let c = execute(&OpKind::Cast(DType::I64), &[m]).unwrap();
+        let c = run(&OpKind::Cast(DType::I64), &[m]).unwrap();
         assert_eq!(c.as_tensor().unwrap().as_i64().unwrap(), &[1, 2, 3, 4]);
     }
 
     #[test]
     fn range_slice_tile_kernels() {
         let n = GValue::Tensor(Tensor::scalar_i64(4));
-        let r = execute(&OpKind::Range, &[n]).unwrap();
+        let r = run(&OpKind::Range, &[n]).unwrap();
         assert_eq!(r.as_tensor().unwrap().as_i64().unwrap(), &[0, 1, 2, 3]);
-        let s = execute(
+        let s = run(
             &OpKind::SliceAxis0 {
                 start: Some(1),
                 stop: Some(3),
@@ -420,7 +489,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s.as_tensor().unwrap().as_i64().unwrap(), &[1, 2]);
-        let t = execute(&OpKind::TileAxis0(2), &[s]).unwrap();
+        let t = run(&OpKind::TileAxis0(2), &[s]).unwrap();
         assert_eq!(t.as_tensor().unwrap().as_i64().unwrap(), &[1, 2, 1, 2]);
     }
 
@@ -428,17 +497,17 @@ mod tests {
     fn gather_onehot_concat_stack_kernels() {
         let m = GValue::Tensor(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap());
         let idx = GValue::Tensor(Tensor::from_vec_i64(vec![1, 0], &[2]).unwrap());
-        let g = execute(&OpKind::Gather, &[m.clone(), idx.clone()]).unwrap();
+        let g = run(&OpKind::Gather, &[m.clone(), idx.clone()]).unwrap();
         assert_eq!(
             g.as_tensor().unwrap().as_f32().unwrap(),
             &[3.0, 4.0, 1.0, 2.0]
         );
-        let oh = execute(&OpKind::OneHot(3), &[idx]).unwrap();
+        let oh = run(&OpKind::OneHot(3), &[idx]).unwrap();
         assert_eq!(oh.as_tensor().unwrap().shape(), &[2, 3]);
         let row = GValue::Tensor(Tensor::from_vec(vec![9.0, 9.0], &[1, 2]).unwrap());
-        let cc = execute(&OpKind::Concat(0), &[m.clone(), row]).unwrap();
+        let cc = run(&OpKind::Concat(0), &[m.clone(), row]).unwrap();
         assert_eq!(cc.as_tensor().unwrap().shape(), &[3, 2]);
-        let st = execute(&OpKind::StackOp, &[tv(vec![1.0]), tv(vec![2.0])]).unwrap();
+        let st = run(&OpKind::StackOp, &[tv(vec![1.0]), tv(vec![2.0])]).unwrap();
         assert_eq!(st.as_tensor().unwrap().shape(), &[2, 1]);
     }
 
@@ -447,22 +516,22 @@ mod tests {
         let g = GValue::Tensor(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap());
         let r = GValue::Tensor(Tensor::from_vec(vec![10.0, 20.0], &[2]).unwrap());
         // sum over the broadcast (leading) dim
-        let s = execute(&OpKind::SumToShape, &[g.clone(), r.clone()]).unwrap();
+        let s = run(&OpKind::SumToShape, &[g.clone(), r.clone()]).unwrap();
         assert_eq!(s.as_tensor().unwrap().as_f32().unwrap(), &[4.0, 6.0]);
         // broadcast a row grad back up
-        let b = execute(&OpKind::BroadcastLike, &[r.clone(), g.clone()]).unwrap();
+        let b = run(&OpKind::BroadcastLike, &[r.clone(), g.clone()]).unwrap();
         assert_eq!(b.as_tensor().unwrap().shape(), &[2, 2]);
         // reshape-like
         let flat = GValue::Tensor(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[4]).unwrap());
-        let rl = execute(&OpKind::ReshapeLike, &[flat, g.clone()]).unwrap();
+        let rl = run(&OpKind::ReshapeLike, &[flat, g.clone()]).unwrap();
         assert_eq!(rl.as_tensor().unwrap().shape(), &[2, 2]);
         // sum_to_shape identity fast path
-        let same = execute(&OpKind::SumToShape, &[g.clone(), g]).unwrap();
+        let same = run(&OpKind::SumToShape, &[g.clone(), g]).unwrap();
         assert_eq!(same.as_tensor().unwrap().shape(), &[2, 2]);
         // xent grad rows sum to ~0 (softmax minus one-hot)
         let logits = GValue::Tensor(Tensor::from_vec(vec![1.0, 2.0, 0.5, 0.1], &[2, 2]).unwrap());
         let labels = GValue::Tensor(Tensor::from_vec_i64(vec![0, 1], &[2]).unwrap());
-        let xg = execute(&OpKind::XentGrad, &[logits, labels]).unwrap();
+        let xg = run(&OpKind::XentGrad, &[logits, labels]).unwrap();
         let v = xg.as_tensor().unwrap().as_f32().unwrap().to_vec();
         assert!(
             (v[0] + v[1]).abs() < 1e-5 && (v[2] + v[3]).abs() < 1e-5,
@@ -478,17 +547,17 @@ mod tests {
             (OpKind::Sigmoid, 0.5),
             (OpKind::Relu, 0.0),
         ] {
-            let r = execute(&op, std::slice::from_ref(&x)).unwrap();
+            let r = run(&op, std::slice::from_ref(&x)).unwrap();
             assert!((r.as_tensor().unwrap().as_f32().unwrap()[0] - check0).abs() < 1e-6);
         }
-        let sm = execute(&OpKind::Softmax, std::slice::from_ref(&x)).unwrap();
+        let sm = run(&OpKind::Softmax, std::slice::from_ref(&x)).unwrap();
         let total: f32 = sm.as_tensor().unwrap().as_f32().unwrap().iter().sum();
         assert!((total - 1.0).abs() < 1e-5);
-        let lsm = execute(&OpKind::LogSoftmax, std::slice::from_ref(&x)).unwrap();
+        let lsm = run(&OpKind::LogSoftmax, std::slice::from_ref(&x)).unwrap();
         assert!(lsm.as_tensor().unwrap().as_f32().unwrap()[0] < 0.0);
         let labels = GValue::Tensor(Tensor::from_vec_i64(vec![1], &[1]).unwrap());
         let logits = GValue::Tensor(Tensor::from_vec(vec![0.0, 0.0], &[1, 2]).unwrap());
-        let ce = execute(&OpKind::SoftmaxCrossEntropy, &[logits, labels]).unwrap();
+        let ce = run(&OpKind::SoftmaxCrossEntropy, &[logits, labels]).unwrap();
         assert!((ce.as_tensor().unwrap().scalar_value_f32().unwrap() - 2.0f32.ln()).abs() < 1e-5);
     }
 
@@ -496,7 +565,7 @@ mod tests {
     fn shape_size_dimsize_kernels() {
         let m = GValue::Tensor(Tensor::zeros(DType::F32, &[3, 5]));
         assert_eq!(
-            execute(&OpKind::Shape, std::slice::from_ref(&m))
+            run(&OpKind::Shape, std::slice::from_ref(&m))
                 .unwrap()
                 .as_tensor()
                 .unwrap()
@@ -505,7 +574,7 @@ mod tests {
             &[3, 5]
         );
         assert_eq!(
-            execute(&OpKind::Size, std::slice::from_ref(&m))
+            run(&OpKind::Size, std::slice::from_ref(&m))
                 .unwrap()
                 .as_tensor()
                 .unwrap()
@@ -513,27 +582,27 @@ mod tests {
                 .unwrap(),
             15.0
         );
-        assert!(execute(&OpKind::DimSize(7), &[m]).is_err());
+        assert!(run(&OpKind::DimSize(7), &[m]).is_err());
     }
 
     #[test]
     fn assert_kernel() {
         let ok = GValue::Tensor(Tensor::scalar_bool(true));
-        let r = execute(&OpKind::AssertOp("m".into()), &[ok]).unwrap();
+        let r = run(&OpKind::AssertOp("m".into()), &[ok]).unwrap();
         assert!(r.as_tensor().unwrap().scalar_value_bool().unwrap());
         let bad = GValue::Tensor(Tensor::scalar_bool(false));
-        let err = execute(&OpKind::AssertOp("boom".into()), &[bad]).unwrap_err();
+        let err = run(&OpKind::AssertOp("boom".into()), &[bad]).unwrap_err();
         assert!(err.to_string().contains("boom"));
         let non_scalar = tv(vec![1.0, 2.0]);
-        assert!(execute(&OpKind::AssertOp("m".into()), &[non_scalar]).is_err());
+        assert!(run(&OpKind::AssertOp("m".into()), &[non_scalar]).is_err());
     }
 
     #[test]
     fn fused_top_k_matches_parts() {
         let x = tv(vec![3.0, 1.0, 2.0]);
-        let fused = execute(&OpKind::TopK(2), std::slice::from_ref(&x)).unwrap();
-        let v = execute(&OpKind::TopKValues(2), std::slice::from_ref(&x)).unwrap();
-        let i = execute(&OpKind::TopKIndices(2), &[x]).unwrap();
+        let fused = run(&OpKind::TopK(2), std::slice::from_ref(&x)).unwrap();
+        let v = run(&OpKind::TopKValues(2), std::slice::from_ref(&x)).unwrap();
+        let i = run(&OpKind::TopKIndices(2), &[x]).unwrap();
         match fused {
             GValue::Tuple(items) => {
                 assert_eq!(items[0], v);
@@ -546,9 +615,9 @@ mod tests {
     #[test]
     fn top_k_ops() {
         let x = tv(vec![1.0, 5.0, 3.0]);
-        let v = execute(&OpKind::TopKValues(2), std::slice::from_ref(&x)).unwrap();
+        let v = run(&OpKind::TopKValues(2), std::slice::from_ref(&x)).unwrap();
         assert_eq!(v.as_tensor().unwrap().as_f32().unwrap(), &[5.0, 3.0]);
-        let i = execute(&OpKind::TopKIndices(2), &[x]).unwrap();
+        let i = run(&OpKind::TopKIndices(2), &[x]).unwrap();
         assert_eq!(i.as_tensor().unwrap().as_i64().unwrap(), &[1, 2]);
     }
 }

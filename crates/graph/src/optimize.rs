@@ -179,14 +179,14 @@ fn fold_and_cse(graph: &Graph, stats: &mut OptStats, trace: &mut OptTrace) -> (G
                 .iter()
                 .all(|&i| matches!(out.nodes[i].op, OpKind::Const(_)));
         if foldable {
-            let input_values: Vec<GValue> = new_inputs
+            let mut input_values: Vec<GValue> = new_inputs
                 .iter()
                 .map(|&i| match &out.nodes[i].op {
                     OpKind::Const(t) => GValue::Tensor(t.clone()),
                     _ => unreachable!("checked const"),
                 })
                 .collect();
-            if let Ok(GValue::Tensor(t)) = ops::execute(&op, &input_values) {
+            if let Ok(GValue::Tensor(t)) = ops::execute(&op, &mut input_values) {
                 stats.folded += 1;
                 let folded = OpKind::Const(t);
                 let key = cse_key(&folded, &[]);

@@ -184,17 +184,20 @@ impl<'a> Lexer<'a> {
                 _ => {}
             }
             self.at_line_start = false;
-            let current = *self.indent_stack.last().expect("stack nonempty");
             let span = self.span();
+            // the base level 0 is never popped, so the stack is not empty
+            let Some(&current) = self.indent_stack.last() else {
+                return Err(ParseError::new("indentation stack is empty", span));
+            };
             if width > current {
                 self.indent_stack.push(width);
                 self.push(TokenKind::Indent, span);
             } else if width < current {
-                while *self.indent_stack.last().expect("stack nonempty") > width {
+                while self.indent_stack.last().is_some_and(|&level| level > width) {
                     self.indent_stack.pop();
                     self.push(TokenKind::Dedent, span);
                 }
-                if *self.indent_stack.last().expect("stack nonempty") != width {
+                if self.indent_stack.last() != Some(&width) {
                     return Err(ParseError::new(
                         "unindent does not match any outer indentation level",
                         span,
@@ -254,8 +257,9 @@ impl<'a> Lexer<'a> {
                 is_float = true;
                 text.push(c);
                 self.bump();
-                if matches!(self.peek(), Some('+') | Some('-')) {
-                    text.push(self.bump().expect("peeked"));
+                if let Some(sign @ ('+' | '-')) = self.peek() {
+                    self.bump();
+                    text.push(sign);
                 }
             } else {
                 break;
@@ -294,7 +298,9 @@ impl<'a> Lexer<'a> {
 
     fn lex_operator(&mut self) -> Result<(), ParseError> {
         let span = self.span();
-        let c = self.bump().expect("caller checked");
+        let Some(c) = self.bump() else {
+            return Err(ParseError::new("unexpected end of input", span));
+        };
         let two = |lexer: &Lexer| lexer.peek();
         let kind = match c {
             '(' => {

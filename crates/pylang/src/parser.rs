@@ -354,16 +354,14 @@ impl Parser {
                 }
                 self.expect(TokenKind::Newline)?;
                 // `a = b = v` desugars to consecutive assignments.
-                if chain.len() == 1 {
-                    let target = chain.pop().expect("len checked");
-                    Self::check_target(&target)?;
-                    Ok(Stmt::new(StmtKind::Assign { target, value }, span))
-                } else {
-                    Err(ParseError::new(
+                let (Some(target), None) = (chain.pop(), chain.pop()) else {
+                    return Err(ParseError::new(
                         "chained assignment is not supported in PyLite",
                         span,
-                    ))
-                }
+                    ));
+                };
+                Self::check_target(&target)?;
+                Ok(Stmt::new(StmtKind::Assign { target, value }, span))
             }
             k @ (TokenKind::PlusAssign
             | TokenKind::MinusAssign
@@ -872,7 +870,9 @@ impl Parser {
                 if is_tuple {
                     Ok(Expr::new(ExprKind::Tuple(items), span))
                 } else {
-                    Ok(items.pop().expect("one item parsed"))
+                    items
+                        .pop()
+                        .ok_or_else(|| ParseError::new("empty parenthesized expression", span))
                 }
             }
             TokenKind::LBracket => {

@@ -54,6 +54,13 @@
 //! allocations across iterations instead of round-tripping the system
 //! allocator. The memory ledger stays exact: reclaiming records a free,
 //! wrapping a recycled buffer into a tensor records a fresh allocation.
+//!
+//! Better than a recycled buffer is none at all: a caller that owns an
+//! input it will not read again hands it over ([`FusedSpec::plan_owned`]),
+//! and when that input is the program's [in-place
+//! input](FusedSpec::in_place_input), holds the output's shape and is
+//! held by nobody else, the output is written over it — no buffer, no
+//! tensor, no ledger entry.
 
 use crate::shape::{broadcast_into, RunWalker, CHUNK};
 use crate::{DType, Data, Tensor};
@@ -216,15 +223,24 @@ pub struct FusedSpec {
     num_inputs: usize,
     /// Deepest the operand stack gets (≥ 1), which sizes the scratch lanes.
     depth: usize,
+    /// See [`FusedSpec::in_place_input`].
+    in_place: Option<u8>,
 }
 
 /// A fused program bound to one execution's inputs: the output shape and
-/// a run walker per input. Obtained from [`FusedSpec::plan`] (which is
-/// where eligibility is decided) and consumed by [`FusedSpec::eval`].
+/// a run walker per input. Obtained from [`FusedSpec::plan`] or
+/// [`FusedSpec::plan_owned`] (which is where eligibility is decided) and
+/// consumed by [`FusedSpec::eval`].
 pub struct Plan<'a> {
     out_shape: Vec<usize>,
-    srcs: Vec<(&'a [f32], RunWalker)>,
+    /// Per input slot; the handed-over input's entry has no data.
+    srcs: Vec<Src<'a>>,
+    /// The in-place input, when the caller handed it over.
+    owned: Option<Tensor>,
 }
+
+/// One input's elements and the walker mapping output positions to them.
+type Src<'a> = (&'a [f32], RunWalker);
 
 impl FusedSpec {
     /// Validate and build a spec. Returns `None` when the program is
@@ -262,11 +278,25 @@ impl FusedSpec {
         if depth != 1 || max_depth > FUSED_MAX_STACK || !all_read {
             return None;
         }
+        let in_place = match ops[0] {
+            FusedOp::Input(i) if ops.iter().filter(|&&op| op == ops[0]).count() == 1 => Some(i),
+            _ => None,
+        };
         Some(FusedSpec {
             ops,
             num_inputs,
             depth: max_depth,
+            in_place,
         })
+    }
+
+    /// The input slot the output may be written over: the one read by
+    /// the program's first step and by no other. It sits alone in stack
+    /// slot 0 — the output strip — until the step consuming that slot
+    /// (as its left operand, or its only one) replaces it with the
+    /// result, and no later step reads it again.
+    pub fn in_place_input(&self) -> Option<usize> {
+        self.in_place.map(usize::from)
     }
 
     /// The postfix steps.
@@ -293,7 +323,40 @@ impl FusedSpec {
         I: IntoIterator<Item = &'a Tensor>,
         I::IntoIter: Clone,
     {
-        let inputs = inputs.into_iter();
+        self.bind(inputs.into_iter(), None)
+    }
+
+    /// [`FusedSpec::plan`] for a caller that hands over the value of the
+    /// [in-place input](FusedSpec::in_place_input): `inputs` are the other
+    /// inputs, in slot order. Evaluating the plan writes the output over
+    /// `owned` when it has the output's shape and nobody else holds it
+    /// (`Arc::get_mut` on the tensor and its storage), and reads it like
+    /// any input otherwise. `Err(owned)` when there is no plan.
+    pub fn plan_owned<'a, I>(&self, inputs: I, owned: Tensor) -> Result<Plan<'a>, Tensor>
+    where
+        I: IntoIterator<Item = &'a Tensor>,
+        I::IntoIter: Clone,
+    {
+        match self.bind(inputs.into_iter(), Some(&owned)) {
+            Some(plan) => Ok(Plan {
+                owned: Some(owned),
+                ..plan
+            }),
+            None => Err(owned),
+        }
+    }
+
+    /// The plan without the handed-over input itself: `owned` (when
+    /// given) takes part in the shape checks and gets the in-place slot's
+    /// walker, but no data is borrowed from it.
+    fn bind<'a, I>(&self, inputs: I, owned: Option<&Tensor>) -> Option<Plan<'a>>
+    where
+        I: Iterator<Item = &'a Tensor> + Clone,
+    {
+        let at = match owned {
+            Some(_) => Some(self.in_place_input()?),
+            None => None,
+        };
         let mut out_shape = Vec::new();
         let mut count = 0;
         for t in inputs.clone() {
@@ -302,17 +365,38 @@ impl FusedSpec {
                 return None;
             }
         }
+        if let Some(t) = owned {
+            count += 1;
+            if t.dtype() != DType::F32 || !broadcast_into(&mut out_shape, t.shape()) {
+                return None;
+            }
+        }
         if count != self.num_inputs {
             return None;
         }
-        let srcs = inputs
-            .map(|t| Some((t.as_f32().ok()?, RunWalker::new(t.shape(), &out_shape))))
+        let mut others = inputs;
+        let srcs = (0..self.num_inputs)
+            .map(|slot| {
+                let (t, data) = match owned.filter(|_| at == Some(slot)) {
+                    Some(t) => (t, &[][..]),
+                    None => {
+                        let t = others.next()?;
+                        (t, t.as_f32().ok()?)
+                    }
+                };
+                Some((data, RunWalker::new(t.shape(), &out_shape)))
+            })
             .collect::<Option<_>>()?;
-        Some(Plan { out_shape, srcs })
+        Some(Plan {
+            out_shape,
+            srcs,
+            owned: None,
+        })
     }
 
     /// Evaluate a planned program strip by strip, drawing the output
-    /// buffer and the scratch lanes from `arena`.
+    /// buffer (unless it overwrites a handed-over input) and the scratch
+    /// lanes from `arena`.
     ///
     /// The per-element operation chain is identical to op-by-op
     /// execution, so the result is bitwise equal to the unfused path;
@@ -321,12 +405,44 @@ impl FusedSpec {
     pub fn eval(&self, plan: Plan<'_>, arena: &mut FusedArena) -> Tensor {
         let Plan {
             out_shape,
-            mut srcs,
+            srcs,
+            mut owned,
         } = plan;
-        let n: usize = out_shape.iter().product();
-        let mut out = arena.take(n);
+        let mut srcs: Vec<Src<'_>> = srcs;
+        let written = match owned.as_mut() {
+            Some(t) if t.shape() == out_shape.as_slice() => t
+                .f32_mut()
+                .map(|out| self.fill(&mut srcs, out, self.in_place, arena))
+                .is_some(),
+            _ => false,
+        };
+        match (owned, self.in_place) {
+            (Some(t), _) if written => t,
+            (owned, at) => {
+                // a shared or broadcast handed-over input is read in its slot
+                if let (Some(t), Some(at)) = (&owned, at) {
+                    srcs[usize::from(at)].0 = t.as_f32().unwrap_or_default();
+                }
+                let mut out = arena.take(out_shape.iter().product());
+                self.fill(&mut srcs, &mut out, None, arena);
+                Tensor::from_data(Data::F32(out), &out_shape)
+            }
+        }
+    }
+
+    /// Compute every output element into `out`; when `in_place` names a
+    /// slot, `out` already holds that input's elements.
+    fn fill(
+        &self,
+        srcs: &mut [Src<'_>],
+        out: &mut [f32],
+        in_place: Option<u8>,
+        arena: &mut FusedArena,
+    ) {
+        let n = out.len();
         if n >= FUSED_PAR_MIN && autograph_par::threads() > 1 {
             let out_addr = out.as_mut_ptr() as usize;
+            let srcs = &*srcs;
             autograph_par::parallel_for(n, 4096, &|range| {
                 // SAFETY: ranges are disjoint and within `0..n`, so each
                 // output element is borrowed by exactly one thread; the
@@ -338,13 +454,12 @@ impl FusedSpec {
                     )
                 };
                 let mut lanes = vec![0.0; self.scratch_len(dst.len())];
-                self.eval_range(&mut srcs.clone(), range.start, dst, &mut lanes);
+                self.eval_range(&mut srcs.to_vec(), range.start, dst, &mut lanes, in_place);
             });
         } else {
             let lanes = arena.scratch(self.scratch_len(n));
-            self.eval_range(&mut srcs, 0, &mut out, lanes);
+            self.eval_range(srcs, 0, out, lanes, in_place);
         }
-        Tensor::from_data(Data::F32(out), &out_shape)
     }
 
     /// [`FusedSpec::plan`] then [`FusedSpec::eval`]: `None`, with no side
@@ -367,13 +482,15 @@ impl FusedSpec {
     /// lane. An `Input` step only marks its slot pending; the step that
     /// consumes it reads an identity or single-element input in place
     /// and fills the lane for any other broadcast, so the common inputs
-    /// cost no copy.
+    /// cost no copy. The `in_place` input is never read: its elements are
+    /// already in the output strip, which is where it is pushed.
     fn eval_range(
         &self,
-        srcs: &mut [(&[f32], RunWalker)],
+        srcs: &mut [Src<'_>],
         start: usize,
         out: &mut [f32],
         scratch: &mut [f32],
+        in_place: Option<u8>,
     ) {
         let lane = CHUNK.min(out.len());
         let mut done = 0;
@@ -386,7 +503,7 @@ impl FusedSpec {
             for op in &self.ops {
                 match op {
                     FusedOp::Input(i) => {
-                        pending[top] = Some(*i);
+                        pending[top] = Some(*i).filter(|&i| Some(i) != in_place);
                         top += 1;
                     }
                     op if op.arity() == 1 => {
@@ -790,6 +907,77 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn in_place_input_is_the_first_step_read_once() {
+        use FusedOp::*;
+        let slot = |ops: Vec<FusedOp>| FusedSpec::new(ops, 2).unwrap().in_place_input();
+        assert_eq!(slot(vec![Input(0), Input(1), Add, Tanh]), Some(0));
+        assert_eq!(slot(vec![Input(1), Neg, Input(0), Mul]), Some(1));
+        // read again later: writing over it would change what is read
+        assert_eq!(slot(vec![Input(0), Input(1), Add, Input(0), Mul]), None);
+        assert_eq!(slot(vec![Input(0), Input(0), Mul, Input(1), Add]), None);
+    }
+
+    /// A handed-over input is written over when it is sole and
+    /// output-shaped, read like any input otherwise; the bits are
+    /// op-by-op's either way.
+    #[test]
+    fn handed_over_input_matches_op_by_op_bitwise() {
+        use FusedOp::*;
+        let programs = [
+            vec![Input(0), Input(1), Add, Tanh],
+            vec![Input(0), Sqrt, Input(1), Div],
+            vec![Input(1), Input(0), Input(0), Mul, Sub, Abs],
+        ];
+        let bits =
+            |t: &Tensor| -> Vec<u32> { t.as_f32().unwrap().iter().map(|v| v.to_bits()).collect() };
+        let mut rng = crate::Rng64::new(0xbeef);
+        let mut arena = FusedArena::new();
+        for len in [1, CHUNK - 1, CHUNK + 1, 3 * CHUNK + 7] {
+            for (xs, ys) in [(vec![2, len], vec![2, len]), (vec![2, len], vec![len])] {
+                let x = payload(&mut rng, &xs);
+                let y = payload(&mut rng, &ys);
+                for ops in &programs {
+                    let spec = FusedSpec::new(ops.clone(), 2).unwrap();
+                    let k = spec.in_place_input().unwrap();
+                    let inputs = [&x, &y];
+                    let want = reference(ops, &inputs);
+                    let copy = |v: &Tensor| t(v.as_f32().unwrap().to_vec(), v.shape());
+                    let others = [inputs[1 - k]];
+
+                    // sole: written over when output-shaped
+                    let owned = copy(inputs[k]);
+                    let buf = owned.as_f32().unwrap().as_ptr();
+                    let Ok(plan) = spec.plan_owned(others, owned) else {
+                        panic!("eligible");
+                    };
+                    let got = spec.eval(plan, &mut arena);
+                    assert_eq!(bits(&got), bits(&want), "len {len} {ops:?}");
+                    let reused = got.as_f32().unwrap().as_ptr() == buf;
+                    assert_eq!(
+                        reused,
+                        inputs[k].shape() == want.shape(),
+                        "len {len} {ops:?}"
+                    );
+
+                    // shared: read, never written
+                    let owned = copy(inputs[k]);
+                    let kept = owned.clone();
+                    let Ok(plan) = spec.plan_owned(others, owned) else {
+                        panic!("eligible");
+                    };
+                    let got = spec.eval(plan, &mut arena);
+                    assert_eq!(bits(&got), bits(&want), "len {len} {ops:?}");
+                    assert_eq!(bits(&kept), bits(inputs[k]));
+                }
+            }
+        }
+        // ineligible: the input comes back
+        let spec = FusedSpec::new(vec![Input(0), Input(1), Add], 2).unwrap();
+        let i = Tensor::from_vec_i64(vec![1, 2], &[2]).unwrap();
+        assert!(spec.plan_owned([&i], t(vec![1.0, 2.0], &[2])).is_err());
     }
 
     #[test]

@@ -571,6 +571,61 @@ impl Tensor {
         };
         Ok(Tensor::from_data(data, &out_shape))
     }
+
+    /// [`Tensor::select`] with the branches given by value: when one of
+    /// them is `f32`, already output-shaped and held by nobody else, the
+    /// result is written over it (the other branch's elements copied in
+    /// where the condition picks them) instead of into a new buffer. The
+    /// values, and any error, are exactly `select`'s.
+    ///
+    /// # Errors
+    ///
+    /// As [`Tensor::select`].
+    pub fn select_owned(cond: &Tensor, mut a: Tensor, mut b: Tensor) -> Result<Tensor> {
+        let f32_branches =
+            cond.dtype() == DType::Bool && a.dtype() == DType::F32 && b.dtype() == DType::F32;
+        let out_shape = broadcast_shapes(a.shape(), b.shape())
+            .and_then(|ab| broadcast_shapes(cond.shape(), &ab));
+        if let (true, Ok(shape)) = (f32_branches, out_shape) {
+            if a.shape() == shape.as_slice() {
+                if let Some(dst) = a.f32_mut() {
+                    select_over(dst, cond, &b, &shape, true)?;
+                    return Ok(a);
+                }
+            }
+            if b.shape() == shape.as_slice() {
+                if let Some(dst) = b.f32_mut() {
+                    select_over(dst, cond, &a, &shape, false)?;
+                    return Ok(b);
+                }
+            }
+        }
+        Tensor::select(cond, &a, &b)
+    }
+}
+
+/// The in-place half of [`Tensor::select_owned`]: `dst` already holds the
+/// branch the condition picks when it equals `kept`; overwrite every other
+/// element with `other`'s. `cond` and `other` broadcast to `shape`, which
+/// is `dst`'s.
+fn select_over(
+    dst: &mut [f32],
+    cond: &Tensor,
+    other: &Tensor,
+    shape: &[usize],
+    kept: bool,
+) -> Result<()> {
+    let mut c = Strips::new(cond.as_bool()?, cond.shape(), shape);
+    let mut o = Strips::new(other.as_f32()?, other.shape(), shape);
+    for (start, strip) in (0..).step_by(CHUNK).zip(dst.chunks_mut(CHUNK)) {
+        let (sc, so) = (c.get(start, strip.len()), o.get(start, strip.len()));
+        for ((d, &c), &o) in strip.iter_mut().zip(sc).zip(so) {
+            if c != kept {
+                *d = o;
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -677,6 +732,59 @@ mod tests {
         let a2 = t(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
         let r2 = Tensor::select(&c2, &a2, &b).unwrap();
         assert_eq!(r2.as_f32().unwrap(), &[1.0, 9.0, 3.0, 9.0]);
+    }
+
+    #[test]
+    fn select_owned_writes_over_a_sole_branch_bitwise() {
+        let bits =
+            |t: &Tensor| -> Vec<u32> { t.as_f32().unwrap().iter().map(|v| v.to_bits()).collect() };
+        // strips of every length, a row mask, a scalar; inf and NaN values
+        let n = 3 * CHUNK + 5;
+        let conds = [
+            Tensor::from_vec_bool((0..n).map(|i| i % 3 != 0).collect(), &[n]).unwrap(),
+            Tensor::from_vec_bool(vec![true, false, true], &[3, 1]).unwrap(),
+            Tensor::scalar_bool(false),
+        ];
+        for cond in &conds {
+            let shape: Vec<usize> = if cond.rank() == 2 {
+                vec![3, n]
+            } else {
+                vec![n]
+            };
+            let full = |phase: f32| {
+                let len = shape.iter().product::<usize>();
+                let v = (0..len).map(|i| (i as f32 * 0.37 + phase).sin() / (i % 7) as f32);
+                t(v.collect(), &shape)
+            };
+            for (a, b) in [
+                (full(0.0), full(1.0)),
+                (full(0.5), Tensor::scalar_f32(f32::NAN)),
+            ] {
+                let want = Tensor::select(cond, &a, &b).unwrap();
+                // shared branches: a fresh buffer
+                let a_buf = a.as_f32().unwrap().as_ptr();
+                let got = Tensor::select_owned(cond, a.clone(), b.clone()).unwrap();
+                assert_eq!(bits(&got), bits(&want));
+                assert_ne!(got.as_f32().unwrap().as_ptr(), a_buf);
+                // a sole, output-shaped branch: written over, same bits
+                let b_buf = b.as_f32().unwrap().as_ptr();
+                let got = Tensor::select_owned(cond, a, b).unwrap();
+                assert_eq!(bits(&got), bits(&want));
+                let p = got.as_f32().unwrap().as_ptr();
+                assert!(p == a_buf || p == b_buf);
+            }
+        }
+        // errors are select's
+        let i = Tensor::from_vec_i64(vec![1, 2], &[2]).unwrap();
+        let f = t(vec![1.0, 2.0], &[2]);
+        let c = Tensor::from_vec_bool(vec![true, false], &[2]).unwrap();
+        assert_eq!(
+            Tensor::select_owned(&c, f.clone(), i.clone())
+                .unwrap_err()
+                .to_string(),
+            Tensor::select(&c, &f, &i).unwrap_err().to_string()
+        );
+        assert!(Tensor::select_owned(&f, f.clone(), f.clone()).is_err());
     }
 
     #[test]

@@ -89,9 +89,12 @@ impl Drop for Storage {
 
 /// A dense, row-major, reference-counted n-dimensional array.
 ///
-/// Cloning a `Tensor` is cheap (an [`Arc`] bump); kernels that need to
-/// mutate copy-on-write via [`Arc::make_mut`] is intentionally *not* used —
-/// tensors are immutable values, as in TensorFlow.
+/// Cloning a `Tensor` is cheap (an [`Arc`] bump). Tensors are immutable
+/// values, as in TensorFlow: copy-on-write ([`Arc::make_mut`]) is
+/// intentionally *not* used. The only kernels that write into an input
+/// take it by value and do so only when they hold its sole handle
+/// ([`Arc::get_mut`] on the tensor and on its storage); a tensor anyone
+/// else can see is never changed, and never silently copied either.
 #[derive(Clone)]
 pub struct Tensor {
     inner: Arc<TensorInner>,
@@ -158,6 +161,19 @@ impl Tensor {
         let data = std::mem::replace(&mut storage.data, Data::F32(Vec::new()));
         drop(storage);
         match data {
+            Data::F32(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The `f32` elements, writable, when this handle is the sole owner of
+    /// both the tensor and its storage — the entry point for kernels that
+    /// write their output over an input they were given by value. `None`
+    /// for a shared or non-`f32` tensor. The ledger is untouched: the
+    /// buffer stays the same allocation.
+    pub(crate) fn f32_mut(&mut self) -> Option<&mut [f32]> {
+        let inner = Arc::get_mut(&mut self.inner)?;
+        match &mut Arc::get_mut(&mut inner.data)?.data {
             Data::F32(v) => Some(v),
             _ => None,
         }

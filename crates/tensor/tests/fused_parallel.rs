@@ -39,6 +39,8 @@ fn pooled_strips_are_bitwise_identical_to_sequential() {
     )
     .unwrap();
     let inputs = [&x, &bias, &gate, &scale];
+    // tanh((x + bias) * gate), which may be written over x
+    let cell = FusedSpec::new(vec![Input(0), Input(1), Add, Input(2), Mul, Tanh], 3).unwrap();
     let mut arena = FusedArena::new();
 
     autograph_par::configure(1);
@@ -49,10 +51,24 @@ fn pooled_strips_are_bitwise_identical_to_sequential() {
         .and_then(|t| t.tanh())
         .and_then(|t| t.sub(&x.mul(&scale)?))
         .unwrap();
+    let cell_sequential = cell.try_eval(&[&x, &bias, &gate], &mut arena).unwrap();
     autograph_par::configure(4);
     let pooled = spec.try_eval(&inputs, &mut arena).unwrap();
+    // pooled ranges over a handed-over copy of x
+    let owned = Tensor::from_vec(x.as_f32().unwrap().to_vec(), &[rows, cols]).unwrap();
+    let buf = owned.as_f32().unwrap().as_ptr();
+    let Ok(plan) = cell.plan_owned([&bias, &gate], owned) else {
+        panic!("the cell's inputs are eligible");
+    };
+    let cell_pooled = cell.eval(plan, &mut arena);
 
     assert_eq!(sequential.shape(), &[rows, cols]);
     assert_eq!(bits(&pooled), bits(&sequential));
     assert_eq!(bits(&sequential), bits(&unfused));
+    assert_eq!(
+        cell_pooled.as_f32().unwrap().as_ptr(),
+        buf,
+        "written over x"
+    );
+    assert_eq!(bits(&cell_pooled), bits(&cell_sequential));
 }

@@ -1,0 +1,57 @@
+//! Pins the tensor allocations of one Table 1 RNN run (hidden 16, batch
+//! 8, sequence 32). The count is deterministic, so a change that brings
+//! back a copy the executor had learned to avoid fails here, not only in
+//! the benchmark's `allocs_per_op`.
+//!
+//! The ledger (`autograph_tensor::mem`) is process-wide: this binary
+//! holds this one test so that nothing else allocates while it counts.
+
+use autograph::graph::{Graph, NodeId};
+use autograph::prelude::*;
+use autograph_models::rnn;
+use autograph_tensor::mem;
+
+/// Tensor allocations made by `op`, after one untimed call.
+fn allocs<T>(mut op: impl FnMut() -> T) -> u64 {
+    op();
+    mem::track_begin();
+    let before = mem::snapshot().allocs;
+    std::hint::black_box(op());
+    let after = mem::snapshot().allocs;
+    mem::track_end();
+    after - before
+}
+
+fn graph_allocs(graph: Graph, fetches: &[NodeId], inp: &rnn::RnnInputs) -> u64 {
+    let feeds = [
+        ("input_data", inp.input_data.clone()),
+        ("initial_state", inp.initial_state.clone()),
+        ("sequence_len", inp.sequence_len.clone()),
+    ];
+    let mut sess = Session::new(graph);
+    sess.set_threads(1);
+    allocs(|| sess.run(&feeds, fetches).expect("run"))
+}
+
+#[test]
+fn rnn_run_allocation_counts_are_pinned() {
+    let (feat, hidden, batch, seq) = (8, 16, 8, 32);
+    let weights = rnn::RnnWeights::new(feat, hidden, 31);
+    let inp = rnn::inputs(batch, seq, feat, hidden, 32);
+
+    let staged =
+        rnn::stage_autograph(&mut rnn::runtime(&weights, true).expect("load")).expect("stage");
+    let staged = graph_allocs(staged.graph, &staged.outputs, &inp);
+    let (graph, fetches) = rnn::build_handwritten(&weights);
+    let handwritten = graph_allocs(graph, &fetches, &inp);
+    // the same kernels called directly, unfused and never in place
+    let official = allocs(|| rnn::official(&weights, &inp).expect("official"));
+
+    // 490 and 391 while the VM cloned every operand. Now every
+    // iteration's fused `tanh` is written over its `matmul` input and,
+    // from the second on (the first state is the caller's feed), the
+    // mask's `select` over the previous state: 32 + 31 fewer
+    let counts = format!("staged {staged}, handwritten {handwritten}, official {official}");
+    assert_eq!(staged, 427, "{counts}");
+    assert_eq!(handwritten, 328, "{counts}");
+}

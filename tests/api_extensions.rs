@@ -101,6 +101,45 @@ def g(x, n):
     assert_eq!(out[0].scalar_value_f32().unwrap(), 100.0);
 }
 
+/// Stage `f(xs) = sum of xs` as a staged `for` loop, with `directive`
+/// as the loop body's first line.
+fn staged_sum(directive: &str) -> StagedGraph {
+    let src = format!(
+        "def f(xs):\n    s = xs[0] * 0.0\n    for v in xs:\n{directive}        s = s + v\n    return s\n"
+    );
+    let mut rt = Runtime::load(&src, true).expect("load");
+    rt.stage_to_graph("f", vec![GraphArg::Placeholder("xs".into())])
+        .expect("stage")
+}
+
+/// Run the staged sum over `n` ones under `opts`.
+fn run_sum(staged: &StagedGraph, n: usize, opts: &RunOptions) -> Result<f32, String> {
+    let mut sess = Session::new(staged.graph.clone());
+    let xs = Tensor::from_vec(vec![1.0; n], &[n]).unwrap();
+    sess.run_with_options(&[("xs", xs)], &staged.outputs, opts)
+        .map(|out| out[0].scalar_value_f32().unwrap())
+        .map_err(|e| e.to_string())
+}
+
+#[test]
+fn loop_directive_cap_admits_exactly_its_budget() {
+    // a cap of N lets a loop run N iterations and stops the (N+1)-th
+    let staged = staged_sum("        ag.set_loop_options(max_iterations=3)\n");
+    let opts = RunOptions::default();
+    assert_eq!(run_sum(&staged, 3, &opts), Ok(3.0));
+    let err = run_sum(&staged, 4, &opts).unwrap_err();
+    assert!(err.contains("max_iters=3"), "{err}");
+}
+
+#[test]
+fn run_option_cap_admits_exactly_its_budget() {
+    let staged = staged_sum("");
+    let opts = RunOptions::default().with_max_while_iters(3);
+    assert_eq!(run_sum(&staged, 3, &opts), Ok(3.0));
+    let err = run_sum(&staged, 4, &opts).unwrap_err();
+    assert!(err.contains("max_iters=3"), "{err}");
+}
+
 #[test]
 fn compiled_function_is_a_cached_callable() {
     let src = "\

@@ -274,7 +274,7 @@ fn vm_matches_reference_under_aliasing() {
     }
 
     // `ArrayPush(a0, t)` then `ArraySize(a0)`: the size must be the one
-    // before the push
+    // before the push; and a parameter two nodes bind
     let (graph, fetches) = push_then_size_loop();
     assert_vm_matches_reference("push then size", &graph, &fetches, &[("x", x)]);
 }
@@ -334,7 +334,8 @@ fn feed_state_loop() -> (Graph, Vec<NodeId>) {
 }
 
 /// `while i < 4: n = size(a); a = push(a, x * i)`, the push first in
-/// program order; returns `(stack(a), n)`.
+/// program order; returns `(stack(a), n)`. The body binds `x` through two
+/// `Param` nodes, one read by the product and one returned.
 fn push_then_size_loop() -> (Graph, Vec<NodeId>) {
     let mut b = GraphBuilder::new();
     let x = b.placeholder("x");
@@ -356,7 +357,8 @@ fn push_then_size_loop() -> (Graph, Vec<NodeId>) {
         let n = sb.b.add(OpKind::ArraySize, vec![a]);
         let one = sb.b.constant(Tensor::scalar_i64(1));
         let i2 = sb.b.add_op(i, one);
-        sb.finish(vec![i2, a2, n, x])
+        let x_again = sb.b.add(OpKind::Param(3), vec![]);
+        sb.finish(vec![i2, a2, n, x_again])
     };
     let w = b.add(
         OpKind::While {
