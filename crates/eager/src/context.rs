@@ -6,6 +6,7 @@ use crate::tape::Tape;
 use crate::{panic_message, EagerError, Result};
 use autograph_faults as faults;
 use autograph_obs as obs;
+use autograph_tensor::grad::Rule;
 use autograph_tensor::Tensor;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -112,9 +113,11 @@ impl Eager {
 
         let mut tape_ref = self.tape.borrow_mut();
         if let Some(tape) = tape_ref.as_mut() {
-            if def.backward.is_some() && inputs.iter().any(|t| t.node.is_some()) {
+            if inputs.iter().any(|t| t.node.is_some()) {
+                let rule = def.rule(&raw).map_err(|e| e.in_op(name))?;
                 let node = tape.record(
                     name,
+                    rule,
                     inputs.iter().map(|t| t.node).collect(),
                     raw,
                     out.clone(),
@@ -129,6 +132,19 @@ impl Eager {
             tensor: out,
             node: None,
         })
+    }
+
+    /// The gradient rule the tape replays for `op` called on `inputs`
+    /// (attribute inputs included); `None` when the op has none.
+    ///
+    /// # Errors
+    ///
+    /// Fails for unknown ops and malformed attribute inputs.
+    pub fn rule(&self, op: &str, inputs: &[Tensor]) -> Result<Option<Rule>> {
+        self.registry
+            .get(op)
+            .ok_or_else(|| EagerError::new("unknown op").in_op(op))?
+            .rule(inputs)
     }
 
     /// Begin recording a fresh tape (dropping any previous one).
@@ -158,8 +174,8 @@ impl Eager {
     ///
     /// # Errors
     ///
-    /// Fails if no tape is active, the loss is untracked, or an op on the
-    /// path has no gradient.
+    /// Fails if no tape is active, the loss is untracked, or the adjoint
+    /// reaches an op with no gradient rule.
     pub fn gradient(&self, loss: &EagerTensor, wrt: &[&EagerTensor]) -> Result<Vec<Tensor>> {
         let tape = self
             .tape
@@ -179,10 +195,10 @@ impl Eager {
         let grads = {
             obs::observe("eager", "tape_len", tape.len() as u64);
             let _span = obs::span("eager", "tape_backward");
-            // backward rules run user-shaped tensors through the registry's
-            // gradient closures; isolate their panics like forward kernels
+            // the replayed rules run user-shaped tensors through kernels;
+            // isolate their panics like forward kernels
             catch_unwind(AssertUnwindSafe(|| {
-                tape.gradient(&self.registry, loss_node, loss.tensor.shape(), &wrt_nodes)
+                tape.gradient(loss_node, loss.tensor.shape(), &wrt_nodes)
             }))
             .map_err(|p| {
                 EagerError::new(format!(

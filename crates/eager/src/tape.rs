@@ -1,13 +1,14 @@
 //! Tape-based reverse-mode autodiff for the eager runtime.
 //!
-//! While the tape is active, every differentiable dispatched op appends an
-//! entry recording its inputs, output and node ids. `Tape::gradient`
-//! replays the entries in reverse, applying each op's backward rule. A new
-//! tape must be recorded for every execution — the per-run retracing cost
-//! the paper attributes to imperative systems.
+//! While the tape is active, every dispatched op with a tracked input
+//! appends an entry recording its gradient rule, inputs, output and node
+//! ids. `Tape::gradient` replays the entries in reverse, applying each
+//! rule through the shared kernel emitter ([`autograph_tensor::grad`]).
+//! A new tape must be recorded for every execution — the per-run
+//! retracing cost the paper attributes to imperative systems.
 
-use crate::registry::OpDef;
 use crate::{EagerError, Result};
+use autograph_tensor::grad::{self, Kernels, Rule};
 use autograph_tensor::Tensor;
 use std::collections::HashMap;
 
@@ -16,6 +17,8 @@ use std::collections::HashMap;
 pub(crate) struct TapeEntry {
     /// Registry name of the op.
     pub op: String,
+    /// Its gradient rule (None = none registered).
+    pub rule: Option<Rule>,
     /// Tape node ids of the inputs (None = not watched / constant).
     pub input_nodes: Vec<Option<usize>>,
     /// Input values (cheap Arc clones).
@@ -50,6 +53,7 @@ impl Tape {
     pub fn record(
         &mut self,
         op: &str,
+        rule: Option<Rule>,
         input_nodes: Vec<Option<usize>>,
         inputs: Vec<Tensor>,
         output: Tensor,
@@ -57,6 +61,7 @@ impl Tape {
         let output_node = self.watch();
         self.entries.push(TapeEntry {
             op: op.to_string(),
+            rule,
             input_nodes,
             inputs,
             output,
@@ -71,15 +76,14 @@ impl Tape {
     }
 
     /// Compute gradients of the (scalar) node `loss_node` with respect to
-    /// `wrt_nodes`, looking backward rules up in `registry`.
+    /// `wrt_nodes`.
     ///
     /// # Errors
     ///
-    /// Fails when a recorded op on the differentiation path has no
-    /// backward rule.
+    /// Fails when the adjoint reaches a recorded op with no gradient
+    /// rule, and on kernel errors.
     pub fn gradient(
         &self,
-        registry: &HashMap<String, OpDef>,
         loss_node: usize,
         loss_shape: &[usize],
         wrt_nodes: &[usize],
@@ -97,23 +101,21 @@ impl Tape {
             if entry.input_nodes.iter().all(|n| n.is_none()) {
                 continue;
             }
-            let def = registry
-                .get(&entry.op)
-                .ok_or_else(|| EagerError::new("op vanished from registry").in_op(&entry.op))?;
-            let backward = def
-                .backward
+            let in_op = |e: EagerError| e.in_op(&entry.op);
+            let rule = entry
+                .rule
                 .as_ref()
-                .ok_or_else(|| EagerError::new("op has no gradient rule").in_op(&entry.op))?;
-            let input_grads = backward(&g, &entry.inputs, &entry.output)
-                .map_err(|e| EagerError::new(e.message).in_op(&entry.op))?;
-            for (node, grad) in entry.input_nodes.iter().zip(input_grads) {
-                if let (Some(node), Some(grad)) = (node, grad) {
-                    match grads.remove(node) {
+                .ok_or_else(|| in_op(EagerError::new(grad::no_rule(&entry.op))))?;
+            let input_grads = grad::vjp(&mut Kernels, rule, &entry.inputs, &entry.output, &g)
+                .map_err(|e| in_op(e.into()))?;
+            for (i, grad) in input_grads {
+                if let Some(&Some(node)) = entry.input_nodes.get(i) {
+                    match grads.remove(&node) {
                         Some(acc) => {
-                            grads.insert(*node, acc.add(&grad)?);
+                            grads.insert(node, acc.add(&grad)?);
                         }
                         None => {
-                            grads.insert(*node, grad);
+                            grads.insert(node, grad);
                         }
                     }
                 }
@@ -127,12 +129,10 @@ impl Tape {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::default_registry;
 
     #[test]
     fn records_and_differentiates_chain() {
         // y = (x * x) + x ; dy/dx = 2x + 1 = 7 at x=3
-        let reg = default_registry();
         let mut tape = Tape::new();
         let x = Tensor::scalar_f32(3.0);
         let xn = tape.watch();
@@ -140,52 +140,60 @@ mod tests {
         let xx = x.mul(&x).unwrap();
         let xxn = tape.record(
             "mul",
+            Some(Rule::Mul),
             vec![Some(xn), Some(xn)],
             vec![x.clone(), x.clone()],
             xx.clone(),
         );
         let y = xx.add(&x).unwrap();
-        let yn = tape.record("add", vec![Some(xxn), Some(xn)], vec![xx, x], y);
+        let yn = tape.record(
+            "add",
+            Some(Rule::Add),
+            vec![Some(xxn), Some(xn)],
+            vec![xx, x],
+            y,
+        );
 
-        let grads = tape.gradient(&reg, yn, &[], &[xn]).unwrap();
+        let grads = tape.gradient(yn, &[], &[xn]).unwrap();
         assert_eq!(grads[0].as_ref().unwrap().scalar_value_f32().unwrap(), 7.0);
     }
 
     #[test]
     fn unwatched_inputs_skipped() {
-        let reg = default_registry();
         let mut tape = Tape::new();
         let a = Tensor::scalar_f32(2.0);
         let b = Tensor::scalar_f32(4.0);
         let out = a.mul(&b).unwrap();
-        let n = tape.record("mul", vec![None, None], vec![a, b], out);
+        let n = tape.record("mul", Some(Rule::Mul), vec![None, None], vec![a, b], out);
         // nothing watched — gradient of n w.r.t. a fresh node is None
         let w = tape.watch();
-        let grads = tape.gradient(&reg, n, &[], &[w]).unwrap();
+        let grads = tape.gradient(n, &[], &[w]).unwrap();
         assert!(grads[0].is_none());
     }
 
     #[test]
     fn missing_backward_rule_errors() {
-        let reg = default_registry();
         let mut tape = Tape::new();
         let a = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
         let an = tape.watch();
+        // a non-differentiable output contributes nothing...
         let out = a.less(&Tensor::scalar_f32(1.5)).unwrap();
-        let n = tape.record(
-            "less",
-            vec![Some(an), None],
-            vec![a.clone(), Tensor::scalar_f32(1.5)],
-            out,
-        );
-        let err = tape.gradient(&reg, n, &[2], &[an]).unwrap_err();
-        assert!(err.to_string().contains("no gradient rule"));
+        let inputs = vec![a.clone(), Tensor::scalar_f32(1.5)];
+        let n = tape.record("less", Some(Rule::Zero), vec![Some(an), None], inputs, out);
+        assert!(tape.gradient(n, &[2], &[an]).unwrap()[0].is_none());
+        // ...and an op with no rule is an error naming it
+        let out = a.softmax().unwrap();
+        let n = tape.record("softmax", None, vec![Some(an)], vec![a], out);
+        let err = tape.gradient(n, &[2], &[an]).unwrap_err();
+        assert_eq!(err.op.as_deref(), Some("softmax"));
+        assert!(err
+            .to_string()
+            .contains("no gradient registered for op 'softmax'"));
     }
 
     #[test]
     fn fan_in_accumulates() {
         // z = x*y + x ; dz/dx = y + 1, dz/dy = x
-        let reg = default_registry();
         let mut tape = Tape::new();
         let x = Tensor::scalar_f32(3.0);
         let y = Tensor::scalar_f32(5.0);
@@ -193,13 +201,20 @@ mod tests {
         let xy = x.mul(&y).unwrap();
         let xyn = tape.record(
             "mul",
+            Some(Rule::Mul),
             vec![Some(xn), Some(yn)],
             vec![x.clone(), y.clone()],
             xy.clone(),
         );
         let z = xy.add(&x).unwrap();
-        let zn = tape.record("add", vec![Some(xyn), Some(xn)], vec![xy, x], z);
-        let grads = tape.gradient(&reg, zn, &[], &[xn, yn]).unwrap();
+        let zn = tape.record(
+            "add",
+            Some(Rule::Add),
+            vec![Some(xyn), Some(xn)],
+            vec![xy, x],
+            z,
+        );
+        let grads = tape.gradient(zn, &[], &[xn, yn]).unwrap();
         assert_eq!(grads[0].as_ref().unwrap().scalar_value_f32().unwrap(), 6.0);
         assert_eq!(grads[1].as_ref().unwrap().scalar_value_f32().unwrap(), 3.0);
     }

@@ -2,12 +2,14 @@
 //! `tf.gradients` analog. Gradient nodes are appended to the same builder,
 //! so a single staged graph can contain forward pass, gradients, and
 //! parameter updates (the ingredient that makes the in-graph training loop
-//! of Table 2 possible).
+//! of Table 2 possible). The rules are [`autograph_tensor::grad`]'s, the
+//! ones the eager tape and Lantern replay; the builder is their emitter.
 
 use crate::builder::GraphBuilder;
 use crate::ir::{NodeId, OpKind};
 use crate::{GraphError, Result};
-use autograph_tensor::Tensor;
+use autograph_tensor::grad::{self, Diff, Rule};
+use autograph_tensor::{DType, Result as TensorResult, Tensor, TensorError};
 use std::collections::HashMap;
 
 /// Build gradient nodes of scalar `loss` with respect to each node in
@@ -69,8 +71,9 @@ pub fn gradients(b: &mut GraphBuilder, loss: NodeId, wrt: &[NodeId]) -> Result<V
         }
         let Some(&g) = grads.get(&id) else { continue };
         let (op, inputs) = &nodes[id];
-        let contribs = vjp(b, op, inputs, id, g)?;
-        for (input, contrib) in contribs {
+        let rule = rule_of(op).ok_or_else(|| GraphError::staging(grad::no_rule(op.mnemonic())))?;
+        for (i, contrib) in grad::vjp(b, &rule, inputs, &id, &g)? {
+            let input = inputs[i];
             if !active[input] {
                 continue;
             }
@@ -102,233 +105,163 @@ pub fn gradients(b: &mut GraphBuilder, loss: NodeId, wrt: &[NodeId]) -> Result<V
         .collect())
 }
 
-/// Vector-Jacobian product: for node `out = op(inputs)` with adjoint `g`,
-/// return `(input, contribution)` pairs.
-fn vjp(
-    b: &mut GraphBuilder,
-    op: &OpKind,
-    inputs: &[NodeId],
-    out: NodeId,
-    g: NodeId,
-) -> Result<Vec<(NodeId, NodeId)>> {
+/// The gradient rule of a graph op (see [`autograph_tensor::grad`]);
+/// `None` when the op has none.
+pub fn rule_of(op: &OpKind) -> Option<Rule> {
     use OpKind::*;
-    let r = match op {
-        Const(_) | Placeholder { .. } | Variable { .. } | Param(_) => vec![],
-        Add => {
-            let ga = b.add(SumToShape, vec![g, inputs[0]]);
-            let gb = b.add(SumToShape, vec![g, inputs[1]]);
-            vec![(inputs[0], ga), (inputs[1], gb)]
-        }
-        Sub => {
-            let ga = b.add(SumToShape, vec![g, inputs[0]]);
-            let ng = b.add(Neg, vec![g]);
-            let gb = b.add(SumToShape, vec![ng, inputs[1]]);
-            vec![(inputs[0], ga), (inputs[1], gb)]
-        }
-        Mul => {
-            let gb_full = b.mul(g, inputs[0]);
-            let ga_full = b.mul(g, inputs[1]);
-            let ga = b.add(SumToShape, vec![ga_full, inputs[0]]);
-            let gb = b.add(SumToShape, vec![gb_full, inputs[1]]);
-            vec![(inputs[0], ga), (inputs[1], gb)]
-        }
-        Div => {
-            // d(a/b) = g/b ; -g*a/b^2
-            let ga_full = b.div(g, inputs[1]);
-            let ga = b.add(SumToShape, vec![ga_full, inputs[0]]);
-            let b2 = b.add(Square, vec![inputs[1]]);
-            let num = b.mul(g, inputs[0]);
-            let frac = b.div(num, b2);
-            let gb_full = b.add(Neg, vec![frac]);
-            let gb = b.add(SumToShape, vec![gb_full, inputs[1]]);
-            vec![(inputs[0], ga), (inputs[1], gb)]
-        }
-        Pow => {
-            // da = g * p * a^(p-1);  db = g * out * ln(a)
-            let one = b.scalar(1.0);
-            let pm1 = b.sub(inputs[1], one);
-            let apm1 = b.add(Pow, vec![inputs[0], pm1]);
-            let t1 = b.mul(inputs[1], apm1);
-            let ga_full = b.mul(g, t1);
-            let ga = b.add(SumToShape, vec![ga_full, inputs[0]]);
-            let lna = b.add(Log, vec![inputs[0]]);
-            let t2 = b.mul(out, lna);
-            let gb_full = b.mul(g, t2);
-            let gb = b.add(SumToShape, vec![gb_full, inputs[1]]);
-            vec![(inputs[0], ga), (inputs[1], gb)]
-        }
-        Neg => {
-            let ga = b.add(Neg, vec![g]);
-            vec![(inputs[0], ga)]
-        }
-        Abs => {
-            let zero = b.scalar(0.0);
-            let pos = b.add(GreaterEqual, vec![inputs[0], zero]);
-            let ng = b.add(Neg, vec![g]);
-            let ga = b.add(Select, vec![pos, g, ng]);
-            vec![(inputs[0], ga)]
-        }
-        Exp => {
-            let ga = b.mul(g, out);
-            vec![(inputs[0], ga)]
-        }
-        Log => {
-            let ga = b.div(g, inputs[0]);
-            vec![(inputs[0], ga)]
-        }
-        Sqrt => {
-            let half = b.scalar(0.5);
-            let hg = b.mul(g, half);
-            let ga = b.div(hg, out);
-            vec![(inputs[0], ga)]
-        }
-        Square => {
-            let two = b.scalar(2.0);
-            let t = b.mul(inputs[0], two);
-            let ga = b.mul(g, t);
-            vec![(inputs[0], ga)]
-        }
-        Tanh => {
-            let y2 = b.add(Square, vec![out]);
-            let one = b.scalar(1.0);
-            let d = b.sub(one, y2);
-            let ga = b.mul(g, d);
-            vec![(inputs[0], ga)]
-        }
-        Sigmoid => {
-            let one = b.scalar(1.0);
-            let om = b.sub(one, out);
-            let d = b.mul(out, om);
-            let ga = b.mul(g, d);
-            vec![(inputs[0], ga)]
-        }
-        Relu => {
-            let zero = b.scalar(0.0);
-            let mask = b.add(Greater, vec![inputs[0], zero]);
-            let maskf = b.cast(mask, autograph_tensor::DType::F32);
-            let ga = b.mul(g, maskf);
-            vec![(inputs[0], ga)]
-        }
-        SoftmaxCrossEntropy => {
-            let d = b.add(XentGrad, vec![inputs[0], inputs[1]]);
-            let ga = b.mul(g, d);
-            vec![(inputs[0], ga)]
-        }
+    Some(match op {
+        // leaves, the gradient stop, comparisons, logicals, integer and shape
+        // ops: no contribution (non-differentiable outputs are never on a
+        // differentiable path to an f32 loss)
+        Const(_)
+        | Placeholder { .. }
+        | Variable { .. }
+        | Param(_)
+        | StopGradient
+        | Less
+        | LessEqual
+        | Greater
+        | GreaterEqual
+        | Equal
+        | NotEqual
+        | LogicalAnd
+        | LogicalOr
+        | LogicalNot
+        | ArgMax(_)
+        | Shape
+        | Size
+        | DimSize(_)
+        | Range
+        | OneHot(_)
+        | FloorDiv
+        | Mod => Rule::Zero,
+        Identity | Print(_) => Rule::Identity,
+        Add => Rule::Add,
+        Sub => Rule::Sub,
+        Mul => Rule::Mul,
+        Div => Rule::Div,
+        Pow => Rule::Pow,
+        Maximum => Rule::Maximum,
+        Minimum => Rule::Minimum,
+        Neg => Rule::Neg,
+        Abs => Rule::Abs,
+        Exp => Rule::Exp,
+        Log => Rule::Log,
+        Sqrt => Rule::Sqrt,
+        Square => Rule::Square,
+        Tanh => Rule::Tanh,
+        Sigmoid => Rule::Sigmoid,
+        Relu => Rule::Relu,
+        SoftmaxCrossEntropy => Rule::SoftmaxXent,
+        Select => Rule::Select,
         MatMul {
             transpose_a,
             transpose_b,
-        } => {
-            // TF's _MatMulGrad table: every case is again a flagged
-            // matmul, so no transpose is materialised at any order
-            let (x, y) = (inputs[0], inputs[1]);
-            let (ga, gb) = match (*transpose_a, *transpose_b) {
-                (false, false) => (b.matmul_t(g, y, false, true), b.matmul_t(x, g, true, false)),
-                (false, true) => (b.matmul(g, y), b.matmul_t(g, x, true, false)),
-                (true, false) => (b.matmul_t(y, g, false, true), b.matmul(x, g)),
-                (true, true) => (b.matmul_t(y, g, true, true), b.matmul_t(g, x, true, true)),
-            };
-            vec![(x, ga), (y, gb)]
-        }
-        Transpose(perm) => {
-            let mut inv = vec![0usize; perm.len()];
-            for (i, &p) in perm.iter().enumerate() {
-                inv[p] = i;
-            }
-            let ga = b.add(Transpose(inv), vec![g]);
-            vec![(inputs[0], ga)]
-        }
-        Reshape(_) | ExpandDims(_) | Squeeze(_) => {
-            let ga = b.add(ReshapeLike, vec![g, inputs[0]]);
-            vec![(inputs[0], ga)]
-        }
-        Cast(_) => {
-            let ga = b.add(ReshapeLike, vec![g, inputs[0]]);
-            vec![(inputs[0], ga)]
-        }
-        Identity | Print(_) => vec![(inputs[0], g)],
-        StopGradient => vec![],
-        ReduceSum(None) => {
-            let ga = b.add(BroadcastLike, vec![g, inputs[0]]);
-            vec![(inputs[0], ga)]
-        }
-        ReduceSum(Some(ax)) => {
-            let ge = b.add(ExpandDims(*ax), vec![g]);
-            let ga = b.add(BroadcastLike, vec![ge, inputs[0]]);
-            vec![(inputs[0], ga)]
-        }
-        ReduceMean(None) => {
-            let n = b.add(Size, vec![inputs[0]]);
-            let gb = b.add(BroadcastLike, vec![g, inputs[0]]);
-            let ga = b.div(gb, n);
-            vec![(inputs[0], ga)]
-        }
-        ReduceMean(Some(ax)) => {
-            let ge = b.add(ExpandDims(*ax), vec![g]);
-            let gb = b.add(BroadcastLike, vec![ge, inputs[0]]);
-            let n = b.add(DimSize(*ax), vec![inputs[0]]);
-            let ga = b.div(gb, n);
-            vec![(inputs[0], ga)]
-        }
-        Select => {
-            let zero = b.scalar(0.0);
-            let zl = b.add(BroadcastLike, vec![zero, inputs[1]]);
-            let ga = b.add(Select, vec![inputs[0], g, zl]);
-            let zr = b.add(BroadcastLike, vec![zero, inputs[2]]);
-            let gb = b.add(Select, vec![inputs[0], zr, g]);
-            let gas = b.add(SumToShape, vec![ga, inputs[1]]);
-            let gbs = b.add(SumToShape, vec![gb, inputs[2]]);
-            vec![(inputs[1], gas), (inputs[2], gbs)]
-        }
-        Maximum | Minimum => {
-            let cmp = if matches!(op, Maximum) {
-                b.add(GreaterEqual, vec![inputs[0], inputs[1]])
-            } else {
-                b.add(LessEqual, vec![inputs[0], inputs[1]])
-            };
-            let m = b.cast(cmp, autograph_tensor::DType::F32);
-            let ga_full = b.mul(g, m);
-            let one = b.scalar(1.0);
-            let inv = b.sub(one, m);
-            let gb_full = b.mul(g, inv);
-            let ga = b.add(SumToShape, vec![ga_full, inputs[0]]);
-            let gb = b.add(SumToShape, vec![gb_full, inputs[1]]);
-            vec![(inputs[0], ga), (inputs[1], gb)]
-        }
-        StackOp => {
-            // each input's grad is the corresponding row of g
-            inputs
-                .iter()
-                .enumerate()
-                .map(|(i, &inp)| {
-                    let idx = b.constant(Tensor::scalar_i64(i as i64));
-                    let gi = b.add(IndexAxis0, vec![g, idx]);
-                    (inp, gi)
-                })
-                .collect()
-        }
-        SumToShape | BroadcastLike | ReshapeLike => {
-            // gradient helpers appear only in gradient graphs; taking
-            // second-order gradients of SumToShape is re-broadcasting
-            let ga = match op {
-                SumToShape => b.add(BroadcastLike, vec![g, inputs[0]]),
-                BroadcastLike => b.add(SumToShape, vec![g, inputs[0]]),
-                _ => b.add(ReshapeLike, vec![g, inputs[0]]),
-            };
-            vec![(inputs[0], ga)]
-        }
-        // comparisons, logicals, integer ops: zero gradient (non-differentiable
-        // outputs are never on a differentiable path to an f32 loss)
-        Less | LessEqual | Greater | GreaterEqual | Equal | NotEqual | LogicalAnd | LogicalOr
-        | LogicalNot | ArgMax(_) | Shape | Size | DimSize(_) | Range | OneHot(_) | FloorDiv
-        | Mod => vec![],
-        other => {
-            return Err(GraphError::staging(format!(
-                "no gradient registered for op '{}'",
-                other.mnemonic()
-            )));
-        }
-    };
-    Ok(r)
+        } => Rule::MatMul {
+            transpose_a: *transpose_a,
+            transpose_b: *transpose_b,
+        },
+        Transpose(perm) => Rule::Transpose(perm.clone()),
+        Reshape(_) | ExpandDims(_) | Squeeze(_) | Cast(_) | ReshapeLike => Rule::Reshape,
+        ReduceSum(axis) => Rule::ReduceSum(*axis),
+        ReduceMean(axis) => Rule::ReduceMean(*axis),
+        StackOp => Rule::Stack,
+        SumToShape => Rule::SumToShape,
+        BroadcastLike => Rule::BroadcastLike,
+        // `Concat`'s adjoint needs a slice op the IR does not have
+        _ => return None,
+    })
+}
+
+impl GraphBuilder {
+    fn emit(&mut self, op: OpKind, inputs: &[NodeId]) -> TensorResult<NodeId> {
+        Ok(self.add(op, inputs.to_vec()))
+    }
+}
+
+/// The graph emitter: each op of a rule is one node appended to the
+/// builder, in the rule's order.
+impl Diff for GraphBuilder {
+    type V = NodeId;
+    fn scalar(&mut self, v: f32) -> TensorResult<NodeId> {
+        self.emit(OpKind::Const(Tensor::scalar_f32(v)), &[])
+    }
+    fn add(&mut self, a: &NodeId, b: &NodeId) -> TensorResult<NodeId> {
+        self.emit(OpKind::Add, &[*a, *b])
+    }
+    fn sub(&mut self, a: &NodeId, b: &NodeId) -> TensorResult<NodeId> {
+        self.emit(OpKind::Sub, &[*a, *b])
+    }
+    fn mul(&mut self, a: &NodeId, b: &NodeId) -> TensorResult<NodeId> {
+        self.emit(OpKind::Mul, &[*a, *b])
+    }
+    fn div(&mut self, a: &NodeId, b: &NodeId) -> TensorResult<NodeId> {
+        self.emit(OpKind::Div, &[*a, *b])
+    }
+    fn pow(&mut self, a: &NodeId, b: &NodeId) -> TensorResult<NodeId> {
+        self.emit(OpKind::Pow, &[*a, *b])
+    }
+    fn neg(&mut self, a: &NodeId) -> TensorResult<NodeId> {
+        self.emit(OpKind::Neg, &[*a])
+    }
+    fn log(&mut self, a: &NodeId) -> TensorResult<NodeId> {
+        self.emit(OpKind::Log, &[*a])
+    }
+    fn square(&mut self, a: &NodeId) -> TensorResult<NodeId> {
+        self.emit(OpKind::Square, &[*a])
+    }
+    fn greater(&mut self, a: &NodeId, b: &NodeId) -> TensorResult<NodeId> {
+        self.emit(OpKind::Greater, &[*a, *b])
+    }
+    fn greater_equal(&mut self, a: &NodeId, b: &NodeId) -> TensorResult<NodeId> {
+        self.emit(OpKind::GreaterEqual, &[*a, *b])
+    }
+    fn less_equal(&mut self, a: &NodeId, b: &NodeId) -> TensorResult<NodeId> {
+        self.emit(OpKind::LessEqual, &[*a, *b])
+    }
+    fn cast_f32(&mut self, a: &NodeId) -> TensorResult<NodeId> {
+        self.emit(OpKind::Cast(DType::F32), &[*a])
+    }
+    fn select(&mut self, cond: &NodeId, a: &NodeId, b: &NodeId) -> TensorResult<NodeId> {
+        self.emit(OpKind::Select, &[*cond, *a, *b])
+    }
+    fn matmul_t(&mut self, a: &NodeId, b: &NodeId, ta: bool, tb: bool) -> TensorResult<NodeId> {
+        Ok(GraphBuilder::matmul_t(self, *a, *b, ta, tb))
+    }
+    fn transpose(&mut self, a: &NodeId, perm: &[usize]) -> TensorResult<NodeId> {
+        self.emit(OpKind::Transpose(perm.to_vec()), &[*a])
+    }
+    fn reshape_like(&mut self, a: &NodeId, like: &NodeId) -> TensorResult<NodeId> {
+        self.emit(OpKind::ReshapeLike, &[*a, *like])
+    }
+    fn expand_dims(&mut self, a: &NodeId, axis: isize) -> TensorResult<NodeId> {
+        self.emit(OpKind::ExpandDims(axis), &[*a])
+    }
+    fn sum_to(&mut self, a: &NodeId, like: &NodeId) -> TensorResult<NodeId> {
+        self.emit(OpKind::SumToShape, &[*a, *like])
+    }
+    fn broadcast_like(&mut self, a: &NodeId, like: &NodeId) -> TensorResult<NodeId> {
+        self.emit(OpKind::BroadcastLike, &[*a, *like])
+    }
+    fn size(&mut self, a: &NodeId) -> TensorResult<NodeId> {
+        self.emit(OpKind::Size, &[*a])
+    }
+    fn dim_size(&mut self, a: &NodeId, axis: isize) -> TensorResult<NodeId> {
+        self.emit(OpKind::DimSize(axis), &[*a])
+    }
+    fn xent_grad(&mut self, logits: &NodeId, labels: &NodeId) -> TensorResult<NodeId> {
+        self.emit(OpKind::XentGrad, &[*logits, *labels])
+    }
+    fn index_axis0(&mut self, a: &NodeId, i: usize) -> TensorResult<NodeId> {
+        let idx = self.constant(Tensor::scalar_i64(i as i64));
+        self.emit(OpKind::IndexAxis0, &[*a, idx])
+    }
+    fn split(&mut self, _: &NodeId, _: isize, _: &[NodeId]) -> TensorResult<Vec<NodeId>> {
+        Err(TensorError::InvalidArgument {
+            op: "concat",
+            detail: "the graph IR has no slice op for the adjoint".into(),
+        })
+    }
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 
 use crate::ir::{GValue, OpKind};
 use crate::{GraphError, Result};
-use autograph_tensor::{DType, Tensor};
+use autograph_tensor::Tensor;
 
 fn missing(i: usize) -> GraphError {
     GraphError::runtime(format!("missing input {i}"))
@@ -117,17 +117,7 @@ pub fn execute(op: &OpKind, inputs: &mut [GValue]) -> Result<GValue> {
             Tensor::from_vec_i64(shape, &[n])?.into()
         }
         Size => Tensor::scalar_f32(t(inputs, 0)?.num_elements() as f32).into(),
-        DimSize(axis) => {
-            let x = t(inputs, 0)?;
-            let rank = x.rank() as isize;
-            let ax = if *axis < 0 { *axis + rank } else { *axis };
-            if ax < 0 || ax >= rank {
-                return Err(GraphError::runtime(format!(
-                    "dim_size axis {axis} out of range for rank {rank}"
-                )));
-            }
-            Tensor::scalar_f32(x.shape()[ax as usize] as f32).into()
-        }
+        DimSize(axis) => t(inputs, 0)?.dim_size(*axis)?.into(),
         Range => Tensor::range_i64(t(inputs, 0)?.scalar_value_i64()?).into(),
         TileAxis0(reps) => t(inputs, 0)?.tile_axis0(*reps)?.into(),
         ReduceSum(axis) => t(inputs, 0)?.reduce_sum(*axis)?.into(),
@@ -164,32 +154,13 @@ pub fn execute(op: &OpKind, inputs: &mut [GValue]) -> Result<GValue> {
                 (0..inputs.len()).map(|i| t(inputs, i).cloned()).collect();
             Tensor::stack(&ts?)?.into()
         }
-        SumToShape => sum_to_shape(t(inputs, 0)?, t(inputs, 1)?.shape())?.into(),
-        BroadcastLike => {
-            let g = t(inputs, 0)?;
-            let r = t(inputs, 1)?;
-            if g.shape() == r.shape() {
-                g.clone().into()
-            } else {
-                g.add(&Tensor::zeros(DType::F32, r.shape()))?.into()
-            }
-        }
+        SumToShape => t(inputs, 0)?.sum_to_shape(t(inputs, 1)?.shape())?.into(),
+        BroadcastLike => t(inputs, 0)?.broadcast_like(t(inputs, 1)?.shape())?.into(),
         ReshapeLike => {
             let r_shape = t(inputs, 1)?.shape().to_vec();
             t(inputs, 0)?.reshape(&r_shape)?.into()
         }
-        XentGrad => {
-            let logits = t(inputs, 0)?;
-            let labels = t(inputs, 1)?;
-            let sm = logits.softmax()?;
-            let classes = *logits
-                .shape()
-                .last()
-                .ok_or_else(|| GraphError::runtime("xent_grad expects rank-2 logits"))?;
-            let oh = labels.one_hot(classes)?;
-            let batch = logits.shape()[0].max(1) as f32;
-            sm.sub(&oh)?.div(&Tensor::scalar_f32(batch))?.into()
-        }
+        XentGrad => t(inputs, 0)?.xent_grad(t(inputs, 1)?)?.into(),
         ArrayNew => GValue::Array(Vec::new()),
         ArrayPush => {
             let mut a = arr_owned(inputs, 0)?;
@@ -284,38 +255,6 @@ pub fn execute(op: &OpKind, inputs: &mut [GValue]) -> Result<GValue> {
     Ok(out)
 }
 
-/// Reduce-sum `g` over broadcast dimensions so its shape becomes
-/// `target` (the adjoint of NumPy broadcasting).
-#[allow(clippy::needless_range_loop)]
-fn sum_to_shape(g: &Tensor, target: &[usize]) -> Result<Tensor> {
-    if g.shape() == target {
-        return Ok(g.clone());
-    }
-    let mut out = g.clone();
-    // collapse leading broadcast dimensions
-    while out.rank() > target.len() {
-        out = out.reduce_sum(Some(0))?;
-    }
-    // collapse size-1 target dims that were broadcast up
-    for ax in 0..target.len() {
-        if target[ax] == 1 && out.shape()[ax] != 1 {
-            let summed = out.reduce_sum(Some(ax as isize))?;
-            // reinstate the size-1 axis
-            let mut shape = summed.shape().to_vec();
-            shape.insert(ax, 1);
-            out = summed.reshape(&shape)?;
-        }
-    }
-    if out.shape() != target {
-        return Err(GraphError::runtime(format!(
-            "sum_to_shape: cannot reduce {:?} to {:?}",
-            g.shape(),
-            target
-        )));
-    }
-    Ok(out)
-}
-
 /// Cast a boolean scalar out of a value (used by `Cond`/`While`).
 pub(crate) fn as_bool_scalar(v: &GValue) -> Result<bool> {
     let t = v.as_tensor()?;
@@ -327,6 +266,7 @@ pub(crate) fn as_bool_scalar(v: &GValue) -> Result<bool> {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use autograph_tensor::DType;
 
     /// The kernel on copies of `inputs`, as the reference interpreter
     /// calls it: the originals must come out unchanged.

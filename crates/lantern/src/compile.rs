@@ -6,6 +6,7 @@
 
 use crate::sexpr::SExpr;
 use crate::{LanternError, Result};
+use autograph_tensor::grad::Rule;
 use std::collections::HashMap;
 
 /// Tensor operations of the Lantern IR.
@@ -65,7 +66,44 @@ pub(crate) enum LOp {
     Not,
 }
 
-fn op_of(name: &str) -> Option<LOp> {
+impl LOp {
+    /// The op's gradient rule, for `arity` operands (a concat's parts).
+    pub(crate) fn rule(self, arity: usize) -> Rule {
+        use LOp::*;
+        match self {
+            Add => Rule::Add,
+            Sub => Rule::Sub,
+            Mul => Rule::Mul,
+            Div => Rule::Div,
+            Neg => Rule::Neg,
+            Exp => Rule::Exp,
+            Log => Rule::Log,
+            Tanh => Rule::Tanh,
+            Sigmoid => Rule::Sigmoid,
+            Relu => Rule::Relu,
+            Square => Rule::Square,
+            Sqrt => Rule::Sqrt,
+            MatMul => Rule::MatMul {
+                transpose_a: false,
+                transpose_b: false,
+            },
+            Concat0 => Rule::Concat {
+                axis: 0,
+                parts: arity,
+            },
+            Concat1 => Rule::Concat {
+                axis: 1,
+                parts: arity,
+            },
+            ReduceSum => Rule::ReduceSum(None),
+            ReduceMean => Rule::ReduceMean(None),
+            SoftmaxXent => Rule::SoftmaxXent,
+            Lt | Le | Gt | Ge | EqOp | And | Or | Not => Rule::Zero,
+        }
+    }
+}
+
+pub(crate) fn op_of(name: &str) -> Option<LOp> {
     Some(match name {
         "add" => LOp::Add,
         "sub" => LOp::Sub,

@@ -8,15 +8,18 @@
 //! continuations are reified: the forward pass pushes one backward closure
 //! per differentiable op onto a stack, and after the forward value is
 //! produced the stack unwinds in reverse — the identical computation in
-//! the identical order (see the `Snippet` listing in §8).
+//! the identical order (see the `Snippet` listing in §8). Each closure
+//! replays the op's rule from [`autograph_tensor::grad`], the one the
+//! graph and the eager tape use.
 
 use crate::compile::{CExpr, CFunc, LOp, Program};
 use crate::value::LValue;
 use crate::{LanternError, Result};
+use autograph_tensor::grad::{self, Kernels, Rule};
 use autograph_tensor::{DType, Tensor};
 use std::collections::HashMap;
 
-type BackFn = Box<dyn FnOnce(&mut GradStore)>;
+type BackFn = Box<dyn FnOnce(&mut GradStore) -> Result<()>>;
 
 /// Accumulated adjoints by tape node id.
 struct GradStore {
@@ -24,12 +27,16 @@ struct GradStore {
 }
 
 impl GradStore {
-    fn accumulate(&mut self, node: usize, g: Tensor) {
-        let slot = &mut self.grads[node];
+    fn accumulate(&mut self, node: usize, g: Tensor) -> Result<()> {
+        let slot = self
+            .grads
+            .get_mut(node)
+            .ok_or_else(|| LanternError::new(format!("no gradient slot {node}")))?;
         *slot = Some(match slot.take() {
-            Some(acc) => acc.add(&g).expect("gradient shapes agree"),
+            Some(acc) => acc.add(&g)?,
             None => g,
         });
+        Ok(())
     }
 }
 
@@ -52,23 +59,6 @@ impl Tape {
         self.next_node += 1;
         n
     }
-}
-
-/// Sum `g` down to `target`'s shape (adjoint of broadcasting).
-fn sum_to(g: &Tensor, target: &Tensor) -> Tensor {
-    let mut out = g.clone();
-    while out.rank() > target.rank() {
-        out = out.reduce_sum(Some(0)).expect("reduce");
-    }
-    for ax in 0..target.rank() {
-        if target.shape()[ax] == 1 && out.shape()[ax] != 1 {
-            let summed = out.reduce_sum(Some(ax as isize)).expect("reduce");
-            let mut shape = summed.shape().to_vec();
-            shape.insert(ax, 1);
-            out = summed.reshape(&shape).expect("reshape");
-        }
-    }
-    out
 }
 
 /// Executes a compiled [`Program`].
@@ -204,16 +194,19 @@ impl Engine {
                 )))
             }
         };
-        let tape = ctx.tape.take().expect("tape set above");
+        let tape = ctx
+            .tape
+            .take()
+            .ok_or_else(|| LanternError::new("gradient evaluation lost its tape"))?;
         let mut store = GradStore {
             grads: vec![None; tape.next_node],
         };
         if let Some(ln) = loss_node {
-            store.grads[ln] = Some(Tensor::ones(DType::F32, loss.shape()));
+            store.accumulate(ln, Tensor::ones(DType::F32, loss.shape()))?;
             // unwind the reified continuations
             for (out_node, back) in tape.entries.into_iter().rev() {
-                if store.grads[out_node].is_some() {
-                    back(&mut store);
+                if matches!(store.grads.get(out_node), Some(Some(_))) {
+                    back(&mut store)?;
                 }
             }
         }
@@ -362,65 +355,43 @@ impl<'a> Ctx<'a> {
 
     fn apply(&mut self, op: LOp, vals: &[LValue]) -> Result<LValue> {
         use LOp::*;
-        // boolean ops first (no AD)
-        match op {
-            And => return Ok(LValue::Bool(vals[0].as_bool()? && vals[1].as_bool()?)),
-            Or => return Ok(LValue::Bool(vals[0].as_bool()? || vals[1].as_bool()?)),
-            Not => return Ok(LValue::Bool(!vals[0].as_bool()?)),
-            Lt | Le | Gt | Ge | EqOp => {
-                let a = vals[0].as_tensor()?;
-                let b = vals[1].as_tensor()?;
-                let r = match op {
-                    Lt => a.less(b)?,
-                    Le => a.less_equal(b)?,
-                    Gt => a.greater(b)?,
-                    Ge => a.greater_equal(b)?,
-                    _ => a.equal(b)?,
-                };
-                return Ok(LValue::Tensor(r, None));
-            }
-            _ => {}
-        }
-
+        let arg = |i: usize| {
+            vals.get(i)
+                .ok_or_else(|| LanternError::new("missing operand"))
+        };
         // borrow tensors without allocating (hot path)
-        let missing = || LanternError::new("missing operand");
-        let t0 = match vals.first() {
-            Some(v) => Some(v.as_tensor()?),
-            None => None,
-        };
-        let t1 = match vals.get(1) {
-            Some(v) => Some(v.as_tensor()?),
-            None => None,
-        };
-        let a = t0.ok_or_else(missing);
-        let b = t1.ok_or_else(missing);
-
+        let t = |i: usize| arg(i)?.as_tensor();
+        let flag = |i: usize| arg(i)?.as_bool();
         let out = match op {
-            Add => a?.add(b?)?,
-            Sub => a?.sub(b?)?,
-            Mul => a?.mul(b?)?,
-            Div => a?.div(b?)?,
-            Neg => a?.neg()?,
-            Exp => a?.exp()?,
-            Log => a?.log()?,
-            Tanh => a?.tanh()?,
-            Sigmoid => a?.sigmoid()?,
-            Relu => a?.relu()?,
-            Square => a?.square()?,
-            Sqrt => a?.sqrt()?,
-            MatMul => a?.matmul(b?)?,
-            Concat0 => {
+            // boolean ops and comparisons: no AD
+            And => return Ok(LValue::Bool(flag(0)? && flag(1)?)),
+            Or => return Ok(LValue::Bool(flag(0)? || flag(1)?)),
+            Not => return Ok(LValue::Bool(!flag(0)?)),
+            Lt => return Ok(LValue::Tensor(t(0)?.less(t(1)?)?, None)),
+            Le => return Ok(LValue::Tensor(t(0)?.less_equal(t(1)?)?, None)),
+            Gt => return Ok(LValue::Tensor(t(0)?.greater(t(1)?)?, None)),
+            Ge => return Ok(LValue::Tensor(t(0)?.greater_equal(t(1)?)?, None)),
+            EqOp => return Ok(LValue::Tensor(t(0)?.equal(t(1)?)?, None)),
+            Add => t(0)?.add(t(1)?)?,
+            Sub => t(0)?.sub(t(1)?)?,
+            Mul => t(0)?.mul(t(1)?)?,
+            Div => t(0)?.div(t(1)?)?,
+            Neg => t(0)?.neg()?,
+            Exp => t(0)?.exp()?,
+            Log => t(0)?.log()?,
+            Tanh => t(0)?.tanh()?,
+            Sigmoid => t(0)?.sigmoid()?,
+            Relu => t(0)?.relu()?,
+            Square => t(0)?.square()?,
+            Sqrt => t(0)?.sqrt()?,
+            MatMul => t(0)?.matmul(t(1)?)?,
+            Concat0 | Concat1 => {
                 let ts: Result<Vec<Tensor>> = vals.iter().map(|v| v.as_tensor().cloned()).collect();
-                Tensor::concat(&ts?, 0)?
+                Tensor::concat(&ts?, if op == Concat0 { 0 } else { 1 })?
             }
-            Concat1 => {
-                let ts: Result<Vec<Tensor>> = vals.iter().map(|v| v.as_tensor().cloned()).collect();
-                Tensor::concat(&ts?, 1)?
-            }
-            ReduceSum => a?.reduce_sum(None)?,
-            ReduceMean => a?.reduce_mean(None)?,
-            SoftmaxXent => Tensor::softmax_cross_entropy(a?, b?)?,
-            And | Or | Not | Lt | Le | Gt | Ge | EqOp => unreachable!("handled above"),
+            ReduceSum => t(0)?.reduce_sum(None)?,
+            ReduceMean => t(0)?.reduce_mean(None)?,
+            SoftmaxXent => Tensor::softmax_cross_entropy(t(0)?, t(1)?)?,
         };
 
         let Some(tape) = self.tape.as_mut() else {
@@ -439,127 +410,31 @@ impl<'a> Ctx<'a> {
         let out_node = tape.node();
         let saved: Vec<Tensor> = vals
             .iter()
-            .map(|v| v.as_tensor().expect("numeric op inputs").clone())
-            .collect();
+            .map(|v| v.as_tensor().cloned())
+            .collect::<Result<_>>()?;
         let out_saved = out.clone();
+        let rule = op.rule(vals.len());
         let back: BackFn = Box::new(move |store: &mut GradStore| {
-            let g = store.grads[out_node].clone().expect("guarded by caller");
-            let contribs: Vec<Option<Tensor>> = match op {
-                Add => vec![Some(sum_to(&g, &saved[0])), Some(sum_to(&g, &saved[1]))],
-                Sub => vec![
-                    Some(sum_to(&g, &saved[0])),
-                    Some(sum_to(&g.neg().expect("neg"), &saved[1])),
-                ],
-                Mul => vec![
-                    Some(sum_to(&g.mul(&saved[1]).expect("mul"), &saved[0])),
-                    Some(sum_to(&g.mul(&saved[0]).expect("mul"), &saved[1])),
-                ],
-                Div => {
-                    let ga = g.div(&saved[1]).expect("div");
-                    let gb = g
-                        .mul(&saved[0])
-                        .and_then(|t| t.div(&saved[1].square().expect("square")))
-                        .and_then(|t| t.neg())
-                        .expect("div grad");
-                    vec![Some(sum_to(&ga, &saved[0])), Some(sum_to(&gb, &saved[1]))]
-                }
-                Neg => vec![Some(g.neg().expect("neg"))],
-                Exp => vec![Some(g.mul(&out_saved).expect("mul"))],
-                Log => vec![Some(g.div(&saved[0]).expect("div"))],
-                Tanh => {
-                    let one = Tensor::scalar_f32(1.0);
-                    let d = one.sub(&out_saved.square().expect("sq")).expect("sub");
-                    vec![Some(g.mul(&d).expect("mul"))]
-                }
-                Sigmoid => {
-                    let one = Tensor::scalar_f32(1.0);
-                    let d = out_saved
-                        .mul(&one.sub(&out_saved).expect("sub"))
-                        .expect("mul");
-                    vec![Some(g.mul(&d).expect("mul"))]
-                }
-                Relu => {
-                    let mask = saved[0]
-                        .greater(&Tensor::scalar_f32(0.0))
-                        .expect("cmp")
-                        .cast(DType::F32);
-                    vec![Some(g.mul(&mask).expect("mul"))]
-                }
-                Square => {
-                    let two = Tensor::scalar_f32(2.0);
-                    vec![Some(g.mul(&saved[0].mul(&two).expect("mul")).expect("mul"))]
-                }
-                Sqrt => {
-                    let half = Tensor::scalar_f32(0.5);
-                    vec![Some(
-                        g.mul(&half).expect("mul").div(&out_saved).expect("div"),
-                    )]
-                }
-                MatMul => {
-                    let ga = g.matmul_t(&saved[1], false, true).expect("matmul");
-                    let gb = saved[0].matmul_t(&g, true, false).expect("matmul");
-                    vec![Some(ga), Some(gb)]
-                }
-                Concat0 => {
-                    let mut out_grads = Vec::with_capacity(saved.len());
-                    let mut offset = 0i64;
-                    for s in &saved {
-                        let h = s.shape()[0] as i64;
-                        out_grads.push(Some(
-                            g.slice_axis0(Some(offset), Some(offset + h))
-                                .expect("slice"),
-                        ));
-                        offset += h;
-                    }
-                    out_grads
-                }
-                Concat1 => {
-                    let gt = g.t().expect("t");
-                    let mut out_grads = Vec::with_capacity(saved.len());
-                    let mut offset = 0i64;
-                    for s in &saved {
-                        let w = s.shape()[1] as i64;
-                        let piece = gt
-                            .slice_axis0(Some(offset), Some(offset + w))
-                            .expect("slice");
-                        out_grads.push(Some(piece.t().expect("t")));
-                        offset += w;
-                    }
-                    out_grads
-                }
-                ReduceSum => vec![Some(
-                    g.add(&Tensor::zeros(DType::F32, saved[0].shape()))
-                        .expect("bcast"),
-                )],
-                ReduceMean => {
-                    let n = saved[0].num_elements() as f32;
-                    let b = g
-                        .add(&Tensor::zeros(DType::F32, saved[0].shape()))
-                        .expect("bcast");
-                    vec![Some(b.div(&Tensor::scalar_f32(n)).expect("div"))]
-                }
-                SoftmaxXent => {
-                    let sm = saved[0].softmax().expect("softmax");
-                    let classes = *saved[0].shape().last().expect("rank 2");
-                    let oh = saved[1].one_hot(classes).expect("one_hot");
-                    let batch = saved[0].shape()[0].max(1) as f32;
-                    let d = sm
-                        .sub(&oh)
-                        .and_then(|t| t.div(&Tensor::scalar_f32(batch)))
-                        .expect("xent grad");
-                    vec![Some(d.mul(&g).expect("mul")), None]
-                }
-                And | Or | Not | Lt | Le | Gt | Ge | EqOp => unreachable!(),
+            let Some(Some(g)) = store.grads.get(out_node).cloned() else {
+                return Ok(());
             };
-            for (node, contrib) in nodes.iter().zip(contribs) {
-                if let (Some(node), Some(contrib)) = (node, contrib) {
-                    store.accumulate(*node, contrib);
+            for (i, contrib) in grad::vjp(&mut Kernels, &rule, &saved, &out_saved, &g)? {
+                if let Some(&Some(node)) = nodes.get(i) {
+                    store.accumulate(node, contrib)?;
                 }
             }
+            Ok(())
         });
         tape.entries.push((out_node, back));
         Ok(LValue::Tensor(out, Some(out_node)))
     }
+}
+
+/// The gradient rule of a Lantern op symbol applied to `arity` operands
+/// (see [`autograph_tensor::grad`]); `None` for an unknown symbol.
+#[doc(hidden)]
+pub fn rule_of(symbol: &str, arity: usize) -> Option<Rule> {
+    crate::compile::op_of(symbol).map(|op| op.rule(arity))
 }
 
 #[cfg(test)]

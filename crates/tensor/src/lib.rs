@@ -5,7 +5,8 @@
 //! This crate plays the role of TensorFlow's kernel library: it provides the
 //! numeric arrays and operations that both the eager runtime
 //! (`autograph-eager`) and the dataflow-graph executor (`autograph-graph`)
-//! dispatch to. Tensors are row-major, contiguous, and carry one of three
+//! dispatch to, and the one set of gradient rules ([`grad`]) all three
+//! backends differentiate with. Tensors are row-major, contiguous, and carry one of three
 //! element types ([`DType::F32`], [`DType::I64`], [`DType::Bool`]).
 //!
 //! ## Example
@@ -23,6 +24,7 @@
 pub(crate) mod dtype;
 pub mod error;
 pub mod fused;
+pub mod grad;
 pub(crate) mod index;
 pub(crate) mod linalg;
 pub mod mem;

@@ -7,15 +7,19 @@
 //! nodes have no symbolic adjoint). The matmul adjoints are flagged
 //! matmuls (`transpose_a`/`transpose_b`): checked for rank-3 operands on
 //! graph, eager and Lantern, for all four flag pairs, and at second order.
+//! All three backends replay one set of rules (`autograph_tensor::grad`):
+//! the graph and kernel emitters must agree bitwise on every rule, and an
+//! op with no rule fails alike on the graph and on the tape.
 
-use autograph::graph::grad::gradients;
-use autograph::graph::{GraphBuilder, OpKind};
+use autograph::graph::grad::{gradients, rule_of};
+use autograph::graph::{GraphBuilder, NodeId, OpKind};
 use autograph::lantern::LValue;
 use autograph::prelude::*;
+use autograph::tensor::grad::{vjp, Kernels, Rule};
 
 #[path = "support/check.rs"]
 mod check;
-use check::assert_close_rel;
+use check::{assert_bitwise_eq, assert_close_rel};
 
 /// Evaluate `fname` eagerly and return its scalar f32 value.
 fn eager_scalar(rt: &mut Runtime, fname: &str, feeds: &[(&str, Tensor)]) -> f32 {
@@ -493,5 +497,200 @@ fn second_order_matmul_gradient_matches_finite_differences() {
         got[0].as_f32().unwrap(),
         &fd,
         2e-2,
+    );
+}
+
+/// The staged (`tf.gradients`) and tape (`tf.grad`) gradients of
+/// `d/dx [body]` at `x`, or each one's error message.
+fn staged_and_tape(body: &str, x: Tensor) -> [Result<Vec<f32>, String>; 2] {
+    let src = format!(
+        "def loss_grad(x):\n    g = tf.gradients({body}, [x])\n    return g[0]\n\n\
+         def loss_tape(x):\n    tf.tape_begin()\n    x = tf.watch(x)\n    \
+         g = tf.grad({body}, [x])\n    return g[0]\n"
+    );
+    let mut rt = Runtime::load(&src, true).expect("load");
+    let staged = rt
+        .stage_to_graph("loss_grad", vec![GraphArg::Placeholder("x".into())])
+        .map_err(|e| e.to_string())
+        .and_then(|s| {
+            let mut sess = Session::new(s.graph);
+            let out = sess.run(&[("x", x.clone())], &s.outputs);
+            out.map(|t| t[0].to_f32_vec()).map_err(|e| e.to_string())
+        });
+    let tape = rt
+        .call("loss_tape", vec![Value::tensor(x)])
+        .and_then(|v| v.as_eager_tensor())
+        .map(|t| t.to_f32_vec())
+        .map_err(|e| e.to_string());
+    [staged, tape]
+}
+
+#[test]
+fn stop_gradient_blocks_the_tape_as_it_blocks_the_graph() {
+    // only the sum(x) term reaches x: [1, 1], not 2x + 1 = [3, 5]
+    let x = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
+    let body = "tf.reduce_sum(tf.square(tf.stop_gradient(x))) + tf.reduce_sum(x)";
+    for (backend, got) in ["graph", "tape"].into_iter().zip(staged_and_tape(body, x)) {
+        assert_eq!(got.expect(backend), [1.0, 1.0], "{backend}");
+    }
+}
+
+#[test]
+fn ops_without_a_rule_fail_alike_on_graph_and_tape() {
+    let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
+    for (op, call) in [
+        ("softmax", "tf.softmax(x)"),
+        ("log_softmax", "tf.log_softmax(x)"),
+        ("reduce_max", "tf.reduce_max(x, 1)"),
+        ("gather", "tf.gather(x, tf.constant([1, 0]))"),
+    ] {
+        let body = format!("tf.reduce_sum(tf.square({call})) + tf.reduce_sum(x)");
+        let want = format!("no gradient registered for op '{op}'");
+        let got = staged_and_tape(&body, x.clone());
+        for (backend, got) in ["graph", "tape"].into_iter().zip(got) {
+            let err = got.expect_err(&format!("{op} on the {backend} has a gradient"));
+            assert!(err.contains(&want), "{op} on the {backend}: {err}");
+        }
+    }
+}
+
+/// Every rule variant, numbered: a new one fails to compile here until
+/// the emitter test below covers it.
+fn variant(rule: &Rule) -> usize {
+    match rule {
+        Rule::Zero => 0,
+        Rule::Identity => 1,
+        Rule::Add => 2,
+        Rule::Sub => 3,
+        Rule::Mul => 4,
+        Rule::Div => 5,
+        Rule::Pow => 6,
+        Rule::Maximum => 7,
+        Rule::Minimum => 8,
+        Rule::Neg => 9,
+        Rule::Abs => 10,
+        Rule::Exp => 11,
+        Rule::Log => 12,
+        Rule::Sqrt => 13,
+        Rule::Square => 14,
+        Rule::Tanh => 15,
+        Rule::Sigmoid => 16,
+        Rule::Relu => 17,
+        Rule::SoftmaxXent => 18,
+        Rule::Select => 19,
+        Rule::MatMul { .. } => 20,
+        Rule::Transpose(_) => 21,
+        Rule::Reshape => 22,
+        Rule::ReduceSum(_) => 23,
+        Rule::ReduceMean(_) => 24,
+        Rule::Stack => 25,
+        Rule::SumToShape => 26,
+        Rule::BroadcastLike => 27,
+        // the graph has no concat rule; eager and Lantern cover it
+        Rule::Concat { .. } => 28,
+    }
+}
+
+#[test]
+fn every_rule_agrees_bitwise_between_graph_and_kernel_emitters() {
+    let mut rng = Rng64::new(41);
+    let mut n = |shape: &[usize]| rng.normal_tensor(shape, 1.0);
+    let pos = |t: Tensor| t.abs().unwrap().add(&Tensor::scalar_f32(0.5)).unwrap();
+    let cond = Tensor::from_vec_bool(vec![true, false, false, true, true, false], &[2, 3]).unwrap();
+    let labels = Tensor::from_vec_i64(vec![0, 2, 1, 2], &[4]).unwrap();
+    let mut cases: Vec<(OpKind, Vec<Tensor>)> = vec![
+        (OpKind::Add, vec![n(&[3, 4]), n(&[4])]),
+        (OpKind::Sub, vec![n(&[3, 1]), n(&[1, 4])]),
+        (OpKind::Mul, vec![n(&[2, 3]), n(&[])]),
+        (OpKind::Div, vec![n(&[2, 3]), pos(n(&[3]))]),
+        (OpKind::Pow, vec![pos(n(&[2, 3])), n(&[3])]),
+        (OpKind::Maximum, vec![n(&[2, 3]), n(&[3])]),
+        (OpKind::Minimum, vec![n(&[2, 1]), n(&[2, 3])]),
+        (OpKind::Neg, vec![n(&[2, 3])]),
+        (OpKind::Abs, vec![n(&[2, 3])]),
+        (OpKind::Exp, vec![n(&[2, 3])]),
+        (OpKind::Log, vec![pos(n(&[2, 3]))]),
+        (OpKind::Sqrt, vec![pos(n(&[2, 3]))]),
+        (OpKind::Square, vec![n(&[2, 3])]),
+        (OpKind::Tanh, vec![n(&[2, 3])]),
+        (OpKind::Sigmoid, vec![n(&[2, 3])]),
+        (OpKind::Relu, vec![n(&[2, 3])]),
+        (OpKind::SoftmaxCrossEntropy, vec![n(&[4, 3]), labels]),
+        (OpKind::Select, vec![cond.clone(), n(&[3]), n(&[2, 3])]),
+        (OpKind::Select, vec![cond, n(&[2, 3]), n(&[])]),
+        (OpKind::Transpose(vec![1, 2, 0]), vec![n(&[2, 3, 4])]),
+        (OpKind::Reshape(vec![6]), vec![n(&[2, 3])]),
+        (OpKind::ExpandDims(-1), vec![n(&[2, 3])]),
+        (OpKind::Squeeze(Some(0)), vec![n(&[1, 3])]),
+        (OpKind::Cast(DType::F32), vec![n(&[2, 3])]),
+        (OpKind::ReshapeLike, vec![n(&[6]), n(&[2, 3])]),
+        (OpKind::Identity, vec![n(&[2, 3])]),
+        (OpKind::StopGradient, vec![n(&[2, 3])]),
+        (OpKind::Less, vec![n(&[2, 3]), n(&[3])]),
+        (OpKind::ReduceSum(None), vec![n(&[2, 3])]),
+        (OpKind::ReduceSum(Some(-1)), vec![n(&[2, 3])]),
+        (OpKind::ReduceMean(None), vec![n(&[2, 3])]),
+        (OpKind::ReduceMean(Some(0)), vec![n(&[2, 3])]),
+        (OpKind::StackOp, vec![n(&[2, 3]), n(&[2, 3]), n(&[2, 3])]),
+        (OpKind::SumToShape, vec![n(&[2, 3]), n(&[3])]),
+        (OpKind::BroadcastLike, vec![n(&[3]), n(&[2, 3])]),
+    ];
+    for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
+        // op(a) is [2, 3, 4] and op(b) is [2, 4, 5]: batched, both flags
+        let a = n(if ta { &[2, 4, 3] } else { &[2, 3, 4] });
+        let b = n(if tb { &[2, 5, 4] } else { &[2, 4, 5] });
+        let op = OpKind::MatMul {
+            transpose_a: ta,
+            transpose_b: tb,
+        };
+        cases.push((op, vec![a, b]));
+    }
+
+    let mut adjoints = Rng64::new(43);
+    let mut covered = Vec::new();
+    for (op, inputs) in cases {
+        let rule = rule_of(&op).expect("the graph has a rule");
+        covered.push(variant(&rule));
+        let mut g = GraphBuilder::new();
+        let names: Vec<String> = (0..inputs.len()).map(|i| format!("x{i}")).collect();
+        let xs: Vec<NodeId> = names.iter().map(|name| g.placeholder(name)).collect();
+        let y = g.add(op.clone(), xs.clone());
+        let dy = g.placeholder("dy");
+        let graph = vjp(&mut g, &rule, &xs, &y, &dy).expect("graph vjp");
+        let mut sess = Session::new(g.finish());
+        let mut feeds: Vec<(&str, Tensor)> = names
+            .iter()
+            .map(String::as_str)
+            .zip(inputs.iter().cloned())
+            .collect();
+        let out = sess.run(&feeds, &[y]).expect("forward")[0].clone();
+        let dout = adjoints.normal_tensor(out.shape(), 1.0);
+        feeds.push(("dy", dout.clone()));
+
+        let kernels = vjp(&mut Kernels, &rule, &inputs, &out, &dout).expect("kernel vjp");
+        let (which, fetch): (Vec<usize>, Vec<NodeId>) = graph.into_iter().unzip();
+        let (kernel_which, want): (Vec<usize>, Vec<Tensor>) = kernels.into_iter().unzip();
+        assert_eq!(which, kernel_which, "{op:?}: contributions");
+        for threads in [1, 4] {
+            sess.set_threads(threads);
+            let got = match fetch.is_empty() {
+                true => vec![],
+                false => sess.run(&feeds, &fetch).expect("graph adjoint"),
+            };
+            assert_bitwise_eq(
+                &format!("{op:?}"),
+                &format!("threads {threads}"),
+                &got,
+                &want,
+            );
+        }
+    }
+    covered.sort_unstable();
+    covered.dedup();
+    let concat = variant(&Rule::Concat { axis: 0, parts: 0 });
+    assert_eq!(
+        covered,
+        (0..concat).collect::<Vec<_>>(),
+        "every rule but concat"
     );
 }
