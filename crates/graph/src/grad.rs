@@ -184,7 +184,7 @@ impl GraphBuilder {
 impl Diff for GraphBuilder {
     type V = NodeId;
     fn scalar(&mut self, v: f32) -> TensorResult<NodeId> {
-        self.emit(OpKind::Const(Tensor::scalar_f32(v)), &[])
+        Ok(GraphBuilder::scalar(self, v))
     }
     fn add(&mut self, a: &NodeId, b: &NodeId) -> TensorResult<NodeId> {
         self.emit(OpKind::Add, &[*a, *b])

@@ -156,10 +156,7 @@ pub fn execute(op: &OpKind, inputs: &mut [GValue]) -> Result<GValue> {
         }
         SumToShape => t(inputs, 0)?.sum_to_shape(t(inputs, 1)?.shape())?.into(),
         BroadcastLike => t(inputs, 0)?.broadcast_like(t(inputs, 1)?.shape())?.into(),
-        ReshapeLike => {
-            let r_shape = t(inputs, 1)?.shape().to_vec();
-            t(inputs, 0)?.reshape(&r_shape)?.into()
-        }
+        ReshapeLike => t(inputs, 0)?.reshape(t(inputs, 1)?.shape())?.into(),
         XentGrad => t(inputs, 0)?.xent_grad(t(inputs, 1)?)?.into(),
         ArrayNew => GValue::Array(Vec::new()),
         ArrayPush => {

@@ -8,6 +8,7 @@
 //! [`Diff`] emitter: the graph builder emits one node per call, and
 //! [`Kernels`] runs the kernel, for the eager tape and for Lantern alike.
 
+use crate::reduce::normalize_axis;
 use crate::{DType, Result, Tensor, TensorError};
 
 /// One op's gradient rule, with the attributes its adjoint reads.
@@ -421,7 +422,7 @@ impl Diff for Kernels {
         a.index_axis0(i as i64)
     }
     fn split(&mut self, g: &Tensor, axis: isize, parts: &[Tensor]) -> Result<Vec<Tensor>> {
-        let ax = g.axis(axis, "concat")?;
+        let ax = normalize_axis("concat", axis, g.rank())?;
         // bring the axis to the front once; each piece is a row range of
         // that, moved back (the swap is its own inverse)
         let mut perm: Vec<usize> = (0..g.rank()).collect();
@@ -521,23 +522,7 @@ impl Tensor {
     ///
     /// Fails when the axis is out of range.
     pub fn dim_size(&self, axis: isize) -> Result<Tensor> {
-        Ok(Tensor::scalar_f32(
-            self.shape()[self.axis(axis, "dim_size")?] as f32,
-        ))
-    }
-
-    /// `axis` as an index into the shape, negative counting from the end.
-    fn axis(&self, axis: isize, op: &'static str) -> Result<usize> {
-        let rank = self.rank() as isize;
-        let ax = if axis < 0 { axis + rank } else { axis };
-        if (0..rank).contains(&ax) {
-            Ok(ax as usize)
-        } else {
-            Err(TensorError::IndexOutOfRange {
-                op,
-                index: axis as i64,
-                bound: self.rank(),
-            })
-        }
+        let ax = normalize_axis("dim_size", axis, self.rank())?;
+        Ok(Tensor::scalar_f32(self.shape()[ax] as f32))
     }
 }

@@ -246,7 +246,7 @@ impl Tensor {
 }
 
 /// Normalize a possibly-negative axis against `rank`.
-fn normalize_axis(op: &'static str, axis: isize, rank: usize) -> Result<usize> {
+pub(crate) fn normalize_axis(op: &'static str, axis: isize, rank: usize) -> Result<usize> {
     let ax = if axis < 0 { axis + rank as isize } else { axis };
     if ax < 0 || ax as usize >= rank {
         return Err(TensorError::IndexOutOfRange {
