@@ -1,15 +1,13 @@
-//! The eager execution context: dynamic dispatch plus optional tape
+//! The eager execution context: one op at a time, plus optional tape
 //! recording.
 
-use crate::registry::{default_registry, OpDef};
 use crate::tape::Tape;
 use crate::{panic_message, EagerError, Result};
 use autograph_faults as faults;
 use autograph_obs as obs;
-use autograph_tensor::grad::Rule;
+use autograph_tensor::op::Op;
 use autograph_tensor::Tensor;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A tensor value in the eager runtime, optionally tracked on the active
@@ -38,13 +36,14 @@ impl From<Tensor> for EagerTensor {
     }
 }
 
-/// The eager runtime: an op registry and an optional recording tape.
+/// The eager runtime: ops run as they are called, on an optional
+/// recording tape.
 ///
-/// Dispatch goes name → registry → boxed kernel on every call; this per-op
-/// indirection is the interpretive overhead the paper's benchmarks measure
-/// against staged graphs.
+/// Every call pays the per-op cost the paper's benchmarks measure against
+/// staged graphs: operand handles gathered, the kernel dispatched through
+/// [`Op::apply`], a fresh output allocated, and, under a tape, an entry
+/// recorded.
 pub struct Eager {
-    registry: HashMap<String, OpDef>,
     tape: RefCell<Option<Tape>>,
 }
 
@@ -55,25 +54,36 @@ impl Default for Eager {
 }
 
 impl Eager {
-    /// Create a context with the default op registry.
+    /// Create a context with no tape.
     pub fn new() -> Eager {
         Eager {
-            registry: default_registry(),
             tape: RefCell::new(None),
         }
     }
 
-    /// Dispatch an op by name.
+    /// Run the attribute-free op called `name` (see [`Op::named`]).
     ///
     /// # Errors
     ///
-    /// Fails for unknown ops or kernel errors.
+    /// Fails for unknown names and whatever [`Eager::apply`] fails on.
     pub fn op(&self, name: &str, inputs: &[&EagerTensor]) -> Result<EagerTensor> {
-        // one relaxed atomic load when profiling is off; the span name
-        // allocates only when a recorder is installed
+        let op = Op::named(name).ok_or_else(|| EagerError::new("unknown op").in_op(name))?;
+        self.apply(&op, inputs)
+    }
+
+    /// Run `op` on `inputs`, recording it when a tape is active and an
+    /// input is tracked.
+    ///
+    /// # Errors
+    ///
+    /// Fails on kernel errors (a kernel panic included), named after the
+    /// op.
+    pub fn apply(&self, op: &Op, inputs: &[&EagerTensor]) -> Result<EagerTensor> {
+        let name = op.name();
+        // one relaxed atomic load when profiling is off
         let _span = if obs::enabled() {
             obs::count("eager", "dispatches", 1);
-            obs::span_dyn("eager_op", || name.to_string())
+            obs::span("eager_op", name)
         } else {
             None
         };
@@ -88,23 +98,18 @@ impl Eager {
         let _mem_guard = alloc0.map(|before| {
             scopeguard(move || {
                 let delta = autograph_tensor::mem::thread_allocated().wrapping_sub(before);
-                obs::observe_dyn("eager_mem", || name.to_string(), delta);
+                obs::observe("eager_mem", name, delta);
             })
         });
-        let def = self
-            .registry
-            .get(name)
-            .ok_or_else(|| EagerError::new("unknown op").in_op(name))?;
-        let raw: Vec<Tensor> = inputs.iter().map(|t| t.tensor.clone()).collect();
-        // Panic isolation: registry kernels index their input slice directly
-        // (so an arity mistake panics) and some panic on malformed shapes;
-        // convert any unwind into a structured per-op error rather than
-        // letting it tear through the caller. The chaos-test inject (one
-        // relaxed atomic load when no plan is installed) sits inside the
-        // boundary so injected panics exercise it too.
+        let mut raw: Vec<Tensor> = inputs.iter().map(|t| t.tensor.clone()).collect();
+        // Panic isolation: a kernel that panics on malformed shapes becomes
+        // a structured per-op error rather than tearing through the caller.
+        // The chaos-test inject (one relaxed atomic load when no plan is
+        // installed) sits inside the boundary so injected panics exercise
+        // it too.
         let out = catch_unwind(AssertUnwindSafe(|| -> Result<Tensor> {
             faults::inject("eager", name).map_err(|e| EagerError::new(e.to_string()))?;
-            (def.forward)(&raw)
+            Ok(op.apply(&mut raw[..])?)
         }))
         .map_err(|p| {
             EagerError::new(format!("kernel panicked: {}", panic_message(p.as_ref()))).in_op(name)
@@ -114,10 +119,9 @@ impl Eager {
         let mut tape_ref = self.tape.borrow_mut();
         if let Some(tape) = tape_ref.as_mut() {
             if inputs.iter().any(|t| t.node.is_some()) {
-                let rule = def.rule(&raw).map_err(|e| e.in_op(name))?;
                 let node = tape.record(
                     name,
-                    rule,
+                    op.rule(),
                     inputs.iter().map(|t| t.node).collect(),
                     raw,
                     out.clone(),
@@ -132,19 +136,6 @@ impl Eager {
             tensor: out,
             node: None,
         })
-    }
-
-    /// The gradient rule the tape replays for `op` called on `inputs`
-    /// (attribute inputs included); `None` when the op has none.
-    ///
-    /// # Errors
-    ///
-    /// Fails for unknown ops and malformed attribute inputs.
-    pub fn rule(&self, op: &str, inputs: &[Tensor]) -> Result<Option<Rule>> {
-        self.registry
-            .get(op)
-            .ok_or_else(|| EagerError::new("unknown op").in_op(op))?
-            .rule(inputs)
     }
 
     /// Begin recording a fresh tape (dropping any previous one).
@@ -216,7 +207,7 @@ impl Eager {
             .collect())
     }
 
-    // ---- common shorthands (still dispatched through the registry) -------
+    // ---- common shorthands -------------------------------------------------
 
     /// `a + b`.
     pub fn add(&self, a: &EagerTensor, b: &EagerTensor) -> Result<EagerTensor> {
@@ -282,13 +273,11 @@ mod tests {
     }
 
     #[test]
-    fn arity_panic_is_isolated_as_error() {
-        // "add" indexes x[1]; calling it with one input used to panic out
-        // of the dispatcher — now it must come back as a structured error
+    fn missing_operand_is_an_error_named_after_the_op() {
         let e = Eager::new();
         let err = e.op("add", &[&scalar(1.0)]).unwrap_err();
         assert_eq!(err.op.as_deref(), Some("add"));
-        assert!(err.message.contains("kernel panicked"), "{}", err.message);
+        assert!(err.message.contains("missing operand 1"), "{}", err.message);
     }
 
     #[test]
@@ -309,6 +298,32 @@ mod tests {
             e.gradient(&loss, &[&w]).is_err(),
             "gradient consumes the tape"
         );
+    }
+
+    #[test]
+    fn attributed_ops_differentiate() {
+        // the op carries its axis: reduce_mean over axis -2 (== 0), then
+        // concat along axis 1 splits its adjoint back into the parts
+        let e = Eager::new();
+        e.start_tape();
+        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
+        let x = e.watch(&EagerTensor::from(x)).unwrap();
+        let m = e.apply(&Op::ReduceMean(Some(-2)), &[&x]).unwrap();
+        assert_eq!(m.tensor().as_f32().unwrap(), &[2.5, 3.5, 4.5]);
+        let m = e.apply(&Op::ExpandDims(0), &[&m]).unwrap();
+        let b = e.watch(&scalar(7.0)).unwrap();
+        let b = e.apply(&Op::Reshape(vec![1, 1]), &[&b]).unwrap();
+        let cat = e.apply(&Op::Concat(1), &[&m, &b]).unwrap();
+        let w = Tensor::from_vec(vec![10.0, 20.0, 30.0, 40.0], &[1, 4]).unwrap();
+        let loss = e.mul(&cat, &EagerTensor::from(w)).unwrap();
+        let loss = e.op("reduce_sum", &[&loss]).unwrap();
+        let grads = e.gradient(&loss, &[&x]).unwrap();
+        assert_eq!(
+            grads[0].as_f32().unwrap(),
+            &[5.0, 10.0, 15.0, 5.0, 10.0, 15.0]
+        );
+        // an axis out of range is a structured error, not a panic
+        assert!(e.apply(&Op::ReduceSum(Some(7)), &[&x]).is_err());
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! # autograph-eager
 //!
 //! An imperative, op-by-op execution runtime — the "TensorFlow Eager" /
-//! "PyTorch" baseline of the paper's evaluation. Every operation goes
-//! through a dynamic dispatch registry (name lookup, boxed kernels,
-//! per-op allocation), faithfully reproducing the cost structure that
-//! makes eager execution slower than a compiled graph plan: the work per
-//! op is the same, the *per-op overhead* is paid on every call, every run.
+//! "PyTorch" baseline of the paper's evaluation. Every operation runs the
+//! moment it is called, through the same kernels the graph runs
+//! ([`autograph_tensor::op::Op`]), so the work per op is the same and the
+//! *per-op overhead* (operand handles, dispatch, a fresh output, the
+//! tape) is paid on every call, every run: the cost structure that makes
+//! eager execution slower than a compiled graph plan.
 //!
 //! Gradients are computed with a tape-based reverse-mode autodiff
 //! (`tf.GradientTape` / PyTorch autograd analog), which re-records on
@@ -26,7 +27,6 @@
 //! ```
 
 pub mod context;
-pub(crate) mod registry;
 pub(crate) mod tape;
 
 pub use context::{Eager, EagerTensor};

@@ -15,8 +15,8 @@ use std::collections::HashMap;
 /// One recorded operation.
 #[derive(Debug)]
 pub(crate) struct TapeEntry {
-    /// Registry name of the op.
-    pub op: String,
+    /// The op's name.
+    pub op: &'static str,
     /// Its gradient rule (None = none registered).
     pub rule: Option<Rule>,
     /// Tape node ids of the inputs (None = not watched / constant).
@@ -52,7 +52,7 @@ impl Tape {
     /// Record one op; returns the output's node id.
     pub fn record(
         &mut self,
-        op: &str,
+        op: &'static str,
         rule: Option<Rule>,
         input_nodes: Vec<Option<usize>>,
         inputs: Vec<Tensor>,
@@ -60,7 +60,7 @@ impl Tape {
     ) -> usize {
         let output_node = self.watch();
         self.entries.push(TapeEntry {
-            op: op.to_string(),
+            op,
             rule,
             input_nodes,
             inputs,
@@ -101,11 +101,11 @@ impl Tape {
             if entry.input_nodes.iter().all(|n| n.is_none()) {
                 continue;
             }
-            let in_op = |e: EagerError| e.in_op(&entry.op);
+            let in_op = |e: EagerError| e.in_op(entry.op);
             let rule = entry
                 .rule
                 .as_ref()
-                .ok_or_else(|| in_op(EagerError::new(grad::no_rule(&entry.op))))?;
+                .ok_or_else(|| in_op(EagerError::new(grad::no_rule(entry.op))))?;
             let input_grads = grad::vjp(&mut Kernels, rule, &entry.inputs, &entry.output, &g)
                 .map_err(|e| in_op(e.into()))?;
             for (i, grad) in input_grads {

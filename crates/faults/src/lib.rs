@@ -28,7 +28,7 @@
 //!   (simulated allocation failure, surfaced as an error), `delay`
 //!   (scheduler sleep; perturbs timing, never values).
 //! * `pattern` — `op`, `site/op`, either segment may be `*`. Sites in
-//!   use: `graph` (both executors' kernel dispatch), `eager` (registry
+//!   use: `graph` (both executors' kernel dispatch), `eager` (per-op
 //!   dispatch), `par` (worker task entry — only `delay` applies there),
 //!   `serve` (the HTTP serving layer: ops `admission` — fires as a shed
 //!   before the request enters the queue, `batcher` — disables batch

@@ -31,7 +31,7 @@
 
 use crate::compile::{self, CoverArg, CoverOp, FusedGroup, IKind, Instr, Proc, Program, Reg};
 use crate::exec::Plan;
-use crate::ir::{Graph, Node, NodeId, OpKind, PassRecord, ProvSource, SubGraph};
+use crate::ir::{Graph, Node, NodeId, Op, OpKind, PassRecord, ProvSource, SubGraph};
 use autograph_pylang::Span;
 use autograph_tensor::fused::{FusedOp, FusedSpec};
 use autograph_tensor::{DType, Tensor};
@@ -325,6 +325,59 @@ fn put_op(w: &mut ByteWriter, op: &OpKind) {
             w.u8(3);
             w.u64(*i as u64);
         }
+        Tensor(op) => put_tensor_op(w, op),
+        TopK(k) => {
+            w.u8(58);
+            w.u64(*k as u64);
+        }
+        ArrayNew => w.u8(63),
+        ArrayPush => w.u8(64),
+        ArrayPop => w.u8(65),
+        ArrayWrite => w.u8(66),
+        ArrayRead => w.u8(67),
+        ArrayStack => w.u8(68),
+        ArraySize => w.u8(69),
+        TupleOp => w.u8(74),
+        TupleGet(i) => {
+            w.u8(75);
+            w.u64(*i as u64);
+        }
+        Print(tag) => {
+            w.u8(78);
+            w.str(tag);
+        }
+        AssertOp(msg) => {
+            w.u8(79);
+            w.str(msg);
+        }
+        Assign { name } => {
+            w.u8(80);
+            w.str(name);
+        }
+        Group => w.u8(81),
+        Cond { then_g, else_g } => {
+            w.u8(82);
+            put_subgraph(w, then_g);
+            put_subgraph(w, else_g);
+        }
+        While {
+            cond_g,
+            body_g,
+            max_iters,
+        } => {
+            w.u8(83);
+            put_subgraph(w, cond_g);
+            put_subgraph(w, body_g);
+            w.opt(*max_iters, |w, v| w.u64(v));
+        }
+    }
+}
+
+/// A pure op keeps the tag its `OpKind` arm had before ops moved into
+/// [`Op`], so artifacts encode as they did.
+fn put_tensor_op(w: &mut ByteWriter, op: &Op) {
+    use Op::*;
+    match op {
         Add => w.u8(4),
         Sub => w.u8(5),
         Mul => w.u8(6),
@@ -444,10 +497,6 @@ fn put_op(w: &mut ByteWriter, op: &OpKind) {
             w.u8(57);
             w.u64(*n as u64);
         }
-        TopK(k) => {
-            w.u8(58);
-            w.u64(*k as u64);
-        }
         TopKValues(k) => {
             w.u8(59);
             w.u64(*k as u64);
@@ -461,51 +510,16 @@ fn put_op(w: &mut ByteWriter, op: &OpKind) {
             w.i64(*a as i64);
         }
         StackOp => w.u8(62),
-        ArrayNew => w.u8(63),
-        ArrayPush => w.u8(64),
-        ArrayPop => w.u8(65),
-        ArrayWrite => w.u8(66),
-        ArrayRead => w.u8(67),
-        ArrayStack => w.u8(68),
-        ArraySize => w.u8(69),
         SumToShape => w.u8(70),
         BroadcastLike => w.u8(71),
         ReshapeLike => w.u8(72),
         XentGrad => w.u8(73),
-        TupleOp => w.u8(74),
-        TupleGet(i) => {
-            w.u8(75);
-            w.u64(*i as u64);
-        }
         Identity => w.u8(76),
         StopGradient => w.u8(77),
-        Print(tag) => {
-            w.u8(78);
-            w.str(tag);
-        }
-        AssertOp(msg) => {
-            w.u8(79);
-            w.str(msg);
-        }
-        Assign { name } => {
-            w.u8(80);
-            w.str(name);
-        }
-        Group => w.u8(81),
-        Cond { then_g, else_g } => {
-            w.u8(82);
-            put_subgraph(w, then_g);
-            put_subgraph(w, else_g);
-        }
-        While {
-            cond_g,
-            body_g,
-            max_iters,
-        } => {
-            w.u8(83);
-            put_subgraph(w, cond_g);
-            put_subgraph(w, body_g);
-            w.opt(*max_iters, |w, v| w.u64(v));
+        SplitLike { axis, index } => {
+            w.u8(84);
+            w.i64(*axis as i64);
+            w.u64(*index as u64);
         }
     }
 }
@@ -517,6 +531,36 @@ fn get_op(r: &mut ByteReader<'_>) -> Result<OpKind, DecodeError> {
         1 => Const(get_tensor(r)?),
         2 => Variable { name: r.str()? },
         3 => Param(r.u64()? as usize),
+        58 => TopK(r.u64()? as usize),
+        63 => ArrayNew,
+        64 => ArrayPush,
+        65 => ArrayPop,
+        66 => ArrayWrite,
+        67 => ArrayRead,
+        68 => ArrayStack,
+        69 => ArraySize,
+        74 => TupleOp,
+        75 => TupleGet(r.u64()? as usize),
+        78 => Print(r.str()?),
+        79 => AssertOp(r.str()?),
+        80 => Assign { name: r.str()? },
+        81 => Group,
+        82 => Cond {
+            then_g: get_subgraph(r)?,
+            else_g: get_subgraph(r)?,
+        },
+        83 => While {
+            cond_g: get_subgraph(r)?,
+            body_g: get_subgraph(r)?,
+            max_iters: r.opt(|r| r.u64())?,
+        },
+        tag => Tensor(get_tensor_op(tag, r)?),
+    })
+}
+
+fn get_tensor_op(tag: u8, r: &mut ByteReader<'_>) -> Result<Op, DecodeError> {
+    use Op::*;
+    Ok(match tag {
         4 => Add,
         5 => Sub,
         6 => Mul,
@@ -599,38 +643,19 @@ fn get_op(r: &mut ByteReader<'_>) -> Result<OpKind, DecodeError> {
         55 => SetItemAxis0,
         56 => Gather,
         57 => OneHot(r.u64()? as usize),
-        58 => TopK(r.u64()? as usize),
         59 => TopKValues(r.u64()? as usize),
         60 => TopKIndices(r.u64()? as usize),
         61 => Concat(r.i64()? as isize),
         62 => StackOp,
-        63 => ArrayNew,
-        64 => ArrayPush,
-        65 => ArrayPop,
-        66 => ArrayWrite,
-        67 => ArrayRead,
-        68 => ArrayStack,
-        69 => ArraySize,
         70 => SumToShape,
         71 => BroadcastLike,
         72 => ReshapeLike,
         73 => XentGrad,
-        74 => TupleOp,
-        75 => TupleGet(r.u64()? as usize),
         76 => Identity,
         77 => StopGradient,
-        78 => Print(r.str()?),
-        79 => AssertOp(r.str()?),
-        80 => Assign { name: r.str()? },
-        81 => Group,
-        82 => Cond {
-            then_g: get_subgraph(r)?,
-            else_g: get_subgraph(r)?,
-        },
-        83 => While {
-            cond_g: get_subgraph(r)?,
-            body_g: get_subgraph(r)?,
-            max_iters: r.opt(|r| r.u64())?,
+        84 => SplitLike {
+            axis: r.i64()? as isize,
+            index: r.u64()? as usize,
         },
         t => return Err(format!("invalid op tag {t}")),
     })
@@ -1191,11 +1216,11 @@ mod tests {
         let two = b.scalar(2.0);
         let m = b.mul(x, two);
         let s = b.add_op(m, w);
-        let t = b.add(OpKind::Tanh, vec![s]);
+        let t = b.add(Op::Tanh, vec![s]);
         let i0 = b.scalar(0.0);
         let (mut cb, cp) = SubGraphBuilder::new(1);
         let ten = cb.b.scalar(3.0);
-        let lt = cb.b.add(OpKind::Less, vec![cp[0], ten]);
+        let lt = cb.b.add(Op::Less, vec![cp[0], ten]);
         let cond_g = cb.finish(vec![lt]);
         let (mut bb, bp) = SubGraphBuilder::new(1);
         let one = bb.b.scalar(1.0);
@@ -1287,10 +1312,10 @@ mod tests {
                 assert!(decoded.is_err(), "flag byte {flags:#x} was accepted");
                 continue;
             }
-            let op = OpKind::MatMul {
+            let op = OpKind::Tensor(Op::MatMul {
                 transpose_a: flags & 1 != 0,
                 transpose_b: flags & 2 != 0,
-            };
+            });
             assert_eq!(decoded.as_ref(), Ok(&op));
             let mut w = ByteWriter::new();
             put_op(&mut w, &op);

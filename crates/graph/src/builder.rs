@@ -1,6 +1,6 @@
 //! Ergonomic graph construction with name scopes.
 
-use crate::ir::{Graph, Node, NodeId, OpKind, SubGraph};
+use crate::ir::{Graph, Node, NodeId, Op, OpKind, SubGraph};
 use autograph_pylang::Span;
 use autograph_tensor::{DType, Tensor};
 
@@ -38,7 +38,8 @@ impl GraphBuilder {
     }
 
     /// Add a node and return its id.
-    pub fn add(&mut self, op: OpKind, inputs: Vec<NodeId>) -> NodeId {
+    pub fn add(&mut self, op: impl Into<OpKind>, inputs: Vec<NodeId>) -> NodeId {
+        let op = op.into();
         self.counter += 1;
         let mut name = String::new();
         for s in &self.scopes {
@@ -123,22 +124,22 @@ impl GraphBuilder {
 
     /// `a + b`.
     pub fn add_op(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        self.add(OpKind::Add, vec![a, b])
+        self.add(Op::Add, vec![a, b])
     }
 
     /// `a - b`.
     pub fn sub(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        self.add(OpKind::Sub, vec![a, b])
+        self.add(Op::Sub, vec![a, b])
     }
 
     /// `a * b`.
     pub fn mul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        self.add(OpKind::Mul, vec![a, b])
+        self.add(Op::Mul, vec![a, b])
     }
 
     /// `a / b`.
     pub fn div(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        self.add(OpKind::Div, vec![a, b])
+        self.add(Op::Div, vec![a, b])
     }
 
     /// `a @ b`.
@@ -155,7 +156,7 @@ impl GraphBuilder {
         transpose_a: bool,
         transpose_b: bool,
     ) -> NodeId {
-        let op = OpKind::MatMul {
+        let op = Op::MatMul {
             transpose_a,
             transpose_b,
         };
@@ -164,22 +165,22 @@ impl GraphBuilder {
 
     /// `tanh(a)`.
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
-        self.add(OpKind::Tanh, vec![a])
+        self.add(Op::Tanh, vec![a])
     }
 
     /// `relu(a)`.
     pub fn relu(&mut self, a: NodeId) -> NodeId {
-        self.add(OpKind::Relu, vec![a])
+        self.add(Op::Relu, vec![a])
     }
 
     /// `sigmoid(a)`.
     pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
-        self.add(OpKind::Sigmoid, vec![a])
+        self.add(Op::Sigmoid, vec![a])
     }
 
     /// Cast to dtype.
     pub fn cast(&mut self, a: NodeId, dtype: DType) -> NodeId {
-        self.add(OpKind::Cast(dtype), vec![a])
+        self.add(Op::Cast(dtype), vec![a])
     }
 
     /// Functional conditional.

@@ -44,7 +44,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::exec::subgraph_order;
-use crate::ir::{Graph, NodeId, OpKind, SubGraph};
+use crate::ir::{Graph, Node, NodeId, Op, OpKind, SubGraph};
 use autograph_pylang::Span;
 use autograph_tensor::fused::{FusedOp, FusedSpec};
 use autograph_tensor::Tensor;
@@ -162,29 +162,9 @@ pub(crate) enum CoverArg {
     Int(usize),
 }
 
-/// The elementwise `FusedOp` for an `OpKind`, when it is fusable.
-fn fusable(op: &OpKind) -> Option<FusedOp> {
-    match op {
-        OpKind::Add => Some(FusedOp::Add),
-        OpKind::Sub => Some(FusedOp::Sub),
-        OpKind::Mul => Some(FusedOp::Mul),
-        OpKind::Div => Some(FusedOp::Div),
-        OpKind::FloorDiv => Some(FusedOp::FloorDiv),
-        OpKind::Mod => Some(FusedOp::Mod),
-        OpKind::Pow => Some(FusedOp::Pow),
-        OpKind::Maximum => Some(FusedOp::Maximum),
-        OpKind::Minimum => Some(FusedOp::Minimum),
-        OpKind::Neg => Some(FusedOp::Neg),
-        OpKind::Abs => Some(FusedOp::Abs),
-        OpKind::Sqrt => Some(FusedOp::Sqrt),
-        OpKind::Exp => Some(FusedOp::Exp),
-        OpKind::Log => Some(FusedOp::Log),
-        OpKind::Square => Some(FusedOp::Square),
-        OpKind::Tanh => Some(FusedOp::Tanh),
-        OpKind::Sigmoid => Some(FusedOp::Sigmoid),
-        OpKind::Relu => Some(FusedOp::Relu),
-        _ => None,
-    }
+/// A node's step in a fused elementwise kernel, when it has one.
+fn fused(node: &Node) -> Option<FusedOp> {
+    node.op.tensor().and_then(Op::fused)
 }
 
 /// Lower a plan into a bytecode program. `order` is the plan's
@@ -281,10 +261,10 @@ impl ProgramBuilder {
             if pinned[id] || consumers[id] != 1 {
                 continue;
             }
-            if fusable(&graph.nodes[id].op).is_none() {
+            if fused(&graph.nodes[id]).is_none() {
                 continue;
             }
-            if fusable(&graph.nodes[consumer_of[id]].op).is_none() {
+            if fused(&graph.nodes[consumer_of[id]]).is_none() {
                 continue;
             }
             fuse_up[id] = true;
@@ -296,7 +276,7 @@ impl ProgramBuilder {
         let mut covered = vec![false; n];
         let mut groups: HashMap<NodeId, FusedGroup> = HashMap::new();
         for &root in order.iter().rev() {
-            if fuse_up[root] || covered[root] || fusable(&graph.nodes[root].op).is_none() {
+            if fuse_up[root] || covered[root] || fused(&graph.nodes[root]).is_none() {
                 continue;
             }
             let mut members: Vec<NodeId> = Vec::new();
@@ -542,7 +522,7 @@ fn build_group(graph: &Graph, root: NodeId, members: &[NodeId]) -> Option<FusedG
                 ops.push(FusedOp::Input(u8::try_from(slot).ok()?));
             }
         }
-        ops.push(fusable(&graph.nodes[id].op)?);
+        ops.push(fused(&graph.nodes[id])?);
         Some(())
     }
     emit(
@@ -596,7 +576,7 @@ mod tests {
         let y = b.placeholder("y");
         let s = b.add_op(x, y);
         let m = b.mul(s, y);
-        let t = b.add(OpKind::Tanh, vec![m]);
+        let t = b.add(Op::Tanh, vec![m]);
         let g = b.finish();
         let plan = Plan::compile(&g, &[t]).unwrap();
         let prog = compile(&g, plan.order(), &[t]);
@@ -623,7 +603,7 @@ mod tests {
         let x = b.placeholder("x");
         let y = b.placeholder("y");
         let s = b.add_op(x, y);
-        let t = b.add(OpKind::Tanh, vec![s]);
+        let t = b.add(Op::Tanh, vec![s]);
         let g = b.finish();
         let plan = Plan::compile(&g, &[s, t]).unwrap();
         let prog = compile(&g, plan.order(), &[s, t]);
@@ -676,7 +656,7 @@ mod tests {
         let i0 = b.scalar(0.0);
         let (mut cb, cp) = SubGraphBuilder::new(1);
         let ten = cb.b.scalar(10.0);
-        let lt = cb.b.add(OpKind::Less, vec![cp[0], ten]);
+        let lt = cb.b.add(Op::Less, vec![cp[0], ten]);
         let cond_g = cb.finish(vec![lt]);
         let (mut bb, bp) = SubGraphBuilder::new(1);
         let one = bb.b.scalar(1.0);

@@ -466,6 +466,7 @@ fn eval_subgraph_pruned(
 mod tests {
     use super::*;
     use crate::builder::{GraphBuilder, SubGraphBuilder};
+    use crate::ir::Op;
 
     fn env_run(graph: &Graph, fetches: &[NodeId]) -> Vec<GValue> {
         let feeds = HashMap::new();
@@ -573,12 +574,12 @@ mod tests {
         let mut b = GraphBuilder::new();
         let x = b.placeholder("x");
         let zero = b.scalar(0.0);
-        let pred = b.add(OpKind::Greater, vec![x, zero]);
+        let pred = b.add(Op::Greater, vec![x, zero]);
         let (mut tb, tp) = SubGraphBuilder::new(1);
         let sq = tb.b.mul(tp[0], tp[0]);
         let then_g = tb.finish(vec![sq]);
         let (mut eb, ep) = SubGraphBuilder::new(1);
-        let neg = eb.b.add(OpKind::Neg, vec![ep[0]]);
+        let neg = eb.b.add(Op::Neg, vec![ep[0]]);
         let else_g = eb.finish(vec![neg]);
         let c = b.cond(pred, vec![x], then_g, else_g);
         let g = b.finish();
@@ -610,7 +611,7 @@ mod tests {
         let s0 = b.scalar(0.0);
         let (mut cb, cp) = SubGraphBuilder::new(2);
         let ten = cb.b.scalar(10.0);
-        let lt = cb.b.add(OpKind::Less, vec![cp[0], ten]);
+        let lt = cb.b.add(Op::Less, vec![cp[0], ten]);
         let cond_g = cb.finish(vec![lt]);
         let (mut bb, bp) = SubGraphBuilder::new(2);
         let one = bb.b.scalar(1.0);
@@ -633,7 +634,7 @@ mod tests {
         let i0 = b.scalar(100.0);
         let (mut cb, cp) = SubGraphBuilder::new(1);
         let ten = cb.b.scalar(10.0);
-        let lt = cb.b.add(OpKind::Less, vec![cp[0], ten]);
+        let lt = cb.b.add(Op::Less, vec![cp[0], ten]);
         let cond_g = cb.finish(vec![lt]);
         let (mut bb, bp) = SubGraphBuilder::new(1);
         let one = bb.b.scalar(1.0);

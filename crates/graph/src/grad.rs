@@ -6,10 +6,10 @@
 //! ones the eager tape and Lantern replay; the builder is their emitter.
 
 use crate::builder::GraphBuilder;
-use crate::ir::{NodeId, OpKind};
+use crate::ir::{NodeId, Op, OpKind};
 use crate::{GraphError, Result};
 use autograph_tensor::grad::{self, Diff, Rule};
-use autograph_tensor::{DType, Result as TensorResult, Tensor, TensorError};
+use autograph_tensor::{Result as TensorResult, Tensor};
 use std::collections::HashMap;
 
 /// Build gradient nodes of scalar `loss` with respect to each node in
@@ -71,7 +71,13 @@ pub fn gradients(b: &mut GraphBuilder, loss: NodeId, wrt: &[NodeId]) -> Result<V
         }
         let Some(&g) = grads.get(&id) else { continue };
         let (op, inputs) = &nodes[id];
-        let rule = rule_of(op).ok_or_else(|| GraphError::staging(grad::no_rule(op.mnemonic())))?;
+        let rule = match op {
+            OpKind::Tensor(op) => op.rule(),
+            // a staged print passes its value through
+            OpKind::Print(_) => Some(Rule::Identity),
+            _ => None,
+        };
+        let rule = rule.ok_or_else(|| GraphError::staging(grad::no_rule(op.mnemonic())))?;
         for (i, contrib) in grad::vjp(b, &rule, inputs, &id, &g)? {
             let input = inputs[i];
             if !active[input] {
@@ -95,88 +101,14 @@ pub fn gradients(b: &mut GraphBuilder, loss: NodeId, wrt: &[NodeId]) -> Result<V
         .map(|&w| match grads.get(&w) {
             Some(&g) => {
                 // ensure adjoint has the primal's shape
-                b.add(OpKind::SumToShape, vec![g, w])
+                b.add(Op::SumToShape, vec![g, w])
             }
             None => {
                 let zero = b.constant(Tensor::scalar_f32(0.0));
-                b.add(OpKind::BroadcastLike, vec![zero, w])
+                b.add(Op::BroadcastLike, vec![zero, w])
             }
         })
         .collect())
-}
-
-/// The gradient rule of a graph op (see [`autograph_tensor::grad`]);
-/// `None` when the op has none.
-pub fn rule_of(op: &OpKind) -> Option<Rule> {
-    use OpKind::*;
-    Some(match op {
-        // leaves, the gradient stop, comparisons, logicals, integer and shape
-        // ops: no contribution (non-differentiable outputs are never on a
-        // differentiable path to an f32 loss)
-        Const(_)
-        | Placeholder { .. }
-        | Variable { .. }
-        | Param(_)
-        | StopGradient
-        | Less
-        | LessEqual
-        | Greater
-        | GreaterEqual
-        | Equal
-        | NotEqual
-        | LogicalAnd
-        | LogicalOr
-        | LogicalNot
-        | ArgMax(_)
-        | Shape
-        | Size
-        | DimSize(_)
-        | Range
-        | OneHot(_)
-        | FloorDiv
-        | Mod => Rule::Zero,
-        Identity | Print(_) => Rule::Identity,
-        Add => Rule::Add,
-        Sub => Rule::Sub,
-        Mul => Rule::Mul,
-        Div => Rule::Div,
-        Pow => Rule::Pow,
-        Maximum => Rule::Maximum,
-        Minimum => Rule::Minimum,
-        Neg => Rule::Neg,
-        Abs => Rule::Abs,
-        Exp => Rule::Exp,
-        Log => Rule::Log,
-        Sqrt => Rule::Sqrt,
-        Square => Rule::Square,
-        Tanh => Rule::Tanh,
-        Sigmoid => Rule::Sigmoid,
-        Relu => Rule::Relu,
-        SoftmaxCrossEntropy => Rule::SoftmaxXent,
-        Select => Rule::Select,
-        MatMul {
-            transpose_a,
-            transpose_b,
-        } => Rule::MatMul {
-            transpose_a: *transpose_a,
-            transpose_b: *transpose_b,
-        },
-        Transpose(perm) => Rule::Transpose(perm.clone()),
-        Reshape(_) | ExpandDims(_) | Squeeze(_) | Cast(_) | ReshapeLike => Rule::Reshape,
-        ReduceSum(axis) => Rule::ReduceSum(*axis),
-        ReduceMean(axis) => Rule::ReduceMean(*axis),
-        StackOp => Rule::Stack,
-        SumToShape => Rule::SumToShape,
-        BroadcastLike => Rule::BroadcastLike,
-        // `Concat`'s adjoint needs a slice op the IR does not have
-        _ => return None,
-    })
-}
-
-impl GraphBuilder {
-    fn emit(&mut self, op: OpKind, inputs: &[NodeId]) -> TensorResult<NodeId> {
-        Ok(self.add(op, inputs.to_vec()))
-    }
 }
 
 /// The graph emitter: each op of a rule is one node appended to the
@@ -186,81 +118,18 @@ impl Diff for GraphBuilder {
     fn scalar(&mut self, v: f32) -> TensorResult<NodeId> {
         Ok(GraphBuilder::scalar(self, v))
     }
-    fn add(&mut self, a: &NodeId, b: &NodeId) -> TensorResult<NodeId> {
-        self.emit(OpKind::Add, &[*a, *b])
-    }
-    fn sub(&mut self, a: &NodeId, b: &NodeId) -> TensorResult<NodeId> {
-        self.emit(OpKind::Sub, &[*a, *b])
-    }
-    fn mul(&mut self, a: &NodeId, b: &NodeId) -> TensorResult<NodeId> {
-        self.emit(OpKind::Mul, &[*a, *b])
-    }
-    fn div(&mut self, a: &NodeId, b: &NodeId) -> TensorResult<NodeId> {
-        self.emit(OpKind::Div, &[*a, *b])
-    }
-    fn pow(&mut self, a: &NodeId, b: &NodeId) -> TensorResult<NodeId> {
-        self.emit(OpKind::Pow, &[*a, *b])
-    }
-    fn neg(&mut self, a: &NodeId) -> TensorResult<NodeId> {
-        self.emit(OpKind::Neg, &[*a])
-    }
-    fn log(&mut self, a: &NodeId) -> TensorResult<NodeId> {
-        self.emit(OpKind::Log, &[*a])
-    }
-    fn square(&mut self, a: &NodeId) -> TensorResult<NodeId> {
-        self.emit(OpKind::Square, &[*a])
-    }
-    fn greater(&mut self, a: &NodeId, b: &NodeId) -> TensorResult<NodeId> {
-        self.emit(OpKind::Greater, &[*a, *b])
-    }
-    fn greater_equal(&mut self, a: &NodeId, b: &NodeId) -> TensorResult<NodeId> {
-        self.emit(OpKind::GreaterEqual, &[*a, *b])
-    }
-    fn less_equal(&mut self, a: &NodeId, b: &NodeId) -> TensorResult<NodeId> {
-        self.emit(OpKind::LessEqual, &[*a, *b])
-    }
-    fn cast_f32(&mut self, a: &NodeId) -> TensorResult<NodeId> {
-        self.emit(OpKind::Cast(DType::F32), &[*a])
-    }
-    fn select(&mut self, cond: &NodeId, a: &NodeId, b: &NodeId) -> TensorResult<NodeId> {
-        self.emit(OpKind::Select, &[*cond, *a, *b])
-    }
-    fn matmul_t(&mut self, a: &NodeId, b: &NodeId, ta: bool, tb: bool) -> TensorResult<NodeId> {
-        Ok(GraphBuilder::matmul_t(self, *a, *b, ta, tb))
-    }
-    fn transpose(&mut self, a: &NodeId, perm: &[usize]) -> TensorResult<NodeId> {
-        self.emit(OpKind::Transpose(perm.to_vec()), &[*a])
-    }
-    fn reshape_like(&mut self, a: &NodeId, like: &NodeId) -> TensorResult<NodeId> {
-        self.emit(OpKind::ReshapeLike, &[*a, *like])
-    }
-    fn expand_dims(&mut self, a: &NodeId, axis: isize) -> TensorResult<NodeId> {
-        self.emit(OpKind::ExpandDims(axis), &[*a])
-    }
-    fn sum_to(&mut self, a: &NodeId, like: &NodeId) -> TensorResult<NodeId> {
-        self.emit(OpKind::SumToShape, &[*a, *like])
-    }
-    fn broadcast_like(&mut self, a: &NodeId, like: &NodeId) -> TensorResult<NodeId> {
-        self.emit(OpKind::BroadcastLike, &[*a, *like])
-    }
-    fn size(&mut self, a: &NodeId) -> TensorResult<NodeId> {
-        self.emit(OpKind::Size, &[*a])
-    }
-    fn dim_size(&mut self, a: &NodeId, axis: isize) -> TensorResult<NodeId> {
-        self.emit(OpKind::DimSize(axis), &[*a])
-    }
-    fn xent_grad(&mut self, logits: &NodeId, labels: &NodeId) -> TensorResult<NodeId> {
-        self.emit(OpKind::XentGrad, &[*logits, *labels])
+    fn op(&mut self, op: Op, x: &[&NodeId]) -> TensorResult<NodeId> {
+        Ok(self.add(op, x.iter().map(|&&id| id).collect()))
     }
     fn index_axis0(&mut self, a: &NodeId, i: usize) -> TensorResult<NodeId> {
         let idx = self.constant(Tensor::scalar_i64(i as i64));
-        self.emit(OpKind::IndexAxis0, &[*a, idx])
+        Ok(self.add(Op::IndexAxis0, vec![*a, idx]))
     }
-    fn split(&mut self, _: &NodeId, _: isize, _: &[NodeId]) -> TensorResult<Vec<NodeId>> {
-        Err(TensorError::InvalidArgument {
-            op: "concat",
-            detail: "the graph IR has no slice op for the adjoint".into(),
-        })
+    fn split(&mut self, g: &NodeId, axis: isize, parts: &[NodeId]) -> TensorResult<Vec<NodeId>> {
+        let inputs: Vec<NodeId> = std::iter::once(*g).chain(parts.iter().copied()).collect();
+        Ok((0..parts.len())
+            .map(|index| self.add(Op::SplitLike { axis, index }, inputs.clone()))
+            .collect())
     }
 }
 
@@ -325,8 +194,8 @@ mod tests {
     fn grad_of_square_sum() {
         check_grad(
             |b, x| {
-                let sq = b.add(OpKind::Square, vec![x]);
-                b.add(OpKind::ReduceSum(None), vec![sq])
+                let sq = b.add(Op::Square, vec![x]);
+                b.add(Op::ReduceSum(None), vec![sq])
             },
             vec_t(vec![1.0, -2.0, 3.0]),
             1e-2,
@@ -340,9 +209,9 @@ mod tests {
                 let t = b.tanh(x);
                 let s = b.sigmoid(t);
                 let r = b.relu(s);
-                let e = b.add(OpKind::Exp, vec![r]);
-                let l = b.add(OpKind::Log, vec![e]);
-                b.add(OpKind::ReduceSum(None), vec![l])
+                let e = b.add(Op::Exp, vec![r]);
+                let l = b.add(Op::Log, vec![e]);
+                b.add(Op::ReduceSum(None), vec![l])
             },
             vec_t(vec![0.5, -0.3, 1.2]),
             1e-2,
@@ -356,8 +225,8 @@ mod tests {
             |b, x| {
                 let c = b.constant(Tensor::scalar_f32(2.0));
                 let s = b.add_op(x, c);
-                let sq = b.add(OpKind::Square, vec![s]);
-                b.add(OpKind::ReduceSum(None), vec![sq])
+                let sq = b.add(Op::Square, vec![s]);
+                b.add(Op::ReduceSum(None), vec![sq])
             },
             vec_t(vec![1.0, 2.0]),
             1e-2,
@@ -370,11 +239,11 @@ mod tests {
         let w = rng.normal_tensor(&[3, 2], 1.0);
         check_grad(
             move |b, x| {
-                let xm = b.add(OpKind::Reshape(vec![1, 3]), vec![x]);
+                let xm = b.add(Op::Reshape(vec![1, 3]), vec![x]);
                 let wc = b.constant(w.clone());
                 let y = b.matmul(xm, wc);
-                let sq = b.add(OpKind::Square, vec![y]);
-                b.add(OpKind::ReduceSum(None), vec![sq])
+                let sq = b.add(Op::Square, vec![y]);
+                b.add(Op::ReduceSum(None), vec![sq])
             },
             vec_t(vec![0.7, -0.2, 0.4]),
             1e-2,
@@ -385,11 +254,11 @@ mod tests {
     fn grad_of_mean_and_axis_sum() {
         check_grad(
             |b, x| {
-                let m = b.add(OpKind::Reshape(vec![2, 3]), vec![x]);
-                let row = b.add(OpKind::ReduceSum(Some(1)), vec![m]);
-                let mean = b.add(OpKind::ReduceMean(None), vec![row]);
-                let sq = b.add(OpKind::Square, vec![mean]);
-                b.add(OpKind::ReduceSum(None), vec![sq])
+                let m = b.add(Op::Reshape(vec![2, 3]), vec![x]);
+                let row = b.add(Op::ReduceSum(Some(1)), vec![m]);
+                let mean = b.add(Op::ReduceMean(None), vec![row]);
+                let sq = b.add(Op::Square, vec![mean]);
+                b.add(Op::ReduceSum(None), vec![sq])
             },
             vec_t(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
             1e-2,
@@ -402,12 +271,12 @@ mod tests {
             |b, x| {
                 let zero = b.scalar(0.0);
                 let half = b.scalar(0.5);
-                let cond = b.add(OpKind::Greater, vec![x, half]);
-                let nx = b.add(OpKind::Neg, vec![x]);
-                let sel = b.add(OpKind::Select, vec![cond, x, nx]);
-                let mx = b.add(OpKind::Maximum, vec![sel, zero]);
-                let sq = b.add(OpKind::Square, vec![mx]);
-                b.add(OpKind::ReduceSum(None), vec![sq])
+                let cond = b.add(Op::Greater, vec![x, half]);
+                let nx = b.add(Op::Neg, vec![x]);
+                let sel = b.add(Op::Select, vec![cond, x, nx]);
+                let mx = b.add(Op::Maximum, vec![sel, zero]);
+                let sq = b.add(Op::Square, vec![mx]);
+                b.add(Op::ReduceSum(None), vec![sq])
             },
             vec_t(vec![1.0, 0.2, -0.7]),
             1e-2,
@@ -419,9 +288,9 @@ mod tests {
         let labels = Tensor::from_vec_i64(vec![0, 2], &[2]).unwrap();
         check_grad(
             move |b, x| {
-                let logits = b.add(OpKind::Reshape(vec![2, 3]), vec![x]);
+                let logits = b.add(Op::Reshape(vec![2, 3]), vec![x]);
                 let lab = b.constant(labels.clone());
-                b.add(OpKind::SoftmaxCrossEntropy, vec![logits, lab])
+                b.add(Op::SoftmaxCrossEntropy, vec![logits, lab])
             },
             vec_t(vec![0.1, 0.5, -0.2, 0.7, 0.0, 0.3]),
             1e-2,
@@ -433,7 +302,7 @@ mod tests {
         let mut b = GraphBuilder::new();
         let x = b.placeholder("x");
         let y = b.placeholder("y");
-        let loss = b.add(OpKind::ReduceSum(None), vec![x]);
+        let loss = b.add(Op::ReduceSum(None), vec![x]);
         let grads = gradients(&mut b, loss, &[y]).unwrap();
         let mut sess = Session::new(b.finish());
         let out = sess
@@ -454,7 +323,7 @@ mod tests {
                 let xx = b.mul(x, x);
                 let tx = b.mul(x, three);
                 let s = b.add_op(xx, tx);
-                b.add(OpKind::ReduceSum(None), vec![s])
+                b.add(Op::ReduceSum(None), vec![s])
             },
             vec_t(vec![1.0, -2.0]),
             1e-2,
@@ -466,8 +335,8 @@ mod tests {
         let mut b = GraphBuilder::new();
         let x = b.placeholder("x");
         let idx = b.constant(Tensor::scalar_i64(0));
-        let gathered = b.add(OpKind::Gather, vec![x, idx]);
-        let loss = b.add(OpKind::ReduceSum(None), vec![gathered]);
+        let gathered = b.add(Op::Gather, vec![x, idx]);
+        let loss = b.add(Op::ReduceSum(None), vec![gathered]);
         let err = gradients(&mut b, loss, &[x]).unwrap_err();
         assert!(err.to_string().contains("no gradient"));
     }
@@ -476,9 +345,9 @@ mod tests {
     fn stop_gradient_blocks() {
         let mut b = GraphBuilder::new();
         let x = b.placeholder("x");
-        let s = b.add(OpKind::StopGradient, vec![x]);
-        let sq = b.add(OpKind::Square, vec![s]);
-        let loss = b.add(OpKind::ReduceSum(None), vec![sq]);
+        let s = b.add(Op::StopGradient, vec![x]);
+        let sq = b.add(Op::Square, vec![s]);
+        let loss = b.add(Op::ReduceSum(None), vec![sq]);
         let grads = gradients(&mut b, loss, &[x]).unwrap();
         let mut sess = Session::new(b.finish());
         let out = sess.run(&[("x", vec_t(vec![3.0]))], &[grads[0]]).unwrap();

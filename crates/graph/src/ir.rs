@@ -1,7 +1,8 @@
 //! The dataflow-graph data structures.
 
 use autograph_pylang::Span;
-use autograph_tensor::{DType, Tensor};
+pub use autograph_tensor::op::Op;
+use autograph_tensor::Tensor;
 
 /// Index of a node within its graph.
 pub type NodeId = usize;
@@ -107,148 +108,12 @@ pub enum OpKind {
     /// Subgraph parameter `i`.
     Param(usize),
 
-    // ---- elementwise arithmetic ---------------------------------------
-    /// `a + b` (broadcasting).
-    Add,
-    /// `a - b`.
-    Sub,
-    /// `a * b`.
-    Mul,
-    /// `a / b` (true division).
-    Div,
-    /// `a // b`.
-    FloorDiv,
-    /// `a % b` (Euclidean).
-    Mod,
-    /// `a ** b`.
-    Pow,
-    /// Elementwise max.
-    Maximum,
-    /// Elementwise min.
-    Minimum,
-    /// `-a`.
-    Neg,
-    /// `|a|`.
-    Abs,
-    /// `sqrt(a)`.
-    Sqrt,
-    /// `exp(a)`.
-    Exp,
-    /// `ln(a)`.
-    Log,
-    /// `a * a`.
-    Square,
-
-    // ---- activations / nn ----------------------------------------------
-    /// Hyperbolic tangent.
-    Tanh,
-    /// Logistic sigmoid.
-    Sigmoid,
-    /// Rectified linear.
-    Relu,
-    /// Row softmax (last axis).
-    Softmax,
-    /// Row log-softmax.
-    LogSoftmax,
-    /// Mean softmax cross-entropy; inputs `[logits, labels]`.
-    SoftmaxCrossEntropy,
-
-    // ---- comparisons / logic -------------------------------------------
-    /// `a < b`.
-    Less,
-    /// `a <= b`.
-    LessEqual,
-    /// `a > b`.
-    Greater,
-    /// `a >= b`.
-    GreaterEqual,
-    /// `a == b`.
-    Equal,
-    /// `a != b`.
-    NotEqual,
-    /// Boolean and.
-    LogicalAnd,
-    /// Boolean or.
-    LogicalOr,
-    /// Boolean not.
-    LogicalNot,
-    /// `select(cond, a, b)`; inputs `[cond, a, b]`.
-    Select,
-
-    // ---- linear algebra / shape ----------------------------------------
-    /// Matrix product `op(a) · op(b)`, where `op` transposes the trailing
-    /// two axes of its operand when the matching flag is set (TF's
-    /// `transpose_a` / `transpose_b`). The kernel reads a transposed
-    /// operand in place.
-    MatMul {
-        /// Multiply by `aᵀ`.
-        transpose_a: bool,
-        /// Multiply by `bᵀ`.
-        transpose_b: bool,
-    },
-    /// Axis permutation.
-    Transpose(Vec<usize>),
-    /// Static reshape (`usize::MAX` infers one dimension).
-    Reshape(Vec<usize>),
-    /// Insert a size-1 axis.
-    ExpandDims(isize),
-    /// Remove size-1 axes.
-    Squeeze(Option<isize>),
-    /// Cast to dtype.
-    Cast(DType),
-    /// Shape as an i64 vector.
-    Shape,
-    /// Total element count as an f32 scalar.
-    Size,
-    /// Extent of one axis as an f32 scalar.
-    DimSize(isize),
-    /// `[0..n)` as i64; input `[n]` (scalar).
-    Range,
-    /// Tile along axis 0.
-    TileAxis0(usize),
-
-    // ---- reductions ------------------------------------------------------
-    /// Sum (all or one axis).
-    ReduceSum(Option<isize>),
-    /// Mean.
-    ReduceMean(Option<isize>),
-    /// Max.
-    ReduceMax(Option<isize>),
-    /// Min.
-    ReduceMin(Option<isize>),
-    /// Boolean all.
-    ReduceAll(Option<isize>),
-    /// Boolean any.
-    ReduceAny(Option<isize>),
-    /// Index of max along axis.
-    ArgMax(isize),
-
-    // ---- indexing --------------------------------------------------------
-    /// `x[i]` along axis 0; inputs `[x, i]` (i scalar tensor).
-    IndexAxis0,
-    /// Static range slice along axis 0.
-    SliceAxis0 {
-        /// Lower bound (None = 0).
-        start: Option<i64>,
-        /// Upper bound (None = end).
-        stop: Option<i64>,
-    },
-    /// Value-semantics element write; inputs `[x, i, v]`.
-    SetItemAxis0,
-    /// Row gather; inputs `[x, indices]`.
-    Gather,
-    /// One-hot encode.
-    OneHot(usize),
+    // ---- pure tensor ops -------------------------------------------------
+    /// A pure tensor op: its kernel, gradient rule and mnemonic are the
+    /// [`Op`]'s.
+    Tensor(Op),
     /// Fused top-k: returns `Tuple[values, indices]` along the last axis.
     TopK(usize),
-    /// Top-k values along last axis.
-    TopKValues(usize),
-    /// Top-k indices along last axis.
-    TopKIndices(usize),
-    /// Concatenate n inputs along axis.
-    Concat(isize),
-    /// Stack n inputs along new axis 0.
-    StackOp,
 
     // ---- tensor arrays / staged lists -----------------------------------
     /// New empty array.
@@ -266,29 +131,11 @@ pub enum OpKind {
     /// Current length as i64 scalar.
     ArraySize,
 
-    // ---- gradient helpers --------------------------------------------------
-    /// Reduce-sum `g` down to the shape of a reference tensor (undoes
-    /// broadcasting in gradients); inputs `[g, ref]`.
-    SumToShape,
-    /// Broadcast `g` up to the shape of a reference tensor; inputs
-    /// `[g, ref]`.
-    BroadcastLike,
-    /// Reshape `g` to the shape of a reference tensor; inputs `[g, ref]`.
-    ReshapeLike,
-    /// Fused gradient of mean softmax cross-entropy w.r.t. logits:
-    /// `(softmax(logits) - one_hot(labels)) / batch`; inputs
-    /// `[logits, labels]`.
-    XentGrad,
-
     // ---- structure -------------------------------------------------------
     /// Pack inputs into a tuple value.
     TupleOp,
     /// Project element `i` of a tuple input.
     TupleGet(usize),
-    /// Identity (also the gradient stop).
-    Identity,
-    /// Gradient barrier: identity forward, zero gradient.
-    StopGradient,
     /// Log the input tensor at execution time (the staged `print`);
     /// passes the value through.
     Print(String),
@@ -329,6 +176,12 @@ pub enum OpKind {
     },
 }
 
+impl From<Op> for OpKind {
+    fn from(op: Op) -> Self {
+        OpKind::Tensor(op)
+    }
+}
+
 impl OpKind {
     /// Short mnemonic used in auto-generated node names and dumps.
     pub fn mnemonic(&self) -> &'static str {
@@ -338,69 +191,8 @@ impl OpKind {
             Const(_) => "const",
             Variable { .. } => "variable",
             Param(_) => "param",
-            Add => "add",
-            Sub => "sub",
-            Mul => "mul",
-            Div => "div",
-            FloorDiv => "floordiv",
-            Mod => "mod",
-            Pow => "pow",
-            Maximum => "maximum",
-            Minimum => "minimum",
-            Neg => "neg",
-            Abs => "abs",
-            Sqrt => "sqrt",
-            Exp => "exp",
-            Log => "log",
-            Square => "square",
-            Tanh => "tanh",
-            Sigmoid => "sigmoid",
-            Relu => "relu",
-            Softmax => "softmax",
-            LogSoftmax => "log_softmax",
-            SoftmaxCrossEntropy => "softmax_xent",
-            Less => "less",
-            LessEqual => "less_equal",
-            Greater => "greater",
-            GreaterEqual => "greater_equal",
-            Equal => "equal",
-            NotEqual => "not_equal",
-            LogicalAnd => "logical_and",
-            LogicalOr => "logical_or",
-            LogicalNot => "logical_not",
-            Select => "select",
-            MatMul { .. } => "matmul",
-            Transpose(_) => "transpose",
-            Reshape(_) => "reshape",
-            ExpandDims(_) => "expand_dims",
-            Squeeze(_) => "squeeze",
-            Cast(_) => "cast",
-            Shape => "shape",
-            Size => "size",
-            DimSize(_) => "dim_size",
-            Range => "range",
-            TileAxis0(_) => "tile",
-            ReduceSum(_) => "reduce_sum",
-            ReduceMean(_) => "reduce_mean",
-            ReduceMax(_) => "reduce_max",
-            ReduceMin(_) => "reduce_min",
-            ReduceAll(_) => "reduce_all",
-            ReduceAny(_) => "reduce_any",
-            ArgMax(_) => "argmax",
-            IndexAxis0 => "index",
-            SliceAxis0 { .. } => "slice",
-            SetItemAxis0 => "setitem",
-            Gather => "gather",
-            OneHot(_) => "one_hot",
+            Tensor(op) => op.name(),
             TopK(_) => "top_k",
-            TopKValues(_) => "top_k_values",
-            TopKIndices(_) => "top_k_indices",
-            Concat(_) => "concat",
-            StackOp => "stack",
-            SumToShape => "sum_to_shape",
-            BroadcastLike => "broadcast_like",
-            ReshapeLike => "reshape_like",
-            XentGrad => "xent_grad",
             ArrayNew => "array_new",
             ArrayPush => "array_push",
             ArrayPop => "array_pop",
@@ -410,14 +202,20 @@ impl OpKind {
             ArraySize => "array_size",
             TupleOp => "tuple",
             TupleGet(_) => "tuple_get",
-            Identity => "identity",
-            StopGradient => "stop_gradient",
             Print(_) => "print",
             AssertOp(_) => "assert",
             Assign { .. } => "assign",
             Group => "group",
             Cond { .. } => "cond",
             While { .. } => "while",
+        }
+    }
+
+    /// The pure tensor op, when this is one.
+    pub fn tensor(&self) -> Option<&Op> {
+        match self {
+            OpKind::Tensor(op) => Some(op),
+            _ => None,
         }
     }
 
@@ -619,7 +417,7 @@ mod tests {
 
     #[test]
     fn purity_classification() {
-        assert!(OpKind::Add.is_pure());
+        assert!(OpKind::from(Op::Add).is_pure());
         assert!(OpKind::Const(Tensor::scalar_f32(0.0)).is_pure());
         assert!(!OpKind::Placeholder { name: "x".into() }.is_pure());
         assert!(!OpKind::Assign { name: "w".into() }.is_pure());
@@ -630,10 +428,10 @@ mod tests {
     fn mnemonics_unique_enough() {
         // the flags are attributes, not a new op: fault specs, report
         // rows and error text keep one name
-        let tn = OpKind::MatMul {
+        let tn = OpKind::from(Op::MatMul {
             transpose_a: true,
             transpose_b: false,
-        };
+        });
         assert_eq!(tn.mnemonic(), "matmul");
         assert_eq!(
             OpKind::While {

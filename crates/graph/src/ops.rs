@@ -1,7 +1,8 @@
-//! Kernel implementations: executing one pure op on already-computed
-//! input values. Stateful and structural ops (placeholders, variables,
-//! control flow) are handled by the executors in [`crate::exec`] and
-//! `vm.rs`.
+//! Executing one pure op on already-computed input values: a tensor op
+//! runs its [`autograph_tensor::op::Op`] kernel, and the constant, array,
+//! tuple, print and assert ops run here. Stateful and structural ops
+//! (placeholders, variables, control flow) are handled by the executors
+//! in [`crate::exec`] and `vm.rs`.
 //!
 //! The caller hands its inputs over: a kernel may consume them. The
 //! array kernels grow the array they were given, `Select` and the tuple
@@ -13,8 +14,9 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::ir::{GValue, OpKind};
+use crate::ir::{GValue, Op, OpKind};
 use crate::{GraphError, Result};
+use autograph_tensor::op::Operands;
 use autograph_tensor::Tensor;
 
 fn missing(i: usize) -> GraphError {
@@ -53,6 +55,23 @@ fn arr_owned(inputs: &mut [GValue], i: usize) -> Result<Vec<Tensor>> {
     }
 }
 
+/// A node's input values as the operands of a tensor op: read in place,
+/// or moved out when the kernel consumes one.
+struct Inputs<'a>(&'a mut [GValue]);
+
+impl Operands for Inputs<'_> {
+    type Error = GraphError;
+    fn arity(&self) -> usize {
+        self.0.len()
+    }
+    fn operand(&self, i: usize) -> Result<&Tensor> {
+        t(self.0, i)
+    }
+    fn take(&mut self, i: usize) -> Result<Tensor> {
+        t_owned(self.0, i)
+    }
+}
+
 /// Execute a pure op over its input values, which it may consume (see
 /// the module docs).
 ///
@@ -62,116 +81,32 @@ fn arr_owned(inputs: &mut [GValue], i: usize) -> Result<Vec<Tensor>> {
 /// [`GraphError`]s; returns a staging-phase error for ops the evaluator
 /// should have intercepted (control flow, state).
 pub fn execute(op: &OpKind, inputs: &mut [GValue]) -> Result<GValue> {
-    use OpKind::*;
     let out: GValue = match op {
-        Const(c) => c.clone().into(),
-        Add => t(inputs, 0)?.add(t(inputs, 1)?)?.into(),
-        Sub => t(inputs, 0)?.sub(t(inputs, 1)?)?.into(),
-        Mul => t(inputs, 0)?.mul(t(inputs, 1)?)?.into(),
-        Div => t(inputs, 0)?.div(t(inputs, 1)?)?.into(),
-        FloorDiv => t(inputs, 0)?.floordiv(t(inputs, 1)?)?.into(),
-        Mod => t(inputs, 0)?.rem(t(inputs, 1)?)?.into(),
-        Pow => t(inputs, 0)?.pow(t(inputs, 1)?)?.into(),
-        Maximum => t(inputs, 0)?.maximum(t(inputs, 1)?)?.into(),
-        Minimum => t(inputs, 0)?.minimum(t(inputs, 1)?)?.into(),
-        Neg => t(inputs, 0)?.neg()?.into(),
-        Abs => t(inputs, 0)?.abs()?.into(),
-        Sqrt => t(inputs, 0)?.sqrt()?.into(),
-        Exp => t(inputs, 0)?.exp()?.into(),
-        Log => t(inputs, 0)?.log()?.into(),
-        Square => t(inputs, 0)?.square()?.into(),
-        Tanh => t(inputs, 0)?.tanh()?.into(),
-        Sigmoid => t(inputs, 0)?.sigmoid()?.into(),
-        Relu => t(inputs, 0)?.relu()?.into(),
-        Softmax => t(inputs, 0)?.softmax()?.into(),
-        LogSoftmax => t(inputs, 0)?.log_softmax()?.into(),
-        SoftmaxCrossEntropy => Tensor::softmax_cross_entropy(t(inputs, 0)?, t(inputs, 1)?)?.into(),
-        Less => t(inputs, 0)?.less(t(inputs, 1)?)?.into(),
-        LessEqual => t(inputs, 0)?.less_equal(t(inputs, 1)?)?.into(),
-        Greater => t(inputs, 0)?.greater(t(inputs, 1)?)?.into(),
-        GreaterEqual => t(inputs, 0)?.greater_equal(t(inputs, 1)?)?.into(),
-        Equal => t(inputs, 0)?.equal(t(inputs, 1)?)?.into(),
-        NotEqual => t(inputs, 0)?.not_equal(t(inputs, 1)?)?.into(),
-        LogicalAnd => t(inputs, 0)?.logical_and(t(inputs, 1)?)?.into(),
-        LogicalOr => t(inputs, 0)?.logical_or(t(inputs, 1)?)?.into(),
-        LogicalNot => t(inputs, 0)?.logical_not()?.into(),
-        Select => {
-            let cond = t(inputs, 0)?.clone();
-            let (a, b) = (t_owned(inputs, 1)?, t_owned(inputs, 2)?);
-            Tensor::select_owned(&cond, a, b)?.into()
-        }
-        MatMul {
-            transpose_a,
-            transpose_b,
-        } => t(inputs, 0)?
-            .matmul_t(t(inputs, 1)?, *transpose_a, *transpose_b)?
-            .into(),
-        Transpose(perm) => t(inputs, 0)?.transpose(perm)?.into(),
-        Reshape(shape) => t(inputs, 0)?.reshape(shape)?.into(),
-        ExpandDims(axis) => t(inputs, 0)?.expand_dims(*axis)?.into(),
-        Squeeze(axis) => t(inputs, 0)?.squeeze(*axis)?.into(),
-        Cast(dtype) => t(inputs, 0)?.cast(*dtype).into(),
-        Shape => {
-            let shape: Vec<i64> = t(inputs, 0)?.shape().iter().map(|&d| d as i64).collect();
-            let n = shape.len();
-            Tensor::from_vec_i64(shape, &[n])?.into()
-        }
-        Size => Tensor::scalar_f32(t(inputs, 0)?.num_elements() as f32).into(),
-        DimSize(axis) => t(inputs, 0)?.dim_size(*axis)?.into(),
-        Range => Tensor::range_i64(t(inputs, 0)?.scalar_value_i64()?).into(),
-        TileAxis0(reps) => t(inputs, 0)?.tile_axis0(*reps)?.into(),
-        ReduceSum(axis) => t(inputs, 0)?.reduce_sum(*axis)?.into(),
-        ReduceMean(axis) => t(inputs, 0)?.reduce_mean(*axis)?.into(),
-        ReduceMax(axis) => t(inputs, 0)?.reduce_max(*axis)?.into(),
-        ReduceMin(axis) => t(inputs, 0)?.reduce_min(*axis)?.into(),
-        ReduceAll(axis) => t(inputs, 0)?.reduce_all(*axis)?.into(),
-        ReduceAny(axis) => t(inputs, 0)?.reduce_any(*axis)?.into(),
-        ArgMax(axis) => t(inputs, 0)?.argmax(*axis)?.into(),
-        IndexAxis0 => {
-            let i = t(inputs, 1)?.scalar_value_i64()?;
-            t(inputs, 0)?.index_axis0(i)?.into()
-        }
-        SliceAxis0 { start, stop } => t(inputs, 0)?.slice_axis0(*start, *stop)?.into(),
-        SetItemAxis0 => {
-            let i = t(inputs, 1)?.scalar_value_i64()?;
-            t(inputs, 0)?.set_index_axis0(i, t(inputs, 2)?)?.into()
-        }
-        Gather => t(inputs, 0)?.gather(t(inputs, 1)?)?.into(),
-        OneHot(depth) => t(inputs, 0)?.one_hot(*depth)?.into(),
-        TopK(k) => {
+        // identity passes any value through, arrays and tuples too
+        OpKind::Tensor(Op::Identity | Op::StopGradient) => inputs
+            .first_mut()
+            .map(GValue::take)
+            .ok_or_else(|| GraphError::runtime("identity with no input"))?,
+        OpKind::Tensor(op) => op.apply(&mut Inputs(inputs))?.into(),
+        OpKind::Const(c) => c.clone().into(),
+        OpKind::TopK(k) => {
             let (v, i) = t(inputs, 0)?.top_k(*k)?;
             GValue::Tuple(vec![GValue::Tensor(v), GValue::Tensor(i)])
         }
-        TopKValues(k) => t(inputs, 0)?.top_k(*k)?.0.into(),
-        TopKIndices(k) => t(inputs, 0)?.top_k(*k)?.1.into(),
-        Concat(axis) => {
-            let ts: Result<Vec<Tensor>> =
-                (0..inputs.len()).map(|i| t(inputs, i).cloned()).collect();
-            Tensor::concat(&ts?, *axis)?.into()
-        }
-        StackOp => {
-            let ts: Result<Vec<Tensor>> =
-                (0..inputs.len()).map(|i| t(inputs, i).cloned()).collect();
-            Tensor::stack(&ts?)?.into()
-        }
-        SumToShape => t(inputs, 0)?.sum_to_shape(t(inputs, 1)?.shape())?.into(),
-        BroadcastLike => t(inputs, 0)?.broadcast_like(t(inputs, 1)?.shape())?.into(),
-        ReshapeLike => t(inputs, 0)?.reshape(t(inputs, 1)?.shape())?.into(),
-        XentGrad => t(inputs, 0)?.xent_grad(t(inputs, 1)?)?.into(),
-        ArrayNew => GValue::Array(Vec::new()),
-        ArrayPush => {
+        OpKind::ArrayNew => GValue::Array(Vec::new()),
+        OpKind::ArrayPush => {
             let mut a = arr_owned(inputs, 0)?;
             a.push(t_owned(inputs, 1)?);
             GValue::Array(a)
         }
-        ArrayPop => {
+        OpKind::ArrayPop => {
             let mut a = arr_owned(inputs, 0)?;
             let v = a
                 .pop()
                 .ok_or_else(|| GraphError::runtime("pop from empty tensor array"))?;
             GValue::Tuple(vec![GValue::Array(a), GValue::Tensor(v)])
         }
-        ArrayWrite => {
+        OpKind::ArrayWrite => {
             let mut a = arr_owned(inputs, 0)?;
             let i = t(inputs, 1)?.scalar_value_i64()?;
             if i < 0 {
@@ -187,7 +122,7 @@ pub fn execute(op: &OpKind, inputs: &mut [GValue]) -> Result<GValue> {
             a[i] = v;
             GValue::Array(a)
         }
-        ArrayRead => {
+        OpKind::ArrayRead => {
             let a = arr(inputs, 0)?;
             let i = t(inputs, 1)?.scalar_value_i64()?;
             let idx = if i < 0 { i + a.len() as i64 } else { i };
@@ -202,32 +137,28 @@ pub fn execute(op: &OpKind, inputs: &mut [GValue]) -> Result<GValue> {
                     ))
                 })?
         }
-        ArrayStack => {
+        OpKind::ArrayStack => {
             let a = arr(inputs, 0)?;
             if a.is_empty() {
                 return Err(GraphError::runtime("cannot stack an empty tensor array"));
             }
             Tensor::stack(a)?.into()
         }
-        ArraySize => Tensor::scalar_i64(arr(inputs, 0)?.len() as i64).into(),
-        TupleOp => GValue::Tuple(inputs.iter_mut().map(GValue::take).collect()),
-        TupleGet(i) => match inputs.first_mut() {
+        OpKind::ArraySize => Tensor::scalar_i64(arr(inputs, 0)?.len() as i64).into(),
+        OpKind::TupleOp => GValue::Tuple(inputs.iter_mut().map(GValue::take).collect()),
+        OpKind::TupleGet(i) => match inputs.first_mut() {
             Some(GValue::Tuple(items)) => items
                 .get_mut(*i)
                 .map(GValue::take)
                 .ok_or_else(|| GraphError::runtime(format!("tuple index {i} out of range")))?,
             _ => return Err(GraphError::runtime("tuple_get on non-tuple")),
         },
-        Identity | StopGradient => inputs
-            .first_mut()
-            .map(GValue::take)
-            .ok_or_else(|| GraphError::runtime("identity with no input"))?,
-        Print(prefix) => {
+        OpKind::Print(prefix) => {
             let v = t(inputs, 0)?;
             println!("{prefix}{v}");
             v.clone().into()
         }
-        AssertOp(msg) => {
+        OpKind::AssertOp(msg) => {
             let v = t(inputs, 0)?;
             if !v.scalar_value_bool().map_err(|e| {
                 GraphError::runtime(format!("assert condition must be a scalar bool: {e}"))
@@ -236,13 +167,13 @@ pub fn execute(op: &OpKind, inputs: &mut [GValue]) -> Result<GValue> {
             }
             v.clone().into()
         }
-        Placeholder { .. }
-        | Variable { .. }
-        | Param(_)
-        | Assign { .. }
-        | Group
-        | Cond { .. }
-        | While { .. } => {
+        OpKind::Placeholder { .. }
+        | OpKind::Variable { .. }
+        | OpKind::Param(_)
+        | OpKind::Assign { .. }
+        | OpKind::Group
+        | OpKind::Cond { .. }
+        | OpKind::While { .. } => {
             return Err(GraphError::staging(format!(
                 "op '{}' must be handled by the evaluator, not the kernel table",
                 op.mnemonic()
@@ -267,8 +198,8 @@ mod tests {
 
     /// The kernel on copies of `inputs`, as the reference interpreter
     /// calls it: the originals must come out unchanged.
-    fn run(op: &OpKind, inputs: &[GValue]) -> Result<GValue> {
-        execute(op, &mut inputs.to_vec())
+    fn run(op: impl Into<OpKind>, inputs: &[GValue]) -> Result<GValue> {
+        execute(&op.into(), &mut inputs.to_vec())
     }
 
     fn tv(v: Vec<f32>) -> GValue {
@@ -278,36 +209,36 @@ mod tests {
 
     #[test]
     fn arithmetic_kernels() {
-        let r = run(&OpKind::Add, &[tv(vec![1.0, 2.0]), tv(vec![3.0, 4.0])]).unwrap();
+        let r = run(Op::Add, &[tv(vec![1.0, 2.0]), tv(vec![3.0, 4.0])]).unwrap();
         assert_eq!(r.as_tensor().unwrap().as_f32().unwrap(), &[4.0, 6.0]);
-        let r = run(&OpKind::Square, &[tv(vec![3.0])]).unwrap();
+        let r = run(Op::Square, &[tv(vec![3.0])]).unwrap();
         assert_eq!(r.as_tensor().unwrap().as_f32().unwrap(), &[9.0]);
     }
 
     #[test]
     fn shape_and_size() {
         let m = GValue::Tensor(Tensor::zeros(DType::F32, &[2, 3]));
-        let s = run(&OpKind::Shape, std::slice::from_ref(&m)).unwrap();
+        let s = run(Op::Shape, std::slice::from_ref(&m)).unwrap();
         assert_eq!(s.as_tensor().unwrap().as_i64().unwrap(), &[2, 3]);
-        let n = run(&OpKind::Size, std::slice::from_ref(&m)).unwrap();
+        let n = run(Op::Size, std::slice::from_ref(&m)).unwrap();
         assert_eq!(n.as_tensor().unwrap().scalar_value_f32().unwrap(), 6.0);
-        let d = run(&OpKind::DimSize(-1), &[m]).unwrap();
+        let d = run(Op::DimSize(-1), &[m]).unwrap();
         assert_eq!(d.as_tensor().unwrap().scalar_value_f32().unwrap(), 3.0);
     }
 
     #[test]
     fn array_ops_value_semantics() {
-        let a0 = run(&OpKind::ArrayNew, &[]).unwrap();
-        let a1 = run(&OpKind::ArrayPush, &[a0.clone(), tv(vec![1.0, 2.0])]).unwrap();
-        let a2 = run(&OpKind::ArrayPush, &[a1.clone(), tv(vec![3.0, 4.0])]).unwrap();
+        let a0 = run(OpKind::ArrayNew, &[]).unwrap();
+        let a1 = run(OpKind::ArrayPush, &[a0.clone(), tv(vec![1.0, 2.0])]).unwrap();
+        let a2 = run(OpKind::ArrayPush, &[a1.clone(), tv(vec![3.0, 4.0])]).unwrap();
         // a1 unchanged (value semantics)
         assert_eq!(a1.as_array().unwrap().len(), 1);
         assert_eq!(a2.as_array().unwrap().len(), 2);
-        let stacked = run(&OpKind::ArrayStack, std::slice::from_ref(&a2)).unwrap();
+        let stacked = run(OpKind::ArrayStack, std::slice::from_ref(&a2)).unwrap();
         assert_eq!(stacked.as_tensor().unwrap().shape(), &[2, 2]);
-        let size = run(&OpKind::ArraySize, std::slice::from_ref(&a2)).unwrap();
+        let size = run(OpKind::ArraySize, std::slice::from_ref(&a2)).unwrap();
         assert_eq!(size.as_tensor().unwrap().scalar_value_i64().unwrap(), 2);
-        let popped = run(&OpKind::ArrayPop, &[a2]).unwrap();
+        let popped = run(OpKind::ArrayPop, &[a2]).unwrap();
         match popped {
             GValue::Tuple(items) => {
                 assert_eq!(items[0].as_array().unwrap().len(), 1);
@@ -330,14 +261,18 @@ mod tests {
         let cond = GValue::Tensor(Tensor::from_vec_bool(vec![true, false], &[2]).unwrap());
         let a = tv(vec![1.0, 2.0]);
         let a_buf = f32_ptr(&a);
-        let out = execute(&OpKind::Select, &mut [cond.clone(), a, tv(vec![8.0, 9.0])]).unwrap();
+        let out = execute(
+            &OpKind::Tensor(Op::Select),
+            &mut [cond.clone(), a, tv(vec![8.0, 9.0])],
+        )
+        .unwrap();
         assert_eq!(out.as_tensor().unwrap().as_f32().unwrap(), &[1.0, 9.0]);
         assert_eq!(f32_ptr(&out), a_buf);
         // ...and leaves a shared one alone
         let shared = tv(vec![1.0, 2.0]);
         let b = tv(vec![8.0, 9.0]);
         let b_buf = f32_ptr(&b);
-        let out = execute(&OpKind::Select, &mut [cond, shared.clone(), b]).unwrap();
+        let out = execute(&OpKind::Tensor(Op::Select), &mut [cond, shared.clone(), b]).unwrap();
         assert_eq!(out.as_tensor().unwrap().as_f32().unwrap(), &[1.0, 9.0]);
         assert_eq!(f32_ptr(&out), b_buf);
         assert_eq!(shared.as_tensor().unwrap().as_f32().unwrap(), &[1.0, 2.0]);
@@ -345,47 +280,47 @@ mod tests {
 
     #[test]
     fn array_write_grows() {
-        let a0 = run(&OpKind::ArrayNew, &[]).unwrap();
+        let a0 = run(OpKind::ArrayNew, &[]).unwrap();
         let i = GValue::Tensor(Tensor::scalar_i64(2));
-        let a1 = run(&OpKind::ArrayWrite, &[a0, i.clone(), tv(vec![7.0])]).unwrap();
+        let a1 = run(OpKind::ArrayWrite, &[a0, i.clone(), tv(vec![7.0])]).unwrap();
         assert_eq!(a1.as_array().unwrap().len(), 3);
-        let r = run(&OpKind::ArrayRead, &[a1, i]).unwrap();
+        let r = run(OpKind::ArrayRead, &[a1, i]).unwrap();
         assert_eq!(r.as_tensor().unwrap().as_f32().unwrap(), &[7.0]);
     }
 
     #[test]
     fn array_errors() {
-        let a0 = run(&OpKind::ArrayNew, &[]).unwrap();
-        assert!(run(&OpKind::ArrayPop, std::slice::from_ref(&a0)).is_err());
-        assert!(run(&OpKind::ArrayStack, std::slice::from_ref(&a0)).is_err());
+        let a0 = run(OpKind::ArrayNew, &[]).unwrap();
+        assert!(run(OpKind::ArrayPop, std::slice::from_ref(&a0)).is_err());
+        assert!(run(OpKind::ArrayStack, std::slice::from_ref(&a0)).is_err());
         let i = GValue::Tensor(Tensor::scalar_i64(0));
-        assert!(run(&OpKind::ArrayRead, &[a0, i]).is_err());
+        assert!(run(OpKind::ArrayRead, &[a0, i]).is_err());
     }
 
     #[test]
     fn tuple_ops() {
-        let t = run(&OpKind::TupleOp, &[tv(vec![1.0]), tv(vec![2.0])]).unwrap();
-        let x = run(&OpKind::TupleGet(1), std::slice::from_ref(&t)).unwrap();
+        let t = run(OpKind::TupleOp, &[tv(vec![1.0]), tv(vec![2.0])]).unwrap();
+        let x = run(OpKind::TupleGet(1), std::slice::from_ref(&t)).unwrap();
         assert_eq!(x.as_tensor().unwrap().as_f32().unwrap(), &[2.0]);
-        assert!(run(&OpKind::TupleGet(5), &[t]).is_err());
-        assert!(run(&OpKind::TupleGet(0), &[tv(vec![1.0])]).is_err());
+        assert!(run(OpKind::TupleGet(5), &[t]).is_err());
+        assert!(run(OpKind::TupleGet(0), &[tv(vec![1.0])]).is_err());
     }
 
     #[test]
     fn index_and_setitem() {
         let x = GValue::Tensor(Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]).unwrap());
         let i = GValue::Tensor(Tensor::scalar_i64(1));
-        let r = run(&OpKind::IndexAxis0, &[x.clone(), i.clone()]).unwrap();
+        let r = run(Op::IndexAxis0, &[x.clone(), i.clone()]).unwrap();
         assert_eq!(r.as_tensor().unwrap().scalar_value_f32().unwrap(), 2.0);
         let v = GValue::Tensor(Tensor::scalar_f32(9.0));
-        let w = run(&OpKind::SetItemAxis0, &[x, i, v]).unwrap();
+        let w = run(Op::SetItemAxis0, &[x, i, v]).unwrap();
         assert_eq!(w.as_tensor().unwrap().as_f32().unwrap(), &[1.0, 9.0, 3.0]);
     }
 
     #[test]
     fn structural_ops_rejected_by_kernel_table() {
-        assert!(run(&OpKind::Param(0), &[]).is_err());
-        assert!(run(&OpKind::Group, &[]).is_err());
+        assert!(run(OpKind::Param(0), &[]).is_err());
+        assert!(run(OpKind::Group, &[]).is_err());
     }
 
     #[test]
@@ -397,28 +332,28 @@ mod tests {
     #[test]
     fn shape_manipulation_kernels() {
         let m = GValue::Tensor(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap());
-        let t = run(&OpKind::Transpose(vec![1, 0]), std::slice::from_ref(&m)).unwrap();
+        let t = run(Op::Transpose(vec![1, 0]), std::slice::from_ref(&m)).unwrap();
         assert_eq!(
             t.as_tensor().unwrap().as_f32().unwrap(),
             &[1.0, 3.0, 2.0, 4.0]
         );
-        let r = run(&OpKind::Reshape(vec![4]), std::slice::from_ref(&m)).unwrap();
+        let r = run(Op::Reshape(vec![4]), std::slice::from_ref(&m)).unwrap();
         assert_eq!(r.as_tensor().unwrap().shape(), &[4]);
-        let e = run(&OpKind::ExpandDims(0), std::slice::from_ref(&m)).unwrap();
+        let e = run(Op::ExpandDims(0), std::slice::from_ref(&m)).unwrap();
         assert_eq!(e.as_tensor().unwrap().shape(), &[1, 2, 2]);
-        let s = run(&OpKind::Squeeze(Some(0)), &[e]).unwrap();
+        let s = run(Op::Squeeze(Some(0)), &[e]).unwrap();
         assert_eq!(s.as_tensor().unwrap().shape(), &[2, 2]);
-        let c = run(&OpKind::Cast(DType::I64), &[m]).unwrap();
+        let c = run(Op::Cast(DType::I64), &[m]).unwrap();
         assert_eq!(c.as_tensor().unwrap().as_i64().unwrap(), &[1, 2, 3, 4]);
     }
 
     #[test]
     fn range_slice_tile_kernels() {
         let n = GValue::Tensor(Tensor::scalar_i64(4));
-        let r = run(&OpKind::Range, &[n]).unwrap();
+        let r = run(Op::Range, &[n]).unwrap();
         assert_eq!(r.as_tensor().unwrap().as_i64().unwrap(), &[0, 1, 2, 3]);
         let s = run(
-            &OpKind::SliceAxis0 {
+            Op::SliceAxis0 {
                 start: Some(1),
                 stop: Some(3),
             },
@@ -426,7 +361,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s.as_tensor().unwrap().as_i64().unwrap(), &[1, 2]);
-        let t = run(&OpKind::TileAxis0(2), &[s]).unwrap();
+        let t = run(Op::TileAxis0(2), &[s]).unwrap();
         assert_eq!(t.as_tensor().unwrap().as_i64().unwrap(), &[1, 2, 1, 2]);
     }
 
@@ -434,17 +369,17 @@ mod tests {
     fn gather_onehot_concat_stack_kernels() {
         let m = GValue::Tensor(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap());
         let idx = GValue::Tensor(Tensor::from_vec_i64(vec![1, 0], &[2]).unwrap());
-        let g = run(&OpKind::Gather, &[m.clone(), idx.clone()]).unwrap();
+        let g = run(Op::Gather, &[m.clone(), idx.clone()]).unwrap();
         assert_eq!(
             g.as_tensor().unwrap().as_f32().unwrap(),
             &[3.0, 4.0, 1.0, 2.0]
         );
-        let oh = run(&OpKind::OneHot(3), &[idx]).unwrap();
+        let oh = run(Op::OneHot(3), &[idx]).unwrap();
         assert_eq!(oh.as_tensor().unwrap().shape(), &[2, 3]);
         let row = GValue::Tensor(Tensor::from_vec(vec![9.0, 9.0], &[1, 2]).unwrap());
-        let cc = run(&OpKind::Concat(0), &[m.clone(), row]).unwrap();
+        let cc = run(Op::Concat(0), &[m.clone(), row]).unwrap();
         assert_eq!(cc.as_tensor().unwrap().shape(), &[3, 2]);
-        let st = run(&OpKind::StackOp, &[tv(vec![1.0]), tv(vec![2.0])]).unwrap();
+        let st = run(Op::StackOp, &[tv(vec![1.0]), tv(vec![2.0])]).unwrap();
         assert_eq!(st.as_tensor().unwrap().shape(), &[2, 1]);
     }
 
@@ -453,22 +388,22 @@ mod tests {
         let g = GValue::Tensor(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap());
         let r = GValue::Tensor(Tensor::from_vec(vec![10.0, 20.0], &[2]).unwrap());
         // sum over the broadcast (leading) dim
-        let s = run(&OpKind::SumToShape, &[g.clone(), r.clone()]).unwrap();
+        let s = run(Op::SumToShape, &[g.clone(), r.clone()]).unwrap();
         assert_eq!(s.as_tensor().unwrap().as_f32().unwrap(), &[4.0, 6.0]);
         // broadcast a row grad back up
-        let b = run(&OpKind::BroadcastLike, &[r.clone(), g.clone()]).unwrap();
+        let b = run(Op::BroadcastLike, &[r.clone(), g.clone()]).unwrap();
         assert_eq!(b.as_tensor().unwrap().shape(), &[2, 2]);
         // reshape-like
         let flat = GValue::Tensor(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[4]).unwrap());
-        let rl = run(&OpKind::ReshapeLike, &[flat, g.clone()]).unwrap();
+        let rl = run(Op::ReshapeLike, &[flat, g.clone()]).unwrap();
         assert_eq!(rl.as_tensor().unwrap().shape(), &[2, 2]);
         // sum_to_shape identity fast path
-        let same = run(&OpKind::SumToShape, &[g.clone(), g]).unwrap();
+        let same = run(Op::SumToShape, &[g.clone(), g]).unwrap();
         assert_eq!(same.as_tensor().unwrap().shape(), &[2, 2]);
         // xent grad rows sum to ~0 (softmax minus one-hot)
         let logits = GValue::Tensor(Tensor::from_vec(vec![1.0, 2.0, 0.5, 0.1], &[2, 2]).unwrap());
         let labels = GValue::Tensor(Tensor::from_vec_i64(vec![0, 1], &[2]).unwrap());
-        let xg = run(&OpKind::XentGrad, &[logits, labels]).unwrap();
+        let xg = run(Op::XentGrad, &[logits, labels]).unwrap();
         let v = xg.as_tensor().unwrap().as_f32().unwrap().to_vec();
         assert!(
             (v[0] + v[1]).abs() < 1e-5 && (v[2] + v[3]).abs() < 1e-5,
@@ -479,22 +414,18 @@ mod tests {
     #[test]
     fn nn_kernels_via_table() {
         let x = tv(vec![0.0, 1.0]);
-        for (op, check0) in [
-            (OpKind::Tanh, 0.0f32),
-            (OpKind::Sigmoid, 0.5),
-            (OpKind::Relu, 0.0),
-        ] {
-            let r = run(&op, std::slice::from_ref(&x)).unwrap();
+        for (op, check0) in [(Op::Tanh, 0.0f32), (Op::Sigmoid, 0.5), (Op::Relu, 0.0)] {
+            let r = run(op, std::slice::from_ref(&x)).unwrap();
             assert!((r.as_tensor().unwrap().as_f32().unwrap()[0] - check0).abs() < 1e-6);
         }
-        let sm = run(&OpKind::Softmax, std::slice::from_ref(&x)).unwrap();
+        let sm = run(Op::Softmax, std::slice::from_ref(&x)).unwrap();
         let total: f32 = sm.as_tensor().unwrap().as_f32().unwrap().iter().sum();
         assert!((total - 1.0).abs() < 1e-5);
-        let lsm = run(&OpKind::LogSoftmax, std::slice::from_ref(&x)).unwrap();
+        let lsm = run(Op::LogSoftmax, std::slice::from_ref(&x)).unwrap();
         assert!(lsm.as_tensor().unwrap().as_f32().unwrap()[0] < 0.0);
         let labels = GValue::Tensor(Tensor::from_vec_i64(vec![1], &[1]).unwrap());
         let logits = GValue::Tensor(Tensor::from_vec(vec![0.0, 0.0], &[1, 2]).unwrap());
-        let ce = run(&OpKind::SoftmaxCrossEntropy, &[logits, labels]).unwrap();
+        let ce = run(Op::SoftmaxCrossEntropy, &[logits, labels]).unwrap();
         assert!((ce.as_tensor().unwrap().scalar_value_f32().unwrap() - 2.0f32.ln()).abs() < 1e-5);
     }
 
@@ -502,7 +433,7 @@ mod tests {
     fn shape_size_dimsize_kernels() {
         let m = GValue::Tensor(Tensor::zeros(DType::F32, &[3, 5]));
         assert_eq!(
-            run(&OpKind::Shape, std::slice::from_ref(&m))
+            run(Op::Shape, std::slice::from_ref(&m))
                 .unwrap()
                 .as_tensor()
                 .unwrap()
@@ -511,7 +442,7 @@ mod tests {
             &[3, 5]
         );
         assert_eq!(
-            run(&OpKind::Size, std::slice::from_ref(&m))
+            run(Op::Size, std::slice::from_ref(&m))
                 .unwrap()
                 .as_tensor()
                 .unwrap()
@@ -519,27 +450,27 @@ mod tests {
                 .unwrap(),
             15.0
         );
-        assert!(run(&OpKind::DimSize(7), &[m]).is_err());
+        assert!(run(Op::DimSize(7), &[m]).is_err());
     }
 
     #[test]
     fn assert_kernel() {
         let ok = GValue::Tensor(Tensor::scalar_bool(true));
-        let r = run(&OpKind::AssertOp("m".into()), &[ok]).unwrap();
+        let r = run(OpKind::AssertOp("m".into()), &[ok]).unwrap();
         assert!(r.as_tensor().unwrap().scalar_value_bool().unwrap());
         let bad = GValue::Tensor(Tensor::scalar_bool(false));
-        let err = run(&OpKind::AssertOp("boom".into()), &[bad]).unwrap_err();
+        let err = run(OpKind::AssertOp("boom".into()), &[bad]).unwrap_err();
         assert!(err.to_string().contains("boom"));
         let non_scalar = tv(vec![1.0, 2.0]);
-        assert!(run(&OpKind::AssertOp("m".into()), &[non_scalar]).is_err());
+        assert!(run(OpKind::AssertOp("m".into()), &[non_scalar]).is_err());
     }
 
     #[test]
     fn fused_top_k_matches_parts() {
         let x = tv(vec![3.0, 1.0, 2.0]);
-        let fused = run(&OpKind::TopK(2), std::slice::from_ref(&x)).unwrap();
-        let v = run(&OpKind::TopKValues(2), std::slice::from_ref(&x)).unwrap();
-        let i = run(&OpKind::TopKIndices(2), &[x]).unwrap();
+        let fused = run(OpKind::TopK(2), std::slice::from_ref(&x)).unwrap();
+        let v = run(Op::TopKValues(2), std::slice::from_ref(&x)).unwrap();
+        let i = run(Op::TopKIndices(2), &[x]).unwrap();
         match fused {
             GValue::Tuple(items) => {
                 assert_eq!(items[0], v);
@@ -552,9 +483,9 @@ mod tests {
     #[test]
     fn top_k_ops() {
         let x = tv(vec![1.0, 5.0, 3.0]);
-        let v = run(&OpKind::TopKValues(2), std::slice::from_ref(&x)).unwrap();
+        let v = run(Op::TopKValues(2), std::slice::from_ref(&x)).unwrap();
         assert_eq!(v.as_tensor().unwrap().as_f32().unwrap(), &[5.0, 3.0]);
-        let i = run(&OpKind::TopKIndices(2), &[x]).unwrap();
+        let i = run(Op::TopKIndices(2), &[x]).unwrap();
         assert_eq!(i.as_tensor().unwrap().as_i64().unwrap(), &[1, 2]);
     }
 }

@@ -329,6 +329,7 @@ fn dce(
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
+    use crate::ir::Op;
     use crate::session::Session;
     use autograph_tensor::Tensor;
 
@@ -368,7 +369,7 @@ mod tests {
         let tanh_count = og
             .nodes
             .iter()
-            .filter(|n| matches!(n.op, OpKind::Tanh))
+            .filter(|n| matches!(n.op, OpKind::Tensor(Op::Tanh)))
             .count();
         assert_eq!(tanh_count, 1);
         let mut sess = Session::new(og);
@@ -416,7 +417,7 @@ mod tests {
         let x = b.placeholder("x");
         let pred = {
             let zero = b.scalar(0.0);
-            b.add(OpKind::Greater, vec![x, zero])
+            b.add(Op::Greater, vec![x, zero])
         };
         let (mut tb, tp) = SubGraphBuilder::new(1);
         let c1 = tb.b.scalar(2.0);
@@ -470,7 +471,7 @@ mod tests {
         let survivor = og
             .nodes
             .iter()
-            .find(|n| matches!(n.op, OpKind::Tanh))
+            .find(|n| matches!(n.op, OpKind::Tensor(Op::Tanh)))
             .expect("one tanh survives");
         assert!(survivor
             .prov

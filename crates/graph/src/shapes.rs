@@ -9,7 +9,7 @@
 //! **before** execution, attributed to the staged node's original source
 //! span.
 
-use crate::ir::{Graph, OpKind};
+use crate::ir::{Graph, Op, OpKind};
 use crate::{GraphError, Result};
 
 /// One dimension: `Some(n)` known, `None` unknown.
@@ -80,143 +80,112 @@ pub(crate) fn infer(graph: &Graph) -> Vec<PShape> {
                 .iter()
                 .find(|(n, _)| n == name)
                 .and_then(|(_, t)| known(t.shape())),
-            OpKind::Add
-            | OpKind::Sub
-            | OpKind::Mul
-            | OpKind::Div
-            | OpKind::FloorDiv
-            | OpKind::Mod
-            | OpKind::Pow
-            | OpKind::Maximum
-            | OpKind::Minimum
-            | OpKind::Less
-            | OpKind::LessEqual
-            | OpKind::Greater
-            | OpKind::GreaterEqual
-            | OpKind::Equal
-            | OpKind::NotEqual
-            | OpKind::LogicalAnd
-            | OpKind::LogicalOr => match (get(0), get(1)) {
+            OpKind::Print(_) | OpKind::AssertOp(_) => get(0),
+            OpKind::Tensor(op) => infer_op(op, get, node.inputs.len()),
+            _ => None,
+        };
+        shapes.push(s);
+    }
+    shapes
+}
+
+/// The partial output shape of a tensor op, given its inputs' (`get`).
+fn infer_op(op: &Op, get: impl Fn(usize) -> PShape, arity: usize) -> PShape {
+    use Op::*;
+    match op {
+        Add | Sub | Mul | Div | FloorDiv | Mod | Pow | Maximum | Minimum | Less | LessEqual
+        | Greater | GreaterEqual | Equal | NotEqual | LogicalAnd | LogicalOr => {
+            match (get(0), get(1)) {
                 (Some(a), Some(b)) => broadcast(&a, &b).ok(),
                 _ => None,
-            },
-            OpKind::Neg
-            | OpKind::Abs
-            | OpKind::Sqrt
-            | OpKind::Exp
-            | OpKind::Log
-            | OpKind::Square
-            | OpKind::Tanh
-            | OpKind::Sigmoid
-            | OpKind::Relu
-            | OpKind::Softmax
-            | OpKind::LogSoftmax
-            | OpKind::LogicalNot
-            | OpKind::Cast(_)
-            | OpKind::Identity
-            | OpKind::StopGradient
-            | OpKind::Print(_)
-            | OpKind::AssertOp(_)
-            | OpKind::SetItemAxis0 => get(0),
-            OpKind::MatMul {
-                transpose_a,
-                transpose_b,
-            } => {
-                // outer None: shape unknown; inner None: known, not rank 2
-                let a = get(0).map(|s| as_multiplied(&s, *transpose_a));
-                let b = get(1).map(|s| as_multiplied(&s, *transpose_b));
-                match (a, b) {
-                    (Some(Some((m, _))), Some(Some((_, n)))) => Some(vec![m, n]),
-                    // one side unknown: rank-2 matmul still pins the other axis
-                    (Some(Some((m, _))), None) => Some(vec![m, None]),
-                    (None, Some(Some((_, n)))) => Some(vec![None, n]),
-                    _ => None,
-                }
             }
-            OpKind::Transpose(perm) => get(0).and_then(|s| {
-                if perm.len() == s.len() {
-                    Some(perm.iter().map(|&p| s[p]).collect())
-                } else {
-                    None
-                }
-            }),
-            OpKind::Reshape(dims) => {
-                if dims.contains(&usize::MAX) {
-                    get(0).map(|s| {
-                        let total: Option<usize> = s
+        }
+        Neg | Abs | Sqrt | Exp | Log | Square | Tanh | Sigmoid | Relu | Softmax | LogSoftmax
+        | LogicalNot | Cast(_) | Identity | StopGradient | SetItemAxis0 => get(0),
+        MatMul {
+            transpose_a,
+            transpose_b,
+        } => {
+            // outer None: shape unknown; inner None: known, not rank 2
+            let a = get(0).map(|s| as_multiplied(&s, *transpose_a));
+            let b = get(1).map(|s| as_multiplied(&s, *transpose_b));
+            match (a, b) {
+                (Some(Some((m, _))), Some(Some((_, n)))) => Some(vec![m, n]),
+                // one side unknown: rank-2 matmul still pins the other axis
+                (Some(Some((m, _))), None) => Some(vec![m, None]),
+                (None, Some(Some((_, n)))) => Some(vec![None, n]),
+                _ => None,
+            }
+        }
+        Transpose(perm) => get(0).and_then(|s| {
+            if perm.len() == s.len() {
+                Some(perm.iter().map(|&p| s[p]).collect())
+            } else {
+                None
+            }
+        }),
+        Reshape(dims) => {
+            if dims.contains(&usize::MAX) {
+                get(0).map(|s| {
+                    let total: Option<usize> = s
+                        .iter()
+                        .copied()
+                        .collect::<Option<Vec<_>>>()
+                        .map(|v| v.iter().product());
+                    let knowns: usize = dims.iter().filter(|&&d| d != usize::MAX).product();
+                    match total {
+                        Some(total) if knowns > 0 && total % knowns == 0 => dims
                             .iter()
-                            .copied()
-                            .collect::<Option<Vec<_>>>()
-                            .map(|v| v.iter().product());
-                        let knowns: usize = dims.iter().filter(|&&d| d != usize::MAX).product();
-                        match total {
-                            Some(total) if knowns > 0 && total % knowns == 0 => dims
-                                .iter()
-                                .map(|&d| {
-                                    if d == usize::MAX {
-                                        Some(total / knowns)
-                                    } else {
-                                        Some(d)
-                                    }
-                                })
-                                .collect(),
-                            _ => dims
-                                .iter()
-                                .map(|&d| if d == usize::MAX { None } else { Some(d) })
-                                .collect(),
-                        }
-                    })
-                } else {
-                    known(dims)
-                }
-            }
-            OpKind::ExpandDims(ax) => get(0).and_then(|mut s| {
-                let rank = s.len() as isize;
-                let a = if *ax < 0 { *ax + rank + 1 } else { *ax };
-                if a < 0 || a > rank {
-                    None
-                } else {
-                    s.insert(a as usize, Some(1));
-                    Some(s)
-                }
-            }),
-            OpKind::Squeeze(None) => get(0).and_then(|s| {
-                // unknown dims might be 1: result rank unknown unless all known
-                if s.iter().all(Option::is_some) {
-                    Some(s.into_iter().filter(|d| *d != Some(1)).collect())
-                } else {
-                    None
-                }
-            }),
-            OpKind::Squeeze(Some(ax)) => get(0).and_then(|mut s| {
-                let rank = s.len() as isize;
-                let a = if *ax < 0 { *ax + rank } else { *ax };
-                if a < 0 || a >= rank {
-                    None
-                } else {
-                    s.remove(a as usize);
-                    Some(s)
-                }
-            }),
-            OpKind::ReduceSum(ax)
-            | OpKind::ReduceMean(ax)
-            | OpKind::ReduceMax(ax)
-            | OpKind::ReduceMin(ax)
-            | OpKind::ReduceAll(ax)
-            | OpKind::ReduceAny(ax) => match ax {
-                None => Some(vec![]),
-                Some(a) => get(0).and_then(|mut s| {
-                    let rank = s.len() as isize;
-                    let a = if *a < 0 { *a + rank } else { *a };
-                    if a < 0 || a >= rank {
-                        None
-                    } else {
-                        s.remove(a as usize);
-                        Some(s)
+                            .map(|&d| {
+                                if d == usize::MAX {
+                                    Some(total / knowns)
+                                } else {
+                                    Some(d)
+                                }
+                            })
+                            .collect(),
+                        _ => dims
+                            .iter()
+                            .map(|&d| if d == usize::MAX { None } else { Some(d) })
+                            .collect(),
                     }
-                }),
-            },
-            OpKind::ArgMax(a) => get(0).and_then(|mut s| {
+                })
+            } else {
+                known(dims)
+            }
+        }
+        ExpandDims(ax) => get(0).and_then(|mut s| {
+            let rank = s.len() as isize;
+            let a = if *ax < 0 { *ax + rank + 1 } else { *ax };
+            if a < 0 || a > rank {
+                None
+            } else {
+                s.insert(a as usize, Some(1));
+                Some(s)
+            }
+        }),
+        Squeeze(None) => get(0).and_then(|s| {
+            // unknown dims might be 1: result rank unknown unless all known
+            if s.iter().all(Option::is_some) {
+                Some(s.into_iter().filter(|d| *d != Some(1)).collect())
+            } else {
+                None
+            }
+        }),
+        Squeeze(Some(ax)) => get(0).and_then(|mut s| {
+            let rank = s.len() as isize;
+            let a = if *ax < 0 { *ax + rank } else { *ax };
+            if a < 0 || a >= rank {
+                None
+            } else {
+                s.remove(a as usize);
+                Some(s)
+            }
+        }),
+        ReduceSum(ax) | ReduceMean(ax) | ReduceMax(ax) | ReduceMin(ax) | ReduceAll(ax)
+        | ReduceAny(ax) => match ax {
+            None => Some(vec![]),
+            Some(a) => get(0).and_then(|mut s| {
                 let rank = s.len() as isize;
                 let a = if *a < 0 { *a + rank } else { *a };
                 if a < 0 || a >= rank {
@@ -226,52 +195,60 @@ pub(crate) fn infer(graph: &Graph) -> Vec<PShape> {
                     Some(s)
                 }
             }),
-            OpKind::Shape => get(0).map(|s| vec![Some(s.len())]),
-            OpKind::Size | OpKind::DimSize(_) => Some(vec![]),
-            OpKind::IndexAxis0 => get(0).and_then(|s| {
-                if s.is_empty() {
-                    None
-                } else {
-                    Some(s[1..].to_vec())
-                }
-            }),
-            OpKind::OneHot(depth) => get(0).map(|mut s| {
-                s.push(Some(*depth));
-                s
-            }),
-            OpKind::TopKValues(k) | OpKind::TopKIndices(k) => get(0).and_then(|mut s| {
-                if s.is_empty() {
-                    None
-                } else {
-                    *s.last_mut().expect("nonempty") = Some(*k);
-                    Some(s)
-                }
-            }),
-            OpKind::Gather => match (get(0), get(1)) {
-                (Some(x), Some(idx)) if !x.is_empty() => {
-                    let mut out = idx;
-                    out.extend_from_slice(&x[1..]);
-                    Some(out)
-                }
-                _ => None,
-            },
-            OpKind::StackOp => {
-                let all: Option<Vec<Vec<Dim>>> = (0..node.inputs.len()).map(get).collect();
-                all.and_then(|shapes| {
-                    if shapes.windows(2).all(|w| w[0].len() == w[1].len()) && !shapes.is_empty() {
-                        let mut out = vec![Some(shapes.len())];
-                        out.extend_from_slice(&shapes[0]);
-                        Some(out)
-                    } else {
-                        None
-                    }
-                })
+        },
+        ArgMax(a) => get(0).and_then(|mut s| {
+            let rank = s.len() as isize;
+            let a = if *a < 0 { *a + rank } else { *a };
+            if a < 0 || a >= rank {
+                None
+            } else {
+                s.remove(a as usize);
+                Some(s)
+            }
+        }),
+        Shape => get(0).map(|s| vec![Some(s.len())]),
+        Size | DimSize(_) => Some(vec![]),
+        IndexAxis0 => get(0).and_then(|s| {
+            if s.is_empty() {
+                None
+            } else {
+                Some(s[1..].to_vec())
+            }
+        }),
+        OneHot(depth) => get(0).map(|mut s| {
+            s.push(Some(*depth));
+            s
+        }),
+        TopKValues(k) | TopKIndices(k) => get(0).and_then(|mut s| {
+            if s.is_empty() {
+                None
+            } else {
+                *s.last_mut().expect("nonempty") = Some(*k);
+                Some(s)
+            }
+        }),
+        Gather => match (get(0), get(1)) {
+            (Some(x), Some(idx)) if !x.is_empty() => {
+                let mut out = idx;
+                out.extend_from_slice(&x[1..]);
+                Some(out)
             }
             _ => None,
-        };
-        shapes.push(s);
+        },
+        StackOp => {
+            let all: Option<Vec<Vec<Dim>>> = (0..arity).map(&get).collect();
+            all.and_then(|shapes| {
+                if shapes.windows(2).all(|w| w[0].len() == w[1].len()) && !shapes.is_empty() {
+                    let mut out = vec![Some(shapes.len())];
+                    out.extend_from_slice(&shapes[0]);
+                    Some(out)
+                } else {
+                    None
+                }
+            })
+        }
+        _ => None,
     }
-    shapes
 }
 
 /// Render a partial shape for error messages: `[?, 4]`.
@@ -304,10 +281,10 @@ pub fn validate(graph: &Graph) -> Result<()> {
                 .at_span(node.span))
         };
         match &node.op {
-            OpKind::MatMul {
+            OpKind::Tensor(Op::MatMul {
                 transpose_a,
                 transpose_b,
-            } => {
+            }) => {
                 if let (Some(a), Some(b)) = (get(0), get(1)) {
                     let inner = (
                         as_multiplied(&a, *transpose_a),
@@ -327,7 +304,7 @@ pub fn validate(graph: &Graph) -> Result<()> {
                     }
                 }
             }
-            OpKind::Add | OpKind::Sub | OpKind::Mul | OpKind::Div => {
+            OpKind::Tensor(Op::Add | Op::Sub | Op::Mul | Op::Div) => {
                 if let (Some(a), Some(b)) = (get(0), get(1)) {
                     if broadcast(&a, &b).is_err() {
                         fail(format!(
@@ -338,7 +315,7 @@ pub fn validate(graph: &Graph) -> Result<()> {
                     }
                 }
             }
-            OpKind::Transpose(perm) => {
+            OpKind::Tensor(Op::Transpose(perm)) => {
                 if let Some(s) = get(0) {
                     if perm.len() != s.len() {
                         fail(format!(
@@ -348,7 +325,7 @@ pub fn validate(graph: &Graph) -> Result<()> {
                     }
                 }
             }
-            OpKind::Select => {
+            OpKind::Tensor(Op::Select) => {
                 if let (Some(a), Some(b)) = (get(1), get(2)) {
                     if broadcast(&a, &b).is_err() {
                         fail(format!(
@@ -428,14 +405,14 @@ mod tests {
     fn reductions_indexing_and_stack() {
         let mut b = GraphBuilder::new();
         let m = b.constant(Tensor::zeros(DType::F32, &[4, 6]));
-        let s0 = b.add(OpKind::ReduceSum(Some(0)), vec![m]);
-        let full = b.add(OpKind::ReduceMean(None), vec![m]);
+        let s0 = b.add(Op::ReduceSum(Some(0)), vec![m]);
+        let full = b.add(Op::ReduceMean(None), vec![m]);
         let i = b.constant(Tensor::scalar_i64(1));
-        let row = b.add(OpKind::IndexAxis0, vec![m, i]);
-        let st = b.add(OpKind::StackOp, vec![row, row]);
+        let row = b.add(Op::IndexAxis0, vec![m, i]);
+        let st = b.add(Op::StackOp, vec![row, row]);
         let oh = {
             let idx = b.constant(Tensor::from_vec_i64(vec![0, 1], &[2]).unwrap());
-            b.add(OpKind::OneHot(7), vec![idx])
+            b.add(Op::OneHot(7), vec![idx])
         };
         let g = b.finish();
         let shapes = infer(&g);
@@ -450,13 +427,13 @@ mod tests {
     fn reshape_with_inferred_dim() {
         let mut b = GraphBuilder::new();
         let m = b.constant(Tensor::zeros(DType::F32, &[3, 4]));
-        let r = b.add(OpKind::Reshape(vec![2, usize::MAX]), vec![m]);
+        let r = b.add(Op::Reshape(vec![2, usize::MAX]), vec![m]);
         let g = b.finish();
         assert_eq!(infer(&g)[r], known(&[2, 6]));
         // unknown total -> unknown inferred dim, known static dims kept
         let mut b2 = GraphBuilder::new();
         let x = b2.placeholder("x");
-        let r2 = b2.add(OpKind::Reshape(vec![7, usize::MAX]), vec![x]);
+        let r2 = b2.add(Op::Reshape(vec![7, usize::MAX]), vec![x]);
         let g2 = b2.finish();
         assert_eq!(infer(&g2)[r2], None); // input rank unknown
     }

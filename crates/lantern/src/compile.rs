@@ -6,133 +6,65 @@
 
 use crate::sexpr::SExpr;
 use crate::{LanternError, Result};
-use autograph_tensor::grad::Rule;
+use autograph_tensor::op::Op;
 use std::collections::HashMap;
 
-/// Tensor operations of the Lantern IR.
+/// The parse table from Lantern's S-expression symbols onto tensor ops.
+/// An op with attributes has a symbol only where the IR fixes them
+/// (`concat0`, a reduction over every axis). `and`, `or` and `not` are the
+/// IR's own boolean forms ([`Logic`]).
+static OPS: &[(&str, Op)] = &[
+    ("add", Op::Add),
+    ("sub", Op::Sub),
+    ("mul", Op::Mul),
+    ("div", Op::Div),
+    ("neg", Op::Neg),
+    ("exp", Op::Exp),
+    ("log", Op::Log),
+    ("tanh", Op::Tanh),
+    ("sigmoid", Op::Sigmoid),
+    ("relu", Op::Relu),
+    ("square", Op::Square),
+    ("sqrt", Op::Sqrt),
+    (
+        "matmul",
+        Op::MatMul {
+            transpose_a: false,
+            transpose_b: false,
+        },
+    ),
+    ("concat0", Op::Concat(0)),
+    ("concat1", Op::Concat(1)),
+    ("reduce_sum", Op::ReduceSum(None)),
+    ("reduce_mean", Op::ReduceMean(None)),
+    ("softmax_xent", Op::SoftmaxCrossEntropy),
+    ("lt", Op::Less),
+    ("le", Op::LessEqual),
+    ("gt", Op::Greater),
+    ("ge", Op::GreaterEqual),
+    ("eq", Op::Equal),
+];
+
+/// The tensor op a symbol names.
+pub fn op_of(symbol: &str) -> Option<&'static Op> {
+    OPS.iter().find(|(s, _)| *s == symbol).map(|(_, op)| op)
+}
+
+/// The symbol of a tensor op, when the Lantern IR has one.
+pub fn symbol(op: &Op) -> Option<&'static str> {
+    OPS.iter().find(|(_, o)| o == op).map(|(s, _)| *s)
+}
+
+/// Boolean ops on flags (bools, or scalar bool tensors), outside
+/// differentiation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LOp {
-    /// `a + b` (broadcasting).
-    Add,
-    /// `a - b`.
-    Sub,
-    /// `a * b`.
-    Mul,
-    /// `a / b`.
-    Div,
-    /// `-a`.
-    Neg,
-    /// `exp`.
-    Exp,
-    /// `ln`.
-    Log,
-    /// `tanh`.
-    Tanh,
-    /// `sigmoid`.
-    Sigmoid,
-    /// `relu`.
-    Relu,
-    /// `a²`.
-    Square,
-    /// `sqrt`.
-    Sqrt,
-    /// matrix product.
-    MatMul,
-    /// concat along axis 0.
-    Concat0,
-    /// concat along axis 1.
-    Concat1,
-    /// total sum.
-    ReduceSum,
-    /// total mean.
-    ReduceMean,
-    /// mean softmax cross-entropy `(logits, labels)`.
-    SoftmaxXent,
-    /// `a < b` (scalar bool).
-    Lt,
-    /// `a <= b`.
-    Le,
-    /// `a > b`.
-    Gt,
-    /// `a >= b`.
-    Ge,
-    /// `a == b`.
-    EqOp,
-    /// boolean and.
+pub(crate) enum Logic {
+    /// `a and b`.
     And,
-    /// boolean or.
+    /// `a or b`.
     Or,
-    /// boolean not.
+    /// `not a`.
     Not,
-}
-
-impl LOp {
-    /// The op's gradient rule, for `arity` operands (a concat's parts).
-    pub(crate) fn rule(self, arity: usize) -> Rule {
-        use LOp::*;
-        match self {
-            Add => Rule::Add,
-            Sub => Rule::Sub,
-            Mul => Rule::Mul,
-            Div => Rule::Div,
-            Neg => Rule::Neg,
-            Exp => Rule::Exp,
-            Log => Rule::Log,
-            Tanh => Rule::Tanh,
-            Sigmoid => Rule::Sigmoid,
-            Relu => Rule::Relu,
-            Square => Rule::Square,
-            Sqrt => Rule::Sqrt,
-            MatMul => Rule::MatMul {
-                transpose_a: false,
-                transpose_b: false,
-            },
-            Concat0 => Rule::Concat {
-                axis: 0,
-                parts: arity,
-            },
-            Concat1 => Rule::Concat {
-                axis: 1,
-                parts: arity,
-            },
-            ReduceSum => Rule::ReduceSum(None),
-            ReduceMean => Rule::ReduceMean(None),
-            SoftmaxXent => Rule::SoftmaxXent,
-            Lt | Le | Gt | Ge | EqOp | And | Or | Not => Rule::Zero,
-        }
-    }
-}
-
-pub(crate) fn op_of(name: &str) -> Option<LOp> {
-    Some(match name {
-        "add" => LOp::Add,
-        "sub" => LOp::Sub,
-        "mul" => LOp::Mul,
-        "div" => LOp::Div,
-        "neg" => LOp::Neg,
-        "exp" => LOp::Exp,
-        "log" => LOp::Log,
-        "tanh" => LOp::Tanh,
-        "sigmoid" => LOp::Sigmoid,
-        "relu" => LOp::Relu,
-        "square" => LOp::Square,
-        "sqrt" => LOp::Sqrt,
-        "matmul" => LOp::MatMul,
-        "concat0" => LOp::Concat0,
-        "concat1" => LOp::Concat1,
-        "reduce_sum" => LOp::ReduceSum,
-        "reduce_mean" => LOp::ReduceMean,
-        "softmax_xent" => LOp::SoftmaxXent,
-        "lt" => LOp::Lt,
-        "le" => LOp::Le,
-        "gt" => LOp::Gt,
-        "ge" => LOp::Ge,
-        "eq" => LOp::EqOp,
-        "and" => LOp::And,
-        "or" => LOp::Or,
-        "not" => LOp::Not,
-        _ => return None,
-    })
 }
 
 /// A compiled expression.
@@ -164,10 +96,17 @@ pub(crate) enum CExpr {
         /// Else branch.
         els: Box<CExpr>,
     },
-    /// Primitive op application.
+    /// Tensor op application.
     Op {
         /// Which op.
-        op: LOp,
+        op: Op,
+        /// Arguments.
+        args: Vec<CExpr>,
+    },
+    /// Boolean op application.
+    Logic {
+        /// Which op.
+        op: Logic,
         /// Arguments.
         args: Vec<CExpr>,
     },
@@ -361,6 +300,10 @@ impl Compiler {
         }
     }
 
+    fn compile_args(&mut self, args: &[SExpr], scope: &mut Scope) -> Result<Vec<CExpr>> {
+        args.iter().map(|a| self.compile_expr(a, scope)).collect()
+    }
+
     fn compile_expr(&mut self, e: &SExpr, scope: &mut Scope) -> Result<CExpr> {
         match e {
             SExpr::Num(n) => Ok(CExpr::Scalar(*n as f32)),
@@ -430,10 +373,7 @@ impl Compiler {
                         let func = *self.func_names.get(fname).ok_or_else(|| {
                             LanternError::new(format!("unknown function '{fname}'"))
                         })?;
-                        let args = items[2..]
-                            .iter()
-                            .map(|a| self.compile_expr(a, scope))
-                            .collect::<Result<_>>()?;
+                        let args = self.compile_args(&items[2..], scope)?;
                         Ok(CExpr::Call { func, args })
                     }
                     "attr" => {
@@ -448,12 +388,7 @@ impl Compiler {
                             field: field.to_string(),
                         })
                     }
-                    "tuple" => Ok(CExpr::Tuple(
-                        items[1..]
-                            .iter()
-                            .map(|a| self.compile_expr(a, scope))
-                            .collect::<Result<_>>()?,
-                    )),
+                    "tuple" => Ok(CExpr::Tuple(self.compile_args(&items[1..], scope)?)),
                     "get" => {
                         let index = match items.get(2) {
                             Some(SExpr::Num(n)) => *n as usize,
@@ -464,15 +399,24 @@ impl Compiler {
                             index,
                         })
                     }
+                    "and" | "or" | "not" => {
+                        let op = match head {
+                            "and" => Logic::And,
+                            "or" => Logic::Or,
+                            _ => Logic::Not,
+                        };
+                        let args = self.compile_args(&items[1..], scope)?;
+                        Ok(CExpr::Logic { op, args })
+                    }
                     op_name => {
                         let op = op_of(op_name).ok_or_else(|| {
                             LanternError::new(format!("unknown lantern op '{op_name}'"))
                         })?;
-                        let args = items[1..]
-                            .iter()
-                            .map(|a| self.compile_expr(a, scope))
-                            .collect::<Result<Vec<_>>>()?;
-                        Ok(CExpr::Op { op, args })
+                        let args = self.compile_args(&items[1..], scope)?;
+                        Ok(CExpr::Op {
+                            op: op.clone(),
+                            args,
+                        })
                     }
                 }
             }
@@ -489,7 +433,7 @@ mod tests {
     fn compile_simple_program() {
         let p = Program::compile(&parse("(program (add (scalar 1) (scalar 2)))").unwrap()).unwrap();
         assert!(p.funcs.is_empty());
-        assert!(matches!(p.main.body, CExpr::Op { op: LOp::Add, .. }));
+        assert!(matches!(p.main.body, CExpr::Op { op: Op::Add, .. }));
     }
 
     #[test]
@@ -509,7 +453,7 @@ mod tests {
                 CExpr::If { cond, then, els } => {
                     find_call(cond) || find_call(then) || find_call(els)
                 }
-                CExpr::Op { args, .. } => args.iter().any(find_call),
+                CExpr::Op { args, .. } | CExpr::Logic { args, .. } => args.iter().any(find_call),
                 _ => false,
             }
         }

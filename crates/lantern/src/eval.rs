@@ -12,10 +12,11 @@
 //! replays the op's rule from [`autograph_tensor::grad`], the one the
 //! graph and the eager tape use.
 
-use crate::compile::{CExpr, CFunc, LOp, Program};
+use crate::compile::{CExpr, CFunc, Logic, Program};
 use crate::value::LValue;
 use crate::{LanternError, Result};
 use autograph_tensor::grad::{self, Kernels, Rule};
+use autograph_tensor::op::{Op, Operands};
 use autograph_tensor::{DType, Tensor};
 use std::collections::HashMap;
 
@@ -330,71 +331,55 @@ impl<'a> Ctx<'a> {
                     other.kind()
                 ))),
             },
-            CExpr::Op { op, args } => match args.as_slice() {
-                // common arities evaluate into stack slots (no allocation
-                // on the compiled hot path)
-                [a] => {
-                    let va = self.eval(a, frame)?;
-                    self.apply(*op, &[va])
-                }
-                [a, b] => {
-                    let va = self.eval(a, frame)?;
-                    let vb = self.eval(b, frame)?;
-                    self.apply(*op, &[va, vb])
-                }
-                _ => {
-                    let vals: Vec<LValue> = args
-                        .iter()
-                        .map(|a| self.eval(a, frame))
-                        .collect::<Result<_>>()?;
-                    self.apply(*op, &vals)
-                }
-            },
+            CExpr::Op { op, args } => self.with_args(args, frame, |ctx, vals| ctx.apply(op, vals)),
+            CExpr::Logic { op, args } => self.with_args(args, frame, |_, vals| {
+                let flag = |i: usize| {
+                    vals.get(i)
+                        .ok_or_else(|| LanternError::new("missing operand"))?
+                        .as_bool()
+                };
+                Ok(LValue::Bool(match op {
+                    Logic::And => flag(0)? && flag(1)?,
+                    Logic::Or => flag(0)? || flag(1)?,
+                    Logic::Not => !flag(0)?,
+                }))
+            }),
         }
     }
 
-    fn apply(&mut self, op: LOp, vals: &[LValue]) -> Result<LValue> {
-        use LOp::*;
-        let arg = |i: usize| {
-            vals.get(i)
-                .ok_or_else(|| LanternError::new("missing operand"))
-        };
-        // borrow tensors without allocating (hot path)
-        let t = |i: usize| arg(i)?.as_tensor();
-        let flag = |i: usize| arg(i)?.as_bool();
-        let out = match op {
-            // boolean ops and comparisons: no AD
-            And => return Ok(LValue::Bool(flag(0)? && flag(1)?)),
-            Or => return Ok(LValue::Bool(flag(0)? || flag(1)?)),
-            Not => return Ok(LValue::Bool(!flag(0)?)),
-            Lt => return Ok(LValue::Tensor(t(0)?.less(t(1)?)?, None)),
-            Le => return Ok(LValue::Tensor(t(0)?.less_equal(t(1)?)?, None)),
-            Gt => return Ok(LValue::Tensor(t(0)?.greater(t(1)?)?, None)),
-            Ge => return Ok(LValue::Tensor(t(0)?.greater_equal(t(1)?)?, None)),
-            EqOp => return Ok(LValue::Tensor(t(0)?.equal(t(1)?)?, None)),
-            Add => t(0)?.add(t(1)?)?,
-            Sub => t(0)?.sub(t(1)?)?,
-            Mul => t(0)?.mul(t(1)?)?,
-            Div => t(0)?.div(t(1)?)?,
-            Neg => t(0)?.neg()?,
-            Exp => t(0)?.exp()?,
-            Log => t(0)?.log()?,
-            Tanh => t(0)?.tanh()?,
-            Sigmoid => t(0)?.sigmoid()?,
-            Relu => t(0)?.relu()?,
-            Square => t(0)?.square()?,
-            Sqrt => t(0)?.sqrt()?,
-            MatMul => t(0)?.matmul(t(1)?)?,
-            Concat0 | Concat1 => {
-                let ts: Result<Vec<Tensor>> = vals.iter().map(|v| v.as_tensor().cloned()).collect();
-                Tensor::concat(&ts?, if op == Concat0 { 0 } else { 1 })?
+    /// Evaluate `args` and hand their values to `f`; common arities
+    /// evaluate into stack slots (no allocation on the compiled hot path).
+    fn with_args(
+        &mut self,
+        args: &[CExpr],
+        frame: &mut Vec<LValue>,
+        f: impl FnOnce(&mut Self, &[LValue]) -> Result<LValue>,
+    ) -> Result<LValue> {
+        match args {
+            [a] => {
+                let va = self.eval(a, frame)?;
+                f(self, &[va])
             }
-            ReduceSum => t(0)?.reduce_sum(None)?,
-            ReduceMean => t(0)?.reduce_mean(None)?,
-            SoftmaxXent => Tensor::softmax_cross_entropy(t(0)?, t(1)?)?,
-        };
+            [a, b] => {
+                let va = self.eval(a, frame)?;
+                let vb = self.eval(b, frame)?;
+                f(self, &[va, vb])
+            }
+            _ => {
+                let vals: Vec<LValue> = args
+                    .iter()
+                    .map(|a| self.eval(a, frame))
+                    .collect::<Result<_>>()?;
+                f(self, &vals)
+            }
+        }
+    }
 
-        let Some(tape) = self.tape.as_mut() else {
+    fn apply(&mut self, op: &Op, vals: &[LValue]) -> Result<LValue> {
+        let out = op.apply(&mut Args(vals))?;
+        // comparisons are never on a differentiable path
+        let rule = op.rule();
+        let Some(tape) = self.tape.as_mut().filter(|_| rule != Some(Rule::Zero)) else {
             return Ok(LValue::Tensor(out, None));
         };
         let nodes: Vec<Option<usize>> = vals
@@ -413,11 +398,12 @@ impl<'a> Ctx<'a> {
             .map(|v| v.as_tensor().cloned())
             .collect::<Result<_>>()?;
         let out_saved = out.clone();
-        let rule = op.rule(vals.len());
+        let name = op.name();
         let back: BackFn = Box::new(move |store: &mut GradStore| {
             let Some(Some(g)) = store.grads.get(out_node).cloned() else {
                 return Ok(());
             };
+            let rule = rule.ok_or_else(|| LanternError::new(grad::no_rule(name)))?;
             for (i, contrib) in grad::vjp(&mut Kernels, &rule, &saved, &out_saved, &g)? {
                 if let Some(&Some(node)) = nodes.get(i) {
                     store.accumulate(node, contrib)?;
@@ -430,11 +416,20 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// The gradient rule of a Lantern op symbol applied to `arity` operands
-/// (see [`autograph_tensor::grad`]); `None` for an unknown symbol.
-#[doc(hidden)]
-pub fn rule_of(symbol: &str, arity: usize) -> Option<Rule> {
-    crate::compile::op_of(symbol).map(|op| op.rule(arity))
+/// Evaluated arguments as a tensor op's operands.
+struct Args<'a>(&'a [LValue]);
+
+impl Operands for Args<'_> {
+    type Error = LanternError;
+    fn arity(&self) -> usize {
+        self.0.len()
+    }
+    fn operand(&self, i: usize) -> Result<&Tensor> {
+        self.0
+            .get(i)
+            .ok_or_else(|| LanternError::new("missing operand"))?
+            .as_tensor()
+    }
 }
 
 #[cfg(test)]

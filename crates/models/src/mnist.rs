@@ -15,7 +15,7 @@
 
 use autograph_graph::builder::{GraphBuilder, SubGraphBuilder};
 use autograph_graph::grad::gradients;
-use autograph_graph::ir::{Graph, NodeId, OpKind};
+use autograph_graph::ir::{Graph, NodeId, Op, OpKind};
 use autograph_graph::Session;
 use autograph_runtime::runtime::GraphArg;
 use autograph_runtime::{Runtime, RuntimeError, Value};
@@ -139,7 +139,7 @@ pub fn build_step_graph(params: &LinearParams) -> (Graph, NodeId) {
     let bias = b.variable("b", params.b.clone());
     let xw = b.matmul(x, w);
     let logits = b.add_op(xw, bias);
-    let loss = b.add(OpKind::SoftmaxCrossEntropy, vec![logits, y]);
+    let loss = b.add(Op::SoftmaxCrossEntropy, vec![logits, y]);
     let grads = gradients(&mut b, loss, &[w, bias]).expect("linear model grads");
     let lr = b.scalar(LR);
     let dw = b.mul(grads[0], lr);
@@ -200,19 +200,19 @@ pub fn build_ingraph_loop(params: &LinearParams) -> (Graph, Vec<NodeId>) {
     // state: 0=i, 1=w, 2=b, 3=steps, 4=images, 5=labels
     let cond_g = {
         let (mut sb, p) = SubGraphBuilder::new(6);
-        let lt = sb.b.add(OpKind::Less, vec![p[0], p[3]]);
+        let lt = sb.b.add(Op::Less, vec![p[0], p[3]]);
         sb.finish(vec![lt])
     };
     let body_g = {
         let (mut sb, p) = SubGraphBuilder::new(6);
         let (i, w, bias, steps, images, labels) = (p[0], p[1], p[2], p[3], p[4], p[5]);
         let nb = sb.b.constant(Tensor::scalar_i64(NUM_BATCHES as i64));
-        let idx = sb.b.add(OpKind::Mod, vec![i, nb]);
-        let x = sb.b.add(OpKind::IndexAxis0, vec![images, idx]);
-        let y = sb.b.add(OpKind::IndexAxis0, vec![labels, idx]);
+        let idx = sb.b.add(Op::Mod, vec![i, nb]);
+        let x = sb.b.add(Op::IndexAxis0, vec![images, idx]);
+        let y = sb.b.add(Op::IndexAxis0, vec![labels, idx]);
         let xw = sb.b.matmul(x, w);
         let logits = sb.b.add_op(xw, bias);
-        let loss = sb.b.add(OpKind::SoftmaxCrossEntropy, vec![logits, y]);
+        let loss = sb.b.add(Op::SoftmaxCrossEntropy, vec![logits, y]);
         let grads = gradients(&mut sb.b, loss, &[w, bias]).expect("linear model grads");
         let lr = sb.b.scalar(LR);
         let dw = sb.b.mul(grads[0], lr);
@@ -381,11 +381,13 @@ mod tests {
         let (optimized, _, _) = autograph_graph::optimize::optimize(&staged.graph, &staged.outputs);
         let mut all = Vec::new();
         ops(&optimized, &mut all);
-        assert!(!all.iter().any(|op| matches!(op, OpKind::Transpose(_))));
-        let tn = OpKind::MatMul {
+        assert!(!all
+            .iter()
+            .any(|op| matches!(op, OpKind::Tensor(Op::Transpose(_)))));
+        let tn = OpKind::Tensor(Op::MatMul {
             transpose_a: true,
             transpose_b: false,
-        };
+        });
         assert!(all.contains(&tn), "the weight gradient is a TN matmul");
     }
 

@@ -10,7 +10,7 @@
 //!   Rust loop over tensor kernels, no interpreter, no graph.
 
 use autograph_graph::builder::{GraphBuilder, SubGraphBuilder};
-use autograph_graph::ir::{Graph, NodeId, OpKind};
+use autograph_graph::ir::{Graph, NodeId, Op, OpKind};
 use autograph_runtime::runtime::GraphArg;
 use autograph_runtime::{Runtime, RuntimeError, Value};
 use autograph_tensor::{DType, Rng64, Tensor};
@@ -169,8 +169,8 @@ pub fn build_handwritten(weights: &RnnWeights) -> (Graph, Vec<NodeId>) {
     let wh = b.constant(weights.wh.clone());
     let bias = b.constant(weights.b.clone());
 
-    let input_t = b.add(OpKind::Transpose(vec![1, 0, 2]), vec![input]); // [time,batch,feat]
-    let max_len = b.add(OpKind::ReduceMax(None), vec![seq_len]);
+    let input_t = b.add(Op::Transpose(vec![1, 0, 2]), vec![input]); // [time,batch,feat]
+    let max_len = b.add(Op::ReduceMax(None), vec![seq_len]);
     let zero = b.constant(Tensor::scalar_i64(0));
     let outputs0 = b.add(OpKind::ArrayNew, vec![]);
 
@@ -179,22 +179,22 @@ pub fn build_handwritten(weights: &RnnWeights) -> (Graph, Vec<NodeId>) {
     // 3=max_len, 4=input_t, 5=seq_len, 6=wx, 7=wh, 8=bias.
     let cond_g = {
         let (mut sb, p) = SubGraphBuilder::new(9);
-        let lt = sb.b.add(OpKind::Less, vec![p[0], p[3]]);
+        let lt = sb.b.add(Op::Less, vec![p[0], p[3]]);
         sb.finish(vec![lt])
     };
     let body_g = {
         let (mut sb, p) = SubGraphBuilder::new(9);
         let (i, state, outputs) = (p[0], p[1], p[2]);
         let (input_t, seq_len, wx, wh, bias) = (p[4], p[5], p[6], p[7], p[8]);
-        let x = sb.b.add(OpKind::IndexAxis0, vec![input_t, i]);
+        let x = sb.b.add(Op::IndexAxis0, vec![input_t, i]);
         let xw = sb.b.matmul(x, wx);
         let hw = sb.b.matmul(state, wh);
         let sum = sb.b.add_op(xw, hw);
         let act = sb.b.add_op(sum, bias);
         let h = sb.b.tanh(act);
-        let keep0 = sb.b.add(OpKind::Less, vec![i, seq_len]);
-        let keep = sb.b.add(OpKind::ExpandDims(1), vec![keep0]);
-        let state2 = sb.b.add(OpKind::Select, vec![keep, h, state]);
+        let keep0 = sb.b.add(Op::Less, vec![i, seq_len]);
+        let keep = sb.b.add(Op::ExpandDims(1), vec![keep0]);
+        let state2 = sb.b.add(Op::Select, vec![keep, h, state]);
         let outputs2 = sb.b.add(OpKind::ArrayPush, vec![outputs, h]);
         let one = sb.b.constant(Tensor::scalar_i64(1));
         let i2 = sb.b.add_op(i, one);
@@ -216,7 +216,7 @@ pub fn build_handwritten(weights: &RnnWeights) -> (Graph, Vec<NodeId>) {
     let final_state = b.tuple_get(w, 1);
     let outputs_arr = b.tuple_get(w, 2);
     let stacked = b.add(OpKind::ArrayStack, vec![outputs_arr]);
-    let out = b.add(OpKind::Transpose(vec![1, 0, 2]), vec![stacked]);
+    let out = b.add(Op::Transpose(vec![1, 0, 2]), vec![stacked]);
     b.pop_scope();
     (b.finish(), vec![out, final_state])
 }

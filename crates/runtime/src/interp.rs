@@ -17,7 +17,7 @@ use crate::tf_api;
 use crate::value::{ModuleKind, PyFunction, Value};
 use crate::{Result, RuntimeError};
 use autograph_eager::Eager;
-use autograph_graph::ir::OpKind;
+use autograph_graph::ir::{Op, OpKind};
 use autograph_lantern::sexpr::SExpr;
 use autograph_pylang::ast::*;
 use autograph_tensor::{Rng64, Tensor};
@@ -966,7 +966,7 @@ impl Interp {
                 let i = index.as_int()?;
                 Ok(Value::tensor(t.tensor().index_axis0(i)?))
             }
-            Value::GraphNode { .. } => self.graph_op(OpKind::IndexAxis0, &[base, index]),
+            Value::GraphNode { .. } => self.graph_op(Op::IndexAxis0, &[base, index]),
             other => Err(RuntimeError::new(format!(
                 "{} is not subscriptable",
                 other.kind()
@@ -1007,7 +1007,7 @@ impl Interp {
             }
             Value::Tensor(t) => Ok(Value::tensor(t.tensor().slice_axis0(lo, hi)?)),
             Value::GraphNode { .. } => self.graph_op(
-                OpKind::SliceAxis0 {
+                Op::SliceAxis0 {
                     start: lo,
                     stop: hi,
                 },
@@ -1111,7 +1111,7 @@ impl Interp {
     /// # Errors
     ///
     /// Fails when not staging a graph or inputs cannot be coerced.
-    pub(crate) fn graph_op(&mut self, op: OpKind, inputs: &[Value]) -> Result<Value> {
+    pub(crate) fn graph_op(&mut self, op: impl Into<OpKind>, inputs: &[Value]) -> Result<Value> {
         let mut ids = Vec::with_capacity(inputs.len());
         for v in inputs {
             ids.push(self.graph_node_for(v)?);
@@ -1119,7 +1119,7 @@ impl Interp {
         let span = self.current_span;
         let stage = self.graph_stage()?;
         stage.top().builder.set_span(span);
-        let (epoch, id) = stage.add(op, ids);
+        let (epoch, id) = stage.add(op.into(), ids);
         Ok(Value::GraphNode { epoch, id })
     }
 
@@ -1150,11 +1150,17 @@ impl Interp {
         }
     }
 
-    /// Build a Lantern op expression value.
-    pub(crate) fn lantern_expr(&mut self, op: &str, args: Vec<SExpr>) -> Value {
-        let mut items = vec![SExpr::sym(op)];
-        items.extend(args);
-        Value::Lantern(Rc::new(SExpr::list(items)))
+    /// The Lantern expression applying the op `symbol` to `operands`.
+    ///
+    /// # Errors
+    ///
+    /// Fails for operands the Lantern IR cannot represent.
+    pub(crate) fn lantern_call(&mut self, symbol: &str, operands: &[Value]) -> Result<Value> {
+        let mut items = vec![SExpr::sym(symbol)];
+        for v in operands {
+            items.push(self.to_lantern_sexpr(v)?);
+        }
+        Ok(Value::Lantern(Rc::new(SExpr::list(items))))
     }
 }
 

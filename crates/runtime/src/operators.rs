@@ -4,10 +4,10 @@
 //! lower the construct into the active IR.
 
 use crate::interp::{Interp, Stage};
-use crate::tf_api::{self, take};
+use crate::tf_api::{self, take, Row};
 use crate::value::{Builtin, PyFunction, Value};
 use crate::{Result, RuntimeError};
-use autograph_graph::ir::{NodeId, OpKind, SubGraph};
+use autograph_graph::ir::{NodeId, Op, OpKind, SubGraph};
 use autograph_lantern::sexpr::SExpr;
 use autograph_pylang::ast::{BinOp, CmpOp, Module, StmtKind};
 use std::ops::Range;
@@ -51,7 +51,7 @@ pub fn lookup(name: &str) -> Option<Value> {
             let [v] = take(a)?;
             let bool_tensor = matches!(&v, Value::Tensor(t) if t.tensor().dtype() == autograph_tensor::DType::Bool);
             if v.is_staged() || bool_tensor {
-                return i.apply(&tf_api::LOGICAL_NOT, &[v]);
+                return staged_logic(i, &tf_api::LOGICAL_NOT, "not", &[v]);
             }
             Ok(Value::Bool(!v.truthy()?))
         }),
@@ -129,9 +129,9 @@ pub fn lookup(name: &str) -> Option<Value> {
                     Ok(Value::Int(t.shape()[0] as i64))
                 }
                 Value::GraphNode { .. } => {
-                    let shape = i.graph_op(OpKind::Shape, &[v])?;
+                    let shape = i.graph_op(Op::Shape, &[v])?;
                     let zero = Value::Int(0);
-                    i.graph_op(OpKind::IndexAxis0, &[shape, zero])
+                    i.graph_op(Op::IndexAxis0, &[shape, zero])
                 }
                 other => Err(RuntimeError::new(format!(
                     "object of type {} has no len()",
@@ -146,7 +146,7 @@ pub fn lookup(name: &str) -> Option<Value> {
                         "staged range() supports a single limit argument",
                     ));
                 }
-                return i.graph_op(OpKind::Range, &[a[0].clone()]);
+                return i.graph_op(Op::Range, &[a[0].clone()]);
             }
             let ints: Vec<i64> = a.iter().map(Value::as_int).collect::<Result<_>>()?;
             let (start, stop, step) = match ints.as_slice() {
@@ -172,9 +172,7 @@ pub fn lookup(name: &str) -> Option<Value> {
                     .map(Value::Int)
                     .map_err(|_| RuntimeError::new(format!("invalid int literal: '{s}'"))),
                 Value::Tensor(t) => Ok(Value::Int(t.tensor().scalar_value_i64()?)),
-                Value::GraphNode { .. } => {
-                    i.graph_op(OpKind::Cast(autograph_tensor::DType::I64), &[v])
-                }
+                Value::GraphNode { .. } => i.graph_op(Op::Cast(autograph_tensor::DType::I64), &[v]),
                 other => Err(RuntimeError::new(format!(
                     "int() argument must be numeric, not {}",
                     other.kind()
@@ -184,9 +182,7 @@ pub fn lookup(name: &str) -> Option<Value> {
         "float_" => builtin("float_", |i, a, _| {
             let [v] = take(a)?;
             match &v {
-                Value::GraphNode { .. } => {
-                    i.graph_op(OpKind::Cast(autograph_tensor::DType::F32), &[v])
-                }
+                Value::GraphNode { .. } => i.graph_op(Op::Cast(autograph_tensor::DType::F32), &[v]),
                 Value::Str(s) => s
                     .trim()
                     .parse::<f64>()
@@ -549,13 +545,13 @@ fn staged_for(
         &counted,
         |i, params| {
             let idx = params.into_iter().next().unwrap_or(Value::None);
-            let shape = i.graph_op(OpKind::Shape, std::slice::from_ref(&iter))?;
-            let len = i.graph_op(OpKind::IndexAxis0, &[shape, Value::Int(0)])?;
-            i.graph_op(OpKind::Less, &[idx, len])
+            let shape = i.graph_op(Op::Shape, std::slice::from_ref(&iter))?;
+            let len = i.graph_op(Op::IndexAxis0, &[shape, Value::Int(0)])?;
+            i.graph_op(Op::Less, &[idx, len])
         },
         |i, mut params| {
             let idx = params.remove(0);
-            let target = i.graph_op(OpKind::IndexAxis0, &[iter.clone(), idx.clone()])?;
+            let target = i.graph_op(Op::IndexAxis0, &[iter.clone(), idx.clone()])?;
             params.insert(0, target);
             let state = next_state(call(i, body_fn, params)?, n)?;
             let mut next = vec![i.binop(BinOp::Add, idx, Value::Int(1))?];
@@ -575,12 +571,10 @@ fn logical_lazy(i: &mut Interp, args: Args, is_and: bool) -> Result<Value> {
         // staged: strict evaluation of the second operand (the paper
         // lowers through tf.cond; our kernel is strict — documented)
         let b = call(i, &thunk, vec![])?;
-        let row = if is_and {
-            &tf_api::LOGICAL_AND
-        } else {
-            &tf_api::LOGICAL_OR
+        return match is_and {
+            true => staged_logic(i, &tf_api::LOGICAL_AND, "and", &[a, b]),
+            false => staged_logic(i, &tf_api::LOGICAL_OR, "or", &[a, b]),
         };
-        return i.apply(row, &[a, b]);
     }
     // Python lazy boolean semantics: return the deciding operand
     if a.truthy()? == is_and {
@@ -588,6 +582,16 @@ fn logical_lazy(i: &mut Interp, args: Args, is_and: bool) -> Result<Value> {
     } else {
         Ok(a)
     }
+}
+
+/// A staged Python `and`/`or`/`not`: Lantern's own boolean form (its
+/// `symbol`) on a Lantern operand, the tensor op's `row` on any other.
+fn staged_logic(i: &mut Interp, row: &Row, symbol: &str, operands: &[Value]) -> Result<Value> {
+    let lantern = operands.iter().any(|v| matches!(v, Value::Lantern(_)));
+    if lantern && !i.stages_graph(operands) {
+        return i.lantern_call(symbol, operands);
+    }
+    i.apply(row, operands)
 }
 
 // ---- lists -------------------------------------------------------------------
@@ -636,7 +640,7 @@ fn stack_impl(i: &mut Interp, l: Value) -> Result<Value> {
             if items.is_empty() {
                 return Err(RuntimeError::new("ag.stack of an empty list"));
             }
-            i.dispatch(&tf_api::STACK, OpKind::StackOp, &items)
+            i.dispatch(&tf_api::STACK, Op::StackOp, &items)
         }
         Value::GraphNode { .. } => i.graph_op(OpKind::ArrayStack, &[l]),
         other => Err(RuntimeError::new(format!("cannot stack {}", other.kind()))),
@@ -665,7 +669,7 @@ fn setitem_impl(i: &mut Interp, x: Value, idx: Value, v: Value) -> Result<Value>
                 t.tensor().set_index_axis0(pos, &v.as_eager_tensor()?)?,
             ))
         }
-        Value::GraphNode { .. } => i.graph_op(OpKind::SetItemAxis0, &[x, idx, v]),
+        Value::GraphNode { .. } => i.graph_op(Op::SetItemAxis0, &[x, idx, v]),
         other => Err(RuntimeError::new(format!(
             "cannot set item on {}",
             other.kind()

@@ -409,6 +409,7 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autograph_graph::ir::Op;
     use autograph_graph::Session;
 
     const LISTING1: &str = "def f(x):\n    if x > 0:\n        x = x * x\n    return x\n";
@@ -492,16 +493,15 @@ mod tests {
             .nodes
             .iter()
             .any(|n| matches!(n.op, autograph_graph::ir::OpKind::Cond { .. })));
-        assert!(staged
-            .graph
-            .nodes
-            .iter()
-            .any(|n| matches!(n.op, autograph_graph::ir::OpKind::Relu)));
-        assert!(!staged
-            .graph
-            .nodes
-            .iter()
-            .any(|n| matches!(n.op, autograph_graph::ir::OpKind::Tanh)));
+        let has = |op: Op| {
+            staged
+                .graph
+                .nodes
+                .iter()
+                .any(|n| n.op.tensor() == Some(&op))
+        };
+        assert!(has(Op::Relu));
+        assert!(!has(Op::Tanh));
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The `tf.*` API surface exposed to PyLite. Every tensor op is declared
-//! once, as a [`Row`] of [`ROWS`], and [`Interp::dispatch`] picks the
-//! backend each call runs on — the paper's dynamic dispatch (§4, Table 4):
-//! eager kernels, graph nodes, or Lantern expressions.
+//! once, as a [`Row`] of [`ROWS`] whose call parses into one [`Op`], and
+//! [`Interp::dispatch`] picks the backend that op runs on — the paper's
+//! dynamic dispatch (§4, Table 4): an eager kernel call, a graph node, or
+//! a Lantern expression.
 
 use crate::interp::Interp;
 use crate::value::{Builtin, Value};
 use crate::{Result, RuntimeError};
 use autograph_eager::EagerTensor;
-use autograph_graph::ir::OpKind;
+use autograph_graph::ir::{Op, OpKind};
 use autograph_pylang::ast::CmpOp;
 use autograph_tensor::{DType, Tensor};
 use std::rc::Rc;
@@ -15,17 +16,17 @@ use std::rc::Rc;
 type Args = Vec<Value>;
 type Kwargs = Vec<(String, Value)>;
 
-/// How a call's arguments become the graph op (attributes included) and
-/// the op's tensor operands.
+/// How a call's arguments become the op (attributes included) and its
+/// tensor operands.
 enum Build {
     /// `op(x)`.
-    Unary(OpKind),
+    Unary(Op),
     /// `op(x, y)`.
-    Binary(OpKind),
+    Binary(Op),
     /// `op(x, axis=None)`.
-    Reduce(fn(Option<isize>) -> OpKind),
+    Reduce(fn(Option<isize>) -> Op),
     /// Anything else.
-    Call(fn(&mut Interp, Args, &Kwargs) -> Result<(OpKind, Args)>),
+    Call(fn(&mut Interp, Args, &Kwargs) -> Result<(Op, Args)>),
 }
 use Build::{Binary, Call, Reduce, Unary};
 
@@ -34,103 +35,53 @@ pub(crate) struct Row {
     /// The `tf.*` name.
     name: &'static str,
     build: Build,
-    /// The eager registry op; the graph op's attributes follow the
-    /// operands as i64 inputs.
-    eager: &'static str,
-    /// The Lantern symbol, when the Lantern IR has the op.
-    lantern: Option<&'static str>,
 }
 
-const fn row(
-    name: &'static str,
-    build: Build,
-    eager: &'static str,
-    lantern: Option<&'static str>,
-) -> Row {
-    Row {
-        name,
-        build,
-        eager,
-        lantern,
-    }
+const fn row(name: &'static str, build: Build) -> Row {
+    Row { name, build }
 }
 
 // rows the Python operators (`Interp::{binop, compare, unary}`) and `ag.*`
 // dispatch to, besides `tf.*`
-pub(crate) const ADD: Row = row("add", Binary(OpKind::Add), "add", Some("add"));
-pub(crate) const SUB: Row = row("subtract", Binary(OpKind::Sub), "sub", Some("sub"));
-pub(crate) const MUL: Row = row("multiply", Binary(OpKind::Mul), "mul", Some("mul"));
-pub(crate) const DIV: Row = row("divide", Binary(OpKind::Div), "div", Some("div"));
-pub(crate) const FLOORDIV: Row = row("floordiv", Binary(OpKind::FloorDiv), "floordiv", None);
-pub(crate) const MOD: Row = row("mod", Binary(OpKind::Mod), "mod", None);
-pub(crate) const POW: Row = row("pow", Binary(OpKind::Pow), "pow", None);
-pub(crate) const LESS: Row = row("less", Binary(OpKind::Less), "less", Some("lt"));
-pub(crate) const LESS_EQUAL: Row = row(
-    "less_equal",
-    Binary(OpKind::LessEqual),
-    "less_equal",
-    Some("le"),
-);
-pub(crate) const GREATER: Row = row("greater", Binary(OpKind::Greater), "greater", Some("gt"));
-pub(crate) const GREATER_EQUAL: Row = row(
-    "greater_equal",
-    Binary(OpKind::GreaterEqual),
-    "greater_equal",
-    Some("ge"),
-);
-pub(crate) const EQUAL: Row = row("equal", Binary(OpKind::Equal), "equal", Some("eq"));
-pub(crate) const NOT_EQUAL: Row = row("not_equal", Binary(OpKind::NotEqual), "not_equal", None);
-pub(crate) const NEG: Row = row("neg", Unary(OpKind::Neg), "neg", Some("neg"));
-pub(crate) const ABS: Row = row("abs", Unary(OpKind::Abs), "abs", None);
-pub(crate) const LOGICAL_NOT: Row = row(
-    "logical_not",
-    Unary(OpKind::LogicalNot),
-    "logical_not",
-    Some("not"),
-);
-pub(crate) const LOGICAL_AND: Row = row(
-    "logical_and",
-    Binary(OpKind::LogicalAnd),
-    "logical_and",
-    Some("and"),
-);
-pub(crate) const LOGICAL_OR: Row = row(
-    "logical_or",
-    Binary(OpKind::LogicalOr),
-    "logical_or",
-    Some("or"),
-);
-pub(crate) const STACK: Row = row("stack", Call(stack), "stack", None);
-const TOP_K: Row = row(
-    "top_k",
-    Call(|_, a, _| int_attr(OpKind::TopK, a)),
-    "top_k",
-    None,
-);
+pub(crate) const ADD: Row = row("add", Binary(Op::Add));
+pub(crate) const SUB: Row = row("subtract", Binary(Op::Sub));
+pub(crate) const MUL: Row = row("multiply", Binary(Op::Mul));
+pub(crate) const DIV: Row = row("divide", Binary(Op::Div));
+pub(crate) const FLOORDIV: Row = row("floordiv", Binary(Op::FloorDiv));
+pub(crate) const MOD: Row = row("mod", Binary(Op::Mod));
+pub(crate) const POW: Row = row("pow", Binary(Op::Pow));
+pub(crate) const LESS: Row = row("less", Binary(Op::Less));
+pub(crate) const LESS_EQUAL: Row = row("less_equal", Binary(Op::LessEqual));
+pub(crate) const GREATER: Row = row("greater", Binary(Op::Greater));
+pub(crate) const GREATER_EQUAL: Row = row("greater_equal", Binary(Op::GreaterEqual));
+pub(crate) const EQUAL: Row = row("equal", Binary(Op::Equal));
+pub(crate) const NOT_EQUAL: Row = row("not_equal", Binary(Op::NotEqual));
+pub(crate) const NEG: Row = row("neg", Unary(Op::Neg));
+pub(crate) const ABS: Row = row("abs", Unary(Op::Abs));
+pub(crate) const LOGICAL_NOT: Row = row("logical_not", Unary(Op::LogicalNot));
+pub(crate) const LOGICAL_AND: Row = row("logical_and", Binary(Op::LogicalAnd));
+pub(crate) const LOGICAL_OR: Row = row("logical_or", Binary(Op::LogicalOr));
+pub(crate) const STACK: Row = row("stack", Call(stack));
+const TOP_K: Row = row("top_k", Call(|_, a, _| int_attr(Op::TopKValues, a)));
 
 /// Every tensor op of `tf.*`.
 #[rustfmt::skip]
 static ROWS: &[Row] = &[
-    // ---- construction: the op's value is its attribute ------------------------
-    row("constant", Call(constant), "identity", None),
-    row("zeros", Call(|_, a, _| Ok((OpKind::Const(Tensor::zeros(DType::F32, &shape_arg(&a, 0)?)), vec![]))), "identity", None),
-    row("ones", Call(|_, a, _| Ok((OpKind::Const(Tensor::ones(DType::F32, &shape_arg(&a, 0)?)), vec![]))), "identity", None),
-    row("random_normal", Call(random_normal), "identity", None),
-    row("range", Unary(OpKind::Range), "range", None),
+    row("range", Unary(Op::Range)),
     // ---- elementwise ------------------------------------------------------------
-    row("tanh", Unary(OpKind::Tanh), "tanh", Some("tanh")),
-    row("sigmoid", Unary(OpKind::Sigmoid), "sigmoid", Some("sigmoid")),
-    row("relu", Unary(OpKind::Relu), "relu", Some("relu")),
-    row("exp", Unary(OpKind::Exp), "exp", Some("exp")),
-    row("log", Unary(OpKind::Log), "log", Some("log")),
-    row("sqrt", Unary(OpKind::Sqrt), "sqrt", Some("sqrt")),
-    row("square", Unary(OpKind::Square), "square", Some("square")),
+    row("tanh", Unary(Op::Tanh)),
+    row("sigmoid", Unary(Op::Sigmoid)),
+    row("relu", Unary(Op::Relu)),
+    row("exp", Unary(Op::Exp)),
+    row("log", Unary(Op::Log)),
+    row("sqrt", Unary(Op::Sqrt)),
+    row("square", Unary(Op::Square)),
     ABS,
     NEG,
-    row("softmax", Unary(OpKind::Softmax), "softmax", None),
-    row("log_softmax", Unary(OpKind::LogSoftmax), "log_softmax", None),
-    row("stop_gradient", Unary(OpKind::StopGradient), "stop_gradient", None),
-    row("identity", Unary(OpKind::Identity), "identity", None),
+    row("softmax", Unary(Op::Softmax)),
+    row("log_softmax", Unary(Op::LogSoftmax)),
+    row("stop_gradient", Unary(Op::StopGradient)),
+    row("identity", Unary(Op::Identity)),
     ADD,
     SUB,
     MUL,
@@ -138,45 +89,60 @@ static ROWS: &[Row] = &[
     FLOORDIV,
     MOD,
     POW,
-    row("matmul", Binary(OpKind::MatMul { transpose_a: false, transpose_b: false }), "matmul", Some("matmul")),
-    row("maximum", Binary(OpKind::Maximum), "maximum", None),
-    row("minimum", Binary(OpKind::Minimum), "minimum", None),
+    row("matmul", Binary(Op::MatMul { transpose_a: false, transpose_b: false })),
+    row("maximum", Binary(Op::Maximum)),
+    row("minimum", Binary(Op::Minimum)),
     EQUAL,
     NOT_EQUAL,
     LESS,
     LESS_EQUAL,
     GREATER,
     GREATER_EQUAL,
-    // the Python `and`/`or`/`not` stage to Lantern; `tf.logical_*` never has
-    row("logical_and", Binary(OpKind::LogicalAnd), "logical_and", None),
-    row("logical_or", Binary(OpKind::LogicalOr), "logical_or", None),
-    row("logical_not", Unary(OpKind::LogicalNot), "logical_not", None),
-    row("where", Call(|_, a, _| Ok((OpKind::Select, exactly(a, 3)?))), "select", None),
-    row("softmax_cross_entropy", Binary(OpKind::SoftmaxCrossEntropy), "softmax_cross_entropy", Some("softmax_xent")),
+    LOGICAL_AND,
+    LOGICAL_OR,
+    LOGICAL_NOT,
+    row("where", Call(|_, a, _| Ok((Op::Select, exactly(a, 3)?)))),
+    row("softmax_cross_entropy", Binary(Op::SoftmaxCrossEntropy)),
     // ---- reductions ---------------------------------------------------------------
-    row("reduce_sum", Reduce(OpKind::ReduceSum), "reduce_sum", Some("reduce_sum")),
-    row("reduce_mean", Reduce(OpKind::ReduceMean), "reduce_mean", Some("reduce_mean")),
-    row("reduce_max", Reduce(OpKind::ReduceMax), "reduce_max", None),
-    row("reduce_min", Reduce(OpKind::ReduceMin), "reduce_min", None),
-    row("reduce_all", Reduce(OpKind::ReduceAll), "reduce_all", None),
-    row("reduce_any", Reduce(OpKind::ReduceAny), "reduce_any", None),
-    row("argmax", Call(|_, a, k| Ok((OpKind::ArgMax(axis_from(k, &a, 1)?.unwrap_or(-1)), vec![first(a)?]))), "argmax", None),
+    row("reduce_sum", Reduce(Op::ReduceSum)),
+    row("reduce_mean", Reduce(Op::ReduceMean)),
+    row("reduce_max", Reduce(Op::ReduceMax)),
+    row("reduce_min", Reduce(Op::ReduceMin)),
+    row("reduce_all", Reduce(Op::ReduceAll)),
+    row("reduce_any", Reduce(Op::ReduceAny)),
+    row("argmax", Call(|_, a, k| Ok((Op::ArgMax(axis_from(k, &a, 1)?.unwrap_or(-1)), vec![first(a)?])))),
     // ---- shape / indexing -----------------------------------------------------------
-    row("shape", Unary(OpKind::Shape), "shape", None),
-    row("transpose", Call(transpose), "transpose", None),
-    row("reshape", Call(reshape), "reshape", None),
-    row("expand_dims", Call(expand_dims), "expand_dims", None),
-    row("squeeze", Call(squeeze), "squeeze", None),
-    row("cast", Call(cast), "cast", None),
-    row("gather", Binary(OpKind::Gather), "gather", None),
-    row("one_hot", Call(|_, a, _| int_attr(OpKind::OneHot, a)), "one_hot", None),
-    row("concat", Call(concat), "concat", Some("concat")),
+    row("shape", Unary(Op::Shape)),
+    row("transpose", Call(transpose)),
+    row("reshape", Call(reshape)),
+    row("expand_dims", Call(expand_dims)),
+    row("squeeze", Call(squeeze)),
+    row("cast", Call(cast)),
+    row("gather", Binary(Op::Gather)),
+    row("one_hot", Call(|_, a, _| int_attr(Op::OneHot, a))),
+    row("concat", Call(concat)),
     STACK,
     TOP_K,
 ];
 
+/// A constructor's value is its attribute: a tensor, staged as a graph
+/// constant.
+type Constructor = fn(&mut Interp, Args, &Kwargs) -> Result<Tensor>;
+
+/// Every constructor of `tf.*`.
+static CONSTRUCTORS: &[(&str, Constructor)] = &[
+    ("constant", constant),
+    ("zeros", |_, a, _| {
+        Ok(Tensor::zeros(DType::F32, &shape_arg(&a, 0)?))
+    }),
+    ("ones", |_, a, _| {
+        Ok(Tensor::ones(DType::F32, &shape_arg(&a, 0)?))
+    }),
+    ("random_normal", random_normal),
+];
+
 impl Row {
-    fn build(&self, i: &mut Interp, args: Args, kwargs: &Kwargs) -> Result<(OpKind, Args)> {
+    fn build(&self, i: &mut Interp, args: Args, kwargs: &Kwargs) -> Result<(Op, Args)> {
         match &self.build {
             Unary(op) => Ok((op.clone(), exactly(args, 1)?)),
             Binary(op) => Ok((op.clone(), exactly(args, 2)?)),
@@ -186,56 +152,52 @@ impl Row {
     }
 }
 
-fn constant(_: &mut Interp, args: Args, kwargs: &Kwargs) -> Result<(OpKind, Args)> {
+fn constant(_: &mut Interp, args: Args, kwargs: &Kwargs) -> Result<Tensor> {
     let [v] = take(args)?;
-    let mut t = value_to_tensor(&v)?;
-    if let Some(Value::DType(d)) = kwarg(kwargs, "dtype") {
-        t = t.cast(d);
-    }
-    Ok((OpKind::Const(t), vec![]))
+    let t = value_to_tensor(&v)?;
+    Ok(match kwarg(kwargs, "dtype") {
+        Some(Value::DType(d)) => t.cast(d),
+        _ => t,
+    })
 }
 
-fn random_normal(i: &mut Interp, args: Args, kwargs: &Kwargs) -> Result<(OpKind, Args)> {
+fn random_normal(i: &mut Interp, args: Args, kwargs: &Kwargs) -> Result<Tensor> {
     let stddev = match kwarg(kwargs, "stddev") {
         Some(v) => v.as_float()? as f32,
         None => 1.0,
     };
     // sampled at trace time; staged graphs embed the sample
-    let t = i.rng.normal_tensor(&shape_arg(&args, 0)?, stddev);
-    Ok((OpKind::Const(t), vec![]))
+    Ok(i.rng.normal_tensor(&shape_arg(&args, 0)?, stddev))
 }
 
-fn transpose(_: &mut Interp, args: Args, _: &Kwargs) -> Result<(OpKind, Args)> {
+fn transpose(_: &mut Interp, args: Args, _: &Kwargs) -> Result<(Op, Args)> {
     let [x, perm] = take(args)?;
     let perm = list(perm)?
         .iter()
         .map(|v| v.as_int().map(|x| x as usize))
         .collect::<Result<_>>()?;
-    Ok((OpKind::Transpose(perm), vec![x]))
+    Ok((Op::Transpose(perm), vec![x]))
 }
 
-fn reshape(_: &mut Interp, args: Args, _: &Kwargs) -> Result<(OpKind, Args)> {
+fn reshape(_: &mut Interp, args: Args, _: &Kwargs) -> Result<(Op, Args)> {
     let shape = shape_arg(&args, 1)?;
     let [x, _] = take(args)?;
-    Ok((OpKind::Reshape(shape), vec![x]))
+    Ok((Op::Reshape(shape), vec![x]))
 }
 
-fn expand_dims(_: &mut Interp, args: Args, _: &Kwargs) -> Result<(OpKind, Args)> {
+fn expand_dims(_: &mut Interp, args: Args, _: &Kwargs) -> Result<(Op, Args)> {
     let [x, axis] = take(args)?;
-    Ok((OpKind::ExpandDims(axis.as_int()? as isize), vec![x]))
+    Ok((Op::ExpandDims(axis.as_int()? as isize), vec![x]))
 }
 
-fn squeeze(_: &mut Interp, args: Args, _: &Kwargs) -> Result<(OpKind, Args)> {
+fn squeeze(_: &mut Interp, args: Args, _: &Kwargs) -> Result<(Op, Args)> {
     let axis = args.get(1).map(Value::as_int).transpose()?;
-    Ok((
-        OpKind::Squeeze(axis.map(|x| x as isize)),
-        vec![first(args)?],
-    ))
+    Ok((Op::Squeeze(axis.map(|x| x as isize)), vec![first(args)?]))
 }
 
-fn cast(_: &mut Interp, args: Args, _: &Kwargs) -> Result<(OpKind, Args)> {
+fn cast(_: &mut Interp, args: Args, _: &Kwargs) -> Result<(Op, Args)> {
     match take(args)? {
-        [x, Value::DType(d)] => Ok((OpKind::Cast(d), vec![x])),
+        [x, Value::DType(d)] => Ok((Op::Cast(d), vec![x])),
         [_, other] => Err(RuntimeError::new(format!(
             "tf.cast dtype must be a dtype, got {}",
             other.kind()
@@ -243,54 +205,54 @@ fn cast(_: &mut Interp, args: Args, _: &Kwargs) -> Result<(OpKind, Args)> {
     }
 }
 
-fn concat(_: &mut Interp, args: Args, _: &Kwargs) -> Result<(OpKind, Args)> {
+fn concat(_: &mut Interp, args: Args, _: &Kwargs) -> Result<(Op, Args)> {
     let [values, axis] = take(args)?;
-    Ok((OpKind::Concat(axis.as_int()? as isize), list(values)?))
+    Ok((Op::Concat(axis.as_int()? as isize), list(values)?))
 }
 
-fn stack(_: &mut Interp, args: Args, _: &Kwargs) -> Result<(OpKind, Args)> {
+fn stack(_: &mut Interp, args: Args, _: &Kwargs) -> Result<(Op, Args)> {
     let [values] = take(args)?;
-    Ok((OpKind::StackOp, list(values)?))
+    Ok((Op::StackOp, list(values)?))
 }
 
 impl Interp {
     /// The one backend decision for a tensor op (§4 dynamic dispatch): a
     /// staged operand or active graph staging adds a graph node, a Lantern
-    /// operand builds a Lantern expression, and anything else runs through
-    /// the eager registry, so the gradient tape records every op.
+    /// operand builds a Lantern expression, and anything else runs eagerly,
+    /// so the gradient tape records every op.
     ///
     /// # Errors
     ///
     /// Fails when the Lantern IR lacks the op, on uncoercible operands, and
     /// on kernel errors.
-    pub(crate) fn dispatch(&mut self, row: &Row, op: OpKind, operands: &[Value]) -> Result<Value> {
-        if self.staging_graph()
-            || operands
-                .iter()
-                .any(|v| matches!(v, Value::GraphNode { .. }))
-        {
+    pub(crate) fn dispatch(&mut self, row: &Row, op: Op, operands: &[Value]) -> Result<Value> {
+        if self.stages_graph(operands) {
             return self.graph_op(op, operands);
         }
         if operands.iter().any(|v| matches!(v, Value::Lantern(_))) {
-            let sym = lantern_symbol(row, &op).ok_or_else(|| {
+            let sym = autograph_lantern::compile::symbol(&op).ok_or_else(|| {
                 RuntimeError::new(format!(
                     "tf op '{}' is not supported by the lantern backend",
                     row.name
                 ))
             })?;
-            let args = operands
-                .iter()
-                .map(|v| self.to_lantern_sexpr(v))
-                .collect::<Result<_>>()?;
-            return Ok(self.lantern_expr(sym, args));
+            return self.lantern_call(sym, operands);
         }
-        let mut inputs = operands
+        let inputs = operands
             .iter()
             .map(|v| self.to_eager(v))
             .collect::<Result<Vec<_>>>()?;
-        inputs.extend(attr_inputs(op)?.into_iter().map(EagerTensor::from));
         let refs: Vec<&EagerTensor> = inputs.iter().collect();
-        Ok(Value::Tensor(self.eager.op(row.eager, &refs)?))
+        Ok(Value::Tensor(self.eager.apply(&op, &refs)?))
+    }
+
+    /// Whether a call on `operands` adds a graph node: a staged operand,
+    /// or graph staging under way.
+    pub(crate) fn stages_graph(&self, operands: &[Value]) -> bool {
+        self.staging_graph()
+            || operands
+                .iter()
+                .any(|v| matches!(v, Value::GraphNode { .. }))
     }
 
     /// Dispatch an attribute-free unary or binary row (a Python operator's
@@ -308,42 +270,14 @@ impl Interp {
         };
         self.dispatch(row, op.clone(), operands)
     }
-}
 
-/// The Lantern IR carries no attributes: an attributed op has no Lantern
-/// form, except `concat`, whose axes 0 and 1 are two Lantern ops.
-fn lantern_symbol(row: &Row, op: &OpKind) -> Option<&'static str> {
-    let sym = row.lantern?;
-    match op {
-        OpKind::Concat(0) => Some("concat0"),
-        OpKind::Concat(1) => Some("concat1"),
-        OpKind::Concat(_) | OpKind::ReduceSum(Some(_)) | OpKind::ReduceMean(Some(_)) => None,
-        _ => Some(sym),
-    }
-}
-
-/// A graph op's attributes as the eager registry reads them: i64 inputs
-/// after the operands (a constant's attribute is its value).
-fn attr_inputs(op: OpKind) -> Result<Vec<Tensor>> {
-    use OpKind::*;
-    let int = |v: i64| vec![Tensor::scalar_i64(v)];
-    Ok(match op {
-        Const(t) => vec![t],
-        ReduceSum(Some(a)) | ReduceMean(Some(a)) | ReduceMax(Some(a)) | ReduceMin(Some(a))
-        | ReduceAll(Some(a)) | ReduceAny(Some(a)) | Squeeze(Some(a)) | ArgMax(a)
-        | ExpandDims(a) | Concat(a) => int(a as i64),
-        OneHot(n) | TopK(n) => int(n as i64),
-        Cast(d) => int(d as i64),
-        Transpose(dims) | Reshape(dims) => {
-            let n = dims.len();
-            let dims = dims
-                .into_iter()
-                .map(|d| i64::try_from(d).unwrap_or(-1))
-                .collect();
-            vec![Tensor::from_vec_i64(dims, &[n])?]
+    /// A constructor's tensor: a graph constant while a graph is staged.
+    fn constant(&mut self, t: Tensor) -> Result<Value> {
+        if self.staging_graph() {
+            return self.graph_op(OpKind::Const(t), &[]);
         }
-        _ => vec![],
-    })
+        Ok(Value::tensor(t))
+    }
 }
 
 /// `print` and `tf.print`: a staged value stages a `Print` node; anything
@@ -387,24 +321,19 @@ pub fn lookup(name: &str) -> Option<Value> {
         "less_equal" => comparison(name, CmpOp::Le),
         "greater" => comparison(name, CmpOp::Gt),
         "greater_equal" => comparison(name, CmpOp::Ge),
-        // two outputs: a staged TopK is split into its pair; the registry
-        // has one op per output
-        "top_k" => builtin(name, |i, a, k| {
-            let (op, x) = TOP_K.build(i, a, &k)?;
-            match i.dispatch(&TOP_K, op.clone(), &x)? {
-                pair @ Value::GraphNode { .. } => {
-                    let values = i.graph_op(OpKind::TupleGet(0), std::slice::from_ref(&pair))?;
-                    let indices = i.graph_op(OpKind::TupleGet(1), &[pair])?;
-                    Ok(Value::tuple(vec![values, indices]))
-                }
-                values => {
-                    let indices = Row {
-                        eager: "top_k_indices",
-                        ..TOP_K
-                    };
-                    Ok(Value::tuple(vec![values, i.dispatch(&indices, op, &x)?]))
-                }
+        // two outputs: a staged top_k is one node split into its pair;
+        // every other backend runs one op per output
+        "top_k" => builtin(name, |i, a, _| {
+            let (k, x) = usize_attr(a)?;
+            if i.stages_graph(&x) {
+                let pair = i.graph_op(OpKind::TopK(k), &x)?;
+                let values = i.graph_op(OpKind::TupleGet(0), std::slice::from_ref(&pair))?;
+                let indices = i.graph_op(OpKind::TupleGet(1), &[pair])?;
+                return Ok(Value::tuple(vec![values, indices]));
             }
+            let values = i.dispatch(&TOP_K, Op::TopKValues(k), &x)?;
+            let indices = i.dispatch(&TOP_K, Op::TopKIndices(k), &x)?;
+            Ok(Value::tuple(vec![values, indices]))
         }),
         "print" => builtin(name, |i, a, _| print(i, a, "tf.print: ")),
 
@@ -468,13 +397,19 @@ pub fn lookup(name: &str) -> Option<Value> {
             crate::operators::while_stmt_impl(i, cond, body, vars)
         }),
 
-        _ => {
-            let row = ROWS.iter().find(|r| r.name == name)?;
-            builtin(name, move |i, a, k| {
-                let (op, operands) = row.build(i, a, &k)?;
-                i.dispatch(row, op, &operands)
-            })
-        }
+        _ => match CONSTRUCTORS.iter().find(|(n, _)| *n == name) {
+            Some(&(_, make)) => builtin(name, move |i, a, k| {
+                let t = make(i, a, &k)?;
+                i.constant(t)
+            }),
+            None => {
+                let row = ROWS.iter().find(|r| r.name == name)?;
+                builtin(name, move |i, a, k| {
+                    let (op, operands) = row.build(i, a, &k)?;
+                    i.dispatch(row, op, &operands)
+                })
+            }
+        },
     })
 }
 
@@ -508,11 +443,17 @@ fn first(args: Args) -> Result<Value> {
 }
 
 /// `op(x, n)` with an integer attribute `n`.
-fn int_attr(op: fn(usize) -> OpKind, args: Args) -> Result<(OpKind, Args)> {
+fn int_attr(op: fn(usize) -> Op, args: Args) -> Result<(Op, Args)> {
+    let (n, x) = usize_attr(args)?;
+    Ok((op(n), x))
+}
+
+/// `(x, n)` with a non-negative integer `n`: `n` and the operand `[x]`.
+fn usize_attr(args: Args) -> Result<(usize, Args)> {
     let [x, n] = take(args)?;
     let n = usize::try_from(n.as_int()?)
         .map_err(|_| RuntimeError::new("expected a non-negative integer"))?;
-    Ok((op(n), vec![x]))
+    Ok((n, vec![x]))
 }
 
 fn kwarg(kwargs: &Kwargs, name: &str) -> Option<Value> {
@@ -707,7 +648,6 @@ mod tests {
                 .map(|axis| vec![Value::list(vec![m(), m()]), Value::Int(axis)])
                 .collect(),
             (Call(_), "stack") => vec![vec![Value::list(vec![m(), m()])]],
-            (Call(_), "constant" | "zeros" | "ones" | "random_normal") => vec![vec![ints(&[2])]],
             // expand_dims, argmax, top_k
             (Call(_), _) => vec![vec![m(), Value::Int(1)]],
         }
@@ -715,53 +655,35 @@ mod tests {
 
     #[test]
     fn every_row_reaches_one_rule_on_every_backend() {
-        // concat's graph adjoint needs a slice op the IR does not have yet
-        let exceptions = [("concat", "graph")];
-        let mut hit = Vec::new();
+        // a graph node holds the row's op and the eager runtime applies
+        // it, so both reach its rule; Lantern does too when its symbol
+        // for the op parses back to that op
+        let mut no_rule = Vec::new();
         let mut i = Interp::new();
-        // the Python `and`/`or`/`not` rows stage to Lantern; `tf.logical_*` never does
-        for row in ROWS.iter().chain([&LOGICAL_AND, &LOGICAL_OR, &LOGICAL_NOT]) {
+        for row in ROWS {
             for args in samples(row) {
-                let (op, operands) = row.build(&mut i, args, &Vec::new()).unwrap();
-                if operands.is_empty() {
-                    continue; // a constructor: nothing to differentiate
+                let (op, _) = row.build(&mut i, args, &Vec::new()).unwrap();
+                if let Some(sym) = autograph_lantern::compile::symbol(&op) {
+                    let parsed = autograph_lantern::compile::op_of(sym);
+                    assert_eq!(parsed, Some(&op), "{}", row.name);
                 }
-                let mut inputs: Vec<Tensor> = operands
-                    .iter()
-                    .map(|v| i.to_eager(v).map(|t| t.tensor().clone()))
-                    .collect::<Result<_>>()
-                    .unwrap();
-                inputs.extend(attr_inputs(op.clone()).unwrap());
-                let mut rules = vec![
-                    ("graph", autograph_graph::grad::rule_of(&op)),
-                    ("eager", i.eager.rule(row.eager, &inputs).unwrap()),
-                ];
-                if let Some(sym) = lantern_symbol(row, &op) {
-                    let lantern = autograph_lantern::eval::rule_of(sym, operands.len());
-                    rules.push(("lantern", Some(lantern.expect("a Lantern op"))));
-                }
-                let (excepted, reached): (Vec<_>, Vec<_>) = rules
-                    .into_iter()
-                    .partition(|(backend, _)| exceptions.contains(&(row.name, *backend)));
-                for (backend, rule) in excepted {
-                    assert_eq!(
-                        rule, None,
-                        "{} on {backend} is no longer an exception",
-                        row.name
-                    );
-                    hit.push((row.name, backend));
-                }
-                for (backend, rule) in &reached {
-                    assert_eq!(
-                        rule, &reached[0].1,
-                        "{} ({op:?}): {backend} and {} disagree",
-                        row.name, reached[0].0
-                    );
+                if op.rule().is_none() {
+                    no_rule.push(op.name());
                 }
             }
         }
-        hit.dedup();
-        assert_eq!(hit, exceptions, "every exception is still one");
+        no_rule.dedup();
+        let want = [
+            "softmax",
+            "log_softmax",
+            "reduce_max",
+            "reduce_min",
+            "reduce_all",
+            "reduce_any",
+            "gather",
+            "top_k_values",
+        ];
+        assert_eq!(no_rule, want, "the ops an adjoint may not reach");
     }
 
     #[test]

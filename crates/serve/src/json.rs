@@ -33,7 +33,7 @@
 
 use crate::error::ServeError;
 use autograph_obs::json::write_str;
-use autograph_tensor::{DType, Tensor};
+use autograph_tensor::{DType, Shape, Tensor};
 use serde_json::Value;
 
 /// Format one f32 so that parsing the text back yields the same bits.
@@ -189,7 +189,11 @@ pub(crate) fn parse_tensor(v: &Value) -> Result<Tensor, String> {
                 Some(Value::Array(items)) => items,
                 _ => return Err("tensor object needs a \"data\" array".to_string()),
             };
-            let expected: usize = shape.iter().product();
+            let Some(expected) = Shape::checked_count(&shape) else {
+                return Err(format!(
+                    "shape {shape:?} has more elements than usize holds"
+                ));
+            };
             if data.len() != expected {
                 return Err(format!(
                     "shape {shape:?} wants {expected} elements, data has {}",

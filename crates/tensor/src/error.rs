@@ -69,11 +69,13 @@ impl fmt::Display for TensorError {
             TensorError::BroadcastMismatch { lhs, rhs } => {
                 write!(f, "cannot broadcast shapes {lhs:?} and {rhs:?}")
             }
-            TensorError::ShapeElementMismatch { shape, elements } => write!(
-                f,
-                "shape {shape:?} requires {} elements but {elements} were supplied",
-                shape.iter().product::<usize>()
-            ),
+            TensorError::ShapeElementMismatch { shape, elements } => {
+                match crate::Shape::checked_count(shape) {
+                    Some(n) => write!(f, "shape {shape:?} requires {n} elements")?,
+                    None => write!(f, "shape {shape:?} has more elements than usize holds")?,
+                }
+                write!(f, " but {elements} were supplied")
+            }
             TensorError::DTypeMismatch { op, got, expected } => {
                 write!(f, "{op}: expected dtype {expected}, got {got}")
             }
@@ -114,6 +116,17 @@ mod tests {
             expected: DType::F32,
         };
         assert!(e.to_string().contains("matmul"));
+    }
+
+    #[test]
+    fn overflowing_element_counts_are_errors() {
+        // 2^32 * 2^32 wraps to 0 in a plain product, which matched no data
+        let huge = [1usize << 32, 1 << 32];
+        let err = crate::Tensor::from_vec(vec![], &huge).unwrap_err();
+        assert!(matches!(err, TensorError::ShapeElementMismatch { .. }));
+        assert!(err.to_string().contains("more elements than usize holds"));
+        let err = crate::Tensor::from_vec_i64(vec![], &[usize::MAX, 2]).unwrap_err();
+        assert!(matches!(err, TensorError::ShapeElementMismatch { .. }));
     }
 
     #[test]

@@ -2,14 +2,17 @@
 //! TF-Eager design (arXiv:1903.01855), where the tape replays the same
 //! gradient functions graph construction uses.
 //!
-//! A backend maps each of its ops to a [`Rule`] and keeps its own
-//! traversal: reverse creation order over graph nodes, the eager tape,
-//! Lantern's continuations. [`vjp`] writes a rule's adjoint through a
-//! [`Diff`] emitter: the graph builder emits one node per call, and
-//! [`Kernels`] runs the kernel, for the eager tape and for Lantern alike.
+//! Every backend reads an op's [`Rule`] off its [`Op`] ([`Op::rule`]) and
+//! keeps its own traversal: reverse creation order over graph nodes, the
+//! eager tape, Lantern's continuations. [`vjp`] writes a rule's adjoint as
+//! `Op`s through a [`Diff`] emitter: the graph builder emits one node per
+//! op, and [`Kernels`] runs the op's kernel, for the eager tape and for
+//! Lantern alike.
 
+use crate::op::Op;
 use crate::reduce::normalize_axis;
 use crate::{DType, Result, Tensor, TensorError};
+use std::ops::Range;
 
 /// One op's gradient rule, with the attributes its adjoint reads.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,14 +76,9 @@ pub enum Rule {
     ReduceMean(Option<isize>),
     /// Stack along a new axis 0.
     Stack,
-    /// Concatenate the first `parts` inputs along `axis`.
-    Concat {
-        /// The concatenation axis (negative counts from the end).
-        axis: isize,
-        /// How many inputs are concatenated; any after them are
-        /// attributes.
-        parts: usize,
-    },
+    /// Concatenate every input along an axis (negative counts from the
+    /// end).
+    Concat(isize),
     /// The graph's sum-to-shape gradient helper (second-order gradients).
     SumToShape,
     /// The graph's broadcast-like gradient helper.
@@ -93,69 +91,34 @@ pub fn no_rule(op: &str) -> String {
     format!("no gradient registered for op '{op}'")
 }
 
-/// The ops gradient rules are written in. The graph builder emits one
-/// node per call (`V` is a node id); [`Kernels`] runs the kernel (`V` is
-/// a tensor).
+/// What gradient rules are written in: [`Op`]s, which the graph builder
+/// emits as one node per call (`V` is a node id) and [`Kernels`] runs at
+/// once (`V` is a tensor).
 pub trait Diff {
     /// A value: a graph node id, or a tensor.
     type V: Clone;
     /// An f32 scalar constant.
     fn scalar(&mut self, v: f32) -> Result<Self::V>;
-    /// `a + b`.
-    fn add(&mut self, a: &Self::V, b: &Self::V) -> Result<Self::V>;
-    /// `a - b`.
-    fn sub(&mut self, a: &Self::V, b: &Self::V) -> Result<Self::V>;
-    /// `a * b`.
-    fn mul(&mut self, a: &Self::V, b: &Self::V) -> Result<Self::V>;
-    /// `a / b`.
-    fn div(&mut self, a: &Self::V, b: &Self::V) -> Result<Self::V>;
-    /// `a ** b`.
-    fn pow(&mut self, a: &Self::V, b: &Self::V) -> Result<Self::V>;
-    /// `-a`.
-    fn neg(&mut self, a: &Self::V) -> Result<Self::V>;
-    /// `ln(a)`.
-    fn log(&mut self, a: &Self::V) -> Result<Self::V>;
-    /// `a * a`.
-    fn square(&mut self, a: &Self::V) -> Result<Self::V>;
-    /// `a > b`.
-    fn greater(&mut self, a: &Self::V, b: &Self::V) -> Result<Self::V>;
-    /// `a >= b`.
-    fn greater_equal(&mut self, a: &Self::V, b: &Self::V) -> Result<Self::V>;
-    /// `a <= b`.
-    fn less_equal(&mut self, a: &Self::V, b: &Self::V) -> Result<Self::V>;
-    /// `a` cast to f32.
-    fn cast_f32(&mut self, a: &Self::V) -> Result<Self::V>;
-    /// `select(cond, a, b)`.
-    fn select(&mut self, cond: &Self::V, a: &Self::V, b: &Self::V) -> Result<Self::V>;
-    /// `op(a) · op(b)`.
-    fn matmul_t(&mut self, a: &Self::V, b: &Self::V, ta: bool, tb: bool) -> Result<Self::V>;
-    /// `a` with its axes permuted.
-    fn transpose(&mut self, a: &Self::V, perm: &[usize]) -> Result<Self::V>;
-    /// `a` reshaped to `like`'s shape.
-    fn reshape_like(&mut self, a: &Self::V, like: &Self::V) -> Result<Self::V>;
-    /// `a` with a size-1 axis inserted.
-    fn expand_dims(&mut self, a: &Self::V, axis: isize) -> Result<Self::V>;
-    /// [`Tensor::sum_to_shape`] to `like`'s shape.
-    fn sum_to(&mut self, a: &Self::V, like: &Self::V) -> Result<Self::V>;
-    /// [`Tensor::broadcast_like`] to `like`'s shape.
-    fn broadcast_like(&mut self, a: &Self::V, like: &Self::V) -> Result<Self::V>;
-    /// `a`'s element count as an f32 scalar.
-    fn size(&mut self, a: &Self::V) -> Result<Self::V>;
-    /// [`Tensor::dim_size`].
-    fn dim_size(&mut self, a: &Self::V, axis: isize) -> Result<Self::V>;
-    /// [`Tensor::xent_grad`].
-    fn xent_grad(&mut self, logits: &Self::V, labels: &Self::V) -> Result<Self::V>;
+    /// `op` applied to `x`.
+    fn op(&mut self, op: Op, x: &[&Self::V]) -> Result<Self::V>;
     /// `a[i]` along axis 0.
     fn index_axis0(&mut self, a: &Self::V, i: usize) -> Result<Self::V>;
-    /// `g` cut along `axis` into pieces shaped like `parts`: the adjoint
-    /// of concatenating them.
+    /// [`Tensor::split_like`] into every part: the adjoint of
+    /// concatenating them.
     fn split(&mut self, g: &Self::V, axis: isize, parts: &[Self::V]) -> Result<Vec<Self::V>>;
+}
+
+/// A flagged matmul.
+fn matmul(transpose_a: bool, transpose_b: bool) -> Op {
+    Op::MatMul {
+        transpose_a,
+        transpose_b,
+    }
 }
 
 /// The vector-Jacobian product of `out = op(x)` under `rule`: given the
 /// adjoint `g` of `out`, the `(input index, contribution)` pairs, emitted
-/// through `d`. Inputs past the rule's operands (an eager op's attribute
-/// inputs) get nothing.
+/// through `d`.
 ///
 /// # Errors
 ///
@@ -172,100 +135,113 @@ pub fn vjp<D: Diff>(
     Ok(match (rule, x) {
         (Zero, _) => vec![],
         (Identity, [_, ..]) => vec![(0, g.clone())],
-        (Add, [a, b, ..]) => vec![(0, d.sum_to(g, a)?), (1, d.sum_to(g, b)?)],
+        (Add, [a, b, ..]) => vec![
+            (0, d.op(Op::SumToShape, &[g, a])?),
+            (1, d.op(Op::SumToShape, &[g, b])?),
+        ],
         (Sub, [a, b, ..]) => {
-            let ga = d.sum_to(g, a)?;
-            let ng = d.neg(g)?;
-            vec![(0, ga), (1, d.sum_to(&ng, b)?)]
+            let ga = d.op(Op::SumToShape, &[g, a])?;
+            let ng = d.op(Op::Neg, &[g])?;
+            vec![(0, ga), (1, d.op(Op::SumToShape, &[&ng, b])?)]
         }
         (Mul, [a, b, ..]) => {
-            let gb = d.mul(g, a)?;
-            let ga = d.mul(g, b)?;
-            vec![(0, d.sum_to(&ga, a)?), (1, d.sum_to(&gb, b)?)]
+            let gb = d.op(Op::Mul, &[g, a])?;
+            let ga = d.op(Op::Mul, &[g, b])?;
+            vec![
+                (0, d.op(Op::SumToShape, &[&ga, a])?),
+                (1, d.op(Op::SumToShape, &[&gb, b])?),
+            ]
         }
         (Div, [a, b, ..]) => {
             // d(a/b) = g/b ; -g*a/b^2
-            let ga = d.div(g, b)?;
-            let ga = d.sum_to(&ga, a)?;
-            let b2 = d.square(b)?;
-            let num = d.mul(g, a)?;
-            let frac = d.div(&num, &b2)?;
-            let gb = d.neg(&frac)?;
-            vec![(0, ga), (1, d.sum_to(&gb, b)?)]
+            let ga = d.op(Op::Div, &[g, b])?;
+            let ga = d.op(Op::SumToShape, &[&ga, a])?;
+            let b2 = d.op(Op::Square, &[b])?;
+            let num = d.op(Op::Mul, &[g, a])?;
+            let frac = d.op(Op::Div, &[&num, &b2])?;
+            let gb = d.op(Op::Neg, &[&frac])?;
+            vec![(0, ga), (1, d.op(Op::SumToShape, &[&gb, b])?)]
         }
         (Pow, [a, p, ..]) => {
             // da = g * p * a^(p-1);  dp = g * out * ln(a)
             let one = d.scalar(1.0)?;
-            let pm1 = d.sub(p, &one)?;
-            let apm1 = d.pow(a, &pm1)?;
-            let t1 = d.mul(p, &apm1)?;
-            let ga = d.mul(g, &t1)?;
-            let ga = d.sum_to(&ga, a)?;
-            let lna = d.log(a)?;
-            let t2 = d.mul(out, &lna)?;
-            let gp = d.mul(g, &t2)?;
-            vec![(0, ga), (1, d.sum_to(&gp, p)?)]
+            let pm1 = d.op(Op::Sub, &[p, &one])?;
+            let apm1 = d.op(Op::Pow, &[a, &pm1])?;
+            let t1 = d.op(Op::Mul, &[p, &apm1])?;
+            let ga = d.op(Op::Mul, &[g, &t1])?;
+            let ga = d.op(Op::SumToShape, &[&ga, a])?;
+            let lna = d.op(Op::Log, &[a])?;
+            let t2 = d.op(Op::Mul, &[out, &lna])?;
+            let gp = d.op(Op::Mul, &[g, &t2])?;
+            vec![(0, ga), (1, d.op(Op::SumToShape, &[&gp, p])?)]
         }
         (Maximum | Minimum, [a, b, ..]) => {
             let picks_a = match rule {
-                Maximum => d.greater_equal(a, b)?,
-                _ => d.less_equal(a, b)?,
+                Maximum => Op::GreaterEqual,
+                _ => Op::LessEqual,
             };
-            let m = d.cast_f32(&picks_a)?;
-            let ga = d.mul(g, &m)?;
+            let picks_a = d.op(picks_a, &[a, b])?;
+            let m = d.op(Op::Cast(DType::F32), &[&picks_a])?;
+            let ga = d.op(Op::Mul, &[g, &m])?;
             let one = d.scalar(1.0)?;
-            let inv = d.sub(&one, &m)?;
-            let gb = d.mul(g, &inv)?;
-            vec![(0, d.sum_to(&ga, a)?), (1, d.sum_to(&gb, b)?)]
+            let inv = d.op(Op::Sub, &[&one, &m])?;
+            let gb = d.op(Op::Mul, &[g, &inv])?;
+            vec![
+                (0, d.op(Op::SumToShape, &[&ga, a])?),
+                (1, d.op(Op::SumToShape, &[&gb, b])?),
+            ]
         }
-        (Neg, [_, ..]) => vec![(0, d.neg(g)?)],
+        (Neg, [_, ..]) => vec![(0, d.op(Op::Neg, &[g])?)],
         (Abs, [a, ..]) => {
             let zero = d.scalar(0.0)?;
-            let pos = d.greater_equal(a, &zero)?;
-            let ng = d.neg(g)?;
-            vec![(0, d.select(&pos, g, &ng)?)]
+            let pos = d.op(Op::GreaterEqual, &[a, &zero])?;
+            let ng = d.op(Op::Neg, &[g])?;
+            vec![(0, d.op(Op::Select, &[&pos, g, &ng])?)]
         }
-        (Exp, [_, ..]) => vec![(0, d.mul(g, out)?)],
-        (Log, [a, ..]) => vec![(0, d.div(g, a)?)],
+        (Exp, [_, ..]) => vec![(0, d.op(Op::Mul, &[g, out])?)],
+        (Log, [a, ..]) => vec![(0, d.op(Op::Div, &[g, a])?)],
         (Sqrt, [_, ..]) => {
             let half = d.scalar(0.5)?;
-            let hg = d.mul(g, &half)?;
-            vec![(0, d.div(&hg, out)?)]
+            let hg = d.op(Op::Mul, &[g, &half])?;
+            vec![(0, d.op(Op::Div, &[&hg, out])?)]
         }
         (Square, [a, ..]) => {
             let two = d.scalar(2.0)?;
-            let t = d.mul(a, &two)?;
-            vec![(0, d.mul(g, &t)?)]
+            let t = d.op(Op::Mul, &[a, &two])?;
+            vec![(0, d.op(Op::Mul, &[g, &t])?)]
         }
         (Tanh, [_, ..]) => {
-            let y2 = d.square(out)?;
+            let y2 = d.op(Op::Square, &[out])?;
             let one = d.scalar(1.0)?;
-            let dy = d.sub(&one, &y2)?;
-            vec![(0, d.mul(g, &dy)?)]
+            let dy = d.op(Op::Sub, &[&one, &y2])?;
+            vec![(0, d.op(Op::Mul, &[g, &dy])?)]
         }
         (Sigmoid, [_, ..]) => {
             let one = d.scalar(1.0)?;
-            let om = d.sub(&one, out)?;
-            let dy = d.mul(out, &om)?;
-            vec![(0, d.mul(g, &dy)?)]
+            let om = d.op(Op::Sub, &[&one, out])?;
+            let dy = d.op(Op::Mul, &[out, &om])?;
+            vec![(0, d.op(Op::Mul, &[g, &dy])?)]
         }
         (Relu, [a, ..]) => {
             let zero = d.scalar(0.0)?;
-            let mask = d.greater(a, &zero)?;
-            let mask = d.cast_f32(&mask)?;
-            vec![(0, d.mul(g, &mask)?)]
+            let mask = d.op(Op::Greater, &[a, &zero])?;
+            let mask = d.op(Op::Cast(DType::F32), &[&mask])?;
+            vec![(0, d.op(Op::Mul, &[g, &mask])?)]
         }
         (SoftmaxXent, [logits, labels, ..]) => {
-            let dl = d.xent_grad(logits, labels)?;
-            vec![(0, d.mul(g, &dl)?)]
+            let dl = d.op(Op::XentGrad, &[logits, labels])?;
+            vec![(0, d.op(Op::Mul, &[g, &dl])?)]
         }
         (Select, [cond, a, b, ..]) => {
             let zero = d.scalar(0.0)?;
-            let za = d.broadcast_like(&zero, a)?;
-            let ga = d.select(cond, g, &za)?;
-            let zb = d.broadcast_like(&zero, b)?;
-            let gb = d.select(cond, &zb, g)?;
-            vec![(1, d.sum_to(&ga, a)?), (2, d.sum_to(&gb, b)?)]
+            let za = d.op(Op::BroadcastLike, &[&zero, a])?;
+            let ga = d.op(Op::Select, &[cond, g, &za])?;
+            let zb = d.op(Op::BroadcastLike, &[&zero, b])?;
+            let gb = d.op(Op::Select, &[cond, &zb, g])?;
+            vec![
+                (1, d.op(Op::SumToShape, &[&ga, a])?),
+                (2, d.op(Op::SumToShape, &[&gb, b])?),
+            ]
         }
         (
             MatMul {
@@ -278,18 +254,21 @@ pub fn vjp<D: Diff>(
             // matmul, so no transpose is materialised at any order
             let (ga, gb) = match (*transpose_a, *transpose_b) {
                 (false, false) => (
-                    d.matmul_t(g, b, false, true)?,
-                    d.matmul_t(a, g, true, false)?,
+                    d.op(matmul(false, true), &[g, b])?,
+                    d.op(matmul(true, false), &[a, g])?,
                 ),
                 (false, true) => (
-                    d.matmul_t(g, b, false, false)?,
-                    d.matmul_t(g, a, true, false)?,
+                    d.op(matmul(false, false), &[g, b])?,
+                    d.op(matmul(true, false), &[g, a])?,
                 ),
                 (true, false) => (
-                    d.matmul_t(b, g, false, true)?,
-                    d.matmul_t(a, g, false, false)?,
+                    d.op(matmul(false, true), &[b, g])?,
+                    d.op(matmul(false, false), &[a, g])?,
                 ),
-                (true, true) => (d.matmul_t(b, g, true, true)?, d.matmul_t(g, a, true, true)?),
+                (true, true) => (
+                    d.op(matmul(true, true), &[b, g])?,
+                    d.op(matmul(true, true), &[g, a])?,
+                ),
             };
             vec![(0, ga), (1, gb)]
         }
@@ -301,37 +280,33 @@ pub fn vjp<D: Diff>(
                     detail: format!("{perm:?} is not a permutation"),
                 })? = i;
             }
-            vec![(0, d.transpose(g, &inv)?)]
+            vec![(0, d.op(Op::Transpose(inv), &[g])?)]
         }
-        (Reshape, [a, ..]) => vec![(0, d.reshape_like(g, a)?)],
+        (Reshape, [a, ..]) => vec![(0, d.op(Op::ReshapeLike, &[g, a])?)],
         (ReduceSum(axis), [a, ..]) => {
             let g = match axis {
-                Some(ax) => d.expand_dims(g, *ax)?,
+                Some(ax) => d.op(Op::ExpandDims(*ax), &[g])?,
                 None => g.clone(),
             };
-            vec![(0, d.broadcast_like(&g, a)?)]
+            vec![(0, d.op(Op::BroadcastLike, &[&g, a])?)]
         }
         (ReduceMean(None), [a, ..]) => {
-            let n = d.size(a)?;
-            let gb = d.broadcast_like(g, a)?;
-            vec![(0, d.div(&gb, &n)?)]
+            let n = d.op(Op::Size, &[a])?;
+            let gb = d.op(Op::BroadcastLike, &[g, a])?;
+            vec![(0, d.op(Op::Div, &[&gb, &n])?)]
         }
         (ReduceMean(Some(ax)), [a, ..]) => {
-            let ge = d.expand_dims(g, *ax)?;
-            let gb = d.broadcast_like(&ge, a)?;
-            let n = d.dim_size(a, *ax)?;
-            vec![(0, d.div(&gb, &n)?)]
+            let ge = d.op(Op::ExpandDims(*ax), &[g])?;
+            let gb = d.op(Op::BroadcastLike, &[&ge, a])?;
+            let n = d.op(Op::DimSize(*ax), &[a])?;
+            vec![(0, d.op(Op::Div, &[&gb, &n])?)]
         }
         (Stack, _) => (0..x.len())
             .map(|i| Ok((i, d.index_axis0(g, i)?)))
             .collect::<Result<_>>()?,
-        (Concat { axis, parts }, _) if *parts <= x.len() => d
-            .split(g, *axis, &x[..*parts])?
-            .into_iter()
-            .enumerate()
-            .collect(),
-        (SumToShape, [a, ..]) => vec![(0, d.broadcast_like(g, a)?)],
-        (BroadcastLike, [a, ..]) => vec![(0, d.sum_to(g, a)?)],
+        (Concat(axis), _) => d.split(g, *axis, x)?.into_iter().enumerate().collect(),
+        (SumToShape, [a, ..]) => vec![(0, d.op(Op::BroadcastLike, &[g, a])?)],
+        (BroadcastLike, [a, ..]) => vec![(0, d.op(Op::SumToShape, &[g, a])?)],
         _ => {
             return Err(TensorError::InvalidArgument {
                 op: "vjp",
@@ -352,100 +327,14 @@ impl Diff for Kernels {
     fn scalar(&mut self, v: f32) -> Result<Tensor> {
         Ok(Tensor::scalar_f32(v))
     }
-    fn add(&mut self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        a.add(b)
-    }
-    fn sub(&mut self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        a.sub(b)
-    }
-    fn mul(&mut self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        a.mul(b)
-    }
-    fn div(&mut self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        a.div(b)
-    }
-    fn pow(&mut self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        a.pow(b)
-    }
-    fn neg(&mut self, a: &Tensor) -> Result<Tensor> {
-        a.neg()
-    }
-    fn log(&mut self, a: &Tensor) -> Result<Tensor> {
-        a.log()
-    }
-    fn square(&mut self, a: &Tensor) -> Result<Tensor> {
-        a.square()
-    }
-    fn greater(&mut self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        a.greater(b)
-    }
-    fn greater_equal(&mut self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        a.greater_equal(b)
-    }
-    fn less_equal(&mut self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        a.less_equal(b)
-    }
-    fn cast_f32(&mut self, a: &Tensor) -> Result<Tensor> {
-        Ok(a.cast(DType::F32))
-    }
-    fn select(&mut self, cond: &Tensor, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        Tensor::select(cond, a, b)
-    }
-    fn matmul_t(&mut self, a: &Tensor, b: &Tensor, ta: bool, tb: bool) -> Result<Tensor> {
-        a.matmul_t(b, ta, tb)
-    }
-    fn transpose(&mut self, a: &Tensor, perm: &[usize]) -> Result<Tensor> {
-        a.transpose(perm)
-    }
-    fn reshape_like(&mut self, a: &Tensor, like: &Tensor) -> Result<Tensor> {
-        a.reshape(like.shape())
-    }
-    fn expand_dims(&mut self, a: &Tensor, axis: isize) -> Result<Tensor> {
-        a.expand_dims(axis)
-    }
-    fn sum_to(&mut self, a: &Tensor, like: &Tensor) -> Result<Tensor> {
-        a.sum_to_shape(like.shape())
-    }
-    fn broadcast_like(&mut self, a: &Tensor, like: &Tensor) -> Result<Tensor> {
-        a.broadcast_like(like.shape())
-    }
-    fn size(&mut self, a: &Tensor) -> Result<Tensor> {
-        Ok(Tensor::scalar_f32(a.num_elements() as f32))
-    }
-    fn dim_size(&mut self, a: &Tensor, axis: isize) -> Result<Tensor> {
-        a.dim_size(axis)
-    }
-    fn xent_grad(&mut self, logits: &Tensor, labels: &Tensor) -> Result<Tensor> {
-        logits.xent_grad(labels)
+    fn op(&mut self, op: Op, mut x: &[&Tensor]) -> Result<Tensor> {
+        op.apply(&mut x)
     }
     fn index_axis0(&mut self, a: &Tensor, i: usize) -> Result<Tensor> {
         a.index_axis0(i as i64)
     }
     fn split(&mut self, g: &Tensor, axis: isize, parts: &[Tensor]) -> Result<Vec<Tensor>> {
-        let ax = normalize_axis("concat", axis, g.rank())?;
-        // bring the axis to the front once; each piece is a row range of
-        // that, moved back (the swap is its own inverse)
-        let mut perm: Vec<usize> = (0..g.rank()).collect();
-        perm.swap(0, ax);
-        let front = if ax == 0 {
-            g.clone()
-        } else {
-            g.transpose(&perm)?
-        };
-        let mut start = 0;
-        parts
-            .iter()
-            .map(|part| {
-                let stop = start + part.shape().get(ax).map_or(0, |&n| n as i64);
-                let piece = front.slice_axis0(Some(start), Some(stop))?;
-                start = stop;
-                if ax == 0 {
-                    Ok(piece)
-                } else {
-                    piece.transpose(&perm)
-                }
-            })
-            .collect()
+        g.split_like(axis, parts, 0..parts.len())
     }
 }
 
@@ -513,6 +402,52 @@ impl Tensor {
         let batch = self.shape()[0].max(1) as f32;
         let oh = labels.one_hot(classes)?;
         self.softmax()?.sub(&oh)?.div(&Tensor::scalar_f32(batch))
+    }
+
+    /// The pieces `pieces` of this tensor cut along `axis` into pieces as
+    /// wide as `parts` are along it: the adjoint of concatenating `parts`.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a bad axis, a range past the parts, and parts that do not
+    /// fit.
+    pub fn split_like(
+        &self,
+        axis: isize,
+        parts: &[Tensor],
+        pieces: Range<usize>,
+    ) -> Result<Vec<Tensor>> {
+        let ax = normalize_axis("split_like", axis, self.rank())?;
+        let width = |part: &Tensor| part.shape().get(ax).map_or(0, |&n| n as i64);
+        let mut start: i64 = parts.iter().take(pieces.start).map(width).sum();
+        let cut = parts
+            .get(pieces.clone())
+            .ok_or(TensorError::IndexOutOfRange {
+                op: "split_like",
+                index: pieces.end as i64,
+                bound: parts.len(),
+            })?;
+        // bring the axis to the front once; each piece is a row range of
+        // that, moved back (the swap is its own inverse)
+        let mut perm: Vec<usize> = (0..self.rank()).collect();
+        perm.swap(0, ax);
+        let front = if ax == 0 {
+            self.clone()
+        } else {
+            self.transpose(&perm)?
+        };
+        cut.iter()
+            .map(|part| {
+                let stop = start + width(part);
+                let piece = front.slice_axis0(Some(start), Some(stop))?;
+                start = stop;
+                if ax == 0 {
+                    Ok(piece)
+                } else {
+                    piece.transpose(&perm)
+                }
+            })
+            .collect()
     }
 
     /// The extent of `axis` (negative counts from the end) as an f32

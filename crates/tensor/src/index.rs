@@ -281,45 +281,32 @@ impl Tensor {
         let outer: usize = first.shape()[..ax].iter().product();
         let inner: usize = first.shape()[ax + 1..].iter().product();
 
-        fn run<T: Copy>(
-            tensors: &[Tensor],
-            get: impl Fn(&Tensor) -> Vec<T>,
-            outer: usize,
-            inner: usize,
-            ax: usize,
-        ) -> Vec<T> {
+        fn run<T: Copy>(parts: Vec<(&[T], usize)>, outer: usize, inner: usize) -> Vec<T> {
             let mut out = Vec::new();
             for o in 0..outer {
-                for t in tensors {
-                    let mid = t.shape()[ax];
-                    let v = get(t);
+                for &(v, mid) in &parts {
                     out.extend_from_slice(&v[o * mid * inner..(o + 1) * mid * inner]);
                 }
             }
             out
         }
+        let widths = tensors.iter().map(|t| t.shape()[ax]);
         let data = match first.dtype() {
-            DType::F32 => Data::F32(run(
-                tensors,
-                |t| t.as_f32().expect("checked").to_vec(),
-                outer,
-                inner,
-                ax,
-            )),
-            DType::I64 => Data::I64(run(
-                tensors,
-                |t| t.as_i64().expect("checked").to_vec(),
-                outer,
-                inner,
-                ax,
-            )),
-            DType::Bool => Data::Bool(run(
-                tensors,
-                |t| t.as_bool().expect("checked").to_vec(),
-                outer,
-                inner,
-                ax,
-            )),
+            DType::F32 => {
+                let parts = tensors.iter().map(Tensor::as_f32).zip(widths);
+                let parts = parts.map(|(v, w)| Ok((v?, w))).collect::<Result<_>>()?;
+                Data::F32(run(parts, outer, inner))
+            }
+            DType::I64 => {
+                let parts = tensors.iter().map(Tensor::as_i64).zip(widths);
+                let parts = parts.map(|(v, w)| Ok((v?, w))).collect::<Result<_>>()?;
+                Data::I64(run(parts, outer, inner))
+            }
+            DType::Bool => {
+                let parts = tensors.iter().map(Tensor::as_bool).zip(widths);
+                let parts = parts.map(|(v, w)| Ok((v?, w))).collect::<Result<_>>()?;
+                Data::Bool(run(parts, outer, inner))
+            }
         };
         Ok(Tensor::from_data(data, &out_shape))
     }
@@ -357,16 +344,15 @@ impl Tensor {
     /// Fails for boolean or rank-0 tensors, or `k` larger than the last
     /// dimension.
     pub fn top_k(&self, k: usize) -> Result<(Tensor, Tensor)> {
-        if self.rank() == 0 {
+        let Some(&cols) = self.shape().last() else {
             return Err(TensorError::RankMismatch {
                 op: "top_k",
                 got: 0,
                 expected: ">= 1",
             });
-        }
+        };
         let t = self.cast(DType::F32);
         let v = t.as_f32()?;
-        let cols = *t.shape().last().expect("rank checked");
         if k > cols {
             return Err(TensorError::InvalidArgument {
                 op: "top_k",
@@ -401,7 +387,8 @@ impl Tensor {
             }
         }
         let mut out_shape = t.shape().to_vec();
-        *out_shape.last_mut().expect("rank checked") = k;
+        out_shape.pop();
+        out_shape.push(k);
         Ok((
             Tensor::from_data(Data::F32(vals), &out_shape),
             Tensor::from_data(Data::I64(idxs), &out_shape),

@@ -3,11 +3,12 @@
 //! Dense n-dimensional tensor substrate for the AutoGraph reproduction.
 //!
 //! This crate plays the role of TensorFlow's kernel library: it provides the
-//! numeric arrays and operations that both the eager runtime
-//! (`autograph-eager`) and the dataflow-graph executor (`autograph-graph`)
-//! dispatch to, and the one set of gradient rules ([`grad`]) all three
-//! backends differentiate with. Tensors are row-major, contiguous, and carry one of three
-//! element types ([`DType::F32`], [`DType::I64`], [`DType::Bool`]).
+//! numeric arrays, the one vocabulary of pure ops ([`op::Op`]) that the
+//! eager runtime (`autograph-eager`), the dataflow-graph executor
+//! (`autograph-graph`) and Lantern all run, and the one set of gradient
+//! rules ([`grad`]) all three differentiate with. Tensors are row-major,
+//! contiguous, and carry one of three element types ([`DType::F32`],
+//! [`DType::I64`], [`DType::Bool`]).
 //!
 //! ## Example
 //!
@@ -29,6 +30,7 @@ pub(crate) mod index;
 pub(crate) mod linalg;
 pub mod mem;
 pub(crate) mod nn;
+pub mod op;
 pub mod ops;
 pub(crate) mod random;
 pub(crate) mod reduce;

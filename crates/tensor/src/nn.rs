@@ -36,16 +36,15 @@ impl Tensor {
     ///
     /// Fails for boolean or rank-0 tensors.
     pub fn softmax(&self) -> Result<Tensor> {
-        let t = self.cast(crate::DType::F32);
-        if t.rank() == 0 {
+        let Some(&cols) = self.shape().last() else {
             return Err(TensorError::RankMismatch {
                 op: "softmax",
                 got: 0,
                 expected: ">= 1",
             });
-        }
+        };
+        let t = self.cast(crate::DType::F32);
         let v = t.as_f32()?;
-        let cols = *t.shape().last().expect("rank checked");
         let rows = t.num_elements() / cols.max(1);
         let mut out = vec![0.0f32; v.len()];
         for r in 0..rows {
@@ -70,16 +69,15 @@ impl Tensor {
     ///
     /// Fails for boolean or rank-0 tensors.
     pub fn log_softmax(&self) -> Result<Tensor> {
-        let t = self.cast(crate::DType::F32);
-        if t.rank() == 0 {
+        let Some(&cols) = self.shape().last() else {
             return Err(TensorError::RankMismatch {
                 op: "log_softmax",
                 got: 0,
                 expected: ">= 1",
             });
-        }
+        };
+        let t = self.cast(crate::DType::F32);
         let v = t.as_f32()?;
-        let cols = *t.shape().last().expect("rank checked");
         let rows = t.num_elements() / cols.max(1);
         let mut out = vec![0.0f32; v.len()];
         for r in 0..rows {

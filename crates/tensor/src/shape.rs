@@ -24,6 +24,11 @@ impl Shape {
         self.0.iter().product()
     }
 
+    /// The element count of `dims`; `None` when it overflows `usize`.
+    pub fn checked_count(dims: &[usize]) -> Option<usize> {
+        dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d))
+    }
+
     /// Dimension extents as a slice.
     pub fn dims(&self) -> &[usize] {
         &self.0

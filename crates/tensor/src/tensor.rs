@@ -267,8 +267,7 @@ impl Tensor {
     }
 
     fn check_len(len: usize, shape: &[usize]) -> Result<()> {
-        let need: usize = shape.iter().product();
-        if need != len {
+        if Shape::checked_count(shape) != Some(len) {
             return Err(TensorError::ShapeElementMismatch {
                 shape: shape.to_vec(),
                 elements: len,

@@ -16,17 +16,19 @@ cargo clippy --workspace --all-targets -- -D warnings
 # store (a corrupt cache artifact must fall back to cold staging, never
 # abort), the PyLite lexer and parser, the dataflow analyses and
 # conversion passes (which see every user program: bad source is a
-# ParseError), the runtime (where a malformed call is a RuntimeError) and
-# the eager and Lantern backends (a failed kernel or gradient rule is an
-# EagerError or a LanternError) ban unwrap/expect crate-wide; in the
-# graph crate the executors (vm.rs and the reference interpreter
-# exec.rs), their kernel table (ops.rs), the compiler (compile.rs) and
-# the plan decoder (artifact.rs) carry the same module-level #![deny],
-# which the workspace clippy pass above enforces.
+# ParseError), the runtime (where a malformed call is a RuntimeError), the
+# tensor crate (every backend's kernels, where bad operands are a
+# TensorError) and the eager and Lantern backends (a failed kernel or
+# gradient rule is an EagerError or a LanternError) ban unwrap/expect
+# crate-wide; in the graph crate the executors (vm.rs and the reference
+# interpreter exec.rs), their kernel table (ops.rs), the compiler
+# (compile.rs) and the plan decoder (artifact.rs) carry the same
+# module-level #![deny], which the workspace clippy pass above enforces.
 echo "== cargo clippy (no unwrap/expect in fault, executor, frontend & serving paths)"
 cargo clippy -p autograph-faults -p autograph-par -p autograph-obs -p autograph-serve \
     -p autograph-planstore -p autograph-pylang -p autograph-analysis \
-    -p autograph-transforms -p autograph-runtime -p autograph-lantern -p autograph-eager \
+    -p autograph-transforms -p autograph-runtime -p autograph-tensor -p autograph-lantern \
+    -p autograph-eager \
     --no-deps -- \
     -D warnings -D clippy::unwrap_used -D clippy::expect_used
 

@@ -5,7 +5,7 @@
 
 use autograph::graph::builder::GraphBuilder;
 use autograph::graph::grad::gradients;
-use autograph::graph::ir::OpKind;
+use autograph::graph::ir::{Op, OpKind};
 use autograph::prelude::*;
 
 #[test]
@@ -214,9 +214,9 @@ fn second_order_symbolic_gradients() {
     let x = b.placeholder("x");
     let x2 = b.mul(x, x);
     let x3 = b.mul(x2, x);
-    let loss = b.add(OpKind::ReduceSum(None), vec![x3]);
+    let loss = b.add(Op::ReduceSum(None), vec![x3]);
     let g1 = gradients(&mut b, loss, &[x]).expect("first order")[0];
-    let g1_sum = b.add(OpKind::ReduceSum(None), vec![g1]);
+    let g1_sum = b.add(Op::ReduceSum(None), vec![g1]);
     let g2 = gradients(&mut b, g1_sum, &[x]).expect("second order")[0];
     let mut sess = Session::new(b.finish());
     let out = sess

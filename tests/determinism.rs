@@ -6,7 +6,7 @@
 //! floating-point results cannot drift with the thread count.
 
 use autograph::graph::builder::GraphBuilder;
-use autograph::graph::ir::{Graph, NodeId, OpKind};
+use autograph::graph::ir::{Graph, NodeId, Op};
 use autograph::prelude::*;
 
 /// A wide graph of independent reduction chains folded into one scalar:
@@ -23,9 +23,9 @@ fn reduction_heavy_graph(branches: usize) -> (Graph, Vec<NodeId>) {
         let xw = b.matmul(x, w);
         let act0 = b.add_op(xw, bias);
         let act = b.tanh(act0);
-        let s = b.add(OpKind::ReduceSum(None), vec![act]);
-        let m = b.add(OpKind::ReduceMean(None), vec![act]);
-        let mx = b.add(OpKind::ReduceMax(None), vec![act]);
+        let s = b.add(Op::ReduceSum(None), vec![act]);
+        let m = b.add(Op::ReduceMean(None), vec![act]);
+        let mx = b.add(Op::ReduceMax(None), vec![act]);
         let sm = b.add_op(s, m);
         partials.push(b.add_op(sm, mx));
     }

@@ -175,7 +175,7 @@ fn cross_entropy_gradient_direction() {
         ))
         .unwrap();
     let labels = EagerTensor::from(Tensor::from_vec_i64(vec![1], &[1]).unwrap());
-    let loss = e.op("softmax_cross_entropy", &[&logits, &labels]).unwrap();
+    let loss = e.op("softmax_xent", &[&logits, &labels]).unwrap();
     let grads = e.gradient(&loss, &[&logits]).unwrap();
     let g = grads[0].as_f32().unwrap();
     assert!(g[1] < 0.0, "true class gradient negative: {g:?}");

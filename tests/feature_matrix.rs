@@ -2,7 +2,7 @@
 //! documented conversion trigger, Python semantics, and staged semantics
 //! (or the documented rejection).
 
-use autograph::graph::ir::OpKind;
+use autograph::graph::ir::{Op, OpKind};
 use autograph::prelude::*;
 
 fn load(src: &str) -> Runtime {
@@ -145,7 +145,10 @@ fn t4_lazy_boolean_semantics_preserved() {
 fn t4_equality_dispatches_on_tensor() {
     let mut rt = load("def f(x):\n    return x == 3.0\n");
     let staged = stage(&mut rt, "f", &["x"]);
-    assert!(has_op(&staged.graph, |op| matches!(op, OpKind::Equal)));
+    assert!(has_op(&staged.graph, |op| matches!(
+        op,
+        OpKind::Tensor(Op::Equal)
+    )));
 }
 
 // ---- Table 5: functions and collections -------------------------------------
@@ -217,7 +220,7 @@ fn t5_getitem_setitem_on_tensors() {
     let staged = stage(&mut rt, "f", &["x"]);
     assert!(has_op(&staged.graph, |op| matches!(
         op,
-        OpKind::SetItemAxis0
+        OpKind::Tensor(Op::SetItemAxis0)
     )));
     let mut sess = Session::new(staged.graph);
     let x = Tensor::from_vec(vec![0.0, 2.0, 3.0], &[3]).unwrap();
@@ -313,7 +316,7 @@ fn t6_decorators_preserved() {
 enum Ran {
     /// A Python value came back: host semantics.
     Py,
-    /// An eager tensor came back: the eager registry ran it.
+    /// An eager tensor came back: the eager runtime ran it.
     Eager,
     /// The staged graph holds a node other than constants and placeholders.
     Graph,

@@ -7,13 +7,16 @@
 //! nodes have no symbolic adjoint). The matmul adjoints are flagged
 //! matmuls (`transpose_a`/`transpose_b`): checked for rank-3 operands on
 //! graph, eager and Lantern, for all four flag pairs, and at second order.
-//! All three backends replay one set of rules (`autograph_tensor::grad`):
-//! the graph and kernel emitters must agree bitwise on every rule, and an
+//! All three backends run one op vocabulary (`autograph_tensor::op`) and
+//! replay one set of rules (`autograph_tensor::grad`): the graph emitter,
+//! the kernel emitter and Lantern must agree bitwise on every rule, and an
 //! op with no rule fails alike on the graph and on the tape.
 
-use autograph::graph::grad::{gradients, rule_of};
+use autograph::graph::grad::gradients;
+use autograph::graph::ir::Op;
 use autograph::graph::{GraphBuilder, NodeId, OpKind};
-use autograph::lantern::LValue;
+use autograph::lantern::compile::{symbol, Program};
+use autograph::lantern::{sexpr, Engine, LValue};
 use autograph::prelude::*;
 use autograph::tensor::grad::{vjp, Kernels, Rule};
 
@@ -438,15 +441,15 @@ fn flagged_matmul_gradients_match_finite_differences_in_all_four_cases() {
         let mut g = GraphBuilder::new();
         let (pa, pb) = (g.placeholder("a"), g.placeholder("b"));
         let prod = g.matmul_t(pa, pb, ta, tb);
-        let sq = g.add(OpKind::Square, vec![prod]);
-        let loss = g.add(OpKind::ReduceSum(None), vec![sq]);
+        let sq = g.add(Op::Square, vec![prod]);
+        let loss = g.add(Op::ReduceSum(None), vec![sq]);
         let grads = gradients(&mut g, loss, &[pa, pb]).expect("gradients");
         let graph = g.finish();
         assert!(
             !graph
                 .nodes
                 .iter()
-                .any(|n| matches!(n.op, OpKind::Transpose(_))),
+                .any(|n| matches!(n.op, OpKind::Tensor(Op::Transpose(_)))),
             "({ta}, {tb}): the adjoint materialises a transpose"
         );
         let mut sess = Session::new(graph);
@@ -471,17 +474,17 @@ fn second_order_matmul_gradient_matches_finite_differences() {
     let mut g = GraphBuilder::new();
     let (px, pw) = (g.placeholder("x"), g.placeholder("w"));
     let prod = g.matmul(px, pw);
-    let sq = g.add(OpKind::Square, vec![prod]);
-    let inner = g.add(OpKind::ReduceSum(None), vec![sq]);
+    let sq = g.add(Op::Square, vec![prod]);
+    let inner = g.add(Op::ReduceSum(None), vec![sq]);
     let dw = gradients(&mut g, inner, &[pw]).expect("first order")[0];
-    let dw_sq = g.add(OpKind::Square, vec![dw]);
-    let outer = g.add(OpKind::ReduceSum(None), vec![dw_sq]);
+    let dw_sq = g.add(Op::Square, vec![dw]);
+    let outer = g.add(Op::ReduceSum(None), vec![dw_sq]);
     let ddw = gradients(&mut g, outer, &[pw]).expect("second order")[0];
     let graph = g.finish();
     assert!(!graph
         .nodes
         .iter()
-        .any(|n| matches!(n.op, OpKind::Transpose(_))));
+        .any(|n| matches!(n.op, OpKind::Tensor(Op::Transpose(_)))));
     let mut sess = Session::new(graph);
     let h = |w: &Tensor| {
         let feeds = [("x", x.clone()), ("w", w.clone())];
@@ -554,6 +557,23 @@ fn ops_without_a_rule_fail_alike_on_graph_and_tape() {
     }
 }
 
+#[test]
+fn concat_differentiates_alike_on_graph_and_tape() {
+    // each part's gradient is its cut of the adjoint: 2x, along either axis
+    let x = Tensor::from_vec(vec![1.0, 2.0], &[1, 2]).unwrap();
+    for body in [
+        "tf.reduce_sum(tf.square(tf.concat([x, tf.constant([[3.0, 4.0]])], 0)))",
+        "tf.reduce_sum(tf.square(tf.concat([tf.constant([[3.0]]), x], 1)))",
+    ] {
+        for (backend, got) in ["graph", "tape"]
+            .into_iter()
+            .zip(staged_and_tape(body, x.clone()))
+        {
+            assert_eq!(got.expect(backend), [2.0, 4.0], "{backend}: {body}");
+        }
+    }
+}
+
 /// Every rule variant, numbered: a new one fails to compile here until
 /// the emitter test below covers it.
 fn variant(rule: &Rule) -> usize {
@@ -586,70 +606,77 @@ fn variant(rule: &Rule) -> usize {
         Rule::Stack => 25,
         Rule::SumToShape => 26,
         Rule::BroadcastLike => 27,
-        // the graph has no concat rule; eager and Lantern cover it
-        Rule::Concat { .. } => 28,
+        Rule::Concat(_) => 28,
     }
 }
 
-#[test]
-fn every_rule_agrees_bitwise_between_graph_and_kernel_emitters() {
+/// One op per case with inputs to differentiate it at, covering every
+/// rule.
+fn rule_cases() -> Vec<(Op, Vec<Tensor>)> {
     let mut rng = Rng64::new(41);
     let mut n = |shape: &[usize]| rng.normal_tensor(shape, 1.0);
     let pos = |t: Tensor| t.abs().unwrap().add(&Tensor::scalar_f32(0.5)).unwrap();
     let cond = Tensor::from_vec_bool(vec![true, false, false, true, true, false], &[2, 3]).unwrap();
     let labels = Tensor::from_vec_i64(vec![0, 2, 1, 2], &[4]).unwrap();
-    let mut cases: Vec<(OpKind, Vec<Tensor>)> = vec![
-        (OpKind::Add, vec![n(&[3, 4]), n(&[4])]),
-        (OpKind::Sub, vec![n(&[3, 1]), n(&[1, 4])]),
-        (OpKind::Mul, vec![n(&[2, 3]), n(&[])]),
-        (OpKind::Div, vec![n(&[2, 3]), pos(n(&[3]))]),
-        (OpKind::Pow, vec![pos(n(&[2, 3])), n(&[3])]),
-        (OpKind::Maximum, vec![n(&[2, 3]), n(&[3])]),
-        (OpKind::Minimum, vec![n(&[2, 1]), n(&[2, 3])]),
-        (OpKind::Neg, vec![n(&[2, 3])]),
-        (OpKind::Abs, vec![n(&[2, 3])]),
-        (OpKind::Exp, vec![n(&[2, 3])]),
-        (OpKind::Log, vec![pos(n(&[2, 3]))]),
-        (OpKind::Sqrt, vec![pos(n(&[2, 3]))]),
-        (OpKind::Square, vec![n(&[2, 3])]),
-        (OpKind::Tanh, vec![n(&[2, 3])]),
-        (OpKind::Sigmoid, vec![n(&[2, 3])]),
-        (OpKind::Relu, vec![n(&[2, 3])]),
-        (OpKind::SoftmaxCrossEntropy, vec![n(&[4, 3]), labels]),
-        (OpKind::Select, vec![cond.clone(), n(&[3]), n(&[2, 3])]),
-        (OpKind::Select, vec![cond, n(&[2, 3]), n(&[])]),
-        (OpKind::Transpose(vec![1, 2, 0]), vec![n(&[2, 3, 4])]),
-        (OpKind::Reshape(vec![6]), vec![n(&[2, 3])]),
-        (OpKind::ExpandDims(-1), vec![n(&[2, 3])]),
-        (OpKind::Squeeze(Some(0)), vec![n(&[1, 3])]),
-        (OpKind::Cast(DType::F32), vec![n(&[2, 3])]),
-        (OpKind::ReshapeLike, vec![n(&[6]), n(&[2, 3])]),
-        (OpKind::Identity, vec![n(&[2, 3])]),
-        (OpKind::StopGradient, vec![n(&[2, 3])]),
-        (OpKind::Less, vec![n(&[2, 3]), n(&[3])]),
-        (OpKind::ReduceSum(None), vec![n(&[2, 3])]),
-        (OpKind::ReduceSum(Some(-1)), vec![n(&[2, 3])]),
-        (OpKind::ReduceMean(None), vec![n(&[2, 3])]),
-        (OpKind::ReduceMean(Some(0)), vec![n(&[2, 3])]),
-        (OpKind::StackOp, vec![n(&[2, 3]), n(&[2, 3]), n(&[2, 3])]),
-        (OpKind::SumToShape, vec![n(&[2, 3]), n(&[3])]),
-        (OpKind::BroadcastLike, vec![n(&[3]), n(&[2, 3])]),
+    let mut cases: Vec<(Op, Vec<Tensor>)> = vec![
+        (Op::Add, vec![n(&[3, 4]), n(&[4])]),
+        (Op::Sub, vec![n(&[3, 1]), n(&[1, 4])]),
+        (Op::Mul, vec![n(&[2, 3]), n(&[])]),
+        (Op::Div, vec![n(&[2, 3]), pos(n(&[3]))]),
+        (Op::Pow, vec![pos(n(&[2, 3])), n(&[3])]),
+        (Op::Maximum, vec![n(&[2, 3]), n(&[3])]),
+        (Op::Minimum, vec![n(&[2, 1]), n(&[2, 3])]),
+        (Op::Neg, vec![n(&[2, 3])]),
+        (Op::Abs, vec![n(&[2, 3])]),
+        (Op::Exp, vec![n(&[2, 3])]),
+        (Op::Log, vec![pos(n(&[2, 3]))]),
+        (Op::Sqrt, vec![pos(n(&[2, 3]))]),
+        (Op::Square, vec![n(&[2, 3])]),
+        (Op::Tanh, vec![n(&[2, 3])]),
+        (Op::Sigmoid, vec![n(&[2, 3])]),
+        (Op::Relu, vec![n(&[2, 3])]),
+        (Op::SoftmaxCrossEntropy, vec![n(&[4, 3]), labels]),
+        (Op::Select, vec![cond.clone(), n(&[3]), n(&[2, 3])]),
+        (Op::Select, vec![cond, n(&[2, 3]), n(&[])]),
+        (Op::Transpose(vec![1, 2, 0]), vec![n(&[2, 3, 4])]),
+        (Op::Reshape(vec![6]), vec![n(&[2, 3])]),
+        (Op::ExpandDims(-1), vec![n(&[2, 3])]),
+        (Op::Squeeze(Some(0)), vec![n(&[1, 3])]),
+        (Op::Cast(DType::F32), vec![n(&[2, 3])]),
+        (Op::ReshapeLike, vec![n(&[6]), n(&[2, 3])]),
+        (Op::Identity, vec![n(&[2, 3])]),
+        (Op::StopGradient, vec![n(&[2, 3])]),
+        (Op::Less, vec![n(&[2, 3]), n(&[3])]),
+        (Op::ReduceSum(None), vec![n(&[2, 3])]),
+        (Op::ReduceSum(Some(-1)), vec![n(&[2, 3])]),
+        (Op::ReduceMean(None), vec![n(&[2, 3])]),
+        (Op::ReduceMean(Some(0)), vec![n(&[2, 3])]),
+        (Op::StackOp, vec![n(&[2, 3]), n(&[2, 3]), n(&[2, 3])]),
+        (Op::SumToShape, vec![n(&[2, 3]), n(&[3])]),
+        (Op::BroadcastLike, vec![n(&[3]), n(&[2, 3])]),
+        (Op::Concat(0), vec![n(&[1, 3]), n(&[2, 3])]),
+        (Op::Concat(-1), vec![n(&[2, 1]), n(&[2, 3]), n(&[2, 2])]),
+        (Op::Concat(1), vec![n(&[2, 2]), n(&[2, 3])]),
     ];
     for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
         // op(a) is [2, 3, 4] and op(b) is [2, 4, 5]: batched, both flags
         let a = n(if ta { &[2, 4, 3] } else { &[2, 3, 4] });
         let b = n(if tb { &[2, 5, 4] } else { &[2, 4, 5] });
-        let op = OpKind::MatMul {
+        let op = Op::MatMul {
             transpose_a: ta,
             transpose_b: tb,
         };
         cases.push((op, vec![a, b]));
     }
+    cases
+}
 
+#[test]
+fn every_rule_agrees_bitwise_between_graph_and_kernel_emitters() {
     let mut adjoints = Rng64::new(43);
     let mut covered = Vec::new();
-    for (op, inputs) in cases {
-        let rule = rule_of(&op).expect("the graph has a rule");
+    for (op, inputs) in rule_cases() {
+        let rule = op.rule().expect("the op has a rule");
         covered.push(variant(&rule));
         let mut g = GraphBuilder::new();
         let names: Vec<String> = (0..inputs.len()).map(|i| format!("x{i}")).collect();
@@ -687,10 +714,80 @@ fn every_rule_agrees_bitwise_between_graph_and_kernel_emitters() {
     }
     covered.sort_unstable();
     covered.dedup();
-    let concat = variant(&Rule::Concat { axis: 0, parts: 0 });
-    assert_eq!(
-        covered,
-        (0..concat).collect::<Vec<_>>(),
-        "every rule but concat"
-    );
+    let last = variant(&Rule::Concat(0));
+    assert_eq!(covered, (0..=last).collect::<Vec<_>>(), "every rule");
+}
+
+#[test]
+fn lantern_gradients_agree_bitwise_with_the_kernel_emitter() {
+    // loss = sum(op(x...) * dy): the adjoint reaching the op is dy, so
+    // each f32 input's gradient is the op's contribution to it (or zeros)
+    let mut adjoints = Rng64::new(47);
+    let mut checked = Vec::new();
+    for (op, inputs) in rule_cases() {
+        let (Some(sym), Some(rule)) = (symbol(&op), op.rule()) else {
+            continue;
+        };
+        if rule == Rule::Zero {
+            continue; // a comparison: its bool output reaches no loss
+        }
+        let names: Vec<String> = (0..inputs.len()).map(|i| format!("x{i}")).collect();
+        let is_param = |t: &Tensor| t.dtype() == DType::F32;
+        let args: Vec<String> = names
+            .iter()
+            .zip(&inputs)
+            .map(|(name, t)| match is_param(t) {
+                true => format!("(param {name})"),
+                false => format!("(extern {name})"),
+            })
+            .collect();
+        let src = format!(
+            "(program (reduce_sum (mul ({sym} {}) (extern dy))))",
+            args.join(" ")
+        );
+        let engine = Engine::new(Program::compile(&sexpr::parse(&src).unwrap()).unwrap());
+        let out = op.apply(&mut inputs.clone()[..]).expect("forward");
+        let dout = adjoints.normal_tensor(out.shape(), 1.0);
+        let mut externs = vec![("dy", LValue::tensor(dout.clone()))];
+        let mut params = Vec::new();
+        for (name, t) in names.iter().zip(&inputs) {
+            match is_param(t) {
+                true => params.push((name.as_str(), t.clone())),
+                false => externs.push((name.as_str(), LValue::tensor(t.clone()))),
+            }
+        }
+        let (_, got) = engine.grad(&externs, &params).expect("lantern grad");
+        let kernels = vjp(&mut Kernels, &rule, &inputs, &out, &dout).expect("kernel vjp");
+        let want: Vec<Tensor> = (0..inputs.len())
+            .filter(|&i| is_param(&inputs[i]))
+            .map(|i| match kernels.iter().find(|(j, _)| *j == i) {
+                Some((_, g)) => g.clone(),
+                None => Tensor::zeros(DType::F32, inputs[i].shape()),
+            })
+            .collect();
+        assert_bitwise_eq(&format!("{op:?}"), "lantern", &got, &want);
+        checked.push(sym);
+    }
+    checked.dedup();
+    let want = [
+        "add",
+        "sub",
+        "mul",
+        "div",
+        "neg",
+        "exp",
+        "log",
+        "sqrt",
+        "square",
+        "tanh",
+        "sigmoid",
+        "relu",
+        "softmax_xent",
+        "reduce_sum",
+        "reduce_mean",
+        "concat0",
+        "concat1",
+        "matmul",
+    ];
+    assert_eq!(checked, want, "every differentiable Lantern op");
 }

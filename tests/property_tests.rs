@@ -5,7 +5,7 @@
 use autograph::analysis;
 use autograph::graph::builder::GraphBuilder;
 use autograph::graph::grad::gradients;
-use autograph::graph::ir::OpKind;
+use autograph::graph::ir::Op;
 use autograph::prelude::*;
 use proptest::prelude::*;
 
@@ -123,11 +123,11 @@ proptest! {
         let mut b = GraphBuilder::new();
         let x = b.placeholder("x");
         let t = b.tanh(x);
-        let sq = b.add(OpKind::Square, vec![t]);
+        let sq = b.add(Op::Square, vec![t]);
         let half = b.scalar(0.5);
         let lin = b.mul(x, half);
         let s = b.add_op(sq, lin);
-        let loss = b.add(OpKind::ReduceSum(None), vec![s]);
+        let loss = b.add(Op::ReduceSum(None), vec![s]);
         let grads = gradients(&mut b, loss, &[x]).unwrap();
         let gx = grads[0];
         let mut sess = Session::new(b.finish());

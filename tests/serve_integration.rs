@@ -592,6 +592,27 @@ fn deeply_nested_json_is_a_400_not_an_abort() {
     assert!(report.clean);
 }
 
+/// A tensor argument whose shape holds more elements than `usize` used to
+/// pass the element-count check (the product wrapped to 0, which an empty
+/// `data` matched) and ran with a 200. It is a 400.
+#[test]
+fn overflowing_tensor_shape_is_a_400() {
+    let _l = lock();
+    let server = boot(SPIN, ServerConfig::default(), &RegistryConfig::default());
+    let mut c = Client::connect(server.addr().to_string()).expect("connect");
+    let body = "{\"args\":[{\"shape\":[4294967296,4294967296],\"data\":[]}]}";
+    let resp = c.run("quick", body, Some(10_000)).expect("answered");
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    let doc: serde_json::Value = serde_json::from_str(&resp.text()).expect("structured body");
+    let message = doc["error"]["message"].as_str().expect("message");
+    assert!(
+        message.contains("more elements than usize holds"),
+        "{message}"
+    );
+    let report = server.shutdown(Duration::from_secs(5));
+    assert!(report.clean);
+}
+
 /// `GET /metrics` stays a valid Prometheus exposition while four client
 /// threads hammer `/run` and a fifth scrapes concurrently; counters
 /// never go backwards between scrapes and every required family is

@@ -16,6 +16,7 @@
 //!   (fused kernels split costs across their covered nodes).
 
 use autograph::graph::builder::{GraphBuilder, SubGraphBuilder};
+use autograph::graph::ir::Op;
 use autograph::graph::{Graph, NodeId, OpKind};
 use autograph::prelude::*;
 
@@ -300,7 +301,7 @@ fn feed_state_loop() -> (Graph, Vec<NodeId>) {
     let cond_g = {
         let (mut sb, p) = SubGraphBuilder::new(5);
         let three = sb.b.constant(Tensor::scalar_i64(3));
-        let lt = sb.b.add(OpKind::Less, vec![p[0], three]);
+        let lt = sb.b.add(Op::Less, vec![p[0], three]);
         sb.finish(vec![lt])
     };
     let body_g = {
@@ -309,8 +310,8 @@ fn feed_state_loop() -> (Graph, Vec<NodeId>) {
         let sum = sb.b.add_op(s, c);
         let h = sb.b.tanh(sum);
         let zero = sb.b.scalar(0.0);
-        let keep = sb.b.add(OpKind::Greater, vec![m, zero]);
-        let s2 = sb.b.add(OpKind::Select, vec![keep, h, s]);
+        let keep = sb.b.add(Op::Greater, vec![m, zero]);
+        let s2 = sb.b.add(Op::Select, vec![keep, h, s]);
         let uc = sb.b.mul(u, c);
         let uc2 = sb.b.add_op(uc, c);
         let u2 = sb.b.tanh(uc2);
@@ -345,7 +346,7 @@ fn push_then_size_loop() -> (Graph, Vec<NodeId>) {
     let cond_g = {
         let (mut sb, p) = SubGraphBuilder::new(4);
         let four = sb.b.constant(Tensor::scalar_i64(4));
-        let lt = sb.b.add(OpKind::Less, vec![p[0], four]);
+        let lt = sb.b.add(Op::Less, vec![p[0], four]);
         sb.finish(vec![lt])
     };
     let body_g = {
