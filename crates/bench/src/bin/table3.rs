@@ -1,7 +1,9 @@
 //! Regenerates **Table 3 — TreeLSTM Targeting Lantern (SGD steps/sec)**:
 //! the recursive sentiment model trained with batch size 1, eager
 //! ("PyTorch"-style, interpreted + tape) vs AutoGraph→Lantern (staged
-//! once, compiled IR + CPS-style AD).
+//! once, compiled IR). Both differentiate on the one data tape
+//! (`autograph_tensor::grad::Tape`); Lantern's replay computes what the
+//! paper's `shift`/`reset` continuations compute, in the same order.
 
 use autograph_bench::{measure, row, rule, HarnessArgs};
 use autograph_models::data::{random_tree_lantern, random_tree_value};

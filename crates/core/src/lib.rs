@@ -52,7 +52,7 @@
 //! | dataflow graph IR, session, symbolic grads, optimizations | [`autograph_graph`] |
 //! | eager runtime + tape autodiff | [`autograph_eager`] |
 //! | interpreter + `ag.*` dynamic dispatch | [`autograph_runtime`] |
-//! | Lantern backend (recursion + CPS-style AD) | [`autograph_lantern`] |
+//! | Lantern backend (recursion + tape autodiff) | [`autograph_lantern`] |
 
 pub use autograph_analysis as analysis;
 pub use autograph_eager as eager;

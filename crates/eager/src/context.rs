@@ -1,12 +1,13 @@
 //! The eager execution context: one op at a time, plus optional tape
 //! recording.
 
-use crate::tape::Tape;
-use crate::{panic_message, EagerError, Result};
+use crate::{EagerError, Result};
 use autograph_faults as faults;
 use autograph_obs as obs;
-use autograph_tensor::op::Op;
-use autograph_tensor::Tensor;
+use autograph_tensor::error::panic_message;
+use autograph_tensor::grad::Tape;
+use autograph_tensor::op::{Op, Operands};
+use autograph_tensor::{Tensor, TensorError};
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -101,7 +102,6 @@ impl Eager {
                 obs::observe("eager_mem", name, delta);
             })
         });
-        let mut raw: Vec<Tensor> = inputs.iter().map(|t| t.tensor.clone()).collect();
         // Panic isolation: a kernel that panics on malformed shapes becomes
         // a structured per-op error rather than tearing through the caller.
         // The chaos-test inject (one relaxed atomic load when no plan is
@@ -109,38 +109,24 @@ impl Eager {
         // it too.
         let out = catch_unwind(AssertUnwindSafe(|| -> Result<Tensor> {
             faults::inject("eager", name).map_err(|e| EagerError::new(e.to_string()))?;
-            Ok(op.apply(&mut raw[..])?)
+            Ok(op.apply(&mut Handles(inputs))?)
         }))
         .map_err(|p| {
             EagerError::new(format!("kernel panicked: {}", panic_message(p.as_ref()))).in_op(name)
         })?
         .map_err(|e| EagerError::new(e.message).in_op(name))?;
 
-        let mut tape_ref = self.tape.borrow_mut();
-        if let Some(tape) = tape_ref.as_mut() {
-            if inputs.iter().any(|t| t.node.is_some()) {
-                let node = tape.record(
-                    name,
-                    op.rule(),
-                    inputs.iter().map(|t| t.node).collect(),
-                    raw,
-                    out.clone(),
-                );
-                return Ok(EagerTensor {
-                    tensor: out,
-                    node: Some(node),
-                });
-            }
-        }
-        Ok(EagerTensor {
-            tensor: out,
-            node: None,
-        })
+        let node = self
+            .tape
+            .borrow_mut()
+            .as_mut()
+            .and_then(|tape| tape.record(op, inputs.iter().map(|t| (&t.tensor, t.node)), &out));
+        Ok(EagerTensor { tensor: out, node })
     }
 
     /// Begin recording a fresh tape (dropping any previous one).
     pub fn start_tape(&self) {
-        *self.tape.borrow_mut() = Some(Tape::new());
+        *self.tape.borrow_mut() = Some(Tape::default());
     }
 
     /// Mark a tensor as a differentiation root (a trainable parameter).
@@ -176,35 +162,28 @@ impl Eager {
         let loss_node = loss
             .node
             .ok_or_else(|| EagerError::new("loss is not tracked on the tape"))?;
-        let wrt_nodes: Vec<usize> = wrt
+        let wrt: Vec<(usize, &[usize])> = wrt
             .iter()
             .map(|t| {
-                t.node
-                    .ok_or_else(|| EagerError::new("parameter is not watched on the tape"))
+                let node = t
+                    .node
+                    .ok_or_else(|| EagerError::new("parameter is not watched on the tape"))?;
+                Ok((node, t.tensor.shape()))
             })
             .collect::<Result<_>>()?;
-        let grads = {
-            obs::observe("eager", "tape_len", tape.len() as u64);
-            let _span = obs::span("eager", "tape_backward");
-            // the replayed rules run user-shaped tensors through kernels;
-            // isolate their panics like forward kernels
-            catch_unwind(AssertUnwindSafe(|| {
-                tape.gradient(loss_node, loss.tensor.shape(), &wrt_nodes)
-            }))
-            .map_err(|p| {
-                EagerError::new(format!(
-                    "backward pass panicked: {}",
-                    panic_message(p.as_ref())
-                ))
-            })??
-        };
-        Ok(grads
-            .into_iter()
-            .zip(wrt)
-            .map(|(g, w)| {
-                g.unwrap_or_else(|| Tensor::zeros(autograph_tensor::DType::F32, w.tensor.shape()))
-            })
-            .collect())
+        let _span = obs::span("eager", "tape_backward");
+        // the replayed rules run user-shaped tensors through kernels;
+        // isolate their panics like forward kernels
+        catch_unwind(AssertUnwindSafe(|| {
+            tape.gradients(loss_node, loss.tensor.shape(), &wrt)
+        }))
+        .map_err(|p| {
+            EagerError::new(format!(
+                "backward pass panicked: {}",
+                panic_message(p.as_ref())
+            ))
+        })?
+        .map_err(|(op, message)| EagerError::new(message).in_op(op))
     }
 
     // ---- common shorthands -------------------------------------------------
@@ -237,6 +216,25 @@ impl Eager {
     /// `sigmoid(a)`.
     pub fn sigmoid(&self, a: &EagerTensor) -> Result<EagerTensor> {
         self.op("sigmoid", &[a])
+    }
+}
+
+/// Eager operands as a tensor op reads them: no operand vector is built.
+struct Handles<'a>(&'a [&'a EagerTensor]);
+
+impl Operands for Handles<'_> {
+    type Error = TensorError;
+    fn arity(&self) -> usize {
+        self.0.len()
+    }
+    fn operand(&self, i: usize) -> std::result::Result<&Tensor, TensorError> {
+        self.0
+            .get(i)
+            .map(|t| &t.tensor)
+            .ok_or_else(|| TensorError::InvalidArgument {
+                op: "apply",
+                detail: format!("missing operand {i}"),
+            })
     }
 }
 

@@ -9,9 +9,10 @@
 //! eager execution slower than a compiled graph plan.
 //!
 //! Gradients are computed with a tape-based reverse-mode autodiff
-//! (`tf.GradientTape` / PyTorch autograd analog), which re-records on
-//! every execution — exactly the "retracing on every execution" cost the
-//! paper contrasts with staged graphs.
+//! (`tf.GradientTape` / PyTorch autograd analog) on the data tape Lantern
+//! shares ([`autograph_tensor::grad::Tape`]), which re-records on every
+//! execution — exactly the "retracing on every execution" cost the paper
+//! contrasts with staged graphs.
 //!
 //! ## Example
 //!
@@ -27,7 +28,6 @@
 //! ```
 
 pub mod context;
-pub(crate) mod tape;
 
 pub use context::{Eager, EagerTensor};
 
@@ -79,14 +79,3 @@ impl From<TensorError> for EagerError {
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, EagerError>;
-
-/// Best-effort human-readable message from a caught panic payload.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}

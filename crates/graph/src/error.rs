@@ -161,18 +161,6 @@ impl From<TensorError> for GraphError {
     }
 }
 
-/// Extract the human-readable message from a caught panic payload
-/// (`panic!("...")` yields `&str` or `String`; anything else is opaque).
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,15 +227,5 @@ mod tests {
         assert!(d.to_string().contains("deadline exceeded"));
         assert_eq!(GraphError::runtime("x").kind, ErrorKind::Fault);
         assert_eq!(GraphError::panic("boom").kind, ErrorKind::Panic);
-    }
-
-    #[test]
-    fn panic_message_extraction() {
-        let p: Box<dyn std::any::Any + Send> = Box::new("static str");
-        assert_eq!(panic_message(p.as_ref()), "static str");
-        let p: Box<dyn std::any::Any + Send> = Box::new(String::from("owned"));
-        assert_eq!(panic_message(p.as_ref()), "owned");
-        let p: Box<dyn std::any::Any + Send> = Box::new(42u32);
-        assert_eq!(panic_message(p.as_ref()), "non-string panic payload");
     }
 }

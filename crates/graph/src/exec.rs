@@ -14,13 +14,13 @@
 // here would defeat the catch_unwind contract. Enforced by CI.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::error::panic_message;
 use crate::ir::{GValue, Graph, NodeId, OpKind, SubGraph};
 use crate::ops;
 use crate::run::RunCtx;
 use crate::{GraphError, Result};
 use autograph_faults as faults;
 use autograph_obs as obs;
+use autograph_tensor::error::panic_message;
 use autograph_tensor::Tensor;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -46,7 +46,6 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::compile::{CoverArg, CoverOp, FusedGroup, IKind, Instr, Proc, Program, Reg};
-use crate::error::panic_message;
 use crate::exec::{pack_outputs, ExecEnv};
 use crate::ir::GValue;
 use crate::ops;
@@ -55,6 +54,7 @@ use crate::run::RunCtx;
 use crate::{GraphError, Result};
 use autograph_faults as faults;
 use autograph_obs as obs;
+use autograph_tensor::error::panic_message;
 use autograph_tensor::fused::FusedArena;
 use autograph_tensor::Tensor;
 use std::panic::{catch_unwind, AssertUnwindSafe};

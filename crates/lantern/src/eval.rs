@@ -2,81 +2,28 @@
 //! reverse-mode automatic differentiation.
 //!
 //! The original Lantern implements backpropagation with delimited
-//! continuations (`shift`/`reset`) compiled into C++ — each op's generated
+//! continuations (`shift`/`reset`) compiled into C++: each op's generated
 //! code runs its forward computation, invokes the continuation for the
 //! rest of the program, then updates its operands' gradients. Here the
-//! continuations are reified: the forward pass pushes one backward closure
-//! per differentiable op onto a stack, and after the forward value is
-//! produced the stack unwinds in reverse — the identical computation in
-//! the identical order (see the `Snippet` listing in §8). Each closure
-//! replays the op's rule from [`autograph_tensor::grad`], the one the
-//! graph and the eager tape use.
+//! forward pass records each differentiable op on the data tape of
+//! [`autograph_tensor::grad`] (the one the eager runtime records into),
+//! and after the forward value is produced the tape is replayed in
+//! reverse: the same computation in the same order as the continuations
+//! (see the `Snippet` listing in §8), through the rules the graph uses.
 
 use crate::compile::{CExpr, CFunc, Logic, Program};
 use crate::value::LValue;
 use crate::{LanternError, Result};
-use autograph_tensor::grad::{self, Kernels, Rule};
+use autograph_tensor::error::panic_message;
+use autograph_tensor::grad::Tape;
 use autograph_tensor::op::{Op, Operands};
-use autograph_tensor::{DType, Tensor};
+use autograph_tensor::Tensor;
 use std::collections::HashMap;
-
-type BackFn = Box<dyn FnOnce(&mut GradStore) -> Result<()>>;
-
-/// Accumulated adjoints by tape node id.
-struct GradStore {
-    grads: Vec<Option<Tensor>>,
-}
-
-impl GradStore {
-    fn accumulate(&mut self, node: usize, g: Tensor) -> Result<()> {
-        let slot = self
-            .grads
-            .get_mut(node)
-            .ok_or_else(|| LanternError::new(format!("no gradient slot {node}")))?;
-        *slot = Some(match slot.take() {
-            Some(acc) => acc.add(&g)?,
-            None => g,
-        });
-        Ok(())
-    }
-}
-
-/// Reified continuation stack.
-struct Tape {
-    entries: Vec<(usize, BackFn)>, // (output node, backward)
-    next_node: usize,
-}
-
-impl Tape {
-    fn new() -> Tape {
-        Tape {
-            entries: Vec::new(),
-            next_node: 0,
-        }
-    }
-
-    fn node(&mut self) -> usize {
-        let n = self.next_node;
-        self.next_node += 1;
-        n
-    }
-}
 
 /// Executes a compiled [`Program`].
 #[derive(Debug)]
 pub struct Engine {
     program: Program,
-}
-
-/// Best-effort human-readable message from a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 impl Engine {
@@ -131,7 +78,7 @@ impl Engine {
         externs: &[(&str, LValue)],
         params: &[(&str, Tensor)],
     ) -> Result<LValue> {
-        let (ext, par) = self.bind(externs, params, None)?;
+        let (ext, par) = self.bind(externs, params)?;
         let mut ctx = Ctx {
             program: &self.program,
             externs: ext,
@@ -154,8 +101,8 @@ impl Engine {
         externs: &[(&str, LValue)],
         params: &[(&str, Tensor)],
     ) -> Result<(Tensor, Vec<Tensor>)> {
-        // the reified backward continuations index gradient slots and call
-        // shape-sensitive kernels directly; isolate their panics too
+        // the replayed rules call shape-sensitive kernels directly; isolate
+        // their panics too
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.grad_inner(externs, params)
         }))
@@ -172,12 +119,14 @@ impl Engine {
         externs: &[(&str, LValue)],
         params: &[(&str, Tensor)],
     ) -> Result<(Tensor, Vec<Tensor>)> {
-        let mut tape = Tape::new();
+        let (ext, mut par) = self.bind(externs, params)?;
         // parameters are tape leaves
-        let param_nodes: Vec<usize> = (0..self.program.param_names.len())
-            .map(|_| tape.node())
-            .collect();
-        let (ext, par) = self.bind(externs, params, Some(&param_nodes))?;
+        let mut tape = Tape::default();
+        for p in &mut par {
+            if let LValue::Tensor(_, node) = p {
+                *node = Some(tape.watch());
+            }
+        }
         let mut ctx = Ctx {
             program: &self.program,
             externs: ext,
@@ -195,38 +144,20 @@ impl Engine {
                 )))
             }
         };
-        let tape = ctx
-            .tape
-            .take()
-            .ok_or_else(|| LanternError::new("gradient evaluation lost its tape"))?;
-        let mut store = GradStore {
-            grads: vec![None; tape.next_node],
-        };
-        if let Some(ln) = loss_node {
-            store.accumulate(ln, Tensor::ones(DType::F32, loss.shape()))?;
-            // unwind the reified continuations
-            for (out_node, back) in tape.entries.into_iter().rev() {
-                if matches!(store.grads.get(out_node), Some(Some(_))) {
-                    back(&mut store)?;
-                }
-            }
-        }
-        let grads = self
-            .program
-            .param_names
+        let mut tape = ctx.tape.take().unwrap_or_default();
+        // a loss no parameter reaches is a fresh leaf: every gradient is zero
+        let loss_node = loss_node.unwrap_or_else(|| tape.watch());
+        let wrt: Vec<(usize, &[usize])> = ctx
+            .params
             .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                store.grads[param_nodes[i]].clone().unwrap_or_else(|| {
-                    let shape = params
-                        .iter()
-                        .find(|(n, _)| n == name)
-                        .map(|(_, t)| t.shape().to_vec())
-                        .unwrap_or_default();
-                    Tensor::zeros(DType::F32, &shape)
-                })
+            .filter_map(|p| match p {
+                LValue::Tensor(t, Some(node)) => Some((*node, t.shape())),
+                _ => None,
             })
             .collect();
+        let grads = tape
+            .gradients(loss_node, loss.shape(), &wrt)
+            .map_err(|(_, message)| LanternError::new(message))?;
         Ok((loss, grads))
     }
 
@@ -234,7 +165,6 @@ impl Engine {
         &self,
         externs: &[(&str, LValue)],
         params: &[(&str, Tensor)],
-        param_nodes: Option<&[usize]>,
     ) -> Result<(Vec<LValue>, Vec<LValue>)> {
         let emap: HashMap<&str, &LValue> = externs.iter().map(|(n, v)| (*n, v)).collect();
         let ext = self
@@ -252,12 +182,11 @@ impl Engine {
             .program
             .param_names
             .iter()
-            .enumerate()
-            .map(|(i, n)| {
+            .map(|n| {
                 let t = pmap
                     .get(n.as_str())
                     .ok_or_else(|| LanternError::new(format!("missing parameter '{n}'")))?;
-                Ok(LValue::Tensor((*t).clone(), param_nodes.map(|ns| ns[i])))
+                Ok(LValue::tensor((*t).clone()))
             })
             .collect::<Result<_>>()?;
         Ok((ext, par))
@@ -377,42 +306,14 @@ impl<'a> Ctx<'a> {
 
     fn apply(&mut self, op: &Op, vals: &[LValue]) -> Result<LValue> {
         let out = op.apply(&mut Args(vals))?;
-        // comparisons are never on a differentiable path
-        let rule = op.rule();
-        let Some(tape) = self.tape.as_mut().filter(|_| rule != Some(Rule::Zero)) else {
-            return Ok(LValue::Tensor(out, None));
-        };
-        let nodes: Vec<Option<usize>> = vals
-            .iter()
-            .map(|v| match v {
-                LValue::Tensor(_, n) => *n,
+        let node = self.tape.as_mut().and_then(|tape| {
+            let inputs = vals.iter().filter_map(|v| match v {
+                LValue::Tensor(t, node) => Some((t, *node)),
                 _ => None,
-            })
-            .collect();
-        if nodes.iter().all(Option::is_none) {
-            return Ok(LValue::Tensor(out, None));
-        }
-        let out_node = tape.node();
-        let saved: Vec<Tensor> = vals
-            .iter()
-            .map(|v| v.as_tensor().cloned())
-            .collect::<Result<_>>()?;
-        let out_saved = out.clone();
-        let name = op.name();
-        let back: BackFn = Box::new(move |store: &mut GradStore| {
-            let Some(Some(g)) = store.grads.get(out_node).cloned() else {
-                return Ok(());
-            };
-            let rule = rule.ok_or_else(|| LanternError::new(grad::no_rule(name)))?;
-            for (i, contrib) in grad::vjp(&mut Kernels, &rule, &saved, &out_saved, &g)? {
-                if let Some(&Some(node)) = nodes.get(i) {
-                    store.accumulate(node, contrib)?;
-                }
-            }
-            Ok(())
+            });
+            tape.record(op, inputs, &out)
         });
-        tape.entries.push((out_node, back));
-        Ok(LValue::Tensor(out, Some(out_node)))
+        Ok(LValue::Tensor(out, node))
     }
 }
 

@@ -13,10 +13,11 @@
 //! differentiation.
 //!
 //! The original Lantern generates C++ with continuation-passing-style
-//! backpropagation (`shift`/`reset`); here the continuations are reified
-//! as a stack of backward closures executed after the forward pass — the
-//! same computation in the same order, without a C++ toolchain in the
-//! loop (see DESIGN.md, substitution table). What matters for the paper's
+//! backpropagation (`shift`/`reset`); here the forward pass records each
+//! differentiable op on a data tape (`autograph_tensor::grad::Tape`, the
+//! one the eager runtime uses), replayed in reverse after the forward
+//! pass — the same computation in the same order, without a C++
+//! toolchain in the loop (see DESIGN.md, substitution table). What matters for the paper's
 //! Table 3 is preserved: recursion in the IR, and evaluation that does not
 //! pay per-node interpretation or dispatch overhead.
 //!

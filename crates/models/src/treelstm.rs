@@ -12,7 +12,7 @@
 //!   tape-based autodiff; gradients re-recorded every step.
 //! * **AutoGraph → Lantern** — the same source staged *once* into the
 //!   Lantern IR (one `(def ...)` with a `(call ...)` at the recursion
-//!   sites), compiled, then evaluated with CPS-style reverse AD per
+//!   sites), compiled, then evaluated with reverse AD on a data tape per
 //!   example.
 
 use autograph_eager::EagerTensor;

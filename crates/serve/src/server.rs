@@ -31,6 +31,7 @@ use autograph_obs::json::write_str;
 use autograph_obs::metrics::{AtomicHistogram, HistSnapshot};
 use autograph_obs::{FanoutRecorder, Recorder};
 use autograph_planstore::stats as plan_store;
+use autograph_tensor::error::panic_message;
 use autograph_tensor::mem::snapshot as ledger;
 use autograph_tensor::Tensor;
 use std::fmt::Write as _;
@@ -721,11 +722,7 @@ fn execute(
             // the panicked-through session was dropped, not repooled
             shared.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
             autograph_obs::count("serve", "worker_panic", 1);
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "worker panicked".to_string());
+            let msg = panic_message(panic.as_ref());
             Err(ServeError::Internal(format!("panic in graph run: {msg}")))
         }
     }

@@ -97,6 +97,18 @@ impl fmt::Display for TensorError {
 
 impl std::error::Error for TensorError {}
 
+/// The message of a caught panic payload: `panic!("...")` yields a
+/// `&str` or a `String`; anything else is opaque.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,6 +139,16 @@ mod tests {
         assert!(err.to_string().contains("more elements than usize holds"));
         let err = crate::Tensor::from_vec_i64(vec![], &[usize::MAX, 2]).unwrap_err();
         assert!(matches!(err, TensorError::ShapeElementMismatch { .. }));
+    }
+
+    #[test]
+    fn panic_message_extraction() {
+        let p: Box<dyn std::any::Any + Send> = Box::new("static str");
+        assert_eq!(panic_message(p.as_ref()), "static str");
+        let p: Box<dyn std::any::Any + Send> = Box::new(String::from("owned"));
+        assert_eq!(panic_message(p.as_ref()), "owned");
+        let p: Box<dyn std::any::Any + Send> = Box::new(42u32);
+        assert_eq!(panic_message(p.as_ref()), "non-string panic payload");
     }
 
     #[test]

@@ -2,12 +2,11 @@
 //! TF-Eager design (arXiv:1903.01855), where the tape replays the same
 //! gradient functions graph construction uses.
 //!
-//! Every backend reads an op's [`Rule`] off its [`Op`] ([`Op::rule`]) and
-//! keeps its own traversal: reverse creation order over graph nodes, the
-//! eager tape, Lantern's continuations. [`vjp`] writes a rule's adjoint as
-//! `Op`s through a [`Diff`] emitter: the graph builder emits one node per
-//! op, and [`Kernels`] runs the op's kernel, for the eager tape and for
-//! Lantern alike.
+//! Every backend reads an op's [`Rule`] off its [`Op`] ([`Op::rule`]).
+//! [`vjp`] writes a rule's adjoint as `Op`s through a [`Diff`] emitter:
+//! the graph builder emits one node per op in reverse creation order, and
+//! [`Kernels`] runs the op's kernel. The eager runtime and Lantern record
+//! into the one [`Tape`] and replay it through [`Kernels`].
 
 use crate::op::Op;
 use crate::reduce::normalize_axis;
@@ -317,8 +316,7 @@ pub fn vjp<D: Diff>(
 }
 
 /// The kernel emitter: a rule's adjoint as tensor kernels, run at once.
-/// The eager tape and Lantern's continuations both differentiate through
-/// it.
+/// [`Tape`] replays through it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Kernels;
 
@@ -335,6 +333,115 @@ impl Diff for Kernels {
     }
     fn split(&mut self, g: &Tensor, axis: isize, parts: &[Tensor]) -> Result<Vec<Tensor>> {
         g.split_like(axis, parts, 0..parts.len())
+    }
+}
+
+/// One recorded op: what its adjoint reads.
+#[derive(Debug)]
+struct Entry {
+    name: &'static str,
+    rule: Option<Rule>,
+    inputs: Vec<Tensor>,
+    nodes: Vec<Option<usize>>,
+    output: Tensor,
+    node: usize,
+}
+
+/// A data tape: tracked values are numbered nodes, and every op with a
+/// tracked input is an entry of its rule, its saved inputs and its
+/// output. [`Tape::gradients`] replays the entries in reverse through
+/// [`vjp`] and [`Kernels`]: the eager runtime's `GradientTape` and
+/// Lantern's backward pass (its `shift`/`reset` continuations, run in the
+/// same order) alike.
+#[derive(Debug, Default)]
+pub struct Tape {
+    entries: Vec<Entry>,
+    nodes: usize,
+}
+
+impl Tape {
+    /// A fresh node: a leaf to differentiate with respect to.
+    pub fn watch(&mut self) -> usize {
+        self.nodes += 1;
+        self.nodes - 1
+    }
+
+    /// Record `output = op(inputs)`, each input with its node if tracked.
+    /// Returns the output's node, or `None` when no input is tracked. The
+    /// inputs are cloned only into an entry; an op whose rule is
+    /// [`Rule::Zero`] (a comparison) gets a node but no entry.
+    pub fn record<'a, I>(&mut self, op: &Op, inputs: I, output: &Tensor) -> Option<usize>
+    where
+        I: IntoIterator<Item = (&'a Tensor, Option<usize>)>,
+        I::IntoIter: Clone,
+    {
+        let inputs = inputs.into_iter();
+        if inputs.clone().all(|(_, node)| node.is_none()) {
+            return None;
+        }
+        let node = self.watch();
+        let rule = op.rule();
+        if rule != Some(Rule::Zero) {
+            let (inputs, nodes) = inputs.map(|(t, n)| (t.clone(), n)).unzip();
+            self.entries.push(Entry {
+                name: op.name(),
+                rule,
+                inputs,
+                nodes,
+                output: output.clone(),
+                node,
+            });
+        }
+        Some(node)
+    }
+
+    /// The gradients of node `loss` (of shape `loss_shape`) with respect
+    /// to each `(node, shape)` of `wrt`: the loss's adjoint seeded with
+    /// ones, the entries replayed in reverse, and contributions to a node
+    /// summed in the order [`vjp`] returns them. A node the adjoint never
+    /// reaches gets zeros of its shape.
+    ///
+    /// # Errors
+    ///
+    /// Fails with the op's name and the message when the adjoint reaches
+    /// an op with no rule ([`no_rule`]) or a kernel fails.
+    pub fn gradients(
+        self,
+        loss: usize,
+        loss_shape: &[usize],
+        wrt: &[(usize, &[usize])],
+    ) -> std::result::Result<Vec<Tensor>, (&'static str, String)> {
+        let mut adjoints: Vec<Option<Tensor>> = vec![None; self.nodes];
+        if let Some(slot) = adjoints.get_mut(loss) {
+            *slot = Some(Tensor::ones(DType::F32, loss_shape));
+        }
+        // each entry is dropped once replayed, its saved tensors with it
+        for e in self.entries.into_iter().rev() {
+            let Some(Some(g)) = adjoints.get(e.node).cloned() else {
+                continue;
+            };
+            let rule = e.rule.as_ref().ok_or_else(|| (e.name, no_rule(e.name)))?;
+            let failed = |err: TensorError| (e.name, err.to_string());
+            for (i, g) in vjp(&mut Kernels, rule, &e.inputs, &e.output, &g).map_err(failed)? {
+                let node = e.nodes.get(i).copied().flatten();
+                if let Some(slot) = node.and_then(|n| adjoints.get_mut(n)) {
+                    *slot = Some(match slot.take() {
+                        Some(acc) => acc.add(&g).map_err(failed)?,
+                        None => g,
+                    });
+                }
+            }
+        }
+        Ok(wrt
+            .iter()
+            .map(|&(node, shape)| {
+                adjoints
+                    .get(node)
+                    .cloned()
+                    .flatten()
+                    .unwrap_or_else(|| Tensor::zeros(DType::F32, shape))
+            })
+            .collect())
     }
 }
 
@@ -459,5 +566,74 @@ impl Tensor {
     pub fn dim_size(&self, axis: isize) -> Result<Tensor> {
         let ax = normalize_axis("dim_size", axis, self.rank())?;
         Ok(Tensor::scalar_f32(self.shape()[ax] as f32))
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn records_and_differentiates_chain() {
+        // y = (x * x) + x ; dy/dx = 2x + 1 = 7 at x=3
+        let mut tape = Tape::default();
+        let x = Tensor::scalar_f32(3.0);
+        let xn = tape.watch();
+        let xx = x.mul(&x).unwrap();
+        let xxn = tape.record(&Op::Mul, [(&x, Some(xn)), (&x, Some(xn))], &xx);
+        let y = xx.add(&x).unwrap();
+        let yn = tape.record(&Op::Add, [(&xx, xxn), (&x, Some(xn))], &y);
+        let grads = tape.gradients(yn.unwrap(), &[], &[(xn, &[])]).unwrap();
+        assert_eq!(grads[0].scalar_value_f32().unwrap(), 7.0);
+    }
+
+    #[test]
+    fn unwatched_inputs_are_not_recorded() {
+        let mut tape = Tape::default();
+        let (a, b) = (Tensor::scalar_f32(2.0), Tensor::scalar_f32(4.0));
+        let out = a.mul(&b).unwrap();
+        assert_eq!(tape.record(&Op::Mul, [(&a, None), (&b, None)], &out), None);
+        // a leaf the loss does not reach gets zeros of its shape
+        let (loss, w) = (tape.watch(), tape.watch());
+        let grads = tape.gradients(loss, &[], &[(w, &[3])]).unwrap();
+        assert_eq!(grads[0].as_f32().unwrap(), &[0.0; 3]);
+    }
+
+    #[test]
+    fn missing_backward_rule_errors() {
+        let a = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
+        let half = Tensor::scalar_f32(1.5);
+        // a comparison is tracked but saves nothing and contributes nothing...
+        let mut tape = Tape::default();
+        let an = tape.watch();
+        let out = a.less(&half).unwrap();
+        let n = tape.record(&Op::Less, [(&a, Some(an)), (&half, None)], &out);
+        assert!(n.is_some() && tape.entries.is_empty());
+        let grads = tape.gradients(n.unwrap(), &[2], &[(an, &[2])]).unwrap();
+        assert_eq!(grads[0].as_f32().unwrap(), &[0.0, 0.0]);
+        // ...and an op with no rule is an error naming it
+        let mut tape = Tape::default();
+        let an = tape.watch();
+        let out = a.softmax().unwrap();
+        let n = tape.record(&Op::Softmax, [(&a, Some(an))], &out).unwrap();
+        let (op, message) = tape.gradients(n, &[2], &[(an, &[2])]).unwrap_err();
+        assert_eq!((op, message), ("softmax", no_rule("softmax")));
+    }
+
+    #[test]
+    fn fan_in_accumulates() {
+        // z = x*y + x ; dz/dx = y + 1, dz/dy = x
+        let mut tape = Tape::default();
+        let (x, y) = (Tensor::scalar_f32(3.0), Tensor::scalar_f32(5.0));
+        let (xn, yn) = (tape.watch(), tape.watch());
+        let xy = x.mul(&y).unwrap();
+        let xyn = tape.record(&Op::Mul, [(&x, Some(xn)), (&y, Some(yn))], &xy);
+        let z = xy.add(&x).unwrap();
+        let zn = tape.record(&Op::Add, [(&xy, xyn), (&x, Some(xn))], &z);
+        let grads = tape.gradients(zn.unwrap(), &[], &[(xn, &[]), (yn, &[])]);
+        let grads = grads.unwrap();
+        assert_eq!(grads[0].scalar_value_f32().unwrap(), 6.0);
+        assert_eq!(grads[1].scalar_value_f32().unwrap(), 3.0);
     }
 }

@@ -1,7 +1,7 @@
 //! Recursive TreeLSTM staged to the Lantern backend (§8, Table 3):
 //! a recursive model TensorFlow graphs cannot express, staged once into an
 //! S-expression IR with a *single* definition per function, then trained
-//! with CPS-style reverse-mode AD.
+//! with reverse-mode AD on a data tape.
 //!
 //! ```sh
 //! cargo run --release --example treelstm_lantern

@@ -67,6 +67,13 @@ cargo run --release -q -p genprog -- fuzz --seeds 0..500
 echo "== genprog replay (tests/regressions/)"
 cargo run --release -q -p genprog -- replay tests/regressions/*.pylite
 
+# Table 3 smoke: the one table bin that drives both users of the
+# autodiff tape (eager TreeLSTM training and Lantern's Engine::grad)
+# end to end. It gates nothing on speed: any tape error panics the bin
+# (`.expect("step")`) and fails the build by its exit code.
+echo "== table3 smoke (eager and Lantern tapes, end to end)"
+cargo run --release -q -p autograph-bench --bin table3 -- --runs 2
+
 # explain gate: the provenance layer must attribute >=95% of executed
 # node self-time back to source lines on all three example programs (a
 # control-flow-heavy loop, a matmul-heavy MLP, and a fusion-heavy

@@ -12,6 +12,7 @@
 //! the kernel emitter and Lantern must agree bitwise on every rule, and an
 //! op with no rule fails alike on the graph and on the tape.
 
+use autograph::eager::{Eager, EagerTensor};
 use autograph::graph::grad::gradients;
 use autograph::graph::ir::Op;
 use autograph::graph::{GraphBuilder, NodeId, OpKind};
@@ -555,6 +556,33 @@ fn ops_without_a_rule_fail_alike_on_graph_and_tape() {
             assert!(err.contains(&want), "{op} on the {backend}: {err}");
         }
     }
+}
+
+#[test]
+fn a_loss_reached_only_through_a_comparison_has_zero_gradients() {
+    // eager: reduce_sum(cast(x > 0) * c) is tracked, but a comparison
+    // passes no adjoint back to x
+    let e = Eager::new();
+    e.start_tape();
+    let x = Tensor::from_vec(vec![-1.0, 2.0], &[2]).unwrap();
+    let x = e.watch(&EagerTensor::from(x)).unwrap();
+    let zero = EagerTensor::from(Tensor::scalar_f32(0.0));
+    let pos = e.op("greater", &[&x, &zero]).unwrap();
+    let mask = e.apply(&Op::Cast(DType::F32), &[&pos]).unwrap();
+    let scaled = e.mul(&mask, &EagerTensor::from(Tensor::scalar_f32(3.0)));
+    let loss = e.op("reduce_sum", &[&scaled.unwrap()]).unwrap();
+    let grads = e.gradient(&loss, &[&x]).expect("eager gradient");
+    assert_eq!(grads[0].as_f32().unwrap(), &[0.0, 0.0]);
+
+    // Lantern has no cast: the loss is the comparison itself
+    let src = "(program (gt (reduce_sum (mul (param w) (extern c))) 0))";
+    let engine = Engine::new(Program::compile(&sexpr::parse(src).unwrap()).unwrap());
+    let w = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
+    let c = LValue::scalar(3.0);
+    let (_, grads) = engine
+        .grad(&[("c", c)], &[("w", w)])
+        .expect("lantern gradient");
+    assert_eq!(grads[0].as_f32().unwrap(), &[0.0, 0.0]);
 }
 
 #[test]
